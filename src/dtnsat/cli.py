@@ -7,7 +7,7 @@ from dataclasses import replace
 from typing import Optional, Sequence
 
 from .experiments import MODES, ConfigError, ScenarioConfig, emit_csv, \
-    parse_config, run_scenario
+    format_csv, parse_config, run_scenario
 from .simulate import MODEL, PHYSICAL
 
 
@@ -59,21 +59,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if config.out is not None:
             emit_csv(table, config.out)
         else:
-            _print_table(table)
+            sys.stdout.write(format_csv(table))
     except (ConfigError, OSError, ValueError) as exc:
         print(f"dtnsat {args.mode}: error: {exc}", file=sys.stderr)
         return 1
     return 0
-
-
-def _print_table(table) -> None:
-    from .experiments import _fmt
-
-    for key, value in table.metadata:
-        print(f"# {key} = {value}")
-    print(",".join(table.columns))
-    for row in table.rows:
-        print(",".join(_fmt(v) for v in row))
 
 
 if __name__ == "__main__":

@@ -1,12 +1,14 @@
 """Closed-form satisfaction-equilibrium solvers and efficiency checks.
 
-The solvers invert a reduced per-relay balance equation: caching cost is
-linearized to e*(1-q)/lam and the failure regret is weighted by the full
-fleet size n rather than by the accepting cohort alone.  The residual of
-that balance is exposed (``pure_indifference_gap`` / ``mixed_indifference_gap``)
-so tests can verify each returned reward solves its own equation; the exact
-per-cohort utilities in :mod:`dtnsat.model` differ from the reduced model by
-a small documented offset and are kept as independent operations.
+The solvers invert the relay payoff of :func:`dtnsat.model.relay_payoffs`
+under its REDUCED model: caching cost is linearized to e*(1-q)/lam and the
+failure regret is weighted by the full fleet size n rather than by the
+accepting cohort alone.  The residual of that balance is exposed
+(``pure_indifference_gap`` / ``mixed_indifference_gap``) so tests can verify
+each returned reward solves its own equation.  The simulator and the
+per-cohort utilities in :mod:`dtnsat.model` evaluate the same kernel under
+its EXACT model, which differs from the reduced one by a small documented
+offset.
 """
 from __future__ import annotations
 
@@ -15,13 +17,14 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 from .model import (
+    REDUCED,
     GameParams,
-    contact_probability,
-    delivery_share,
     expected_relay_utility_mixed,
     expected_source_utility_mixed,
     per_relay_success,
     relay_failure_probability,
+    relay_payoffs,
+    with_param,
 )
 
 
@@ -43,53 +46,26 @@ BISECTION_MAX_ITER = 200
 DOMINANCE_MARGIN = 1e-9
 
 
-def reduced_cooperation_cost(params: GameParams) -> float:
-    """Per-relay cooperation cost under the linearized caching-energy model.
-
-    Returns e_r + e_t + e*(1-q)/lam; for lam = 0 the analytic limit e*tau
-    is used so degenerate scenarios stay evaluable.
-    """
-    lam, tau = params.contact.lam, params.contact.tau
-    if lam == 0:
-        stored = params.energy.e_store * tau
-    else:
-        stored = params.energy.e_store * contact_probability(params.contact) / lam
-    return params.energy.e_receive + params.energy.e_transmit + stored
-
-
 def pure_indifference_gap(alpha: float, n_active: int, params: GameParams) -> float:
     """Accept-minus-reject payoff under the reduced model, pure cohort case.
 
     The solver's reward for cohort n_active is the exact root of this gap.
     """
     q = relay_failure_probability(params.contact)
-    share = delivery_share(n_active, q)
-    crowd_regret = params.sigma * (params.n - 1 + q ** n_active) / n_active
-    accept = alpha * share - crowd_regret - reduced_cooperation_cost(params)
-    reject = -alpha * share - params.gamma
+    accept, reject = relay_payoffs(alpha, n_active, q ** n_active, params, REDUCED)
     return accept - reject
 
 
 def mixed_indifference_gap(alpha: float, p: float, params: GameParams) -> float:
     """Accept-minus-reject payoff under the reduced model, common mixing p."""
-    n = params.n
-    miss = (1.0 - per_relay_success(params, p)) ** n
-    share = (1.0 - miss) / n
-    crowd_regret = params.sigma * (n - 1 + miss) / n
-    accept = alpha * share - crowd_regret - reduced_cooperation_cost(params)
-    reject = -alpha * share - params.gamma
+    accept, reject = mixed_relay_payoffs(alpha, p, params)
     return accept - reject
 
 
 def mixed_relay_payoffs(alpha: float, p: float, params: GameParams) -> tuple[float, float]:
     """(accept, reject) payoffs of the reduced mixed model at common p."""
-    n = params.n
-    miss = (1.0 - per_relay_success(params, p)) ** n
-    share = (1.0 - miss) / n
-    crowd_regret = params.sigma * (n - 1 + miss) / n
-    accept = alpha * share - crowd_regret - reduced_cooperation_cost(params)
-    reject = -alpha * share - params.gamma
-    return accept, reject
+    miss = (1.0 - per_relay_success(params, p)) ** params.n
+    return relay_payoffs(alpha, params.n, miss, params, REDUCED)
 
 
 @dataclass(frozen=True)
@@ -116,6 +92,8 @@ class MseSolution:
 
     def table(self, points: int = 11) -> list[tuple[float, float]]:
         """Sample (p, alpha) on an even grid over [p_min, 1]."""
+        if points < 2:
+            raise ValueError(f"points must be >= 2, got {points}")
         if not self.feasible:
             return []
         lo = self.p_min
@@ -138,6 +116,8 @@ def minimum_satisfying_cohort(params: GameParams) -> int:
     q = relay_failure_probability(params.contact)
     if q >= 1.0:
         raise DegenerateFailureError("no cohort can satisfy the source when q = 1")
+    if q == 0.0:
+        return 1  # exp(-lam*tau) underflowed: a single relay always delivers
     ratio = math.log(1.0 - params.delta) / math.log(q)
     # snap to the integer when float noise puts an exact bound a hair above it
     nearest = round(ratio)
@@ -146,18 +126,23 @@ def minimum_satisfying_cohort(params: GameParams) -> int:
     return max(1, math.ceil(ratio))
 
 
-def pse_reward(params: GameParams, n_active: int) -> float:
-    """Reward making cohort n_active indifferent under the reduced model."""
+def _indifference_reward(params: GameParams, cohort: int, miss: float) -> float:
+    """Root in alpha of the reduced-model gap, scaled through by lam."""
     lam = params.contact.lam
     q = relay_failure_probability(params.contact)
-    if q >= 1.0:
-        raise DegenerateFailureError("indifference reward undefined for q = 1")
-    miss = q ** n_active
-    num = lam * params.sigma * (params.n - 1 + miss) - n_active * (
+    num = lam * params.sigma * (params.n - 1 + miss) - cohort * (
         lam * (params.gamma - params.energy.e_receive - params.energy.e_transmit)
         - params.energy.e_store * (1.0 - q)
     )
     return num / (2.0 * lam * (1.0 - miss))
+
+
+def pse_reward(params: GameParams, n_active: int) -> float:
+    """Reward making cohort n_active indifferent under the reduced model."""
+    q = relay_failure_probability(params.contact)
+    if q >= 1.0:
+        raise DegenerateFailureError("indifference reward undefined for q = 1")
+    return _indifference_reward(params, n_active, q ** n_active)
 
 
 def solve_pse(params: GameParams) -> PseSolution:
@@ -182,17 +167,10 @@ def mse_reward(params: GameParams, p: float) -> float:
     """Reward making relays indifferent when all accept with probability p."""
     if not 0 <= p <= 1:
         raise ValueError(f"p must be in [0, 1], got {p}")
-    lam = params.contact.lam
-    q = relay_failure_probability(params.contact)
     z = per_relay_success(params, p)
     if z <= 0:
         raise DegenerateContactError("indifference reward undefined for zero success")
-    miss = (1.0 - z) ** params.n
-    num = lam * params.sigma * (params.n - 1 + miss) - params.n * (
-        lam * (params.gamma - params.energy.e_receive - params.energy.e_transmit)
-        - params.energy.e_store * (1.0 - q)
-    )
-    return num / (2.0 * lam * (1.0 - miss))
+    return _indifference_reward(params, params.n, (1.0 - z) ** params.n)
 
 
 def solve_mse(params: GameParams) -> MseSolution:
@@ -224,25 +202,6 @@ def solve_ese(params: GameParams) -> EseSolution:
                        alpha_clamped=clamped)
 
 
-def own_prob_payoff_slope(alpha: float, p: float, params: GameParams) -> float:
-    """Derivative of a relay's reduced-model payoff in its own accept prob.
-
-    The payoff is linear in the own probability, so the slope is just the
-    accept/reject gap; it vanishes at the indifference reward.
-    """
-    return mixed_indifference_gap(alpha, p, params)
-
-
-def _sweep_params(params: GameParams, sweep_var: str, value: float) -> GameParams:
-    from dataclasses import replace
-
-    if sweep_var == "tau":
-        return replace(params, contact=replace(params.contact, tau=value))
-    if sweep_var == "lambda":
-        return replace(params, contact=replace(params.contact, lam=value))
-    raise ValueError(f"sweep_var must be 'tau' or 'lambda', got {sweep_var!r}")
-
-
 def satisfaction_region(params: GameParams, sweep_var: str, lo: float, hi: float,
                         fixed_p: float) -> Optional[float]:
     """Smallest swept value at which mixed delivery reaches the threshold.
@@ -253,9 +212,11 @@ def satisfaction_region(params: GameParams, sweep_var: str, lo: float, hi: float
     """
     if not lo < hi:
         raise RangeError(f"need lo < hi, got [{lo}, {hi}]")
+    if sweep_var not in ("tau", "lambda"):
+        raise ValueError(f"sweep_var must be 'tau' or 'lambda', got {sweep_var!r}")
 
     def delivery(value: float) -> float:
-        return expected_source_utility_mixed(fixed_p, _sweep_params(params, sweep_var, value))
+        return expected_source_utility_mixed(fixed_p, with_param(params, sweep_var, value))
 
     if delivery(lo) >= params.delta:
         return lo

@@ -13,14 +13,15 @@ from typing import Optional
 
 from . import __version__
 from .equilibrium import (
-    pareto_dominance_check,
+    pareto_grid_scan,
     satisfaction_region,
     solve_ese,
     solve_mse,
     solve_pse,
 )
 from .learning import EPISODE, MEAN_FIELD, Schedules, run_coupled
-from .model import ContactModel, EnergyModel, GameParams
+from .model import ContactModel, EnergyModel, GameParams, \
+    expected_source_utility_mixed, with_param
 from .simulate import MODEL, PHYSICAL, estimate_delivery, estimate_relay_utility
 
 MODES = ("solve-pse", "solve-mse", "solve-ese", "region", "learn", "simulate",
@@ -93,6 +94,7 @@ _ALL_KEYS = _FLOAT_KEYS | _INT_KEYS | _STR_KEYS | _LIST_KEYS
 def parse_config(text: str) -> ScenarioConfig:
     """Parse and validate config text, filling defaults for missing keys."""
     raw: dict[str, object] = {}
+    first_line: dict[str, int] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
@@ -105,6 +107,10 @@ def parse_config(text: str) -> ScenarioConfig:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
         if not value:
             raise ConfigError(f"line {lineno}: empty value for key {key!r}")
+        if key in first_line:
+            raise ConfigError(f"line {lineno}: duplicate key {key!r} "
+                              f"(first set on line {first_line[key]})")
+        first_line[key] = lineno
         try:
             if key in _FLOAT_KEYS:
                 raw[key] = float(value)
@@ -233,15 +239,20 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def emit_csv(table: ResultTable, path: str) -> None:
-    """Write metadata comments, header and rows; stable byte-for-byte output."""
+def format_csv(table: ResultTable) -> str:
+    """Metadata comments, header and rows; stable byte-for-byte output."""
     lines = [f"# {key} = {value}" for key, value in table.metadata]
     lines.append(",".join(table.columns))
     for row in table.rows:
         lines.append(",".join(_fmt(v) for v in row))
+    return "\n".join(lines) + "\n"
+
+
+def emit_csv(table: ResultTable, path: str) -> None:
+    """Write the table as :func:`format_csv` text."""
     try:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("\n".join(lines) + "\n")
+            fh.write(format_csv(table))
     except OSError as exc:
         raise OSError(f"cannot write {path}: {exc}") from exc
 
@@ -255,26 +266,13 @@ def _metadata(config: ScenarioConfig, extra: dict[str, str] | None = None
     return tuple(meta.items())
 
 
-def _apply_sweep_value(config: ScenarioConfig, var: str, value: float
-                       ) -> ScenarioConfig:
-    params = config.params
-    if var == "tau":
-        params = replace(params, contact=replace(params.contact, tau=value))
-    elif var == "lambda":
-        params = replace(params, contact=replace(params.contact, lam=value))
-    elif var == "n":
-        params = replace(params, n=int(value))
-    elif var == "delta":
-        params = replace(params, delta=value)
-    elif var == "p":
-        return replace(config, p=value)
-    return replace(config, params=params)
-
-
-def _sweep_points(config: ScenarioConfig) -> list[tuple[Optional[float], ScenarioConfig]]:
+def _sweep_points(config: ScenarioConfig) -> list[tuple[list[float], ScenarioConfig]]:
+    """(leading sweep column, scenario) per point; the column is [] without a sweep."""
     if config.sweep is None:
-        return [(None, config)]
-    return [(v, _apply_sweep_value(config, config.sweep.var, v))
+        return [([], config)]
+    var = config.sweep.var
+    return [([v], replace(config, p=v) if var == "p"
+             else replace(config, params=with_param(config.params, var, v)))
             for v in config.sweep.values]
 
 
@@ -307,25 +305,21 @@ def _run_solve_pse(config: ScenarioConfig) -> ResultTable:
     columns = _sweep_col(config) + ["n_a", "alpha_star", "clamped", "n_a_min",
                                     "feasible"]
     rows = []
-    for value, cfg in _sweep_points(config):
+    for lead, cfg in _sweep_points(config):
         sol = solve_pse(cfg.params)
         for m in sorted(sol.alpha_star):
-            row = ([value] if value is not None else []) + [
-                m, sol.alpha_star[m], int(sol.clamped[m]), sol.n_a_min,
-                int(sol.feasible)]
-            rows.append(tuple(row))
+            rows.append((*lead, m, sol.alpha_star[m], int(sol.clamped[m]),
+                         sol.n_a_min, int(sol.feasible)))
     return ResultTable(tuple(columns), tuple(rows), _metadata(config))
 
 
 def _run_solve_mse(config: ScenarioConfig) -> ResultTable:
     columns = _sweep_col(config) + ["p_min", "alpha_star", "z_star", "feasible"]
     rows = []
-    for value, cfg in _sweep_points(config):
+    for lead, cfg in _sweep_points(config):
         sol = solve_mse(cfg.params)
         alpha = sol.alpha_of_p(sol.p_min) if sol.feasible else math.nan
-        row = ([value] if value is not None else []) + [
-            sol.p_min, alpha, sol.z_star, int(sol.feasible)]
-        rows.append(tuple(row))
+        rows.append((*lead, sol.p_min, alpha, sol.z_star, int(sol.feasible)))
     return ResultTable(tuple(columns), tuple(rows), _metadata(config))
 
 
@@ -333,24 +327,20 @@ def _run_solve_ese(config: ScenarioConfig) -> ResultTable:
     columns = _sweep_col(config) + ["p_star", "alpha_star", "binding_delivery",
                                     "alpha_clamped"]
     rows = []
-    for value, cfg in _sweep_points(config):
+    for lead, cfg in _sweep_points(config):
         sol = solve_ese(cfg.params)
-        row = ([value] if value is not None else []) + [
-            sol.p_star, sol.alpha_star, sol.binding_delivery,
-            int(sol.alpha_clamped)]
-        rows.append(tuple(row))
+        rows.append((*lead, sol.p_star, sol.alpha_star, sol.binding_delivery,
+                     int(sol.alpha_clamped)))
     return ResultTable(tuple(columns), tuple(rows), _metadata(config))
 
 
 def _run_region(config: ScenarioConfig) -> ResultTable:
     if config.sweep is None or config.sweep.var not in ("tau", "lambda"):
         raise ConfigError("region mode needs a sweep over tau or lambda")
-    from .model import expected_source_utility_mixed
-
     rows = []
-    for value, cfg in _sweep_points(config):
+    for lead, cfg in _sweep_points(config):
         delivery = expected_source_utility_mixed(cfg.p, cfg.params)
-        rows.append((value, delivery, int(delivery >= cfg.params.delta)))
+        rows.append((*lead, delivery, int(delivery >= cfg.params.delta)))
     lo, hi = min(config.sweep.values), max(config.sweep.values)
     threshold = satisfaction_region(config.params, config.sweep.var, lo, hi,
                                     config.p)
@@ -373,10 +363,10 @@ def _run_learn(config: ScenarioConfig) -> ResultTable:
 def _run_simulate(config: ScenarioConfig) -> ResultTable:
     columns = ["p", "delivery_mean", "delivery_se", "relay_utility_mean",
                "relay_utility_se", "trials"]
+    if config.sweep is not None and config.sweep.var != "p":
+        raise ConfigError("simulate mode sweeps only p")
     rows = []
-    for value, cfg in _sweep_points(config):
-        if config.sweep is not None and config.sweep.var != "p":
-            raise ConfigError("simulate mode sweeps only p")
+    for _, cfg in _sweep_points(config):
         reward = cfg.alpha
         if reward is None:
             reward = solve_ese(cfg.params).alpha_star
@@ -391,16 +381,8 @@ def _run_simulate(config: ScenarioConfig) -> ResultTable:
 
 def _run_pareto_grid(config: ScenarioConfig) -> ResultTable:
     ese = solve_ese(config.params)
-    points = 101
-    dominators = []
-    for i in range(points):
-        p = i / (points - 1)
-        for j in range(points):
-            a = config.params.alpha_max * j / (points - 1)
-            verdict = pareto_dominance_check(p, a, ese, config.params)
-            if verdict.dominates:
-                dominators.append((p, a, verdict.source_margin_delta,
-                                   verdict.relay_utility_delta))
+    dominators = [(p, a, v.source_margin_delta, v.relay_utility_delta)
+                  for p, a, v in pareto_grid_scan(config.params, ese)]
     extra = {"ese_p_star": _fmt(ese.p_star), "ese_alpha_star": _fmt(ese.alpha_star),
              "dominating_points": str(len(dominators))}
     return ResultTable(("p", "alpha", "source_margin_delta", "relay_utility_delta"),

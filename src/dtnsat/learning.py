@@ -107,20 +107,15 @@ class RelayLearnerState:
 
 
 def source_step(state: SourceLearnerState, observed_payoff: float,
-                epsilon_k: float, verbatim_recursion: bool = False
-                ) -> SourceLearnerState:
+                epsilon_k: float) -> SourceLearnerState:
     """One reward update from one observed payoff.
 
     The estimate tracks the observation stream and the reward moves by the
-    remaining gap to the target, clamped into [0, alpha_max].  With
-    ``verbatim_recursion`` the estimate instead contracts straight to the
-    target and the observation is ignored (compatibility behaviour; it
-    cannot locate the satisfying reward).
+    remaining gap to the target, clamped into [0, alpha_max].
     """
     if not 0.0 < epsilon_k <= 1.0:
         raise ValueError(f"epsilon_k must be in (0, 1], got {epsilon_k}")
-    innovation_src = state.target if verbatim_recursion else observed_payoff
-    estimate = state.payoff_estimate + epsilon_k * (innovation_src - state.payoff_estimate)
+    estimate = state.payoff_estimate + epsilon_k * (observed_payoff - state.payoff_estimate)
     alpha = state.alpha + epsilon_k * (state.target - estimate)
     alpha = min(max(alpha, 0.0), state.alpha_max)
     return replace(state, alpha=alpha, payoff_estimate=estimate, step=state.step + 1)
@@ -205,16 +200,6 @@ class Trajectory:
                          *self.accept_probs[i],
                          self.n_accept[i], int(self.delivered[i])])
         return rows
-
-    def to_csv(self, path: str) -> None:
-        """Write the per-iteration record as plain CSV (12 significant digits)."""
-        def fmt(v) -> str:
-            return f"{v:.12g}" if isinstance(v, float) else str(v)
-
-        lines = [",".join(self.csv_header())]
-        lines += [",".join(fmt(v) for v in row) for row in self.csv_rows()]
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("\n".join(lines) + "\n")
 
 
 def run_coupled(params: GameParams, schedules: Schedules, seed: int,

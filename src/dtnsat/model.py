@@ -7,7 +7,7 @@ and energies are plain floats in consistent (dimensionless) units.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 
 class DegenerateRateError(ValueError):
@@ -22,6 +22,12 @@ class CohortTooLargeError(ValueError):
     """Raised when exact term-by-term summation would not be trustworthy."""
 
 
+def _require_finite(obj, *names) -> None:
+    for name in names:
+        if not math.isfinite(getattr(obj, name)):
+            raise ValueError(f"{name} must be finite, got {getattr(obj, name)}")
+
+
 @dataclass(frozen=True)
 class ContactModel:
     """Poisson pairwise meetings: rate per unit time and file lifetime."""
@@ -30,6 +36,7 @@ class ContactModel:
     tau: float
 
     def __post_init__(self):
+        _require_finite(self, "lam", "tau")
         if self.lam < 0:
             raise ValueError(f"lam must be >= 0, got {self.lam}")
         if self.tau <= 0:
@@ -45,6 +52,7 @@ class EnergyModel:
     e_transmit: float
 
     def __post_init__(self):
+        _require_finite(self, "e_store", "e_receive", "e_transmit")
         for name in ("e_store", "e_receive", "e_transmit"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
@@ -70,6 +78,7 @@ class GameParams:
     def __post_init__(self):
         if not isinstance(self.n, int) or self.n < 1:
             raise ValueError(f"n must be a positive integer, got {self.n}")
+        _require_finite(self, "sigma", "gamma", "delta", "alpha_max")
         if self.sigma < 0:
             raise ValueError(f"sigma must be >= 0, got {self.sigma}")
         if self.gamma < 0:
@@ -122,8 +131,54 @@ def storage_energy(params: GameParams) -> float:
 
 
 def total_energy(params: GameParams) -> float:
-    """Total per-node cost of cooperating: receive + transmit + storage."""
-    return params.energy.e_receive + params.energy.e_transmit + storage_energy(params)
+    """Total per-node cost of cooperating: receive + transmit + storage.
+
+    This is the exact model's cost.  At lam = 0 the storage term takes its
+    analytic limit 0, so degenerate scenarios stay evaluable.
+    """
+    stored = storage_energy(params) if params.contact.lam > 0 else 0.0
+    return params.energy.e_receive + params.energy.e_transmit + stored
+
+
+def reduced_cooperation_cost(params: GameParams) -> float:
+    """Per-relay cooperation cost under the linearized caching-energy model.
+
+    Returns e_r + e_t + e*(1-q)/lam; for lam = 0 the analytic limit e*tau
+    is used so degenerate scenarios stay evaluable.
+    """
+    lam, tau = params.contact.lam, params.contact.tau
+    if lam == 0:
+        stored = params.energy.e_store * tau
+    else:
+        stored = params.energy.e_store * contact_probability(params.contact) / lam
+    return params.energy.e_receive + params.energy.e_transmit + stored
+
+
+# payoff models of relay_payoffs: the simulator and the per-cohort
+# utilities use EXACT, the closed-form solvers and mean-field feed REDUCED
+EXACT = "exact"  # regret sigma*(1 - share), cost total_energy
+REDUCED = "reduced"  # regret sigma*(n - 1 + miss)/cohort, cost reduced_cooperation_cost
+
+
+def relay_payoffs(alpha, cohort, miss, params: GameParams, model: str = EXACT):
+    """(accept, reject) payoffs of a relay facing a caching cohort.
+
+    ``cohort`` relays cache, ``miss`` is the probability none of them
+    delivers, and each holds share (1 - miss)/cohort of the reward alpha.
+    Accepting earns the share minus the model's regret and cooperation cost;
+    declining forfeits the share and pays the decline regret gamma.  Plain
+    arithmetic only, so numpy arrays of cohorts and misses work elementwise.
+    """
+    share = (1.0 - miss) / cohort
+    if model == EXACT:
+        regret = params.sigma * (1.0 - share)
+        cost = total_energy(params)
+    elif model == REDUCED:
+        regret = params.sigma * (params.n - 1 + miss) / cohort
+        cost = reduced_cooperation_cost(params)
+    else:
+        raise ValueError(f"model must be {EXACT!r} or {REDUCED!r}, got {model!r}")
+    return alpha * share - regret - cost, -alpha * share - params.gamma
 
 
 def delivery_share(n_active: int, q: float) -> float:
@@ -162,26 +217,23 @@ def delivery_share_bruteforce(n_active: int, q: float) -> float:
     return succeed * total
 
 
-def relay_utility_accept(profile: StrategyProfile, params: GameParams) -> float:
-    """Payoff of a relay that cached: share-weighted reward minus regret and energy."""
+def _profile_payoffs(profile: StrategyProfile, params: GameParams) -> tuple[float, float]:
     if profile.n_active < 1:
-        raise EmptyCohortError("an accepting relay implies a non-empty cohort")
+        raise EmptyCohortError("relay payoffs are defined against a non-empty cohort")
     if profile.n_active > params.n:
         raise ValueError(f"n_active {profile.n_active} exceeds n = {params.n}")
     q = relay_failure_probability(params.contact)
-    share = delivery_share(profile.n_active, q)
-    return profile.reward * share - params.sigma * (1.0 - share) - total_energy(params)
+    return relay_payoffs(profile.reward, profile.n_active, q ** profile.n_active, params)
+
+
+def relay_utility_accept(profile: StrategyProfile, params: GameParams) -> float:
+    """Payoff of a relay that cached: share-weighted reward minus regret and energy."""
+    return _profile_payoffs(profile, params)[0]
 
 
 def relay_utility_reject(profile: StrategyProfile, params: GameParams) -> float:
     """Payoff of a relay that declined: forfeited share-weighted reward minus regret."""
-    if profile.n_active < 1:
-        raise EmptyCohortError("the reject payoff is defined against a non-empty cohort")
-    if profile.n_active > params.n:
-        raise ValueError(f"n_active {profile.n_active} exceeds n = {params.n}")
-    q = relay_failure_probability(params.contact)
-    share = delivery_share(profile.n_active, q)
-    return -profile.reward * share - params.gamma
+    return _profile_payoffs(profile, params)[1]
 
 
 def source_utility(n_active: int, q: float) -> float:
@@ -218,11 +270,23 @@ def expected_relay_utility_mixed(p: float, alpha: float, params: GameParams) -> 
     if not 0 <= alpha <= params.alpha_max:
         raise ValueError(f"alpha must be in [0, alpha_max], got {alpha}")
     n = params.n
+    q = relay_failure_probability(params.contact)
     total = 0.0
     for k in range(n):
         weight = math.comb(n - 1, k) * p ** k * (1.0 - p) ** (n - 1 - k)
-        prof = StrategyProfile(n_active=k + 1, accept_prob=p, reward=alpha)
-        u_accept = relay_utility_accept(prof, params)
-        u_reject = relay_utility_reject(prof, params)
+        u_accept, u_reject = relay_payoffs(alpha, k + 1, q ** (k + 1), params)
         total += weight * (p * u_accept + (1.0 - p) * u_reject)
     return total
+
+
+def with_param(params: GameParams, var: str, value: float) -> GameParams:
+    """Copy of params with one sweepable parameter (tau, lambda, n, delta) set."""
+    if var == "tau":
+        return replace(params, contact=replace(params.contact, tau=value))
+    if var == "lambda":
+        return replace(params, contact=replace(params.contact, lam=value))
+    if var == "n":
+        return replace(params, n=int(value))
+    if var == "delta":
+        return replace(params, delta=value)
+    raise ValueError(f"cannot sweep {var!r}; sweepable parameters are tau, lambda, n, delta")

@@ -27,7 +27,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .model import GameParams, relay_failure_probability, storage_energy
+from .model import GameParams, relay_failure_probability, relay_payoffs
 
 MODEL = "model"
 PHYSICAL = "physical"
@@ -56,16 +56,6 @@ class EstimateWithCI:
     def interval(self) -> tuple[float, float]:
         z = NormalDist().inv_cdf(0.5 + self.confidence_level / 2.0)
         return self.mean - z * self.stderr, self.mean + z * self.stderr
-
-
-def _cooperation_energy(params: GameParams) -> float:
-    # lam = 0 caches nothing deliverable; take the analytic zero-storage limit
-    # so degenerate scenarios remain simulable.
-    if params.contact.lam == 0:
-        stored = 0.0
-    else:
-        stored = storage_energy(params)
-    return params.energy.e_receive + params.energy.e_transmit + stored
 
 
 def _episode_rng(seed: int, trial: int) -> np.random.Generator:
@@ -135,18 +125,12 @@ def simulate_episode(params: GameParams, accept_probs: Sequence[float],
 
 def _score_relays(params: GameParams, accepted: np.ndarray, reward: float
                   ) -> tuple[float, ...]:
+    # acceptors share a cohort of n_accept; a decliner is scored as one more
     q = relay_failure_probability(params.contact)
-    eta = _cooperation_energy(params)
     n_accept = int(accepted.sum())
-    scores = []
-    for i in range(params.n):
-        cohort = n_accept + (0 if accepted[i] else 1)
-        share = (1.0 - q ** cohort) / cohort
-        if accepted[i]:
-            scores.append(reward * share - params.sigma * (1.0 - share) - eta)
-        else:
-            scores.append(-reward * share - params.gamma)
-    return tuple(scores)
+    pay_accept = relay_payoffs(reward, n_accept, q ** n_accept, params)[0] if n_accept else None
+    pay_reject = relay_payoffs(reward, n_accept + 1, q ** (n_accept + 1), params)[1]
+    return tuple(pay_accept if a else pay_reject for a in accepted)
 
 
 def estimate_delivery(params: GameParams, accept_prob: float, trials: int,

@@ -10,7 +10,6 @@ from dtnsat.equilibrium import (
     mixed_indifference_gap,
     mixed_relay_payoffs,
     mse_reward,
-    own_prob_payoff_slope,
     pareto_dominance_check,
     pareto_grid_scan,
     pse_reward,
@@ -77,6 +76,12 @@ class TestSolvePse:
         sol = solve_pse(make_params(delta=1e-12))
         assert sol.n_a_min == 1
 
+    def test_underflowing_failure_needs_one_relay(self):
+        # lam*tau = 800: exp(-lam*tau) underflows to 0
+        sol = solve_pse(make_params(lam=8.0, tau=100.0))
+        assert sol.n_a_min == 1
+        assert all(math.isfinite(a) for a in sol.alpha_star.values())
+
     def test_exact_integer_bound_not_bumped(self):
         # q = 0.5 and delta = 1 - q**3: the bound is exactly 3
         params = make_params(lam=1.0, tau=math.log(2.0), delta=0.875)
@@ -113,6 +118,11 @@ class TestSolveMse:
         sol = solve_mse(base_params)
         for p, alpha in sol.table(points=7):
             assert abs(mixed_indifference_gap(alpha, p, base_params)) <= 1e-9
+
+    @pytest.mark.parametrize("points", [1, 0])
+    def test_table_needs_two_points(self, base_params, points):
+        with pytest.raises(ValueError, match="points"):
+            solve_mse(base_params).table(points)
 
     def test_single_relay_boundary(self):
         params = make_params(n=1)
@@ -159,8 +169,8 @@ class TestSolveEse:
         # at the balancing reward the payoff is flat in the own accept prob
         sol = solve_ese(base_params)
         for p in (0.0, 0.3, 1.0):
-            assert abs(own_prob_payoff_slope(sol.alpha_star, sol.p_star,
-                                             base_params)) <= 1e-9
+            assert abs(mixed_indifference_gap(sol.alpha_star, sol.p_star,
+                                              base_params)) <= 1e-9
             u_a, u_r = mixed_relay_payoffs(sol.alpha_star, sol.p_star, base_params)
             assert u_a == pytest.approx(u_r, abs=1e-9)
 

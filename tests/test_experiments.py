@@ -49,6 +49,15 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="line 1"):
             parse_config("just some words\n")
 
+    def test_duplicate_key_reports_both_lines(self):
+        with pytest.raises(ConfigError, match="line 3: duplicate key 'n'.*line 1"):
+            parse_config("n = 7\ntau = 50\nn = 9\n")
+
+    @pytest.mark.parametrize("line", ["sigma = nan", "tau = inf", "lambda = nan"])
+    def test_non_finite_value_rejected(self, line):
+        with pytest.raises(ConfigError, match="must be finite"):
+            parse_config(line)
+
     def test_bad_number_reports_key(self):
         with pytest.raises(ConfigError, match="tau"):
             parse_config("tau = fast\n")
@@ -249,6 +258,15 @@ class TestCli:
                          "--seed", "3"])
             assert code == 0, mode
             assert out.exists(), mode
+
+    def test_solve_pse_with_underflowing_failure(self, tmp_path, capsys):
+        cfg = tmp_path / "fast.cfg"
+        cfg.write_text("lambda = 8\ntau = 100\n")
+        assert main(["solve-pse", "--config", str(cfg)]) == 0
+        out = capsys.readouterr().out.splitlines()
+        header = [line for line in out if not line.startswith("#")][0].split(",")
+        rows = [line.split(",") for line in out if line[0].isdigit()]
+        assert {row[header.index("n_a_min")] for row in rows} == {"1"}
 
     def test_seed_override_lands_in_metadata(self, tmp_path):
         out = tmp_path / "o.csv"

@@ -1,9 +1,11 @@
 import math
 import random
+from dataclasses import replace
 
 import pytest
 
 from dtnsat.equilibrium import mixed_relay_payoffs, solve_ese
+from dtnsat.experiments import emit_csv, parse_config, run_scenario
 from dtnsat.learning import (
     EPISODE,
     MEAN_FIELD,
@@ -65,16 +67,6 @@ class TestSourceStep:
         for k in range(1, 2000):
             s = source_step(s, rng.uniform(-5, 5), 1.0 / k if k > 1 else 1.0)
             assert 0.0 <= s.alpha <= 5.0
-
-    def test_verbatim_recursion_ignores_observations(self):
-        s = SourceLearnerState(alpha=1.0, payoff_estimate=0.0, target=0.21,
-                               alpha_max=5.0)
-        a = source_step(s, observed_payoff=123.0, epsilon_k=0.3,
-                        verbatim_recursion=True)
-        b = source_step(s, observed_payoff=-7.0, epsilon_k=0.3,
-                        verbatim_recursion=True)
-        assert a == b
-        assert a.payoff_estimate == pytest.approx(0.3 * 0.21)
 
     def test_bad_rate_rejected(self):
         s = SourceLearnerState(alpha=1.0, payoff_estimate=0.0, target=0.21,
@@ -250,11 +242,13 @@ class TestTrajectoryExport:
         assert rows[0][0] == 1
         assert rows[-1][0] == 20
 
-    def test_to_csv_round_trips(self, base_params, tmp_path):
+    def test_emit_csv_round_trips(self, base_params, tmp_path):
         traj = run_coupled(base_params, Schedules(horizon=15), seed=2)
+        config = replace(parse_config("horizon = 15\nseed = 2"), mode="learn")
         path = tmp_path / "traj.csv"
-        traj.to_csv(str(path))
-        lines = path.read_text().splitlines()
+        emit_csv(run_scenario(config), str(path))
+        lines = [line for line in path.read_text().splitlines()
+                 if not line.startswith("#")]
         assert lines[0].split(",") == traj.csv_header()
         assert len(lines) == 16
         first = lines[1].split(",")

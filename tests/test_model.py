@@ -1,8 +1,11 @@
 import math
 
+import numpy as np
 import pytest
 
 from dtnsat.model import (
+    EXACT,
+    REDUCED,
     ContactModel,
     DegenerateRateError,
     EmptyCohortError,
@@ -15,7 +18,9 @@ from dtnsat.model import (
     expected_relay_utility_mixed,
     expected_source_utility_mixed,
     per_relay_success,
+    reduced_cooperation_cost,
     relay_failure_probability,
+    relay_payoffs,
     relay_utility_accept,
     relay_utility_reject,
     source_utility,
@@ -99,6 +104,38 @@ class TestTotalEnergy:
 
     def test_storage_free_case(self):
         assert total_energy(make_params(e=0.0, e_r=1.0, e_t=1.0)) == 2.0
+
+
+class TestRelayPayoffs:
+    @pytest.mark.parametrize("model", [EXACT, REDUCED])
+    def test_arrays_match_scalar_calls_exactly(self, base_params, model):
+        q = relay_failure_probability(base_params.contact)
+        cohorts = range(1, base_params.n + 1)
+        misses = [q ** c for c in cohorts]
+        accept, reject = relay_payoffs(1.3, np.array(cohorts), np.array(misses),
+                                       base_params, model)
+        for i, (c, miss) in enumerate(zip(cohorts, misses)):
+            assert (accept[i], reject[i]) == relay_payoffs(1.3, c, miss,
+                                                           base_params, model)
+
+    def test_unknown_model_rejected(self, base_params):
+        with pytest.raises(ValueError, match="model"):
+            relay_payoffs(1.0, 2, 0.5, base_params, "approximate")
+
+
+class TestZeroRateLimits:
+    # lam*tau = 1e-9 keeps the first-order offsets of both costs below 1e-9
+    def test_total_energy(self):
+        assert total_energy(make_params(lam=0.0, tau=1.0)) == 2e-5 + 2e-5
+        assert total_energy(make_params(lam=0.0, tau=1.0)) == pytest.approx(
+            total_energy(make_params(lam=1e-9, tau=1.0)), rel=1e-9)
+
+    def test_reduced_cooperation_cost(self):
+        assert reduced_cooperation_cost(make_params(lam=0.0, tau=1.0)) == \
+            2e-5 + 2e-5 + 3.8e-5 * 1.0
+        assert reduced_cooperation_cost(make_params(lam=0.0, tau=1.0)) == \
+            pytest.approx(reduced_cooperation_cost(make_params(lam=1e-9, tau=1.0)),
+                          rel=1e-9)
 
 
 class TestDeliveryShare:
@@ -286,6 +323,15 @@ class TestValidation:
                        {"sigma": -0.1}, {"gamma": -0.1}, {"alpha_max": 0.0}):
             with pytest.raises(ValueError):
                 make_params(**kwargs)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("kwarg,field", [
+        ("lam", "lam"), ("tau", "tau"), ("e", "e_store"), ("e_r", "e_receive"),
+        ("e_t", "e_transmit"), ("sigma", "sigma"), ("gamma", "gamma"),
+        ("delta", "delta"), ("alpha_max", "alpha_max")])
+    def test_non_finite_rejected_by_name(self, kwarg, field, bad):
+        with pytest.raises(ValueError, match=f"^{field} must be finite"):
+            make_params(**{kwarg: bad})
 
     def test_profile_bounds(self):
         with pytest.raises(ValueError):
