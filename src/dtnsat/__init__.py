@@ -47,6 +47,7 @@ from .learning import (  # noqa: F401
 from .simulate import (  # noqa: F401
     EpisodeOutcome,
     EstimateWithCI,
+    episode_rng,
     estimate_delivery,
     estimate_relay_utility,
     simulate_episode,

@@ -29,35 +29,25 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def load_config(args: argparse.Namespace) -> ScenarioConfig:
+    text = ""
     if args.config is not None:
         try:
             with open(args.config, encoding="utf-8") as fh:
-                config = parse_config(fh.read())
+                text = fh.read()
         except OSError as exc:
             raise ConfigError(f"cannot read config {args.config}: {exc}") from exc
-    else:
-        config = parse_config("")
-    overrides = {}
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if args.trials is not None:
-        if args.trials < 1:
-            raise ConfigError(f"trials must be >= 1, got {args.trials}")
-        overrides["trials"] = args.trials
-    if args.contact_mode is not None:
-        overrides["contact_mode"] = args.contact_mode
-    if args.out is not None:
-        overrides["out"] = args.out
-    return replace(config, mode=args.mode, **overrides)
+    flags = {"seed": args.seed, "trials": args.trials,
+             "contact_mode": args.contact_mode}
+    config = parse_config(text, {k: v for k, v in flags.items() if v is not None})
+    return replace(config, mode=args.mode)
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        config = load_config(args)
-        table = run_scenario(config)
-        if config.out is not None:
-            emit_csv(table, config.out)
+        table = run_scenario(load_config(args))
+        if args.out is not None:
+            emit_csv(table, args.out)
         else:
             sys.stdout.write(format_csv(table))
     except (ConfigError, OSError, ValueError) as exc:

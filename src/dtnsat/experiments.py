@@ -13,6 +13,7 @@ from typing import Optional
 
 from . import __version__
 from .equilibrium import (
+    DegenerateContactError,
     pareto_grid_scan,
     satisfaction_region,
     solve_ese,
@@ -42,17 +43,16 @@ class SweepSpec:
 @dataclass(frozen=True)
 class ScenarioConfig:
     params: GameParams
+    sweep: Optional[SweepSpec]
+    trials: int
+    seed: int
+    contact_mode: str
+    p: float
+    alpha: Optional[float]
+    horizon: int
+    alpha0: Optional[float]
+    feed: str
     mode: Optional[str] = None
-    sweep: Optional[SweepSpec] = None
-    trials: int = 10000
-    seed: int = 1
-    out: Optional[str] = None
-    contact_mode: str = MODEL
-    p: float = 1.0
-    alpha: Optional[float] = None
-    horizon: int = 5000
-    alpha0: Optional[float] = None
-    feed: str = EPISODE
 
     def echo(self) -> dict[str, str]:
         """Resolved key/value view, the one embedded in every output."""
@@ -78,21 +78,31 @@ class ScenarioConfig:
         return {k: _fmt(v) for k, v in items.items()}
 
 
-_DEFAULTS = {
-    "lambda": 0.015, "tau": 100.0, "n": 7, "delta": 0.21, "sigma": 0.2,
-    "gamma": 0.15, "e": 3.8e-5, "e_r": 2e-5, "e_t": 2e-5, "alpha_max": 5.0,
+def _floats(text: str) -> tuple[float, ...]:
+    return tuple(float(v) for v in text.split(","))
+
+
+# every config key: its parser and its default (None when unset)
+_KEYS = {
+    "lambda": (float, 0.015), "tau": (float, 100.0), "n": (int, 7),
+    "delta": (float, 0.21), "sigma": (float, 0.2), "gamma": (float, 0.15),
+    "e": (float, 3.8e-5), "e_r": (float, 2e-5), "e_t": (float, 2e-5),
+    "alpha_max": (float, 5.0), "p": (float, 1.0), "alpha": (float, None),
+    "alpha0": (float, None), "trials": (int, 10000), "seed": (int, 1),
+    "horizon": (int, 5000), "contact_mode": (str, MODEL), "feed": (str, EPISODE),
+    "sweep.var": (str, None), "sweep.values": (_floats, None),
+    "sweep.start": (float, None), "sweep.stop": (float, None),
+    "sweep.points": (int, None),
 }
 
-_FLOAT_KEYS = {"lambda", "tau", "delta", "sigma", "gamma", "e", "e_r", "e_t",
-               "alpha_max", "p", "alpha", "alpha0", "sweep.start", "sweep.stop"}
-_INT_KEYS = {"n", "trials", "seed", "sweep.points", "horizon"}
-_STR_KEYS = {"contact_mode", "sweep.var", "feed"}
-_LIST_KEYS = {"sweep.values"}
-_ALL_KEYS = _FLOAT_KEYS | _INT_KEYS | _STR_KEYS | _LIST_KEYS
 
+def parse_config(text: str, overrides: Optional[dict[str, object]] = None
+                 ) -> ScenarioConfig:
+    """Parse and validate config text, filling defaults for missing keys.
 
-def parse_config(text: str) -> ScenarioConfig:
-    """Parse and validate config text, filling defaults for missing keys."""
+    ``overrides`` holds already-typed values (the CLI flags) that replace
+    the file's; both go through the same validation.
+    """
     raw: dict[str, object] = {}
     first_line: dict[str, int] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -103,7 +113,7 @@ def parse_config(text: str) -> ScenarioConfig:
             raise ConfigError(f"line {lineno}: expected 'key = value', got {line!r}")
         key, _, value = stripped.partition("=")
         key, value = key.strip(), value.strip()
-        if key not in _ALL_KEYS:
+        if key not in _KEYS:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
         if not value:
             raise ConfigError(f"line {lineno}: empty value for key {key!r}")
@@ -112,95 +122,69 @@ def parse_config(text: str) -> ScenarioConfig:
                               f"(first set on line {first_line[key]})")
         first_line[key] = lineno
         try:
-            if key in _FLOAT_KEYS:
-                raw[key] = float(value)
-            elif key in _INT_KEYS:
-                raw[key] = int(value)
-            elif key in _LIST_KEYS:
-                raw[key] = tuple(float(v) for v in value.split(","))
-            else:
-                raw[key] = value
+            raw[key] = _KEYS[key][0](value)
         except ValueError as exc:
             raise ConfigError(f"line {lineno}: bad value for {key!r}: {exc}") from None
+    raw.update(overrides or {})
     return _build_config(raw)
 
 
 def _build_config(raw: dict[str, object]) -> ScenarioConfig:
-    def take(key, default):
-        return raw.get(key, default)
-
+    v = {key: raw.get(key, default) for key, (_, default) in _KEYS.items()}
     try:
         params = GameParams(
-            contact=ContactModel(lam=take("lambda", _DEFAULTS["lambda"]),
-                                 tau=take("tau", _DEFAULTS["tau"])),
-            energy=EnergyModel(e_store=take("e", _DEFAULTS["e"]),
-                               e_receive=take("e_r", _DEFAULTS["e_r"]),
-                               e_transmit=take("e_t", _DEFAULTS["e_t"])),
-            n=take("n", _DEFAULTS["n"]),
-            sigma=take("sigma", _DEFAULTS["sigma"]),
-            gamma=take("gamma", _DEFAULTS["gamma"]),
-            delta=take("delta", _DEFAULTS["delta"]),
-            alpha_max=take("alpha_max", _DEFAULTS["alpha_max"]),
+            contact=ContactModel(lam=v["lambda"], tau=v["tau"]),
+            energy=EnergyModel(e_store=v["e"], e_receive=v["e_r"],
+                               e_transmit=v["e_t"]),
+            n=v["n"], sigma=v["sigma"], gamma=v["gamma"], delta=v["delta"],
+            alpha_max=v["alpha_max"],
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
 
-    trials = take("trials", 10000)
-    if trials < 1:
-        raise ConfigError(f"trials must be >= 1, got {trials}")
-    horizon = take("horizon", 5000)
-    if horizon < 1:
-        raise ConfigError(f"horizon must be >= 1, got {horizon}")
-    contact_mode = take("contact_mode", MODEL)
-    if contact_mode not in (MODEL, PHYSICAL):
-        raise ConfigError(f"contact_mode must be '{MODEL}' or '{PHYSICAL}', "
-                          f"got {contact_mode!r}")
-    feed = take("feed", EPISODE)
-    if feed not in (MEAN_FIELD, EPISODE):
-        raise ConfigError(f"feed must be '{MEAN_FIELD}' or '{EPISODE}', got {feed!r}")
-    p = take("p", 1.0)
-    if not 0 <= p <= 1:
-        raise ConfigError(f"p must be in [0, 1], got {p}")
-    alpha = take("alpha", None)
-    if alpha is not None and not 0 <= alpha <= params.alpha_max:
-        raise ConfigError(f"alpha must be in [0, alpha_max], got {alpha}")
-    alpha0 = take("alpha0", None)
-    if alpha0 is not None and not 0 <= alpha0 <= params.alpha_max:
-        raise ConfigError(f"alpha0 must be in [0, alpha_max], got {alpha0}")
+    for key, low in (("trials", 1), ("horizon", 1), ("seed", 0)):
+        if v[key] < low:
+            raise ConfigError(f"{key} must be >= {low}, got {v[key]}")
+    for key, (a, b) in (("contact_mode", (MODEL, PHYSICAL)),
+                        ("feed", (MEAN_FIELD, EPISODE))):
+        if v[key] not in (a, b):
+            raise ConfigError(f"{key} must be '{a}' or '{b}', got {v[key]!r}")
+    if not 0 <= v["p"] <= 1:
+        raise ConfigError(f"p must be in [0, 1], got {v['p']}")
+    for key in ("alpha", "alpha0"):
+        if v[key] is not None and not 0 <= v[key] <= params.alpha_max:
+            raise ConfigError(f"{key} must be in [0, alpha_max], got {v[key]}")
 
-    sweep = _build_sweep(raw)
-    return ScenarioConfig(params=params, sweep=sweep, trials=trials,
-                          seed=take("seed", 1), contact_mode=contact_mode,
-                          p=p, alpha=alpha, horizon=horizon, alpha0=alpha0,
-                          feed=feed)
+    return ScenarioConfig(params=params, sweep=_build_sweep(v), trials=v["trials"],
+                          seed=v["seed"], contact_mode=v["contact_mode"],
+                          p=v["p"], alpha=v["alpha"], horizon=v["horizon"],
+                          alpha0=v["alpha0"], feed=v["feed"])
 
 
-def _build_sweep(raw: dict[str, object]) -> Optional[SweepSpec]:
-    keys = [k for k in raw if k.startswith("sweep.")]
-    if not keys:
+def _build_sweep(v: dict[str, object]) -> Optional[SweepSpec]:
+    if all(v[k] is None for k in v if k.startswith("sweep.")):
         return None
-    var = raw.get("sweep.var")
+    var = v["sweep.var"]
     if var is None:
         raise ConfigError("sweep.var is required when any sweep key is set")
     if var not in SWEEP_VARS:
         raise ConfigError(f"sweep.var must be one of {SWEEP_VARS}, got {var!r}")
-    if "sweep.values" in raw:
-        values = raw["sweep.values"]
-        if len(values) < 1:
-            raise ConfigError("sweep.values must name at least one value")
-    else:
+    values = v["sweep.values"]
+    if values is None:
         for need in ("sweep.start", "sweep.stop", "sweep.points"):
-            if need not in raw:
+            if v[need] is None:
                 raise ConfigError(f"sweep needs {need} (or sweep.values)")
-        points = raw["sweep.points"]
+        points = v["sweep.points"]
         if points < 2:
             raise ConfigError(f"sweep.points must be >= 2, got {points}")
-        start, stop = raw["sweep.start"], raw["sweep.stop"]
+        start, stop = v["sweep.start"], v["sweep.stop"]
         if not start < stop:
             raise ConfigError(f"sweep range must have start < stop, got "
                               f"[{start}, {stop}]")
         step = (stop - start) / (points - 1)
         values = tuple(start + i * step for i in range(points - 1)) + (stop,)
+    elif len(values) < 1:
+        raise ConfigError("sweep.values must name at least one value")
     _validate_sweep_values(var, values)
     return SweepSpec(var=var, values=tuple(values))
 
@@ -328,7 +312,12 @@ def _run_solve_ese(config: ScenarioConfig) -> ResultTable:
                                     "alpha_clamped"]
     rows = []
     for lead, cfg in _sweep_points(config):
-        sol = solve_ese(cfg.params)
+        try:
+            sol = solve_ese(cfg.params)
+        except DegenerateContactError:
+            # unreachable QoS marks its own row, as in solve-mse
+            rows.append((*lead, solve_mse(cfg.params).p_min, math.nan, math.nan, 0))
+            continue
         rows.append((*lead, sol.p_star, sol.alpha_star, sol.binding_delivery,
                      int(sol.alpha_clamped)))
     return ResultTable(tuple(columns), tuple(rows), _metadata(config))
@@ -369,7 +358,11 @@ def _run_simulate(config: ScenarioConfig) -> ResultTable:
     for _, cfg in _sweep_points(config):
         reward = cfg.alpha
         if reward is None:
-            reward = solve_ese(cfg.params).alpha_star
+            try:
+                reward = solve_ese(cfg.params).alpha_star
+            except DegenerateContactError as exc:
+                raise ConfigError(f"alpha is unset and there is no binding "
+                                  f"equilibrium to take it from: {exc}") from None
         delivery = estimate_delivery(cfg.params, cfg.p, cfg.trials, cfg.seed,
                                      cfg.contact_mode)
         relay = estimate_relay_utility(cfg.params, cfg.p, reward, cfg.trials,

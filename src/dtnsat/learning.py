@@ -41,6 +41,8 @@ RateFn = Callable[[int], float]
 
 # |exponent| cap for the multiplicative strategy rule
 _EXP_CLAMP = 50.0
+# run_coupled keeps every accept probability in [PROB_FLOOR, 1 - PROB_FLOOR]
+PROB_FLOOR = 1e-3
 
 
 def _default_epsilon(k: int) -> float:
@@ -65,13 +67,10 @@ class Schedules:
     l_accept: RateFn = _default_strategy_rate
     l_reject: RateFn = _default_strategy_rate
     horizon: int = 5000
-    prob_floor: float = 1e-3
 
     def __post_init__(self):
         if self.horizon < 1:
             raise ValueError(f"horizon must be >= 1, got {self.horizon}")
-        if not 0.0 <= self.prob_floor < 0.5:
-            raise ValueError(f"prob_floor must be in [0, 0.5), got {self.prob_floor}")
         for name in ("epsilon", "m_accept", "m_reject", "l_accept", "l_reject"):
             fn = getattr(self, name)
             for k in (1, 2, self.horizon):
@@ -204,8 +203,7 @@ class Trajectory:
 
 def run_coupled(params: GameParams, schedules: Schedules, seed: int,
                 feed: str = EPISODE, contact_mode: str = MODEL,
-                alpha0: Optional[float] = None, p0: float = 0.5,
-                target: Optional[float] = None) -> Trajectory:
+                alpha0: Optional[float] = None) -> Trajectory:
     """Drive the source and relay learners against seeded episodes.
 
     Per iteration: the source publishes its reward, every relay draws an
@@ -218,9 +216,8 @@ def run_coupled(params: GameParams, schedules: Schedules, seed: int,
     if alpha0 is None:
         alpha0 = params.alpha_max / 2.0
     source = SourceLearnerState(alpha=alpha0, payoff_estimate=0.0,
-                                target=params.delta if target is None else target,
-                                alpha_max=params.alpha_max)
-    relays = [RelayLearnerState(accept_prob=p0, est_accept=0.0, est_reject=0.0)
+                                target=params.delta, alpha_max=params.alpha_max)
+    relays = [RelayLearnerState(accept_prob=0.5, est_accept=0.0, est_reject=0.0)
               for _ in range(params.n)]
     traj = Trajectory(n=params.n)
     # one sequential stream per run; iterations consume it in order
@@ -229,8 +226,7 @@ def run_coupled(params: GameParams, schedules: Schedules, seed: int,
     for k in range(1, schedules.horizon + 1):
         alpha_k = source.alpha
         probs = [r.accept_prob for r in relays]
-        episode = simulate_episode(params, probs, alpha_k, seed, trial=k,
-                                   mode=contact_mode, rng=rng)
+        episode = simulate_episode(params, probs, alpha_k, rng, contact_mode)
         if feed == EPISODE:
             fed = list(episode.per_relay_utility)
         else:
@@ -242,7 +238,7 @@ def run_coupled(params: GameParams, schedules: Schedules, seed: int,
                            l_accept=schedules.l_accept(k),
                            l_reject=schedules.l_reject(k))
         relays = [relay_step(r, fed[i], episode.accepted[i], rates,
-                             prob_floor=schedules.prob_floor)
+                             prob_floor=PROB_FLOOR)
                   for i, r in enumerate(relays)]
         source = source_step(source, 1.0 if episode.delivered else 0.0,
                              schedules.epsilon(k))

@@ -51,28 +51,28 @@ class EstimateWithCI:
     mean: float
     stderr: float
     trials: int
-    confidence_level: float = 0.95
 
     def interval(self) -> tuple[float, float]:
-        z = NormalDist().inv_cdf(0.5 + self.confidence_level / 2.0)
+        """Two-sided 95 % normal-approximation interval."""
+        z = NormalDist().inv_cdf(0.975)
         return self.mean - z * self.stderr, self.mean + z * self.stderr
 
 
-def _episode_rng(seed: int, trial: int) -> np.random.Generator:
+def episode_rng(seed: int, trial: int) -> np.random.Generator:
+    """The independent random stream of trial ``trial`` under ``seed``."""
     return np.random.default_rng(np.random.SeedSequence((seed, trial)))
 
 
 def simulate_episode(params: GameParams, accept_probs: Sequence[float],
-                     reward: float, rng_seed: int, trial: int = 0,
-                     mode: str = MODEL,
-                     rng: Optional[np.random.Generator] = None) -> EpisodeOutcome:
-    """Run one seeded episode and score every relay.
+                     reward: float, rng: np.random.Generator,
+                     mode: str = MODEL) -> EpisodeOutcome:
+    """Run one episode on ``rng`` and score every relay.
 
     Utilities follow the share-weighted payoff at the realized cohort: a
     relay with k accepting opponents is scored at cohort size k+1 whether it
-    accepted or declined, so the two branches stay comparable.  By default
-    the stream is derived from (rng_seed, trial); sequential callers may
-    pass an explicit generator instead.
+    accepted or declined, so the two branches stay comparable.  Estimators
+    pass :func:`episode_rng` of the trial; sequential callers pass their own
+    generator.
     """
     if mode not in _MODES:
         raise ValueError(f"mode must be one of {_MODES}, got {mode!r}")
@@ -83,8 +83,6 @@ def simulate_episode(params: GameParams, accept_probs: Sequence[float],
     if np.any((probs < 0) | (probs > 1)):
         raise ValueError("accept probabilities must lie in [0, 1]")
 
-    if rng is None:
-        rng = _episode_rng(rng_seed, trial)
     lam, tau = params.contact.lam, params.contact.tau
     flips = rng.random(n)
     if lam > 0:
@@ -141,7 +139,7 @@ def estimate_delivery(params: GameParams, accept_prob: float, trials: int,
     probs = [accept_prob] * params.n
     hits = np.empty(trials)
     for t in range(trials):
-        hits[t] = simulate_episode(params, probs, 0.0, seed, t, mode).delivered
+        hits[t] = simulate_episode(params, probs, 0.0, episode_rng(seed, t), mode).delivered
     return _summarize(hits)
 
 
@@ -153,7 +151,8 @@ def estimate_relay_utility(params: GameParams, accept_prob: float, reward: float
     probs = [accept_prob] * params.n
     values = np.empty(trials)
     for t in range(trials):
-        values[t] = simulate_episode(params, probs, reward, seed, t, mode).per_relay_utility[0]
+        values[t] = simulate_episode(params, probs, reward, episode_rng(seed, t),
+                                     mode).per_relay_utility[0]
     return _summarize(values)
 
 

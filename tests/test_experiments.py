@@ -1,15 +1,20 @@
 import math
+from pathlib import Path
 
 import pytest
 
+from dtnsat import experiments
 from dtnsat.cli import main
+from dtnsat.equilibrium import solve_mse
 from dtnsat.experiments import (
+    _KEYS,
     ConfigError,
     ResultTable,
     emit_csv,
     parse_config,
     run_scenario,
 )
+from dtnsat.model import with_param
 from dataclasses import replace
 
 FOUR_TARGET_CONFIG = """
@@ -72,6 +77,27 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="trials"):
             parse_config("trials = 0")
 
+    @pytest.mark.parametrize("text, overrides", [("seed = -1", None),
+                                                 ("", {"seed": -1})])
+    def test_negative_seed_names_key(self, text, overrides):
+        with pytest.raises(ConfigError, match="seed must be >= 0"):
+            parse_config(text, overrides)
+
+    def test_override_beats_file_value(self):
+        cfg = parse_config("trials = 50\nseed = 4", {"trials": 7})
+        assert (cfg.trials, cfg.seed) == (7, 4)
+
+    def test_override_is_validated(self):
+        with pytest.raises(ConfigError, match="trials must be >= 1"):
+            parse_config("trials = 50", {"trials": 0})
+
+    def test_every_key_documented_in_readme(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        paragraph = next(block for block in readme.split("\n\n")
+                         if block.startswith("Config files are"))
+        missing = [key for key in _KEYS if f"`{key}`" not in paragraph]
+        assert not missing
+
     def test_sweep_validation(self):
         with pytest.raises(ConfigError, match="sweep.var"):
             parse_config("sweep.start = 1\nsweep.stop = 2\nsweep.points = 5")
@@ -102,6 +128,18 @@ class TestRunScenario:
         alphas = [r[2] for r in table.rows]
         assert all(a > b for a, b in zip(alphas, alphas[1:]))
         assert table.rows[-1][4] == 1  # clamped at the largest target
+
+    def test_solve_ese_unreachable_point_marks_its_row(self):
+        cfg = replace(parse_config("n = 2\nsweep.var = delta\n"
+                                   "sweep.values = 0.2,0.9"), mode="solve-ese")
+        feasible, unreachable = run_scenario(cfg).rows
+        assert all(math.isfinite(v) for v in feasible)
+        assert feasible[3] == pytest.approx(0.2)  # binds at its delta
+        p_min = solve_mse(with_param(cfg.params, "delta", 0.9)).p_min
+        assert p_min > 1
+        assert unreachable[0] == 0.9 and unreachable[1] == p_min
+        assert math.isnan(unreachable[2]) and math.isnan(unreachable[3])
+        assert unreachable[4] == 0
 
     def test_solve_pse_table(self):
         cfg = replace(parse_config(""), mode="solve-pse")
@@ -272,3 +310,45 @@ class TestCli:
         out = tmp_path / "o.csv"
         assert main(["solve-pse", "--out", str(out), "--seed", "42"]) == 0
         assert "# seed = 42" in out.read_text()
+
+    def test_trials_override_beats_config_file(self, tmp_path):
+        cfg = tmp_path / "sim.cfg"
+        cfg.write_text("trials = 50\np = 0.5\nalpha = 1.0\n")
+        out = tmp_path / "o.csv"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out),
+                     "--trials", "7"]) == 0
+        text = out.read_text()
+        assert "# trials = 7" in text and "# trials = 50" not in text
+
+    def test_contact_mode_flag_goes_through_build_config(self, tmp_path,
+                                                        monkeypatch):
+        seen = []
+        build = experiments._build_config
+        monkeypatch.setattr(experiments, "_build_config",
+                            lambda raw: seen.append(dict(raw)) or build(raw))
+        out = tmp_path / "o.csv"
+        assert main(["solve-pse", "--out", str(out),
+                     "--contact-mode", "physical"]) == 0
+        assert [raw.get("contact_mode") for raw in seen] == ["physical"]
+        assert "# contact_mode = physical" in out.read_text()
+
+    @pytest.mark.parametrize("mode", ["simulate", "learn"])
+    def test_negative_seed_flag_names_key(self, mode, capsys):
+        assert main([mode, "--seed", "-1"]) == 1
+        assert "seed must be >= 0" in capsys.readouterr().err
+
+    def test_simulate_without_binding_equilibrium_needs_alpha(self, tmp_path,
+                                                              capsys):
+        cfg = tmp_path / "still.cfg"
+        cfg.write_text("lambda = 0\ntrials = 50\n")
+        assert main(["simulate", "--config", str(cfg)]) == 1
+        assert "alpha" in capsys.readouterr().err
+
+    def test_simulate_at_zero_rate_with_alpha(self, tmp_path, capsys):
+        cfg = tmp_path / "still.cfg"
+        cfg.write_text("lambda = 0\ntrials = 50\nalpha = 0.5\n")
+        assert main(["simulate", "--config", str(cfg)]) == 0
+        lines = [line for line in capsys.readouterr().out.splitlines()
+                 if not line.startswith("#")]
+        row = dict(zip(lines[0].split(","), lines[1].split(",")))
+        assert float(row["delivery_mean"]) == 0.0

@@ -14,6 +14,7 @@ from dtnsat.simulate import (
     MODEL,
     PHYSICAL,
     estimate_delivery,
+    episode_rng,
     estimate_relay_utility,
     simulate_episode,
 )
@@ -28,19 +29,19 @@ PHYSICAL_ONE_RELAY = 0.44217459962892543  # P(source + dest contact <= tau)
 class TestEpisode:
     def test_seed_determinism(self, base_params):
         probs = [0.4] * 7
-        a = simulate_episode(base_params, probs, 1.0, rng_seed=9, trial=3)
-        b = simulate_episode(base_params, probs, 1.0, rng_seed=9, trial=3)
+        a = simulate_episode(base_params, probs, 1.0, episode_rng(9, 3))
+        b = simulate_episode(base_params, probs, 1.0, episode_rng(9, 3))
         assert a == b
 
     def test_trials_use_independent_streams(self, base_params):
         probs = [0.5] * 7
-        outcomes = {simulate_episode(base_params, probs, 1.0, 9, t).accepted
+        outcomes = {simulate_episode(base_params, probs, 1.0, episode_rng(9, t)).accepted
                     for t in range(10)}
         assert len(outcomes) > 1
 
     def test_winner_iff_delivered(self, base_params):
         for t in range(200):
-            out = simulate_episode(base_params, [0.3] * 7, 1.0, 17, t)
+            out = simulate_episode(base_params, [0.3] * 7, 1.0, episode_rng(17, t))
             assert out.delivered == (out.winner is not None)
             assert out.delivered == (out.delivery_time is not None)
             if out.delivered:
@@ -49,7 +50,7 @@ class TestEpisode:
                 assert out.contacted_source[out.winner]
 
     def test_nobody_caches_when_nobody_accepts(self, base_params):
-        out = simulate_episode(base_params, [0.0] * 7, 2.0, 5, 0)
+        out = simulate_episode(base_params, [0.0] * 7, 2.0, episode_rng(5, 0))
         assert not any(out.accepted)
         assert not out.delivered
         # every decliner is scored against a cohort of itself alone
@@ -59,7 +60,7 @@ class TestEpisode:
 
     def test_zero_rate_episode(self):
         params = make_params(lam=0.0)
-        out = simulate_episode(params, [1.0] * 7, 1.0, 1, 0)
+        out = simulate_episode(params, [1.0] * 7, 1.0, episode_rng(1, 0))
         assert not out.delivered
         assert all(out.accepted)
         # share is zero, so accepting costs the failure regret plus energy
@@ -67,7 +68,7 @@ class TestEpisode:
         assert all(u == pytest.approx(expect) for u in out.per_relay_utility)
 
     def test_utilities_match_cohort_convention(self, base_params):
-        out = simulate_episode(base_params, [0.6] * 7, 1.3, 23, 11)
+        out = simulate_episode(base_params, [0.6] * 7, 1.3, episode_rng(23, 11))
         n_accept = sum(out.accepted)
         for i, u in enumerate(out.per_relay_utility):
             cohort = n_accept if out.accepted[i] else n_accept + 1
@@ -80,17 +81,17 @@ class TestEpisode:
     def test_monotone_coupling_in_accept_prob(self, base_params):
         # identical draws, higher p: delivery can only switch off -> on
         for t in range(200):
-            low = simulate_episode(base_params, [0.2] * 7, 1.0, 31, t)
-            high = simulate_episode(base_params, [0.8] * 7, 1.0, 31, t)
+            low = simulate_episode(base_params, [0.2] * 7, 1.0, episode_rng(31, t))
+            high = simulate_episode(base_params, [0.8] * 7, 1.0, episode_rng(31, t))
             assert high.delivered >= low.delivered
 
     def test_bad_inputs(self, base_params):
         with pytest.raises(ValueError):
-            simulate_episode(base_params, [0.5] * 6, 1.0, 1, 0)
+            simulate_episode(base_params, [0.5] * 6, 1.0, episode_rng(1, 0))
         with pytest.raises(ValueError):
-            simulate_episode(base_params, [1.5] * 7, 1.0, 1, 0)
+            simulate_episode(base_params, [1.5] * 7, 1.0, episode_rng(1, 0))
         with pytest.raises(ValueError):
-            simulate_episode(base_params, [0.5] * 7, 1.0, 1, 0, mode="exact")
+            simulate_episode(base_params, [0.5] * 7, 1.0, episode_rng(1, 0), mode="exact")
 
 
 class TestSingleRelayFrequencies:
@@ -160,7 +161,7 @@ class TestEstimateDelivery:
         # averaging per-trial episodes in any order reproduces the estimate
         est = estimate_delivery(base_params, 0.5, 300, seed=8)
         probs = [0.5] * 7
-        hits = [simulate_episode(base_params, probs, 0.0, 8, t).delivered
+        hits = [simulate_episode(base_params, probs, 0.0, episode_rng(8, t)).delivered
                 for t in reversed(range(300))]
         assert est.mean == pytest.approx(sum(hits) / 300)
 
@@ -178,6 +179,14 @@ class TestEstimateRelayUtility:
         expect = expected_relay_utility_mixed(ese.p_star, ese.alpha_star,
                                               base_params)
         assert abs(est.mean - expect) <= 3 * est.stderr
+
+    def test_order_independent_trial_streams(self, base_params):
+        est = estimate_relay_utility(base_params, 0.4, 1.2, 300, seed=8)
+        probs = [0.4] * 7
+        values = [simulate_episode(base_params, probs, 1.2,
+                                   episode_rng(8, t)).per_relay_utility[0]
+                  for t in reversed(range(300))]
+        assert est.mean == pytest.approx(sum(values) / 300)
 
     def test_deterministic_given_seed(self, base_params):
         a = estimate_relay_utility(base_params, 0.3, 1.0, 500, seed=6)
@@ -199,7 +208,7 @@ class TestEstimateWithCI:
     def test_stderr_definition(self, base_params):
         est = estimate_delivery(base_params, 0.5, 400, seed=5)
         probs = [0.5] * 7
-        hits = [float(simulate_episode(base_params, probs, 0.0, 5, t).delivered)
+        hits = [float(simulate_episode(base_params, probs, 0.0, episode_rng(5, t)).delivered)
                 for t in range(400)]
         expect = statistics.stdev(hits) / 400 ** 0.5
         assert est.stderr == pytest.approx(expect, rel=1e-12)
