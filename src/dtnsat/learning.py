@@ -9,8 +9,9 @@ for the two actions move only when the matching action was played, and the
 accept probability follows a multiplicative ratio rule computed in log
 space.
 
-``run_coupled`` wires both to the episode simulator.  Relay payoffs can be
-fed two ways:
+``run_coupled`` wires both to the episode simulator, stepping all relays
+at once with the elementwise rule that ``relay_step`` applies to one relay.
+Relay payoffs can be fed two ways:
 
 ``episode``
     Each relay is paid its realized per-episode utility from the simulator
@@ -42,8 +43,8 @@ from typing import Callable, Optional
 import numpy as np
 
 from .equilibrium import mixed_relay_payoffs
-from .model import GameParams
-from .simulate import MODEL, simulate_episode
+from .model import GameParams, relay_failure_probability
+from .simulate import MODEL, _race, _score_relays
 
 RateFn = Callable[[int], float]
 
@@ -75,16 +76,19 @@ class Schedules:
     l_accept: RateFn = _default_strategy_rate
     l_reject: RateFn = _default_strategy_rate
     horizon: int = 5000
+    _table: dict[str, list[float]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.horizon < 1:
             raise ValueError(f"horizon must be >= 1, got {self.horizon}")
-        for name in ("epsilon", "m_accept", "m_reject", "l_accept", "l_reject"):
-            fn = getattr(self, name)
-            for k in (1, 2, self.horizon):
-                rate = fn(k)
+        # every rate of every step, evaluated and checked once
+        table = {name: [getattr(self, name)(k) for k in range(1, self.horizon + 1)]
+                 for name in ("epsilon", "m_accept", "m_reject", "l_accept", "l_reject")}
+        for name, rates in table.items():
+            for k, rate in enumerate(rates, start=1):
                 if not 0.0 < rate <= 1.0:
                     raise ValueError(f"{name}({k}) = {rate} outside (0, 1]")
+        object.__setattr__(self, "_table", table)
 
     @staticmethod
     def constant(epsilon: float, m: float = 0.1, l: float = 0.1,
@@ -125,10 +129,16 @@ def source_step(state: SourceLearnerState, observed_payoff: float,
     """
     if not 0.0 < epsilon_k <= 1.0:
         raise ValueError(f"epsilon_k must be in (0, 1], got {epsilon_k}")
-    estimate = state.payoff_estimate + epsilon_k * (observed_payoff - state.payoff_estimate)
-    alpha = state.alpha + epsilon_k * (state.target - estimate)
-    alpha = min(max(alpha, 0.0), state.alpha_max)
+    alpha, estimate = _source_update(state.alpha, state.payoff_estimate, state.target,
+                                     state.alpha_max, observed_payoff, epsilon_k)
     return replace(state, alpha=alpha, payoff_estimate=estimate, step=state.step + 1)
+
+
+def _source_update(alpha: float, estimate: float, target: float, alpha_max: float,
+                   observed: float, epsilon_k: float) -> tuple[float, float]:
+    estimate = estimate + epsilon_k * (observed - estimate)
+    alpha = alpha + epsilon_k * (target - estimate)
+    return min(max(alpha, 0.0), alpha_max), estimate
 
 
 @dataclass(frozen=True)
@@ -151,30 +161,40 @@ def relay_step(state: RelayLearnerState, realized_utility: float,
     ``prob_floor`` preserves that property under floating point (with the
     default 0.0 a probability that rounds to a pure strategy stays pure).
     """
-    if not math.isfinite(realized_utility):
-        raise ValueError(f"realized utility must be finite, got {realized_utility}")
+    p, est_a, est_r = _relay_update(
+        *(np.array([x]) for x in (state.accept_prob, state.est_accept,
+                                  state.est_reject, realized_utility, accepted)),
+        rates.m_accept, rates.m_reject, rates.l_accept, rates.l_reject, prob_floor)
+    return RelayLearnerState(float(p[0]), float(est_a[0]), float(est_r[0]), state.step + 1)
+
+
+def _relay_update(p: np.ndarray, est_a: np.ndarray, est_r: np.ndarray, utility: np.ndarray,
+                  accepted: np.ndarray, m_accept: float, m_reject: float, l_accept: float,
+                  l_reject: float, prob_floor: float) -> tuple[np.ndarray, ...]:
+    """``relay_step`` elementwise over arrays of relays (exp per relay with
+    ``math.exp``, which ``np.exp`` can miss by an ulp)."""
+    finite = np.isfinite(utility)
+    if not finite.all():
+        raise ValueError(f"realized utility must be finite, got {utility[~finite][0]}")
     if not 0.0 <= prob_floor < 0.5:
         raise ValueError(f"prob_floor must be in [0, 0.5), got {prob_floor}")
-    est_a, est_r = state.est_accept, state.est_reject
-    if accepted:
-        est_a = est_a + rates.m_accept * (realized_utility - est_a)
-    else:
-        est_r = est_r + rates.m_reject * (realized_utility - est_r)
+    est_a = np.where(accepted, est_a + m_accept * (utility - est_a), est_a)
+    est_r = np.where(accepted, est_r, est_r + m_reject * (utility - est_r))
 
-    p = state.accept_prob
-    if 0.0 < p < 1.0:
-        t_a = _clamp(est_a * math.log1p(rates.l_accept))
-        t_r = _clamp(est_r * math.log1p(rates.l_reject))
-        # p' = p e^{t_a} / (p e^{t_a} + (1-p) e^{t_r}), stable form
-        p = 1.0 / (1.0 + (1.0 - p) / p * math.exp(_clamp(t_r - t_a)))
-        if prob_floor > 0.0:
-            p = min(max(p, prob_floor), 1.0 - prob_floor)
-    return RelayLearnerState(accept_prob=p, est_accept=est_a, est_reject=est_r,
-                             step=state.step + 1)
+    interior = (p > 0.0) & (p < 1.0)
+    safe_p = np.where(interior, p, 0.5)
+    t_a = _clamp(est_a * math.log1p(l_accept))
+    t_r = _clamp(est_r * math.log1p(l_reject))
+    ratio = np.array([math.exp(x) for x in _clamp(t_r - t_a).tolist()])
+    # p' = p e^{t_a} / (p e^{t_a} + (1-p) e^{t_r}), stable form
+    new_p = 1.0 / (1.0 + (1.0 - safe_p) / safe_p * ratio)
+    if prob_floor > 0.0:
+        new_p = np.minimum(np.maximum(new_p, prob_floor), 1.0 - prob_floor)
+    return np.where(interior, new_p, p), est_a, est_r
 
 
-def _clamp(x: float) -> float:
-    return min(max(x, -_EXP_CLAMP), _EXP_CLAMP)
+def _clamp(x: np.ndarray) -> np.ndarray:
+    return np.minimum(np.maximum(x, -_EXP_CLAMP), _EXP_CLAMP)
 
 
 EPISODE = "episode"
@@ -220,45 +240,47 @@ def run_coupled(params: GameParams, schedules: Schedules, seed: int,
     Per iteration: the source publishes its reward, every relay draws an
     action, one episode realizes contacts and delivery, relay payoffs are
     fed back per the chosen feed, and the delivery indicator updates the
-    source.  Identical seeds give identical trajectories.
+    source.  Relay state is three length-n arrays (accept probability and
+    the two estimates), bit-identical to stepping ``simulate_episode``,
+    ``relay_step`` per relay and ``source_step``.  Identical seeds give
+    identical trajectories.
     """
     if feed not in _FEEDS:
         raise ValueError(f"feed must be one of {_FEEDS}, got {feed!r}")
     if alpha0 is None:
         alpha0 = params.alpha_max / 2.0
-    source = SourceLearnerState(alpha=alpha0, payoff_estimate=0.0,
-                                target=params.delta, alpha_max=params.alpha_max)
-    relays = [RelayLearnerState(accept_prob=0.5, est_accept=0.0, est_reject=0.0)
-              for _ in range(params.n)]
-    traj = Trajectory(n=params.n)
+    n, horizon = params.n, schedules.horizon
+    alpha, estimate = alpha0, 0.0
+    p, est_a, est_r = np.full(n, 0.5), np.zeros(n), np.zeros(n)
+    q = relay_failure_probability(params.contact)
+    alphas, estimates = np.empty((2, horizon))
+    probs, fed = np.empty((2, horizon, n))
+    n_accept = np.empty(horizon, dtype=int)
+    delivered = np.empty(horizon, dtype=bool)
     # one sequential stream per run; iterations consume it in order
     rng = np.random.default_rng(np.random.SeedSequence((seed, 0)))
 
-    for k in range(1, schedules.horizon + 1):
-        alpha_k = source.alpha
-        probs = [r.accept_prob for r in relays]
-        episode = simulate_episode(params, probs, alpha_k, rng, contact_mode)
+    rates = zip(*schedules._table.values())
+    for i, (epsilon, m_accept, m_reject, l_accept, l_reject) in enumerate(rates):
+        alphas[i] = alpha
+        probs[i] = p
+        _, accepted, success, _ = _race(params, p, rng, contact_mode)
         if feed == EPISODE:
-            fed = list(episode.per_relay_utility)
+            fed[i] = _score_relays(params, q, accepted, alpha)
         else:
-            p_bar = sum(probs) / params.n
-            pay_accept, pay_reject = mixed_relay_payoffs(alpha_k, p_bar, params)
-            fed = [pay_accept if a else pay_reject for a in episode.accepted]
-        rates = RelayRates(m_accept=schedules.m_accept(k),
-                           m_reject=schedules.m_reject(k),
-                           l_accept=schedules.l_accept(k),
-                           l_reject=schedules.l_reject(k))
-        relays = [relay_step(r, fed[i], episode.accepted[i], rates,
-                             prob_floor=PROB_FLOOR)
-                  for i, r in enumerate(relays)]
-        source = source_step(source, 1.0 if episode.delivered else 0.0,
-                             schedules.epsilon(k))
+            # a sequential sum, as over a list; np.sum pairs terms and can
+            # differ in the last bit from n = 8 on
+            fed[i] = np.where(accepted, *mixed_relay_payoffs(alpha, sum(p.tolist()) / n, params))
+        p, est_a, est_r = _relay_update(p, est_a, est_r, fed[i], accepted, m_accept,
+                                        m_reject, l_accept, l_reject, PROB_FLOOR)
+        delivered[i] = success.any()
+        alpha, estimate = _source_update(alpha, estimate, params.delta, params.alpha_max,
+                                         float(delivered[i]), epsilon)
+        estimates[i] = estimate
+        n_accept[i] = accepted.sum()
 
-        traj.steps.append(k)
-        traj.alpha.append(alpha_k)
-        traj.u_s_est.append(source.payoff_estimate)
-        traj.accept_probs.append(tuple(probs))
-        traj.utilities.append(tuple(fed))
-        traj.n_accept.append(sum(episode.accepted))
-        traj.delivered.append(episode.delivered)
-    return traj
+    return Trajectory(n=n, steps=list(range(1, horizon + 1)),
+                      alpha=alphas.tolist(), u_s_est=estimates.tolist(),
+                      accept_probs=list(map(tuple, probs.tolist())),
+                      utilities=list(map(tuple, fed.tolist())),
+                      n_accept=n_accept.tolist(), delivered=delivered.tolist())

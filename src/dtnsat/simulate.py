@@ -83,6 +83,24 @@ def simulate_episode(params: GameParams, accept_probs: Sequence[float],
     if np.any((probs < 0) | (probs > 1)):
         raise ValueError("accept probabilities must lie in [0, 1]")
 
+    contacted, accepted, success, finish = _race(params, probs, rng, mode)
+    delivered = bool(success.any())
+    # argmin takes the lowest index on ties
+    winner = int(np.argmin(np.where(success, finish, np.inf))) if delivered else None
+    utilities = _score_relays(params, relay_failure_probability(params.contact),
+                              accepted, reward)
+    return EpisodeOutcome(contacted_source=tuple(contacted.tolist()),
+                          accepted=tuple(accepted.tolist()),
+                          delivery_time=float(finish[winner]) if delivered else None,
+                          winner=winner,
+                          per_relay_utility=tuple(utilities.tolist()),
+                          delivered=delivered)
+
+
+def _race(params: GameParams, probs: np.ndarray, rng: np.random.Generator,
+          mode: str) -> tuple[np.ndarray, ...]:
+    """(contacted, accepted, success, finish) arrays of one drawn episode."""
+    n = params.n
     lam, tau = params.contact.lam, params.contact.tau
     flips = rng.random(n)
     if lam > 0:
@@ -101,34 +119,16 @@ def simulate_episode(params: GameParams, accept_probs: Sequence[float],
         accepted = contacted & (flips < probs)
         finish = source_t + dest_t
         success = accepted & (finish <= tau)
-
-    if success.any():
-        times = np.where(success, finish, np.inf)
-        winner = int(np.argmin(times))  # argmin takes the lowest index on ties
-        delivery_time = float(times[winner])
-        delivered = True
-    else:
-        winner = None
-        delivery_time = None
-        delivered = False
-
-    utilities = _score_relays(params, accepted, reward)
-    return EpisodeOutcome(contacted_source=tuple(bool(c) for c in contacted),
-                          accepted=tuple(bool(a) for a in accepted),
-                          delivery_time=delivery_time,
-                          winner=winner,
-                          per_relay_utility=utilities,
-                          delivered=delivered)
+    return contacted, accepted, success, finish
 
 
-def _score_relays(params: GameParams, accepted: np.ndarray, reward: float
-                  ) -> tuple[float, ...]:
+def _score_relays(params: GameParams, q: float, accepted: np.ndarray,
+                  reward: float) -> np.ndarray:
     # acceptors share a cohort of n_accept; a decliner is scored as one more
-    q = relay_failure_probability(params.contact)
     n_accept = int(accepted.sum())
-    pay_accept = relay_payoffs(reward, n_accept, q ** n_accept, params)[0] if n_accept else None
+    pay_accept = relay_payoffs(reward, n_accept, q ** n_accept, params)[0] if n_accept else 0.0
     pay_reject = relay_payoffs(reward, n_accept + 1, q ** (n_accept + 1), params)[1]
-    return tuple(pay_accept if a else pay_reject for a in accepted)
+    return np.where(accepted, pay_accept, pay_reject)
 
 
 def estimate_delivery(params: GameParams, accept_prob: float, trials: int,

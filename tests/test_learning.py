@@ -2,21 +2,26 @@ import math
 import random
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
+import dtnsat.learning as learning
 from dtnsat.equilibrium import mixed_relay_payoffs, solve_ese
 from dtnsat.experiments import emit_csv, parse_config, run_scenario
 from dtnsat.learning import (
     EPISODE,
     MEAN_FIELD,
+    PROB_FLOOR,
     RelayLearnerState,
     RelayRates,
     Schedules,
     SourceLearnerState,
+    Trajectory,
     relay_step,
     run_coupled,
     source_step,
 )
+from dtnsat.simulate import MODEL, PHYSICAL, simulate_episode
 from conftest import make_params
 
 
@@ -174,6 +179,20 @@ class TestSchedules:
         with pytest.raises(ValueError):
             Schedules(horizon=0)
 
+    def test_every_relay_rate_checked(self):
+        with pytest.raises(ValueError, match=r"^m_accept\(3\) = 5.0 outside"):
+            Schedules(m_accept=lambda k: 5.0 if k == 3 else 0.1, horizon=50)
+        with pytest.raises(ValueError, match=r"^l_reject\(10\) = -0.5 outside"):
+            Schedules(l_reject=lambda k: -0.5 if k == 10 else 0.1, horizon=50)
+
+    def test_every_epsilon_checked(self):
+        with pytest.raises(ValueError, match=r"^epsilon\(3\) = 0.0 outside"):
+            Schedules(epsilon=lambda k: 0.0 if k == 3 else 0.1, horizon=50)
+
+    def test_rates_past_the_horizon_not_evaluated(self):
+        sch = Schedules(epsilon=lambda k: 0.1 if k <= 20 else 2.0, horizon=20)
+        assert len(run_coupled(make_params(), sch, seed=1)) == 20
+
     def test_constant_helper(self):
         sch = Schedules.constant(epsilon=0.05, m=0.2, l=0.3, horizon=10)
         assert sch.epsilon(999) == 0.05
@@ -227,6 +246,148 @@ class TestRunCoupled:
     def test_unknown_feed_rejected(self, base_params):
         with pytest.raises(ValueError):
             run_coupled(base_params, Schedules(horizon=10), 1, feed="oracle")
+
+
+def scalar_replay(params, schedules, seed, feed, contact_mode):
+    """The coupled loop stepped one relay at a time through the public
+    scalar functions: simulate_episode, relay_step per relay, source_step."""
+    source = SourceLearnerState(alpha=params.alpha_max / 2.0, payoff_estimate=0.0,
+                                target=params.delta, alpha_max=params.alpha_max)
+    relays = [RelayLearnerState(accept_prob=0.5, est_accept=0.0, est_reject=0.0)
+              for _ in range(params.n)]
+    traj = Trajectory(n=params.n)
+    rng = np.random.default_rng(np.random.SeedSequence((seed, 0)))
+    for k in range(1, schedules.horizon + 1):
+        alpha_k = source.alpha
+        probs = [r.accept_prob for r in relays]
+        episode = simulate_episode(params, probs, alpha_k, rng, contact_mode)
+        if feed == EPISODE:
+            fed = list(episode.per_relay_utility)
+        else:
+            pay_accept, pay_reject = mixed_relay_payoffs(
+                alpha_k, sum(probs) / params.n, params)
+            fed = [pay_accept if a else pay_reject for a in episode.accepted]
+        rates_k = RelayRates(m_accept=schedules.m_accept(k),
+                             m_reject=schedules.m_reject(k),
+                             l_accept=schedules.l_accept(k),
+                             l_reject=schedules.l_reject(k))
+        relays = [relay_step(r, fed[i], episode.accepted[i], rates_k,
+                             prob_floor=PROB_FLOOR)
+                  for i, r in enumerate(relays)]
+        source = source_step(source, 1.0 if episode.delivered else 0.0,
+                             schedules.epsilon(k))
+        traj.steps.append(k)
+        traj.alpha.append(alpha_k)
+        traj.u_s_est.append(source.payoff_estimate)
+        traj.accept_probs.append(tuple(probs))
+        traj.utilities.append(tuple(fed))
+        traj.n_accept.append(sum(episode.accepted))
+        traj.delivered.append(episode.delivered)
+    return traj
+
+
+class TestArrayStateEquivalence:
+    @pytest.mark.parametrize("feed", [EPISODE, MEAN_FIELD])
+    @pytest.mark.parametrize("contact_mode", [MODEL, PHYSICAL])
+    @pytest.mark.parametrize("scenario", [dict(n=7), dict(n=40), dict(lam=0.0)])
+    def test_run_coupled_equals_scalar_replay(self, feed, contact_mode, scenario):
+        params = make_params(**scenario)
+        sch = Schedules(horizon=300)
+        got = run_coupled(params, sch, seed=13, feed=feed, contact_mode=contact_mode)
+        want = scalar_replay(params, sch, 13, feed, contact_mode)
+        for name in ("n", "steps", "alpha", "u_s_est", "accept_probs",
+                     "utilities", "n_accept", "delivered"):
+            assert getattr(got, name) == getattr(want, name), name
+        assert [type(v) for v in got.alpha] == [type(v) for v in want.alpha]
+        assert [type(v) for v in got.delivered] == [type(v) for v in want.delivered]
+
+
+def ratio_rule(p, est_a, est_r, u, accepted, r, prob_floor):
+    """The relay rule in plain float arithmetic, written out independently."""
+    if accepted:
+        est_a += r.m_accept * (u - est_a)
+    else:
+        est_r += r.m_reject * (u - est_r)
+    if 0.0 < p < 1.0:
+        def clamp(x):
+            return min(max(x, -50.0), 50.0)
+        t_a = clamp(est_a * math.log1p(r.l_accept))
+        t_r = clamp(est_r * math.log1p(r.l_reject))
+        p = 1.0 / (1.0 + (1.0 - p) / p * math.exp(clamp(t_r - t_a)))
+        if prob_floor > 0.0:
+            p = min(max(p, prob_floor), 1.0 - prob_floor)
+    return p, est_a, est_r
+
+
+class TestElementwiseRelayUpdate:
+    # (accept prob, accept estimate, decline estimate, fed utility, accepted)
+    CASES = [
+        (0.5, 0.0, 0.0, -0.2, True),
+        (0.5, 0.0, 0.0, -0.2, False),
+        (0.3, 0.7, -0.4, 1.3, True),
+        (0.8, -0.1, 0.9, -2.5, False),
+        (0.0, 3.0, -3.0, 1.0, True),
+        (1.0, -3.0, 3.0, 1.0, False),
+        (0.9995, 40.0, -40.0, 40.0, True),
+        (0.0005, -40.0, 40.0, -40.0, True),
+        (0.5, 1e6, -1e6, 1e6, True),
+        (0.5, -1e6, 1e6, 1e6, False),
+        (0.999, 1e6, -1e6, -1e6, False),
+        (1e-300, 0.2, 0.1, 0.3, True),
+    ]
+
+    @pytest.mark.parametrize("prob_floor", [0.0, 1e-3, 0.2])
+    def test_matches_relay_step_per_element(self, prob_floor):
+        r = rates(m_a=0.37, m_r=0.21, l_a=0.13, l_r=0.07)
+        p, est_a, est_r, u, acc = (np.array(col) for col in zip(*self.CASES))
+        got = learning._relay_update(p, est_a, est_r, u, acc, r.m_accept,
+                                     r.m_reject, r.l_accept, r.l_reject, prob_floor)
+        for i, (p_i, a_i, r_i, u_i, acc_i) in enumerate(self.CASES):
+            step = relay_step(RelayLearnerState(p_i, a_i, r_i), u_i, acc_i, r,
+                              prob_floor=prob_floor)
+            want = ratio_rule(p_i, a_i, r_i, u_i, acc_i, r, prob_floor)
+            assert (step.accept_prob, step.est_accept, step.est_reject) == want
+            assert (got[0][i], got[1][i], got[2][i]) == want
+
+    def test_matches_plain_float_rule_on_random_inputs(self):
+        rng = np.random.default_rng(8)
+        size = 2000
+        p = rng.uniform(0.0, 1.0, size)
+        est_a, est_r, u = (rng.uniform(-30.0, 30.0, size) for _ in range(3))
+        acc = rng.random(size) < 0.5
+        r = rates(m_a=0.05, m_r=0.4, l_a=0.6, l_r=0.9)
+        got = learning._relay_update(p, est_a, est_r, u, acc, r.m_accept,
+                                     r.m_reject, r.l_accept, r.l_reject, 1e-3)
+        want = [ratio_rule(*args, r, 1e-3) for args in
+                zip(p.tolist(), est_a.tolist(), est_r.tolist(), u.tolist(),
+                    acc.tolist())]
+        assert list(zip(*(g.tolist() for g in got))) == want
+
+    def test_pure_strategies_absorb_without_floor(self):
+        got = learning._relay_update(
+            np.array([0.0, 1.0]), np.array([9.0, -9.0]), np.array([-9.0, 9.0]),
+            np.array([1.0, 1.0]), np.array([True, True]), 0.3, 0.3, 0.1, 0.1, 0.0)
+        assert got[0].tolist() == [0.0, 1.0]
+
+    def test_floor_clamps_interior_only(self):
+        got = learning._relay_update(
+            np.array([0.0, 0.5, 0.5]), np.array([50.0, 50.0, -50.0]),
+            np.array([-50.0, -50.0, 50.0]), np.array([50.0, 50.0, -50.0]),
+            np.array([True, True, True]), 0.3, 0.3, 0.1, 0.1, 0.2)
+        assert got[0].tolist() == [0.0, 0.8, 0.2]
+
+    def test_non_finite_utility_rejected(self):
+        with pytest.raises(ValueError, match="finite, got inf"):
+            learning._relay_update(
+                np.array([0.5, 0.5]), np.zeros(2), np.zeros(2),
+                np.array([0.0, math.inf]), np.array([True, False]),
+                0.3, 0.3, 0.1, 0.1, 0.0)
+
+    def test_non_finite_fed_utility_stops_run_coupled(self, base_params, monkeypatch):
+        monkeypatch.setattr(learning, "mixed_relay_payoffs",
+                            lambda alpha, p, params: (math.nan, -0.1))
+        with pytest.raises(ValueError, match="realized utility must be finite"):
+            run_coupled(base_params, Schedules(horizon=20), seed=1, feed=MEAN_FIELD)
 
 
 class TestTrajectoryExport:
