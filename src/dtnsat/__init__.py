@@ -1,8 +1,8 @@
 """Satisfaction equilibria for reward-based content delivery in DTNs.
 
 Closed-form pure/mixed/binding equilibrium solvers for the source-relays
-caching game, two stochastic learning automata that reach them, an
-episode-level Monte Carlo oracle, and a CSV experiment CLI.
+caching game, the coupled stochastic learners of the source and the relays,
+an episode-level Monte Carlo oracle, and a CSV experiment CLI.
 """
 
 __version__ = "0.1.0"
@@ -11,15 +11,13 @@ from .model import (  # noqa: F401
     ContactModel,
     EnergyModel,
     GameParams,
-    StrategyProfile,
     contact_probability,
     delivery_share,
     delivery_share_bruteforce,
     expected_relay_utility_mixed,
     expected_source_utility_mixed,
     relay_failure_probability,
-    relay_utility_accept,
-    relay_utility_reject,
+    relay_payoffs,
     source_utility,
     storage_energy,
     total_energy,
@@ -36,16 +34,11 @@ from .equilibrium import (  # noqa: F401
     solve_pse,
 )
 from .learning import (  # noqa: F401
-    RelayLearnerState,
     Schedules,
-    SourceLearnerState,
     Trajectory,
-    relay_step,
     run_coupled,
-    source_step,
 )
 from .simulate import (  # noqa: F401
-    EpisodeOutcome,
     EstimateWithCI,
     episode_rng,
     estimate_delivery,

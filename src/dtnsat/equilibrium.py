@@ -93,16 +93,6 @@ class MseSolution:
     z_star: float
     feasible: bool
 
-    def table(self, points: int = 11) -> list[tuple[float, float]]:
-        """Sample (p, alpha) on an even grid over [p_min, 1]."""
-        if points < 2:
-            raise ValueError(f"points must be >= 2, got {points}")
-        if not self.feasible:
-            return []
-        lo = self.p_min
-        grid = [lo + (1.0 - lo) * i / (points - 1) for i in range(points)]
-        return [(p, self.alpha_of_p(p)) for p in grid]
-
 
 @dataclass(frozen=True)
 class EseSolution:

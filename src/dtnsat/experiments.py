@@ -191,6 +191,8 @@ def _build_sweep(v: dict[str, object]) -> Optional[SweepSpec]:
 
 def _validate_sweep_values(var: str, values) -> None:
     for v in values:
+        if not math.isfinite(v):
+            raise ConfigError(f"swept {var} must be finite, got {v}")
         if var == "tau" and v <= 0:
             raise ConfigError(f"swept tau must be > 0, got {v}")
         if var == "lambda" and v < 0:

@@ -10,7 +10,7 @@ accept probability follows a multiplicative ratio rule computed in log
 space.
 
 ``run_coupled`` wires both to the episode simulator, stepping all relays
-at once with the elementwise rule that ``relay_step`` applies to one relay.
+at once with one elementwise update.
 Relay payoffs can be fed two ways:
 
 ``episode``
@@ -37,7 +37,7 @@ Relay payoffs can be fed two ways:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
@@ -90,36 +90,10 @@ class Schedules:
                     raise ValueError(f"{name}({k}) = {rate} outside (0, 1]")
         object.__setattr__(self, "_table", table)
 
-    @staticmethod
-    def constant(epsilon: float, m: float = 0.1, l: float = 0.1,
-                 horizon: int = 5000) -> "Schedules":
-        """Constant-rate variant, handy for tracking experiments."""
-        return Schedules(epsilon=lambda k: epsilon,
-                         m_accept=lambda k: m, m_reject=lambda k: m,
-                         l_accept=lambda k: l, l_reject=lambda k: l,
-                         horizon=horizon)
 
-
-@dataclass(frozen=True)
-class SourceLearnerState:
-    alpha: float
-    payoff_estimate: float
-    target: float
-    alpha_max: float
-    step: int = 0
-
-
-@dataclass(frozen=True)
-class RelayLearnerState:
-    accept_prob: float
-    est_accept: float
-    est_reject: float
-    step: int = 0
-
-
-def source_step(state: SourceLearnerState, observed_payoff: float,
-                epsilon_k: float) -> SourceLearnerState:
-    """One reward update from one observed payoff.
+def _source_update(alpha: float, estimate: float, target: float, alpha_max: float,
+                   observed: float, epsilon_k: float) -> tuple[float, float]:
+    """(reward, estimate) after one observed payoff.
 
     The estimate tracks the observation stream and the reward moves by the
     remaining gap to the target, clamped into [0, alpha_max].  Delivery
@@ -127,52 +101,26 @@ def source_step(state: SourceLearnerState, observed_payoff: float,
     zero clamp it stays above the target (n = 3, delta = 0.02: delivery
     0.937 with the reward at 0).
     """
-    if not 0.0 < epsilon_k <= 1.0:
-        raise ValueError(f"epsilon_k must be in (0, 1], got {epsilon_k}")
-    alpha, estimate = _source_update(state.alpha, state.payoff_estimate, state.target,
-                                     state.alpha_max, observed_payoff, epsilon_k)
-    return replace(state, alpha=alpha, payoff_estimate=estimate, step=state.step + 1)
-
-
-def _source_update(alpha: float, estimate: float, target: float, alpha_max: float,
-                   observed: float, epsilon_k: float) -> tuple[float, float]:
     estimate = estimate + epsilon_k * (observed - estimate)
     alpha = alpha + epsilon_k * (target - estimate)
     return min(max(alpha, 0.0), alpha_max), estimate
 
 
-@dataclass(frozen=True)
-class RelayRates:
-    m_accept: float
-    m_reject: float
-    l_accept: float
-    l_reject: float
-
-
-def relay_step(state: RelayLearnerState, realized_utility: float,
-               accepted: bool, rates: RelayRates,
-               prob_floor: float = 0.0) -> RelayLearnerState:
-    """One estimate-and-strategy update from one realized payoff.
-
-    Only the estimate matching the played action moves.  The accept
-    probability is then updated by the imitative ratio rule; exponents are
-    clamped so extreme estimates cannot overflow.  In exact arithmetic the
-    ratio rule keeps an interior probability interior forever; a nonzero
-    ``prob_floor`` preserves that property under floating point (with the
-    default 0.0 a probability that rounds to a pure strategy stays pure).
-    """
-    p, est_a, est_r = _relay_update(
-        *(np.array([x]) for x in (state.accept_prob, state.est_accept,
-                                  state.est_reject, realized_utility, accepted)),
-        rates.m_accept, rates.m_reject, rates.l_accept, rates.l_reject, prob_floor)
-    return RelayLearnerState(float(p[0]), float(est_a[0]), float(est_r[0]), state.step + 1)
-
-
 def _relay_update(p: np.ndarray, est_a: np.ndarray, est_r: np.ndarray, utility: np.ndarray,
                   accepted: np.ndarray, m_accept: float, m_reject: float, l_accept: float,
                   l_reject: float, prob_floor: float) -> tuple[np.ndarray, ...]:
-    """``relay_step`` elementwise over arrays of relays (exp per relay with
-    ``math.exp``, which ``np.exp`` can miss by an ulp)."""
+    """(accept prob, accept estimate, decline estimate) arrays after one
+    realized payoff per relay.
+
+    Only the estimate matching the played action moves.  The accept
+    probability is then updated by the imitative ratio rule; exponents are
+    clamped so extreme estimates cannot overflow, and each is taken with
+    ``math.exp``, which ``np.exp`` can miss by an ulp.  In exact arithmetic
+    the ratio rule keeps an interior probability interior forever; a nonzero
+    ``prob_floor`` clamps it into [prob_floor, 1 - prob_floor] so that it
+    stays so under floating point.  With ``prob_floor`` 0 a probability at
+    0 or 1 absorbs: it stays pure whatever the payoffs.
+    """
     finite = np.isfinite(utility)
     if not finite.all():
         raise ValueError(f"realized utility must be finite, got {utility[~finite][0]}")
@@ -241,9 +189,9 @@ def run_coupled(params: GameParams, schedules: Schedules, seed: int,
     action, one episode realizes contacts and delivery, relay payoffs are
     fed back per the chosen feed, and the delivery indicator updates the
     source.  Relay state is three length-n arrays (accept probability and
-    the two estimates), bit-identical to stepping ``simulate_episode``,
-    ``relay_step`` per relay and ``source_step``.  Identical seeds give
-    identical trajectories.
+    the two estimates), bit-identical to stepping ``simulate_episode`` and
+    then each relay and the source in turn.  Identical seeds give identical
+    trajectories.
     """
     if feed not in _FEEDS:
         raise ValueError(f"feed must be one of {_FEEDS}, got {feed!r}")

@@ -89,23 +89,6 @@ class GameParams:
             raise ValueError(f"alpha_max must be > 0, got {self.alpha_max}")
 
 
-@dataclass(frozen=True)
-class StrategyProfile:
-    """A point in strategy space: cohort size, common accept prob, reward."""
-
-    n_active: int
-    accept_prob: float
-    reward: float
-
-    def __post_init__(self):
-        if not isinstance(self.n_active, int) or self.n_active < 0:
-            raise ValueError(f"n_active must be a non-negative integer, got {self.n_active}")
-        if not 0 <= self.accept_prob <= 1:
-            raise ValueError(f"accept_prob must be in [0, 1], got {self.accept_prob}")
-        if self.reward < 0:
-            raise ValueError(f"reward must be >= 0, got {self.reward}")
-
-
 def contact_probability(contact: ContactModel) -> float:
     """Probability that two nodes meet at least once within the lifetime."""
     return -math.expm1(-contact.lam * contact.tau)
@@ -126,7 +109,9 @@ def storage_energy(params: GameParams) -> float:
     lam, tau = params.contact.lam, params.contact.tau
     if lam == 0:
         raise DegenerateRateError("storage energy is undefined for lam = 0")
-    held_forever = (1.0 + lam * tau) * math.exp(-lam * tau)
+    lam_tau = lam * tau
+    # a product that overflows to inf would give (1 + inf) * 0 = nan
+    held_forever = (1.0 + lam_tau) * math.exp(-lam_tau) if math.isfinite(lam_tau) else 0.0
     return params.energy.e_store / lam * (1.0 - held_forever)
 
 
@@ -215,25 +200,6 @@ def delivery_share_bruteforce(n_active: int, q: float) -> float:
         ways = math.comb(n_active - 1, j - 1)
         total += ways * succeed ** (j - 1) * q ** (n_active - j) / j
     return succeed * total
-
-
-def _profile_payoffs(profile: StrategyProfile, params: GameParams) -> tuple[float, float]:
-    if profile.n_active < 1:
-        raise EmptyCohortError("relay payoffs are defined against a non-empty cohort")
-    if profile.n_active > params.n:
-        raise ValueError(f"n_active {profile.n_active} exceeds n = {params.n}")
-    q = relay_failure_probability(params.contact)
-    return relay_payoffs(profile.reward, profile.n_active, q ** profile.n_active, params)
-
-
-def relay_utility_accept(profile: StrategyProfile, params: GameParams) -> float:
-    """Payoff of a relay that cached: share-weighted reward minus regret and energy."""
-    return _profile_payoffs(profile, params)[0]
-
-
-def relay_utility_reject(profile: StrategyProfile, params: GameParams) -> float:
-    """Payoff of a relay that declined: forfeited share-weighted reward minus regret."""
-    return _profile_payoffs(profile, params)[1]
 
 
 def source_utility(n_active: int, q: float) -> float:

@@ -22,8 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from statistics import NormalDist
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -35,27 +34,12 @@ _MODES = (MODEL, PHYSICAL)
 
 
 @dataclass(frozen=True)
-class EpisodeOutcome:
-    contacted_source: tuple[bool, ...]
-    accepted: tuple[bool, ...]
-    delivery_time: Optional[float]
-    winner: Optional[int]
-    per_relay_utility: tuple[float, ...]
-    delivered: bool
-
-
-@dataclass(frozen=True)
 class EstimateWithCI:
     """Sample mean with its standard error over independent trials."""
 
     mean: float
     stderr: float
     trials: int
-
-    def interval(self) -> tuple[float, float]:
-        """Two-sided 95 % normal-approximation interval."""
-        z = NormalDist().inv_cdf(0.975)
-        return self.mean - z * self.stderr, self.mean + z * self.stderr
 
 
 def episode_rng(seed: int, trial: int) -> np.random.Generator:
@@ -65,8 +49,8 @@ def episode_rng(seed: int, trial: int) -> np.random.Generator:
 
 def simulate_episode(params: GameParams, accept_probs: Sequence[float],
                      reward: float, rng: np.random.Generator,
-                     mode: str = MODEL) -> EpisodeOutcome:
-    """Run one episode on ``rng`` and score every relay.
+                     mode: str = MODEL) -> tuple[np.ndarray, np.ndarray, bool]:
+    """Run one episode on ``rng``: (accepted, per-relay utilities, delivered).
 
     Utilities follow the share-weighted payoff at the realized cohort: a
     relay with k accepting opponents is scored at cohort size k+1 whether it
@@ -83,18 +67,10 @@ def simulate_episode(params: GameParams, accept_probs: Sequence[float],
     if np.any((probs < 0) | (probs > 1)):
         raise ValueError("accept probabilities must lie in [0, 1]")
 
-    contacted, accepted, success, finish = _race(params, probs, rng, mode)
-    delivered = bool(success.any())
-    # argmin takes the lowest index on ties
-    winner = int(np.argmin(np.where(success, finish, np.inf))) if delivered else None
+    _, accepted, success, _ = _race(params, probs, rng, mode)
     utilities = _score_relays(params, relay_failure_probability(params.contact),
                               accepted, reward)
-    return EpisodeOutcome(contacted_source=tuple(contacted.tolist()),
-                          accepted=tuple(accepted.tolist()),
-                          delivery_time=float(finish[winner]) if delivered else None,
-                          winner=winner,
-                          per_relay_utility=tuple(utilities.tolist()),
-                          delivered=delivered)
+    return accepted, utilities, bool(success.any())
 
 
 def _race(params: GameParams, probs: np.ndarray, rng: np.random.Generator,
@@ -139,7 +115,7 @@ def estimate_delivery(params: GameParams, accept_prob: float, trials: int,
     probs = [accept_prob] * params.n
     hits = np.empty(trials)
     for t in range(trials):
-        hits[t] = simulate_episode(params, probs, 0.0, episode_rng(seed, t), mode).delivered
+        hits[t] = simulate_episode(params, probs, 0.0, episode_rng(seed, t), mode)[2]
     return _summarize(hits)
 
 
@@ -152,7 +128,7 @@ def estimate_relay_utility(params: GameParams, accept_prob: float, reward: float
     values = np.empty(trials)
     for t in range(trials):
         values[t] = simulate_episode(params, probs, reward, episode_rng(seed, t),
-                                     mode).per_relay_utility[0]
+                                     mode)[1][0]
     return _summarize(values)
 
 

@@ -111,7 +111,7 @@ def decline_estimates(traj, params, schedules):
     The episode feed pays every acceptor the EXACT accept payoff at the
     realized cohort, so a fed value that differs from it marks a decline,
     and only then does the estimate move by ``m_reject(k)``, as in
-    ``relay_step``.  Returns the estimates after the last iteration and the
+    ``_relay_update``.  Returns the estimates after the last iteration and the
     number of declines, per relay.
     """
     q = relay_failure_probability(params.contact)

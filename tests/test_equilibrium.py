@@ -116,13 +116,9 @@ class TestSolveMse:
 
     def test_reward_curve_solves_indifference(self, base_params):
         sol = solve_mse(base_params)
-        for p, alpha in sol.table(points=7):
-            assert abs(mixed_indifference_gap(alpha, p, base_params)) <= 1e-9
-
-    @pytest.mark.parametrize("points", [1, 0])
-    def test_table_needs_two_points(self, base_params, points):
-        with pytest.raises(ValueError, match="points"):
-            solve_mse(base_params).table(points)
+        for i in range(7):
+            p = sol.p_min + (1.0 - sol.p_min) * i / 6
+            assert abs(mixed_indifference_gap(sol.alpha_of_p(p), p, base_params)) <= 1e-9
 
     def test_single_relay_boundary(self):
         params = make_params(n=1)

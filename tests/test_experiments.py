@@ -110,6 +110,17 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="one of"):
             parse_config("sweep.var = sigma\nsweep.values = 0.1")
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "1e400"])
+    @pytest.mark.parametrize("var", ["tau", "lambda", "n", "delta", "p"])
+    def test_non_finite_swept_value_names_var(self, var, value):
+        with pytest.raises(ConfigError, match=f"^swept {var} must be finite"):
+            parse_config(f"sweep.var = {var}\nsweep.values = {value}")
+
+    def test_infinite_range_end_rejected(self):
+        with pytest.raises(ConfigError, match="^swept tau must be finite"):
+            parse_config("sweep.var = tau\nsweep.start = 1\nsweep.stop = inf\n"
+                         "sweep.points = 3")
+
     def test_linear_grid_inclusive_and_even(self):
         cfg = parse_config("sweep.var = tau\nsweep.start = 1\nsweep.stop = 9\n"
                            "sweep.points = 5")
@@ -343,6 +354,17 @@ class TestCli:
         cfg.write_text("lambda = 0\ntrials = 50\n")
         assert main(["simulate", "--config", str(cfg)]) == 1
         assert "alpha" in capsys.readouterr().err
+
+    def test_overflowing_lambda_tau_stays_finite(self, tmp_path, capsys):
+        # lambda * tau overflows to inf; storage energy must not turn nan
+        cfg = tmp_path / "fast.cfg"
+        cfg.write_text("lambda = 1e308\ntau = 1e308\ntrials = 50\nhorizon = 20\n")
+        assert main(["simulate", "--config", str(cfg)]) == 0
+        lines = [line for line in capsys.readouterr().out.splitlines()
+                 if not line.startswith("#")]
+        row = dict(zip(lines[0].split(","), lines[1].split(",")))
+        assert math.isfinite(float(row["relay_utility_mean"]))
+        assert main(["learn", "--config", str(cfg)]) == 0
 
     def test_simulate_at_zero_rate_with_alpha(self, tmp_path, capsys):
         cfg = tmp_path / "still.cfg"

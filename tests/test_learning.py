@@ -12,138 +12,108 @@ from dtnsat.learning import (
     EPISODE,
     MEAN_FIELD,
     PROB_FLOOR,
-    RelayLearnerState,
-    RelayRates,
     Schedules,
-    SourceLearnerState,
     Trajectory,
-    relay_step,
+    _source_update,
     run_coupled,
-    source_step,
 )
 from dtnsat.simulate import MODEL, PHYSICAL, simulate_episode
 from conftest import make_params
 
 
 def rates(m_a=0.3, m_r=0.3, l_a=0.1, l_r=0.1):
-    return RelayRates(m_accept=m_a, m_reject=m_r, l_accept=l_a, l_reject=l_r)
+    """(m_accept, m_reject, l_accept, l_reject) of one relay step."""
+    return m_a, m_r, l_a, l_r
+
+
+def step_one(p, est_a, est_r, u, accepted, r=rates(), prob_floor=0.0):
+    """``_relay_update`` on a single relay: (accept prob, est_accept, est_reject)."""
+    got = learning._relay_update(*(np.array([x]) for x in (p, est_a, est_r, u, accepted)),
+                                 *r, prob_floor)
+    return tuple(float(g[0]) for g in got)
 
 
 class TestSourceStep:
     def test_on_target_is_fixed(self):
-        s = SourceLearnerState(alpha=1.0, payoff_estimate=0.21, target=0.21,
-                               alpha_max=5.0)
-        s2 = source_step(s, observed_payoff=0.21, epsilon_k=0.5)
-        assert s2.alpha == 1.0
-        assert s2.payoff_estimate == 0.21
+        assert _source_update(1.0, 0.21, 0.21, 5.0, 0.21, 0.5) == (1.0, 0.21)
 
     def test_under_target_raises_reward(self):
-        s = SourceLearnerState(alpha=1.0, payoff_estimate=0.05, target=0.21,
-                               alpha_max=5.0)
-        s2 = source_step(s, observed_payoff=0.0, epsilon_k=0.1)
-        assert s2.alpha > 1.0
+        assert _source_update(1.0, 0.05, 0.21, 5.0, 0.0, 0.1)[0] > 1.0
 
     def test_over_target_lowers_reward(self):
-        s = SourceLearnerState(alpha=1.0, payoff_estimate=0.9, target=0.21,
-                               alpha_max=5.0)
-        s2 = source_step(s, observed_payoff=1.0, epsilon_k=0.1)
-        assert s2.alpha < 1.0
+        assert _source_update(1.0, 0.9, 0.21, 5.0, 1.0, 0.1)[0] < 1.0
 
     def test_update_direction_tracks_remaining_gap(self):
         for est, obs in [(0.0, 0.0), (0.5, 1.0), (0.2, 0.0), (0.9, 0.2)]:
-            s = SourceLearnerState(alpha=2.0, payoff_estimate=est, target=0.21,
-                                   alpha_max=5.0)
-            s2 = source_step(s, obs, 0.05)
-            assert math.copysign(1, s2.alpha - s.alpha) == \
-                math.copysign(1, s.target - s2.payoff_estimate)
+            alpha, est2 = _source_update(2.0, est, 0.21, 5.0, obs, 0.05)
+            assert math.copysign(1, alpha - 2.0) == math.copysign(1, 0.21 - est2)
 
     def test_clamped_to_range(self):
-        lo = SourceLearnerState(alpha=0.01, payoff_estimate=1.0, target=0.0,
-                                alpha_max=5.0)
-        assert source_step(lo, 1.0, 1.0).alpha == 0.0
-        hi = SourceLearnerState(alpha=4.99, payoff_estimate=0.0, target=1.0,
-                                alpha_max=5.0)
-        assert source_step(hi, 0.0, 1.0).alpha == 5.0
+        assert _source_update(0.01, 1.0, 0.0, 5.0, 1.0, 1.0)[0] == 0.0
+        assert _source_update(4.99, 0.0, 1.0, 5.0, 0.0, 1.0)[0] == 5.0
 
     def test_clamp_holds_for_any_feed(self):
         rng = random.Random(1)
-        s = SourceLearnerState(alpha=2.5, payoff_estimate=0.0, target=0.21,
-                               alpha_max=5.0)
+        alpha, est = 2.5, 0.0
         for k in range(1, 2000):
-            s = source_step(s, rng.uniform(-5, 5), 1.0 / k if k > 1 else 1.0)
-            assert 0.0 <= s.alpha <= 5.0
-
-    def test_bad_rate_rejected(self):
-        s = SourceLearnerState(alpha=1.0, payoff_estimate=0.0, target=0.21,
-                               alpha_max=5.0)
-        with pytest.raises(ValueError):
-            source_step(s, 0.0, 0.0)
+            alpha, est = _source_update(alpha, est, 0.21, 5.0, rng.uniform(-5, 5),
+                                        1.0 / k if k > 1 else 1.0)
+            assert 0.0 <= alpha <= 5.0
 
 
 class TestRelayStep:
     def test_equal_estimates_keep_probability(self):
-        s = RelayLearnerState(accept_prob=0.4, est_accept=-0.2, est_reject=-0.2)
-        s2 = relay_step(s, -0.2, accepted=True, rates=rates())
-        assert s2.accept_prob == pytest.approx(0.4)
+        assert step_one(0.4, -0.2, -0.2, -0.2, True)[0] == pytest.approx(0.4)
 
     def test_better_accept_estimate_raises_probability(self):
-        s = RelayLearnerState(accept_prob=0.4, est_accept=0.5, est_reject=-0.5)
-        s2 = relay_step(s, 0.5, accepted=True, rates=rates())
-        assert s2.accept_prob > 0.4
+        assert step_one(0.4, 0.5, -0.5, 0.5, True)[0] > 0.4
 
     def test_estimate_gating(self):
-        s = RelayLearnerState(accept_prob=0.5, est_accept=1.0, est_reject=2.0)
-        after_reject = relay_step(s, -3.0, accepted=False, rates=rates())
-        assert after_reject.est_accept == 1.0
-        assert after_reject.est_reject == pytest.approx(2.0 + 0.3 * (-3.0 - 2.0))
-        after_accept = relay_step(s, -3.0, accepted=True, rates=rates())
-        assert after_accept.est_reject == 2.0
-        assert after_accept.est_accept == pytest.approx(1.0 + 0.3 * (-3.0 - 1.0))
+        _, est_a, est_r = step_one(0.5, 1.0, 2.0, -3.0, False)
+        assert est_a == 1.0
+        assert est_r == pytest.approx(2.0 + 0.3 * (-3.0 - 2.0))
+        _, est_a, est_r = step_one(0.5, 1.0, 2.0, -3.0, True)
+        assert est_r == 2.0
+        assert est_a == pytest.approx(1.0 + 0.3 * (-3.0 - 1.0))
 
     def test_reject_branch_uses_its_own_rate(self):
-        s = RelayLearnerState(accept_prob=0.5, est_accept=0.0, est_reject=0.0)
-        s2 = relay_step(s, 1.0, accepted=False, rates=rates(m_a=0.9, m_r=0.1))
-        assert s2.est_reject == pytest.approx(0.1)
+        est_r = step_one(0.5, 0.0, 0.0, 1.0, False, rates(m_a=0.9, m_r=0.1))[2]
+        assert est_r == pytest.approx(0.1)
 
     def test_extreme_estimates_stay_bounded(self):
-        s = RelayLearnerState(accept_prob=0.5, est_accept=1e6, est_reject=-1e6)
-        s2 = relay_step(s, 1e6, accepted=True, rates=rates())
-        assert 0.0 <= s2.accept_prob <= 1.0
-        assert math.isfinite(s2.accept_prob)
+        p = step_one(0.5, 1e6, -1e6, 1e6, True)[0]
+        assert 0.0 <= p <= 1.0
+        assert math.isfinite(p)
 
     def test_pure_strategy_absorbs_without_floor(self):
-        s = RelayLearnerState(accept_prob=1.0, est_accept=-9.0, est_reject=9.0)
-        assert relay_step(s, 0.0, accepted=True, rates=rates()).accept_prob == 1.0
+        assert step_one(1.0, -9.0, 9.0, 0.0, True)[0] == 1.0
 
     def test_floor_keeps_probability_interior(self):
-        s = RelayLearnerState(accept_prob=0.9, est_accept=50.0, est_reject=-50.0)
+        p, est_a, est_r = 0.9, 50.0, -50.0
         for _ in range(200):
-            s = relay_step(s, 50.0, accepted=True, rates=rates(),
-                           prob_floor=1e-3)
-        assert s.accept_prob == pytest.approx(1.0 - 1e-3)
+            p, est_a, est_r = step_one(p, est_a, est_r, 50.0, True, prob_floor=1e-3)
+        assert p == pytest.approx(1.0 - 1e-3)
 
     def test_probability_invariant_under_random_feeds(self):
         rng = random.Random(7)
-        s = RelayLearnerState(accept_prob=0.5, est_accept=0.0, est_reject=0.0)
+        state = (0.5, 0.0, 0.0)
         for _ in range(2000):
-            s = relay_step(s, rng.uniform(-3, 3), rng.random() < 0.5, rates())
-            assert 0.0 <= s.accept_prob <= 1.0
+            state = step_one(*state, rng.uniform(-3, 3), rng.random() < 0.5)
+            assert 0.0 <= state[0] <= 1.0
 
     def test_estimate_tracks_noisy_mean(self):
         # constant action, iid payoffs, running-average rate 1/k
         rng = random.Random(42)
         mu, sd, steps = -0.3, 0.5, 10_000
-        s = RelayLearnerState(accept_prob=0.5, est_accept=0.0, est_reject=0.0)
+        state = (0.5, 0.0, 0.0)
         for k in range(1, steps + 1):
-            u = rng.gauss(mu, sd)
-            s = relay_step(s, u, accepted=True,
-                           rates=rates(m_a=1.0 / k, m_r=1.0 / k))
-        assert abs(s.est_accept - mu) <= 3 * sd / math.sqrt(steps)
+            state = step_one(*state, rng.gauss(mu, sd), True,
+                             rates(m_a=1.0 / k, m_r=1.0 / k))
+        assert abs(state[1] - mu) <= 3 * sd / math.sqrt(steps)
 
     def test_non_finite_utility_rejected(self):
-        s = RelayLearnerState(accept_prob=0.5, est_accept=0.0, est_reject=0.0)
         with pytest.raises(ValueError):
-            relay_step(s, float("nan"), True, rates())
+            step_one(0.5, 0.0, 0.0, float("nan"), True)
 
 
 class TestFixedPointConsistency:
@@ -151,19 +121,16 @@ class TestFixedPointConsistency:
         # zero noise: expected payoffs substituted for realizations
         ese = solve_ese(base_params)
         u_a, u_r = mixed_relay_payoffs(ese.alpha_star, ese.p_star, base_params)
-        source = SourceLearnerState(alpha=ese.alpha_star,
-                                    payoff_estimate=base_params.delta,
-                                    target=base_params.delta, alpha_max=5.0)
-        relay = RelayLearnerState(accept_prob=ese.p_star, est_accept=u_a,
-                                  est_reject=u_r)
+        alpha, estimate = ese.alpha_star, base_params.delta
+        relay = (ese.p_star, u_a, u_r)
         flip = random.Random(3)
         for k in range(1, 1001):
-            source = source_step(source, base_params.delta, 1.0 / (1 + k))
+            alpha, estimate = _source_update(alpha, estimate, base_params.delta, 5.0,
+                                             base_params.delta, 1.0 / (1 + k))
             accepted = flip.random() < ese.p_star
-            relay = relay_step(relay, u_a if accepted else u_r, accepted,
-                               rates())
-            assert abs(source.alpha - ese.alpha_star) <= 1e-6
-            assert abs(relay.accept_prob - ese.p_star) <= 1e-6
+            relay = step_one(*relay, u_a if accepted else u_r, accepted)
+            assert abs(alpha - ese.alpha_star) <= 1e-6
+            assert abs(relay[0] - ese.p_star) <= 1e-6
 
 
 class TestSchedules:
@@ -193,12 +160,6 @@ class TestSchedules:
         sch = Schedules(epsilon=lambda k: 0.1 if k <= 20 else 2.0, horizon=20)
         assert len(run_coupled(make_params(), sch, seed=1)) == 20
 
-    def test_constant_helper(self):
-        sch = Schedules.constant(epsilon=0.05, m=0.2, l=0.3, horizon=10)
-        assert sch.epsilon(999) == 0.05
-        assert sch.m_reject(5) == 0.2
-        assert sch.l_accept(5) == 0.3
-
 
 class TestRunCoupled:
     def test_determinism(self, base_params):
@@ -213,7 +174,9 @@ class TestRunCoupled:
 
     def test_zero_rate_saturates_reward_cap(self):
         params = make_params(lam=0.0)
-        sch = Schedules.constant(epsilon=0.05, horizon=1500)
+        sch = Schedules(epsilon=lambda k: 0.05, m_accept=lambda k: 0.1,
+                        m_reject=lambda k: 0.1, l_accept=lambda k: 0.1,
+                        l_reject=lambda k: 0.1, horizon=1500)
         traj = run_coupled(params, sch, seed=1)
         assert not any(traj.delivered)
         assert traj.alpha[-1] == params.alpha_max
@@ -249,40 +212,37 @@ class TestRunCoupled:
 
 
 def scalar_replay(params, schedules, seed, feed, contact_mode):
-    """The coupled loop stepped one relay at a time through the public
-    scalar functions: simulate_episode, relay_step per relay, source_step."""
-    source = SourceLearnerState(alpha=params.alpha_max / 2.0, payoff_estimate=0.0,
-                                target=params.delta, alpha_max=params.alpha_max)
-    relays = [RelayLearnerState(accept_prob=0.5, est_accept=0.0, est_reject=0.0)
-              for _ in range(params.n)]
+    """The coupled loop in plain floats, one relay at a time: each relay
+    steps by ``ratio_rule`` and the source by its own transcription."""
+    alpha, estimate = params.alpha_max / 2.0, 0.0
+    relays = [(0.5, 0.0, 0.0)] * params.n
     traj = Trajectory(n=params.n)
     rng = np.random.default_rng(np.random.SeedSequence((seed, 0)))
     for k in range(1, schedules.horizon + 1):
-        alpha_k = source.alpha
-        probs = [r.accept_prob for r in relays]
-        episode = simulate_episode(params, probs, alpha_k, rng, contact_mode)
+        probs = [r[0] for r in relays]
+        accepted, utilities, delivered = simulate_episode(params, probs, alpha, rng,
+                                                          contact_mode)
+        accepted = accepted.tolist()
         if feed == EPISODE:
-            fed = list(episode.per_relay_utility)
+            fed = utilities.tolist()
         else:
-            pay_accept, pay_reject = mixed_relay_payoffs(
-                alpha_k, sum(probs) / params.n, params)
-            fed = [pay_accept if a else pay_reject for a in episode.accepted]
-        rates_k = RelayRates(m_accept=schedules.m_accept(k),
-                             m_reject=schedules.m_reject(k),
-                             l_accept=schedules.l_accept(k),
-                             l_reject=schedules.l_reject(k))
-        relays = [relay_step(r, fed[i], episode.accepted[i], rates_k,
-                             prob_floor=PROB_FLOOR)
-                  for i, r in enumerate(relays)]
-        source = source_step(source, 1.0 if episode.delivered else 0.0,
-                             schedules.epsilon(k))
+            pay_accept, pay_reject = mixed_relay_payoffs(alpha, sum(probs) / params.n,
+                                                         params)
+            fed = [pay_accept if a else pay_reject for a in accepted]
+        r = (schedules.m_accept(k), schedules.m_reject(k), schedules.l_accept(k),
+             schedules.l_reject(k))
+        relays = [ratio_rule(*relay, u, a, r, PROB_FLOOR)
+                  for relay, u, a in zip(relays, fed, accepted)]
         traj.steps.append(k)
-        traj.alpha.append(alpha_k)
-        traj.u_s_est.append(source.payoff_estimate)
+        traj.alpha.append(alpha)
+        eps = schedules.epsilon(k)
+        estimate += eps * (float(delivered) - estimate)
+        alpha = min(max(alpha + eps * (params.delta - estimate), 0.0), params.alpha_max)
+        traj.u_s_est.append(estimate)
         traj.accept_probs.append(tuple(probs))
         traj.utilities.append(tuple(fed))
-        traj.n_accept.append(sum(episode.accepted))
-        traj.delivered.append(episode.delivered)
+        traj.n_accept.append(sum(accepted))
+        traj.delivered.append(delivered)
     return traj
 
 
@@ -304,15 +264,16 @@ class TestArrayStateEquivalence:
 
 def ratio_rule(p, est_a, est_r, u, accepted, r, prob_floor):
     """The relay rule in plain float arithmetic, written out independently."""
+    m_accept, m_reject, l_accept, l_reject = r
     if accepted:
-        est_a += r.m_accept * (u - est_a)
+        est_a += m_accept * (u - est_a)
     else:
-        est_r += r.m_reject * (u - est_r)
+        est_r += m_reject * (u - est_r)
     if 0.0 < p < 1.0:
         def clamp(x):
             return min(max(x, -50.0), 50.0)
-        t_a = clamp(est_a * math.log1p(r.l_accept))
-        t_r = clamp(est_r * math.log1p(r.l_reject))
+        t_a = clamp(est_a * math.log1p(l_accept))
+        t_r = clamp(est_r * math.log1p(l_reject))
         p = 1.0 / (1.0 + (1.0 - p) / p * math.exp(clamp(t_r - t_a)))
         if prob_floor > 0.0:
             p = min(max(p, prob_floor), 1.0 - prob_floor)
@@ -337,16 +298,13 @@ class TestElementwiseRelayUpdate:
     ]
 
     @pytest.mark.parametrize("prob_floor", [0.0, 1e-3, 0.2])
-    def test_matches_relay_step_per_element(self, prob_floor):
+    def test_matches_plain_float_rule_per_element(self, prob_floor):
         r = rates(m_a=0.37, m_r=0.21, l_a=0.13, l_r=0.07)
         p, est_a, est_r, u, acc = (np.array(col) for col in zip(*self.CASES))
-        got = learning._relay_update(p, est_a, est_r, u, acc, r.m_accept,
-                                     r.m_reject, r.l_accept, r.l_reject, prob_floor)
-        for i, (p_i, a_i, r_i, u_i, acc_i) in enumerate(self.CASES):
-            step = relay_step(RelayLearnerState(p_i, a_i, r_i), u_i, acc_i, r,
-                              prob_floor=prob_floor)
-            want = ratio_rule(p_i, a_i, r_i, u_i, acc_i, r, prob_floor)
-            assert (step.accept_prob, step.est_accept, step.est_reject) == want
+        got = learning._relay_update(p, est_a, est_r, u, acc, *r, prob_floor)
+        for i, case in enumerate(self.CASES):
+            want = ratio_rule(*case, r, prob_floor)
+            assert step_one(*case, r, prob_floor) == want
             assert (got[0][i], got[1][i], got[2][i]) == want
 
     def test_matches_plain_float_rule_on_random_inputs(self):
@@ -356,8 +314,7 @@ class TestElementwiseRelayUpdate:
         est_a, est_r, u = (rng.uniform(-30.0, 30.0, size) for _ in range(3))
         acc = rng.random(size) < 0.5
         r = rates(m_a=0.05, m_r=0.4, l_a=0.6, l_r=0.9)
-        got = learning._relay_update(p, est_a, est_r, u, acc, r.m_accept,
-                                     r.m_reject, r.l_accept, r.l_reject, 1e-3)
+        got = learning._relay_update(p, est_a, est_r, u, acc, *r, 1e-3)
         want = [ratio_rule(*args, r, 1e-3) for args in
                 zip(p.tolist(), est_a.tolist(), est_r.tolist(), u.tolist(),
                     acc.tolist())]

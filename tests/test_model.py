@@ -11,7 +11,6 @@ from dtnsat.model import (
     EmptyCohortError,
     CohortTooLargeError,
     EnergyModel,
-    StrategyProfile,
     contact_probability,
     delivery_share,
     delivery_share_bruteforce,
@@ -21,13 +20,11 @@ from dtnsat.model import (
     reduced_cooperation_cost,
     relay_failure_probability,
     relay_payoffs,
-    relay_utility_accept,
-    relay_utility_reject,
     source_utility,
     storage_energy,
     total_energy,
 )
-from conftest import make_params
+from conftest import cohort_payoffs, make_params
 
 # frozen with 50-digit arithmetic for lam=0.015, tau=100
 P_C = 0.7768698398515702
@@ -93,6 +90,10 @@ class TestStorageEnergy:
     def test_zero_rate_rejected(self):
         with pytest.raises(DegenerateRateError):
             storage_energy(make_params(lam=0.0))
+
+    def test_overflowing_lam_tau_holds_nothing_forever(self):
+        # lam * tau = inf: the held-forever term is 0, not (1 + inf) * 0
+        assert storage_energy(make_params(lam=1e308, tau=1e308)) == 3.8e-5 / 1e308
 
 
 class TestTotalEnergy:
@@ -184,39 +185,27 @@ class TestRelayUtilities:
         # q = 0, free energy, no regrets: accepting pays exactly the reward
         params = make_params(lam=100.0, tau=10.0, sigma=0.0, gamma=0.0,
                              e=0.0, e_r=0.0, e_t=0.0, alpha_max=1.0)
-        prof = StrategyProfile(n_active=1, accept_prob=1.0, reward=1.0)
-        assert relay_utility_accept(prof, params) == pytest.approx(1.0)
-        assert relay_utility_reject(prof, params) == pytest.approx(-1.0)
+        accept, reject = cohort_payoffs(1.0, 1, params)
+        assert accept == pytest.approx(1.0)
+        assert reject == pytest.approx(-1.0)
 
     def test_rewardless_cooperation_costs_energy(self, base_params):
-        prof = StrategyProfile(n_active=7, accept_prob=1.0, reward=0.0)
-        u = relay_utility_accept(prof, make_params(sigma=0.0))
+        u = cohort_payoffs(0.0, 7, make_params(sigma=0.0))[0]
         assert u == pytest.approx(-ETA, rel=1e-12)
 
     def test_decline_regret_only(self, base_params):
-        prof = StrategyProfile(n_active=3, accept_prob=0.5, reward=0.0)
-        assert relay_utility_reject(prof, base_params) == pytest.approx(-0.15)
+        assert cohort_payoffs(0.0, 3, base_params)[1] == pytest.approx(-0.15)
 
     def test_zero_regret_zero_reward_reject(self):
-        params = make_params(gamma=0.0)
-        prof = StrategyProfile(n_active=2, accept_prob=0.5, reward=0.0)
-        assert relay_utility_reject(prof, params) == 0.0
+        assert cohort_payoffs(0.0, 2, make_params(gamma=0.0))[1] == 0.0
 
     def test_near_indifference_at_solver_reward(self, base_params):
         # the closed-form solver reward balances the reduced cost model; with
         # the exact storage energy the branches differ by (e/lam)(Q - q)
-        prof = StrategyProfile(n_active=7, accept_prob=1.0, reward=0.0820332584629522)
-        gap = (relay_utility_accept(prof, base_params)
-               - relay_utility_reject(prof, base_params))
+        accept, reject = cohort_payoffs(0.0820332584629522, 7, base_params)
+        gap = accept - reject
         assert gap == pytest.approx(8.478946086e-4, rel=1e-6)
         assert abs(gap) < 1e-3
-
-    def test_empty_cohort_rejected(self, base_params):
-        prof = StrategyProfile(n_active=0, accept_prob=0.0, reward=1.0)
-        with pytest.raises(EmptyCohortError):
-            relay_utility_accept(prof, base_params)
-        with pytest.raises(EmptyCohortError):
-            relay_utility_reject(prof, base_params)
 
 
 class TestSourceUtility:
@@ -261,14 +250,12 @@ class TestMixedSourceUtility:
 
 class TestMixedRelayUtility:
     def test_degenerate_reject_mixture(self, base_params):
-        prof = StrategyProfile(n_active=1, accept_prob=0.0, reward=2.0)
-        expect = relay_utility_reject(prof, base_params)
+        expect = cohort_payoffs(2.0, 1, base_params)[1]
         assert expected_relay_utility_mixed(0.0, 2.0, base_params) == \
             pytest.approx(expect, rel=1e-12)
 
     def test_degenerate_accept_mixture(self, base_params):
-        prof = StrategyProfile(n_active=7, accept_prob=1.0, reward=2.0)
-        expect = relay_utility_accept(prof, base_params)
+        expect = cohort_payoffs(2.0, 7, base_params)[0]
         assert expected_relay_utility_mixed(1.0, 2.0, base_params) == \
             pytest.approx(expect, rel=1e-12)
 
@@ -281,10 +268,8 @@ class TestMixedRelayUtility:
         for mask in range(2 ** n_opp):
             k = bin(mask).count("1")
             weight = p ** k * (1 - p) ** (n_opp - k)
-            prof = StrategyProfile(n_active=k + 1, accept_prob=p, reward=alpha)
-            branch = (p * relay_utility_accept(prof, params)
-                      + (1 - p) * relay_utility_reject(prof, params))
-            total += weight * branch
+            accept, reject = cohort_payoffs(alpha, k + 1, params)
+            total += weight * (p * accept + (1 - p) * reject)
         got = expected_relay_utility_mixed(p, alpha, params)
         assert got == pytest.approx(total, rel=1e-12)
         assert got == pytest.approx(-0.1129812725428147, rel=1e-12)
@@ -298,11 +283,8 @@ class TestMixedRelayUtility:
                 for mask in range(2 ** n_opp):
                     k = bin(mask).count("1")
                     weight = p ** k * (1 - p) ** (n_opp - k)
-                    prof = StrategyProfile(n_active=k + 1, accept_prob=p,
-                                           reward=alpha)
-                    total += weight * (
-                        p * relay_utility_accept(prof, params)
-                        + (1 - p) * relay_utility_reject(prof, params))
+                    accept, reject = cohort_payoffs(alpha, k + 1, params)
+                    total += weight * (p * accept + (1 - p) * reject)
                 assert expected_relay_utility_mixed(p, alpha, params) == \
                     pytest.approx(total, rel=1e-12), (p, alpha)
 
@@ -333,25 +315,14 @@ class TestValidation:
         with pytest.raises(ValueError, match=f"^{field} must be finite"):
             make_params(**{kwarg: bad})
 
-    def test_profile_bounds(self):
-        with pytest.raises(ValueError):
-            StrategyProfile(n_active=-1, accept_prob=0.5, reward=1.0)
-        with pytest.raises(ValueError):
-            StrategyProfile(n_active=1, accept_prob=1.5, reward=1.0)
-
-    def test_cohort_exceeding_fleet_rejected(self, base_params):
-        prof = StrategyProfile(n_active=8, accept_prob=1.0, reward=1.0)
-        with pytest.raises(ValueError):
-            relay_utility_accept(prof, base_params)
-
 
 def test_operations_are_pure(base_params):
-    prof = StrategyProfile(n_active=4, accept_prob=0.3, reward=1.2)
+    q = relay_failure_probability(base_params.contact)
     pairs = [
         (contact_probability, (base_params.contact,)),
         (storage_energy, (base_params,)),
         (delivery_share, (5, 0.37)),
-        (relay_utility_accept, (prof, base_params)),
+        (relay_payoffs, (1.2, 4, q ** 4, base_params)),
         (expected_relay_utility_mixed, (0.3, 1.2, base_params)),
         (expected_source_utility_mixed, (0.3, base_params)),
     ]

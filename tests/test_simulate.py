@@ -1,25 +1,23 @@
 import statistics
 
+import numpy as np
 import pytest
 
 from dtnsat.model import (
-    StrategyProfile,
     expected_relay_utility_mixed,
     expected_source_utility_mixed,
-    relay_utility_accept,
-    relay_utility_reject,
 )
 from dtnsat.simulate import (
-    EstimateWithCI,
     MODEL,
     PHYSICAL,
+    _race,
     estimate_delivery,
     episode_rng,
     estimate_relay_utility,
     simulate_episode,
 )
 from dtnsat.equilibrium import solve_ese
-from conftest import make_params
+from conftest import cohort_payoffs, make_params
 
 # frozen single-relay delivery probabilities at lam=0.015, tau=100
 MODEL_ONE_RELAY = 0.60352674807100429     # p_c * (1 - q)
@@ -31,59 +29,59 @@ class TestEpisode:
         probs = [0.4] * 7
         a = simulate_episode(base_params, probs, 1.0, episode_rng(9, 3))
         b = simulate_episode(base_params, probs, 1.0, episode_rng(9, 3))
-        assert a == b
+        assert (a[0].tolist(), a[1].tolist(), a[2]) == (b[0].tolist(), b[1].tolist(), b[2])
 
     def test_trials_use_independent_streams(self, base_params):
         probs = [0.5] * 7
-        outcomes = {simulate_episode(base_params, probs, 1.0, episode_rng(9, t)).accepted
+        outcomes = {tuple(simulate_episode(base_params, probs, 1.0, episode_rng(9, t))[0])
                     for t in range(10)}
         assert len(outcomes) > 1
 
-    def test_winner_iff_delivered(self, base_params):
+    @pytest.mark.parametrize("mode", [MODEL, PHYSICAL])
+    def test_race_success_is_an_accepted_contacted_finish(self, base_params, mode):
+        tau = base_params.contact.tau
         for t in range(200):
-            out = simulate_episode(base_params, [0.3] * 7, 1.0, episode_rng(17, t))
-            assert out.delivered == (out.winner is not None)
-            assert out.delivered == (out.delivery_time is not None)
-            if out.delivered:
-                assert out.delivery_time <= base_params.contact.tau
-                assert out.accepted[out.winner]
-                assert out.contacted_source[out.winner]
+            contacted, accepted, success, finish = _race(
+                base_params, np.full(7, 0.3), episode_rng(17, t), mode)
+            delivered = simulate_episode(base_params, [0.3] * 7, 1.0,
+                                         episode_rng(17, t), mode)[2]
+            assert delivered == success.any()
+            assert (accepted & contacted & (finish <= tau))[success].all()
 
     def test_nobody_caches_when_nobody_accepts(self, base_params):
-        out = simulate_episode(base_params, [0.0] * 7, 2.0, episode_rng(5, 0))
-        assert not any(out.accepted)
-        assert not out.delivered
+        accepted, utilities, delivered = simulate_episode(base_params, [0.0] * 7, 2.0,
+                                                          episode_rng(5, 0))
+        assert not accepted.any()
+        assert not delivered
         # every decliner is scored against a cohort of itself alone
-        prof = StrategyProfile(n_active=1, accept_prob=0.0, reward=2.0)
-        expect = relay_utility_reject(prof, base_params)
-        assert all(u == pytest.approx(expect) for u in out.per_relay_utility)
+        expect = cohort_payoffs(2.0, 1, base_params)[1]
+        assert all(u == pytest.approx(expect) for u in utilities)
 
     def test_zero_rate_episode(self):
         params = make_params(lam=0.0)
-        out = simulate_episode(params, [1.0] * 7, 1.0, episode_rng(1, 0))
-        assert not out.delivered
-        assert all(out.accepted)
+        accepted, utilities, delivered = simulate_episode(params, [1.0] * 7, 1.0,
+                                                          episode_rng(1, 0))
+        assert not delivered
+        assert accepted.all()
         # share is zero, so accepting costs the failure regret plus energy
         expect = -params.sigma - 4e-5
-        assert all(u == pytest.approx(expect) for u in out.per_relay_utility)
+        assert all(u == pytest.approx(expect) for u in utilities)
 
     def test_utilities_match_cohort_convention(self, base_params):
-        out = simulate_episode(base_params, [0.6] * 7, 1.3, episode_rng(23, 11))
-        n_accept = sum(out.accepted)
-        for i, u in enumerate(out.per_relay_utility):
-            cohort = n_accept if out.accepted[i] else n_accept + 1
-            prof = StrategyProfile(n_active=cohort, accept_prob=0.6, reward=1.3)
-            if out.accepted[i]:
-                assert u == pytest.approx(relay_utility_accept(prof, base_params))
-            else:
-                assert u == pytest.approx(relay_utility_reject(prof, base_params))
+        accepted, utilities, _ = simulate_episode(base_params, [0.6] * 7, 1.3,
+                                                  episode_rng(23, 11))
+        n_accept = accepted.sum()
+        for acc, u in zip(accepted, utilities):
+            accept, reject = cohort_payoffs(1.3, n_accept if acc else n_accept + 1,
+                                            base_params)
+            assert u == pytest.approx(accept if acc else reject)
 
     def test_monotone_coupling_in_accept_prob(self, base_params):
         # identical draws, higher p: delivery can only switch off -> on
         for t in range(200):
             low = simulate_episode(base_params, [0.2] * 7, 1.0, episode_rng(31, t))
             high = simulate_episode(base_params, [0.8] * 7, 1.0, episode_rng(31, t))
-            assert high.delivered >= low.delivered
+            assert high[2] >= low[2]
 
     def test_bad_inputs(self, base_params):
         with pytest.raises(ValueError):
@@ -161,7 +159,7 @@ class TestEstimateDelivery:
         # averaging per-trial episodes in any order reproduces the estimate
         est = estimate_delivery(base_params, 0.5, 300, seed=8)
         probs = [0.5] * 7
-        hits = [simulate_episode(base_params, probs, 0.0, episode_rng(8, t)).delivered
+        hits = [simulate_episode(base_params, probs, 0.0, episode_rng(8, t))[2]
                 for t in reversed(range(300))]
         assert est.mean == pytest.approx(sum(hits) / 300)
 
@@ -184,7 +182,7 @@ class TestEstimateRelayUtility:
         est = estimate_relay_utility(base_params, 0.4, 1.2, 300, seed=8)
         probs = [0.4] * 7
         values = [simulate_episode(base_params, probs, 1.2,
-                                   episode_rng(8, t)).per_relay_utility[0]
+                                   episode_rng(8, t))[1][0]
                   for t in reversed(range(300))]
         assert est.mean == pytest.approx(sum(values) / 300)
 
@@ -208,13 +206,7 @@ class TestEstimateWithCI:
     def test_stderr_definition(self, base_params):
         est = estimate_delivery(base_params, 0.5, 400, seed=5)
         probs = [0.5] * 7
-        hits = [float(simulate_episode(base_params, probs, 0.0, episode_rng(5, t)).delivered)
+        hits = [float(simulate_episode(base_params, probs, 0.0, episode_rng(5, t))[2])
                 for t in range(400)]
         expect = statistics.stdev(hits) / 400 ** 0.5
         assert est.stderr == pytest.approx(expect, rel=1e-12)
-
-    def test_interval_brackets_mean(self):
-        est = EstimateWithCI(mean=0.4, stderr=0.01, trials=100)
-        lo, hi = est.interval()
-        assert lo < 0.4 < hi
-        assert hi - lo == pytest.approx(2 * 1.959963984540054 * 0.01, rel=1e-9)
