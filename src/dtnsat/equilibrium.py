@@ -22,9 +22,11 @@ from typing import Callable, Optional
 from .model import (
     REDUCED,
     GameParams,
+    _any_delivers,
     expected_relay_utility_mixed,
     expected_source_utility_mixed,
     per_relay_success,
+    reduced_cooperation_cost,
     relay_failure_probability,
     relay_payoffs,
     with_param,
@@ -41,6 +43,10 @@ class DegenerateContactError(ValueError):
 
 class RangeError(ValueError):
     """Raised for an empty or inverted sweep interval."""
+
+
+class FloatRangeError(ValueError):
+    """Raised when an equilibrium quantity over- or underflows a float."""
 
 
 BISECTION_TOL = 1e-6
@@ -66,9 +72,18 @@ def mixed_indifference_gap(alpha: float, p: float, params: GameParams) -> float:
 
 
 def mixed_relay_payoffs(alpha: float, p: float, params: GameParams) -> tuple[float, float]:
-    """(accept, reject) payoffs of the reduced mixed model at common p."""
-    miss = (1.0 - per_relay_success(params, p)) ** params.n
-    return relay_payoffs(alpha, params.n, miss, params, REDUCED)
+    """(accept, reject) payoffs of the reduced mixed model at common p.
+
+    The share is the delivery probability over n, which keeps its relative
+    precision where 1 - (1 - z)**n rounds to 0 (a tiny delta), as the reward
+    of :func:`mse_reward` does; the regret needs the miss (1 - z)**n only to
+    absolute precision.
+    """
+    n, z = params.n, per_relay_success(params, p)
+    share = _any_delivers(z, n) / n
+    regret = params.sigma * (n - 1 + (1.0 - z) ** n) / n
+    return (alpha * share - regret - reduced_cooperation_cost(params),
+            -alpha * share - params.gamma)
 
 
 @dataclass(frozen=True)
@@ -119,15 +134,20 @@ def minimum_satisfying_cohort(params: GameParams) -> int:
     return max(1, math.ceil(ratio))
 
 
-def _indifference_reward(params: GameParams, cohort: int, miss: float) -> float:
-    """Root in alpha of the reduced-model gap, scaled through by lam."""
-    lam = params.contact.lam
-    q = relay_failure_probability(params.contact)
-    num = lam * params.sigma * (params.n - 1 + miss) - cohort * (
-        lam * (params.gamma - params.energy.e_receive - params.energy.e_transmit)
-        - params.energy.e_store * (1.0 - q)
-    )
-    return num / (2.0 * lam * (1.0 - miss))
+def _indifference_reward(params: GameParams, cohort: int, success: float) -> float:
+    """Root in alpha of the reduced-model gap for a cohort that delivers
+    with probability ``success``.
+
+    Written over the cost itself, whose caching term is divided by lam, so
+    the balance stays in range for every finite lam.
+    """
+    miss = 1.0 - success
+    num = (params.sigma * (params.n - 1 + miss)
+           + cohort * (reduced_cooperation_cost(params) - params.gamma))
+    reward = num / (2.0 * success)
+    if not math.isfinite(reward):
+        raise FloatRangeError(f"indifference reward overflows at success {success}")
+    return reward
 
 
 def pse_reward(params: GameParams, n_active: int) -> float:
@@ -135,7 +155,7 @@ def pse_reward(params: GameParams, n_active: int) -> float:
     q = relay_failure_probability(params.contact)
     if q >= 1.0:
         raise DegenerateFailureError("indifference reward undefined for q = 1")
-    return _indifference_reward(params, n_active, q ** n_active)
+    return _indifference_reward(params, n_active, 1.0 - q ** n_active)
 
 
 def solve_pse(params: GameParams) -> PseSolution:
@@ -158,12 +178,10 @@ def solve_pse(params: GameParams) -> PseSolution:
 
 def mse_reward(params: GameParams, p: float) -> float:
     """Reward making relays indifferent when all accept with probability p."""
-    if not 0 <= p <= 1:
-        raise ValueError(f"p must be in [0, 1], got {p}")
-    z = per_relay_success(params, p)
-    if z <= 0:
+    success = expected_source_utility_mixed(p, params)
+    if success <= 0:
         raise DegenerateContactError("indifference reward undefined for zero success")
-    return _indifference_reward(params, params.n, (1.0 - z) ** params.n)
+    return _indifference_reward(params, params.n, success)
 
 
 def solve_mse(params: GameParams) -> MseSolution:
@@ -171,7 +189,10 @@ def solve_mse(params: GameParams) -> MseSolution:
     ceiling = per_relay_success(params, 1.0)
     if ceiling <= 0:
         raise DegenerateContactError("per-relay success is zero even at p = 1")
-    p_min = (1.0 - (1.0 - params.delta) ** (1.0 / params.n)) / ceiling
+    # 1 - (1 - delta)**(1/n), which would round to 0 for a tiny delta
+    p_min = -math.expm1(math.log1p(-params.delta) / params.n) / ceiling
+    if p_min == 0.0:
+        raise FloatRangeError(f"minimum accept probability underflows at delta = {params.delta}")
     feasible = p_min <= 1.0
     z_star = per_relay_success(params, min(p_min, 1.0))
     return MseSolution(p_min=p_min,

@@ -43,7 +43,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .equilibrium import mixed_relay_payoffs
-from .model import GameParams, relay_failure_probability
+from .model import GameParams, relay_failure_probability, total_energy
 from .simulate import MODEL, _race, _score_relays
 
 RateFn = Callable[[int], float]
@@ -200,21 +200,25 @@ def run_coupled(params: GameParams, schedules: Schedules, seed: int,
     n, horizon = params.n, schedules.horizon
     alpha, estimate = alpha0, 0.0
     p, est_a, est_r = np.full(n, 0.5), np.zeros(n), np.zeros(n)
-    q = relay_failure_probability(params.contact)
+    q, cost = relay_failure_probability(params.contact), total_energy(params)
+    lam, never = params.contact.lam, np.full((2, n), np.inf)
     alphas, estimates = np.empty((2, horizon))
     probs, fed = np.empty((2, horizon, n))
     n_accept = np.empty(horizon, dtype=int)
     delivered = np.empty(horizon, dtype=bool)
-    # one sequential stream per run; iterations consume it in order
+    # one sequential stream per run; each iteration draws n flips, then n
+    # source and n destination contact times (none at lam = 0)
     rng = np.random.default_rng(np.random.SeedSequence((seed, 0)))
 
     rates = zip(*schedules._table.values())
     for i, (epsilon, m_accept, m_reject, l_accept, l_reject) in enumerate(rates):
         alphas[i] = alpha
         probs[i] = p
-        _, accepted, success, _ = _race(params, p, rng, contact_mode)
+        flips = rng.random(n)
+        times = rng.exponential(1.0 / lam, size=(2, n)) if lam > 0 else never
+        _, accepted, success, _ = _race(params, p, flips, times[0], times[1], contact_mode)
         if feed == EPISODE:
-            fed[i] = _score_relays(params, q, accepted, alpha)
+            fed[i] = _score_relays(params, q, cost, accepted, alpha)
         else:
             # a sequential sum, as over a list; np.sum pairs terms and can
             # differ in the last bit from n = 8 on

@@ -141,6 +141,8 @@ def reduced_cooperation_cost(params: GameParams) -> float:
 
 # payoff models of relay_payoffs: the simulator and the per-cohort
 # utilities use EXACT, the closed-form solvers and mean-field feed REDUCED
+# (equilibrium.mixed_relay_payoffs writes REDUCED out, its share taken
+# from the delivery probability rather than from 1 - miss)
 EXACT = "exact"  # regret sigma*(1 - share), cost total_energy
 REDUCED = "reduced"  # regret sigma*(n - 1 + miss)/cohort, cost reduced_cooperation_cost
 
@@ -154,15 +156,23 @@ def relay_payoffs(alpha, cohort, miss, params: GameParams, model: str = EXACT):
     declining forfeits the share and pays the decline regret gamma.  Plain
     arithmetic only, so numpy arrays of cohorts and misses work elementwise.
     """
-    share = (1.0 - miss) / cohort
     if model == EXACT:
-        regret = params.sigma * (1.0 - share)
         cost = total_energy(params)
     elif model == REDUCED:
-        regret = params.sigma * (params.n - 1 + miss) / cohort
         cost = reduced_cooperation_cost(params)
     else:
         raise ValueError(f"model must be {EXACT!r} or {REDUCED!r}, got {model!r}")
+    return _payoffs(alpha, cohort, miss, params, model, cost)
+
+
+def _payoffs(alpha, cohort, miss, params: GameParams, model: str, cost: float):
+    """:func:`relay_payoffs` with the model's cooperation cost already
+    evaluated, for callers that score many cohorts of one scenario."""
+    share = (1.0 - miss) / cohort
+    if model == EXACT:
+        regret = params.sigma * (1.0 - share)
+    else:
+        regret = params.sigma * (params.n - 1 + miss) / cohort
     return alpha * share - regret - cost, -alpha * share - params.gamma
 
 
@@ -221,7 +231,13 @@ def expected_source_utility_mixed(p: float, params: GameParams) -> float:
     """Delivery probability when every relay accepts with probability p."""
     if not 0 <= p <= 1:
         raise ValueError(f"p must be in [0, 1], got {p}")
-    return 1.0 - (1.0 - per_relay_success(params, p)) ** params.n
+    return _any_delivers(per_relay_success(params, p), params.n)
+
+
+def _any_delivers(z: float, n: int) -> float:
+    """1 - (1 - z)**n, which would round to 0 for a tiny z: the chance that
+    one of n relays, each delivering with probability z, delivers."""
+    return -math.expm1(n * math.log1p(-z)) if z < 1.0 else 1.0
 
 
 def expected_relay_utility_mixed(p: float, alpha: float, params: GameParams) -> float:
@@ -237,10 +253,11 @@ def expected_relay_utility_mixed(p: float, alpha: float, params: GameParams) -> 
         raise ValueError(f"alpha must be in [0, alpha_max], got {alpha}")
     n = params.n
     q = relay_failure_probability(params.contact)
+    cost = total_energy(params)
     total = 0.0
     for k in range(n):
         weight = math.comb(n - 1, k) * p ** k * (1.0 - p) ** (n - 1 - k)
-        u_accept, u_reject = relay_payoffs(alpha, k + 1, q ** (k + 1), params)
+        u_accept, u_reject = _payoffs(alpha, k + 1, q ** (k + 1), params, EXACT, cost)
         total += weight * (p * u_accept + (1.0 - p) * u_reject)
     return total
 

@@ -82,6 +82,19 @@ class TestSolvePse:
         assert sol.n_a_min == 1
         assert all(math.isfinite(a) for a in sol.alpha_star.values())
 
+    @pytest.mark.parametrize("n", [7, 64])
+    def test_huge_rate_reward_balances(self, n):
+        # lam = 1e308: scaling the balance by lam overflowed its denominator
+        # and returned 0 with a gap of -1.05
+        params = make_params(lam=1e308, tau=1.0, n=n)
+        for m in (1, n):
+            alpha = pse_reward(params, m)
+            assert math.isfinite(alpha) and alpha > 0.0
+            assert pure_indifference_gap(alpha, m, params) == pytest.approx(0.0, abs=1e-12)
+        mse = solve_mse(params)
+        alpha = mse.alpha_of_p(mse.p_min)
+        assert mixed_indifference_gap(alpha, mse.p_min, params) == pytest.approx(0.0, abs=1e-12)
+
     def test_exact_integer_bound_not_bumped(self):
         # q = 0.5 and delta = 1 - q**3: the bound is exactly 3
         params = make_params(lam=1.0, tau=math.log(2.0), delta=0.875)
@@ -119,6 +132,16 @@ class TestSolveMse:
         for i in range(7):
             p = sol.p_min + (1.0 - sol.p_min) * i / 6
             assert abs(mixed_indifference_gap(sol.alpha_of_p(p), p, base_params)) <= 1e-9
+
+    @pytest.mark.parametrize("n", [7, 64])
+    def test_vanishing_delta_reward_balances(self, n):
+        # delta = 1e-300: 1 - (1 - z)**n rounds to 0, so a share taken from
+        # it left the reward of about 1e299 with a gap of gamma - sigma - cost
+        params = make_params(delta=1e-300, n=n)
+        sol = solve_mse(params)
+        alpha = sol.alpha_of_p(sol.p_min)
+        assert math.isfinite(alpha) and alpha > 1e298
+        assert mixed_indifference_gap(alpha, sol.p_min, params) == pytest.approx(0.0, abs=1e-12)
 
     def test_single_relay_boundary(self):
         params = make_params(n=1)

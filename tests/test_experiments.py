@@ -366,6 +366,26 @@ class TestCli:
         assert math.isfinite(float(row["relay_utility_mean"]))
         assert main(["learn", "--config", str(cfg)]) == 0
 
+    @pytest.mark.parametrize("mode", ["solve-mse", "solve-ese"])
+    def test_vanishing_delta_writes_a_finite_row(self, mode, tmp_path, capsys):
+        # delta = 1e-300: p_min must not underflow to 0, nor the reward's
+        # success 1 - (1 - z)**n round to 0
+        cfg = tmp_path / "tiny.cfg"
+        cfg.write_text("delta = 1e-300\n")
+        assert main([mode, "--config", str(cfg)]) == 0
+        lines = [line for line in capsys.readouterr().out.splitlines()
+                 if not line.startswith("#")]
+        assert len(lines) == 2
+        row = {k: float(v) for k, v in zip(lines[0].split(","), lines[1].split(","))}
+        assert all(math.isfinite(v) for v in row.values()), row
+        if mode == "solve-mse":
+            assert 0.0 < row["p_min"] < 1e-299 and row["feasible"] == 1.0
+            assert row["alpha_star"] > 5.0
+        else:
+            assert 0.0 < row["p_star"] < 1e-299
+            assert row["alpha_star"] == 5.0 and row["alpha_clamped"] == 1.0
+            assert row["binding_delivery"] == pytest.approx(1e-300, rel=1e-9)
+
     def test_simulate_at_zero_rate_with_alpha(self, tmp_path, capsys):
         cfg = tmp_path / "still.cfg"
         cfg.write_text("lambda = 0\ntrials = 50\nalpha = 0.5\n")

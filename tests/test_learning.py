@@ -17,7 +17,8 @@ from dtnsat.learning import (
     _source_update,
     run_coupled,
 )
-from dtnsat.simulate import MODEL, PHYSICAL, simulate_episode
+from dtnsat.model import relay_failure_probability, total_energy
+from dtnsat.simulate import MODEL, PHYSICAL, _race, _score_relays
 from conftest import make_params
 
 
@@ -218,17 +219,28 @@ def scalar_replay(params, schedules, seed, feed, contact_mode):
     relays = [(0.5, 0.0, 0.0)] * params.n
     traj = Trajectory(n=params.n)
     rng = np.random.default_rng(np.random.SeedSequence((seed, 0)))
+    lam, n = params.contact.lam, params.n
+    q, cost = relay_failure_probability(params.contact), total_energy(params)
     for k in range(1, schedules.horizon + 1):
         probs = [r[0] for r in relays]
-        accepted, utilities, delivered = simulate_episode(params, probs, alpha, rng,
-                                                          contact_mode)
-        accepted = accepted.tolist()
+        # learn's own draw order: n flips, then n source and n destination
+        # contact times, none at lam = 0
+        flips = rng.random(n)
+        if lam > 0:
+            source_t = rng.exponential(1.0 / lam, size=n)
+            dest_t = rng.exponential(1.0 / lam, size=n)
+        else:
+            source_t = dest_t = np.full(n, np.inf)
+        _, accepted, success, _ = _race(params, np.array(probs), flips, source_t,
+                                        dest_t, contact_mode)
+        delivered = bool(success.any())
         if feed == EPISODE:
-            fed = utilities.tolist()
+            fed = _score_relays(params, q, cost, accepted, alpha).tolist()
         else:
             pay_accept, pay_reject = mixed_relay_payoffs(alpha, sum(probs) / params.n,
                                                          params)
-            fed = [pay_accept if a else pay_reject for a in accepted]
+            fed = [pay_accept if a else pay_reject for a in accepted.tolist()]
+        accepted = accepted.tolist()
         r = (schedules.m_accept(k), schedules.m_reject(k), schedules.l_accept(k),
              schedules.l_reject(k))
         relays = [ratio_rule(*relay, u, a, r, PROB_FLOOR)

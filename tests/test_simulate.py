@@ -10,7 +10,10 @@ from dtnsat.model import (
 from dtnsat.simulate import (
     MODEL,
     PHYSICAL,
+    _draw,
     _race,
+    _summarize,
+    _window,
     estimate_delivery,
     episode_rng,
     estimate_relay_utility,
@@ -27,13 +30,13 @@ PHYSICAL_ONE_RELAY = 0.44217459962892543  # P(source + dest contact <= tau)
 class TestEpisode:
     def test_seed_determinism(self, base_params):
         probs = [0.4] * 7
-        a = simulate_episode(base_params, probs, 1.0, episode_rng(9, 3))
-        b = simulate_episode(base_params, probs, 1.0, episode_rng(9, 3))
+        a = simulate_episode(base_params, probs, 1.0, episode_rng(9, 3, 7))
+        b = simulate_episode(base_params, probs, 1.0, episode_rng(9, 3, 7))
         assert (a[0].tolist(), a[1].tolist(), a[2]) == (b[0].tolist(), b[1].tolist(), b[2])
 
     def test_trials_use_independent_streams(self, base_params):
         probs = [0.5] * 7
-        outcomes = {tuple(simulate_episode(base_params, probs, 1.0, episode_rng(9, t))[0])
+        outcomes = {tuple(simulate_episode(base_params, probs, 1.0, episode_rng(9, t, 7))[0])
                     for t in range(10)}
         assert len(outcomes) > 1
 
@@ -41,16 +44,17 @@ class TestEpisode:
     def test_race_success_is_an_accepted_contacted_finish(self, base_params, mode):
         tau = base_params.contact.tau
         for t in range(200):
+            u = episode_rng(17, t, 7).random(_window(7))
             contacted, accepted, success, finish = _race(
-                base_params, np.full(7, 0.3), episode_rng(17, t), mode)
+                base_params, np.full(7, 0.3), *_draw(base_params, u), mode)
             delivered = simulate_episode(base_params, [0.3] * 7, 1.0,
-                                         episode_rng(17, t), mode)[2]
+                                         episode_rng(17, t, 7), mode)[2]
             assert delivered == success.any()
             assert (accepted & contacted & (finish <= tau))[success].all()
 
     def test_nobody_caches_when_nobody_accepts(self, base_params):
         accepted, utilities, delivered = simulate_episode(base_params, [0.0] * 7, 2.0,
-                                                          episode_rng(5, 0))
+                                                          episode_rng(5, 0, 7))
         assert not accepted.any()
         assert not delivered
         # every decliner is scored against a cohort of itself alone
@@ -60,7 +64,7 @@ class TestEpisode:
     def test_zero_rate_episode(self):
         params = make_params(lam=0.0)
         accepted, utilities, delivered = simulate_episode(params, [1.0] * 7, 1.0,
-                                                          episode_rng(1, 0))
+                                                          episode_rng(1, 0, 7))
         assert not delivered
         assert accepted.all()
         # share is zero, so accepting costs the failure regret plus energy
@@ -69,7 +73,7 @@ class TestEpisode:
 
     def test_utilities_match_cohort_convention(self, base_params):
         accepted, utilities, _ = simulate_episode(base_params, [0.6] * 7, 1.3,
-                                                  episode_rng(23, 11))
+                                                  episode_rng(23, 11, 7))
         n_accept = accepted.sum()
         for acc, u in zip(accepted, utilities):
             accept, reject = cohort_payoffs(1.3, n_accept if acc else n_accept + 1,
@@ -79,17 +83,17 @@ class TestEpisode:
     def test_monotone_coupling_in_accept_prob(self, base_params):
         # identical draws, higher p: delivery can only switch off -> on
         for t in range(200):
-            low = simulate_episode(base_params, [0.2] * 7, 1.0, episode_rng(31, t))
-            high = simulate_episode(base_params, [0.8] * 7, 1.0, episode_rng(31, t))
+            low = simulate_episode(base_params, [0.2] * 7, 1.0, episode_rng(31, t, 7))
+            high = simulate_episode(base_params, [0.8] * 7, 1.0, episode_rng(31, t, 7))
             assert high[2] >= low[2]
 
     def test_bad_inputs(self, base_params):
         with pytest.raises(ValueError):
-            simulate_episode(base_params, [0.5] * 6, 1.0, episode_rng(1, 0))
+            simulate_episode(base_params, [0.5] * 6, 1.0, episode_rng(1, 0, 7))
         with pytest.raises(ValueError):
-            simulate_episode(base_params, [1.5] * 7, 1.0, episode_rng(1, 0))
+            simulate_episode(base_params, [1.5] * 7, 1.0, episode_rng(1, 0, 7))
         with pytest.raises(ValueError):
-            simulate_episode(base_params, [0.5] * 7, 1.0, episode_rng(1, 0), mode="exact")
+            simulate_episode(base_params, [0.5] * 7, 1.0, episode_rng(1, 0, 7), mode="exact")
 
 
 class TestSingleRelayFrequencies:
@@ -159,9 +163,11 @@ class TestEstimateDelivery:
         # averaging per-trial episodes in any order reproduces the estimate
         est = estimate_delivery(base_params, 0.5, 300, seed=8)
         probs = [0.5] * 7
-        hits = [simulate_episode(base_params, probs, 0.0, episode_rng(8, t))[2]
-                for t in reversed(range(300))]
+        hits = np.empty(300)
+        for t in reversed(range(300)):
+            hits[t] = simulate_episode(base_params, probs, 0.0, episode_rng(8, t, 7))[2]
         assert est.mean == pytest.approx(sum(hits) / 300)
+        assert est == _summarize(hits)
 
 
 class TestEstimateRelayUtility:
@@ -181,10 +187,12 @@ class TestEstimateRelayUtility:
     def test_order_independent_trial_streams(self, base_params):
         est = estimate_relay_utility(base_params, 0.4, 1.2, 300, seed=8)
         probs = [0.4] * 7
-        values = [simulate_episode(base_params, probs, 1.2,
-                                   episode_rng(8, t))[1][0]
-                  for t in reversed(range(300))]
+        values = np.empty(300)
+        for t in reversed(range(300)):
+            values[t] = simulate_episode(base_params, probs, 1.2,
+                                         episode_rng(8, t, 7))[1][0]
         assert est.mean == pytest.approx(sum(values) / 300)
+        assert est == _summarize(values)
 
     def test_deterministic_given_seed(self, base_params):
         a = estimate_relay_utility(base_params, 0.3, 1.0, 500, seed=6)
@@ -206,7 +214,71 @@ class TestEstimateWithCI:
     def test_stderr_definition(self, base_params):
         est = estimate_delivery(base_params, 0.5, 400, seed=5)
         probs = [0.5] * 7
-        hits = [float(simulate_episode(base_params, probs, 0.0, episode_rng(5, t))[2])
+        hits = [float(simulate_episode(base_params, probs, 0.0, episode_rng(5, t, 7))[2])
                 for t in range(400)]
         expect = statistics.stdev(hits) / 400 ** 0.5
         assert est.stderr == pytest.approx(expect, rel=1e-12)
+
+
+class TestStreamContract:
+    @pytest.mark.parametrize("n", [1, 3, 7, 40])
+    def test_trial_window_is_a_row_of_one_stream(self, n):
+        width = _window(n)
+        assert width % 4 == 0 and 3 * n <= width < 3 * n + 4
+        rows = episode_rng(12, 0, n).random((6, width))
+        for t in range(6):
+            assert np.array_equal(episode_rng(12, t, n).random(width), rows[t])
+
+    @pytest.mark.parametrize("mode", [MODEL, PHYSICAL])
+    def test_estimators_are_means_of_trials_in_reverse(self, mode):
+        params = make_params(n=3)
+        delivered, utility = np.empty((2, 200))
+        for t in reversed(range(200)):
+            _, utilities, hit = simulate_episode(params, [0.6] * 3, 0.9,
+                                                 episode_rng(4, t, 3), mode)
+            delivered[t], utility[t] = hit, utilities[0]
+        assert estimate_delivery(params, 0.6, 200, 4, mode) == _summarize(delivered)
+        assert estimate_relay_utility(params, 0.6, 0.9, 200, 4, mode) == _summarize(utility)
+
+    def test_zero_rate_draws_the_whole_window(self, base_params):
+        # at lambda = 0 no contact time is needed, yet trial t + 1 still reads
+        # its own window: its flips match a fresh generator of trial t + 1
+        zero = make_params(lam=0.0)
+        rng = episode_rng(3, 0, 7)
+        for t in range(20):
+            walked = simulate_episode(zero, [0.5] * 7, 1.0, rng)[0]
+            fresh = simulate_episode(base_params, [0.5] * 7, 1.0, episode_rng(3, t, 7))[0]
+            assert np.array_equal(walked, fresh)
+
+    def test_same_seed_same_bytes(self, base_params):
+        width = _window(7)
+        assert (episode_rng(5, 0, 7).random((50, width)).tobytes()
+                == episode_rng(5, 0, 7).random((50, width)).tobytes())
+        assert (episode_rng(5, 0, 7).random(width).tobytes()
+                != episode_rng(6, 0, 7).random(width).tobytes())
+        runs = [(estimate_delivery(base_params, 0.4, 300, 5),
+                 estimate_relay_utility(base_params, 0.4, 1.0, 300, 5)) for _ in range(2)]
+        assert runs[0] == runs[1]
+
+    def test_inverse_cdf_contact_times(self, base_params):
+        u = episode_rng(2, 0, 7).random((3, _window(7)))
+        flips, source_t, dest_t = _draw(base_params, u)
+        lam = base_params.contact.lam
+        assert np.array_equal(flips, u[:, :7])
+        assert np.array_equal(source_t, -np.log1p(-u[:, 7:14]) / lam)
+        assert np.array_equal(dest_t, -np.log1p(-u[:, 14:21]) / lam)
+        _, never_s, never_d = _draw(make_params(lam=0.0), u)
+        assert np.isinf(never_s).all() and np.isinf(never_d).all()
+
+    def test_subnormal_rate_overflows_times_to_inf_quietly(self):
+        # lam * tau = 0.01, but -log1p(-u) / lam passes the float range
+        params = make_params(n=1, lam=1e-310, tau=1e308)
+        u = episode_rng(1, 0, 1).random((500, _window(1)))
+        _, source_t, dest_t = _draw(params, u)
+        assert np.isinf(source_t).any() and (source_t >= 0).all()
+        est = estimate_delivery(params, 1.0, 500, seed=1)
+        assert 0.0 <= est.mean <= 0.02
+
+    def test_seed_outside_the_philox_key_rejected(self):
+        with pytest.raises(ValueError, match="seed"):
+            episode_rng(2 ** 128, 0, 7)
