@@ -34,7 +34,6 @@ from .equilibrium import (  # noqa: F401
     solve_pse,
 )
 from .learning import (  # noqa: F401
-    Schedules,
     Trajectory,
     run_coupled,
 )

@@ -20,7 +20,7 @@ from .equilibrium import (
     solve_mse,
     solve_pse,
 )
-from .learning import EPISODE, MEAN_FIELD, Schedules, run_coupled
+from .learning import EPISODE, MEAN_FIELD, run_coupled
 from .model import ContactModel, EnergyModel, GameParams, \
     expected_source_utility_mixed, with_param
 from .simulate import MODEL, PHYSICAL, estimate_delivery, estimate_relay_utility
@@ -343,8 +343,7 @@ def _run_region(config: ScenarioConfig) -> ResultTable:
 def _run_learn(config: ScenarioConfig) -> ResultTable:
     if config.sweep is not None:
         raise ConfigError("learn mode does not support sweeps; run one scenario per file")
-    schedules = Schedules(horizon=config.horizon)
-    traj = run_coupled(config.params, schedules, config.seed, feed=config.feed,
+    traj = run_coupled(config.params, config.horizon, config.seed, feed=config.feed,
                        contact_mode=config.contact_mode, alpha0=config.alpha0)
     return ResultTable(tuple(traj.csv_header()),
                        tuple(tuple(r) for r in traj.csv_rows()),

@@ -4,10 +4,13 @@ The source runs a clamped stochastic-approximation update that tracks its
 observed delivery rate and steers the reward so that delivery approaches
 the target; at the zero clamp the reward cannot fall further, so delivery
 can stay above the target.
-Each relay runs an imitative payoff-and-strategy learner: payoff estimates
-for the two actions move only when the matching action was played, and the
-accept probability follows a multiplicative ratio rule computed in log
-space.
+Each relay runs an imitative payoff-and-strategy learner (Tembine,
+"Distributed Strategic Learning for Wireless Engineers", CRC 2012): payoff
+estimates for the two actions move only when the matching action was
+played, and the accept probability follows a multiplicative ratio rule
+computed in log space.  The step sizes are fixed: at step k the source
+moves by 1/(1+k), a relay's estimate by 1/(1+k)**0.6 and its strategy by
+0.1, and every accept probability stays in [PROB_FLOOR, 1 - PROB_FLOOR].
 
 ``run_coupled`` wires both to the episode simulator, stepping all relays
 at once with one elementwise update.
@@ -38,7 +41,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -46,49 +49,12 @@ from .equilibrium import mixed_relay_payoffs
 from .model import GameParams, relay_failure_probability, total_energy
 from .simulate import MODEL, _race, _score_relays
 
-RateFn = Callable[[int], float]
-
 # |exponent| cap for the multiplicative strategy rule
 _EXP_CLAMP = 50.0
-# run_coupled keeps every accept probability in [PROB_FLOOR, 1 - PROB_FLOOR]
+# every accept probability stays in [PROB_FLOOR, 1 - PROB_FLOOR]
 PROB_FLOOR = 1e-3
-
-
-def _default_epsilon(k: int) -> float:
-    return 1.0 / (1.0 + k)
-
-
-def _default_estimate_rate(k: int) -> float:
-    return 1.0 / (1.0 + k) ** 0.6
-
-
-def _default_strategy_rate(k: int) -> float:
-    return 0.1
-
-
-@dataclass(frozen=True)
-class Schedules:
-    """Step-size sequences for both learners plus the iteration horizon."""
-
-    epsilon: RateFn = _default_epsilon
-    m_accept: RateFn = _default_estimate_rate
-    m_reject: RateFn = _default_estimate_rate
-    l_accept: RateFn = _default_strategy_rate
-    l_reject: RateFn = _default_strategy_rate
-    horizon: int = 5000
-    _table: dict[str, list[float]] = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        if self.horizon < 1:
-            raise ValueError(f"horizon must be >= 1, got {self.horizon}")
-        # every rate of every step, evaluated and checked once
-        table = {name: [getattr(self, name)(k) for k in range(1, self.horizon + 1)]
-                 for name in ("epsilon", "m_accept", "m_reject", "l_accept", "l_reject")}
-        for name, rates in table.items():
-            for k, rate in enumerate(rates, start=1):
-                if not 0.0 < rate <= 1.0:
-                    raise ValueError(f"{name}({k}) = {rate} outside (0, 1]")
-        object.__setattr__(self, "_table", table)
+# log(1 + l) of the strategy step l = 0.1, the same for both actions
+_LOG_STRATEGY_STEP = math.log1p(0.1)
 
 
 def _source_update(alpha: float, estimate: float, target: float, alpha_max: float,
@@ -107,38 +73,30 @@ def _source_update(alpha: float, estimate: float, target: float, alpha_max: floa
 
 
 def _relay_update(p: np.ndarray, est_a: np.ndarray, est_r: np.ndarray, utility: np.ndarray,
-                  accepted: np.ndarray, m_accept: float, m_reject: float, l_accept: float,
-                  l_reject: float, prob_floor: float) -> tuple[np.ndarray, ...]:
+                  accepted: np.ndarray, m: float) -> tuple[np.ndarray, ...]:
     """(accept prob, accept estimate, decline estimate) arrays after one
     realized payoff per relay.
 
-    Only the estimate matching the played action moves.  The accept
-    probability is then updated by the imitative ratio rule; exponents are
-    clamped so extreme estimates cannot overflow, and each is taken with
-    ``math.exp``, which ``np.exp`` can miss by an ulp.  In exact arithmetic
-    the ratio rule keeps an interior probability interior forever; a nonzero
-    ``prob_floor`` clamps it into [prob_floor, 1 - prob_floor] so that it
-    stays so under floating point.  With ``prob_floor`` 0 a probability at
-    0 or 1 absorbs: it stays pure whatever the payoffs.
+    Only the estimate matching the played action moves, by step ``m``.  The
+    accept probability is then updated by the imitative ratio rule;
+    exponents are clamped so extreme estimates cannot overflow, and each is
+    taken with ``math.exp``, which ``np.exp`` can miss by an ulp.  In exact
+    arithmetic the ratio rule keeps an interior probability interior
+    forever; the clamp into [PROB_FLOOR, 1 - PROB_FLOOR] keeps it so under
+    floating point.
     """
     finite = np.isfinite(utility)
     if not finite.all():
         raise ValueError(f"realized utility must be finite, got {utility[~finite][0]}")
-    if not 0.0 <= prob_floor < 0.5:
-        raise ValueError(f"prob_floor must be in [0, 0.5), got {prob_floor}")
-    est_a = np.where(accepted, est_a + m_accept * (utility - est_a), est_a)
-    est_r = np.where(accepted, est_r, est_r + m_reject * (utility - est_r))
+    est_a = np.where(accepted, est_a + m * (utility - est_a), est_a)
+    est_r = np.where(accepted, est_r, est_r + m * (utility - est_r))
 
-    interior = (p > 0.0) & (p < 1.0)
-    safe_p = np.where(interior, p, 0.5)
-    t_a = _clamp(est_a * math.log1p(l_accept))
-    t_r = _clamp(est_r * math.log1p(l_reject))
+    t_a = _clamp(est_a * _LOG_STRATEGY_STEP)
+    t_r = _clamp(est_r * _LOG_STRATEGY_STEP)
     ratio = np.array([math.exp(x) for x in _clamp(t_r - t_a).tolist()])
     # p' = p e^{t_a} / (p e^{t_a} + (1-p) e^{t_r}), stable form
-    new_p = 1.0 / (1.0 + (1.0 - safe_p) / safe_p * ratio)
-    if prob_floor > 0.0:
-        new_p = np.minimum(np.maximum(new_p, prob_floor), 1.0 - prob_floor)
-    return np.where(interior, new_p, p), est_a, est_r
+    new_p = 1.0 / (1.0 + (1.0 - p) / p * ratio)
+    return np.minimum(np.maximum(new_p, PROB_FLOOR), 1.0 - PROB_FLOOR), est_a, est_r
 
 
 def _clamp(x: np.ndarray) -> np.ndarray:
@@ -180,10 +138,11 @@ class Trajectory:
         return rows
 
 
-def run_coupled(params: GameParams, schedules: Schedules, seed: int,
+def run_coupled(params: GameParams, horizon: int, seed: int,
                 feed: str = EPISODE, contact_mode: str = MODEL,
                 alpha0: Optional[float] = None) -> Trajectory:
-    """Drive the source and relay learners against seeded episodes.
+    """Drive the source and relay learners against seeded episodes for
+    ``horizon`` iterations.
 
     Per iteration: the source publishes its reward, every relay draws an
     action, one episode realizes contacts and delivery, relay payoffs are
@@ -195,9 +154,11 @@ def run_coupled(params: GameParams, schedules: Schedules, seed: int,
     """
     if feed not in _FEEDS:
         raise ValueError(f"feed must be one of {_FEEDS}, got {feed!r}")
+    if horizon < 1:
+        raise ValueError(f"horizon must be >= 1, got {horizon}")
     if alpha0 is None:
         alpha0 = params.alpha_max / 2.0
-    n, horizon = params.n, schedules.horizon
+    n = params.n
     alpha, estimate = alpha0, 0.0
     p, est_a, est_r = np.full(n, 0.5), np.zeros(n), np.zeros(n)
     q, cost = relay_failure_probability(params.contact), total_energy(params)
@@ -207,27 +168,27 @@ def run_coupled(params: GameParams, schedules: Schedules, seed: int,
     n_accept = np.empty(horizon, dtype=int)
     delivered = np.empty(horizon, dtype=bool)
     # one sequential stream per run; each iteration draws n flips, then n
-    # source and n destination contact times (none at lam = 0)
+    # source and n destination unit exponentials (none at lam = 0)
     rng = np.random.default_rng(np.random.SeedSequence((seed, 0)))
 
-    rates = zip(*schedules._table.values())
-    for i, (epsilon, m_accept, m_reject, l_accept, l_reject) in enumerate(rates):
+    for i in range(horizon):
+        k = i + 1
         alphas[i] = alpha
         probs[i] = p
         flips = rng.random(n)
-        times = rng.exponential(1.0 / lam, size=(2, n)) if lam > 0 else never
-        _, accepted, success, _ = _race(params, p, flips, times[0], times[1], contact_mode)
+        exps = rng.standard_exponential((2, n)) if lam > 0 else never
+        accepted, success = _race(params, p, flips, exps[0], exps[1], contact_mode)
         if feed == EPISODE:
             fed[i] = _score_relays(params, q, cost, accepted, alpha)
         else:
             # a sequential sum, as over a list; np.sum pairs terms and can
             # differ in the last bit from n = 8 on
             fed[i] = np.where(accepted, *mixed_relay_payoffs(alpha, sum(p.tolist()) / n, params))
-        p, est_a, est_r = _relay_update(p, est_a, est_r, fed[i], accepted, m_accept,
-                                        m_reject, l_accept, l_reject, PROB_FLOOR)
+        p, est_a, est_r = _relay_update(p, est_a, est_r, fed[i], accepted,
+                                        1.0 / (1.0 + k) ** 0.6)
         delivered[i] = success.any()
         alpha, estimate = _source_update(alpha, estimate, params.delta, params.alpha_max,
-                                         float(delivered[i]), epsilon)
+                                         float(delivered[i]), 1.0 / (1.0 + k))
         estimates[i] = estimate
         n_accept[i] = accepted.sum()
 

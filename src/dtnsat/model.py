@@ -112,7 +112,9 @@ def storage_energy(params: GameParams) -> float:
     lam_tau = lam * tau
     # a product that overflows to inf would give (1 + inf) * 0 = nan
     held_forever = (1.0 + lam_tau) * math.exp(-lam_tau) if math.isfinite(lam_tau) else 0.0
-    return params.energy.e_store / lam * (1.0 - held_forever)
+    bracket, scale = 1.0 - held_forever, params.energy.e_store / lam
+    # at a subnormal lam, e/lam overflows where the bracket rounds to 0
+    return scale * bracket if math.isfinite(scale) else params.energy.e_store * (bracket / lam)
 
 
 def total_energy(params: GameParams) -> float:

@@ -19,9 +19,10 @@ Trial ``t`` under ``seed`` reads window ``t`` of one counter-based stream,
 ``Generator(Philox(key=seed))``: ``W(n)`` doubles, 3n rounded up to a whole
 Philox block of 4, starting at counter ``t * W(n) / 4``.  The first n are
 the accept flips, the next two n-slices become source and destination
-contact times by inverse CDF, ``-log1p(-u)/lam``, so an episode draws the
-same number of values at every rate (Salmon et al., "Parallel Random
-Numbers: As Easy as 1, 2, 3", SC'11).  An estimator walks one generator
+unit exponentials by inverse CDF, ``-log1p(-u)``, which the race compares
+with ``lambda * tau``, so an episode draws the same number of values at
+every rate (Salmon et al., "Parallel Random Numbers: As Easy as 1, 2, 3",
+SC'11).  An estimator walks one generator
 through the windows in trial order; a trial's result does not depend on
 evaluation order, and the same seed gives the same bytes.
 """
@@ -38,11 +39,6 @@ from .model import EXACT, GameParams, _payoffs, relay_failure_probability, total
 MODEL = "model"
 PHYSICAL = "physical"
 _MODES = (MODEL, PHYSICAL)
-# -log1p(-u) < 37 for every double u in [0, 1), so no contact time
-# overflows at this rate or above and _draw skips the np.errstate guard,
-# whose entry on every episode cost 9 % of mc-oracle's wall time on a
-# shared 2-vCPU host
-_SAFE_RATE = 1e-300
 
 
 @dataclass(frozen=True)
@@ -89,43 +85,33 @@ def simulate_episode(params: GameParams, accept_probs: Sequence[float],
         raise ValueError("accept probabilities must lie in [0, 1]")
 
     u = rng.random(_window(n))
-    _, accepted, success, _ = _race(params, probs, *_draw(params, u), mode)
+    accepted, success = _race(params, probs, *_draw(params, u), mode)
     utilities = _score_relays(params, relay_failure_probability(params.contact),
                               total_energy(params), accepted, reward)
     return accepted, utilities, bool(success.any())
 
 
 def _draw(params: GameParams, u: np.ndarray) -> tuple[np.ndarray, ...]:
-    """(flips, source times, destination times) of windows ``u`` of shape
-    (..., W); contact times are inverse-CDF exponentials, inf at lam = 0."""
-    n, lam = params.n, params.contact.lam
-    flips, rest = u[..., :n], u[..., n:3 * n]
-    if lam == 0:
-        times = np.full(rest.shape, np.inf)
-    elif lam >= _SAFE_RATE:
-        times = -np.log1p(-rest) / lam
-    else:
-        # a time past the float range rounds to inf, which lies past every
-        # lifetime just as the exact time does
-        with np.errstate(over="ignore"):
-            times = -np.log1p(-rest) / lam
-    return flips, times[..., :n], times[..., n:]
+    """(flips, source draws, destination draws) of windows ``u`` of shape
+    (..., W); the contact draws are unit exponentials by inverse CDF."""
+    n = params.n
+    exps = -np.log1p(-u[..., n:3 * n])
+    return u[..., :n], exps[..., :n], exps[..., n:]
 
 
 def _race(params: GameParams, probs: np.ndarray, flips: np.ndarray,
-          source_t: np.ndarray, dest_t: np.ndarray, mode: str) -> tuple[np.ndarray, ...]:
-    """(contacted, accepted, success, finish) arrays of one drawn episode."""
-    tau = params.contact.tau
-    contacted = source_t <= tau
+          source_e: np.ndarray, dest_e: np.ndarray, mode: str) -> tuple[np.ndarray, ...]:
+    """(accepted, success) arrays of one drawn episode.  A unit exponential E
+    gives the contact time E/lam, inside the lifetime when E < lam * tau;
+    strictly, so that lam = 0 meets nobody even at E = 0."""
+    life = params.contact.lam * params.contact.tau
     if mode == MODEL:
         accepted = flips < probs
-        success = accepted & contacted & (dest_t <= tau)
-        finish = dest_t
+        success = accepted & (source_e < life) & (dest_e < life)
     else:
-        accepted = contacted & (flips < probs)
-        finish = source_t + dest_t
-        success = accepted & (finish <= tau)
-    return contacted, accepted, success, finish
+        accepted = (source_e < life) & (flips < probs)
+        success = accepted & (source_e + dest_e < life)
+    return accepted, success
 
 
 def _score_relays(params: GameParams, q: float, cost: float, accepted: np.ndarray,
@@ -168,7 +154,9 @@ def _summarize(samples: np.ndarray) -> EstimateWithCI:
     trials = len(samples)
     mean = float(samples.mean())
     if trials > 1:
-        stderr = float(samples.std(ddof=1) / math.sqrt(trials))
+        # an exact power-of-two scale keeps squares of huge samples finite
+        scale = 2.0 ** max(0, math.frexp(float(np.abs(samples).max()))[1])
+        stderr = float((samples / scale).std(ddof=1) * scale / math.sqrt(trials))
     else:
         stderr = 0.0
     return EstimateWithCI(mean=mean, stderr=stderr, trials=trials)

@@ -29,7 +29,7 @@ from dtnsat.equilibrium import (
     solve_mse,
     solve_pse,
 )
-from dtnsat.learning import Schedules, Trajectory, run_coupled
+from dtnsat.learning import Trajectory, run_coupled
 from dtnsat.model import (
     EXACT,
     delivery_share,
@@ -83,7 +83,7 @@ def best_switch(params, alpha, cohort) -> Switch:
     return max(options)
 
 
-def learned_plays(params, schedules, seeds):
+def learned_plays(params, horizon, seeds):
     """Terminal play of one episode-fed coupled run per seed.
 
     Each run gives a Play: alpha is the median reward over the last 500
@@ -94,7 +94,7 @@ def learned_plays(params, schedules, seeds):
     """
     runs, p_bars = [], []
     for seed in seeds:
-        traj = run_coupled(params, schedules, seed)
+        traj = run_coupled(params, horizon, seed)
         alpha = statistics.median(traj.alpha[-500:])
         cohort = sum(p >= 0.5 for p in traj.accept_probs[-1])
         runs.append(Play(traj, alpha, cohort, best_switch(params, alpha, cohort)))
@@ -105,12 +105,12 @@ def learned_plays(params, schedules, seeds):
     return runs, delivery
 
 
-def decline_estimates(traj, params, schedules):
+def decline_estimates(traj, params):
     """Replay each relay's decline-payoff estimate over an episode-fed run.
 
     The episode feed pays every acceptor the EXACT accept payoff at the
     realized cohort, so a fed value that differs from it marks a decline,
-    and only then does the estimate move by ``m_reject(k)``, as in
+    and only then does the estimate move by ``1/(1+k)**0.6``, as in
     ``_relay_update``.  Returns the estimates after the last iteration and the
     number of declines, per relay.
     """
@@ -124,7 +124,7 @@ def decline_estimates(traj, params, schedules):
         for i, u in enumerate(fed):
             if u != pay_accept:
                 declines[i] += 1
-                estimates[i] += schedules.m_reject(k) * (u - estimates[i])
+                estimates[i] += 1.0 / (1.0 + k) ** 0.6 * (u - estimates[i])
     return estimates, declines
 
 
@@ -274,8 +274,8 @@ def test_criterion_08_coupled_learning_reaches_pure_equilibrium():
     params = make_params()
     pse = solve_pse(params)
     ese = solve_ese(params)
-    schedules = Schedules(horizon=5000)
-    runs, est = learned_plays(params, schedules, range(20))
+    horizon = 5000
+    runs, est = learned_plays(params, horizon, range(20))
     best = max(run.best for run in runs)
     settled = best.gain <= 0.0
     delivered = est.mean >= params.delta - 3 * est.stderr
@@ -283,7 +283,7 @@ def test_criterion_08_coupled_learning_reaches_pure_equilibrium():
     cohort, count = Counter(run.cohort for run in runs).most_common(1)[0]
     stale, declines = [], []
     for run in runs:
-        estimates, counts = decline_estimates(run.traj, params, schedules)
+        estimates, counts = decline_estimates(run.traj, params)
         stale += estimates
         declines += counts
     report(8, settled and delivered,
@@ -295,18 +295,17 @@ def test_criterion_08_coupled_learning_reaches_pure_equilibrium():
            f"{best.stay:.4f}; the relays stay because only the played "
            f"action's estimate moves: a relay declined "
            f"{min(declines)}-{max(declines)} times in "
-           f"{schedules.horizon} steps, and at the last step the decline "
+           f"{horizon} steps, and at the last step the decline "
            f"estimates read {min(stale):.2f} to {max(stale):.2f} (median "
            f"{statistics.median(stale):.2f})")
 
 
 def test_criterion_09_coupled_learning_tracks_rising_targets():
     deltas = [0.02, 0.48, 0.65, 0.85]
-    schedules = Schedules(horizon=5000)
     rows = []
     for delta in deltas:
         params = make_params(n=3, delta=delta)
-        runs, est = learned_plays(params, schedules, range(5))
+        runs, est = learned_plays(params, 5000, range(5))
         rows.append((delta, runs, est))
     settled = all(run.best.gain <= 0.0 for _, runs, _ in rows for run in runs)
     delivered = all(est.mean >= delta - 3 * est.stderr

@@ -1,4 +1,5 @@
 import math
+import warnings
 from pathlib import Path
 
 import pytest
@@ -365,6 +366,30 @@ class TestCli:
         row = dict(zip(lines[0].split(","), lines[1].split(",")))
         assert math.isfinite(float(row["relay_utility_mean"]))
         assert main(["learn", "--config", str(cfg)]) == 0
+
+    def test_subnormal_lambda_stays_finite(self, tmp_path, capsys):
+        # e/lambda overflows at lambda = 5e-324; storage energy must not turn nan
+        cfg = tmp_path / "slow.cfg"
+        cfg.write_text("lambda = 5e-324\nalpha = 0.5\np = 0.5\ntrials = 50\nhorizon = 20\n")
+        for mode in ("simulate", "learn"):
+            assert main([mode, "--config", str(cfg)]) == 0
+            lines = [line for line in capsys.readouterr().out.splitlines()
+                     if not line.startswith("#")]
+            values = [float(v) for line in lines[1:] for v in line.split(",")]
+            assert values and all(math.isfinite(v) for v in values), mode
+
+    def test_huge_samples_keep_a_finite_standard_error(self, tmp_path, capsys):
+        # relay utilities near -1.7e301 would overflow their squared deviations
+        cfg = tmp_path / "huge.cfg"
+        cfg.write_text("lambda = 1e-310\ntau = 1e308\nn = 1\nalpha = 0.5\np = 0.9\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["simulate", "--config", str(cfg), "--trials", "500",
+                         "--seed", "9"]) == 0
+        lines = [line for line in capsys.readouterr().out.splitlines()
+                 if not line.startswith("#")]
+        row = {k: float(v) for k, v in zip(lines[0].split(","), lines[1].split(","))}
+        assert math.isfinite(row["relay_utility_se"]) and row["relay_utility_se"] > 0
 
     @pytest.mark.parametrize("mode", ["solve-mse", "solve-ese"])
     def test_vanishing_delta_writes_a_finite_row(self, mode, tmp_path, capsys):

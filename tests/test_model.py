@@ -95,6 +95,12 @@ class TestStorageEnergy:
         # lam * tau = inf: the held-forever term is 0, not (1 + inf) * 0
         assert storage_energy(make_params(lam=1e308, tau=1e308)) == 3.8e-5 / 1e308
 
+    @pytest.mark.parametrize("lam", [5e-324, 1e-320, 1e-315])
+    def test_subnormal_rate_stores_nothing(self, lam):
+        # e/lam overflows while the bracket rounds to 0: not inf * 0 = nan
+        params = make_params(lam=lam)
+        assert total_energy(params) == params.energy.e_receive + params.energy.e_transmit
+
 
 class TestTotalEnergy:
     def test_reference_value(self, base_params):

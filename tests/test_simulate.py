@@ -1,3 +1,4 @@
+import math
 import statistics
 
 import numpy as np
@@ -42,15 +43,19 @@ class TestEpisode:
 
     @pytest.mark.parametrize("mode", [MODEL, PHYSICAL])
     def test_race_success_is_an_accepted_contacted_finish(self, base_params, mode):
-        tau = base_params.contact.tau
+        # contact times are the unit draws over lam, compared with tau
+        lam, tau = base_params.contact.lam, base_params.contact.tau
         for t in range(200):
             u = episode_rng(17, t, 7).random(_window(7))
-            contacted, accepted, success, finish = _race(
-                base_params, np.full(7, 0.3), *_draw(base_params, u), mode)
+            flips, source_e, dest_e = _draw(base_params, u)
+            accepted, success = _race(base_params, np.full(7, 0.3), flips, source_e,
+                                      dest_e, mode)
             delivered = simulate_episode(base_params, [0.3] * 7, 1.0,
                                          episode_rng(17, t, 7), mode)[2]
+            source_t, dest_t = source_e / lam, dest_e / lam
+            finish = dest_t if mode == MODEL else source_t + dest_t
             assert delivered == success.any()
-            assert (accepted & contacted & (finish <= tau))[success].all()
+            assert (accepted & (source_t <= tau) & (finish <= tau))[success].all()
 
     def test_nobody_caches_when_nobody_accepts(self, base_params):
         accepted, utilities, delivered = simulate_episode(base_params, [0.0] * 7, 2.0,
@@ -219,6 +224,17 @@ class TestEstimateWithCI:
         expect = statistics.stdev(hits) / 400 ** 0.5
         assert est.stderr == pytest.approx(expect, rel=1e-12)
 
+    def test_stderr_keeps_its_bits_below_the_float_range(self):
+        # the power-of-two scale that keeps huge samples finite is exact
+        rng = np.random.default_rng(3)
+        for samples in (rng.random(500) < 0.3, rng.normal(-0.6, 0.2, 500),
+                        rng.normal(0.0, 1e150, 500), rng.normal(-7.0, 1e-9, 500)):
+            samples = samples.astype(float)
+            expect = float(samples.std(ddof=1) / math.sqrt(500))
+            assert _summarize(samples).stderr == expect
+        huge = rng.normal(-1.7e301, 1e299, 500)
+        assert math.isfinite(_summarize(huge).stderr) and _summarize(huge).stderr > 0
+
 
 class TestStreamContract:
     @pytest.mark.parametrize("n", [1, 3, 7, 40])
@@ -262,20 +278,34 @@ class TestStreamContract:
 
     def test_inverse_cdf_contact_times(self, base_params):
         u = episode_rng(2, 0, 7).random((3, _window(7)))
-        flips, source_t, dest_t = _draw(base_params, u)
-        lam = base_params.contact.lam
+        flips, source_e, dest_e = _draw(base_params, u)
         assert np.array_equal(flips, u[:, :7])
-        assert np.array_equal(source_t, -np.log1p(-u[:, 7:14]) / lam)
-        assert np.array_equal(dest_t, -np.log1p(-u[:, 14:21]) / lam)
-        _, never_s, never_d = _draw(make_params(lam=0.0), u)
-        assert np.isinf(never_s).all() and np.isinf(never_d).all()
+        assert np.array_equal(source_e, -np.log1p(-u[:, 7:14]))
+        assert np.array_equal(dest_e, -np.log1p(-u[:, 14:21]))
+        # the draws do not depend on the rate
+        assert all(np.array_equal(a, b) for a, b in
+                   zip(_draw(make_params(lam=0.0), u), (flips, source_e, dest_e)))
+
+    @pytest.mark.parametrize("mode", [MODEL, PHYSICAL])
+    def test_zero_rate_meets_nobody_even_at_zero_draws(self, mode):
+        zero = make_params(lam=0.0)
+        u = np.zeros((3, _window(7)))
+        accepted, success = _race(zero, np.ones(7), *_draw(zero, u), mode)
+        assert not success.any()
+        # physical mode offers the file only to relays the source met
+        assert accepted.all() == (mode == MODEL) and accepted.any() == (mode == MODEL)
 
     def test_subnormal_rate_overflows_times_to_inf_quietly(self):
-        # lam * tau = 0.01, but -log1p(-u) / lam passes the float range
+        # lam * tau = 0.01, while a contact time -log1p(-u) / lam would pass
+        # the float range; the race compares unit draws with lam * tau
         params = make_params(n=1, lam=1e-310, tau=1e308)
         u = episode_rng(1, 0, 1).random((500, _window(1)))
-        _, source_t, dest_t = _draw(params, u)
-        assert np.isinf(source_t).any() and (source_t >= 0).all()
+        flips, source_e, dest_e = _draw(params, u)
+        assert np.isfinite(source_e).all() and (source_e >= 0).all()
+        with np.errstate(over="ignore"):
+            assert np.isinf(source_e / params.contact.lam).any()
+        accepted, _ = _race(params, np.ones(1), flips, source_e, dest_e, PHYSICAL)
+        assert 0 < accepted.sum() < 50
         est = estimate_delivery(params, 1.0, 500, seed=1)
         assert 0.0 <= est.mean <= 0.02
 

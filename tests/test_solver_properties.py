@@ -1,11 +1,13 @@
-"""Property test of the closed-form solvers over the whole parameter box:
-every call returns finite values or raises a typed error, never a bare
-ValueError, ZeroDivisionError or OverflowError."""
+"""Property tests over the whole parameter box: every closed-form solver
+call returns finite values or raises a typed error, never a bare
+ValueError, ZeroDivisionError or OverflowError, and the exact cost and
+mixed relay payoff are finite."""
 import math
 
 from hypothesis import given, settings, strategies as st
 
 from dtnsat.equilibrium import solve_ese, solve_mse, solve_pse
+from dtnsat.model import expected_relay_utility_mixed, total_energy
 from conftest import make_params
 
 LAMBDAS = st.floats(min_value=0.0, max_value=1e308)
@@ -51,3 +53,11 @@ def test_solvers_are_total_over_the_box(lam, tau, delta, n):
     if ese is not None:
         assert all_finite(ese.p_star, ese.alpha_star, ese.binding_delivery)
         assert 0.0 <= ese.alpha_star <= params.alpha_max
+
+
+@settings(derandomize=True, database=None, max_examples=400, deadline=None)
+@given(lam=LAMBDAS, tau=TAUS, n=FLEETS, p=st.floats(min_value=0.0, max_value=1.0))
+def test_exact_cost_is_finite_over_the_box(lam, tau, n, p):
+    params = make_params(lam=lam, tau=tau, n=n)
+    assert math.isfinite(total_energy(params))
+    assert math.isfinite(expected_relay_utility_mixed(p, 0.5, params))
