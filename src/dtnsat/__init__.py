@@ -20,6 +20,8 @@ from .model import (  # noqa: F401
     relay_payoffs,
     source_utility,
     storage_energy,
+    tagged_indifference_reward,
+    tagged_payoffs,
     total_energy,
 )
 from .equilibrium import (  # noqa: F401

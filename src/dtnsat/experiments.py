@@ -8,7 +8,7 @@ on its own.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 from . import __version__
@@ -225,20 +225,32 @@ def _fmt(value) -> str:
     return str(value)
 
 
+def _csv_lines(table: ResultTable):
+    """Metadata comments, header and rows, one newline-terminated line each.
+
+    Each row is one ``%`` format, built once per tuple of value types, that
+    gives :func:`_fmt`'s bytes."""
+    yield from (f"# {key} = {value}\n" for key, value in table.metadata)
+    yield ",".join(table.columns) + "\n"
+    formats: dict[tuple[type, ...], str] = {}
+    for row in table.rows:
+        types = tuple(map(type, row))
+        if types not in formats:
+            formats[types] = ",".join("%d" if t is bool else "%.12g" if issubclass(t, float)
+                                      else "%s" for t in types) + "\n"
+        yield formats[types] % tuple(row)
+
+
 def format_csv(table: ResultTable) -> str:
     """Metadata comments, header and rows; stable byte-for-byte output."""
-    lines = [f"# {key} = {value}" for key, value in table.metadata]
-    lines.append(",".join(table.columns))
-    for row in table.rows:
-        lines.append(",".join(_fmt(v) for v in row))
-    return "\n".join(lines) + "\n"
+    return "".join(_csv_lines(table))
 
 
 def emit_csv(table: ResultTable, path: str) -> None:
-    """Write the table as :func:`format_csv` text."""
+    """Write the table as :func:`format_csv` text, line by line as formatted."""
     try:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(format_csv(table))
+            fh.writelines(_csv_lines(table))
     except OSError as exc:
         raise OSError(f"cannot write {path}: {exc}") from exc
 
@@ -252,13 +264,16 @@ def _metadata(config: ScenarioConfig, extra: dict[str, str] | None = None
     return tuple(meta.items())
 
 
-def _sweep_points(config: ScenarioConfig) -> list[tuple[list[float], ScenarioConfig]]:
-    """(leading sweep column, scenario) per point; the column is [] without a sweep."""
+def _sweep_points(config: ScenarioConfig) -> list[tuple[list[float], GameParams, float]]:
+    """(leading sweep column, params, p) per point; the column is [] without
+    a sweep.  Only the point's params are rebuilt, by :func:`with_param`,
+    which validates them, and a p sweep reuses ``config.params``; every
+    other setting is the config's own."""
     if config.sweep is None:
-        return [([], config)]
+        return [([], config.params, config.p)]
     var = config.sweep.var
-    return [([v], replace(config, p=v) if var == "p"
-             else replace(config, params=with_param(config.params, var, v)))
+    return [([v], config.params, v) if var == "p"
+            else ([v], with_param(config.params, var, v), config.p)
             for v in config.sweep.values]
 
 
@@ -291,8 +306,8 @@ def _run_solve_pse(config: ScenarioConfig) -> ResultTable:
     columns = _sweep_col(config) + ["n_a", "alpha_star", "clamped", "n_a_min",
                                     "feasible"]
     rows = []
-    for lead, cfg in _sweep_points(config):
-        sol = solve_pse(cfg.params)
+    for lead, params, _ in _sweep_points(config):
+        sol = solve_pse(params)
         for m in sorted(sol.alpha_star):
             rows.append((*lead, m, sol.alpha_star[m], int(sol.clamped[m]),
                          sol.n_a_min, int(sol.feasible)))
@@ -302,8 +317,8 @@ def _run_solve_pse(config: ScenarioConfig) -> ResultTable:
 def _run_solve_mse(config: ScenarioConfig) -> ResultTable:
     columns = _sweep_col(config) + ["p_min", "alpha_star", "z_star", "feasible"]
     rows = []
-    for lead, cfg in _sweep_points(config):
-        sol = solve_mse(cfg.params)
+    for lead, params, _ in _sweep_points(config):
+        sol = solve_mse(params)
         alpha = sol.alpha_of_p(sol.p_min) if sol.feasible else math.nan
         rows.append((*lead, sol.p_min, alpha, sol.z_star, int(sol.feasible)))
     return ResultTable(tuple(columns), tuple(rows), _metadata(config))
@@ -313,12 +328,12 @@ def _run_solve_ese(config: ScenarioConfig) -> ResultTable:
     columns = _sweep_col(config) + ["p_star", "alpha_star", "binding_delivery",
                                     "alpha_clamped"]
     rows = []
-    for lead, cfg in _sweep_points(config):
+    for lead, params, _ in _sweep_points(config):
         try:
-            sol = solve_ese(cfg.params)
+            sol = solve_ese(params)
         except DegenerateContactError:
             # unreachable QoS marks its own row, as in solve-mse
-            rows.append((*lead, solve_mse(cfg.params).p_min, math.nan, math.nan, 0))
+            rows.append((*lead, solve_mse(params).p_min, math.nan, math.nan, 0))
             continue
         rows.append((*lead, sol.p_star, sol.alpha_star, sol.binding_delivery,
                      int(sol.alpha_clamped)))
@@ -329,9 +344,9 @@ def _run_region(config: ScenarioConfig) -> ResultTable:
     if config.sweep is None or config.sweep.var not in ("tau", "lambda"):
         raise ConfigError("region mode needs a sweep over tau or lambda")
     rows = []
-    for lead, cfg in _sweep_points(config):
-        delivery = expected_source_utility_mixed(cfg.p, cfg.params)
-        rows.append((*lead, delivery, int(delivery >= cfg.params.delta)))
+    for lead, params, p in _sweep_points(config):
+        delivery = expected_source_utility_mixed(p, params)
+        rows.append((*lead, delivery, int(delivery >= params.delta)))
     lo, hi = min(config.sweep.values), max(config.sweep.values)
     threshold = satisfaction_region(config.params, config.sweep.var, lo, hi,
                                     config.p)
@@ -356,20 +371,20 @@ def _run_simulate(config: ScenarioConfig) -> ResultTable:
     if config.sweep is not None and config.sweep.var != "p":
         raise ConfigError("simulate mode sweeps only p")
     rows = []
-    for _, cfg in _sweep_points(config):
-        reward = cfg.alpha
+    for _, params, p in _sweep_points(config):
+        reward = config.alpha
         if reward is None:
             try:
-                reward = solve_ese(cfg.params).alpha_star
+                reward = solve_ese(params).alpha_star
             except DegenerateContactError as exc:
                 raise ConfigError(f"alpha is unset and there is no binding "
                                   f"equilibrium to take it from: {exc}") from None
-        delivery = estimate_delivery(cfg.params, cfg.p, cfg.trials, cfg.seed,
-                                     cfg.contact_mode)
-        relay = estimate_relay_utility(cfg.params, cfg.p, reward, cfg.trials,
-                                       cfg.seed, cfg.contact_mode)
-        rows.append((cfg.p, delivery.mean, delivery.stderr, relay.mean,
-                     relay.stderr, cfg.trials))
+        delivery = estimate_delivery(params, p, config.trials, config.seed,
+                                     config.contact_mode)
+        relay = estimate_relay_utility(params, p, reward, config.trials,
+                                       config.seed, config.contact_mode)
+        rows.append((p, delivery.mean, delivery.stderr, relay.mean,
+                     relay.stderr, config.trials))
     return ResultTable(tuple(columns), tuple(rows), _metadata(config))
 
 

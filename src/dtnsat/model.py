@@ -7,7 +7,7 @@ and energies are plain floats in consistent (dimensionless) units.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 
 class DegenerateRateError(ValueError):
@@ -110,9 +110,11 @@ def storage_energy(params: GameParams) -> float:
     if lam == 0:
         raise DegenerateRateError("storage energy is undefined for lam = 0")
     lam_tau = lam * tau
-    # a product that overflows to inf would give (1 + inf) * 0 = nan
-    held_forever = (1.0 + lam_tau) * math.exp(-lam_tau) if math.isfinite(lam_tau) else 0.0
-    bracket, scale = 1.0 - held_forever, params.energy.e_store / lam
+    if lam_tau < 0.5:  # the bracket cancels to about x**2/2: sum its series
+        bracket = math.fsum((k - 1) * (-lam_tau) ** k / math.factorial(k) for k in range(2, 20))
+    else:  # a product that overflows to inf would give (1 + inf) * 0 = nan
+        bracket = 1.0 - ((1.0 + lam_tau) * math.exp(-lam_tau) if math.isfinite(lam_tau) else 0.0)
+    scale = params.energy.e_store / lam
     # at a subnormal lam, e/lam overflows where the bracket rounds to 0
     return scale * bracket if math.isfinite(scale) else params.energy.e_store * (bracket / lam)
 
@@ -242,36 +244,55 @@ def _any_delivers(z: float, n: int) -> float:
     return -math.expm1(n * math.log1p(-z)) if z < 1.0 else 1.0
 
 
+def _tagged_share(p: float, params: GameParams) -> float:
+    """Mean share S(p) = (1 - (1 - z)**n)/(n p), z = p(1 - q), of a relay
+    whose n-1 opponents accept with p (README, "Payoff models").  Taken as
+    reach * g(z), g(z) = (1 - (1 - z)**n)/(n z) with g(0) = 1, so a
+    subnormal p keeps its precision."""
+    if not 0 <= p <= 1:
+        raise ValueError(f"p must be in [0, 1], got {p}")
+    reach = contact_probability(params.contact)
+    z = p * reach
+    return reach * (_any_delivers(z, params.n) / (params.n * z) if z > 0 else 1.0)
+
+
+def tagged_payoffs(alpha: float, p: float, params: GameParams) -> tuple[float, float]:
+    """EXACT (accept, reject) payoffs of a relay whose n-1 opponents accept
+    with p: affine in the share, so taken at the mean tagged share."""
+    share = _tagged_share(p, params)
+    if not 0 <= alpha <= params.alpha_max:
+        raise ValueError(f"alpha must be in [0, alpha_max], got {alpha}")
+    return (alpha * share - params.sigma * (1.0 - share) - total_energy(params),
+            -alpha * share - params.gamma)
+
+
+def tagged_indifference_reward(params: GameParams, p: float) -> float:
+    """Reward at which the tagged-relay gap 2*alpha*S - sigma*(1 - S) - cost
+    + gamma, accept minus reject at mean share S, is zero."""
+    share = _tagged_share(p, params)
+    if share == 0.0:
+        raise DegenerateRateError("tagged indifference reward needs a relay that can deliver")
+    return (params.sigma * (1.0 - share) + total_energy(params) - params.gamma) / (2.0 * share)
+
+
 def expected_relay_utility_mixed(p: float, alpha: float, params: GameParams) -> float:
     """Tagged relay's expected payoff when the other n-1 relays accept with p.
 
-    Mixes over the opponents' accept count k (binomial); the tagged relay is
-    always counted in the cohort, so both action branches are evaluated at
-    cohort size k+1.
+    p * accept + (1 - p) * reject of :func:`tagged_payoffs`, whose mean
+    share sums the binomial mixture over the opponents in closed form.
     """
-    if not 0 <= p <= 1:
-        raise ValueError(f"p must be in [0, 1], got {p}")
-    if not 0 <= alpha <= params.alpha_max:
-        raise ValueError(f"alpha must be in [0, alpha_max], got {alpha}")
-    n = params.n
-    q = relay_failure_probability(params.contact)
-    cost = total_energy(params)
-    total = 0.0
-    for k in range(n):
-        weight = math.comb(n - 1, k) * p ** k * (1.0 - p) ** (n - 1 - k)
-        u_accept, u_reject = _payoffs(alpha, k + 1, q ** (k + 1), params, EXACT, cost)
-        total += weight * (p * u_accept + (1.0 - p) * u_reject)
-    return total
+    accept, reject = tagged_payoffs(alpha, p, params)
+    return p * accept + (1.0 - p) * reject
 
 
 def with_param(params: GameParams, var: str, value: float) -> GameParams:
-    """Copy of params with one sweepable parameter (tau, lambda, n, delta) set."""
-    if var == "tau":
-        return replace(params, contact=replace(params.contact, tau=value))
-    if var == "lambda":
-        return replace(params, contact=replace(params.contact, lam=value))
-    if var == "n":
-        return replace(params, n=int(value))
-    if var == "delta":
-        return replace(params, delta=value)
-    raise ValueError(f"cannot sweep {var!r}; sweepable parameters are tau, lambda, n, delta")
+    """Copy of params with one sweepable parameter (tau, lambda, n, delta) set,
+    built by the constructors, which validate every value."""
+    if var not in ("tau", "lambda", "n", "delta"):
+        raise ValueError(f"cannot sweep {var!r}; sweepable parameters are tau, lambda, n, delta")
+    c = params.contact
+    contact = (ContactModel(c.lam, value) if var == "tau" else
+               ContactModel(value, c.tau) if var == "lambda" else c)
+    return GameParams(contact, params.energy, int(value) if var == "n" else params.n,
+                      params.sigma, params.gamma, value if var == "delta" else params.delta,
+                      params.alpha_max)

@@ -81,8 +81,9 @@ def simulate_episode(params: GameParams, accept_probs: Sequence[float],
     if len(accept_probs) != n:
         raise ValueError(f"need {n} accept probabilities, got {len(accept_probs)}")
     probs = np.asarray(accept_probs, dtype=float)
-    if np.any((probs < 0) | (probs > 1)):
-        raise ValueError("accept probabilities must lie in [0, 1]")
+    valid = (probs >= 0) & (probs <= 1)  # False for NaN too
+    if not valid.all():
+        raise ValueError(f"accept probabilities must lie in [0, 1], got {probs[~valid][0]}")
 
     u = rng.random(_window(n))
     accepted, success = _race(params, probs, *_draw(params, u), mode)

@@ -13,12 +13,9 @@ Criteria 8 and 9 check the learned play against the solution concept: a
 satisfaction equilibrium is a profile where the source's delivery reaches
 delta and every relay best-responds to the payoff the learners are fed.
 """
-import math
 import statistics
 from collections import Counter
 from typing import NamedTuple
-
-import numpy as np
 
 from dtnsat.equilibrium import (
     mixed_relay_payoffs,
@@ -38,6 +35,8 @@ from dtnsat.model import (
     expected_source_utility_mixed,
     relay_failure_probability,
     relay_payoffs,
+    tagged_indifference_reward,
+    tagged_payoffs,
 )
 from dtnsat.simulate import estimate_delivery, estimate_relay_utility
 from conftest import make_params
@@ -126,30 +125,6 @@ def decline_estimates(traj, params):
                 declines[i] += 1
                 estimates[i] += 1.0 / (1.0 + k) ** 0.6 * (u - estimates[i])
     return estimates, declines
-
-
-def tagged_payoffs(alpha, p, params):
-    """EXACT (accept, reject) payoffs of a relay whose n-1 opponents accept with p.
-
-    With k opponents accepting the relay holds the share of cohort k+1, the
-    tagged-relay share the simulator pays; the mixed closed form pays the
-    reduced share (1 - miss)/n instead.
-    """
-    n = params.n
-    k = np.arange(n)
-    weights = (np.array([math.comb(n - 1, j) for j in k])
-               * p ** k * (1.0 - p) ** (n - 1 - k))
-    q = relay_failure_probability(params.contact)
-    accept, reject = relay_payoffs(alpha, k + 1, q ** (k + 1), params, EXACT)
-    return float(weights @ accept), float(weights @ reject)
-
-
-def tagged_indifference_reward(params, p):
-    """Reward at which the tagged-relay accept-minus-reject gap is zero."""
-    accept0, reject0 = tagged_payoffs(0.0, p, params)
-    accept1, reject1 = tagged_payoffs(1.0, p, params)
-    gap0 = accept0 - reject0
-    return -gap0 / (accept1 - reject1 - gap0)
 
 
 def test_criterion_01_closed_form_matches_bruteforce_oracle():

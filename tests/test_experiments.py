@@ -2,6 +2,7 @@ import math
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from dtnsat import experiments
@@ -11,7 +12,9 @@ from dtnsat.experiments import (
     _KEYS,
     ConfigError,
     ResultTable,
+    _fmt,
     emit_csv,
+    format_csv,
     parse_config,
     run_scenario,
 )
@@ -224,6 +227,24 @@ class TestRunScenario:
             run_scenario(cfg)
 
 
+class TestSweepPoints:
+    def test_p_sweep_reuses_the_config_params(self):
+        cfg = parse_config("sweep.var = p\nsweep.values = 0.1,0.5")
+        points = list(experiments._sweep_points(cfg))
+        assert [(lead, p) for lead, _, p in points] == [([0.1], 0.1), ([0.5], 0.5)]
+        assert all(params is cfg.params for _, params, _ in points)
+
+    def test_parameter_sweep_rebuilds_only_the_params(self):
+        cfg = parse_config("p = 0.4\nsweep.var = tau\nsweep.values = 20,40")
+        points = list(experiments._sweep_points(cfg))
+        assert [params.contact.tau for _, params, _ in points] == [20.0, 40.0]
+        assert [p for _, _, p in points] == [0.4, 0.4]
+
+    def test_no_sweep_is_one_point(self):
+        cfg = parse_config("p = 0.3")
+        assert list(experiments._sweep_points(cfg)) == [([], cfg.params, 0.3)]
+
+
 class TestEmitCsv:
     def test_round_trip_at_twelve_digits(self, tmp_path):
         table = ResultTable(columns=("a", "b"),
@@ -250,6 +271,23 @@ class TestEmitCsv:
         emit_csv(run_scenario(cfg), str(p1))
         emit_csv(run_scenario(cfg), str(p2))
         assert p1.read_bytes() == p2.read_bytes()
+
+    def test_row_format_gives_the_per_value_bytes(self, tmp_path):
+        rows = ((True, False, 10 ** 13, -3, 0.1, math.nan),
+                (math.inf, -math.inf, -0.0, 5e-324, 1e300, 2.0),
+                (np.float64(1 / 3), np.int64(-7), np.bool_(True), np.float64(math.nan),
+                 np.bool_(False), 10 ** 13),
+                (True, False, 10 ** 13, -3, 0.1, math.nan),
+                (1, 2.5, "x", None, np.float64(-0.0), 7))
+        table = ResultTable(columns=tuple("abcdef"), rows=rows,
+                            metadata=(("seed", "1"), ("mode", "learn")))
+        # the per-value join the writer replaced
+        want = "\n".join(["# seed = 1", "# mode = learn", "a,b,c,d,e,f"]
+                         + [",".join(_fmt(v) for v in row) for row in rows]) + "\n"
+        assert format_csv(table) == want
+        path = tmp_path / "rows.csv"
+        emit_csv(table, str(path))
+        assert path.read_bytes() == want.encode()
 
     def test_row_width_validated(self):
         with pytest.raises(ValueError):

@@ -1,4 +1,6 @@
 import math
+from dataclasses import replace
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -22,7 +24,10 @@ from dtnsat.model import (
     relay_payoffs,
     source_utility,
     storage_energy,
+    tagged_indifference_reward,
+    tagged_payoffs,
     total_energy,
+    with_param,
 )
 from conftest import cohort_payoffs, make_params
 
@@ -94,6 +99,23 @@ class TestStorageEnergy:
     def test_overflowing_lam_tau_holds_nothing_forever(self):
         # lam * tau = inf: the held-forever term is 0, not (1 + inf) * 0
         assert storage_energy(make_params(lam=1e308, tau=1e308)) == 3.8e-5 / 1e308
+
+    @pytest.mark.parametrize("lam", [1e-7, 1e-9, 1e-12])
+    def test_small_rate_matches_decimal(self, lam):
+        # 1 - (1 + x)e^-x cancels to x**2/2; 50-digit reference from the
+        # binary values of the inputs
+        params = make_params(lam=lam)
+        with localcontext() as ctx:
+            ctx.prec = 50
+            e, lam_d = Decimal(params.energy.e_store), Decimal(lam)
+            x = lam_d * Decimal(params.contact.tau)
+            want = e / lam_d * (1 - (1 + x) * (-x).exp())
+        assert abs(storage_energy(params) / float(want) - 1.0) <= 1e-12
+
+    def test_series_and_closed_form_meet_at_the_switch(self):
+        below, above = (storage_energy(make_params(lam=lam, tau=1.0))
+                        for lam in (math.nextafter(0.5, 0.0), 0.5))
+        assert below == pytest.approx(above, rel=1e-14)
 
     @pytest.mark.parametrize("lam", [5e-324, 1e-320, 1e-315])
     def test_subnormal_rate_stores_nothing(self, lam):
@@ -293,6 +315,99 @@ class TestMixedRelayUtility:
                     total += weight * (p * accept + (1 - p) * reject)
                 assert expected_relay_utility_mixed(p, alpha, params) == \
                     pytest.approx(total, rel=1e-12), (p, alpha)
+
+
+def binomial_tagged_payoffs(alpha, p, params):
+    """Oracle: EXACT (accept, reject) payoffs mixed term by term over the
+    binomial count k of accepting opponents, at cohort k+1."""
+    n = params.n
+    q = relay_failure_probability(params.contact)
+    accept = reject = 0.0
+    for k in range(n):
+        weight = math.comb(n - 1, k) * p ** k * (1.0 - p) ** (n - 1 - k)
+        u_accept, u_reject = relay_payoffs(alpha, k + 1, q ** (k + 1), params, EXACT)
+        accept += weight * u_accept
+        reject += weight * u_reject
+    return accept, reject
+
+
+def binomial_mixed_utility(p, alpha, params):
+    """Oracle for expected_relay_utility_mixed: the binomial-sum loop."""
+    n = params.n
+    q = relay_failure_probability(params.contact)
+    total = 0.0
+    for k in range(n):
+        weight = math.comb(n - 1, k) * p ** k * (1.0 - p) ** (n - 1 - k)
+        u_accept, u_reject = relay_payoffs(alpha, k + 1, q ** (k + 1), params, EXACT)
+        total += weight * (p * u_accept + (1.0 - p) * u_reject)
+    return total
+
+
+ORACLE_CONTACTS = [(0.0, 100.0), (1e-9, 100.0), (0.015, 100.0), (50.0, 100.0),
+                   (1e308, 1e308)]
+
+
+class TestTaggedShare:
+    @pytest.mark.parametrize("lam,tau", ORACLE_CONTACTS)
+    @pytest.mark.parametrize("n", [1, 2, 7, 40, 64])
+    def test_mixed_utility_matches_binomial_sum(self, n, lam, tau):
+        params = make_params(n=n, lam=lam, tau=tau)
+        for p in (0.0, 5e-324, 1e-310, 1e-9, 0.3, 0.5, 1.0):
+            for alpha in (0.0, 0.7, params.alpha_max):
+                want = binomial_mixed_utility(p, alpha, params)
+                got = expected_relay_utility_mixed(p, alpha, params)
+                assert abs(got - want) <= 1e-12 * max(1.0, abs(want)), (p, alpha)
+
+    @pytest.mark.parametrize("lam,tau", ORACLE_CONTACTS)
+    def test_payoff_pair_matches_binomial_sums(self, lam, tau):
+        params = make_params(n=40, lam=lam, tau=tau)
+        for p in (0.0, 1e-310, 0.05, 0.5, 1.0):
+            got = tagged_payoffs(1.3, p, params)
+            want = binomial_tagged_payoffs(1.3, p, params)
+            assert got == pytest.approx(want, rel=1e-12, abs=1e-12), p
+
+    def test_subnormal_p_keeps_the_p0_share(self, base_params):
+        # a /(n p) form returns -0.85 here, against the -0.6938 of p = 0
+        at_zero = expected_relay_utility_mixed(0.0, 0.7, base_params)
+        assert expected_relay_utility_mixed(5e-324, 0.7, base_params) == \
+            pytest.approx(at_zero, rel=1e-15)
+
+    @pytest.mark.parametrize("p", [1e-9, 0.0549, 0.5, 1.0])
+    def test_indifference_reward_zeroes_the_binomial_gap(self, base_params, p):
+        reward = tagged_indifference_reward(base_params, p)
+        accept, reject = binomial_tagged_payoffs(reward, p, base_params)
+        assert abs(accept - reject) <= 1e-12
+
+    def test_indifference_reward_needs_contact(self):
+        with pytest.raises(DegenerateRateError):
+            tagged_indifference_reward(make_params(lam=0.0), 0.5)
+
+    def test_payoffs_validate_inputs(self, base_params):
+        with pytest.raises(ValueError, match="^p must"):
+            tagged_payoffs(0.5, math.nan, base_params)
+        with pytest.raises(ValueError, match="^alpha must"):
+            tagged_payoffs(5.5, 0.5, base_params)
+
+
+class TestWithParam:
+    @pytest.mark.parametrize("var,value,field", [
+        ("tau", 40.0, {"contact": ContactModel(lam=0.015, tau=40.0)}),
+        ("lambda", 0.2, {"contact": ContactModel(lam=0.2, tau=100.0)}),
+        ("n", 12.0, {"n": 12}),
+        ("delta", 0.5, {"delta": 0.5})])
+    def test_matches_dataclass_replace(self, base_params, var, value, field):
+        assert with_param(base_params, var, value) == replace(base_params, **field)
+
+    @pytest.mark.parametrize("var,value,name", [
+        ("tau", 0.0, "tau"), ("lambda", -1.0, "lam"), ("n", 0.0, "n"),
+        ("delta", 1.0, "delta"), ("tau", math.inf, "tau")])
+    def test_validates_the_swept_value(self, base_params, var, value, name):
+        with pytest.raises(ValueError, match=f"^{name} must"):
+            with_param(base_params, var, value)
+
+    def test_unknown_variable(self, base_params):
+        with pytest.raises(ValueError, match="cannot sweep"):
+            with_param(base_params, "sigma", 0.1)
 
 
 class TestValidation:

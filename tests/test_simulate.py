@@ -100,6 +100,13 @@ class TestEpisode:
         with pytest.raises(ValueError):
             simulate_episode(base_params, [0.5] * 7, 1.0, episode_rng(1, 0, 7), mode="exact")
 
+    def test_nan_accept_probability_rejected(self, base_params):
+        # NaN fails both ordered comparisons, so it must not pass as "in range"
+        with pytest.raises(ValueError, match="got nan"):
+            simulate_episode(base_params, [math.nan] * 7, 0.5, episode_rng(1, 0, 7))
+        with pytest.raises(ValueError, match="got -0.1"):
+            simulate_episode(base_params, [0.5] * 6 + [-0.1], 0.5, episode_rng(1, 0, 7))
+
 
 class TestSingleRelayFrequencies:
     def test_model_mode_matches_product_form(self):
