@@ -17,8 +17,8 @@ from .model import (  # noqa: F401
     expected_relay_utility_mixed,
     expected_source_utility_mixed,
     relay_failure_probability,
+    reduced_payoffs,
     relay_payoffs,
-    source_utility,
     storage_energy,
     tagged_indifference_reward,
     tagged_payoffs,

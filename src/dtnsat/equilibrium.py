@@ -1,34 +1,33 @@
 """Closed-form satisfaction-equilibrium solvers and efficiency checks.
 
-The solvers invert the relay payoff of :func:`dtnsat.model.relay_payoffs`
-under its REDUCED model: caching cost is linearized to e*(1-q)/lam and the
-failure regret is weighted by the full fleet size n rather than by the
-accepting cohort alone.  The residual of that balance is exposed
-(``pure_indifference_gap`` / ``mixed_indifference_gap``) so tests can verify
-each returned reward solves its own equation.  The simulator and the
-per-cohort utilities in :mod:`dtnsat.model` evaluate the same kernel under
-its EXACT model, where a relay with k accepting opponents holds the share of
-cohort k+1.  The two models disagree by far more than rounding: at the
-reference binding point (p* = 0.0549, alpha* = 0.7668) a relay's mixed
-accept/reject payoffs are 0.460/-0.675 under EXACT and -0.173/-0.173 under
-REDUCED, so the binding point is no relay equilibrium of the EXACT payoff.
+The solvers invert the reduced relay payoff, :func:`dtnsat.model.reduced_payoffs`:
+caching cost is linearized to e*(1-q)/lam and the failure regret is weighted
+by the full fleet size n rather than by the accepting cohort alone.  The
+residual of that balance is exposed (``pure_indifference_gap`` /
+``mixed_indifference_gap``) so tests can verify each returned reward solves
+its own equation.  The simulator and the mixed utilities in
+:mod:`dtnsat.model` pay the game's payoff, :func:`dtnsat.model.relay_payoffs`,
+where a relay with k accepting opponents holds the share of cohort k+1.  The
+two disagree by far more than rounding: at the reference binding point
+(p* = 0.0549, alpha* = 0.7668) a relay's mixed accept/reject payoffs are
+0.460/-0.675 under the game's payoff and -0.173/-0.173 under the reduced
+one, so the binding point is no relay equilibrium of the game.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Optional
 
 from .model import (
-    REDUCED,
     GameParams,
     _any_delivers,
     expected_relay_utility_mixed,
     expected_source_utility_mixed,
     per_relay_success,
     reduced_cooperation_cost,
+    reduced_payoffs,
     relay_failure_probability,
-    relay_payoffs,
     with_param,
 )
 
@@ -61,7 +60,8 @@ def pure_indifference_gap(alpha: float, n_active: int, params: GameParams) -> fl
     The solver's reward for cohort n_active is the exact root of this gap.
     """
     q = relay_failure_probability(params.contact)
-    accept, reject = relay_payoffs(alpha, n_active, q ** n_active, params, REDUCED)
+    miss = q ** n_active
+    accept, reject = reduced_payoffs(alpha, n_active, 1.0 - miss, miss, params)
     return accept - reject
 
 
@@ -80,10 +80,7 @@ def mixed_relay_payoffs(alpha: float, p: float, params: GameParams) -> tuple[flo
     absolute precision.
     """
     n, z = params.n, per_relay_success(params, p)
-    share = _any_delivers(z, n) / n
-    regret = params.sigma * (n - 1 + (1.0 - z) ** n) / n
-    return (alpha * share - regret - reduced_cooperation_cost(params),
-            -alpha * share - params.gamma)
+    return reduced_payoffs(alpha, n, _any_delivers(z, n), (1.0 - z) ** n, params)
 
 
 @dataclass(frozen=True)
@@ -101,10 +98,9 @@ class PseSolution:
 
 @dataclass(frozen=True)
 class MseSolution:
-    """Mixed-strategy equilibria: reward as a function of the accept prob."""
+    """Mixed-strategy equilibria; the reward at p is :func:`mse_reward`."""
 
     p_min: float
-    alpha_of_p: Callable[[float], float]
     z_star: float
     feasible: bool
 
@@ -185,7 +181,7 @@ def mse_reward(params: GameParams, p: float) -> float:
 
 
 def solve_mse(params: GameParams) -> MseSolution:
-    """Mixed equilibria: the minimum accept probability and the reward curve."""
+    """Mixed equilibria: the minimum accept probability and its success."""
     ceiling = per_relay_success(params, 1.0)
     if ceiling <= 0:
         raise DegenerateContactError("per-relay success is zero even at p = 1")
@@ -195,10 +191,7 @@ def solve_mse(params: GameParams) -> MseSolution:
         raise FloatRangeError(f"minimum accept probability underflows at delta = {params.delta}")
     feasible = p_min <= 1.0
     z_star = per_relay_success(params, min(p_min, 1.0))
-    return MseSolution(p_min=p_min,
-                       alpha_of_p=lambda p: mse_reward(params, p),
-                       z_star=z_star,
-                       feasible=feasible)
+    return MseSolution(p_min=p_min, z_star=z_star, feasible=feasible)
 
 
 def solve_ese(params: GameParams) -> EseSolution:

@@ -14,6 +14,9 @@ from typing import Optional
 from . import __version__
 from .equilibrium import (
     DegenerateContactError,
+    DegenerateFailureError,
+    PseSolution,
+    mse_reward,
     pareto_grid_scan,
     satisfaction_region,
     solve_ese,
@@ -307,21 +310,33 @@ def _run_solve_pse(config: ScenarioConfig) -> ResultTable:
                                     "feasible"]
     rows = []
     for lead, params, _ in _sweep_points(config):
-        sol = solve_pse(params)
+        try:
+            sol = solve_pse(params)
+        except DegenerateFailureError:  # q = 1: no cohort ever delivers
+            sol = PseSolution(math.inf, {}, {}, False)
         for m in sorted(sol.alpha_star):
             rows.append((*lead, m, sol.alpha_star[m], int(sol.clamped[m]),
                          sol.n_a_min, int(sol.feasible)))
+        if not sol.alpha_star:  # no cohort of at most n: one marked row
+            rows.append((*lead, math.nan, math.nan, 0, sol.n_a_min, 0))
     return ResultTable(tuple(columns), tuple(rows), _metadata(config))
 
 
 def _run_solve_mse(config: ScenarioConfig) -> ResultTable:
     columns = _sweep_col(config) + ["p_min", "alpha_star", "z_star", "feasible"]
-    rows = []
-    for lead, params, _ in _sweep_points(config):
-        sol = solve_mse(params)
-        alpha = sol.alpha_of_p(sol.p_min) if sol.feasible else math.nan
-        rows.append((*lead, sol.p_min, alpha, sol.z_star, int(sol.feasible)))
+    rows = [(*lead, *_mse_row(params)) for lead, params, _ in _sweep_points(config)]
     return ResultTable(tuple(columns), tuple(rows), _metadata(config))
+
+
+def _mse_row(params: GameParams) -> tuple:
+    """(p_min, alpha_star, z_star, feasible) of one solve-mse point; where no
+    relay ever delivers, p_min is inf."""
+    try:
+        sol = solve_mse(params)
+    except DegenerateContactError:
+        return math.inf, math.nan, 0.0, 0
+    alpha = mse_reward(params, sol.p_min) if sol.feasible else math.nan
+    return sol.p_min, alpha, sol.z_star, int(sol.feasible)
 
 
 def _run_solve_ese(config: ScenarioConfig) -> ResultTable:
@@ -333,7 +348,7 @@ def _run_solve_ese(config: ScenarioConfig) -> ResultTable:
             sol = solve_ese(params)
         except DegenerateContactError:
             # unreachable QoS marks its own row, as in solve-mse
-            rows.append((*lead, solve_mse(params).p_min, math.nan, math.nan, 0))
+            rows.append((*lead, _mse_row(params)[0], math.nan, math.nan, 0))
             continue
         rows.append((*lead, sol.p_star, sol.alpha_star, sol.binding_delivery,
                      int(sol.alpha_clamped)))
@@ -348,8 +363,9 @@ def _run_region(config: ScenarioConfig) -> ResultTable:
         delivery = expected_source_utility_mixed(p, params)
         rows.append((*lead, delivery, int(delivery >= params.delta)))
     lo, hi = min(config.sweep.values), max(config.sweep.values)
-    threshold = satisfaction_region(config.params, config.sweep.var, lo, hi,
-                                    config.p)
+    # one swept value leaves nothing to bisect: its own row decides
+    threshold = (satisfaction_region(config.params, config.sweep.var, lo, hi, config.p)
+                 if lo < hi else lo if rows[0][-1] else None)
     extra = {"threshold": _fmt(threshold) if threshold is not None else "none"}
     return ResultTable((config.sweep.var, "delivery", "satisfied"),
                        tuple(rows), _metadata(config, extra))

@@ -7,6 +7,7 @@ and energies are plain floats in consistent (dimensionless) units.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 
@@ -130,54 +131,38 @@ def total_energy(params: GameParams) -> float:
 
 
 def reduced_cooperation_cost(params: GameParams) -> float:
-    """Per-relay cooperation cost under the linearized caching-energy model.
-
-    Returns e_r + e_t + e*(1-q)/lam; for lam = 0 the analytic limit e*tau
-    is used so degenerate scenarios stay evaluable.
-    """
-    lam, tau = params.contact.lam, params.contact.tau
-    if lam == 0:
-        stored = params.energy.e_store * tau
+    """Per-relay cooperation cost under the linearized caching-energy model:
+    e_r + e_t + e*(1-q)/lam, with its limit e*tau for the last term at
+    lam = 0.  Where e*(1-q) is subnormal it is taken as e*tau*((1-q)/x),
+    x = lam*tau, as in :func:`_tagged_share`, so a subnormal lam keeps it."""
+    x = params.contact.lam * params.contact.tau
+    reach = -math.expm1(-x)
+    stored = params.energy.e_store * reach
+    if stored < sys.float_info.min:  # would lose its bits before the division
+        stored = params.energy.e_store * params.contact.tau * (reach / x if x > 0 else 1.0)
     else:
-        stored = params.energy.e_store * contact_probability(params.contact) / lam
+        stored /= params.contact.lam
     return params.energy.e_receive + params.energy.e_transmit + stored
 
 
-# payoff models of relay_payoffs: the simulator and the per-cohort
-# utilities use EXACT, the closed-form solvers and mean-field feed REDUCED
-# (equilibrium.mixed_relay_payoffs writes REDUCED out, its share taken
-# from the delivery probability rather than from 1 - miss)
-EXACT = "exact"  # regret sigma*(1 - share), cost total_energy
-REDUCED = "reduced"  # regret sigma*(n - 1 + miss)/cohort, cost reduced_cooperation_cost
+def relay_payoffs(alpha, share, cost: float, params: GameParams):
+    """The game's (accept, reject) payoffs of a relay holding ``share`` of the
+    reward alpha: accepting earns it less the regret sigma*(1 - share) and
+    ``cost`` (the caller's :func:`total_energy`); declining forfeits it and
+    pays the regret gamma.  Numpy arrays of shares work elementwise."""
+    return (alpha * share - params.sigma * (1.0 - share) - cost,
+            -alpha * share - params.gamma)
 
 
-def relay_payoffs(alpha, cohort, miss, params: GameParams, model: str = EXACT):
-    """(accept, reject) payoffs of a relay facing a caching cohort.
-
-    ``cohort`` relays cache, ``miss`` is the probability none of them
-    delivers, and each holds share (1 - miss)/cohort of the reward alpha.
-    Accepting earns the share minus the model's regret and cooperation cost;
-    declining forfeits the share and pays the decline regret gamma.  Plain
-    arithmetic only, so numpy arrays of cohorts and misses work elementwise.
-    """
-    if model == EXACT:
-        cost = total_energy(params)
-    elif model == REDUCED:
-        cost = reduced_cooperation_cost(params)
-    else:
-        raise ValueError(f"model must be {EXACT!r} or {REDUCED!r}, got {model!r}")
-    return _payoffs(alpha, cohort, miss, params, model, cost)
-
-
-def _payoffs(alpha, cohort, miss, params: GameParams, model: str, cost: float):
-    """:func:`relay_payoffs` with the model's cooperation cost already
-    evaluated, for callers that score many cohorts of one scenario."""
-    share = (1.0 - miss) / cohort
-    if model == EXACT:
-        regret = params.sigma * (1.0 - share)
-    else:
-        regret = params.sigma * (params.n - 1 + miss) / cohort
-    return alpha * share - regret - cost, -alpha * share - params.gamma
+def reduced_payoffs(alpha, cohort, success, miss, params: GameParams):
+    """The solvers' (accept, reject) payoffs of a relay in a ``cohort`` that
+    delivers with probability ``success`` and misses with ``miss``: share
+    success/cohort, regret sigma*(n - 1 + miss)/cohort and cost
+    :func:`reduced_cooperation_cost`.  Works elementwise on numpy arrays."""
+    share = success / cohort
+    regret = params.sigma * (params.n - 1 + miss) / cohort
+    return (alpha * share - regret - reduced_cooperation_cost(params),
+            -alpha * share - params.gamma)
 
 
 def delivery_share(n_active: int, q: float) -> float:
@@ -216,15 +201,6 @@ def delivery_share_bruteforce(n_active: int, q: float) -> float:
     return succeed * total
 
 
-def source_utility(n_active: int, q: float) -> float:
-    """Delivery probability with n_active caching relays: 1 - q**n_active."""
-    if n_active < 0:
-        raise ValueError(f"n_active must be >= 0, got {n_active}")
-    if n_active == 0:
-        return 0.0
-    return n_active * delivery_share(n_active, q)
-
-
 def per_relay_success(params: GameParams, p: float) -> float:
     """Probability one relay meets the source, accepts, and meets the destination."""
     q = relay_failure_probability(params.contact)
@@ -257,13 +233,12 @@ def _tagged_share(p: float, params: GameParams) -> float:
 
 
 def tagged_payoffs(alpha: float, p: float, params: GameParams) -> tuple[float, float]:
-    """EXACT (accept, reject) payoffs of a relay whose n-1 opponents accept
-    with p: affine in the share, so taken at the mean tagged share."""
+    """:func:`relay_payoffs` of a relay whose n-1 opponents accept with p:
+    affine in the share, so taken at the mean tagged share."""
     share = _tagged_share(p, params)
     if not 0 <= alpha <= params.alpha_max:
         raise ValueError(f"alpha must be in [0, alpha_max], got {alpha}")
-    return (alpha * share - params.sigma * (1.0 - share) - total_energy(params),
-            -alpha * share - params.gamma)
+    return relay_payoffs(alpha, share, total_energy(params), params)
 
 
 def tagged_indifference_reward(params: GameParams, p: float) -> float:

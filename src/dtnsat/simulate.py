@@ -34,7 +34,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .model import EXACT, GameParams, _payoffs, relay_failure_probability, total_energy
+from .model import GameParams, delivery_share, relay_failure_probability, relay_payoffs, \
+    total_energy
 
 MODEL = "model"
 PHYSICAL = "physical"
@@ -119,9 +120,9 @@ def _score_relays(params: GameParams, q: float, cost: float, accepted: np.ndarra
                   reward: float) -> np.ndarray:
     # acceptors share a cohort of n_accept; a decliner is scored as one more
     n_accept = int(accepted.sum())
-    pay_accept = (_payoffs(reward, n_accept, q ** n_accept, params, EXACT, cost)[0]
+    pay_accept = (relay_payoffs(reward, delivery_share(n_accept, q), cost, params)[0]
                   if n_accept else 0.0)
-    pay_reject = _payoffs(reward, n_accept + 1, q ** (n_accept + 1), params, EXACT, cost)[1]
+    pay_reject = relay_payoffs(reward, delivery_share(n_accept + 1, q), cost, params)[1]
     return np.where(accepted, pay_accept, pay_reject)
 
 

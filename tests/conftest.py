@@ -1,7 +1,7 @@
 import pytest
 
-from dtnsat.model import ContactModel, EnergyModel, GameParams, relay_failure_probability, \
-    relay_payoffs
+from dtnsat.model import ContactModel, EnergyModel, GameParams, delivery_share, \
+    relay_failure_probability, relay_payoffs, total_energy
 
 
 def make_params(n=7, delta=0.21, lam=0.015, tau=100.0, sigma=0.2, gamma=0.15,
@@ -13,9 +13,9 @@ def make_params(n=7, delta=0.21, lam=0.015, tau=100.0, sigma=0.2, gamma=0.15,
 
 
 def cohort_payoffs(alpha, cohort, params):
-    """EXACT (accept, reject) payoffs of a relay in a caching cohort."""
+    """The game's (accept, reject) payoffs of a relay in a caching cohort."""
     q = relay_failure_probability(params.contact)
-    return relay_payoffs(alpha, cohort, q ** cohort, params)
+    return relay_payoffs(alpha, delivery_share(cohort, q), total_energy(params), params)
 
 
 @pytest.fixture

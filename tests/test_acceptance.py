@@ -19,6 +19,7 @@ from typing import NamedTuple
 
 from dtnsat.equilibrium import (
     mixed_relay_payoffs,
+    mse_reward,
     pareto_grid_scan,
     pure_indifference_gap,
     satisfaction_region,
@@ -28,7 +29,6 @@ from dtnsat.equilibrium import (
 )
 from dtnsat.learning import Trajectory, run_coupled
 from dtnsat.model import (
-    EXACT,
     delivery_share,
     delivery_share_bruteforce,
     expected_relay_utility_mixed,
@@ -37,6 +37,7 @@ from dtnsat.model import (
     relay_payoffs,
     tagged_indifference_reward,
     tagged_payoffs,
+    total_energy,
 )
 from dtnsat.simulate import estimate_delivery, estimate_relay_utility
 from conftest import make_params
@@ -65,19 +66,19 @@ def best_switch(params, alpha, cohort) -> Switch:
     """The most profitable one-relay switch from a terminal play.
 
     ``cohort`` relays accept and the payoff is the one the episode feed pays
-    (EXACT model, miss ``q**cohort``).  The simulator scores a decliner as
+    (``relay_payoffs`` at ``delivery_share(cohort, q)``).  The simulator scores a decliner as
     one more acceptor, so an acceptor that declines is compared at
     ``cohort`` and a decliner that accepts at ``cohort + 1``.  A gain <= 0
     means every relay best-responds.
     """
-    q = relay_failure_probability(params.contact)
+    q, cost = relay_failure_probability(params.contact), total_energy(params)
     options = []
     if cohort >= 1:
-        accept, reject = relay_payoffs(alpha, cohort, q ** cohort, params, EXACT)
+        accept, reject = relay_payoffs(alpha, delivery_share(cohort, q), cost, params)
         options.append(Switch(reject - accept, accept, reject, "declining"))
     if cohort < params.n:
-        accept, reject = relay_payoffs(alpha, cohort + 1, q ** (cohort + 1),
-                                       params, EXACT)
+        accept, reject = relay_payoffs(alpha, delivery_share(cohort + 1, q), cost,
+                                       params)
         options.append(Switch(accept - reject, reject, accept, "accepting"))
     return max(options)
 
@@ -107,18 +108,18 @@ def learned_plays(params, horizon, seeds):
 def decline_estimates(traj, params):
     """Replay each relay's decline-payoff estimate over an episode-fed run.
 
-    The episode feed pays every acceptor the EXACT accept payoff at the
-    realized cohort, so a fed value that differs from it marks a decline,
+    The episode feed pays every acceptor the ``relay_payoffs`` accept payoff
+    at the realized cohort, so a fed value that differs from it marks a decline,
     and only then does the estimate move by ``1/(1+k)**0.6``, as in
     ``_relay_update``.  Returns the estimates after the last iteration and the
     number of declines, per relay.
     """
-    q = relay_failure_probability(params.contact)
+    q, cost = relay_failure_probability(params.contact), total_energy(params)
     estimates = [0.0] * params.n
     declines = [0] * params.n
     for k, alpha, cohort, fed in zip(traj.steps, traj.alpha, traj.n_accept,
                                      traj.utilities):
-        pay_accept = (relay_payoffs(alpha, cohort, q ** cohort, params, EXACT)[0]
+        pay_accept = (relay_payoffs(alpha, delivery_share(cohort, q), cost, params)[0]
                       if cohort else None)
         for i, u in enumerate(fed):
             if u != pay_accept:
@@ -185,17 +186,19 @@ def test_criterion_05_reward_and_acceptance_trends_in_lifetime_and_rate():
     checks = []
     # trends in tau at each lambda, over the feasible region
     for lam in lambdas:
-        series = [(solve_mse(make_params(lam=lam, tau=t)), t) for t in taus]
-        feas = [(sol.p_min, sol.alpha_of_p(sol.p_min))
-                for sol, _ in series if sol.feasible]
+        series = [(solve_mse(params), params)
+                  for params in (make_params(lam=lam, tau=t) for t in taus)]
+        feas = [(sol.p_min, mse_reward(params, sol.p_min))
+                for sol, params in series if sol.feasible]
         p_ok = all(a >= b - 1e-12 for (a, _), (b, _) in zip(feas, feas[1:]))
         a_ok = all(a >= b - 1e-12 for (_, a), (_, b) in zip(feas, feas[1:]))
         checks.append((f"p_min non-increasing in tau @lam={lam}", p_ok))
         checks.append((f"reward non-increasing in tau @lam={lam}", a_ok))
     # trends in lambda at a fixed feasible tau
-    sols = [solve_mse(make_params(lam=lam, tau=100.0)) for lam in lambdas]
+    points = [make_params(lam=lam, tau=100.0) for lam in lambdas]
+    sols = [solve_mse(params) for params in points]
     p_seq = [s.p_min for s in sols]
-    a_seq = [s.alpha_of_p(s.p_min) for s in sols]
+    a_seq = [mse_reward(params, s.p_min) for params, s in zip(points, sols)]
     checks.append(("p_min non-increasing in lambda",
                    all(a >= b - 1e-12 for a, b in zip(p_seq, p_seq[1:]))))
     checks.append(("reward non-increasing in lambda",
@@ -205,7 +208,7 @@ def test_criterion_05_reward_and_acceptance_trends_in_lifetime_and_rate():
     end_sols = [solve_mse(params) for params in ends]
     shares = [(1.0 - (1.0 - s.z_star) ** params.n) / params.n
               for params, s in zip(ends, end_sols)]
-    reduced = [s.alpha_of_p(s.p_min) for s in end_sols]
+    reduced = [mse_reward(params, s.p_min) for params, s in zip(ends, end_sols)]
     tagged = [tagged_indifference_reward(params, s.p_min)
               for params, s in zip(ends, end_sols)]
     report(5, not failed,

@@ -92,7 +92,7 @@ class TestSolvePse:
             assert math.isfinite(alpha) and alpha > 0.0
             assert pure_indifference_gap(alpha, m, params) == pytest.approx(0.0, abs=1e-12)
         mse = solve_mse(params)
-        alpha = mse.alpha_of_p(mse.p_min)
+        alpha = mse_reward(params, mse.p_min)
         assert mixed_indifference_gap(alpha, mse.p_min, params) == pytest.approx(0.0, abs=1e-12)
 
     def test_exact_integer_bound_not_bumped(self):
@@ -131,7 +131,8 @@ class TestSolveMse:
         sol = solve_mse(base_params)
         for i in range(7):
             p = sol.p_min + (1.0 - sol.p_min) * i / 6
-            assert abs(mixed_indifference_gap(sol.alpha_of_p(p), p, base_params)) <= 1e-9
+            assert abs(mixed_indifference_gap(mse_reward(base_params, p), p,
+                                              base_params)) <= 1e-9
 
     @pytest.mark.parametrize("n", [7, 64])
     def test_vanishing_delta_reward_balances(self, n):
@@ -139,9 +140,12 @@ class TestSolveMse:
         # it left the reward of about 1e299 with a gap of gamma - sigma - cost
         params = make_params(delta=1e-300, n=n)
         sol = solve_mse(params)
-        alpha = sol.alpha_of_p(sol.p_min)
+        alpha = mse_reward(params, sol.p_min)
         assert math.isfinite(alpha) and alpha > 1e298
         assert mixed_indifference_gap(alpha, sol.p_min, params) == pytest.approx(0.0, abs=1e-12)
+
+    def test_solutions_compare_equal(self, base_params):
+        assert solve_mse(base_params) == solve_mse(base_params)
 
     def test_single_relay_boundary(self):
         params = make_params(n=1)

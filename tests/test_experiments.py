@@ -457,3 +457,46 @@ class TestCli:
                  if not line.startswith("#")]
         row = dict(zip(lines[0].split(","), lines[1].split(",")))
         assert float(row["delivery_mean"]) == 0.0
+
+
+def run_cli(mode, config, tmp_path, capsys):
+    """(metadata dict, data lines) of one CLI run on ``config`` text."""
+    cfg = tmp_path / f"{mode}.cfg"
+    cfg.write_text(config)
+    assert main([mode, "--config", str(cfg)]) == 0, capsys.readouterr().err
+    lines = capsys.readouterr().out.splitlines()
+    meta = dict(line[2:].split(" = ", 1) for line in lines if line.startswith("# "))
+    return meta, [line for line in lines if not line.startswith("#")]
+
+
+class TestDegeneratePoints:
+    # lambda = 0, 5e-324 and 1e-320 give q = 1: no relay ever delivers
+    DEGENERATE = "sweep.var = lambda\nsweep.values = 0.015,0,5e-324,1e-320\n"
+    LAMBDAS = ("0", "4.94065645841e-324", "9.99988867183e-321")
+
+    @pytest.mark.parametrize("mode,marked", [
+        ("solve-mse", "inf,nan,0,0"),
+        ("solve-ese", "inf,nan,nan,0"),
+        ("solve-pse", "nan,nan,0,inf,0")])
+    def test_lambda_sweep_marks_its_rows(self, mode, marked, tmp_path, capsys):
+        _, lines = run_cli(mode, self.DEGENERATE, tmp_path, capsys)
+        _, good = run_cli(mode, "sweep.var = lambda\nsweep.values = 0.015\n",
+                          tmp_path, capsys)
+        assert lines[:len(good)] == good
+        assert lines[len(good):] == [f"{lam},{marked}" for lam in self.LAMBDAS]
+
+    def test_cohort_beyond_the_fleet_marks_its_row(self, tmp_path, capsys):
+        # delta = 0.99 needs a cohort of 4: n = 2 has no pure candidate
+        _, lines = run_cli("solve-pse", "delta = 0.99\nsweep.var = n\n"
+                           "sweep.values = 2,4\n", tmp_path, capsys)
+        assert lines == ["n,n_a,alpha_star,clamped,n_a_min,feasible",
+                         "2,nan,nan,0,4,0", "4,4,0.004274611442,0,4,1"]
+
+    @pytest.mark.parametrize("lam,threshold,row", [
+        ("0.015", "0.015", "0.015,0.998460083222,1"),
+        ("0.0001", "none", "0.0001,0.000692834847745,0")])
+    def test_one_value_region_sweep(self, lam, threshold, row, tmp_path, capsys):
+        meta, lines = run_cli("region", f"sweep.var = lambda\nsweep.values = {lam}\n",
+                              tmp_path, capsys)
+        assert lines == ["lambda,delivery,satisfied", row]
+        assert meta["threshold"] == threshold

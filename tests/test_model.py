@@ -6,8 +6,6 @@ import numpy as np
 import pytest
 
 from dtnsat.model import (
-    EXACT,
-    REDUCED,
     ContactModel,
     DegenerateRateError,
     EmptyCohortError,
@@ -20,9 +18,9 @@ from dtnsat.model import (
     expected_source_utility_mixed,
     per_relay_success,
     reduced_cooperation_cost,
+    reduced_payoffs,
     relay_failure_probability,
     relay_payoffs,
-    source_utility,
     storage_energy,
     tagged_indifference_reward,
     tagged_payoffs,
@@ -136,20 +134,25 @@ class TestTotalEnergy:
 
 
 class TestRelayPayoffs:
-    @pytest.mark.parametrize("model", [EXACT, REDUCED])
-    def test_arrays_match_scalar_calls_exactly(self, base_params, model):
+    def test_arrays_match_scalar_calls_exactly(self, base_params):
+        q = relay_failure_probability(base_params.contact)
+        cost = total_energy(base_params)
+        shares = [delivery_share(c, q) for c in range(1, base_params.n + 1)]
+        accept, reject = relay_payoffs(1.3, np.array(shares), cost, base_params)
+        for i, share in enumerate(shares):
+            assert (accept[i], reject[i]) == relay_payoffs(1.3, share, cost, base_params)
+
+
+class TestReducedPayoffs:
+    def test_arrays_match_scalar_calls_exactly(self, base_params):
         q = relay_failure_probability(base_params.contact)
         cohorts = range(1, base_params.n + 1)
         misses = [q ** c for c in cohorts]
-        accept, reject = relay_payoffs(1.3, np.array(cohorts), np.array(misses),
-                                       base_params, model)
-        for i, (c, miss) in enumerate(zip(cohorts, misses)):
-            assert (accept[i], reject[i]) == relay_payoffs(1.3, c, miss,
-                                                           base_params, model)
-
-    def test_unknown_model_rejected(self, base_params):
-        with pytest.raises(ValueError, match="model"):
-            relay_payoffs(1.0, 2, 0.5, base_params, "approximate")
+        successes = [1.0 - miss for miss in misses]
+        accept, reject = reduced_payoffs(1.3, np.array(cohorts), np.array(successes),
+                                         np.array(misses), base_params)
+        for i, args in enumerate(zip(cohorts, successes, misses)):
+            assert (accept[i], reject[i]) == reduced_payoffs(1.3, *args, base_params)
 
 
 class TestZeroRateLimits:
@@ -165,6 +168,23 @@ class TestZeroRateLimits:
         assert reduced_cooperation_cost(make_params(lam=0.0, tau=1.0)) == \
             pytest.approx(reduced_cooperation_cost(make_params(lam=1e-9, tau=1.0)),
                           rel=1e-9)
+
+
+class TestReducedCooperationCost:
+    @pytest.mark.parametrize("lam,tau", [(5e-324, 100.0), (1e-320, 100.0),
+                                         (1e-315, 100.0), (5e-324, 0.1)])
+    def test_subnormal_rate_matches_decimal(self, lam, tau):
+        # e*(1 - q) leaves the normal range before the division by lam;
+        # 60-digit series of (1 - exp(-x))/lam from the binary inputs
+        params = make_params(lam=lam, tau=tau)
+        with localcontext() as ctx:
+            ctx.prec = 60
+            lam_d, tau_d = Decimal(lam), Decimal(tau)
+            x = lam_d * tau_d
+            stored = tau_d * sum((-x) ** k / math.factorial(k + 1) for k in range(6))
+            want = (Decimal(params.energy.e_receive) + Decimal(params.energy.e_transmit)
+                    + Decimal(params.energy.e_store) * stored)
+        assert abs(reduced_cooperation_cost(params) / float(want) - 1.0) <= 1e-12
 
 
 class TestDeliveryShare:
@@ -236,26 +256,6 @@ class TestRelayUtilities:
         assert abs(gap) < 1e-3
 
 
-class TestSourceUtility:
-    def test_nobody_caches(self):
-        assert source_utility(0, 0.3) == 0.0
-
-    def test_single_relay(self):
-        assert source_utility(1, 0.223130) == pytest.approx(0.776870, abs=1e-9)
-
-    def test_certain_delivery(self):
-        for m in (1, 4, 9):
-            assert source_utility(m, 0.0) == 1.0
-
-    def test_equals_cohort_times_share(self):
-        for m in range(1, 15):
-            assert source_utility(m, 0.4) == m * delivery_share(m, 0.4)
-
-    def test_strictly_increasing_in_cohort(self):
-        values = [source_utility(m, 0.6) for m in range(1, 21)]
-        assert all(a < b for a, b in zip(values, values[1:]))
-
-
 class TestMixedSourceUtility:
     def test_zero_acceptance(self, base_params):
         assert expected_source_utility_mixed(0.0, base_params) == 0.0
@@ -318,14 +318,13 @@ class TestMixedRelayUtility:
 
 
 def binomial_tagged_payoffs(alpha, p, params):
-    """Oracle: EXACT (accept, reject) payoffs mixed term by term over the
+    """Oracle: the game's (accept, reject) payoffs mixed term by term over the
     binomial count k of accepting opponents, at cohort k+1."""
     n = params.n
-    q = relay_failure_probability(params.contact)
     accept = reject = 0.0
     for k in range(n):
         weight = math.comb(n - 1, k) * p ** k * (1.0 - p) ** (n - 1 - k)
-        u_accept, u_reject = relay_payoffs(alpha, k + 1, q ** (k + 1), params, EXACT)
+        u_accept, u_reject = cohort_payoffs(alpha, k + 1, params)
         accept += weight * u_accept
         reject += weight * u_reject
     return accept, reject
@@ -334,11 +333,10 @@ def binomial_tagged_payoffs(alpha, p, params):
 def binomial_mixed_utility(p, alpha, params):
     """Oracle for expected_relay_utility_mixed: the binomial-sum loop."""
     n = params.n
-    q = relay_failure_probability(params.contact)
     total = 0.0
     for k in range(n):
         weight = math.comb(n - 1, k) * p ** k * (1.0 - p) ** (n - 1 - k)
-        u_accept, u_reject = relay_payoffs(alpha, k + 1, q ** (k + 1), params, EXACT)
+        u_accept, u_reject = cohort_payoffs(alpha, k + 1, params)
         total += weight * (p * u_accept + (1.0 - p) * u_reject)
     return total
 
@@ -443,7 +441,8 @@ def test_operations_are_pure(base_params):
         (contact_probability, (base_params.contact,)),
         (storage_energy, (base_params,)),
         (delivery_share, (5, 0.37)),
-        (relay_payoffs, (1.2, 4, q ** 4, base_params)),
+        (relay_payoffs, (1.2, delivery_share(4, q), total_energy(base_params), base_params)),
+        (reduced_payoffs, (1.2, 4, 1.0 - q ** 4, q ** 4, base_params)),
         (expected_relay_utility_mixed, (0.3, 1.2, base_params)),
         (expected_source_utility_mixed, (0.3, base_params)),
     ]

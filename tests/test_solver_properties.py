@@ -6,7 +6,7 @@ import math
 
 from hypothesis import given, settings, strategies as st
 
-from dtnsat.equilibrium import solve_ese, solve_mse, solve_pse
+from dtnsat.equilibrium import mse_reward, solve_ese, solve_mse, solve_pse
 from dtnsat.model import expected_relay_utility_mixed, total_energy
 from conftest import make_params
 
@@ -18,10 +18,10 @@ DELTAS = st.one_of(st.just(1e-300),
 FLEETS = st.integers(min_value=1, max_value=64)
 
 
-def finite_or_typed(solve, params):
+def finite_or_typed(solve, *args):
     """The solver's result, or None when it raised a typed error."""
     try:
-        return solve(params)
+        return solve(*args)
     except ValueError as exc:
         # ZeroDivisionError and OverflowError are no ValueError: they propagate
         assert type(exc) is not ValueError, exc
@@ -46,7 +46,7 @@ def test_solvers_are_total_over_the_box(lam, tau, delta, n):
     if mse is not None:
         assert all_finite(mse.p_min, mse.z_star) and 0.0 < mse.p_min
         if mse.feasible:
-            alpha = finite_or_typed(mse.alpha_of_p, mse.p_min)
+            alpha = finite_or_typed(mse_reward, params, mse.p_min)
             assert alpha is None or math.isfinite(alpha)
 
     ese = finite_or_typed(solve_ese, params)
