@@ -376,9 +376,7 @@ def _run_learn(config: ScenarioConfig) -> ResultTable:
         raise ConfigError("learn mode does not support sweeps; run one scenario per file")
     traj = run_coupled(config.params, config.horizon, config.seed, feed=config.feed,
                        contact_mode=config.contact_mode, alpha0=config.alpha0)
-    return ResultTable(tuple(traj.csv_header()),
-                       tuple(tuple(r) for r in traj.csv_rows()),
-                       _metadata(config))
+    return ResultTable(tuple(traj.csv_header()), traj.csv_rows(), _metadata(config))
 
 
 def _run_simulate(config: ScenarioConfig) -> ResultTable:

@@ -13,20 +13,21 @@ moves by 1/(1+k), a relay's estimate by 1/(1+k)**0.6 and its strategy by
 0.1, and every accept probability stays in [PROB_FLOOR, 1 - PROB_FLOOR].
 
 ``run_coupled`` wires both to the episode simulator, stepping all relays
-at once with one elementwise update.
-Relay payoffs can be fed two ways:
+at once with one elementwise update; iteration i reads window i of the
+simulator's stream.  Relay payoffs can be fed two ways:
 
 ``episode``
     Each relay is paid its realized per-episode utility from the simulator
     (share-weighted payoff at the realized cohort).  Default.  With the
     reference constants the learned reward settles on the zero clamp with
-    every relay accepting.  At n = 3 that is an equilibrium of this payoff:
-    in the full cohort at reward 0, accepting pays 0.0148 more than
+    nearly every relay accepting.  At n = 3 that is an equilibrium of this
+    payoff: in the full cohort at reward 0, accepting pays 0.0148 more than
     declining.  At n = 7 it is not: declining pays -0.1500 against -0.1726
-    for accepting.  The relays stay because a relay held at accept
-    probability 1 - PROB_FLOOR rarely declines (8 to 46 times in 5000 steps
-    over seeds 0-19), so its decline estimate keeps the low payoffs of the
-    early high-reward iterations (-0.76 to -0.19 at step 5000).
+    for accepting.  Over seeds 0-19, 139 of the 140 relays stay at accept
+    probability 1 - PROB_FLOOR (the other falls to PROB_FLOOR) and rarely
+    decline there (7 to 37 times in 5000 steps), so their decline estimates
+    keep the low payoffs of the early high-reward iterations (-0.73 to
+    -0.20 at step 5000).
 
 ``mean-field``
     Each relay is paid the reduced-model accept/reject payoff evaluated at
@@ -35,7 +36,7 @@ Relay payoffs can be fed two ways:
     :func:`dtnsat.equilibrium.solve_ese` (see the fixed-point tests), but
     the stochastic dynamics do not settle there: at the reference scenario
     with horizon 5000, seeds 0-5 all end with the reward at the zero clamp
-    and mean accept probabilities between 0.57 and 0.999.
+    and mean accept probabilities between 0.0012 and 0.999.
 """
 from __future__ import annotations
 
@@ -47,14 +48,18 @@ import numpy as np
 
 from .equilibrium import mixed_relay_payoffs
 from .model import GameParams, relay_failure_probability, total_energy
-from .simulate import MODEL, _race, _score_relays
+from .simulate import MODEL, _contacts, _draw, _score_relays, _window, episode_rng
 
-# |exponent| cap for the multiplicative strategy rule
-_EXP_CLAMP = 50.0
+# iterations whose stream windows are drawn at once
+_BLOCK = 256
 # every accept probability stays in [PROB_FLOOR, 1 - PROB_FLOOR]
 PROB_FLOOR = 1e-3
-# log(1 + l) of the strategy step l = 0.1, the same for both actions
-_LOG_STRATEGY_STEP = math.log1p(0.1)
+# The relay update's constants as 0-d arrays, since numpy converts a Python
+# float operand on every call (a fifth of the update's cost at n = 7): log(1 + l)
+# of the strategy step l = 0.1, the |exponent| cap of the ratio rule, the floor.
+_LOG_STRATEGY_STEP = np.array(math.log1p(0.1))
+_EXP_LO, _EXP_HI = np.array(-50.0), np.array(50.0)
+_P_LO, _P_HI = np.array(PROB_FLOOR), np.array(1.0 - PROB_FLOOR)
 
 
 def _source_update(alpha: float, estimate: float, target: float, alpha_max: float,
@@ -88,19 +93,21 @@ def _relay_update(p: np.ndarray, est_a: np.ndarray, est_r: np.ndarray, utility: 
     finite = np.isfinite(utility)
     if not finite.all():
         raise ValueError(f"realized utility must be finite, got {utility[~finite][0]}")
-    est_a = np.where(accepted, est_a + m * (utility - est_a), est_a)
-    est_r = np.where(accepted, est_r, est_r + m * (utility - est_r))
+    played = np.where(accepted, est_a, est_r)
+    played += m * (utility - played)
+    est_a = np.where(accepted, played, est_a)
+    est_r = np.where(accepted, est_r, played)
 
     t_a = _clamp(est_a * _LOG_STRATEGY_STEP)
     t_r = _clamp(est_r * _LOG_STRATEGY_STEP)
-    ratio = np.array([math.exp(x) for x in _clamp(t_r - t_a).tolist()])
+    ratio = np.fromiter(map(math.exp, _clamp(t_r - t_a).tolist()), float, len(p))
     # p' = p e^{t_a} / (p e^{t_a} + (1-p) e^{t_r}), stable form
     new_p = 1.0 / (1.0 + (1.0 - p) / p * ratio)
-    return np.minimum(np.maximum(new_p, PROB_FLOOR), 1.0 - PROB_FLOOR), est_a, est_r
+    return np.minimum(np.maximum(new_p, _P_LO), _P_HI), est_a, est_r
 
 
 def _clamp(x: np.ndarray) -> np.ndarray:
-    return np.minimum(np.maximum(x, -_EXP_CLAMP), _EXP_CLAMP)
+    return np.minimum(np.maximum(x, _EXP_LO), _EXP_HI)
 
 
 EPISODE = "episode"
@@ -129,13 +136,10 @@ class Trajectory:
                 + [f"p_{i + 1}" for i in range(self.n)]
                 + ["n_accept", "delivered"])
 
-    def csv_rows(self) -> list[list[float]]:
-        rows = []
-        for i, k in enumerate(self.steps):
-            rows.append([k, self.alpha[i], self.u_s_est[i],
-                         *self.accept_probs[i],
-                         self.n_accept[i], int(self.delivered[i])])
-        return rows
+    def csv_rows(self) -> tuple[tuple[float, ...], ...]:
+        columns = zip(self.steps, self.alpha, self.u_s_est, self.accept_probs,
+                      self.n_accept, self.delivered)
+        return tuple((k, a, u, *probs, m, int(d)) for k, a, u, probs, m, d in columns)
 
 
 def run_coupled(params: GameParams, horizon: int, seed: int,
@@ -148,9 +152,9 @@ def run_coupled(params: GameParams, horizon: int, seed: int,
     action, one episode realizes contacts and delivery, relay payoffs are
     fed back per the chosen feed, and the delivery indicator updates the
     source.  Relay state is three length-n arrays (accept probability and
-    the two estimates), bit-identical to stepping ``simulate_episode`` and
-    then each relay and the source in turn.  Identical seeds give identical
-    trajectories.
+    the two estimates), bit-identical to stepping ``simulate_episode`` on
+    window i of the ``seed`` stream, then each relay and the source in
+    turn.  A shorter run is a prefix of a longer one with the same seed.
     """
     if feed not in _FEEDS:
         raise ValueError(f"feed must be one of {_FEEDS}, got {feed!r}")
@@ -159,41 +163,43 @@ def run_coupled(params: GameParams, horizon: int, seed: int,
     if alpha0 is None:
         alpha0 = params.alpha_max / 2.0
     n = params.n
+    rng = episode_rng(seed, 0, n)
     alpha, estimate = alpha0, 0.0
     p, est_a, est_r = np.full(n, 0.5), np.zeros(n), np.zeros(n)
     q, cost = relay_failure_probability(params.contact), total_energy(params)
-    lam, never = params.contact.lam, np.full((2, n), np.inf)
     alphas, estimates = np.empty((2, horizon))
     probs, fed = np.empty((2, horizon, n))
     n_accept = np.empty(horizon, dtype=int)
     delivered = np.empty(horizon, dtype=bool)
-    # one sequential stream per run; each iteration draws n flips, then n
-    # source and n destination unit exponentials (none at lam = 0)
-    rng = np.random.default_rng(np.random.SeedSequence((seed, 0)))
 
-    for i in range(horizon):
-        k = i + 1
-        alphas[i] = alpha
-        probs[i] = p
-        flips = rng.random(n)
-        exps = rng.standard_exponential((2, n)) if lam > 0 else never
-        accepted, success = _race(params, p, flips, exps[0], exps[1], contact_mode)
-        if feed == EPISODE:
-            fed[i] = _score_relays(params, q, cost, accepted, alpha)
-        else:
-            # a sequential sum, as over a list; np.sum pairs terms and can
-            # differ in the last bit from n = 8 on
-            fed[i] = np.where(accepted, *mixed_relay_payoffs(alpha, sum(p.tolist()) / n, params))
-        p, est_a, est_r = _relay_update(p, est_a, est_r, fed[i], accepted,
-                                        1.0 / (1.0 + k) ** 0.6)
-        delivered[i] = success.any()
-        alpha, estimate = _source_update(alpha, estimate, params.delta, params.alpha_max,
-                                         float(delivered[i]), 1.0 / (1.0 + k))
-        estimates[i] = estimate
-        n_accept[i] = accepted.sum()
+    for start in range(0, horizon, _BLOCK):
+        # iteration i reads window i, so a block is drawn ahead of the state
+        u = rng.random((min(_BLOCK, horizon - start), _window(n)))
+        flips, source_e, dest_e = _draw(params, u)
+        met, reach = _contacts(params, source_e, dest_e, contact_mode)
+        if met is not None:  # a relay the source did not meet cannot accept
+            flips = np.where(met, flips, np.inf)
+        for i, flip, can_deliver in zip(range(start, horizon), flips, reach):
+            k = i + 1
+            alphas[i] = alpha
+            probs[i] = p
+            accepted = flip < p
+            if feed == EPISODE:
+                fed[i] = _score_relays(params, q, cost, accepted, alpha)
+            else:
+                # a sequential sum, as over a list; np.sum pairs terms and can
+                # differ in the last bit from n = 8 on
+                fed[i] = np.where(accepted,
+                                  *mixed_relay_payoffs(alpha, sum(p.tolist()) / n, params))
+            p, est_a, est_r = _relay_update(p, est_a, est_r, fed[i], accepted,
+                                            1.0 / (1.0 + k) ** 0.6)
+            delivered[i] = np.count_nonzero(accepted & can_deliver)
+            alpha, estimate = _source_update(alpha, estimate, params.delta, params.alpha_max,
+                                             float(delivered[i]), 1.0 / (1.0 + k))
+            estimates[i] = estimate
+            n_accept[i] = np.count_nonzero(accepted)
 
-    return Trajectory(n=n, steps=list(range(1, horizon + 1)),
-                      alpha=alphas.tolist(), u_s_est=estimates.tolist(),
-                      accept_probs=list(map(tuple, probs.tolist())),
-                      utilities=list(map(tuple, fed.tolist())),
-                      n_accept=n_accept.tolist(), delivered=delivered.tolist())
+    return Trajectory(n=n, steps=list(range(1, horizon + 1)), alpha=alphas.tolist(),
+                      u_s_est=estimates.tolist(), accept_probs=list(map(tuple, probs.tolist())),
+                      utilities=list(map(tuple, fed.tolist())), n_accept=n_accept.tolist(),
+                      delivered=delivered.tolist())

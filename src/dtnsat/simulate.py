@@ -22,9 +22,10 @@ the accept flips, the next two n-slices become source and destination
 unit exponentials by inverse CDF, ``-log1p(-u)``, which the race compares
 with ``lambda * tau``, so an episode draws the same number of values at
 every rate (Salmon et al., "Parallel Random Numbers: As Easy as 1, 2, 3",
-SC'11).  An estimator walks one generator
-through the windows in trial order; a trial's result does not depend on
-evaluation order, and the same seed gives the same bytes.
+SC'11).  An estimator walks one generator through the windows in trial
+order; a trial's result does not depend on evaluation order, and the same
+seed gives the same bytes.  ``learn`` shares the stream: iteration ``i`` of
+:func:`dtnsat.learning.run_coupled` reads window ``i``.
 """
 from __future__ import annotations
 
@@ -90,7 +91,7 @@ def simulate_episode(params: GameParams, accept_probs: Sequence[float],
     accepted, success = _race(params, probs, *_draw(params, u), mode)
     utilities = _score_relays(params, relay_failure_probability(params.contact),
                               total_energy(params), accepted, reward)
-    return accepted, utilities, bool(success.any())
+    return accepted, utilities, bool(np.count_nonzero(success))
 
 
 def _draw(params: GameParams, u: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -101,25 +102,30 @@ def _draw(params: GameParams, u: np.ndarray) -> tuple[np.ndarray, ...]:
     return u[..., :n], exps[..., :n], exps[..., n:]
 
 
-def _race(params: GameParams, probs: np.ndarray, flips: np.ndarray,
-          source_e: np.ndarray, dest_e: np.ndarray, mode: str) -> tuple[np.ndarray, ...]:
-    """(accepted, success) arrays of one drawn episode.  A unit exponential E
-    gives the contact time E/lam, inside the lifetime when E < lam * tau;
-    strictly, so that lam = 0 meets nobody even at E = 0."""
+def _contacts(params: GameParams, source_e: np.ndarray, dest_e: np.ndarray,
+              mode: str) -> tuple[np.ndarray | None, np.ndarray]:
+    """(met, reach) masks of drawn contacts of any shape: the relays that may
+    accept (None in model mode: all) and those whose acceptance delivers.  A
+    unit exponential E gives the contact time E/lam, inside the lifetime when
+    E < lam * tau; strictly, so that lam = 0 meets nobody even at E = 0."""
     life = params.contact.lam * params.contact.tau
     if mode == MODEL:
-        accepted = flips < probs
-        success = accepted & (source_e < life) & (dest_e < life)
-    else:
-        accepted = (source_e < life) & (flips < probs)
-        success = accepted & (source_e + dest_e < life)
-    return accepted, success
+        return None, (source_e < life) & (dest_e < life)
+    return source_e < life, source_e + dest_e < life
+
+
+def _race(params: GameParams, probs: np.ndarray, flips: np.ndarray,
+          source_e: np.ndarray, dest_e: np.ndarray, mode: str) -> tuple[np.ndarray, ...]:
+    """(accepted, success) arrays of one drawn episode."""
+    met, reach = _contacts(params, source_e, dest_e, mode)
+    accepted = flips < probs if met is None else (flips < probs) & met
+    return accepted, accepted & reach
 
 
 def _score_relays(params: GameParams, q: float, cost: float, accepted: np.ndarray,
                   reward: float) -> np.ndarray:
     # acceptors share a cohort of n_accept; a decliner is scored as one more
-    n_accept = int(accepted.sum())
+    n_accept = int(np.count_nonzero(accepted))
     pay_accept = (relay_payoffs(reward, delivery_share(n_accept, q), cost, params)[0]
                   if n_accept else 0.0)
     pay_reject = relay_payoffs(reward, delivery_share(n_accept + 1, q), cost, params)[1]

@@ -387,6 +387,11 @@ class TestCli:
         assert main([mode, "--seed", "-1"]) == 1
         assert "seed must be >= 0" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("mode", ["simulate", "learn"])
+    def test_seed_beyond_the_philox_key_names_key(self, mode, capsys):
+        assert main([mode, "--seed", str(2 ** 128)]) == 1
+        assert "seed must be in [0, 2**128)" in capsys.readouterr().err
+
     def test_simulate_without_binding_equilibrium_needs_alpha(self, tmp_path,
                                                               capsys):
         cfg = tmp_path / "still.cfg"

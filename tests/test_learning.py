@@ -17,7 +17,7 @@ from dtnsat.learning import (
     run_coupled,
 )
 from dtnsat.model import relay_failure_probability, total_energy
-from dtnsat.simulate import MODEL, PHYSICAL, _race, _score_relays
+from dtnsat.simulate import MODEL, PHYSICAL, _draw, _race, _score_relays, _window, episode_rng
 from conftest import make_params
 
 
@@ -176,19 +176,12 @@ def scalar_replay(params, horizon, seed, feed, contact_mode):
     alpha, estimate = params.alpha_max / 2.0, 0.0
     relays = [(0.5, 0.0, 0.0)] * params.n
     traj = Trajectory(n=params.n)
-    rng = np.random.default_rng(np.random.SeedSequence((seed, 0)))
-    lam, n = params.contact.lam, params.n
+    n = params.n
     q, cost = relay_failure_probability(params.contact), total_energy(params)
     for k in range(1, horizon + 1):
         probs = [r[0] for r in relays]
-        # learn's own draw order: n flips, then n source and n destination
-        # unit exponentials, none at lam = 0
-        flips = rng.random(n)
-        if lam > 0:
-            source_e = rng.standard_exponential(n)
-            dest_e = rng.standard_exponential(n)
-        else:
-            source_e = dest_e = np.full(n, np.inf)
+        # iteration k - 1 reads its own window, from a fresh generator
+        flips, source_e, dest_e = _draw(params, episode_rng(seed, k - 1, n).random(_window(n)))
         accepted, success = _race(params, np.array(probs), flips, source_e, dest_e,
                                   contact_mode)
         delivered = bool(success.any())
@@ -227,6 +220,20 @@ class TestArrayStateEquivalence:
             assert getattr(got, name) == getattr(want, name), name
         assert [type(v) for v in got.alpha] == [type(v) for v in want.alpha]
         assert [type(v) for v in got.delivered] == [type(v) for v in want.delivered]
+
+
+class TestLearnStream:
+    @pytest.mark.parametrize("contact_mode", [MODEL, PHYSICAL])
+    @pytest.mark.parametrize("scenario", [dict(n=1), dict(n=7), dict(n=40), dict(lam=0.0)])
+    def test_short_runs_are_prefixes_across_block_boundaries(self, contact_mode, scenario):
+        params = make_params(**scenario)
+        block = learning._BLOCK
+        long = run_coupled(params, 3 * block + 5, seed=21, contact_mode=contact_mode)
+        for horizon in (1, block - 1, block, block + 1, 3 * block):
+            short = run_coupled(params, horizon, seed=21, contact_mode=contact_mode)
+            for name in ("alpha", "u_s_est", "accept_probs", "utilities", "n_accept",
+                         "delivered"):
+                assert getattr(short, name) == getattr(long, name)[:horizon], (horizon, name)
 
 
 def ratio_rule(p, est_a, est_r, u, accepted, m):
