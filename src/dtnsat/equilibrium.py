@@ -16,7 +16,7 @@ one, so the binding point is no relay equilibrium of the game.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from .model import (
@@ -112,7 +112,7 @@ class EseSolution:
     p_star: float
     alpha_star: float
     binding_delivery: float
-    alpha_clamped: bool = field(default=False)
+    alpha_clamped: bool
 
 
 def minimum_satisfying_cohort(params: GameParams) -> int:
@@ -275,19 +275,18 @@ def pareto_dominance_check(candidate_p: float, candidate_alpha: float,
                             dominates=weakly_both and strictly_one)
 
 
-def pareto_grid_scan(params: GameParams, ese: EseSolution,
-                     p_points: int = 101, alpha_points: int = 101
+def pareto_grid_scan(params: GameParams, ese: EseSolution
                      ) -> list[tuple[float, float, DominanceVerdict]]:
-    """Evaluate dominance on an even grid over [0,1] x [0,alpha_max].
+    """Evaluate dominance on the even 101x101 grid over [0,1] x [0,alpha_max].
 
     Returns the dominating candidates (empty means the binding equilibrium
     sits on the grid's Pareto frontier).
     """
     dominators = []
-    for i in range(p_points):
-        p = i / (p_points - 1)
-        for j in range(alpha_points):
-            a = params.alpha_max * j / (alpha_points - 1)
+    for i in range(101):
+        p = i / 100
+        for j in range(101):
+            a = params.alpha_max * j / 100
             verdict = pareto_dominance_check(p, a, ese, params)
             if verdict.dominates:
                 dominators.append((p, a, verdict))

@@ -11,6 +11,8 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
+import numpy as np
+
 from . import __version__
 from .equilibrium import (
     DegenerateContactError,
@@ -28,8 +30,6 @@ from .model import ContactModel, EnergyModel, GameParams, \
     expected_source_utility_mixed, with_param
 from .simulate import MODEL, PHYSICAL, estimate_delivery, estimate_relay_utility
 
-MODES = ("solve-pse", "solve-mse", "solve-ese", "region", "learn", "simulate",
-         "pareto-grid")
 SWEEP_VARS = ("tau", "lambda", "n", "delta", "p")
 
 
@@ -284,15 +284,10 @@ def run_scenario(config: ScenarioConfig) -> ResultTable:
     """Dispatch on the mode and evaluate it over the sweep grid."""
     if config.mode not in MODES:
         raise ConfigError(f"mode must be one of {MODES}, got {config.mode!r}")
-    runner = {
-        "solve-pse": _run_solve_pse,
-        "solve-mse": _run_solve_mse,
-        "solve-ese": _run_solve_ese,
-        "region": _run_region,
-        "learn": _run_learn,
-        "simulate": _run_simulate,
-        "pareto-grid": _run_pareto_grid,
-    }[config.mode]
+    runner, sweeps = _MODE_TABLE[config.mode]
+    if config.sweep is not None and config.sweep.var not in sweeps:
+        raise ConfigError(f"mode {config.mode} does not sweep sweep.var = {config.sweep.var}; "
+                          f"it sweeps {', '.join(sweeps) or 'nothing'}")
     try:
         return runner(config)
     except ConfigError:
@@ -356,7 +351,7 @@ def _run_solve_ese(config: ScenarioConfig) -> ResultTable:
 
 
 def _run_region(config: ScenarioConfig) -> ResultTable:
-    if config.sweep is None or config.sweep.var not in ("tau", "lambda"):
+    if config.sweep is None:
         raise ConfigError("region mode needs a sweep over tau or lambda")
     rows = []
     for lead, params, p in _sweep_points(config):
@@ -372,18 +367,19 @@ def _run_region(config: ScenarioConfig) -> ResultTable:
 
 
 def _run_learn(config: ScenarioConfig) -> ResultTable:
-    if config.sweep is not None:
-        raise ConfigError("learn mode does not support sweeps; run one scenario per file")
     traj = run_coupled(config.params, config.horizon, config.seed, feed=config.feed,
                        contact_mode=config.contact_mode, alpha0=config.alpha0)
-    return ResultTable(tuple(traj.csv_header()), traj.csv_rows(), _metadata(config))
+    columns = ("k", "alpha", "u_s_est", *(f"p_{i + 1}" for i in range(config.params.n)),
+               "n_accept", "delivered")
+    # one float row type: %.12g prints the integer columns as %d would
+    rows = np.column_stack((np.arange(1, config.horizon + 1), traj.alpha, traj.u_s_est,
+                            traj.accept_probs, traj.n_accept, traj.delivered)).tolist()
+    return ResultTable(columns, tuple(rows), _metadata(config))
 
 
 def _run_simulate(config: ScenarioConfig) -> ResultTable:
     columns = ["p", "delivery_mean", "delivery_se", "relay_utility_mean",
                "relay_utility_se", "trials"]
-    if config.sweep is not None and config.sweep.var != "p":
-        raise ConfigError("simulate mode sweeps only p")
     rows = []
     for _, params, p in _sweep_points(config):
         reward = config.alpha
@@ -410,3 +406,17 @@ def _run_pareto_grid(config: ScenarioConfig) -> ResultTable:
              "dominating_points": str(len(dominators))}
     return ResultTable(("p", "alpha", "source_margin_delta", "relay_utility_delta"),
                        tuple(dominators), _metadata(config, extra))
+
+
+# every mode: its runner and the sweep variables it honours
+_SOLVE_SWEEPS = ("tau", "lambda", "n", "delta")
+_MODE_TABLE = {
+    "solve-pse": (_run_solve_pse, _SOLVE_SWEEPS),
+    "solve-mse": (_run_solve_mse, _SOLVE_SWEEPS),
+    "solve-ese": (_run_solve_ese, _SOLVE_SWEEPS),
+    "region": (_run_region, ("tau", "lambda")),
+    "learn": (_run_learn, ()),
+    "simulate": (_run_simulate, ("p",)),
+    "pareto-grid": (_run_pareto_grid, ()),
+}
+MODES = tuple(_MODE_TABLE)

@@ -41,7 +41,7 @@ simulator's stream.  Relay payoffs can be fed two ways:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -115,31 +115,17 @@ MEAN_FIELD = "mean-field"
 _FEEDS = (EPISODE, MEAN_FIELD)
 
 
-@dataclass
+@dataclass(frozen=True)
 class Trajectory:
-    """Per-iteration record of one coupled run."""
+    """The arrays one coupled run fills, row k - 1 for step k: (H, n) for
+    ``accept_probs`` and ``utilities``, (H,) for the rest."""
 
-    n: int
-    steps: list[int] = field(default_factory=list)
-    alpha: list[float] = field(default_factory=list)
-    u_s_est: list[float] = field(default_factory=list)
-    accept_probs: list[tuple[float, ...]] = field(default_factory=list)
-    utilities: list[tuple[float, ...]] = field(default_factory=list)
-    n_accept: list[int] = field(default_factory=list)
-    delivered: list[bool] = field(default_factory=list)
-
-    def __len__(self) -> int:
-        return len(self.steps)
-
-    def csv_header(self) -> list[str]:
-        return (["k", "alpha", "u_s_est"]
-                + [f"p_{i + 1}" for i in range(self.n)]
-                + ["n_accept", "delivered"])
-
-    def csv_rows(self) -> tuple[tuple[float, ...], ...]:
-        columns = zip(self.steps, self.alpha, self.u_s_est, self.accept_probs,
-                      self.n_accept, self.delivered)
-        return tuple((k, a, u, *probs, m, int(d)) for k, a, u, probs, m, d in columns)
+    alpha: np.ndarray
+    u_s_est: np.ndarray
+    accept_probs: np.ndarray
+    utilities: np.ndarray
+    n_accept: np.ndarray
+    delivered: np.ndarray
 
 
 def run_coupled(params: GameParams, horizon: int, seed: int,
@@ -199,7 +185,5 @@ def run_coupled(params: GameParams, horizon: int, seed: int,
             estimates[i] = estimate
             n_accept[i] = np.count_nonzero(accepted)
 
-    return Trajectory(n=n, steps=list(range(1, horizon + 1)), alpha=alphas.tolist(),
-                      u_s_est=estimates.tolist(), accept_probs=list(map(tuple, probs.tolist())),
-                      utilities=list(map(tuple, fed.tolist())), n_accept=n_accept.tolist(),
-                      delivered=delivered.tolist())
+    return Trajectory(alpha=alphas, u_s_est=estimates, accept_probs=probs,
+                      utilities=fed, n_accept=n_accept, delivered=delivered)

@@ -77,8 +77,6 @@ def simulate_episode(params: GameParams, accept_probs: Sequence[float],
     ``W(n)`` doubles are drawn, so a generator from :func:`episode_rng` of
     trial t is left at trial t + 1.
     """
-    if mode not in _MODES:
-        raise ValueError(f"mode must be one of {_MODES}, got {mode!r}")
     n = params.n
     if len(accept_probs) != n:
         raise ValueError(f"need {n} accept probabilities, got {len(accept_probs)}")
@@ -108,6 +106,8 @@ def _contacts(params: GameParams, source_e: np.ndarray, dest_e: np.ndarray,
     accept (None in model mode: all) and those whose acceptance delivers.  A
     unit exponential E gives the contact time E/lam, inside the lifetime when
     E < lam * tau; strictly, so that lam = 0 meets nobody even at E = 0."""
+    if mode not in _MODES:
+        raise ValueError(f"mode must be one of {_MODES}, got {mode!r}")
     life = params.contact.lam * params.contact.tau
     if mode == MODEL:
         return None, (source_e < life) & (dest_e < life)

@@ -95,10 +95,10 @@ def learned_plays(params, horizon, seeds):
     runs, p_bars = [], []
     for seed in seeds:
         traj = run_coupled(params, horizon, seed)
-        alpha = statistics.median(traj.alpha[-500:])
-        cohort = sum(p >= 0.5 for p in traj.accept_probs[-1])
+        alpha = statistics.median(traj.alpha[-500:].tolist())
+        cohort = sum(p >= 0.5 for p in traj.accept_probs[-1].tolist())
         runs.append(Play(traj, alpha, cohort, best_switch(params, alpha, cohort)))
-        p_bars.append(sum(sum(p) / params.n for p in traj.accept_probs[-500:])
+        p_bars.append(sum(sum(p) / params.n for p in traj.accept_probs[-500:].tolist())
                       / 500)
     delivery = estimate_delivery(params, statistics.median(p_bars), 20_000,
                                  seed=900)
@@ -117,8 +117,8 @@ def decline_estimates(traj, params):
     q, cost = relay_failure_probability(params.contact), total_energy(params)
     estimates = [0.0] * params.n
     declines = [0] * params.n
-    for k, alpha, cohort, fed in zip(traj.steps, traj.alpha, traj.n_accept,
-                                     traj.utilities):
+    for k, alpha, cohort, fed in zip(range(1, len(traj.alpha) + 1), traj.alpha.tolist(),
+                                     traj.n_accept.tolist(), traj.utilities.tolist()):
         pay_accept = (relay_payoffs(alpha, delivery_share(cohort, q), cost, params)[0]
                       if cohort else None)
         for i, u in enumerate(fed):
@@ -302,7 +302,7 @@ def test_criterion_09_coupled_learning_tracks_rising_targets():
 def test_criterion_10_no_grid_point_dominates_binding_equilibrium():
     params = make_params()
     ese = solve_ese(params)
-    dominators = pareto_grid_scan(params, ese, p_points=101, alpha_points=101)
+    dominators = pareto_grid_scan(params, ese)
     detail = f"{len(dominators)} dominating points on the 101x101 grid"
     if dominators:
         p, a, verdict = dominators[0]

@@ -289,8 +289,7 @@ class TestParetoDominance:
 
     def test_grid_scan_finds_the_dominating_region(self, base_params):
         ese = solve_ese(base_params)
-        dominators = pareto_grid_scan(base_params, ese, p_points=21,
-                                      alpha_points=21)
+        dominators = pareto_grid_scan(base_params, ese)
         assert dominators, "reward-free high-acceptance points dominate"
         for p, alpha, verdict in dominators:
             assert verdict.dominates

@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 from pathlib import Path
 
@@ -10,6 +11,9 @@ from dtnsat.cli import main
 from dtnsat.equilibrium import solve_mse
 from dtnsat.experiments import (
     _KEYS,
+    _MODE_TABLE,
+    MODES,
+    SWEEP_VARS,
     ConfigError,
     ResultTable,
     _fmt,
@@ -101,6 +105,19 @@ class TestParseConfig:
                          if block.startswith("Config files are"))
         missing = [key for key in _KEYS if f"`{key}`" not in paragraph]
         assert not missing
+
+    def test_every_mode_and_its_sweeps_documented_in_readme(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        paragraph = next(" ".join(block.split()) for block in readme.split("\n\n")
+                         if block.startswith("Modes:"))
+        listed, honours = paragraph.split(" honours: ", 1)
+        assert all(f"`{mode}`" in listed for mode in MODES)
+        documented = {}
+        for clause in honours.split(".")[0].split("; "):
+            names = re.findall(r"`([^`]+)`", clause)
+            for mode in set(names) & set(MODES):
+                documented[mode] = set(names) & set(SWEEP_VARS)
+        assert documented == {mode: set(sweeps) for mode, (_, sweeps) in _MODE_TABLE.items()}
 
     def test_sweep_validation(self):
         with pytest.raises(ConfigError, match="sweep.var"):
@@ -203,6 +220,15 @@ class TestRunScenario:
                                    "sweep.stop = 2\nsweep.points = 2"),
                       mode="learn")
         with pytest.raises(ConfigError, match="learn"):
+            run_scenario(cfg)
+
+    @pytest.mark.parametrize("mode,var,values", [("pareto-grid", "tau", "20,40"),
+                                                 ("solve-ese", "p", "0.1,0.5"),
+                                                 ("simulate", "tau", "20,40")])
+    def test_unhonoured_sweep_names_mode_and_var(self, mode, var, values):
+        cfg = replace(parse_config(f"sweep.var = {var}\nsweep.values = {values}"), mode=mode)
+        message = rf"^mode {mode} does not sweep sweep\.var = {var};"
+        with pytest.raises(ConfigError, match=message):
             run_scenario(cfg)
 
     def test_simulate_mode(self):

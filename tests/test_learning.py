@@ -123,22 +123,23 @@ class TestRunCoupled:
     def test_determinism(self, base_params):
         a = run_coupled(base_params, 300, seed=5)
         b = run_coupled(base_params, 300, seed=5)
-        assert a.alpha == b.alpha
-        assert a.accept_probs == b.accept_probs
-        assert a.delivered == b.delivered
+        assert np.array_equal(a.alpha, b.alpha)
+        assert np.array_equal(a.accept_probs, b.accept_probs)
+        assert np.array_equal(a.delivered, b.delivered)
         c = run_coupled(base_params, 300, seed=6)
-        assert a.alpha != c.alpha or a.delivered != c.delivered
+        assert not (np.array_equal(a.alpha, c.alpha)
+                    and np.array_equal(a.delivered, c.delivered))
 
     def test_zero_rate_saturates_reward_cap(self):
         params = make_params(lam=0.0)
         # undelivered, the reward climbs by delta/(1+k) a step, 1.45 in all
         # by k = 1500, so it starts near the cap
         traj = run_coupled(params, 1500, seed=1, alpha0=params.alpha_max - 0.2)
-        assert not any(traj.delivered)
+        assert not traj.delivered.any()
         assert traj.alpha[-1] == params.alpha_max
         # stays clamped once there
-        first_hit = traj.alpha.index(params.alpha_max)
-        assert all(a == params.alpha_max for a in traj.alpha[first_hit:])
+        first_hit = traj.alpha.tolist().index(params.alpha_max)
+        assert (traj.alpha[first_hit:] == params.alpha_max).all()
 
     def test_invariants_along_trajectory(self, base_params):
         traj = run_coupled(base_params, 500, seed=2)
@@ -146,23 +147,33 @@ class TestRunCoupled:
         for probs in traj.accept_probs:
             assert all(0.0 <= p <= 1.0 for p in probs)
         assert all(0 <= m <= base_params.n for m in traj.n_accept)
-        assert len(traj) == 500
+        n = base_params.n
+        assert {name: (getattr(traj, name).shape, getattr(traj, name).dtype.kind)
+                for name in ("alpha", "u_s_est", "accept_probs", "utilities", "n_accept",
+                             "delivered")} == {
+            "alpha": ((500,), "f"), "u_s_est": ((500,), "f"),
+            "accept_probs": ((500, n), "f"), "utilities": ((500, n), "f"),
+            "n_accept": ((500,), "i"), "delivered": ((500,), "b")}
 
     def test_feeds_differ(self, base_params):
         ep = run_coupled(base_params, 200, seed=3, feed=EPISODE)
         mf = run_coupled(base_params, 200, seed=3, feed=MEAN_FIELD)
-        assert ep.utilities != mf.utilities
+        assert not np.array_equal(ep.utilities, mf.utilities)
 
     def test_mean_field_feed_pays_reduced_model_values(self, base_params):
         traj = run_coupled(base_params, 50, seed=4, feed=MEAN_FIELD)
         k = 25
-        p_bar = sum(traj.accept_probs[k]) / base_params.n
-        u_a, u_r = mixed_relay_payoffs(traj.alpha[k], p_bar, base_params)
-        assert set(traj.utilities[k]) <= {u_a, u_r}
+        p_bar = sum(traj.accept_probs[k].tolist()) / base_params.n
+        u_a, u_r = mixed_relay_payoffs(float(traj.alpha[k]), p_bar, base_params)
+        assert set(traj.utilities[k].tolist()) <= {u_a, u_r}
 
     def test_unknown_feed_rejected(self, base_params):
         with pytest.raises(ValueError):
             run_coupled(base_params, 10, 1, feed="oracle")
+
+    def test_unknown_contact_mode_rejected(self, base_params):
+        with pytest.raises(ValueError, match="mode must be one of"):
+            run_coupled(base_params, 50, 1, contact_mode="phisical")
 
     @pytest.mark.parametrize("horizon", [0, -1])
     def test_horizon_below_one_rejected(self, base_params, horizon):
@@ -175,7 +186,7 @@ def scalar_replay(params, horizon, seed, feed, contact_mode):
     steps by ``ratio_rule`` and the source by its own transcription."""
     alpha, estimate = params.alpha_max / 2.0, 0.0
     relays = [(0.5, 0.0, 0.0)] * params.n
-    traj = Trajectory(n=params.n)
+    rows = []
     n = params.n
     q, cost = relay_failure_probability(params.contact), total_energy(params)
     for k in range(1, horizon + 1):
@@ -194,17 +205,12 @@ def scalar_replay(params, horizon, seed, feed, contact_mode):
         accepted = accepted.tolist()
         m = 1.0 / (1.0 + k) ** 0.6
         relays = [ratio_rule(*relay, u, a, m) for relay, u, a in zip(relays, fed, accepted)]
-        traj.steps.append(k)
-        traj.alpha.append(alpha)
+        start_alpha = alpha
         eps = 1.0 / (1.0 + k)
         estimate += eps * (float(delivered) - estimate)
         alpha = min(max(alpha + eps * (params.delta - estimate), 0.0), params.alpha_max)
-        traj.u_s_est.append(estimate)
-        traj.accept_probs.append(tuple(probs))
-        traj.utilities.append(tuple(fed))
-        traj.n_accept.append(sum(accepted))
-        traj.delivered.append(delivered)
-    return traj
+        rows.append((start_alpha, estimate, probs, fed, sum(accepted), delivered))
+    return Trajectory(*(np.array(column) for column in zip(*rows)))
 
 
 class TestArrayStateEquivalence:
@@ -215,11 +221,10 @@ class TestArrayStateEquivalence:
         params = make_params(**scenario)
         got = run_coupled(params, 300, seed=13, feed=feed, contact_mode=contact_mode)
         want = scalar_replay(params, 300, 13, feed, contact_mode)
-        for name in ("n", "steps", "alpha", "u_s_est", "accept_probs",
-                     "utilities", "n_accept", "delivered"):
-            assert getattr(got, name) == getattr(want, name), name
-        assert [type(v) for v in got.alpha] == [type(v) for v in want.alpha]
-        assert [type(v) for v in got.delivered] == [type(v) for v in want.delivered]
+        for name in ("alpha", "u_s_est", "accept_probs", "utilities", "n_accept",
+                     "delivered"):
+            got_a, want_a = getattr(got, name), getattr(want, name)
+            assert got_a.dtype == want_a.dtype and np.array_equal(got_a, want_a), name
 
 
 class TestLearnStream:
@@ -233,7 +238,8 @@ class TestLearnStream:
             short = run_coupled(params, horizon, seed=21, contact_mode=contact_mode)
             for name in ("alpha", "u_s_est", "accept_probs", "utilities", "n_accept",
                          "delivered"):
-                assert getattr(short, name) == getattr(long, name)[:horizon], (horizon, name)
+                assert np.array_equal(getattr(short, name), getattr(long, name)[:horizon]), \
+                    (horizon, name)
 
 
 def ratio_rule(p, est_a, est_r, u, accepted, m):
@@ -306,28 +312,40 @@ class TestElementwiseRelayUpdate:
             run_coupled(base_params, 20, seed=1, feed=MEAN_FIELD)
 
 
+def learn_csv(text, tmp_path):
+    """The emitted ``learn`` CSV of a config: (config, header, data rows)."""
+    config = replace(parse_config(text), mode="learn")
+    path = tmp_path / "learn.csv"
+    emit_csv(run_scenario(config), str(path))
+    header, *rows = [line.split(",") for line in path.read_text().splitlines()
+                     if not line.startswith("#")]
+    return config, header, rows
+
+
 class TestTrajectoryExport:
-    def test_csv_schema(self, base_params):
-        traj = run_coupled(base_params, 20, seed=1)
-        header = traj.csv_header()
+    def test_csv_schema(self, tmp_path):
+        _, header, rows = learn_csv("horizon = 20\nseed = 1", tmp_path)
         assert header[:3] == ["k", "alpha", "u_s_est"]
         assert header[3:10] == [f"p_{i}" for i in range(1, 8)]
         assert header[10:] == ["n_accept", "delivered"]
-        rows = traj.csv_rows()
         assert len(rows) == 20
         assert all(len(r) == len(header) for r in rows)
-        assert rows[0][0] == 1
-        assert rows[-1][0] == 20
+        assert rows[0][0] == "1"
+        assert rows[-1][0] == "20"
 
-    def test_emit_csv_round_trips(self, base_params, tmp_path):
-        traj = run_coupled(base_params, 15, seed=2)
-        config = replace(parse_config("horizon = 15\nseed = 2"), mode="learn")
-        path = tmp_path / "traj.csv"
-        emit_csv(run_scenario(config), str(path))
-        lines = [line for line in path.read_text().splitlines()
-                 if not line.startswith("#")]
-        assert lines[0].split(",") == traj.csv_header()
-        assert len(lines) == 16
-        first = lines[1].split(",")
-        assert int(first[0]) == 1
-        assert float(first[1]) == traj.alpha[0]
+    @pytest.mark.parametrize("text", ["", "n = 40", "contact_mode = physical"])
+    def test_emit_csv_round_trips(self, text, tmp_path):
+        # every row is the arrays' row at 12 significant digits; 300 rows
+        # cross a block boundary of the stream
+        config, header, rows = learn_csv(f"horizon = 300\nseed = 5\n{text}", tmp_path)
+        n = config.params.n
+        traj = run_coupled(config.params, 300, 5, contact_mode=config.contact_mode)
+        assert header == ["k", "alpha", "u_s_est", *(f"p_{i}" for i in range(1, n + 1)),
+                          "n_accept", "delivered"]
+        assert len(rows) == 300
+        for i, row in enumerate(rows):
+            floats = [traj.alpha[i], traj.u_s_est[i], *traj.accept_probs[i]]
+            assert row[1:3 + n] == ["%.12g" % v for v in floats], i
+            # the integer columns print as integer literals
+            assert (row[0], *row[3 + n:]) == (str(i + 1), str(traj.n_accept[i]),
+                                               str(int(traj.delivered[i]))), i
