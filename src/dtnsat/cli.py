@@ -8,7 +8,7 @@ from typing import Optional, Sequence
 
 from .experiments import MODES, ConfigError, ScenarioConfig, emit_csv, \
     format_csv, parse_config, run_scenario
-from .simulate import MODEL, PHYSICAL
+from .simulate import CONTACT_MODES
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -23,7 +23,7 @@ def build_parser() -> argparse.ArgumentParser:
         mp.add_argument("--seed", type=int, help="override the config seed")
         mp.add_argument("--out", help="CSV output path (default: stdout)")
         mp.add_argument("--trials", type=int, help="override the trial count")
-        mp.add_argument("--contact-mode", choices=[MODEL, PHYSICAL],
+        mp.add_argument("--contact-mode", choices=CONTACT_MODES,
                         help="override the episode contact mode")
     return parser
 

@@ -25,12 +25,10 @@ from .equilibrium import (
     solve_mse,
     solve_pse,
 )
-from .learning import EPISODE, MEAN_FIELD, run_coupled
+from .learning import EPISODE, FEEDS, run_coupled
 from .model import ContactModel, EnergyModel, GameParams, \
     expected_source_utility_mixed, with_param
-from .simulate import MODEL, PHYSICAL, estimate_delivery, estimate_relay_utility
-
-SWEEP_VARS = ("tau", "lambda", "n", "delta", "p")
+from .simulate import CONTACT_MODES, MODEL, estimate_delivery, estimate_relay_utility
 
 
 class ConfigError(ValueError):
@@ -53,7 +51,6 @@ class ScenarioConfig:
     p: float
     alpha: Optional[float]
     horizon: int
-    alpha0: Optional[float]
     feed: str
     mode: Optional[str] = None
 
@@ -71,8 +68,6 @@ class ScenarioConfig:
         }
         if self.alpha is not None:
             items["alpha"] = self.alpha
-        if self.alpha0 is not None:
-            items["alpha0"] = self.alpha0
         if self.mode is not None:
             items["mode"] = self.mode
         if self.sweep is not None:
@@ -91,7 +86,7 @@ _KEYS = {
     "delta": (float, 0.21), "sigma": (float, 0.2), "gamma": (float, 0.15),
     "e": (float, 3.8e-5), "e_r": (float, 2e-5), "e_t": (float, 2e-5),
     "alpha_max": (float, 5.0), "p": (float, 1.0), "alpha": (float, None),
-    "alpha0": (float, None), "trials": (int, 10000), "seed": (int, 1),
+    "trials": (int, 10000), "seed": (int, 1),
     "horizon": (int, 5000), "contact_mode": (str, MODEL), "feed": (str, EPISODE),
     "sweep.var": (str, None), "sweep.values": (_floats, None),
     "sweep.start": (float, None), "sweep.stop": (float, None),
@@ -148,20 +143,18 @@ def _build_config(raw: dict[str, object]) -> ScenarioConfig:
     for key, low in (("trials", 1), ("horizon", 1), ("seed", 0)):
         if v[key] < low:
             raise ConfigError(f"{key} must be >= {low}, got {v[key]}")
-    for key, (a, b) in (("contact_mode", (MODEL, PHYSICAL)),
-                        ("feed", (MEAN_FIELD, EPISODE))):
-        if v[key] not in (a, b):
-            raise ConfigError(f"{key} must be '{a}' or '{b}', got {v[key]!r}")
+    for key, choices in (("contact_mode", CONTACT_MODES), ("feed", FEEDS)):
+        if v[key] not in choices:
+            raise ConfigError(f"{key} must be one of {choices}, got {v[key]!r}")
     if not 0 <= v["p"] <= 1:
         raise ConfigError(f"p must be in [0, 1], got {v['p']}")
-    for key in ("alpha", "alpha0"):
-        if v[key] is not None and not 0 <= v[key] <= params.alpha_max:
-            raise ConfigError(f"{key} must be in [0, alpha_max], got {v[key]}")
+    if v["alpha"] is not None and not 0 <= v["alpha"] <= params.alpha_max:
+        raise ConfigError(f"alpha must be in [0, alpha_max], got {v['alpha']}")
 
     return ScenarioConfig(params=params, sweep=_build_sweep(v), trials=v["trials"],
                           seed=v["seed"], contact_mode=v["contact_mode"],
                           p=v["p"], alpha=v["alpha"], horizon=v["horizon"],
-                          alpha0=v["alpha0"], feed=v["feed"])
+                          feed=v["feed"])
 
 
 def _build_sweep(v: dict[str, object]) -> Optional[SweepSpec]:
@@ -173,8 +166,9 @@ def _build_sweep(v: dict[str, object]) -> Optional[SweepSpec]:
     if var not in SWEEP_VARS:
         raise ConfigError(f"sweep.var must be one of {SWEEP_VARS}, got {var!r}")
     values = v["sweep.values"]
+    grid = ("sweep.start", "sweep.stop", "sweep.points")
     if values is None:
-        for need in ("sweep.start", "sweep.stop", "sweep.points"):
+        for need in grid:
             if v[need] is None:
                 raise ConfigError(f"sweep needs {need} (or sweep.values)")
         points = v["sweep.points"]
@@ -186,6 +180,10 @@ def _build_sweep(v: dict[str, object]) -> Optional[SweepSpec]:
                               f"[{start}, {stop}]")
         step = (stop - start) / (points - 1)
         values = tuple(start + i * step for i in range(points - 1)) + (stop,)
+    elif any(v[key] is not None for key in grid):
+        raise ConfigError("sweep.values conflicts with "
+                          f"{', '.join(key for key in grid if v[key] is not None)}; "
+                          "give either the list or the grid")
     elif len(values) < 1:
         raise ConfigError("sweep.values must name at least one value")
     _validate_sweep_values(var, values)
@@ -368,7 +366,7 @@ def _run_region(config: ScenarioConfig) -> ResultTable:
 
 def _run_learn(config: ScenarioConfig) -> ResultTable:
     traj = run_coupled(config.params, config.horizon, config.seed, feed=config.feed,
-                       contact_mode=config.contact_mode, alpha0=config.alpha0)
+                       contact_mode=config.contact_mode)
     columns = ("k", "alpha", "u_s_est", *(f"p_{i + 1}" for i in range(config.params.n)),
                "n_accept", "delivered")
     # one float row type: %.12g prints the integer columns as %d would
@@ -420,3 +418,4 @@ _MODE_TABLE = {
     "pareto-grid": (_run_pareto_grid, ()),
 }
 MODES = tuple(_MODE_TABLE)
+SWEEP_VARS = tuple(dict.fromkeys(var for _, sweeps in _MODE_TABLE.values() for var in sweeps))

@@ -42,13 +42,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
 from .equilibrium import mixed_relay_payoffs
 from .model import GameParams, relay_failure_probability, total_energy
-from .simulate import MODEL, _contacts, _draw, _score_relays, _window, episode_rng
+from .simulate import MODEL, _contacts, _score_relays, _window, episode_rng
 
 # iterations whose stream windows are drawn at once
 _BLOCK = 256
@@ -112,7 +111,7 @@ def _clamp(x: np.ndarray) -> np.ndarray:
 
 EPISODE = "episode"
 MEAN_FIELD = "mean-field"
-_FEEDS = (EPISODE, MEAN_FIELD)
+FEEDS = (EPISODE, MEAN_FIELD)
 
 
 @dataclass(frozen=True)
@@ -129,8 +128,7 @@ class Trajectory:
 
 
 def run_coupled(params: GameParams, horizon: int, seed: int,
-                feed: str = EPISODE, contact_mode: str = MODEL,
-                alpha0: Optional[float] = None) -> Trajectory:
+                feed: str = EPISODE, contact_mode: str = MODEL) -> Trajectory:
     """Drive the source and relay learners against seeded episodes for
     ``horizon`` iterations.
 
@@ -142,15 +140,13 @@ def run_coupled(params: GameParams, horizon: int, seed: int,
     window i of the ``seed`` stream, then each relay and the source in
     turn.  A shorter run is a prefix of a longer one with the same seed.
     """
-    if feed not in _FEEDS:
-        raise ValueError(f"feed must be one of {_FEEDS}, got {feed!r}")
+    if feed not in FEEDS:
+        raise ValueError(f"feed must be one of {FEEDS}, got {feed!r}")
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
-    if alpha0 is None:
-        alpha0 = params.alpha_max / 2.0
     n = params.n
     rng = episode_rng(seed, 0, n)
-    alpha, estimate = alpha0, 0.0
+    alpha, estimate = params.alpha_max / 2.0, 0.0
     p, est_a, est_r = np.full(n, 0.5), np.zeros(n), np.zeros(n)
     q, cost = relay_failure_probability(params.contact), total_energy(params)
     alphas, estimates = np.empty((2, horizon))
@@ -161,10 +157,7 @@ def run_coupled(params: GameParams, horizon: int, seed: int,
     for start in range(0, horizon, _BLOCK):
         # iteration i reads window i, so a block is drawn ahead of the state
         u = rng.random((min(_BLOCK, horizon - start), _window(n)))
-        flips, source_e, dest_e = _draw(params, u)
-        met, reach = _contacts(params, source_e, dest_e, contact_mode)
-        if met is not None:  # a relay the source did not meet cannot accept
-            flips = np.where(met, flips, np.inf)
+        flips, reach = _contacts(params, u, contact_mode)
         for i, flip, can_deliver in zip(range(start, horizon), flips, reach):
             k = i + 1
             alphas[i] = alpha

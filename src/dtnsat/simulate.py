@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -40,7 +40,7 @@ from .model import GameParams, delivery_share, relay_failure_probability, relay_
 
 MODEL = "model"
 PHYSICAL = "physical"
-_MODES = (MODEL, PHYSICAL)
+CONTACT_MODES = (MODEL, PHYSICAL)
 
 
 @dataclass(frozen=True)
@@ -85,11 +85,11 @@ def simulate_episode(params: GameParams, accept_probs: Sequence[float],
     if not valid.all():
         raise ValueError(f"accept probabilities must lie in [0, 1], got {probs[~valid][0]}")
 
-    u = rng.random(_window(n))
-    accepted, success = _race(params, probs, *_draw(params, u), mode)
+    flips, reach = _contacts(params, rng.random(_window(n)), mode)
+    accepted = flips < probs
     utilities = _score_relays(params, relay_failure_probability(params.contact),
                               total_energy(params), accepted, reward)
-    return accepted, utilities, bool(np.count_nonzero(success))
+    return accepted, utilities, bool(np.count_nonzero(accepted & reach))
 
 
 def _draw(params: GameParams, u: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -100,26 +100,20 @@ def _draw(params: GameParams, u: np.ndarray) -> tuple[np.ndarray, ...]:
     return u[..., :n], exps[..., :n], exps[..., n:]
 
 
-def _contacts(params: GameParams, source_e: np.ndarray, dest_e: np.ndarray,
-              mode: str) -> tuple[np.ndarray | None, np.ndarray]:
-    """(met, reach) masks of drawn contacts of any shape: the relays that may
-    accept (None in model mode: all) and those whose acceptance delivers.  A
-    unit exponential E gives the contact time E/lam, inside the lifetime when
-    E < lam * tau; strictly, so that lam = 0 meets nobody even at E = 0."""
-    if mode not in _MODES:
-        raise ValueError(f"mode must be one of {_MODES}, got {mode!r}")
+def _contacts(params: GameParams, u: np.ndarray, mode: str) -> tuple[np.ndarray, np.ndarray]:
+    """(flips, reach) of windows ``u`` of shape (..., W): a relay accepts when
+    its flip is below its accept probability, and an acceptance delivers
+    where ``reach`` holds.  A unit exponential E gives the contact time
+    E/lam, inside the lifetime when E < lam * tau; strictly, so that lam = 0
+    meets nobody even at E = 0.  In physical mode a relay the source did not
+    meet gets an infinite flip, so that it accepts at no probability."""
+    if mode not in CONTACT_MODES:
+        raise ValueError(f"mode must be one of {CONTACT_MODES}, got {mode!r}")
+    flips, source_e, dest_e = _draw(params, u)
     life = params.contact.lam * params.contact.tau
     if mode == MODEL:
-        return None, (source_e < life) & (dest_e < life)
-    return source_e < life, source_e + dest_e < life
-
-
-def _race(params: GameParams, probs: np.ndarray, flips: np.ndarray,
-          source_e: np.ndarray, dest_e: np.ndarray, mode: str) -> tuple[np.ndarray, ...]:
-    """(accepted, success) arrays of one drawn episode."""
-    met, reach = _contacts(params, source_e, dest_e, mode)
-    accepted = flips < probs if met is None else (flips < probs) & met
-    return accepted, accepted & reach
+        return flips, (source_e < life) & (dest_e < life)
+    return np.where(source_e < life, flips, np.inf), source_e + dest_e < life
 
 
 def _score_relays(params: GameParams, q: float, cost: float, accepted: np.ndarray,
@@ -135,27 +129,26 @@ def _score_relays(params: GameParams, q: float, cost: float, accepted: np.ndarra
 def estimate_delivery(params: GameParams, accept_prob: float, trials: int,
                       seed: int, mode: str = MODEL) -> EstimateWithCI:
     """Empirical delivery frequency when all relays accept with one common p."""
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
-    probs = np.full(params.n, accept_prob)
-    rng = episode_rng(seed, 0, params.n)
-    hits = np.empty(trials)
-    for t in range(trials):
-        hits[t] = simulate_episode(params, probs, 0.0, rng, mode)[2]
-    return _summarize(hits)
+    return _estimate(params, accept_prob, 0.0, trials, seed, mode, lambda ep: ep[2])
 
 
 def estimate_relay_utility(params: GameParams, accept_prob: float, reward: float,
                            trials: int, seed: int, mode: str = MODEL) -> EstimateWithCI:
     """Empirical mean payoff of relay 0 under symmetric mixing."""
+    return _estimate(params, accept_prob, reward, trials, seed, mode, lambda ep: ep[1][0])
+
+
+def _estimate(params: GameParams, accept_prob: float, reward: float, trials: int,
+              seed: int, mode: str, sample: Callable[[tuple], float]) -> EstimateWithCI:
+    """Summary of ``sample`` of each of ``trials`` episodes, trial t on window t."""
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     probs = np.full(params.n, accept_prob)
     rng = episode_rng(seed, 0, params.n)
-    values = np.empty(trials)
+    samples = np.empty(trials)
     for t in range(trials):
-        values[t] = simulate_episode(params, probs, reward, rng, mode)[1][0]
-    return _summarize(values)
+        samples[t] = sample(simulate_episode(params, probs, reward, rng, mode))
+    return _summarize(samples)
 
 
 def _summarize(samples: np.ndarray) -> EstimateWithCI:

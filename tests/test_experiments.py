@@ -58,6 +58,10 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="line 2.*frobnicate"):
             parse_config("n = 3\nfrobnicate = 1\n")
 
+    def test_alpha0_is_unknown(self):
+        with pytest.raises(ConfigError, match="unknown key 'alpha0'"):
+            parse_config("alpha0 = 1.0")
+
     def test_malformed_line_reports_line(self):
         with pytest.raises(ConfigError, match="line 1"):
             parse_config("just some words\n")
@@ -130,6 +134,17 @@ class TestParseConfig:
                          "sweep.points = 3")
         with pytest.raises(ConfigError, match="one of"):
             parse_config("sweep.var = sigma\nsweep.values = 0.1")
+
+    def test_list_and_grid_sweep_forms_conflict(self):
+        with pytest.raises(ConfigError, match="^sweep.values conflicts with "
+                                              "sweep.start, sweep.stop, sweep.points;"):
+            parse_config("sweep.var = tau\nsweep.values = 20,40\nsweep.start = 100\n"
+                         "sweep.stop = 200\nsweep.points = 5")
+        with pytest.raises(ConfigError, match="^sweep.values conflicts with sweep.points;"):
+            parse_config("sweep.var = tau\nsweep.values = 20,40\nsweep.points = 5")
+
+    def test_sweep_var_order_follows_the_mode_table(self):
+        assert SWEEP_VARS == ("tau", "lambda", "n", "delta", "p")
 
     @pytest.mark.parametrize("value", ["nan", "inf", "1e400"])
     @pytest.mark.parametrize("var", ["tau", "lambda", "n", "delta", "p"])

@@ -16,8 +16,7 @@ from dtnsat.learning import (
     _source_update,
     run_coupled,
 )
-from dtnsat.model import relay_failure_probability, total_energy
-from dtnsat.simulate import MODEL, PHYSICAL, _draw, _race, _score_relays, _window, episode_rng
+from dtnsat.simulate import MODEL, PHYSICAL, episode_rng, simulate_episode
 from conftest import make_params
 
 
@@ -131,10 +130,10 @@ class TestRunCoupled:
                     and np.array_equal(a.delivered, c.delivered))
 
     def test_zero_rate_saturates_reward_cap(self):
-        params = make_params(lam=0.0)
-        # undelivered, the reward climbs by delta/(1+k) a step, 1.45 in all
-        # by k = 1500, so it starts near the cap
-        traj = run_coupled(params, 1500, seed=1, alpha0=params.alpha_max - 0.2)
+        params = make_params(lam=0.0, delta=0.9)
+        # undelivered, the reward climbs from alpha_max / 2 by delta/(1+k) a
+        # step and reaches the cap at k = 25
+        traj = run_coupled(params, 1500, seed=1)
         assert not traj.delivered.any()
         assert traj.alpha[-1] == params.alpha_max
         # stays clamped once there
@@ -182,22 +181,19 @@ class TestRunCoupled:
 
 
 def scalar_replay(params, horizon, seed, feed, contact_mode):
-    """The coupled loop in plain floats, one relay at a time: each relay
-    steps by ``ratio_rule`` and the source by its own transcription."""
+    """The coupled loop in plain floats, one relay at a time, on one
+    ``simulate_episode`` per iteration: each relay steps by ``ratio_rule``
+    and the source by its own transcription."""
     alpha, estimate = params.alpha_max / 2.0, 0.0
     relays = [(0.5, 0.0, 0.0)] * params.n
     rows = []
-    n = params.n
-    q, cost = relay_failure_probability(params.contact), total_energy(params)
     for k in range(1, horizon + 1):
         probs = [r[0] for r in relays]
         # iteration k - 1 reads its own window, from a fresh generator
-        flips, source_e, dest_e = _draw(params, episode_rng(seed, k - 1, n).random(_window(n)))
-        accepted, success = _race(params, np.array(probs), flips, source_e, dest_e,
-                                  contact_mode)
-        delivered = bool(success.any())
+        accepted, utilities, delivered = simulate_episode(
+            params, probs, alpha, episode_rng(seed, k - 1, params.n), contact_mode)
         if feed == EPISODE:
-            fed = _score_relays(params, q, cost, accepted, alpha).tolist()
+            fed = utilities.tolist()
         else:
             pay_accept, pay_reject = mixed_relay_payoffs(alpha, sum(probs) / params.n,
                                                          params)

@@ -11,8 +11,8 @@ from dtnsat.model import (
 from dtnsat.simulate import (
     MODEL,
     PHYSICAL,
+    _contacts,
     _draw,
-    _race,
     _summarize,
     _window,
     estimate_delivery,
@@ -47,9 +47,10 @@ class TestEpisode:
         lam, tau = base_params.contact.lam, base_params.contact.tau
         for t in range(200):
             u = episode_rng(17, t, 7).random(_window(7))
-            flips, source_e, dest_e = _draw(base_params, u)
-            accepted, success = _race(base_params, np.full(7, 0.3), flips, source_e,
-                                      dest_e, mode)
+            _, source_e, dest_e = _draw(base_params, u)
+            flips, reach = _contacts(base_params, u, mode)
+            accepted = flips < np.full(7, 0.3)
+            success = accepted & reach
             delivered = simulate_episode(base_params, [0.3] * 7, 1.0,
                                          episode_rng(17, t, 7), mode)[2]
             source_t, dest_t = source_e / lam, dest_e / lam
@@ -297,21 +298,36 @@ class TestStreamContract:
     def test_zero_rate_meets_nobody_even_at_zero_draws(self, mode):
         zero = make_params(lam=0.0)
         u = np.zeros((3, _window(7)))
-        accepted, success = _race(zero, np.ones(7), *_draw(zero, u), mode)
+        flips, reach = _contacts(zero, u, mode)
+        accepted = flips < np.ones(7)
+        success = accepted & reach
         assert not success.any()
         # physical mode offers the file only to relays the source met
         assert accepted.all() == (mode == MODEL) and accepted.any() == (mode == MODEL)
+
+    def test_physical_flip_is_infinite_exactly_where_the_source_missed(self, base_params):
+        u = episode_rng(6, 0, 7).random((500, _window(7)))
+        source_e = _draw(base_params, u)[1]
+        missed = source_e >= base_params.contact.lam * base_params.contact.tau
+        assert 0 < missed.sum() < missed.size
+        flips = _contacts(base_params, u, PHYSICAL)[0]
+        assert np.array_equal(np.isinf(flips), missed)
+        assert np.array_equal(flips[~missed], u[:, :7][~missed])
+        # at p = 1 the accepted set is the met set
+        assert np.array_equal(flips < 1.0, ~missed)
+        # model mode offers the file to every relay: the flips are the window's
+        assert np.array_equal(_contacts(base_params, u, MODEL)[0], u[..., :7])
 
     def test_subnormal_rate_overflows_times_to_inf_quietly(self):
         # lam * tau = 0.01, while a contact time -log1p(-u) / lam would pass
         # the float range; the race compares unit draws with lam * tau
         params = make_params(n=1, lam=1e-310, tau=1e308)
         u = episode_rng(1, 0, 1).random((500, _window(1)))
-        flips, source_e, dest_e = _draw(params, u)
+        _, source_e, _ = _draw(params, u)
         assert np.isfinite(source_e).all() and (source_e >= 0).all()
         with np.errstate(over="ignore"):
             assert np.isinf(source_e / params.contact.lam).any()
-        accepted, _ = _race(params, np.ones(1), flips, source_e, dest_e, PHYSICAL)
+        accepted = _contacts(params, u, PHYSICAL)[0] < np.ones(1)
         assert 0 < accepted.sum() < 50
         est = estimate_delivery(params, 1.0, 500, seed=1)
         assert 0.0 <= est.mean <= 0.02
