@@ -22,14 +22,18 @@ the accept flips, the next two n-slices become source and destination
 unit exponentials by inverse CDF, ``-log1p(-u)``, which the race compares
 with ``lambda * tau``, so an episode draws the same number of values at
 every rate (Salmon et al., "Parallel Random Numbers: As Easy as 1, 2, 3",
-SC'11).  An estimator walks one generator through the windows in trial
-order; a trial's result does not depend on evaluation order, and the same
-seed gives the same bytes.  ``learn`` shares the stream: iteration ``i`` of
+SC'11).  Model mode makes that test in log space, ``log1p(-u) >
+-lambda * tau``, and never builds the exponentials: negating a double is
+exact, so the test holds exactly where ``-log1p(-u) < lambda * tau`` does.
+An estimator walks one generator through the windows in trial order; a
+trial's result does not depend on evaluation order, and the same seed gives
+the same bytes.  ``learn`` shares the stream: iteration ``i`` of
 :func:`dtnsat.learning.run_coupled` reads window ``i``.
 """
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -58,8 +62,13 @@ def _window(n: int) -> int:
 
 
 def episode_rng(seed: int, trial: int, n: int) -> np.random.Generator:
-    """Trial ``trial``'s window of the Philox stream keyed by ``seed``, for
-    n relays; drawing one window leaves the generator at the next trial's."""
+    """Trial ``trial``'s window of the Philox stream keyed by the integer
+    ``seed``, for n relays; drawing one window leaves the generator at the
+    next trial's."""
+    try:
+        seed = operator.index(seed)
+    except TypeError:
+        raise TypeError(f"seed must be an integer, got {seed!r}") from None
     if not 0 <= seed < 2 ** 128:
         raise ValueError(f"seed must be in [0, 2**128) to key Philox, got {seed}")
     return np.random.Generator(np.random.Philox(key=seed, counter=trial * _window(n) // 4))
@@ -78,12 +87,15 @@ def simulate_episode(params: GameParams, accept_probs: Sequence[float],
     trial t is left at trial t + 1.
     """
     n = params.n
-    if len(accept_probs) != n:
-        raise ValueError(f"need {n} accept probabilities, got {len(accept_probs)}")
     probs = np.asarray(accept_probs, dtype=float)
-    valid = (probs >= 0) & (probs <= 1)  # False for NaN too
-    if not valid.all():
-        raise ValueError(f"accept probabilities must lie in [0, 1], got {probs[~valid][0]}")
+    if probs.shape != (n,):
+        raise ValueError(f"need accept probabilities of shape ({n},), got shape {probs.shape}")
+    # NaN-propagating reductions: a NaN fails both comparisons
+    if not (np.minimum.reduce(probs) >= 0.0 and np.maximum.reduce(probs) <= 1.0):
+        bad = probs[~((probs >= 0.0) & (probs <= 1.0))][0]
+        raise ValueError(f"accept probabilities must lie in [0, 1], got {bad}")
+    if not math.isfinite(reward):
+        raise ValueError(f"reward must be finite, got {reward}")
 
     flips, reach = _contacts(params, rng.random(_window(n)), mode)
     accepted = flips < probs
@@ -105,14 +117,17 @@ def _contacts(params: GameParams, u: np.ndarray, mode: str) -> tuple[np.ndarray,
     its flip is below its accept probability, and an acceptance delivers
     where ``reach`` holds.  A unit exponential E gives the contact time
     E/lam, inside the lifetime when E < lam * tau; strictly, so that lam = 0
-    meets nobody even at E = 0.  In physical mode a relay the source did not
-    meet gets an infinite flip, so that it accepts at no probability."""
+    meets nobody even at E = 0; model mode tests it in log space.  In
+    physical mode a relay the source did not meet gets an infinite flip, so
+    that it accepts at no probability."""
     if mode not in CONTACT_MODES:
         raise ValueError(f"mode must be one of {CONTACT_MODES}, got {mode!r}")
-    flips, source_e, dest_e = _draw(params, u)
     life = params.contact.lam * params.contact.tau
     if mode == MODEL:
-        return flips, (source_e < life) & (dest_e < life)
+        n = params.n
+        inside = np.log1p(-u[..., n:3 * n]) > -life
+        return u[..., :n], inside[..., :n] & inside[..., n:]
+    flips, source_e, dest_e = _draw(params, u)
     return np.where(source_e < life, flips, np.inf), source_e + dest_e < life
 
 

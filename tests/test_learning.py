@@ -129,6 +129,11 @@ class TestRunCoupled:
         assert not (np.array_equal(a.alpha, c.alpha)
                     and np.array_equal(a.delivered, c.delivered))
 
+    def test_non_integer_seed_rejected(self, base_params):
+        # a float used to key Philox as its truncation: 2.9 replayed seed 2
+        with pytest.raises(TypeError, match="seed must be an integer, got 2.9"):
+            run_coupled(base_params, 50, 2.9)
+
     def test_zero_rate_saturates_reward_cap(self):
         params = make_params(lam=0.0, delta=0.9)
         # undelivered, the reward climbs from alpha_max / 2 by delta/(1+k) a

@@ -10,6 +10,7 @@ from dtnsat.model import (
 )
 from dtnsat.simulate import (
     MODEL,
+    EstimateWithCI,
     PHYSICAL,
     _contacts,
     _draw,
@@ -107,6 +108,33 @@ class TestEpisode:
             simulate_episode(base_params, [math.nan] * 7, 0.5, episode_rng(1, 0, 7))
         with pytest.raises(ValueError, match="got -0.1"):
             simulate_episode(base_params, [0.5] * 6 + [-0.1], 0.5, episode_rng(1, 0, 7))
+
+    def test_range_check_edges(self):
+        params = make_params(n=40)
+        last_nan = [0.5] * 39 + [math.nan]
+        with pytest.raises(ValueError, match="got nan"):
+            simulate_episode(params, last_nan, 0.5, episode_rng(1, 0, 40))
+        for edge in (-0.0, 1.0):
+            simulate_episode(params, [0.5] * 39 + [edge], 0.5, episode_rng(1, 0, 40))
+        for outside in (np.nextafter(0.0, -1.0), np.nextafter(1.0, 2.0)):
+            with pytest.raises(ValueError, match=f"got {outside}$"):
+                simulate_episode(params, [outside] + [0.5] * 39, 0.5, episode_rng(1, 0, 40))
+        # the message names the first bad value in slot order
+        with pytest.raises(ValueError, match=r"got 1\.5$"):
+            simulate_episode(params, [0.5, 1.5, -0.2, math.nan] + [0.5] * 36, 0.5,
+                             episode_rng(1, 0, 40))
+
+    @pytest.mark.parametrize("shape", [(7, 1), (1, 7), (), (7, 7)])
+    def test_accept_probabilities_must_be_one_per_relay(self, base_params, shape):
+        with pytest.raises(ValueError, match=rf"got shape \({', '.join(map(str, shape))},?\)"):
+            simulate_episode(base_params, np.full(shape, 0.5), 1.0, episode_rng(1, 0, 7))
+
+    @pytest.mark.parametrize("reward", [math.inf, -math.inf, math.nan])
+    def test_non_finite_reward_rejected(self, base_params, reward):
+        with pytest.raises(ValueError, match=f"reward must be finite, got {reward}"):
+            simulate_episode(base_params, [0.5] * 7, reward, episode_rng(1, 0, 7))
+        with pytest.raises(ValueError, match="reward"):
+            estimate_relay_utility(base_params, 0.3, reward, 50, 1)
 
 
 class TestSingleRelayFrequencies:
@@ -335,3 +363,77 @@ class TestStreamContract:
     def test_seed_outside_the_philox_key_rejected(self):
         with pytest.raises(ValueError, match="seed"):
             episode_rng(2 ** 128, 0, 7)
+
+    @pytest.mark.parametrize("seed", [1.5, 2.0, "7", None])
+    def test_seed_must_be_an_integer(self, base_params, seed):
+        with pytest.raises(TypeError, match="seed must be an integer"):
+            episode_rng(seed, 0, 7)
+        with pytest.raises(TypeError, match="seed"):
+            estimate_delivery(base_params, 0.3, 500, seed)
+
+    def test_numpy_integer_seed_keys_the_same_stream(self, base_params):
+        assert (estimate_delivery(base_params, 0.3, 200, np.int64(7))
+                == estimate_delivery(base_params, 0.3, 200, 7))
+        assert np.array_equal(episode_rng(np.uint8(5), 2, 7).random(_window(7)),
+                              episode_rng(5, 2, 7).random(_window(7)))
+
+
+# the estimators at 2000 trials and seed 7, reward 1.0; pinned from the
+# kernel that built the contact draws as exponentials before comparing
+GOLDEN = {
+    (7, 0.1, MODEL): ((0.3565, 0.010712667997647172),
+                      (-0.6302810724787616, 0.009679213748813349)),
+    (7, 0.1, PHYSICAL): ((0.2775, 0.010014840164064322),
+                         (-0.6937308550319476, 0.008949044923092108)),
+    (40, 0.02, MODEL): ((0.3945, 0.010931359582007884),
+                        (-0.7082826214074582, 0.005497370790316265)),
+    (40, 0.02, PHYSICAL): ((0.31, 0.010344249694921107),
+                           (-0.7485166752486453, 0.005180991686382501)),
+}
+
+
+@pytest.mark.parametrize("n, p, mode", list(GOLDEN))
+def test_estimators_golden(n, p, mode):
+    params = make_params(n=n)
+    (d_mean, d_se), (u_mean, u_se) = GOLDEN[n, p, mode]
+    assert estimate_delivery(params, p, 2000, 7, mode) == EstimateWithCI(d_mean, d_se, 2000)
+    assert (estimate_relay_utility(params, p, 1.0, 2000, 7, mode)
+            == EstimateWithCI(u_mean, u_se, 2000))
+
+
+# (lam, tau, whether a draw next to -expm1(-lam*tau) has -log1p(-u) == lam*tau)
+REACH_CASES = [(0.015, 100.0, False), (-math.log1p(-0.75), 1.0, True), (0.0, 100.0, True),
+               (1e-310, 1.0, True), (1e-310, 1e308, True), (1e308, 1e308, False)]
+
+
+@pytest.mark.parametrize("lam, tau, exact_hit", REACH_CASES)
+@pytest.mark.parametrize("lead", [(), (10,), (2, 5)])
+def test_model_reach_in_log_space_is_the_exponential_test(lam, tau, exact_hit, lead):
+    """Model-mode reach tests log1p(-u) > -lam*tau; it must equal the
+    comparison of the inverse-CDF exponentials with lam*tau, relay for
+    relay, on windows of shape (W,), (T, W) and (S, T, W).  The contact
+    slots pair every two of: the boundary draw -expm1(-lam*tau), its
+    neighbours and the ends of [0, 1)."""
+    n = 7
+    params = make_params(n=n, lam=lam, tau=tau)
+    life = lam * tau
+    edge = -math.expm1(-life)
+    below, above = np.nextafter(edge, 0.0), np.nextafter(edge, 1.0)
+    # Philox doubles lie in [0, 1)
+    edges = [x for x in (edge, below, above, np.nextafter(below, 0.0),
+                         np.nextafter(above, 1.0)) if 0.0 <= x < 1.0]
+    values = edges + [0.0, 5e-324, np.nextafter(1.0, 0.0)]
+    u = episode_rng(3, 0, n).random((*lead, _window(n)))
+    u[..., n:2 * n] = np.resize(np.repeat(values, len(values)), (*lead, n))
+    u[..., 2 * n:3 * n] = np.resize(np.tile(values, len(values)), (*lead, n))
+    flips, source_e, dest_e = _draw(params, u)
+    got_flips, reach = _contacts(params, u, MODEL)
+    assert reach.shape == flips.shape == (*lead, n)
+    assert np.array_equal(got_flips, u[..., :n])
+    assert np.array_equal(reach, (source_e < life) & (dest_e < life))
+    exps = np.concatenate((source_e, dest_e), axis=-1)
+    assert (exps == life).any() == exact_hit
+    if 0.0 < life < math.inf:
+        # the boundary is met: its draws fall on both sides of lam * tau
+        inside = (exps < life)[np.isin(u[..., n:3 * n], edges)]
+        assert inside.any() and not inside.all()
