@@ -23,7 +23,7 @@ def build_parser() -> argparse.ArgumentParser:
         mp.add_argument("--seed", type=int, help="override the config seed")
         mp.add_argument("--out", help="CSV output path (default: stdout)")
         mp.add_argument("--trials", type=int, help="override the trial count")
-        mp.add_argument("--contact-mode", choices=CONTACT_MODES,
+        mp.add_argument("--contact-mode", metavar="|".join(CONTACT_MODES),
                         help="override the episode contact mode")
     return parser
 

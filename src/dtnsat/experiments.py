@@ -92,6 +92,8 @@ _KEYS = {
     "sweep.start": (float, None), "sweep.stop": (float, None),
     "sweep.points": (int, None),
 }
+# the model fields whose config keys have other names
+_FIELD_KEYS = {"lam": "lambda", "e_store": "e", "e_receive": "e_r", "e_transmit": "e_t"}
 
 
 def parse_config(text: str, overrides: Optional[dict[str, object]] = None
@@ -138,7 +140,9 @@ def _build_config(raw: dict[str, object]) -> ScenarioConfig:
             alpha_max=v["alpha_max"],
         )
     except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+        # the model's messages open with the field name; report the key
+        field, _, rest = str(exc).partition(" ")
+        raise ConfigError(f"{_FIELD_KEYS.get(field, field)} {rest}") from None
 
     for key, low in (("trials", 1), ("horizon", 1), ("seed", 0)):
         if v[key] < low:

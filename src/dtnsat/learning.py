@@ -137,8 +137,9 @@ def run_coupled(params: GameParams, horizon: int, seed: int,
     fed back per the chosen feed, and the delivery indicator updates the
     source.  Relay state is three length-n arrays (accept probability and
     the two estimates), bit-identical to stepping ``simulate_episode`` on
-    window i of the ``seed`` stream, then each relay and the source in
-    turn.  A shorter run is a prefix of a longer one with the same seed.
+    window i of the ``seed`` stream, then ``_score_relays`` on its
+    acceptances (episode feed), then each relay and the source in turn.  A
+    shorter run is a prefix of a longer one with the same seed.
     """
     if feed not in FEEDS:
         raise ValueError(f"feed must be one of {FEEDS}, got {feed!r}")

@@ -65,26 +65,27 @@ def episode_rng(seed: int, trial: int, n: int) -> np.random.Generator:
     """Trial ``trial``'s window of the Philox stream keyed by the integer
     ``seed``, for n relays; drawing one window leaves the generator at the
     next trial's."""
-    try:
-        seed = operator.index(seed)
-    except TypeError:
-        raise TypeError(f"seed must be an integer, got {seed!r}") from None
+    seed, trial = _index("seed", seed), _index("trial", trial)
     if not 0 <= seed < 2 ** 128:
         raise ValueError(f"seed must be in [0, 2**128) to key Philox, got {seed}")
+    if trial < 0:
+        raise ValueError(f"trial must be >= 0, got {trial}")
     return np.random.Generator(np.random.Philox(key=seed, counter=trial * _window(n) // 4))
 
 
-def simulate_episode(params: GameParams, accept_probs: Sequence[float],
-                     reward: float, rng: np.random.Generator,
-                     mode: str = MODEL) -> tuple[np.ndarray, np.ndarray, bool]:
-    """Run one episode on the next window of ``rng``: (accepted, per-relay
-    utilities, delivered).
+def _index(name: str, value) -> int:
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise TypeError(f"{name} must be an integer, got {value!r}") from None
 
-    Utilities follow the share-weighted payoff at the realized cohort: a
-    relay with k accepting opponents is scored at cohort size k+1 whether it
-    accepted or declined, so the two branches stay comparable.  Exactly
-    ``W(n)`` doubles are drawn, so a generator from :func:`episode_rng` of
-    trial t is left at trial t + 1.
+
+def simulate_episode(params: GameParams, accept_probs: Sequence[float],
+                     rng: np.random.Generator, mode: str = MODEL) -> tuple[np.ndarray, bool]:
+    """Run one episode on the next window of ``rng``: (accepted, delivered).
+
+    Exactly ``W(n)`` doubles are drawn, so a generator from
+    :func:`episode_rng` of trial t is left at trial t + 1.
     """
     n = params.n
     probs = np.asarray(accept_probs, dtype=float)
@@ -94,14 +95,9 @@ def simulate_episode(params: GameParams, accept_probs: Sequence[float],
     if not (np.minimum.reduce(probs) >= 0.0 and np.maximum.reduce(probs) <= 1.0):
         bad = probs[~((probs >= 0.0) & (probs <= 1.0))][0]
         raise ValueError(f"accept probabilities must lie in [0, 1], got {bad}")
-    if not math.isfinite(reward):
-        raise ValueError(f"reward must be finite, got {reward}")
-
     flips, reach = _contacts(params, rng.random(_window(n)), mode)
     accepted = flips < probs
-    utilities = _score_relays(params, relay_failure_probability(params.contact),
-                              total_energy(params), accepted, reward)
-    return accepted, utilities, bool(np.count_nonzero(accepted & reach))
+    return accepted, bool(np.count_nonzero(accepted & reach))
 
 
 def _draw(params: GameParams, u: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -133,7 +129,10 @@ def _contacts(params: GameParams, u: np.ndarray, mode: str) -> tuple[np.ndarray,
 
 def _score_relays(params: GameParams, q: float, cost: float, accepted: np.ndarray,
                   reward: float) -> np.ndarray:
-    # acceptors share a cohort of n_accept; a decliner is scored as one more
+    """Per-relay utilities of one drawn episode, by the share-weighted payoff
+    at the realized cohort: a relay with k accepting opponents is scored at
+    cohort size k+1 whether it accepted or declined, so the two branches
+    stay comparable."""
     n_accept = int(np.count_nonzero(accepted))
     pay_accept = (relay_payoffs(reward, delivery_share(n_accept, q), cost, params)[0]
                   if n_accept else 0.0)
@@ -144,25 +143,30 @@ def _score_relays(params: GameParams, q: float, cost: float, accepted: np.ndarra
 def estimate_delivery(params: GameParams, accept_prob: float, trials: int,
                       seed: int, mode: str = MODEL) -> EstimateWithCI:
     """Empirical delivery frequency when all relays accept with one common p."""
-    return _estimate(params, accept_prob, 0.0, trials, seed, mode, lambda ep: ep[2])
+    return _estimate(params, accept_prob, trials, seed, mode, lambda ep: ep[1])
 
 
 def estimate_relay_utility(params: GameParams, accept_prob: float, reward: float,
                            trials: int, seed: int, mode: str = MODEL) -> EstimateWithCI:
     """Empirical mean payoff of relay 0 under symmetric mixing."""
-    return _estimate(params, accept_prob, reward, trials, seed, mode, lambda ep: ep[1][0])
+    if not math.isfinite(reward):
+        raise ValueError(f"reward must be finite, got {reward}")
+    q, cost = relay_failure_probability(params.contact), total_energy(params)
+    return _estimate(params, accept_prob, trials, seed, mode,
+                     lambda ep: _score_relays(params, q, cost, ep[0], reward)[0])
 
 
-def _estimate(params: GameParams, accept_prob: float, reward: float, trials: int,
-              seed: int, mode: str, sample: Callable[[tuple], float]) -> EstimateWithCI:
+def _estimate(params: GameParams, accept_prob: float, trials: int, seed: int, mode: str,
+              sample: Callable[[tuple], float]) -> EstimateWithCI:
     """Summary of ``sample`` of each of ``trials`` episodes, trial t on window t."""
+    trials = _index("trials", trials)
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     probs = np.full(params.n, accept_prob)
     rng = episode_rng(seed, 0, params.n)
     samples = np.empty(trials)
     for t in range(trials):
-        samples[t] = sample(simulate_episode(params, probs, reward, rng, mode))
+        samples[t] = sample(simulate_episode(params, probs, rng, mode))
     return _summarize(samples)
 
 

@@ -50,9 +50,33 @@ class TestParseConfig:
         cfg = parse_config("# comment\n\nn = 3  # trailing\n")
         assert cfg.params.n == 3
 
-    def test_out_of_range_value_names_key(self):
-        with pytest.raises(ConfigError, match="delta"):
-            parse_config("delta = 1.5")
+    @pytest.mark.parametrize("line, message", [
+        ("delta = 1.5", "delta"),
+        ("contact_mode = phys", r"^contact_mode must be one of \('model', 'physical'\), "
+                                "got 'phys'$"),
+        ("feed = meanfield", r"^feed must be one of \('episode', 'mean-field'\), "
+                             "got 'meanfield'$"),
+        ("p = -0.1", r"^p must be in \[0, 1\], got -0.1$"),
+        ("p = 1.5", r"^p must be in \[0, 1\], got 1.5$"),
+        ("alpha = -1", r"^alpha must be in \[0, alpha_max\], got -1.0$"),
+        ("alpha = 6", r"^alpha must be in \[0, alpha_max\], got 6.0$"),
+    ])
+    def test_out_of_range_value_names_key(self, line, message):
+        with pytest.raises(ConfigError, match=message):
+            parse_config(line)
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("lambda", "-1", "must be >= 0, got -1.0"),
+        ("lambda", "inf", "must be finite, got inf"),
+        ("e", "-1", "must be >= 0, got -1.0"),
+        ("e_r", "-2e-5", "must be >= 0, got -2e-05"),
+        ("e_t", "nan", "must be finite, got nan"),
+    ])
+    def test_model_field_error_names_the_config_key(self, key, value, message):
+        # the model calls these lam, e_store, e_receive and e_transmit
+        with pytest.raises(ConfigError) as info:
+            parse_config(f"{key} = {value}")
+        assert str(info.value) == f"{key} {message}"
 
     def test_unknown_key_reports_line(self):
         with pytest.raises(ConfigError, match="line 2.*frobnicate"):
@@ -65,6 +89,10 @@ class TestParseConfig:
     def test_malformed_line_reports_line(self):
         with pytest.raises(ConfigError, match="line 1"):
             parse_config("just some words\n")
+
+    def test_empty_value_reports_line_and_key(self):
+        with pytest.raises(ConfigError, match="^line 2: empty value for key 'tau'$"):
+            parse_config("n = 3\ntau =   # unset\n")
 
     def test_duplicate_key_reports_both_lines(self):
         with pytest.raises(ConfigError, match="line 3: duplicate key 'n'.*line 1"):
@@ -134,6 +162,8 @@ class TestParseConfig:
                          "sweep.points = 3")
         with pytest.raises(ConfigError, match="one of"):
             parse_config("sweep.var = sigma\nsweep.values = 0.1")
+        with pytest.raises(ConfigError, match=r"^sweep needs sweep.start \(or sweep.values\)$"):
+            parse_config("sweep.var = tau\nsweep.stop = 2\nsweep.points = 3")
 
     def test_list_and_grid_sweep_forms_conflict(self):
         with pytest.raises(ConfigError, match="^sweep.values conflicts with "
@@ -151,6 +181,19 @@ class TestParseConfig:
     def test_non_finite_swept_value_names_var(self, var, value):
         with pytest.raises(ConfigError, match=f"^swept {var} must be finite"):
             parse_config(f"sweep.var = {var}\nsweep.values = {value}")
+
+    @pytest.mark.parametrize("var, value, message", [
+        ("tau", "0", "swept tau must be > 0, got 0.0"),
+        ("lambda", "-0.5", "swept lambda must be >= 0, got -0.5"),
+        ("n", "0", "swept n must be a positive integer, got 0.0"),
+        ("n", "2.5", "swept n must be a positive integer, got 2.5"),
+        ("delta", "1", "swept delta must be in (0, 1), got 1.0"),
+        ("p", "1.5", "swept p must be in [0, 1], got 1.5"),
+    ])
+    def test_out_of_range_swept_value_names_var(self, var, value, message):
+        with pytest.raises(ConfigError) as info:
+            parse_config(f"sweep.var = {var}\nsweep.values = {value}")
+        assert str(info.value) == message
 
     def test_infinite_range_end_rejected(self):
         with pytest.raises(ConfigError, match="^swept tau must be finite"):
@@ -422,6 +465,18 @@ class TestCli:
                      "--contact-mode", "physical"]) == 0
         assert [raw.get("contact_mode") for raw in seen] == ["physical"]
         assert "# contact_mode = physical" in out.read_text()
+
+    @pytest.mark.parametrize("mode", ["simulate", "learn"])
+    def test_bad_contact_mode_flag_names_key(self, mode, capsys):
+        # one check, in the config layer: exit 1, not the parser's 2
+        assert main([mode, "--contact-mode", "phys"]) == 1
+        err = capsys.readouterr().err
+        assert "contact_mode must be one of ('model', 'physical'), got 'phys'" in err
+
+    def test_contact_mode_flag_help_lists_the_modes(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["simulate", "--help"])
+        assert "--contact-mode model|physical" in capsys.readouterr().out
 
     @pytest.mark.parametrize("mode", ["simulate", "learn"])
     def test_negative_seed_flag_names_key(self, mode, capsys):

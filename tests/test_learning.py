@@ -16,7 +16,8 @@ from dtnsat.learning import (
     _source_update,
     run_coupled,
 )
-from dtnsat.simulate import MODEL, PHYSICAL, episode_rng, simulate_episode
+from dtnsat.model import relay_failure_probability, total_energy
+from dtnsat.simulate import MODEL, PHYSICAL, _score_relays, episode_rng, simulate_episode
 from conftest import make_params
 
 
@@ -187,18 +188,20 @@ class TestRunCoupled:
 
 def scalar_replay(params, horizon, seed, feed, contact_mode):
     """The coupled loop in plain floats, one relay at a time, on one
-    ``simulate_episode`` per iteration: each relay steps by ``ratio_rule``
-    and the source by its own transcription."""
+    ``simulate_episode`` per iteration, scored by ``_score_relays`` on the
+    episode feed: each relay steps by ``ratio_rule`` and the source by its
+    own transcription."""
     alpha, estimate = params.alpha_max / 2.0, 0.0
+    q, cost = relay_failure_probability(params.contact), total_energy(params)
     relays = [(0.5, 0.0, 0.0)] * params.n
     rows = []
     for k in range(1, horizon + 1):
         probs = [r[0] for r in relays]
         # iteration k - 1 reads its own window, from a fresh generator
-        accepted, utilities, delivered = simulate_episode(
-            params, probs, alpha, episode_rng(seed, k - 1, params.n), contact_mode)
+        accepted, delivered = simulate_episode(
+            params, probs, episode_rng(seed, k - 1, params.n), contact_mode)
         if feed == EPISODE:
-            fed = utilities.tolist()
+            fed = _score_relays(params, q, cost, accepted, alpha).tolist()
         else:
             pay_accept, pay_reject = mixed_relay_payoffs(alpha, sum(probs) / params.n,
                                                          params)

@@ -4,9 +4,12 @@ import statistics
 import numpy as np
 import pytest
 
+import dtnsat.simulate as simulate
 from dtnsat.model import (
     expected_relay_utility_mixed,
     expected_source_utility_mixed,
+    relay_failure_probability,
+    total_energy,
 )
 from dtnsat.simulate import (
     MODEL,
@@ -14,6 +17,7 @@ from dtnsat.simulate import (
     PHYSICAL,
     _contacts,
     _draw,
+    _score_relays,
     _summarize,
     _window,
     estimate_delivery,
@@ -29,16 +33,22 @@ MODEL_ONE_RELAY = 0.60352674807100429     # p_c * (1 - q)
 PHYSICAL_ONE_RELAY = 0.44217459962892543  # P(source + dest contact <= tau)
 
 
+def score(params, accepted, reward):
+    """Per-relay utilities of a drawn episode, as the estimator scores them."""
+    return _score_relays(params, relay_failure_probability(params.contact),
+                         total_energy(params), accepted, reward)
+
+
 class TestEpisode:
     def test_seed_determinism(self, base_params):
         probs = [0.4] * 7
-        a = simulate_episode(base_params, probs, 1.0, episode_rng(9, 3, 7))
-        b = simulate_episode(base_params, probs, 1.0, episode_rng(9, 3, 7))
-        assert (a[0].tolist(), a[1].tolist(), a[2]) == (b[0].tolist(), b[1].tolist(), b[2])
+        a = simulate_episode(base_params, probs, episode_rng(9, 3, 7))
+        b = simulate_episode(base_params, probs, episode_rng(9, 3, 7))
+        assert (a[0].tolist(), a[1]) == (b[0].tolist(), b[1])
 
     def test_trials_use_independent_streams(self, base_params):
         probs = [0.5] * 7
-        outcomes = {tuple(simulate_episode(base_params, probs, 1.0, episode_rng(9, t, 7))[0])
+        outcomes = {tuple(simulate_episode(base_params, probs, episode_rng(9, t, 7))[0])
                     for t in range(10)}
         assert len(outcomes) > 1
 
@@ -52,16 +62,16 @@ class TestEpisode:
             flips, reach = _contacts(base_params, u, mode)
             accepted = flips < np.full(7, 0.3)
             success = accepted & reach
-            delivered = simulate_episode(base_params, [0.3] * 7, 1.0,
-                                         episode_rng(17, t, 7), mode)[2]
+            delivered = simulate_episode(base_params, [0.3] * 7,
+                                         episode_rng(17, t, 7), mode)[1]
             source_t, dest_t = source_e / lam, dest_e / lam
             finish = dest_t if mode == MODEL else source_t + dest_t
             assert delivered == success.any()
             assert (accepted & (source_t <= tau) & (finish <= tau))[success].all()
 
     def test_nobody_caches_when_nobody_accepts(self, base_params):
-        accepted, utilities, delivered = simulate_episode(base_params, [0.0] * 7, 2.0,
-                                                          episode_rng(5, 0, 7))
+        accepted, delivered = simulate_episode(base_params, [0.0] * 7, episode_rng(5, 0, 7))
+        utilities = score(base_params, accepted, 2.0)
         assert not accepted.any()
         assert not delivered
         # every decliner is scored against a cohort of itself alone
@@ -70,8 +80,8 @@ class TestEpisode:
 
     def test_zero_rate_episode(self):
         params = make_params(lam=0.0)
-        accepted, utilities, delivered = simulate_episode(params, [1.0] * 7, 1.0,
-                                                          episode_rng(1, 0, 7))
+        accepted, delivered = simulate_episode(params, [1.0] * 7, episode_rng(1, 0, 7))
+        utilities = score(params, accepted, 1.0)
         assert not delivered
         assert accepted.all()
         # share is zero, so accepting costs the failure regret plus energy
@@ -79,8 +89,8 @@ class TestEpisode:
         assert all(u == pytest.approx(expect) for u in utilities)
 
     def test_utilities_match_cohort_convention(self, base_params):
-        accepted, utilities, _ = simulate_episode(base_params, [0.6] * 7, 1.3,
-                                                  episode_rng(23, 11, 7))
+        accepted, _ = simulate_episode(base_params, [0.6] * 7, episode_rng(23, 11, 7))
+        utilities = score(base_params, accepted, 1.3)
         n_accept = accepted.sum()
         for acc, u in zip(accepted, utilities):
             accept, reject = cohort_payoffs(1.3, n_accept if acc else n_accept + 1,
@@ -90,50 +100,48 @@ class TestEpisode:
     def test_monotone_coupling_in_accept_prob(self, base_params):
         # identical draws, higher p: delivery can only switch off -> on
         for t in range(200):
-            low = simulate_episode(base_params, [0.2] * 7, 1.0, episode_rng(31, t, 7))
-            high = simulate_episode(base_params, [0.8] * 7, 1.0, episode_rng(31, t, 7))
-            assert high[2] >= low[2]
+            low = simulate_episode(base_params, [0.2] * 7, episode_rng(31, t, 7))
+            high = simulate_episode(base_params, [0.8] * 7, episode_rng(31, t, 7))
+            assert high[1] >= low[1]
 
     def test_bad_inputs(self, base_params):
         with pytest.raises(ValueError):
-            simulate_episode(base_params, [0.5] * 6, 1.0, episode_rng(1, 0, 7))
+            simulate_episode(base_params, [0.5] * 6, episode_rng(1, 0, 7))
         with pytest.raises(ValueError):
-            simulate_episode(base_params, [1.5] * 7, 1.0, episode_rng(1, 0, 7))
+            simulate_episode(base_params, [1.5] * 7, episode_rng(1, 0, 7))
         with pytest.raises(ValueError):
-            simulate_episode(base_params, [0.5] * 7, 1.0, episode_rng(1, 0, 7), mode="exact")
+            simulate_episode(base_params, [0.5] * 7, episode_rng(1, 0, 7), mode="exact")
 
     def test_nan_accept_probability_rejected(self, base_params):
         # NaN fails both ordered comparisons, so it must not pass as "in range"
         with pytest.raises(ValueError, match="got nan"):
-            simulate_episode(base_params, [math.nan] * 7, 0.5, episode_rng(1, 0, 7))
+            simulate_episode(base_params, [math.nan] * 7, episode_rng(1, 0, 7))
         with pytest.raises(ValueError, match="got -0.1"):
-            simulate_episode(base_params, [0.5] * 6 + [-0.1], 0.5, episode_rng(1, 0, 7))
+            simulate_episode(base_params, [0.5] * 6 + [-0.1], episode_rng(1, 0, 7))
 
     def test_range_check_edges(self):
         params = make_params(n=40)
         last_nan = [0.5] * 39 + [math.nan]
         with pytest.raises(ValueError, match="got nan"):
-            simulate_episode(params, last_nan, 0.5, episode_rng(1, 0, 40))
+            simulate_episode(params, last_nan, episode_rng(1, 0, 40))
         for edge in (-0.0, 1.0):
-            simulate_episode(params, [0.5] * 39 + [edge], 0.5, episode_rng(1, 0, 40))
+            simulate_episode(params, [0.5] * 39 + [edge], episode_rng(1, 0, 40))
         for outside in (np.nextafter(0.0, -1.0), np.nextafter(1.0, 2.0)):
             with pytest.raises(ValueError, match=f"got {outside}$"):
-                simulate_episode(params, [outside] + [0.5] * 39, 0.5, episode_rng(1, 0, 40))
+                simulate_episode(params, [outside] + [0.5] * 39, episode_rng(1, 0, 40))
         # the message names the first bad value in slot order
         with pytest.raises(ValueError, match=r"got 1\.5$"):
-            simulate_episode(params, [0.5, 1.5, -0.2, math.nan] + [0.5] * 36, 0.5,
+            simulate_episode(params, [0.5, 1.5, -0.2, math.nan] + [0.5] * 36,
                              episode_rng(1, 0, 40))
 
     @pytest.mark.parametrize("shape", [(7, 1), (1, 7), (), (7, 7)])
     def test_accept_probabilities_must_be_one_per_relay(self, base_params, shape):
         with pytest.raises(ValueError, match=rf"got shape \({', '.join(map(str, shape))},?\)"):
-            simulate_episode(base_params, np.full(shape, 0.5), 1.0, episode_rng(1, 0, 7))
+            simulate_episode(base_params, np.full(shape, 0.5), episode_rng(1, 0, 7))
 
     @pytest.mark.parametrize("reward", [math.inf, -math.inf, math.nan])
     def test_non_finite_reward_rejected(self, base_params, reward):
         with pytest.raises(ValueError, match=f"reward must be finite, got {reward}"):
-            simulate_episode(base_params, [0.5] * 7, reward, episode_rng(1, 0, 7))
-        with pytest.raises(ValueError, match="reward"):
             estimate_relay_utility(base_params, 0.3, reward, 50, 1)
 
 
@@ -172,6 +180,17 @@ class TestEstimateDelivery:
         with pytest.raises(ValueError):
             estimate_delivery(base_params, 0.5, 0, seed=1)
 
+    def test_scores_no_relay(self, base_params, monkeypatch):
+        # the episode kernel only draws; scoring is the relay estimator's
+        def forbidden(*args):
+            raise AssertionError("delivery estimate reached the payoff model")
+        for name in ("delivery_share", "relay_failure_probability", "relay_payoffs",
+                     "total_energy"):
+            monkeypatch.setattr(simulate, name, forbidden)
+        estimate_delivery(base_params, 0.4, 50, 1)
+        with pytest.raises(AssertionError):
+            estimate_relay_utility(base_params, 0.4, 1.0, 50, 1)
+
     @pytest.mark.parametrize("p", [0.1, 0.5, 1.0])
     def test_matches_closed_form(self, base_params, p):
         est = estimate_delivery(base_params, p, 20_000, seed=11)
@@ -206,7 +225,7 @@ class TestEstimateDelivery:
         probs = [0.5] * 7
         hits = np.empty(300)
         for t in reversed(range(300)):
-            hits[t] = simulate_episode(base_params, probs, 0.0, episode_rng(8, t, 7))[2]
+            hits[t] = simulate_episode(base_params, probs, episode_rng(8, t, 7))[1]
         assert est.mean == pytest.approx(sum(hits) / 300)
         assert est == _summarize(hits)
 
@@ -230,8 +249,8 @@ class TestEstimateRelayUtility:
         probs = [0.4] * 7
         values = np.empty(300)
         for t in reversed(range(300)):
-            values[t] = simulate_episode(base_params, probs, 1.2,
-                                         episode_rng(8, t, 7))[1][0]
+            accepted = simulate_episode(base_params, probs, episode_rng(8, t, 7))[0]
+            values[t] = score(base_params, accepted, 1.2)[0]
         assert est.mean == pytest.approx(sum(values) / 300)
         assert est == _summarize(values)
 
@@ -255,7 +274,7 @@ class TestEstimateWithCI:
     def test_stderr_definition(self, base_params):
         est = estimate_delivery(base_params, 0.5, 400, seed=5)
         probs = [0.5] * 7
-        hits = [float(simulate_episode(base_params, probs, 0.0, episode_rng(5, t, 7))[2])
+        hits = [float(simulate_episode(base_params, probs, episode_rng(5, t, 7))[1])
                 for t in range(400)]
         expect = statistics.stdev(hits) / 400 ** 0.5
         assert est.stderr == pytest.approx(expect, rel=1e-12)
@@ -286,9 +305,8 @@ class TestStreamContract:
         params = make_params(n=3)
         delivered, utility = np.empty((2, 200))
         for t in reversed(range(200)):
-            _, utilities, hit = simulate_episode(params, [0.6] * 3, 0.9,
-                                                 episode_rng(4, t, 3), mode)
-            delivered[t], utility[t] = hit, utilities[0]
+            accepted, hit = simulate_episode(params, [0.6] * 3, episode_rng(4, t, 3), mode)
+            delivered[t], utility[t] = hit, score(params, accepted, 0.9)[0]
         assert estimate_delivery(params, 0.6, 200, 4, mode) == _summarize(delivered)
         assert estimate_relay_utility(params, 0.6, 0.9, 200, 4, mode) == _summarize(utility)
 
@@ -298,8 +316,8 @@ class TestStreamContract:
         zero = make_params(lam=0.0)
         rng = episode_rng(3, 0, 7)
         for t in range(20):
-            walked = simulate_episode(zero, [0.5] * 7, 1.0, rng)[0]
-            fresh = simulate_episode(base_params, [0.5] * 7, 1.0, episode_rng(3, t, 7))[0]
+            walked = simulate_episode(zero, [0.5] * 7, rng)[0]
+            fresh = simulate_episode(base_params, [0.5] * 7, episode_rng(3, t, 7))[0]
             assert np.array_equal(walked, fresh)
 
     def test_same_seed_same_bytes(self, base_params):
@@ -370,6 +388,29 @@ class TestStreamContract:
             episode_rng(seed, 0, 7)
         with pytest.raises(TypeError, match="seed"):
             estimate_delivery(base_params, 0.3, 500, seed)
+
+    @pytest.mark.parametrize("trial", [1.5, 2.0, "1", None])
+    def test_trial_must_be_an_integer(self, trial):
+        with pytest.raises(TypeError, match="trial must be an integer"):
+            episode_rng(1, trial, 7)
+
+    def test_negative_trial_rejected(self):
+        with pytest.raises(ValueError, match=r"^trial must be >= 0, got -1$"):
+            episode_rng(1, -1, 7)
+
+    @pytest.mark.parametrize("trials", [2.5, 2.0, "50"])
+    def test_trials_must_be_an_integer(self, base_params, trials):
+        with pytest.raises(TypeError, match="trials must be an integer"):
+            estimate_delivery(base_params, 0.3, trials, 1)
+        with pytest.raises(TypeError, match="trials must be an integer"):
+            estimate_relay_utility(base_params, 0.3, 1.0, trials, 1)
+
+    def test_numpy_integer_trial_and_trials_pass(self, base_params):
+        for trial in (np.int64(2), np.uint8(2)):
+            assert np.array_equal(episode_rng(1, trial, 7).random(_window(7)),
+                                  episode_rng(1, 2, 7).random(_window(7)))
+        assert (estimate_delivery(base_params, 0.3, np.int64(50), 1)
+                == estimate_delivery(base_params, 0.3, 50, 1))
 
     def test_numpy_integer_seed_keys_the_same_stream(self, base_params):
         assert (estimate_delivery(base_params, 0.3, 200, np.int64(7))
