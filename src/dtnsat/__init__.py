@@ -13,7 +13,6 @@ from .model import (  # noqa: F401
     GameParams,
     contact_probability,
     delivery_share,
-    delivery_share_bruteforce,
     expected_relay_utility_mixed,
     expected_source_utility_mixed,
     relay_failure_probability,

@@ -20,9 +20,9 @@ def build_parser() -> argparse.ArgumentParser:
     for mode in MODES:
         mp = sub.add_parser(mode, help=f"run the {mode} scenario")
         mp.add_argument("--config", help="path to a key = value config file")
-        mp.add_argument("--seed", type=int, help="override the config seed")
+        mp.add_argument("--seed", help="override the config seed")
         mp.add_argument("--out", help="CSV output path (default: stdout)")
-        mp.add_argument("--trials", type=int, help="override the trial count")
+        mp.add_argument("--trials", help="override the trial count")
         mp.add_argument("--contact-mode", metavar="|".join(CONTACT_MODES),
                         help="override the episode contact mode")
     return parser

@@ -2,12 +2,11 @@
 
 The solvers invert the reduced relay payoff, :func:`dtnsat.model.reduced_payoffs`:
 caching cost is linearized to e*(1-q)/lam and the failure regret is weighted
-by the full fleet size n rather than by the accepting cohort alone.  The
-residual of that balance is exposed (``pure_indifference_gap`` /
-``mixed_indifference_gap``) so tests can verify each returned reward solves
-its own equation.  The simulator and the mixed utilities in
-:mod:`dtnsat.model` pay the game's payoff, :func:`dtnsat.model.relay_payoffs`,
-where a relay with k accepting opponents holds the share of cohort k+1.  The
+by the full fleet size n rather than by the accepting cohort alone; each
+returned reward is the root of the accept-minus-reject gap of that payoff,
+pure at cohort m or mixed at common p (:func:`mixed_relay_payoffs`).  The
+simulator and the mixed utilities in :mod:`dtnsat.model` pay the game's
+payoff, :func:`dtnsat.model.relay_payoffs`, where a relay with k accepting opponents holds the share of cohort k+1.  The
 two disagree by far more than rounding: at the reference binding point
 (p* = 0.0549, alpha* = 0.7668) a relay's mixed accept/reject payoffs are
 0.460/-0.675 under the game's payoff and -0.173/-0.173 under the reduced
@@ -52,23 +51,6 @@ BISECTION_TOL = 1e-6
 BISECTION_MAX_ITER = 200
 # strictly-better margin for the dominance verdict, guards float noise
 DOMINANCE_MARGIN = 1e-9
-
-
-def pure_indifference_gap(alpha: float, n_active: int, params: GameParams) -> float:
-    """Accept-minus-reject payoff under the reduced model, pure cohort case.
-
-    The solver's reward for cohort n_active is the exact root of this gap.
-    """
-    q = relay_failure_probability(params.contact)
-    miss = q ** n_active
-    accept, reject = reduced_payoffs(alpha, n_active, 1.0 - miss, miss, params)
-    return accept - reject
-
-
-def mixed_indifference_gap(alpha: float, p: float, params: GameParams) -> float:
-    """Accept-minus-reject payoff under the reduced model, common mixing p."""
-    accept, reject = mixed_relay_payoffs(alpha, p, params)
-    return accept - reject
 
 
 def mixed_relay_payoffs(alpha: float, p: float, params: GameParams) -> tuple[float, float]:

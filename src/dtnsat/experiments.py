@@ -96,12 +96,13 @@ _KEYS = {
 _FIELD_KEYS = {"lam": "lambda", "e_store": "e", "e_receive": "e_r", "e_transmit": "e_t"}
 
 
-def parse_config(text: str, overrides: Optional[dict[str, object]] = None
+def parse_config(text: str, overrides: Optional[dict[str, str]] = None
                  ) -> ScenarioConfig:
     """Parse and validate config text, filling defaults for missing keys.
 
-    ``overrides`` holds already-typed values (the CLI flags) that replace
-    the file's; both go through the same validation.
+    ``overrides`` maps keys to the text of the CLI flags that replace the
+    file's values; both are parsed and validated alike, and a bad flag is
+    reported by its key.
     """
     raw: dict[str, object] = {}
     first_line: dict[str, int] = {}
@@ -121,12 +122,17 @@ def parse_config(text: str, overrides: Optional[dict[str, object]] = None
             raise ConfigError(f"line {lineno}: duplicate key {key!r} "
                               f"(first set on line {first_line[key]})")
         first_line[key] = lineno
-        try:
-            raw[key] = _KEYS[key][0](value)
-        except ValueError as exc:
-            raise ConfigError(f"line {lineno}: bad value for {key!r}: {exc}") from None
-    raw.update(overrides or {})
+        raw[key] = _parse_value(key, value, f"line {lineno}")
+    for key, value in (overrides or {}).items():
+        raw[key] = _parse_value(key, value, "--" + key.replace("_", "-"))
     return _build_config(raw)
+
+
+def _parse_value(key: str, value: str, where: str) -> object:
+    try:
+        return _KEYS[key][0](value)
+    except ValueError as exc:
+        raise ConfigError(f"{where}: bad value for {key!r}: {exc}") from None
 
 
 def _build_config(raw: dict[str, object]) -> ScenarioConfig:

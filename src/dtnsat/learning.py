@@ -46,8 +46,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .equilibrium import mixed_relay_payoffs
-from .model import GameParams, relay_failure_probability, total_energy
-from .simulate import MODEL, _contacts, _score_relays, _window, episode_rng
+from .model import GameParams, total_energy
+from .simulate import MODEL, _cohort_shares, _contacts, _score_relays, _window, episode_rng
 
 # iterations whose stream windows are drawn at once
 _BLOCK = 256
@@ -138,8 +138,10 @@ def run_coupled(params: GameParams, horizon: int, seed: int,
     source.  Relay state is three length-n arrays (accept probability and
     the two estimates), bit-identical to stepping ``simulate_episode`` on
     window i of the ``seed`` stream, then ``_score_relays`` on its
-    acceptances (episode feed), then each relay and the source in turn.  A
-    shorter run is a prefix of a longer one with the same seed.
+    acceptances (episode feed), then each relay and the source in turn.  The
+    run's cohort share table is built once, and a step counts its acceptors
+    once, into ``n_accept[i]``, which the scorer reads.  A shorter run is a
+    prefix of a longer one with the same seed.
     """
     if feed not in FEEDS:
         raise ValueError(f"feed must be one of {FEEDS}, got {feed!r}")
@@ -149,7 +151,7 @@ def run_coupled(params: GameParams, horizon: int, seed: int,
     rng = episode_rng(seed, 0, n)
     alpha, estimate = params.alpha_max / 2.0, 0.0
     p, est_a, est_r = np.full(n, 0.5), np.zeros(n), np.zeros(n)
-    q, cost = relay_failure_probability(params.contact), total_energy(params)
+    share, cost = _cohort_shares(params), total_energy(params)
     alphas, estimates = np.empty((2, horizon))
     probs, fed = np.empty((2, horizon, n))
     n_accept = np.empty(horizon, dtype=int)
@@ -164,8 +166,9 @@ def run_coupled(params: GameParams, horizon: int, seed: int,
             alphas[i] = alpha
             probs[i] = p
             accepted = flip < p
+            cohort = n_accept[i] = np.count_nonzero(accepted)
             if feed == EPISODE:
-                fed[i] = _score_relays(params, q, cost, accepted, alpha)
+                fed[i] = _score_relays(params, share, cost, accepted, cohort, alpha)
             else:
                 # a sequential sum, as over a list; np.sum pairs terms and can
                 # differ in the last bit from n = 8 on
@@ -177,7 +180,6 @@ def run_coupled(params: GameParams, horizon: int, seed: int,
             alpha, estimate = _source_update(alpha, estimate, params.delta, params.alpha_max,
                                              float(delivered[i]), 1.0 / (1.0 + k))
             estimates[i] = estimate
-            n_accept[i] = np.count_nonzero(accepted)
 
     return Trajectory(alpha=alphas, u_s_est=estimates, accept_probs=probs,
                       utilities=fed, n_accept=n_accept, delivered=delivered)

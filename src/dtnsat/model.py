@@ -19,10 +19,6 @@ class EmptyCohortError(ValueError):
     """Raised when a per-relay share is requested for an empty cohort."""
 
 
-class CohortTooLargeError(ValueError):
-    """Raised when exact term-by-term summation would not be trustworthy."""
-
-
 def _require_finite(obj, *names) -> None:
     for name in names:
         if not math.isfinite(getattr(obj, name)):
@@ -177,28 +173,6 @@ def delivery_share(n_active: int, q: float) -> float:
     if not 0 <= q <= 1:
         raise ValueError(f"q must be in [0, 1], got {q}")
     return (1.0 - q ** n_active) / n_active
-
-
-def delivery_share_bruteforce(n_active: int, q: float) -> float:
-    """Term-by-term oracle for delivery_share.
-
-    Sums, over the number j of relays (tagged one included) that reach the
-    destination, the probability the tagged relay succeeds and wins the
-    uniform j-way tie:  (1-q) * C(n-1, j-1) * (1-q)**(j-1) * q**(n-j) / j.
-    Kept independent of the closed form on purpose.
-    """
-    if n_active < 1:
-        raise EmptyCohortError("delivery share needs at least one caching relay")
-    if n_active > 64:
-        raise CohortTooLargeError("exact summation limited to cohorts of 64")
-    if not 0 <= q <= 1:
-        raise ValueError(f"q must be in [0, 1], got {q}")
-    succeed = 1.0 - q
-    total = 0.0
-    for j in range(1, n_active + 1):
-        ways = math.comb(n_active - 1, j - 1)
-        total += ways * succeed ** (j - 1) * q ** (n_active - j) / j
-    return succeed * total
 
 
 def per_relay_success(params: GameParams, p: float) -> float:

@@ -35,7 +35,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -127,47 +127,59 @@ def _contacts(params: GameParams, u: np.ndarray, mode: str) -> tuple[np.ndarray,
     return np.where(source_e < life, flips, np.inf), source_e + dest_e < life
 
 
-def _score_relays(params: GameParams, q: float, cost: float, accepted: np.ndarray,
-                  reward: float) -> np.ndarray:
-    """Per-relay utilities of one drawn episode, by the share-weighted payoff
-    at the realized cohort: a relay with k accepting opponents is scored at
-    cohort size k+1 whether it accepted or declined, so the two branches
-    stay comparable."""
-    n_accept = int(np.count_nonzero(accepted))
-    pay_accept = (relay_payoffs(reward, delivery_share(n_accept, q), cost, params)[0]
-                  if n_accept else 0.0)
-    pay_reject = relay_payoffs(reward, delivery_share(n_accept + 1, q), cost, params)[1]
-    return np.where(accepted, pay_accept, pay_reject)
+def _cohort_shares(params: GameParams) -> np.ndarray:
+    """The run's share table: entry k is ``delivery_share(k, q)`` for a
+    cohort of k = 1..n+1 caching relays, and entry 0 is 0."""
+    q = relay_failure_probability(params.contact)
+    return np.array([0.0] + [delivery_share(k, q) for k in range(1, params.n + 2)])
+
+
+def _score_relays(params: GameParams, share: np.ndarray, cost: float, accepted: np.ndarray,
+                  n_accept: int | np.ndarray, reward: float) -> np.ndarray:
+    """Per-relay utilities of drawn episodes, ``accepted`` of shape (..., n)
+    with the caller's ``n_accept`` counts of shape (...), by the
+    share-weighted payoff at the realized cohort: a relay with k accepting
+    opponents is scored at cohort size k+1 whether it accepted or declined,
+    so the two branches stay comparable.  ``share`` is the run's
+    :func:`_cohort_shares` table; an empty cohort's accept payoff is never
+    picked."""
+    pay_accept = relay_payoffs(reward, share[n_accept], cost, params)[0]
+    pay_reject = relay_payoffs(reward, share[n_accept + 1], cost, params)[1]
+    return np.where(accepted, pay_accept[..., None], pay_reject[..., None])
 
 
 def estimate_delivery(params: GameParams, accept_prob: float, trials: int,
                       seed: int, mode: str = MODEL) -> EstimateWithCI:
     """Empirical delivery frequency when all relays accept with one common p."""
-    return _estimate(params, accept_prob, trials, seed, mode, lambda ep: ep[1])
+    return _summarize(_draw_trials(params, accept_prob, trials, seed, mode)[1])
 
 
 def estimate_relay_utility(params: GameParams, accept_prob: float, reward: float,
                            trials: int, seed: int, mode: str = MODEL) -> EstimateWithCI:
-    """Empirical mean payoff of relay 0 under symmetric mixing."""
+    """Empirical mean payoff of relay 0 under symmetric mixing: the trials
+    are drawn first, then relay 0 of all of them is scored in one call."""
     if not math.isfinite(reward):
         raise ValueError(f"reward must be finite, got {reward}")
-    q, cost = relay_failure_probability(params.contact), total_energy(params)
-    return _estimate(params, accept_prob, trials, seed, mode,
-                     lambda ep: _score_relays(params, q, cost, ep[0], reward)[0])
+    accepted, _ = _draw_trials(params, accept_prob, trials, seed, mode)
+    n_accept = np.count_nonzero(accepted, axis=1)
+    return _summarize(_score_relays(params, _cohort_shares(params), total_energy(params),
+                                    accepted[:, :1], n_accept, reward)[:, 0])
 
 
-def _estimate(params: GameParams, accept_prob: float, trials: int, seed: int, mode: str,
-              sample: Callable[[tuple], float]) -> EstimateWithCI:
-    """Summary of ``sample`` of each of ``trials`` episodes, trial t on window t."""
+def _draw_trials(params: GameParams, accept_prob: float, trials: int, seed: int,
+                 mode: str) -> tuple[np.ndarray, np.ndarray]:
+    """(accepted, delivered) of ``trials`` episodes, shapes (T, n) and (T,),
+    trial t on window t; ``delivered`` holds 1.0 or 0.0."""
     trials = _index("trials", trials)
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     probs = np.full(params.n, accept_prob)
     rng = episode_rng(seed, 0, params.n)
-    samples = np.empty(trials)
+    accepted = np.empty((trials, params.n), dtype=bool)
+    delivered = np.empty(trials)
     for t in range(trials):
-        samples[t] = sample(simulate_episode(params, probs, rng, mode))
-    return _summarize(samples)
+        accepted[t], delivered[t] = simulate_episode(params, probs, rng, mode)
+    return accepted, delivered
 
 
 def _summarize(samples: np.ndarray) -> EstimateWithCI:

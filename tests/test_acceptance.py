@@ -21,7 +21,6 @@ from dtnsat.equilibrium import (
     mixed_relay_payoffs,
     mse_reward,
     pareto_grid_scan,
-    pure_indifference_gap,
     satisfaction_region,
     solve_ese,
     solve_mse,
@@ -30,7 +29,6 @@ from dtnsat.equilibrium import (
 from dtnsat.learning import Trajectory, run_coupled
 from dtnsat.model import (
     delivery_share,
-    delivery_share_bruteforce,
     expected_relay_utility_mixed,
     expected_source_utility_mixed,
     relay_failure_probability,
@@ -41,6 +39,7 @@ from dtnsat.model import (
 )
 from dtnsat.simulate import estimate_delivery, estimate_relay_utility
 from conftest import make_params
+from oracles import delivery_share_bruteforce, pure_indifference_gap
 
 
 def report(number: int, ok: bool, detail: str) -> None:

@@ -7,13 +7,11 @@ from dtnsat.equilibrium import (
     DegenerateFailureError,
     RangeError,
     minimum_satisfying_cohort,
-    mixed_indifference_gap,
     mixed_relay_payoffs,
     mse_reward,
     pareto_dominance_check,
     pareto_grid_scan,
     pse_reward,
-    pure_indifference_gap,
     satisfaction_region,
     solve_ese,
     solve_mse,
@@ -24,6 +22,7 @@ from dtnsat.model import (
     expected_source_utility_mixed,
 )
 from conftest import make_params
+from oracles import mixed_indifference_gap, pure_indifference_gap
 
 # frozen with 50-digit arithmetic at the reference scenario
 ALPHA_PSE = {

@@ -414,6 +414,19 @@ class TestCli:
         assert main(["simulate", "--trials", "0"]) == 1
         assert "trials" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag", ["seed", "trials"])
+    @pytest.mark.parametrize("value", ["2.5", "x", "-1"])
+    def test_integer_flags_fail_by_key_like_the_config(self, tmp_path, capsys, flag, value):
+        # a flag and the same value in a config file both exit 1 naming the key
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(f"{flag} = {value}\n")
+        assert main(["simulate", "--config", str(cfg)]) == 1
+        from_file = capsys.readouterr().err
+        assert main(["simulate", f"--{flag}", value]) == 1
+        from_flag = capsys.readouterr().err
+        assert f"{flag}" in from_file and f"{flag}" in from_flag
+        assert from_flag.replace(f"--{flag}:", "line 1:") == from_file
+
     def test_every_mode_runs(self, tmp_path):
         common = "n = 3\ntrials = 50\nhorizon = 30\n"
         sweeps = {

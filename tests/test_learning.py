@@ -16,8 +16,9 @@ from dtnsat.learning import (
     _source_update,
     run_coupled,
 )
-from dtnsat.model import relay_failure_probability, total_energy
-from dtnsat.simulate import MODEL, PHYSICAL, _score_relays, episode_rng, simulate_episode
+from dtnsat.model import total_energy
+from dtnsat.simulate import MODEL, PHYSICAL, _cohort_shares, _score_relays, episode_rng, \
+    simulate_episode
 from conftest import make_params
 
 
@@ -192,7 +193,7 @@ def scalar_replay(params, horizon, seed, feed, contact_mode):
     episode feed: each relay steps by ``ratio_rule`` and the source by its
     own transcription."""
     alpha, estimate = params.alpha_max / 2.0, 0.0
-    q, cost = relay_failure_probability(params.contact), total_energy(params)
+    share, cost = _cohort_shares(params), total_energy(params)
     relays = [(0.5, 0.0, 0.0)] * params.n
     rows = []
     for k in range(1, horizon + 1):
@@ -201,7 +202,7 @@ def scalar_replay(params, horizon, seed, feed, contact_mode):
         accepted, delivered = simulate_episode(
             params, probs, episode_rng(seed, k - 1, params.n), contact_mode)
         if feed == EPISODE:
-            fed = _score_relays(params, q, cost, accepted, alpha).tolist()
+            fed = _score_relays(params, share, cost, accepted, accepted.sum(), alpha).tolist()
         else:
             pay_accept, pay_reject = mixed_relay_payoffs(alpha, sum(probs) / params.n,
                                                          params)

@@ -9,11 +9,9 @@ from dtnsat.model import (
     ContactModel,
     DegenerateRateError,
     EmptyCohortError,
-    CohortTooLargeError,
     EnergyModel,
     contact_probability,
     delivery_share,
-    delivery_share_bruteforce,
     expected_relay_utility_mixed,
     expected_source_utility_mixed,
     per_relay_success,
@@ -28,6 +26,7 @@ from dtnsat.model import (
     with_param,
 )
 from conftest import cohort_payoffs, make_params
+from oracles import CohortTooLargeError, delivery_share_bruteforce
 
 # frozen with 50-digit arithmetic for lam=0.015, tau=100
 P_C = 0.7768698398515702

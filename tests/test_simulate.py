@@ -8,13 +8,13 @@ import dtnsat.simulate as simulate
 from dtnsat.model import (
     expected_relay_utility_mixed,
     expected_source_utility_mixed,
-    relay_failure_probability,
     total_energy,
 )
 from dtnsat.simulate import (
     MODEL,
     EstimateWithCI,
     PHYSICAL,
+    _cohort_shares,
     _contacts,
     _draw,
     _score_relays,
@@ -26,6 +26,7 @@ from dtnsat.simulate import (
     simulate_episode,
 )
 from dtnsat.equilibrium import solve_ese
+from dtnsat.learning import run_coupled
 from conftest import cohort_payoffs, make_params
 
 # frozen single-relay delivery probabilities at lam=0.015, tau=100
@@ -35,8 +36,8 @@ PHYSICAL_ONE_RELAY = 0.44217459962892543  # P(source + dest contact <= tau)
 
 def score(params, accepted, reward):
     """Per-relay utilities of a drawn episode, as the estimator scores them."""
-    return _score_relays(params, relay_failure_probability(params.contact),
-                         total_energy(params), accepted, reward)
+    return _score_relays(params, _cohort_shares(params), total_energy(params), accepted,
+                         np.count_nonzero(accepted), reward)
 
 
 class TestEpisode:
@@ -268,6 +269,65 @@ class TestEstimateRelayUtility:
         assert est.mean == pytest.approx(2.0 * (1.0 - 0.22313016014842982),
                                          rel=1e-12)
         assert est.stderr == pytest.approx(0.0, abs=1e-15)
+
+
+class TestScoreRelays:
+    """The block scorer pays every relay exactly what the game's payoff of its
+    cohort gives it, on one episode's mask or a block of them."""
+
+    @staticmethod
+    def masks(params, n):
+        rows = [np.zeros(n, dtype=bool), np.ones(n, dtype=bool)]
+        for mode in (MODEL, PHYSICAL):
+            flips, _ = _contacts(params, episode_rng(3, 0, n).random((40, _window(n))), mode)
+            for p in (0.1, 0.5, 0.9):
+                rows.extend(flips < p)
+        return np.array(rows)
+
+    @pytest.mark.parametrize("n", [1, 7, 40])
+    def test_equals_cohort_payoffs_per_relay(self, n):
+        params = make_params(n=n)
+        share, cost = _cohort_shares(params), total_energy(params)
+        block = self.masks(params, n)
+        counts = np.count_nonzero(block, axis=1)
+        for reward in (0.0, solve_ese(params).alpha_star, params.alpha_max):
+            scored = _score_relays(params, share, cost, block, counts, reward)
+            assert scored.shape == block.shape
+            for accepted, k, row in zip(block, counts, scored):
+                want = [cohort_payoffs(reward, k, params)[0] if acc
+                        else cohort_payoffs(reward, k + 1, params)[1] for acc in accepted]
+                assert row.tolist() == want
+                one = _score_relays(params, share, cost, accepted,
+                                    np.count_nonzero(accepted), reward)
+                assert one.tolist() == want
+
+
+class TestScoringBudget:
+    """Scoring does not go back to one call per trial: an estimate scores all
+    its trials in one call, and a run builds its share table once."""
+
+    @staticmethod
+    def count_calls(monkeypatch):
+        calls = dict.fromkeys(("_score_relays", "delivery_share"), 0)
+        for name in calls:
+            def counted(*args, _fn=getattr(simulate, name), _name=name):
+                calls[_name] += 1
+                return _fn(*args)
+            monkeypatch.setattr(simulate, name, counted)
+        return calls
+
+    @pytest.mark.parametrize("n", [1, 7, 40])
+    @pytest.mark.parametrize("trials", [10, 1000])
+    def test_relay_estimate_scores_once(self, monkeypatch, n, trials):
+        calls = self.count_calls(monkeypatch)
+        estimate_relay_utility(make_params(n=n), 0.4, 1.0, trials, 1)
+        assert calls == {"_score_relays": 1, "delivery_share": n + 1}
+
+    @pytest.mark.parametrize("horizon", [1, 300, 1000])
+    def test_learner_builds_one_share_table(self, monkeypatch, base_params, horizon):
+        calls = self.count_calls(monkeypatch)
+        run_coupled(base_params, horizon, 1)
+        assert calls["delivery_share"] == base_params.n + 1
 
 
 class TestEstimateWithCI:
