@@ -13,8 +13,9 @@ moves by 1/(1+k), a relay's estimate by 1/(1+k)**0.6 and its strategy by
 0.1, and every accept probability stays in [PROB_FLOOR, 1 - PROB_FLOOR].
 
 ``run_coupled`` wires both to the episode simulator, stepping all relays
-at once with one elementwise update; iteration i reads window i of the
-simulator's stream.  Relay payoffs can be fed two ways:
+at once with one ``_relay_update`` call on a (2, n) array of payoff
+estimates; iteration i reads window i of the simulator's stream.  Relay
+payoffs can be fed two ways:
 
 ``episode``
     Each relay is paid its realized per-episode utility from the simulator
@@ -47,18 +48,23 @@ import numpy as np
 
 from .equilibrium import mixed_relay_payoffs
 from .model import GameParams, total_energy
-from .simulate import MODEL, _cohort_shares, _contacts, _score_relays, _window, episode_rng
+from .simulate import MODEL, _cohort_payoffs, _cohort_shares, _contacts, _index, _window, \
+    episode_rng
 
 # iterations whose stream windows are drawn at once
 _BLOCK = 256
 # every accept probability stays in [PROB_FLOOR, 1 - PROB_FLOOR]
 PROB_FLOOR = 1e-3
 # The relay update's constants as 0-d arrays, since numpy converts a Python
-# float operand on every call (a fifth of the update's cost at n = 7): log(1 + l)
-# of the strategy step l = 0.1, the |exponent| cap of the ratio rule, the floor.
+# float operand on every call (a fifth of the update's cost at n = 7): one,
+# log(1 + l) of the strategy step l = 0.1, the |exponent| cap of the ratio
+# rule, the floor.
+_ONE = np.array(1.0)
 _LOG_STRATEGY_STEP = np.array(math.log1p(0.1))
 _EXP_LO, _EXP_HI = np.array(-50.0), np.array(50.0)
 _P_LO, _P_HI = np.array(PROB_FLOOR), np.array(1.0 - PROB_FLOOR)
+# xor with the accept mask gives the (2, n) mask of the estimate each relay played
+_DECLINE_ROW = np.array([[False], [True]])
 
 
 def _source_update(alpha: float, estimate: float, target: float, alpha_max: float,
@@ -76,10 +82,10 @@ def _source_update(alpha: float, estimate: float, target: float, alpha_max: floa
     return min(max(alpha, 0.0), alpha_max), estimate
 
 
-def _relay_update(p: np.ndarray, est_a: np.ndarray, est_r: np.ndarray, utility: np.ndarray,
-                  accepted: np.ndarray, m: float) -> tuple[np.ndarray, ...]:
-    """(accept prob, accept estimate, decline estimate) arrays after one
-    realized payoff per relay.
+def _relay_update(p: np.ndarray, est: np.ndarray, utility: np.ndarray, accepted: np.ndarray,
+                  m: float) -> tuple[np.ndarray, np.ndarray]:
+    """(accept prob, estimates) after one realized payoff per relay; ``est``
+    is (2, n), the accept estimates over the decline estimates.
 
     Only the estimate matching the played action moves, by step ``m``.  The
     accept probability is then updated by the imitative ratio rule;
@@ -87,22 +93,15 @@ def _relay_update(p: np.ndarray, est_a: np.ndarray, est_r: np.ndarray, utility: 
     taken with ``math.exp``, which ``np.exp`` can miss by an ulp.  In exact
     arithmetic the ratio rule keeps an interior probability interior
     forever; the clamp into [PROB_FLOOR, 1 - PROB_FLOOR] keeps it so under
-    floating point.
+    floating point.  ``utility`` is not checked here: ``run_coupled`` checks
+    the payoff pair it is built from.
     """
-    finite = np.isfinite(utility)
-    if not finite.all():
-        raise ValueError(f"realized utility must be finite, got {utility[~finite][0]}")
-    played = np.where(accepted, est_a, est_r)
-    played += m * (utility - played)
-    est_a = np.where(accepted, played, est_a)
-    est_r = np.where(accepted, est_r, played)
-
-    t_a = _clamp(est_a * _LOG_STRATEGY_STEP)
-    t_r = _clamp(est_r * _LOG_STRATEGY_STEP)
-    ratio = np.fromiter(map(math.exp, _clamp(t_r - t_a).tolist()), float, len(p))
+    est = np.where(accepted ^ _DECLINE_ROW, est + m * (utility - est), est)
+    t = _clamp(est * _LOG_STRATEGY_STEP)
+    ratio = np.fromiter(map(math.exp, _clamp(t[1] - t[0]).tolist()), float, len(p))
     # p' = p e^{t_a} / (p e^{t_a} + (1-p) e^{t_r}), stable form
-    new_p = 1.0 / (1.0 + (1.0 - p) / p * ratio)
-    return np.minimum(np.maximum(new_p, _P_LO), _P_HI), est_a, est_r
+    new_p = _ONE / (_ONE + (_ONE - p) / p * ratio)
+    return np.minimum(np.maximum(new_p, _P_LO), _P_HI), est
 
 
 def _clamp(x: np.ndarray) -> np.ndarray:
@@ -135,23 +134,24 @@ def run_coupled(params: GameParams, horizon: int, seed: int,
     Per iteration: the source publishes its reward, every relay draws an
     action, one episode realizes contacts and delivery, relay payoffs are
     fed back per the chosen feed, and the delivery indicator updates the
-    source.  Relay state is three length-n arrays (accept probability and
-    the two estimates), bit-identical to stepping ``simulate_episode`` on
-    window i of the ``seed`` stream, then ``_score_relays`` on its
-    acceptances (episode feed), then each relay and the source in turn.  The
-    run's cohort share table is built once, and a step counts its acceptors
-    once, into ``n_accept[i]``, which the scorer reads.  A shorter run is a
+    source.  A step's feed is one checked (accept, decline) pair of floats,
+    from the run's share table at the count in ``n_accept[i]`` (episode
+    feed), spread over the relays by their actions.  The run is
+    bit-identical to stepping ``simulate_episode`` on window i of the
+    ``seed`` stream, then ``_score_relays`` on its acceptances (episode
+    feed), then each relay and the source in turn.  A shorter run is a
     prefix of a longer one with the same seed.
     """
     if feed not in FEEDS:
         raise ValueError(f"feed must be one of {FEEDS}, got {feed!r}")
+    horizon = _index("horizon", horizon)
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
     n = params.n
     rng = episode_rng(seed, 0, n)
     alpha, estimate = params.alpha_max / 2.0, 0.0
-    p, est_a, est_r = np.full(n, 0.5), np.zeros(n), np.zeros(n)
-    share, cost = _cohort_shares(params), total_energy(params)
+    p, est = np.full(n, 0.5), np.zeros((2, n))
+    share, cost = _cohort_shares(params).tolist(), total_energy(params)
     alphas, estimates = np.empty((2, horizon))
     probs, fed = np.empty((2, horizon, n))
     n_accept = np.empty(horizon, dtype=int)
@@ -168,17 +168,19 @@ def run_coupled(params: GameParams, horizon: int, seed: int,
             accepted = flip < p
             cohort = n_accept[i] = np.count_nonzero(accepted)
             if feed == EPISODE:
-                fed[i] = _score_relays(params, share, cost, accepted, cohort, alpha)
+                pay_accept, pay_reject = _cohort_payoffs(params, share, cost, cohort, alpha)
             else:
                 # a sequential sum, as over a list; np.sum pairs terms and can
                 # differ in the last bit from n = 8 on
-                fed[i] = np.where(accepted,
-                                  *mixed_relay_payoffs(alpha, sum(p.tolist()) / n, params))
-            p, est_a, est_r = _relay_update(p, est_a, est_r, fed[i], accepted,
-                                            1.0 / (1.0 + k) ** 0.6)
-            delivered[i] = np.count_nonzero(accepted & can_deliver)
+                pay_accept, pay_reject = mixed_relay_payoffs(alpha, sum(p.tolist()) / n, params)
+            if not (math.isfinite(pay_accept) and math.isfinite(pay_reject)):
+                bad = pay_reject if math.isfinite(pay_accept) else pay_accept
+                raise ValueError(f"realized utility must be finite, got {bad}")
+            utility = fed[i] = np.where(accepted, pay_accept, pay_reject)
+            p, est = _relay_update(p, est, utility, accepted, 1.0 / (1.0 + k) ** 0.6)
+            hit = delivered[i] = np.count_nonzero(accepted & can_deliver) > 0
             alpha, estimate = _source_update(alpha, estimate, params.delta, params.alpha_max,
-                                             float(delivered[i]), 1.0 / (1.0 + k))
+                                             float(hit), 1.0 / (1.0 + k))
             estimates[i] = estimate
 
     return Trajectory(alpha=alphas, u_s_est=estimates, accept_probs=probs,

@@ -137,15 +137,22 @@ def _cohort_shares(params: GameParams) -> np.ndarray:
 def _score_relays(params: GameParams, share: np.ndarray, cost: float, accepted: np.ndarray,
                   n_accept: int | np.ndarray, reward: float) -> np.ndarray:
     """Per-relay utilities of drawn episodes, ``accepted`` of shape (..., n)
-    with the caller's ``n_accept`` counts of shape (...), by the
-    share-weighted payoff at the realized cohort: a relay with k accepting
-    opponents is scored at cohort size k+1 whether it accepted or declined,
-    so the two branches stay comparable.  ``share`` is the run's
-    :func:`_cohort_shares` table; an empty cohort's accept payoff is never
-    picked."""
-    pay_accept = relay_payoffs(reward, share[n_accept], cost, params)[0]
-    pay_reject = relay_payoffs(reward, share[n_accept + 1], cost, params)[1]
+    with the caller's ``n_accept`` counts of shape (...): each relay is paid
+    the side of :func:`_cohort_payoffs` it played."""
+    pay_accept, pay_reject = _cohort_payoffs(params, share, cost, n_accept, reward)
     return np.where(accepted, pay_accept[..., None], pay_reject[..., None])
+
+
+def _cohort_payoffs(params: GameParams, share: np.ndarray | list[float], cost: float,
+                    n_accept: int | np.ndarray, reward: float) -> tuple:
+    """(accept, decline) share-weighted payoffs when ``n_accept`` relays
+    accept: a relay with k accepting opponents is scored at cohort size k+1
+    whether it accepted or declined, so the two stay comparable (an empty
+    cohort's accept payoff is never paid).  ``share`` is the run's
+    :func:`_cohort_shares` table: an array for array counts, a list for an
+    int count, which gives two floats."""
+    return (relay_payoffs(reward, share[n_accept], cost, params)[0],
+            relay_payoffs(reward, share[n_accept + 1], cost, params)[1])
 
 
 def estimate_delivery(params: GameParams, accept_prob: float, trials: int,

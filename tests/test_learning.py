@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import dtnsat.learning as learning
+import dtnsat.simulate as simulate
 from dtnsat.equilibrium import mixed_relay_payoffs, solve_ese
 from dtnsat.experiments import emit_csv, parse_config, run_scenario
 from dtnsat.learning import (
@@ -22,9 +23,16 @@ from dtnsat.simulate import MODEL, PHYSICAL, _cohort_shares, _score_relays, epis
 from conftest import make_params
 
 
+def relay_update(p, est_a, est_r, u, accepted, m):
+    """``_relay_update`` on arrays of relays: (accept prob, est_accept,
+    est_reject) arrays."""
+    p, est = learning._relay_update(p, np.array([est_a, est_r]), u, accepted, m)
+    return p, est[0], est[1]
+
+
 def step_one(p, est_a, est_r, u, accepted, m=0.3):
     """``_relay_update`` on a single relay: (accept prob, est_accept, est_reject)."""
-    got = learning._relay_update(*(np.array([x]) for x in (p, est_a, est_r, u, accepted)), m)
+    got = relay_update(*(np.array([x]) for x in (p, est_a, est_r, u, accepted)), m)
     return tuple(float(g[0]) for g in got)
 
 
@@ -98,9 +106,13 @@ class TestRelayStep:
             state = step_one(*state, rng.gauss(mu, sd), True, 1.0 / k)
         assert abs(state[1] - mu) <= 3 * sd / math.sqrt(steps)
 
-    def test_non_finite_utility_rejected(self):
-        with pytest.raises(ValueError):
-            step_one(0.5, 0.0, 0.0, float("nan"), True)
+    def test_non_finite_utility_rejected(self, monkeypatch):
+        # the payoff pair is checked before it is fed, so a NaN on the side
+        # the relay did not play stops the run too
+        monkeypatch.setattr(learning, "mixed_relay_payoffs",
+                            lambda alpha, p, params: (-0.1, math.nan))
+        with pytest.raises(ValueError, match="realized utility must be finite, got nan"):
+            run_coupled(make_params(n=1), 1, seed=1, feed=MEAN_FIELD)
 
 
 class TestFixedPointConsistency:
@@ -186,6 +198,15 @@ class TestRunCoupled:
         with pytest.raises(ValueError, match="horizon must be >= 1"):
             run_coupled(base_params, horizon, 1)
 
+    @pytest.mark.parametrize("horizon", [2.5, "5", None, 5.0])
+    def test_non_integer_horizon_rejected_by_name(self, base_params, horizon):
+        with pytest.raises(TypeError, match=f"horizon must be an integer, got {horizon!r}"):
+            run_coupled(base_params, horizon, 1)
+
+    def test_integer_like_horizon_accepted(self, base_params):
+        assert np.array_equal(run_coupled(base_params, np.int64(30), 1).alpha,
+                              run_coupled(base_params, 30, 1).alpha)
+
 
 def scalar_replay(params, horizon, seed, feed, contact_mode):
     """The coupled loop in plain floats, one relay at a time, on one
@@ -219,9 +240,15 @@ def scalar_replay(params, horizon, seed, feed, contact_mode):
 
 
 class TestArrayStateEquivalence:
+    # regrets this large drive the estimates past +-50 / log1p(0.1) and the
+    # accept probabilities onto both floors, with some exponents between the
+    # clamp and the floor, where a wrong cap shows
+    BINDING = dict(sigma=600.0, gamma=600.0)
+
     @pytest.mark.parametrize("feed", [EPISODE, MEAN_FIELD])
     @pytest.mark.parametrize("contact_mode", [MODEL, PHYSICAL])
-    @pytest.mark.parametrize("scenario", [dict(n=7), dict(n=40), dict(lam=0.0)])
+    @pytest.mark.parametrize("scenario", [dict(n=7), dict(n=40), dict(lam=0.0), dict(n=1),
+                                          BINDING])
     def test_run_coupled_equals_scalar_replay(self, feed, contact_mode, scenario):
         params = make_params(**scenario)
         got = run_coupled(params, 300, seed=13, feed=feed, contact_mode=contact_mode)
@@ -230,6 +257,21 @@ class TestArrayStateEquivalence:
                      "delivered"):
             got_a, want_a = getattr(got, name), getattr(want, name)
             assert got_a.dtype == want_a.dtype and np.array_equal(got_a, want_a), name
+
+    @pytest.mark.parametrize("feed", [EPISODE, MEAN_FIELD])
+    @pytest.mark.parametrize("contact_mode", [MODEL, PHYSICAL])
+    def test_exponent_clamp_and_floor_bind_in_the_binding_scenario(
+            self, feed, contact_mode, monkeypatch):
+        clamped = []
+
+        def recorded(x, _clamp=learning._clamp):
+            clamped.append(float(np.abs(x).max()))
+            return _clamp(x)
+        monkeypatch.setattr(learning, "_clamp", recorded)
+        got = run_coupled(make_params(**self.BINDING), 300, seed=13, feed=feed,
+                          contact_mode=contact_mode)
+        assert max(clamped) > 50.0
+        assert {PROB_FLOOR, 1.0 - PROB_FLOOR} <= set(got.accept_probs.ravel().tolist())
 
 
 class TestLearnStream:
@@ -279,7 +321,7 @@ class TestElementwiseRelayUpdate:
 
     def test_matches_plain_float_rule_per_element(self):
         p, est_a, est_r, u, acc = (np.array(col) for col in zip(*self.CASES))
-        got = learning._relay_update(p, est_a, est_r, u, acc, 0.37)
+        got = relay_update(p, est_a, est_r, u, acc, 0.37)
         for i, case in enumerate(self.CASES):
             want = ratio_rule(*case, 0.37)
             assert step_one(*case, 0.37) == want
@@ -291,30 +333,39 @@ class TestElementwiseRelayUpdate:
         p = rng.uniform(0.0, 1.0, size)
         est_a, est_r, u = (rng.uniform(-30.0, 30.0, size) for _ in range(3))
         acc = rng.random(size) < 0.5
-        got = learning._relay_update(p, est_a, est_r, u, acc, 0.4)
+        got = relay_update(p, est_a, est_r, u, acc, 0.4)
         want = [ratio_rule(*args, 0.4) for args in
                 zip(p.tolist(), est_a.tolist(), est_r.tolist(), u.tolist(),
                     acc.tolist())]
         assert list(zip(*(g.tolist() for g in got))) == want
 
     def test_floor_clamps_interior_only(self):
-        got = learning._relay_update(
+        got = relay_update(
             np.array([0.5, 0.5, 0.5]), np.array([50.0, -50.0, 0.0]),
             np.array([-50.0, 50.0, 0.0]), np.array([50.0, -50.0, 0.0]),
             np.array([True, True, True]), 0.3)
         assert got[0].tolist() == [1.0 - PROB_FLOOR, PROB_FLOOR, 0.5]
 
+    # The kernel does not check its utilities: run_coupled checks the
+    # (accept, decline) payoff pair that every fed row is spread from.
     def test_non_finite_utility_rejected(self):
-        with pytest.raises(ValueError, match="finite, got inf"):
-            learning._relay_update(
-                np.array([0.5, 0.5]), np.zeros(2), np.zeros(2),
-                np.array([0.0, math.inf]), np.array([True, False]), 0.3)
+        # a decline regret this large overflows -alpha * share - gamma
+        params = make_params(n=1, gamma=1.7e308, alpha_max=1e308)
+        with pytest.raises(ValueError, match="realized utility must be finite, got -inf"):
+            run_coupled(params, 20, seed=1)
 
     def test_non_finite_fed_utility_stops_run_coupled(self, base_params, monkeypatch):
         monkeypatch.setattr(learning, "mixed_relay_payoffs",
                             lambda alpha, p, params: (math.nan, -0.1))
         with pytest.raises(ValueError, match="realized utility must be finite"):
             run_coupled(base_params, 20, seed=1, feed=MEAN_FIELD)
+
+    def test_non_finite_fed_utility_stops_run_coupled_on_the_episode_feed(
+            self, base_params, monkeypatch):
+        monkeypatch.setattr(simulate, "relay_payoffs",
+                            lambda alpha, share, cost, params: (-0.1, math.nan))
+        with pytest.raises(ValueError, match="realized utility must be finite, got nan"):
+            run_coupled(base_params, 20, seed=1, feed=EPISODE)
 
 
 def learn_csv(text, tmp_path):

@@ -4,6 +4,7 @@ import statistics
 import numpy as np
 import pytest
 
+import dtnsat.learning as learning
 import dtnsat.simulate as simulate
 from dtnsat.model import (
     expected_relay_utility_mixed,
@@ -26,7 +27,7 @@ from dtnsat.simulate import (
     simulate_episode,
 )
 from dtnsat.equilibrium import solve_ese
-from dtnsat.learning import run_coupled
+from dtnsat.learning import FEEDS, run_coupled
 from conftest import cohort_payoffs, make_params
 
 # frozen single-relay delivery probabilities at lam=0.015, tau=100
@@ -304,7 +305,8 @@ class TestScoreRelays:
 
 class TestScoringBudget:
     """Scoring does not go back to one call per trial: an estimate scores all
-    its trials in one call, and a run builds its share table once."""
+    its trials in one call, and a run builds its share table once and steps
+    its relays through one ``_relay_update`` call per iteration."""
 
     @staticmethod
     def count_calls(monkeypatch):
@@ -328,6 +330,22 @@ class TestScoringBudget:
         calls = self.count_calls(monkeypatch)
         run_coupled(base_params, horizon, 1)
         assert calls["delivery_share"] == base_params.n + 1
+
+    @pytest.mark.parametrize("feed", FEEDS)
+    @pytest.mark.parametrize("n", [1, 7, 40])
+    @pytest.mark.parametrize("horizon", [1, 300, 1000])
+    def test_learner_steps_through_the_one_relay_kernel(self, monkeypatch, feed, n, horizon):
+        # the kernel the elementwise tests check is the one each step runs
+        calls = self.count_calls(monkeypatch)
+        steps = []
+
+        def counted(*args, _fn=learning._relay_update):
+            steps.append(len(args[0]))
+            return _fn(*args)
+        monkeypatch.setattr(learning, "_relay_update", counted)
+        run_coupled(make_params(n=n), horizon, 1, feed=feed)
+        assert steps == [n] * horizon
+        assert calls["delivery_share"] == n + 1
 
 
 class TestEstimateWithCI:
