@@ -11,12 +11,28 @@ two disagree by far more than rounding: at the reference binding point
 (p* = 0.0549, alpha* = 0.7668) a relay's mixed accept/reject payoffs are
 0.460/-0.675 under the game's payoff and -0.173/-0.173 under the reduced
 one, so the binding point is no relay equilibrium of the game.
+
+The mixed solvers are one column kernel, :func:`_mixed_column`: it takes a
+sweep's whole column of ``tau``, ``lambda``, ``n`` or ``delta`` values and
+evaluates the minimum accept probability, its success, the binding delivery
+and the indifference reward at every point at once.  :func:`solve_mse`,
+:func:`solve_ese` and :func:`mse_reward` are its one-element case, and the
+sweep columns :func:`mse_columns`, :func:`ese_columns` and
+:func:`delivery_column` feed the CSV modes.  The kernel uses numpy only for
+``+ - * /``, comparisons and selection, which IEEE rounds alike in numpy
+and in Python floats; ``exp``, ``expm1`` and ``log1p`` are ``math``'s own,
+mapped over the column, because numpy's differ from them in the last bit on
+a few percent of inputs.  So every point keeps the bits of the scalar model
+functions in :mod:`dtnsat.model`, which the kernel restates elementwise.
 """
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Optional
+
+import numpy as np
 
 from .model import (
     GameParams,
@@ -112,20 +128,22 @@ def minimum_satisfying_cohort(params: GameParams) -> int:
     return max(1, math.ceil(ratio))
 
 
-def _indifference_reward(params: GameParams, cohort: int, success: float) -> float:
-    """Root in alpha of the reduced-model gap for a cohort that delivers
-    with probability ``success``.
+def _indifference_reward(params: GameParams, n, cost, cohort, success):
+    """Root in alpha of the reduced-model gap for a cohort, of a fleet of n,
+    that delivers with probability ``success`` at the cooperation cost
+    ``cost`` (:func:`dtnsat.model.reduced_cooperation_cost`).
 
     Written over the cost itself, whose caching term is divided by lam, so
-    the balance stays in range for every finite lam.
+    the balance stays in range for every finite lam.  Works elementwise on
+    numpy arrays; the callers check that the reward is finite.
     """
     miss = 1.0 - success
-    num = (params.sigma * (params.n - 1 + miss)
-           + cohort * (reduced_cooperation_cost(params) - params.gamma))
-    reward = num / (2.0 * success)
-    if not math.isfinite(reward):
-        raise FloatRangeError(f"indifference reward overflows at success {success}")
-    return reward
+    num = params.sigma * (n - 1 + miss) + cohort * (cost - params.gamma)
+    return num / (2.0 * success)
+
+
+def _overflow(success: float) -> FloatRangeError:
+    return FloatRangeError(f"indifference reward overflows at success {success}")
 
 
 def pse_reward(params: GameParams, n_active: int) -> float:
@@ -133,7 +151,12 @@ def pse_reward(params: GameParams, n_active: int) -> float:
     q = relay_failure_probability(params.contact)
     if q >= 1.0:
         raise DegenerateFailureError("indifference reward undefined for q = 1")
-    return _indifference_reward(params, n_active, 1.0 - q ** n_active)
+    success = 1.0 - q ** n_active
+    reward = _indifference_reward(params, params.n, reduced_cooperation_cost(params),
+                                  n_active, success)
+    if not math.isfinite(reward):
+        raise _overflow(success)
+    return reward
 
 
 def solve_pse(params: GameParams) -> PseSolution:
@@ -154,41 +177,180 @@ def solve_pse(params: GameParams) -> PseSolution:
                        feasible=feasible)
 
 
+def _map(fn, x) -> np.ndarray:
+    """The ``math`` function ``fn`` over the elements of ``x``, a float or an
+    array, as a 1-D array."""
+    xs = np.ravel(x).tolist()
+    return np.fromiter(map(fn, xs), float, len(xs))
+
+
+def _contact_column(x):
+    """(q, reach) at lam*tau = x, elementwise: the
+    :func:`dtnsat.model.relay_failure_probability` exp(-x) and the
+    :func:`dtnsat.model.contact_probability` -expm1(-x)."""
+    return _map(math.exp, -x), -_map(math.expm1, -x)
+
+
+def _any_delivers_column(z, n):
+    """:func:`dtnsat.model._any_delivers` elementwise: 1 - (1 - z)**n, and 1
+    where z = 1, at which log1p(-z) would raise."""
+    below = z < 1.0
+    return np.where(below, -_map(math.expm1, n * _map(math.log1p, -np.where(below, z, 0.0))),
+                    1.0)
+
+
+def _reduced_cost_column(params: GameParams, lam, tau, x, reach):
+    """:func:`dtnsat.model.reduced_cooperation_cost` elementwise, at
+    x = lam*tau and reach = -expm1(-x); the masked-out branch divides by
+    zero at lam = 0."""
+    e = params.energy
+    stored = e.e_store * reach
+    stored = np.where(stored < sys.float_info.min,
+                      e.e_store * tau * np.where(x > 0, reach / x, 1.0), stored / lam)
+    return e.e_receive + e.e_transmit + stored
+
+
+@dataclass(frozen=True)
+class _MixedColumn:
+    """The mixed closed forms at every point of a column, as 1-D arrays.
+
+    ``ceiling`` is the per-relay success at p = 1; ``p_min`` is inf where it
+    is 0 and 0 where it underflows; ``success`` and ``alpha`` are the
+    delivery and the indifference reward at the kernel's p.
+    """
+
+    delta: np.ndarray
+    ceiling: np.ndarray
+    p_min: np.ndarray
+    z_star: np.ndarray
+    success: np.ndarray
+    alpha: np.ndarray
+
+
+def _mixed_column(params: GameParams, var: Optional[str] = None, values=(),
+                  p=None) -> _MixedColumn:
+    """The mixed solvers at every point of ``params`` with the sweepable
+    ``var`` (tau, lambda, n or delta; None for the one point ``params``) set
+    to each of ``values``.  The reward and its success are taken at p, by
+    default at min(p_min, 1).  Raises nothing: the callers check the points.
+    """
+    point = {"lambda": params.contact.lam, "tau": params.contact.tau,
+             "n": params.n, "delta": params.delta}
+    if var is not None:
+        point[var] = np.asarray(values, dtype=float)
+    lam, tau, n, delta = point["lambda"], point["tau"], point["n"], point["delta"]
+    # the masked-out points divide by zero and overflow: numpy must not warn
+    with np.errstate(all="ignore"):
+        x = lam * tau
+        q, reach = _contact_column(x)
+        ceiling = (1.0 - q) * reach
+        # 1 - (1 - delta)**(1/n), which would round to 0 for a tiny delta
+        bound = -_map(math.expm1, _map(math.log1p, -delta) / n)
+        p_min = np.where(ceiling > 0.0, bound / ceiling, math.inf)
+        z_star = ceiling * np.minimum(p_min, 1.0)
+        success = _any_delivers_column(z_star if p is None else ceiling * p, n)
+        alpha = _indifference_reward(params, n, _reduced_cost_column(params, lam, tau, x, reach),
+                                     n, success)
+    return _MixedColumn(np.broadcast_to(delta, p_min.shape), ceiling, p_min, z_star,
+                        success, alpha)
+
+
+def _raise_first(col: _MixedColumn, bound: bool, rewarded) -> None:
+    """Raise the error of the first point, in column order, whose p_min
+    underflows (if ``bound``) or whose reward, where ``rewarded``, is
+    undefined (zero success) or overflows.  A point whose p_min underflows
+    has zero success too; it is named for the underflow, which the
+    point-by-point solvers met first."""
+    failed = (bound & (col.p_min == 0.0)) | (rewarded & ~np.isfinite(col.alpha))
+    if not failed.any():
+        return
+    i = int(np.argmax(failed))
+    if bound and col.p_min[i] == 0.0:
+        raise FloatRangeError("minimum accept probability underflows at "
+                              f"delta = {float(col.delta[i])}")
+    if col.success[i] <= 0.0:
+        raise DegenerateContactError("indifference reward undefined for zero success")
+    raise _overflow(float(col.success[i]))
+
+
+def _solved_column(params: GameParams, var: Optional[str] = None, values=()
+                   ) -> _MixedColumn:
+    """:func:`_mixed_column` at p_min, once no point's p_min underflows and
+    no point with p_min <= 1 has an undefined or overflowing reward."""
+    col = _mixed_column(params, var, values)
+    _raise_first(col, True, col.p_min <= 1.0)
+    return col
+
+
+def _require_contact(col: _MixedColumn) -> None:
+    if col.ceiling[0] <= 0.0:
+        raise DegenerateContactError("per-relay success is zero even at p = 1")
+
+
+def _clamp(alpha, alpha_max: float):
+    """(min(max(alpha, 0), alpha_max), whether alpha lay outside
+    [0, alpha_max]), elementwise."""
+    return (np.where(alpha_max < alpha, alpha_max, np.where(0.0 > alpha, 0.0, alpha)),
+            ~((0.0 <= alpha) & (alpha <= alpha_max)))
+
+
 def mse_reward(params: GameParams, p: float) -> float:
     """Reward making relays indifferent when all accept with probability p."""
-    success = expected_source_utility_mixed(p, params)
-    if success <= 0:
-        raise DegenerateContactError("indifference reward undefined for zero success")
-    return _indifference_reward(params, params.n, success)
+    if not 0 <= p <= 1:
+        raise ValueError(f"p must be in [0, 1], got {p}")
+    col = _mixed_column(params, p=p)
+    _raise_first(col, False, True)
+    return col.alpha.item()
 
 
 def solve_mse(params: GameParams) -> MseSolution:
     """Mixed equilibria: the minimum accept probability and its success."""
-    ceiling = per_relay_success(params, 1.0)
-    if ceiling <= 0:
-        raise DegenerateContactError("per-relay success is zero even at p = 1")
-    # 1 - (1 - delta)**(1/n), which would round to 0 for a tiny delta
-    p_min = -math.expm1(math.log1p(-params.delta) / params.n) / ceiling
-    if p_min == 0.0:
-        raise FloatRangeError(f"minimum accept probability underflows at delta = {params.delta}")
-    feasible = p_min <= 1.0
-    z_star = per_relay_success(params, min(p_min, 1.0))
-    return MseSolution(p_min=p_min, z_star=z_star, feasible=feasible)
+    col = _mixed_column(params)
+    _require_contact(col)
+    _raise_first(col, True, False)
+    p_min = col.p_min.item()
+    return MseSolution(p_min=p_min, z_star=col.z_star.item(), feasible=p_min <= 1.0)
 
 
 def solve_ese(params: GameParams) -> EseSolution:
     """Equilibrium at the binding point: smallest p meeting the QoS exactly."""
-    mse = solve_mse(params)
-    if not mse.feasible:
+    col = _solved_column(params)
+    _require_contact(col)
+    p_min = col.p_min.item()
+    if not p_min <= 1.0:
         raise DegenerateContactError(
             f"QoS delta = {params.delta} is unreachable even at p = 1")
-    alpha = mse_reward(params, mse.p_min)
-    clamped = not (0.0 <= alpha <= params.alpha_max)
-    alpha = min(max(alpha, 0.0), params.alpha_max)
-    return EseSolution(p_star=mse.p_min,
-                       alpha_star=alpha,
-                       binding_delivery=expected_source_utility_mixed(mse.p_min, params),
-                       alpha_clamped=clamped)
+    alpha, clamped = _clamp(col.alpha, params.alpha_max)
+    return EseSolution(p_star=p_min, alpha_star=alpha.item(),
+                       binding_delivery=col.success.item(), alpha_clamped=bool(clamped[0]))
+
+
+def mse_columns(params: GameParams, var: Optional[str], values):
+    """(p_min, alpha_star, z_star, feasible) arrays of :func:`solve_mse` and
+    :func:`mse_reward` over the sweep of ``var`` through ``values``: the
+    reward is nan where p_min > 1, and p_min is inf where no relay ever
+    delivers."""
+    col = _solved_column(params, var, values)
+    feasible = col.p_min <= 1.0
+    return col.p_min, np.where(feasible, col.alpha, math.nan), col.z_star, feasible
+
+
+def ese_columns(params: GameParams, var: Optional[str], values):
+    """(p_star, alpha_star, binding_delivery, alpha_clamped) arrays of
+    :func:`solve_ese` over the sweep of ``var`` through ``values``.  Where
+    the QoS is unreachable, p_star is p_min (inf where no relay ever
+    delivers), the reward and delivery are nan and the clamp flag False."""
+    col = _solved_column(params, var, values)
+    feasible = col.p_min <= 1.0
+    alpha, clamped = _clamp(col.alpha, params.alpha_max)
+    return (col.p_min, np.where(feasible, alpha, math.nan),
+            np.where(feasible, col.success, math.nan), feasible & clamped)
+
+
+def delivery_column(params: GameParams, var: str, values, p: float) -> np.ndarray:
+    """:func:`dtnsat.model.expected_source_utility_mixed` at p over the sweep
+    of ``var`` through ``values``."""
+    return _mixed_column(params, var, values, p).success
 
 
 def satisfaction_region(params: GameParams, sweep_var: str, lo: float, hi: float,

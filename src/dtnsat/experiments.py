@@ -18,16 +18,16 @@ from .equilibrium import (
     DegenerateContactError,
     DegenerateFailureError,
     PseSolution,
-    mse_reward,
+    delivery_column,
+    ese_columns,
+    mse_columns,
     pareto_grid_scan,
     satisfaction_region,
     solve_ese,
-    solve_mse,
     solve_pse,
 )
 from .learning import EPISODE, FEEDS, run_coupled
-from .model import ContactModel, EnergyModel, GameParams, \
-    expected_source_utility_mixed, with_param
+from .model import ContactModel, EnergyModel, GameParams, with_param
 from .simulate import CONTACT_MODES, MODEL, estimate_delivery, estimate_relay_utility
 
 
@@ -276,10 +276,11 @@ def _metadata(config: ScenarioConfig, extra: dict[str, str] | None = None
 
 
 def _sweep_points(config: ScenarioConfig) -> list[tuple[list[float], GameParams, float]]:
-    """(leading sweep column, params, p) per point; the column is [] without
-    a sweep.  Only the point's params are rebuilt, by :func:`with_param`,
-    which validates them, and a p sweep reuses ``config.params``; every
-    other setting is the config's own."""
+    """(leading sweep column, params, p) per point, for the modes that solve
+    one point at a time (solve-pse, whose rows vary per point, and
+    simulate); the column is [] without a sweep.  Only the point's params
+    are rebuilt, by :func:`with_param`, which validates them, and a p sweep
+    reuses ``config.params``; every other setting is the config's own."""
     if config.sweep is None:
         return [([], config.params, config.p)]
     var = config.sweep.var
@@ -308,6 +309,21 @@ def _sweep_col(config: ScenarioConfig) -> list[str]:
     return [config.sweep.var] if config.sweep is not None else []
 
 
+def _swept(config: ScenarioConfig) -> tuple[Optional[str], tuple[float, ...]]:
+    """(var, values) of the config's sweep, (None, ()) without one."""
+    return (config.sweep.var, config.sweep.values) if config.sweep is not None else (None, ())
+
+
+def _column_table(config: ScenarioConfig, names: list[str], columns,
+                  extra: dict[str, str] | None = None) -> ResultTable:
+    """The table of a mode that solves its whole sweep column at once: one
+    float row per point, the swept value (if any) and then ``columns``,
+    named ``names``; %.12g prints the flag columns as %d would."""
+    lead = [config.sweep.values] if config.sweep is not None else []
+    rows = np.column_stack((*lead, *columns)).tolist()
+    return ResultTable(tuple(_sweep_col(config) + names), tuple(rows), _metadata(config, extra))
+
+
 def _run_solve_pse(config: ScenarioConfig) -> ResultTable:
     columns = _sweep_col(config) + ["n_a", "alpha_star", "clamped", "n_a_min",
                                     "feasible"]
@@ -326,52 +342,29 @@ def _run_solve_pse(config: ScenarioConfig) -> ResultTable:
 
 
 def _run_solve_mse(config: ScenarioConfig) -> ResultTable:
-    columns = _sweep_col(config) + ["p_min", "alpha_star", "z_star", "feasible"]
-    rows = [(*lead, *_mse_row(params)) for lead, params, _ in _sweep_points(config)]
-    return ResultTable(tuple(columns), tuple(rows), _metadata(config))
-
-
-def _mse_row(params: GameParams) -> tuple:
-    """(p_min, alpha_star, z_star, feasible) of one solve-mse point; where no
-    relay ever delivers, p_min is inf."""
-    try:
-        sol = solve_mse(params)
-    except DegenerateContactError:
-        return math.inf, math.nan, 0.0, 0
-    alpha = mse_reward(params, sol.p_min) if sol.feasible else math.nan
-    return sol.p_min, alpha, sol.z_star, int(sol.feasible)
+    # where no relay ever delivers, p_min is inf
+    return _column_table(config, ["p_min", "alpha_star", "z_star", "feasible"],
+                         mse_columns(config.params, *_swept(config)))
 
 
 def _run_solve_ese(config: ScenarioConfig) -> ResultTable:
-    columns = _sweep_col(config) + ["p_star", "alpha_star", "binding_delivery",
-                                    "alpha_clamped"]
-    rows = []
-    for lead, params, _ in _sweep_points(config):
-        try:
-            sol = solve_ese(params)
-        except DegenerateContactError:
-            # unreachable QoS marks its own row, as in solve-mse
-            rows.append((*lead, _mse_row(params)[0], math.nan, math.nan, 0))
-            continue
-        rows.append((*lead, sol.p_star, sol.alpha_star, sol.binding_delivery,
-                     int(sol.alpha_clamped)))
-    return ResultTable(tuple(columns), tuple(rows), _metadata(config))
+    # unreachable QoS marks its own row with p_min, as in solve-mse
+    return _column_table(config, ["p_star", "alpha_star", "binding_delivery", "alpha_clamped"],
+                         ese_columns(config.params, *_swept(config)))
 
 
 def _run_region(config: ScenarioConfig) -> ResultTable:
     if config.sweep is None:
         raise ConfigError("region mode needs a sweep over tau or lambda")
-    rows = []
-    for lead, params, p in _sweep_points(config):
-        delivery = expected_source_utility_mixed(p, params)
-        rows.append((*lead, delivery, int(delivery >= params.delta)))
-    lo, hi = min(config.sweep.values), max(config.sweep.values)
+    var, values = config.sweep.var, config.sweep.values
+    delivery = delivery_column(config.params, var, values, config.p)
+    satisfied = delivery >= config.params.delta
+    lo, hi = min(values), max(values)
     # one swept value leaves nothing to bisect: its own row decides
-    threshold = (satisfaction_region(config.params, config.sweep.var, lo, hi, config.p)
-                 if lo < hi else lo if rows[0][-1] else None)
+    threshold = (satisfaction_region(config.params, var, lo, hi, config.p)
+                 if lo < hi else lo if satisfied[0] else None)
     extra = {"threshold": _fmt(threshold) if threshold is not None else "none"}
-    return ResultTable((config.sweep.var, "delivery", "satisfied"),
-                       tuple(rows), _metadata(config, extra))
+    return _column_table(config, ["delivery", "satisfied"], (delivery, satisfied), extra)
 
 
 def _run_learn(config: ScenarioConfig) -> ResultTable:

@@ -1,10 +1,24 @@
-"""Independent oracles that only tests call: a term-by-term delivery share
-and the reduced model's indifference gaps, whose roots the solvers return."""
+"""Independent oracles that only tests call: a term-by-term delivery share,
+the reduced model's indifference gaps, whose roots the solvers return, and
+the mixed solvers written point by point over the scalar model functions."""
 import math
 
-from dtnsat.equilibrium import mixed_relay_payoffs
-from dtnsat.model import EmptyCohortError, GameParams, reduced_payoffs, \
-    relay_failure_probability
+from dtnsat.equilibrium import (
+    DegenerateContactError,
+    EseSolution,
+    FloatRangeError,
+    MseSolution,
+    mixed_relay_payoffs,
+)
+from dtnsat.model import (
+    EmptyCohortError,
+    GameParams,
+    expected_source_utility_mixed,
+    per_relay_success,
+    reduced_cooperation_cost,
+    reduced_payoffs,
+    relay_failure_probability,
+)
 
 
 class CohortTooLargeError(ValueError):
@@ -48,3 +62,62 @@ def mixed_indifference_gap(alpha: float, p: float, params: GameParams) -> float:
     """Accept-minus-reject payoff under the reduced model, common mixing p."""
     accept, reject = mixed_relay_payoffs(alpha, p, params)
     return accept - reject
+
+
+# The mixed solvers point by point in Python floats, as they stood before
+# the column kernel: the reference its columns and one-element cases must
+# match bit for bit.
+
+def point_mse(params: GameParams) -> MseSolution:
+    ceiling = per_relay_success(params, 1.0)
+    if ceiling <= 0:
+        raise DegenerateContactError("per-relay success is zero even at p = 1")
+    p_min = -math.expm1(math.log1p(-params.delta) / params.n) / ceiling
+    if p_min == 0.0:
+        raise FloatRangeError(f"minimum accept probability underflows at delta = {params.delta}")
+    return MseSolution(p_min=p_min, z_star=per_relay_success(params, min(p_min, 1.0)),
+                       feasible=p_min <= 1.0)
+
+
+def point_mse_reward(params: GameParams, p: float) -> float:
+    success = expected_source_utility_mixed(p, params)
+    if success <= 0:
+        raise DegenerateContactError("indifference reward undefined for zero success")
+    num = (params.sigma * (params.n - 1 + (1.0 - success))
+           + params.n * (reduced_cooperation_cost(params) - params.gamma))
+    reward = num / (2.0 * success)
+    if not math.isfinite(reward):
+        raise FloatRangeError(f"indifference reward overflows at success {success}")
+    return reward
+
+
+def point_ese(params: GameParams) -> EseSolution:
+    mse = point_mse(params)
+    if not mse.feasible:
+        raise DegenerateContactError(
+            f"QoS delta = {params.delta} is unreachable even at p = 1")
+    alpha = point_mse_reward(params, mse.p_min)
+    return EseSolution(p_star=mse.p_min,
+                       alpha_star=min(max(alpha, 0.0), params.alpha_max),
+                       binding_delivery=expected_source_utility_mixed(mse.p_min, params),
+                       alpha_clamped=not (0.0 <= alpha <= params.alpha_max))
+
+
+def point_mse_row(params: GameParams) -> tuple:
+    """(p_min, alpha_star, z_star, feasible) of one solve-mse point."""
+    try:
+        sol = point_mse(params)
+    except DegenerateContactError:
+        return math.inf, math.nan, 0.0, False
+    alpha = point_mse_reward(params, sol.p_min) if sol.feasible else math.nan
+    return sol.p_min, alpha, sol.z_star, sol.feasible
+
+
+def point_ese_row(params: GameParams) -> tuple:
+    """(p_star, alpha_star, binding_delivery, alpha_clamped) of one solve-ese
+    point; an unreachable QoS marks its row with p_min."""
+    try:
+        sol = point_ese(params)
+    except DegenerateContactError:
+        return point_mse_row(params)[0], math.nan, math.nan, False
+    return sol.p_star, sol.alpha_star, sol.binding_delivery, sol.alpha_clamped

@@ -1,11 +1,13 @@
 import math
 import re
+import sys
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import dtnsat
 from dtnsat import experiments
 from dtnsat.cli import main
 from dtnsat.equilibrium import solve_mse
@@ -614,3 +616,60 @@ class TestDegeneratePoints:
                               tmp_path, capsys)
         assert lines == ["lambda,delivery,satisfied", row]
         assert meta["threshold"] == threshold
+
+    @pytest.mark.parametrize("mode", ["solve-mse", "solve-ese"])
+    @pytest.mark.parametrize("extra,message", [
+        ("", "minimum accept probability underflows at delta = 5e-324"),
+        ("n = 1\n", "indifference reward overflows at success 5e-324")])
+    def test_float_range_error_fails_the_run(self, mode, extra, message, tmp_path, capsys):
+        # the first point is fine; the second leaves the float range
+        cfg = tmp_path / "edge.cfg"
+        cfg.write_text(f"{extra}sweep.var = delta\nsweep.values = 0.21,5e-324\n")
+        assert main([mode, "--config", str(cfg)]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"dtnsat {mode}: error: mode {mode}: {message}\n"
+
+
+class TestSweepBudget:
+    """The column sweeps do not go back to one solver call per point: the
+    calls a solve-ese, solve-mse or region sweep makes of the per-point
+    functions do not grow with the number of points."""
+
+    COUNTED = ("with_param", "solve_ese", "solve_mse", "expected_source_utility_mixed")
+
+    @classmethod
+    def count_calls(cls, monkeypatch):
+        # patch every dtnsat namespace that holds the function, so
+        # intra-module calls and imported aliases are counted alike
+        modules = [m for name, m in sys.modules.items()
+                   if name == "dtnsat" or name.startswith("dtnsat.")]
+        calls = dict.fromkeys(cls.COUNTED, 0)
+        for name in cls.COUNTED:
+            original = getattr(dtnsat.model, name, None) or getattr(dtnsat.equilibrium, name)
+
+            def counted(*args, _fn=original, _name=name):
+                calls[_name] += 1
+                return _fn(*args)
+            for module in modules:
+                if getattr(module, name, None) is original:
+                    monkeypatch.setattr(module, name, counted)
+        return calls
+
+    @pytest.mark.parametrize("mode,var,lo,hi", [("solve-ese", "tau", 20, 2000),
+                                                ("solve-mse", "tau", 20, 2000),
+                                                ("solve-ese", "delta", 0.01, 0.9),
+                                                ("solve-mse", "n", 1, None),
+                                                ("region", "lambda", 0.001, 0.1)])
+    def test_calls_do_not_grow_with_the_points(self, monkeypatch, mode, var, lo, hi):
+        counts = []
+        for points in (10, 5000):
+            # the same range both times, so region bisects it alike; n steps by 1
+            values = range(1, points + 1) if var == "n" else np.linspace(lo, hi, points)
+            cfg = replace(parse_config(f"sweep.var = {var}\nsweep.values = "
+                                       + ",".join(map(repr, map(float, values)))), mode=mode)
+            calls = self.count_calls(monkeypatch)
+            assert len(run_scenario(cfg).rows) == points
+            counts.append(calls)
+            monkeypatch.undo()
+        assert counts[0] == counts[1]

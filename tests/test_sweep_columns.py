@@ -1,0 +1,180 @@
+"""The column kernel behind solve-mse, solve-ese and region gives, bit for
+bit, what the point-by-point solvers in ``oracles`` give: every column, the
+one-element scalar solvers, each model function the kernel restates
+elementwise, and the first error of a sweep in sweep order."""
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from dtnsat import equilibrium
+from dtnsat.equilibrium import (
+    _any_delivers_column,
+    _contact_column,
+    _indifference_reward,
+    _reduced_cost_column,
+    delivery_column,
+    ese_columns,
+    mse_columns,
+    mse_reward,
+    solve_ese,
+    solve_mse,
+)
+from dtnsat.model import (
+    ContactModel,
+    _any_delivers,
+    contact_probability,
+    expected_source_utility_mixed,
+    reduced_cooperation_cost,
+    relay_failure_probability,
+    with_param,
+)
+from conftest import make_params
+from oracles import point_ese, point_ese_row, point_mse, point_mse_reward, point_mse_row
+from test_solver_properties import DELTAS, FLEETS, LAMBDAS, TAUS
+
+SWEPT = {"tau": TAUS, "lambda": LAMBDAS, "n": FLEETS.map(float), "delta": DELTAS}
+PROBS = st.floats(min_value=0.0, max_value=1.0)
+
+
+def bits(values):
+    """Each value's exact float, sign of zero and nan included."""
+    return [float(v).hex() for v in values]
+
+
+def outcome(compute):
+    """The rows ``compute`` returns, as bits per column, or the type and
+    message of what it raised."""
+    try:
+        columns = compute()
+    except ValueError as exc:
+        return type(exc), str(exc)
+    return [bits(c) for c in columns]
+
+
+def point_columns(row, params, var, values):
+    """The columns of ``row`` evaluated at each point of the sweep."""
+    rows = [row(with_param(params, var, v)) for v in values]
+    return list(zip(*rows))
+
+
+def assert_columns_match(params, var, values, p):
+    assert outcome(lambda: mse_columns(params, var, values)) == \
+        outcome(lambda: point_columns(point_mse_row, params, var, values))
+    assert outcome(lambda: ese_columns(params, var, values)) == \
+        outcome(lambda: point_columns(point_ese_row, params, var, values))
+    if var in ("tau", "lambda"):
+        assert bits(delivery_column(params, var, values, p)) == \
+            bits(expected_source_utility_mixed(p, with_param(params, var, v)) for v in values)
+
+
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@given(data=st.data(), lam=LAMBDAS, tau=TAUS, delta=DELTAS, n=FLEETS, p=PROBS)
+@pytest.mark.parametrize("var", list(SWEPT))
+def test_columns_match_the_point_solvers_over_the_box(var, data, lam, tau, delta, n, p):
+    values = data.draw(st.lists(SWEPT[var], min_size=1, max_size=6))
+    assert_columns_match(make_params(lam=lam, tau=tau, delta=delta, n=n), var, values, p)
+
+
+def solution(compute):
+    """The fields of the solution ``compute`` returns, as (type, bits)
+    pairs, or the type and message of what it raised."""
+    try:
+        value = compute()
+    except ValueError as exc:
+        return type(exc), str(exc)
+    fields = vars(value).values() if hasattr(value, "__dataclass_fields__") else [value]
+    return [(type(v), float(v).hex()) for v in fields]
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(lam=LAMBDAS, tau=TAUS, delta=DELTAS, n=FLEETS, p=PROBS)
+def test_one_point_solvers_match_the_point_solvers(lam, tau, delta, n, p):
+    params = make_params(lam=lam, tau=tau, delta=delta, n=n)
+    assert solution(lambda: solve_mse(params)) == solution(lambda: point_mse(params))
+    assert solution(lambda: solve_ese(params)) == solution(lambda: point_ese(params))
+    assert solution(lambda: mse_reward(params, p)) == solution(lambda: point_mse_reward(params, p))
+
+
+@pytest.mark.parametrize("lam,tau", [
+    (0.0, 100.0), (5e-324, 100.0), (1e-320, 100.0),  # q = 1: no relay ever delivers
+    (1e308, 1e308),  # lambda*tau overflows to inf
+    (10.0, 75.0),  # lambda*tau > 745: q underflows to 0, so z = 1 at p = 1
+    (0.015, 100.0),
+])
+@pytest.mark.parametrize("var", ["lambda", "tau"])
+def test_named_points(lam, tau, var):
+    value = lam if var == "lambda" else tau
+    params = make_params(lam=0.015 if var == "lambda" else lam,
+                         tau=100.0 if var == "tau" else tau)
+    for p in (0.0, 0.37, 1.0):
+        assert_columns_match(params, var, [0.015 if var == "lambda" else 100.0, value], p)
+
+
+# each model function the kernel restates, pinned to its scalar twin
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(lams=st.lists(LAMBDAS, min_size=1, max_size=8), tau=TAUS)
+def test_contact_column_is_the_scalar_contact_model(lams, tau):
+    contacts = [ContactModel(lam, tau) for lam in lams]
+    with np.errstate(over="ignore"):  # lam*tau may overflow to inf, as in the scalar
+        q, reach = _contact_column(np.array(lams) * tau)
+    assert bits(q) == bits(map(relay_failure_probability, contacts))
+    assert bits(reach) == bits(map(contact_probability, contacts))
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(zs=st.lists(st.one_of(st.just(1.0), st.just(0.0), PROBS), min_size=1, max_size=8),
+       n=FLEETS)
+def test_any_delivers_column_is_the_scalar_one(zs, n):
+    want = bits(_any_delivers(z, n) for z in zs)
+    with np.errstate(all="ignore"):
+        assert bits(_any_delivers_column(np.array(zs), n)) == want
+        assert bits(_any_delivers_column(np.array(zs), np.full(len(zs), float(n)))) == want
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(lams=st.lists(LAMBDAS, min_size=1, max_size=8), tau=TAUS, n=FLEETS,
+       success=st.floats(min_value=0.0, max_value=1.0, exclude_min=True))
+def test_cost_and_reward_columns_are_the_scalar_ones(lams, tau, n, success):
+    params = make_params(tau=tau, n=n)
+    lam = np.array(lams)
+    points = [with_param(params, "lambda", v) for v in lams]
+    with np.errstate(all="ignore"):
+        x = lam * tau
+        cost = _reduced_cost_column(params, lam, tau, x, _contact_column(x)[1])
+        reward = _indifference_reward(params, n, cost, n, np.full(len(lams), success))
+    assert bits(cost) == bits(map(reduced_cooperation_cost, points))
+    assert bits(reward) == bits(
+        _indifference_reward(params, n, reduced_cooperation_cost(point), n, success)
+        for point in points)
+
+
+# errors: the kernel raises the first failing point in sweep order
+
+class TestFloatRangeErrors:
+    UNDERFLOW = "minimum accept probability underflows at delta = 5e-324"
+    OVERFLOW = "indifference reward overflows at success 5e-324"
+
+    def test_scalar_p_min_underflow(self):
+        params = make_params(delta=5e-324)  # log1p(-delta)/7 rounds to 0
+        for solver in (solve_mse, solve_ese):
+            with pytest.raises(equilibrium.FloatRangeError, match=f"^{self.UNDERFLOW}$"):
+                solver(params)
+
+    def test_scalar_reward_overflow(self):
+        params = make_params(delta=5e-324, n=1)
+        p_min = solve_mse(params).p_min  # the bound itself is in range
+        assert p_min > 0.0
+        with pytest.raises(equilibrium.FloatRangeError, match=f"^{self.OVERFLOW}$"):
+            mse_reward(params, p_min)
+        with pytest.raises(equilibrium.FloatRangeError, match=f"^{self.OVERFLOW}$"):
+            solve_ese(params)
+
+    @pytest.mark.parametrize("columns", [mse_columns, ese_columns])
+    @pytest.mark.parametrize("values,message", [((1.0, 3.0), OVERFLOW),
+                                                ((3.0, 1.0), UNDERFLOW)])
+    def test_first_failing_point_decides(self, columns, values, message):
+        # at delta = 5e-324 the bound underflows for n >= 2 and the reward
+        # overflows at n = 1: the earlier point's error is the one raised
+        with pytest.raises(equilibrium.FloatRangeError, match=f"^{message}$"):
+            columns(make_params(delta=5e-324), "n", values)
