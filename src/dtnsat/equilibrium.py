@@ -426,11 +426,15 @@ def pareto_grid_scan(params: GameParams, ese: EseSolution
     Returns the dominating candidates (empty means the binding equilibrium
     sits on the grid's Pareto frontier).
     """
+    top = params.alpha_max
+    # the reward axis ends at alpha_max exactly: the product can round one ulp
+    # past it at j = 100, or overflow, where the axis divides first
+    alphas = [min(top * j / 100 if top * j < math.inf else top / 100 * j, top)
+              for j in range(101)]
     dominators = []
     for i in range(101):
         p = i / 100
-        for j in range(101):
-            a = params.alpha_max * j / 100
+        for a in alphas:
             verdict = pareto_dominance_check(p, a, ese, params)
             if verdict.dominates:
                 dominators.append((p, a, verdict))

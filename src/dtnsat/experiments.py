@@ -194,8 +194,6 @@ def _build_sweep(v: dict[str, object]) -> Optional[SweepSpec]:
         raise ConfigError("sweep.values conflicts with "
                           f"{', '.join(key for key in grid if v[key] is not None)}; "
                           "give either the list or the grid")
-    elif len(values) < 1:
-        raise ConfigError("sweep.values must name at least one value")
     _validate_sweep_values(var, values)
     return SweepSpec(var=var, values=tuple(values))
 
@@ -275,20 +273,6 @@ def _metadata(config: ScenarioConfig, extra: dict[str, str] | None = None
     return tuple(meta.items())
 
 
-def _sweep_points(config: ScenarioConfig) -> list[tuple[list[float], GameParams, float]]:
-    """(leading sweep column, params, p) per point, for the modes that solve
-    one point at a time (solve-pse, whose rows vary per point, and
-    simulate); the column is [] without a sweep.  Only the point's params
-    are rebuilt, by :func:`with_param`, which validates them, and a p sweep
-    reuses ``config.params``; every other setting is the config's own."""
-    if config.sweep is None:
-        return [([], config.params, config.p)]
-    var = config.sweep.var
-    return [([v], config.params, v) if var == "p"
-            else ([v], with_param(config.params, var, v), config.p)
-            for v in config.sweep.values]
-
-
 def run_scenario(config: ScenarioConfig) -> ResultTable:
     """Dispatch on the mode and evaluate it over the sweep grid."""
     if config.mode not in MODES:
@@ -305,30 +289,30 @@ def run_scenario(config: ScenarioConfig) -> ResultTable:
         raise ConfigError(f"mode {config.mode}: {exc}") from exc
 
 
-def _sweep_col(config: ScenarioConfig) -> list[str]:
-    return [config.sweep.var] if config.sweep is not None else []
-
-
 def _swept(config: ScenarioConfig) -> tuple[Optional[str], tuple[float, ...]]:
-    """(var, values) of the config's sweep, (None, ()) without one."""
+    """(var, values) of the config's sweep, (None, ()) without one; a swept
+    table leads with the column ``var``."""
     return (config.sweep.var, config.sweep.values) if config.sweep is not None else (None, ())
 
 
 def _column_table(config: ScenarioConfig, names: list[str], columns,
                   extra: dict[str, str] | None = None) -> ResultTable:
-    """The table of a mode that solves its whole sweep column at once: one
-    float row per point, the swept value (if any) and then ``columns``,
-    named ``names``; %.12g prints the flag columns as %d would."""
-    lead = [config.sweep.values] if config.sweep is not None else []
-    rows = np.column_stack((*lead, *columns)).tolist()
-    return ResultTable(tuple(_sweep_col(config) + names), tuple(rows), _metadata(config, extra))
+    """One float row per point: the swept value (if any) and then
+    ``columns``, 1-D or 2-D, named ``names``; %.12g prints the integer and
+    flag columns as %d would."""
+    var, values = _swept(config)
+    if var is not None:
+        names, columns = (var, *names), (values, *columns)
+    rows = np.column_stack(columns).tolist()
+    return ResultTable(tuple(names), tuple(rows), _metadata(config, extra))
 
 
 def _run_solve_pse(config: ScenarioConfig) -> ResultTable:
-    columns = _sweep_col(config) + ["n_a", "alpha_star", "clamped", "n_a_min",
-                                    "feasible"]
+    var, values = _swept(config)
+    # (lead, params) per swept value, or the config's own point without a sweep
+    points = [((v,), with_param(config.params, var, v)) for v in values] or [((), config.params)]
     rows = []
-    for lead, params, _ in _sweep_points(config):
+    for lead, params in points:
         try:
             sol = solve_pse(params)
         except DegenerateFailureError:  # q = 1: no cohort ever delivers
@@ -338,7 +322,8 @@ def _run_solve_pse(config: ScenarioConfig) -> ResultTable:
                          sol.n_a_min, int(sol.feasible)))
         if not sol.alpha_star:  # no cohort of at most n: one marked row
             rows.append((*lead, math.nan, math.nan, 0, sol.n_a_min, 0))
-    return ResultTable(tuple(columns), tuple(rows), _metadata(config))
+    names = ("n_a", "alpha_star", "clamped", "n_a_min", "feasible")
+    return ResultTable(names if var is None else (var, *names), tuple(rows), _metadata(config))
 
 
 def _run_solve_mse(config: ScenarioConfig) -> ResultTable:
@@ -354,9 +339,9 @@ def _run_solve_ese(config: ScenarioConfig) -> ResultTable:
 
 
 def _run_region(config: ScenarioConfig) -> ResultTable:
-    if config.sweep is None:
+    var, values = _swept(config)
+    if var is None:
         raise ConfigError("region mode needs a sweep over tau or lambda")
-    var, values = config.sweep.var, config.sweep.values
     delivery = delivery_column(config.params, var, values, config.p)
     satisfied = delivery >= config.params.delta
     lo, hi = min(values), max(values)
@@ -370,33 +355,33 @@ def _run_region(config: ScenarioConfig) -> ResultTable:
 def _run_learn(config: ScenarioConfig) -> ResultTable:
     traj = run_coupled(config.params, config.horizon, config.seed, feed=config.feed,
                        contact_mode=config.contact_mode)
-    columns = ("k", "alpha", "u_s_est", *(f"p_{i + 1}" for i in range(config.params.n)),
-               "n_accept", "delivered")
-    # one float row type: %.12g prints the integer columns as %d would
-    rows = np.column_stack((np.arange(1, config.horizon + 1), traj.alpha, traj.u_s_est,
-                            traj.accept_probs, traj.n_accept, traj.delivered)).tolist()
-    return ResultTable(columns, tuple(rows), _metadata(config))
+    names = ["k", "alpha", "u_s_est", *(f"p_{i + 1}" for i in range(config.params.n)),
+             "n_accept", "delivered"]
+    return _column_table(config, names, (np.arange(1, config.horizon + 1), traj.alpha,
+                                         traj.u_s_est, traj.accept_probs, traj.n_accept,
+                                         traj.delivered))
 
 
 def _run_simulate(config: ScenarioConfig) -> ResultTable:
-    columns = ["p", "delivery_mean", "delivery_se", "relay_utility_mean",
-               "relay_utility_se", "trials"]
+    # simulate sweeps only p, so every row shares the config's params and reward
+    reward = config.alpha
+    if reward is None:
+        try:
+            reward = solve_ese(config.params).alpha_star
+        except DegenerateContactError as exc:
+            raise ConfigError(f"alpha is unset and there is no binding "
+                              f"equilibrium to take it from: {exc}") from None
+    _, ps = _swept(config)
     rows = []
-    for _, params, p in _sweep_points(config):
-        reward = config.alpha
-        if reward is None:
-            try:
-                reward = solve_ese(params).alpha_star
-            except DegenerateContactError as exc:
-                raise ConfigError(f"alpha is unset and there is no binding "
-                                  f"equilibrium to take it from: {exc}") from None
-        delivery = estimate_delivery(params, p, config.trials, config.seed,
+    for p in ps or (config.p,):
+        delivery = estimate_delivery(config.params, p, config.trials, config.seed,
                                      config.contact_mode)
-        relay = estimate_relay_utility(params, p, reward, config.trials,
+        relay = estimate_relay_utility(config.params, p, reward, config.trials,
                                        config.seed, config.contact_mode)
         rows.append((p, delivery.mean, delivery.stderr, relay.mean,
                      relay.stderr, config.trials))
-    return ResultTable(tuple(columns), tuple(rows), _metadata(config))
+    return ResultTable(("p", "delivery_mean", "delivery_se", "relay_utility_mean",
+                        "relay_utility_se", "trials"), tuple(rows), _metadata(config))
 
 
 def _run_pareto_grid(config: ScenarioConfig) -> ResultTable:

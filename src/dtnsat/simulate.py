@@ -169,8 +169,12 @@ def estimate_relay_utility(params: GameParams, accept_prob: float, reward: float
         raise ValueError(f"reward must be finite, got {reward}")
     accepted, _ = _draw_trials(params, accept_prob, trials, seed, mode)
     n_accept = np.count_nonzero(accepted, axis=1)
-    return _summarize(_score_relays(params, _cohort_shares(params), total_energy(params),
-                                    accepted[:, :1], n_accept, reward)[:, 0])
+    samples = _score_relays(params, _cohort_shares(params), total_energy(params),
+                            accepted[:, :1], n_accept, reward)[:, 0]
+    finite = np.isfinite(samples)
+    if not finite.all():
+        raise ValueError(f"realized utility must be finite, got {samples[~finite][0]}")
+    return _summarize(samples)
 
 
 def _draw_trials(params: GameParams, accept_prob: float, trials: int, seed: int,
@@ -191,11 +195,9 @@ def _draw_trials(params: GameParams, accept_prob: float, trials: int, seed: int,
 
 def _summarize(samples: np.ndarray) -> EstimateWithCI:
     trials = len(samples)
-    mean = float(samples.mean())
-    if trials > 1:
-        # an exact power-of-two scale keeps squares of huge samples finite
-        scale = 2.0 ** max(0, math.frexp(float(np.abs(samples).max()))[1])
-        stderr = float((samples / scale).std(ddof=1) * scale / math.sqrt(trials))
-    else:
-        stderr = 0.0
+    # an exact power-of-two scale keeps sums and squares of huge samples finite
+    exp = max(0, math.frexp(float(np.abs(samples).max()))[1])
+    scaled = np.ldexp(samples, -exp)
+    mean = math.ldexp(float(scaled.mean()), exp)
+    stderr = math.ldexp(float(scaled.std(ddof=1)) / math.sqrt(trials), exp) if trials > 1 else 0.0
     return EstimateWithCI(mean=mean, stderr=stderr, trials=trials)

@@ -10,7 +10,7 @@ import pytest
 import dtnsat
 from dtnsat import experiments
 from dtnsat.cli import main
-from dtnsat.equilibrium import solve_mse
+from dtnsat.equilibrium import solve_mse, solve_pse
 from dtnsat.experiments import (
     _KEYS,
     _MODE_TABLE,
@@ -24,7 +24,7 @@ from dtnsat.experiments import (
     parse_config,
     run_scenario,
 )
-from dtnsat.model import with_param
+from dtnsat.model import GameParams, with_param
 from dataclasses import replace
 
 FOUR_TARGET_CONFIG = """
@@ -313,22 +313,32 @@ class TestRunScenario:
             run_scenario(cfg)
 
 
-class TestSweepPoints:
-    def test_p_sweep_reuses_the_config_params(self):
-        cfg = parse_config("sweep.var = p\nsweep.values = 0.1,0.5")
-        points = list(experiments._sweep_points(cfg))
-        assert [(lead, p) for lead, _, p in points] == [([0.1], 0.1), ([0.5], 0.5)]
-        assert all(params is cfg.params for _, params, _ in points)
+class TestSweepRows:
+    """solve-pse and simulate walk their sweeps point by point."""
 
-    def test_parameter_sweep_rebuilds_only_the_params(self):
-        cfg = parse_config("p = 0.4\nsweep.var = tau\nsweep.values = 20,40")
-        points = list(experiments._sweep_points(cfg))
-        assert [params.contact.tau for _, params, _ in points] == [20.0, 40.0]
-        assert [p for _, _, p in points] == [0.4, 0.4]
+    def test_solve_pse_tau_sweep_gives_each_points_solution(self):
+        cfg = replace(parse_config("p = 0.4\nsweep.var = tau\nsweep.values = 20,40"),
+                      mode="solve-pse")
+        expected = []
+        for tau in (20.0, 40.0):
+            sol = solve_pse(with_param(cfg.params, "tau", tau))
+            expected += [(tau, m, sol.alpha_star[m], int(sol.clamped[m]), sol.n_a_min,
+                          int(sol.feasible)) for m in sorted(sol.alpha_star)]
+        table = run_scenario(cfg)
+        assert table.columns == ("tau", "n_a", "alpha_star", "clamped", "n_a_min", "feasible")
+        assert len(expected) == 14 and table.rows == tuple(expected)
 
-    def test_no_sweep_is_one_point(self):
-        cfg = parse_config("p = 0.3")
-        assert list(experiments._sweep_points(cfg)) == [([], cfg.params, 0.3)]
+    def test_simulate_p_sweep_builds_no_params(self, monkeypatch):
+        cfg = replace(parse_config("trials = 20\nsweep.var = p\nsweep.values = 0.1,0.5"),
+                      mode="simulate")
+        built = []
+        check = GameParams.__post_init__
+        monkeypatch.setattr(GameParams, "__post_init__",
+                            lambda params: (built.append(params), check(params))[1])
+        assert [row[0] for row in run_scenario(cfg).rows] == [0.1, 0.5]
+        assert built == []
+        with_param(cfg.params, "tau", 50.0)  # the probe sees a build
+        assert len(built) == 1
 
 
 class TestEmitCsv:
@@ -565,6 +575,24 @@ class TestCli:
             assert row["alpha_star"] == 5.0 and row["alpha_clamped"] == 1.0
             assert row["binding_delivery"] == pytest.approx(1e-300, rel=1e-9)
 
+    @pytest.mark.parametrize("mode", ["simulate", "learn"])
+    def test_non_finite_payoff_fails_by_name(self, mode, tmp_path, capsys):
+        # e = 1e308 makes the caching cost inf, so an accepting relay earns -inf
+        cfg = tmp_path / "costly.cfg"
+        cfg.write_text("e = 1e308\nalpha = 1\np = 0.5\nhorizon = 20\n")
+        assert main([mode, "--config", str(cfg), "--trials", "50"]) == 1
+        assert capsys.readouterr().err == (f"dtnsat {mode}: error: mode {mode}: "
+                                           "realized utility must be finite, got -inf\n")
+
+    @pytest.mark.parametrize("alpha_max", [0.014, 0.027, 42.378296906115224, 1e307])
+    def test_pareto_grid_reward_axis_ends_at_alpha_max(self, alpha_max, tmp_path, capsys):
+        # alpha_max * 100 / 100 rounds one ulp above 0.014, 0.027 and 42.378...;
+        # alpha_max * 100 overflows at 1e307
+        meta, lines = run_cli("pareto-grid", f"alpha_max = {alpha_max!r}\n", tmp_path, capsys)
+        alphas = [float(line.split(",")[1]) for line in lines[1:]]
+        assert len(alphas) == int(meta["dominating_points"]) > 0
+        assert all(0.0 <= a <= alpha_max for a in alphas)
+
     def test_simulate_at_zero_rate_with_alpha(self, tmp_path, capsys):
         cfg = tmp_path / "still.cfg"
         cfg.write_text("lambda = 0\ntrials = 50\nalpha = 0.5\n")
@@ -632,9 +660,9 @@ class TestDegeneratePoints:
 
 
 class TestSweepBudget:
-    """The column sweeps do not go back to one solver call per point: the
-    calls a solve-ese, solve-mse or region sweep makes of the per-point
-    functions do not grow with the number of points."""
+    """The sweeps do not go back to one solver call per point: the calls a
+    solve-ese, solve-mse or region sweep, or a simulate p sweep, makes of the
+    per-point functions do not grow with the number of points."""
 
     COUNTED = ("with_param", "solve_ese", "solve_mse", "expected_source_utility_mixed")
 
@@ -660,13 +688,15 @@ class TestSweepBudget:
                                                 ("solve-mse", "tau", 20, 2000),
                                                 ("solve-ese", "delta", 0.01, 0.9),
                                                 ("solve-mse", "n", 1, None),
-                                                ("region", "lambda", 0.001, 0.1)])
+                                                ("region", "lambda", 0.001, 0.1),
+                                                ("simulate", "p", 0.0, 1.0)])
     def test_calls_do_not_grow_with_the_points(self, monkeypatch, mode, var, lo, hi):
         counts = []
         for points in (10, 5000):
-            # the same range both times, so region bisects it alike; n steps by 1
+            # the same range both times, so region bisects it alike; n steps by 1;
+            # only simulate reads trials
             values = range(1, points + 1) if var == "n" else np.linspace(lo, hi, points)
-            cfg = replace(parse_config(f"sweep.var = {var}\nsweep.values = "
+            cfg = replace(parse_config(f"trials = 1\nsweep.var = {var}\nsweep.values = "
                                        + ",".join(map(repr, map(float, values)))), mode=mode)
             calls = self.count_calls(monkeypatch)
             assert len(run_scenario(cfg).rows) == points

@@ -1,5 +1,6 @@
 import math
 import statistics
+import warnings
 
 import numpy as np
 import pytest
@@ -261,6 +262,12 @@ class TestEstimateRelayUtility:
         b = estimate_relay_utility(base_params, 0.3, 1.0, 500, seed=6)
         assert a == b
 
+    def test_non_finite_payoff_names_the_utility(self):
+        # e = 1e308 makes the caching cost inf, so an accepting relay earns -inf
+        params = make_params(e=1e308)
+        with pytest.raises(ValueError, match=r"^realized utility must be finite, got -inf$"):
+            estimate_relay_utility(params, 0.5, 1.0, 50, seed=1)
+
     def test_lone_always_accepting_relay_earns_its_share(self):
         # share-weighted scoring: a lone accepter is paid alpha*(1-q) in
         # every episode, with zero variance
@@ -358,15 +365,27 @@ class TestEstimateWithCI:
         assert est.stderr == pytest.approx(expect, rel=1e-12)
 
     def test_stderr_keeps_its_bits_below_the_float_range(self):
-        # the power-of-two scale that keeps huge samples finite is exact
+        # the power-of-two scale that keeps huge samples finite is exact,
+        # for the mean as for the standard error
         rng = np.random.default_rng(3)
         for samples in (rng.random(500) < 0.3, rng.normal(-0.6, 0.2, 500),
                         rng.normal(0.0, 1e150, 500), rng.normal(-7.0, 1e-9, 500)):
             samples = samples.astype(float)
             expect = float(samples.std(ddof=1) / math.sqrt(500))
             assert _summarize(samples).stderr == expect
+            assert _summarize(samples).mean == float(samples.mean())
         huge = rng.normal(-1.7e301, 1e299, 500)
         assert math.isfinite(_summarize(huge).stderr) and _summarize(huge).stderr > 0
+
+    @pytest.mark.parametrize("value", [-8.57e307, -1.7e308])
+    def test_mean_of_huge_samples_stays_finite(self, value):
+        # ten such samples overflow a plain sum; -1.7e308 lies beyond 2**1023,
+        # where the scale 2**1024 is no float and the samples are scaled by
+        # their exponent
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            est = _summarize(np.full(10, value))
+        assert est.mean == pytest.approx(value, rel=1e-15) and est.stderr <= 1e-15 * -value
 
 
 class TestStreamContract:
