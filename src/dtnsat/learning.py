@@ -13,9 +13,9 @@ moves by 1/(1+k), a relay's estimate by 1/(1+k)**0.6 and its strategy by
 0.1, and every accept probability stays in [PROB_FLOOR, 1 - PROB_FLOOR].
 
 ``run_coupled`` wires both to the episode simulator, stepping all relays
-at once with one ``_relay_update`` call on a (2, n) array of payoff
-estimates; iteration i reads window i of the simulator's stream.  Relay
-payoffs can be fed two ways:
+with one ``_relay_update`` call per iteration, a loop in Python floats
+(up to n = 40, numpy's per-call cost outweighs the arithmetic); iteration i
+reads window i of the simulator's stream.  Relay payoffs can be fed two ways:
 
 ``episode``
     Each relay is paid its realized per-episode utility from the simulator
@@ -42,6 +42,7 @@ payoffs can be fed two ways:
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,16 +56,9 @@ from .simulate import MODEL, _cohort_payoffs, _cohort_shares, _contacts, _index,
 _BLOCK = 256
 # every accept probability stays in [PROB_FLOOR, 1 - PROB_FLOOR]
 PROB_FLOOR = 1e-3
-# The relay update's constants as 0-d arrays, since numpy converts a Python
-# float operand on every call (a fifth of the update's cost at n = 7): one,
-# log(1 + l) of the strategy step l = 0.1, the |exponent| cap of the ratio
-# rule, the floor.
-_ONE = np.array(1.0)
-_LOG_STRATEGY_STEP = np.array(math.log1p(0.1))
-_EXP_LO, _EXP_HI = np.array(-50.0), np.array(50.0)
-_P_LO, _P_HI = np.array(PROB_FLOOR), np.array(1.0 - PROB_FLOOR)
-# xor with the accept mask gives the (2, n) mask of the estimate each relay played
-_DECLINE_ROW = np.array([[False], [True]])
+_P_HI = 1.0 - PROB_FLOOR
+# log(1 + l) of the relays' strategy step l = 0.1
+_LOG_STRATEGY_STEP = math.log1p(0.1)
 
 
 def _source_update(alpha: float, estimate: float, target: float, alpha_max: float,
@@ -82,30 +76,37 @@ def _source_update(alpha: float, estimate: float, target: float, alpha_max: floa
     return min(max(alpha, 0.0), alpha_max), estimate
 
 
-def _relay_update(p: np.ndarray, est: np.ndarray, utility: np.ndarray, accepted: np.ndarray,
-                  m: float) -> tuple[np.ndarray, np.ndarray]:
-    """(accept prob, estimates) after one realized payoff per relay; ``est``
-    is (2, n), the accept estimates over the decline estimates.
+def _relay_update(p: list[float], est: tuple[list[float], list[float]], accepted: list[bool],
+                  pay: tuple[float, float], m: float) -> tuple[list[float], tuple]:
+    """(accept probs, estimates) as new lists after one step that paid each
+    relay ``pay[0]`` if it accepted, else ``pay[1]`` (checked by the caller);
+    ``est`` is the pair (accept estimates, decline estimates).
 
-    Only the estimate matching the played action moves, by step ``m``.  The
-    accept probability is then updated by the imitative ratio rule;
-    exponents are clamped so extreme estimates cannot overflow, and each is
-    taken with ``math.exp``, which ``np.exp`` can miss by an ulp.  In exact
-    arithmetic the ratio rule keeps an interior probability interior
-    forever; the clamp into [PROB_FLOOR, 1 - PROB_FLOOR] keeps it so under
-    floating point.  ``utility`` is not checked here: ``run_coupled`` checks
-    the payoff pair it is built from.
+    Only the played estimate moves, by step ``m``.  The accept probability
+    then follows the imitative ratio rule.  Its exponents are clamped to
+    +-50, so extreme estimates cannot overflow, and the result into
+    [PROB_FLOOR, 1 - PROB_FLOOR], which keeps it interior under floating
+    point as exact arithmetic would.  Each clamp is a conditional
+    expression: a call per value costs more than the arithmetic.
     """
-    est = np.where(accepted ^ _DECLINE_ROW, est + m * (utility - est), est)
-    t = _clamp(est * _LOG_STRATEGY_STEP)
-    ratio = np.fromiter(map(math.exp, _clamp(t[1] - t[0]).tolist()), float, len(p))
-    # p' = p e^{t_a} / (p e^{t_a} + (1-p) e^{t_r}), stable form
-    new_p = _ONE / (_ONE + (_ONE - p) / p * ratio)
-    return np.minimum(np.maximum(new_p, _P_LO), _P_HI), est
-
-
-def _clamp(x: np.ndarray) -> np.ndarray:
-    return np.minimum(np.maximum(x, _EXP_LO), _EXP_HI)
+    pay_accept, pay_reject = pay
+    new_p, new_a, new_r = [], [], []
+    for q, e_a, e_r, a in zip(p, *est, accepted):
+        if a:
+            e_a += m * (pay_accept - e_a)
+        else:
+            e_r += m * (pay_reject - e_r)
+        new_a.append(e_a)
+        new_r.append(e_r)
+        t_a, t_r = e_a * _LOG_STRATEGY_STEP, e_r * _LOG_STRATEGY_STEP
+        t_a = -50.0 if t_a < -50.0 else 50.0 if t_a > 50.0 else t_a
+        t_r = -50.0 if t_r < -50.0 else 50.0 if t_r > 50.0 else t_r
+        t = t_r - t_a
+        t = -50.0 if t < -50.0 else 50.0 if t > 50.0 else t
+        # p' = p e^{t_a} / (p e^{t_a} + (1-p) e^{t_r}), stable form
+        q = 1.0 / (1.0 + (1.0 - q) / q * math.exp(t))
+        new_p.append(PROB_FLOOR if q < PROB_FLOOR else _P_HI if q > _P_HI else q)
+    return new_p, (new_a, new_r)
 
 
 EPISODE = "episode"
@@ -150,10 +151,11 @@ def run_coupled(params: GameParams, horizon: int, seed: int,
     n = params.n
     rng = episode_rng(seed, 0, n)
     alpha, estimate = params.alpha_max / 2.0, 0.0
-    p, est = np.full(n, 0.5), np.zeros((2, n))
+    p, est = [0.5] * n, ([0.0] * n, [0.0] * n)
     share, cost = _cohort_shares(params).tolist(), total_energy(params)
     alphas, estimates = np.empty((2, horizon))
-    probs, fed = np.empty((2, horizon, n))
+    probs, pays = np.empty((horizon, n)), np.empty((horizon, 2))
+    masks = np.empty((horizon, n), dtype=bool)
     n_accept = np.empty(horizon, dtype=int)
     delivered = np.empty(horizon, dtype=bool)
 
@@ -161,27 +163,25 @@ def run_coupled(params: GameParams, horizon: int, seed: int,
         # iteration i reads window i, so a block is drawn ahead of the state
         u = rng.random((min(_BLOCK, horizon - start), _window(n)))
         flips, reach = _contacts(params, u, contact_mode)
-        for i, flip, can_deliver in zip(range(start, horizon), flips, reach):
+        for i, flip, can_deliver in zip(range(start, horizon), flips.tolist(), reach.tolist()):
             k = i + 1
             alphas[i] = alpha
             probs[i] = p
-            accepted = flip < p
-            cohort = n_accept[i] = np.count_nonzero(accepted)
+            accepted = masks[i] = list(map(operator.lt, flip, p))
+            cohort = n_accept[i] = sum(accepted)
             if feed == EPISODE:
-                pay_accept, pay_reject = _cohort_payoffs(params, share, cost, cohort, alpha)
+                pay = pays[i] = _cohort_payoffs(params, share, cost, cohort, alpha)
             else:
-                # a sequential sum, as over a list; np.sum pairs terms and can
-                # differ in the last bit from n = 8 on
-                pay_accept, pay_reject = mixed_relay_payoffs(alpha, sum(p.tolist()) / n, params)
-            if not (math.isfinite(pay_accept) and math.isfinite(pay_reject)):
-                bad = pay_reject if math.isfinite(pay_accept) else pay_accept
+                pay = pays[i] = mixed_relay_payoffs(alpha, sum(p) / n, params)
+            if not (math.isfinite(pay[0]) and math.isfinite(pay[1])):
+                bad = pay[1] if math.isfinite(pay[0]) else pay[0]
                 raise ValueError(f"realized utility must be finite, got {bad}")
-            utility = fed[i] = np.where(accepted, pay_accept, pay_reject)
-            p, est = _relay_update(p, est, utility, accepted, 1.0 / (1.0 + k) ** 0.6)
-            hit = delivered[i] = np.count_nonzero(accepted & can_deliver) > 0
+            p, est = _relay_update(p, est, accepted, pay, 1.0 / (1.0 + k) ** 0.6)
+            hit = delivered[i] = any(map(operator.and_, accepted, can_deliver))
             alpha, estimate = _source_update(alpha, estimate, params.delta, params.alpha_max,
                                              float(hit), 1.0 / (1.0 + k))
             estimates[i] = estimate
 
     return Trajectory(alpha=alphas, u_s_est=estimates, accept_probs=probs,
-                      utilities=fed, n_accept=n_accept, delivered=delivered)
+                      utilities=np.where(masks, pays[:, :1], pays[:, 1:]), n_accept=n_accept,
+                      delivered=delivered)

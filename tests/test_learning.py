@@ -23,17 +23,19 @@ from dtnsat.simulate import MODEL, PHYSICAL, _cohort_shares, _score_relays, epis
 from conftest import make_params
 
 
-def relay_update(p, est_a, est_r, u, accepted, m):
-    """``_relay_update`` on arrays of relays: (accept prob, est_accept,
-    est_reject) arrays."""
-    p, est = learning._relay_update(p, np.array([est_a, est_r]), u, accepted, m)
-    return p, est[0], est[1]
-
-
 def step_one(p, est_a, est_r, u, accepted, m=0.3):
-    """``_relay_update`` on a single relay: (accept prob, est_accept, est_reject)."""
-    got = relay_update(*(np.array([x]) for x in (p, est_a, est_r, u, accepted)), m)
-    return tuple(float(g[0]) for g in got)
+    """``_relay_update`` on a single relay paid ``u`` on the side it played:
+    (accept prob, est_accept, est_reject)."""
+    (p,), ((est_a,), (est_r,)) = learning._relay_update([p], ([est_a], [est_r]), [accepted],
+                                                        (u, u), m)
+    return p, est_a, est_r
+
+
+def relay_update(p, est_a, est_r, u, accepted, m):
+    """``step_one`` relay by relay, relay i paid ``u[i]``: (accept probs,
+    est_accept, est_reject) lists."""
+    return tuple(map(list, zip(*(step_one(*relay, m)
+                                 for relay in zip(p, est_a, est_r, u, accepted)))))
 
 
 class TestSourceStep:
@@ -262,15 +264,19 @@ class TestArrayStateEquivalence:
     @pytest.mark.parametrize("contact_mode", [MODEL, PHYSICAL])
     def test_exponent_clamp_and_floor_bind_in_the_binding_scenario(
             self, feed, contact_mode, monkeypatch):
-        clamped = []
+        # the replay is run_coupled bit for bit (test above), so an exponent
+        # past the cap in the replay's ratio_rule is one in the run
+        exponents = []
 
-        def recorded(x, _clamp=learning._clamp):
-            clamped.append(float(np.abs(x).max()))
-            return _clamp(x)
-        monkeypatch.setattr(learning, "_clamp", recorded)
-        got = run_coupled(make_params(**self.BINDING), 300, seed=13, feed=feed,
-                          contact_mode=contact_mode)
-        assert max(clamped) > 50.0
+        def recorded(*args, _rule=ratio_rule):
+            got = _rule(*args)
+            exponents.extend(abs(est * math.log1p(0.1)) for est in got[1:])
+            return got
+        monkeypatch.setitem(globals(), "ratio_rule", recorded)
+        params = make_params(**self.BINDING)
+        scalar_replay(params, 300, 13, feed, contact_mode)
+        assert max(exponents) > 50.0
+        got = run_coupled(params, 300, seed=13, feed=feed, contact_mode=contact_mode)
         assert {PROB_FLOOR, 1.0 - PROB_FLOOR} <= set(got.accept_probs.ravel().tolist())
 
 
@@ -320,7 +326,7 @@ class TestElementwiseRelayUpdate:
     ]
 
     def test_matches_plain_float_rule_per_element(self):
-        p, est_a, est_r, u, acc = (np.array(col) for col in zip(*self.CASES))
+        p, est_a, est_r, u, acc = (list(col) for col in zip(*self.CASES))
         got = relay_update(p, est_a, est_r, u, acc, 0.37)
         for i, case in enumerate(self.CASES):
             want = ratio_rule(*case, 0.37)
@@ -330,21 +336,42 @@ class TestElementwiseRelayUpdate:
     def test_matches_plain_float_rule_on_random_inputs(self):
         rng = np.random.default_rng(8)
         size = 2000
-        p = rng.uniform(0.0, 1.0, size)
-        est_a, est_r, u = (rng.uniform(-30.0, 30.0, size) for _ in range(3))
-        acc = rng.random(size) < 0.5
+        p = rng.uniform(0.0, 1.0, size).tolist()
+        est_a, est_r, u = (rng.uniform(-30.0, 30.0, size).tolist() for _ in range(3))
+        acc = (rng.random(size) < 0.5).tolist()
         got = relay_update(p, est_a, est_r, u, acc, 0.4)
-        want = [ratio_rule(*args, 0.4) for args in
-                zip(p.tolist(), est_a.tolist(), est_r.tolist(), u.tolist(),
-                    acc.tolist())]
-        assert list(zip(*(g.tolist() for g in got))) == want
+        want = [ratio_rule(*args, 0.4) for args in zip(p, est_a, est_r, u, acc)]
+        assert list(zip(*got)) == want
+        # all relays in one call, paid one (accept, decline) pair as in run_coupled
+        got_p, (got_a, got_r) = learning._relay_update(p, (est_a, est_r), acc, u[:2], 0.4)
+        want = [ratio_rule(q, a, r, u[0] if c else u[1], c, 0.4)
+                for q, a, r, c in zip(p, est_a, est_r, acc)]
+        assert list(zip(got_p, got_a, got_r)) == want
 
     def test_floor_clamps_interior_only(self):
-        got = relay_update(
-            np.array([0.5, 0.5, 0.5]), np.array([50.0, -50.0, 0.0]),
-            np.array([-50.0, 50.0, 0.0]), np.array([50.0, -50.0, 0.0]),
-            np.array([True, True, True]), 0.3)
-        assert got[0].tolist() == [1.0 - PROB_FLOOR, PROB_FLOOR, 0.5]
+        got = relay_update([0.5, 0.5, 0.5], [50.0, -50.0, 0.0], [-50.0, 50.0, 0.0],
+                           [50.0, -50.0, 0.0], [True, True, True], 0.3)
+        assert got[0] == [1.0 - PROB_FLOOR, PROB_FLOOR, 0.5]
+
+    @pytest.mark.parametrize("n", [1, 7, 40])
+    def test_list_kernel_contract(self, n):
+        # run_coupled records the p list it passes as row i, so the kernel
+        # must leave its inputs as they are and return new lists of floats
+        rng = random.Random(n)
+        p = [rng.uniform(0.01, 0.99) for _ in range(n)]
+        est = tuple([rng.uniform(-3.0, 3.0) for _ in range(n)] for _ in range(2))
+        acc = [i % 3 != 1 for i in range(n)]
+        before = (list(p), list(est[0]), list(est[1]), list(acc))
+        pay, m = (0.7, -0.4), 0.3
+        new_p, new_est = learning._relay_update(p, est, acc, pay, m)
+        assert (p, est[0], est[1], acc) == before
+        for i, accepted in enumerate(acc):
+            played, other = (0, 1) if accepted else (1, 0)
+            assert new_est[played][i] == est[played][i] + m * (pay[played] - est[played][i])
+            assert new_est[played][i] != est[played][i]
+            assert new_est[other][i] == est[other][i]
+        for values in (new_p, *new_est):
+            assert len(values) == n and all(type(x) is float for x in values)
 
     # The kernel does not check its utilities: run_coupled checks the
     # (accept, decline) payoff pair that every fed row is spread from.
