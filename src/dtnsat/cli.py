@@ -6,8 +6,8 @@ import sys
 from dataclasses import replace
 from typing import Optional, Sequence
 
-from .experiments import MODES, ConfigError, ScenarioConfig, emit_csv, \
-    format_csv, parse_config, run_scenario
+from .experiments import MODES, ConfigError, ScenarioConfig, _csv_lines, emit_csv, \
+    parse_config, run_scenario
 from .simulate import CONTACT_MODES
 
 
@@ -49,7 +49,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if args.out is not None:
             emit_csv(table, args.out)
         else:
-            sys.stdout.write(format_csv(table))
+            sys.stdout.writelines(_csv_lines(table))
     except (ConfigError, OSError, ValueError) as exc:
         print(f"dtnsat {args.mode}: error: {exc}", file=sys.stderr)
         return 1

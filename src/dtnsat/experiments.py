@@ -214,16 +214,46 @@ def _validate_sweep_values(var: str, values) -> None:
             raise ConfigError(f"swept p must be in [0, 1], got {v}")
 
 
+# rows of a float table stacked and formatted at once
+_BLOCK = 512
+
+
+class _FloatRows:
+    """Table rows held as float columns, each 1-D or 2-D (one table column
+    per array column) and all of one length.  A row, or a slice of rows, is
+    stacked from the columns only when it is read."""
+
+    def __init__(self, columns):
+        arrays = [np.asarray(c, dtype=float) for c in columns]
+        self.columns = tuple(c[:, None] if c.ndim == 1 else c for c in arrays)
+        if len({len(c) for c in self.columns}) > 1:
+            raise ValueError(f"column lengths {[len(c) for c in self.columns]} differ")
+        self.width = sum(c.shape[1] for c in self.columns)
+
+    def __len__(self) -> int:
+        return len(self.columns[0])
+
+    def __getitem__(self, index) -> np.ndarray:
+        return np.hstack([c[index] for c in self.columns])
+
+
 @dataclass(frozen=True)
 class ResultTable:
+    """A CSV table: column names, rows and ``# key = value`` metadata.
+
+    ``rows`` is either a tuple of row tuples, whose values may be floats,
+    ints, bools or anything ``str`` prints, or a ``_FloatRows`` of float
+    columns, which stay arrays until they are written."""
+
     columns: tuple[str, ...]
-    rows: tuple[tuple[float, ...], ...]
+    rows: tuple[tuple, ...] | _FloatRows
     metadata: tuple[tuple[str, str], ...]
 
     def __post_init__(self):
-        for row in self.rows:
-            if len(row) != len(self.columns):
-                raise ValueError(f"row width {len(row)} != {len(self.columns)} columns")
+        widths = (self.rows.width,) if isinstance(self.rows, _FloatRows) else map(len, self.rows)
+        for width in widths:
+            if width != len(self.columns):
+                raise ValueError(f"row width {width} != {len(self.columns)} columns")
 
 
 def _fmt(value) -> str:
@@ -235,12 +265,21 @@ def _fmt(value) -> str:
 
 
 def _csv_lines(table: ResultTable):
-    """Metadata comments, header and rows, one newline-terminated line each.
+    """Metadata comments and header, one newline-terminated line each, then
+    the rows, all giving :func:`_fmt`'s bytes.
 
-    Each row is one ``%`` format, built once per tuple of value types, that
-    gives :func:`_fmt`'s bytes."""
+    Float-column rows go out ``_BLOCK`` rows at a time: the block's column
+    slices are stacked and printed by one ``%.12g`` row format, repeated
+    over the block.  Tuple rows go out one line each, by a ``%`` format
+    built once per tuple of value types."""
     yield from (f"# {key} = {value}\n" for key, value in table.metadata)
     yield ",".join(table.columns) + "\n"
+    if isinstance(table.rows, _FloatRows):
+        row_format = ",".join(["%.12g"] * len(table.columns)) + "\n"
+        for start in range(0, len(table.rows), _BLOCK):
+            block = table.rows[start:start + _BLOCK]
+            yield (row_format * len(block)) % tuple(block.ravel().tolist())
+        return
     formats: dict[tuple[type, ...], str] = {}
     for row in table.rows:
         types = tuple(map(type, row))
@@ -256,7 +295,7 @@ def format_csv(table: ResultTable) -> str:
 
 
 def emit_csv(table: ResultTable, path: str) -> None:
-    """Write the table as :func:`format_csv` text, line by line as formatted."""
+    """Write the table as :func:`format_csv` text, each piece as it is formatted."""
     try:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.writelines(_csv_lines(table))
@@ -298,13 +337,13 @@ def _swept(config: ScenarioConfig) -> tuple[Optional[str], tuple[float, ...]]:
 def _column_table(config: ScenarioConfig, names: list[str], columns,
                   extra: dict[str, str] | None = None) -> ResultTable:
     """One float row per point: the swept value (if any) and then
-    ``columns``, 1-D or 2-D, named ``names``; %.12g prints the integer and
-    flag columns as %d would."""
+    ``columns``, 1-D or 2-D, named ``names``.  The columns are held as they
+    are, never stacked whole; %.12g prints the integer and flag columns as
+    %d would."""
     var, values = _swept(config)
     if var is not None:
         names, columns = (var, *names), (values, *columns)
-    rows = np.column_stack(columns).tolist()
-    return ResultTable(tuple(names), tuple(rows), _metadata(config, extra))
+    return ResultTable(tuple(names), _FloatRows(columns), _metadata(config, extra))
 
 
 def _run_solve_pse(config: ScenarioConfig) -> ResultTable:

@@ -1,6 +1,8 @@
+import io
 import math
 import re
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -18,6 +20,8 @@ from dtnsat.experiments import (
     SWEEP_VARS,
     ConfigError,
     ResultTable,
+    _BLOCK,
+    _FloatRows,
     _fmt,
     emit_csv,
     format_csv,
@@ -389,6 +393,61 @@ class TestEmitCsv:
         with pytest.raises(ValueError):
             ResultTable(columns=("a", "b"), rows=((1.0,),), metadata=())
 
+    @staticmethod
+    def float_table(count):
+        """A float-column table of ``count`` rows: a 1-D column, a 2-D one
+        holding the awkward values, and integer and flag columns."""
+        special = [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e300, 1 / 3, 2.5e-17]
+        values = np.resize(np.array(special + [math.pi, -7.0, 1e-5]), count * 2)
+        columns = (np.arange(count) * 0.1, values.reshape(count, 2),
+                   np.arange(count) - 3, np.arange(count) % 3 == 0)
+        return ResultTable(tuple("abcde"), _FloatRows(columns), (("seed", "1"),)), columns
+
+    @pytest.mark.parametrize("count", [0, 1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 5])
+    def test_float_columns_give_the_per_value_bytes_across_blocks(self, count, tmp_path):
+        table, columns = self.float_table(count)
+        assert len(table.rows) == count
+        rows = np.column_stack(columns).astype(float).tolist()
+        want = "\n".join(["# seed = 1", "a,b,c,d,e"]
+                         + [",".join(_fmt(v) for v in row) for row in rows]) + "\n"
+        assert format_csv(table) == want
+        path = tmp_path / "floats.csv"
+        emit_csv(table, str(path))
+        assert path.read_bytes() == want.encode()
+
+    def test_float_column_width_and_lengths_validated(self):
+        with pytest.raises(ValueError, match="row width 3 != 2 columns"):
+            ResultTable(("a", "b"), _FloatRows((np.zeros(4), np.zeros((4, 2)))), ())
+        with pytest.raises(ValueError, match="column lengths"):
+            _FloatRows((np.zeros(4), np.zeros(5)))
+
+    def test_learn_table_writes_its_tuple_rows_bytes(self, tmp_path):
+        cfg = replace(parse_config(f"horizon = {_BLOCK + 1}\nn = 3\nseed = 4"), mode="learn")
+        table = run_scenario(cfg)
+        assert isinstance(table.rows, _FloatRows)
+        tuples = replace(table, rows=tuple(map(tuple, table.rows[:].tolist())))
+        assert format_csv(table) == format_csv(tuples)
+        path = tmp_path / "learn.csv"
+        emit_csv(table, str(path))
+        assert path.read_bytes() == format_csv(tuples).encode()
+
+    def test_writer_memory_does_not_grow_with_the_rows(self, tmp_path):
+        # a learn-shaped n = 40 table: step, reward, estimate, 40 probabilities,
+        # acceptor count and delivery flag
+        peaks = []
+        for horizon in (2000, 20000):
+            rng = np.random.default_rng(5)
+            table = ResultTable(tuple(f"c{i}" for i in range(45)), _FloatRows(
+                (np.arange(1, horizon + 1), rng.random((horizon, 42)),
+                 rng.integers(0, 41, horizon), rng.random(horizon) < 0.3)), ())
+            tracemalloc.start()
+            try:
+                emit_csv(table, str(tmp_path / f"h{horizon}.csv"))
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] < 2 * peaks[0], peaks
+
     def test_unwritable_path_reports_path(self, tmp_path):
         table = ResultTable(columns=("x",), rows=(), metadata=())
         with pytest.raises(OSError, match="no/such"):
@@ -410,6 +469,25 @@ class TestCli:
         assert main(["solve-pse"]) == 0
         captured = capsys.readouterr()
         assert "alpha_star" in captured.out
+
+    @pytest.mark.parametrize("mode,config", [("learn", f"horizon = {3 * _BLOCK}\nn = 3\n"),
+                                             ("solve-pse", "")])
+    def test_stdout_gets_the_file_bytes_in_pieces(self, tmp_path, monkeypatch, mode, config):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(config)
+        out = tmp_path / "run.csv"
+        assert main([mode, "--config", str(cfg), "--out", str(out)]) == 0
+
+        class Recorder(io.StringIO):
+            def write(self, text):
+                sizes.append(len(text))
+                return super().write(text)
+
+        sizes, stdout = [], Recorder()
+        monkeypatch.setattr(sys, "stdout", stdout)
+        assert main([mode, "--config", str(cfg)]) == 0
+        assert stdout.getvalue().encode() == out.read_bytes()
+        assert max(sizes) < sum(sizes) / 2  # never the whole file at once
 
     def test_bad_config_is_diagnosed(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
