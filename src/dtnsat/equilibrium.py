@@ -63,8 +63,8 @@ class FloatRangeError(ValueError):
     """Raised when an equilibrium quantity over- or underflows a float."""
 
 
+# kept only because perfbench's region check imports it; the package does not use it
 BISECTION_TOL = 1e-6
-BISECTION_MAX_ITER = 200
 # strictly-better margin for the dominance verdict, guards float noise
 DOMINANCE_MARGIN = 1e-9
 
@@ -357,32 +357,29 @@ def satisfaction_region(params: GameParams, sweep_var: str, lo: float, hi: float
                         fixed_p: float) -> Optional[float]:
     """Smallest swept value at which mixed delivery reaches the threshold.
 
-    Delivery is increasing in both tau and lambda, so the crossing is found
-    by bisection to 1e-6 absolute; returns None when the bound is not
-    reached anywhere in [lo, hi].
+    Delivery at p reaches delta once the per-relay success p*(1 - e^-x)**2,
+    x = lam*tau, reaches b = 1 - (1 - delta)**(1/n), the bound of p_min.  So
+    the crossing is x* = -log1p(-sqrt(b/p)) over the fixed lam (tau sweep)
+    or tau (lambda sweep), exact up to rounding.  Returns lo when it is at
+    or below lo, and None when delivery never reaches delta in [lo, hi].
     """
     if not lo < hi:
         raise RangeError(f"need lo < hi, got [{lo}, {hi}]")
     if sweep_var not in ("tau", "lambda"):
         raise ValueError(f"sweep_var must be 'tau' or 'lambda', got {sweep_var!r}")
-
-    def delivery(value: float) -> float:
-        return expected_source_utility_mixed(fixed_p, with_param(params, sweep_var, value))
-
-    if delivery(lo) >= params.delta:
-        return lo
-    if delivery(hi) < params.delta:
+    for value in (lo, hi):  # the constructors check both endpoints
+        with_param(params, sweep_var, value)
+    if not 0 <= fixed_p <= 1:
+        raise ValueError(f"p must be in [0, 1], got {fixed_p}")
+    fixed = params.contact.tau if sweep_var == "lambda" else params.contact.lam
+    bound = -math.expm1(math.log1p(-params.delta) / params.n)
+    ratio = bound / fixed_p if fixed_p > 0 else math.inf
+    if fixed == 0 or ratio >= 1.0:
         return None
-    a, b = lo, hi
-    for _ in range(BISECTION_MAX_ITER):
-        mid = 0.5 * (a + b)
-        if delivery(mid) >= params.delta:
-            b = mid
-        else:
-            a = mid
-        if b - a <= BISECTION_TOL:
-            break
-    return b
+    crossing = -math.log1p(-math.sqrt(ratio)) / fixed
+    if crossing <= lo:
+        return lo
+    return crossing if crossing <= hi else None
 
 
 @dataclass(frozen=True)

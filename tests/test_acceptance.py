@@ -236,14 +236,14 @@ def test_criterion_07_region_threshold_matches_grid_scan():
     worst = 0.0
     for lam in (0.005, 0.015, 0.05):
         params = make_params(lam=lam)
-        bisected = satisfaction_region(params, "tau", lo, hi, fixed_p=1.0)
+        crossing = satisfaction_region(params, "tau", lo, hi, fixed_p=1.0)
         grid_hit = next(
             lo + i * step for i in range(points)
             if expected_source_utility_mixed(
                 1.0, make_params(lam=lam, tau=lo + i * step)) >= params.delta)
-        worst = max(worst, abs(bisected - grid_hit))
+        worst = max(worst, abs(crossing - grid_hit))
     report(7, worst <= step,
-           f"bisection vs 10000-point scan, worst |diff| = {worst:.4f} "
+           f"closed-form crossing vs 10000-point scan, worst |diff| = {worst:.4f} "
            f"(one grid step = {step:.4f})")
 
 

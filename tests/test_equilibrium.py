@@ -1,8 +1,10 @@
 import math
+import re
 
 import pytest
 
 from dtnsat.equilibrium import (
+    BISECTION_TOL,
     DegenerateContactError,
     DegenerateFailureError,
     RangeError,
@@ -20,6 +22,7 @@ from dtnsat.equilibrium import (
 from dtnsat.model import (
     expected_relay_utility_mixed,
     expected_source_utility_mixed,
+    with_param,
 )
 from conftest import make_params
 from oracles import mixed_indifference_gap, pure_indifference_gap
@@ -251,6 +254,61 @@ class TestSatisfactionRegion:
     def test_unknown_variable_rejected(self, base_params):
         with pytest.raises(ValueError):
             satisfaction_region(base_params, "n", 1.0, 5.0, 1.0)
+
+    @pytest.mark.parametrize("var,lo,hi,want", [
+        ("tau", 1.0, 1e300, TAU_STAR[0.015]),
+        ("tau", 1.0, 1e60, TAU_STAR[0.015]),
+        ("lambda", 1e-6, 1e250, TAU_STAR[0.015] * 0.015 / 100.0)])
+    def test_wide_sweep_finds_the_crossing(self, base_params, var, lo, hi, want):
+        # no fixed number of halvings reaches 1e-6 across these spans
+        assert satisfaction_region(base_params, var, lo, hi, 1.0) == pytest.approx(
+            want, abs=1e-6)
+
+    @pytest.mark.parametrize("var,lo,hi,message", [
+        ("tau", -5.0, 10.0, "tau must be > 0, got -5.0"),
+        ("tau", 0.0, 10.0, "tau must be > 0, got 0.0"),
+        ("lambda", -1.0, 1.0, "lam must be >= 0, got -1.0"),
+        ("tau", 1.0, math.inf, "tau must be finite, got inf")])
+    def test_bad_endpoint_rejected(self, base_params, var, lo, hi, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            satisfaction_region(base_params, var, lo, hi, 1.0)
+
+    @pytest.mark.parametrize("p", [1.5, math.nan])
+    def test_bad_probability_rejected(self, base_params, p):
+        with pytest.raises(ValueError, match=r"p must be in \[0, 1\]"):
+            satisfaction_region(base_params, "tau", 1.0, 500.0, p)
+
+    def test_nan_endpoint_rejected(self, base_params):
+        with pytest.raises(RangeError):
+            satisfaction_region(base_params, "tau", math.nan, 500.0, 1.0)
+
+    @pytest.mark.parametrize("lam,hi,p", [(0.015, 500.0, 0.0), (0.015, 500.0, 5e-324),
+                                          (0.0, 500.0, 1.0), (5e-324, 1e308, 1.0)])
+    def test_unreachable_returns_none(self, lam, hi, p):
+        assert satisfaction_region(make_params(lam=lam), "tau", 1.0, hi, p) is None
+
+    # scenarios, ranges and p fixed in advance; every interior crossing brackets delta
+    BRACKET_SCENARIOS = [{}, {"n": 1}, {"n": 40, "delta": 0.9}, {"delta": 1e-6},
+                         {"lam": 0.002}, {"n": 3, "delta": 0.99},
+                         {"n": 30, "delta": 0.5, "tau": 10.0}, {"delta": 0.999999999}]
+
+    @pytest.mark.parametrize("scenario", BRACKET_SCENARIOS)
+    def test_crossing_brackets_the_threshold(self, scenario):
+        params = make_params(**scenario)
+        interior = 0
+        for var, lo, hi in (("tau", 1.0, 1e6), ("lambda", 1e-6, 10.0)):
+            for p in (0.01, 0.05, 0.2, 0.5, 1.0):
+                t = satisfaction_region(params, var, lo, hi, p)
+                if t is None or not lo < t <= hi:
+                    continue
+                interior += 1
+
+                def delivery(value):
+                    return expected_source_utility_mixed(p, with_param(params, var, value))
+                assert delivery(t + BISECTION_TOL) >= params.delta, (var, p, t)
+                if t - BISECTION_TOL > lo:
+                    assert delivery(t - BISECTION_TOL) < params.delta, (var, p, t)
+        assert interior > 0
 
 
 class TestParetoDominance:

@@ -723,6 +723,15 @@ class TestDegeneratePoints:
         assert lines == ["lambda,delivery,satisfied", row]
         assert meta["threshold"] == threshold
 
+    @pytest.mark.parametrize("var,values,threshold", [
+        ("tau", "1,1e300", "13.3906103166"),
+        ("lambda", "1e-6,1e250", "0.00200859154749")])
+    def test_wide_region_sweep_reports_the_crossing(self, var, values, threshold,
+                                                    tmp_path, capsys):
+        meta, _ = run_cli("region", f"sweep.var = {var}\nsweep.values = {values}\n",
+                          tmp_path, capsys)
+        assert meta["threshold"] == threshold
+
     @pytest.mark.parametrize("mode", ["solve-mse", "solve-ese"])
     @pytest.mark.parametrize("extra,message", [
         ("", "minimum accept probability underflows at delta = 5e-324"),
@@ -771,8 +780,8 @@ class TestSweepBudget:
     def test_calls_do_not_grow_with_the_points(self, monkeypatch, mode, var, lo, hi):
         counts = []
         for points in (10, 5000):
-            # the same range both times, so region bisects it alike; n steps by 1;
-            # only simulate reads trials
+            # region's closed-form threshold checks its two endpoints whatever
+            # the range; n steps by 1; only simulate reads trials
             values = range(1, points + 1) if var == "n" else np.linspace(lo, hi, points)
             cfg = replace(parse_config(f"trials = 1\nsweep.var = {var}\nsweep.values = "
                                        + ",".join(map(repr, map(float, values)))), mode=mode)
