@@ -1,4 +1,4 @@
-"""Command-line experiment runner: one subcommand per scenario mode."""
+"""Command-line experiment runner: ``dtnsat <mode> [options]``, one mode per run."""
 from __future__ import annotations
 
 import argparse
@@ -16,14 +16,12 @@ def build_parser() -> argparse.ArgumentParser:
         prog="dtnsat",
         description="Solve, learn and simulate reward-based content delivery "
                     "in delay tolerant networks.")
-    sub = parser.add_subparsers(dest="mode", required=True)
-    for mode in MODES:
-        mp = sub.add_parser(mode, help=f"run the {mode} scenario")
-        mp.add_argument("--config", help="path to a key = value config file")
-        mp.add_argument("--seed", help="override the config seed")
-        mp.add_argument("--out", help="CSV output path (default: stdout)")
-        mp.add_argument("--trials", help="override the trial count")
-        mp.add_argument("--contact-mode", metavar="|".join(CONTACT_MODES),
+    parser.add_argument("mode", choices=MODES, help="the scenario mode to run")
+    parser.add_argument("--config", help="path to a key = value config file")
+    parser.add_argument("--seed", help="override the config seed")
+    parser.add_argument("--out", help="CSV output path (default: stdout)")
+    parser.add_argument("--trials", help="override the trial count")
+    parser.add_argument("--contact-mode", metavar="|".join(CONTACT_MODES),
                         help="override the episode contact mode")
     return parser
 

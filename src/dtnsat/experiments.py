@@ -239,21 +239,17 @@ class _FloatRows:
 
 @dataclass(frozen=True)
 class ResultTable:
-    """A CSV table: column names, rows and ``# key = value`` metadata.
-
-    ``rows`` is either a tuple of row tuples, whose values may be floats,
-    ints, bools or anything ``str`` prints, or a ``_FloatRows`` of float
-    columns, which stay arrays until they are written."""
+    """A CSV table: column names, rows held as float columns, and ``# key =
+    value`` metadata.  Every mode's rows are floats; ``%.12g`` prints the
+    integer and flag cells as integers."""
 
     columns: tuple[str, ...]
-    rows: tuple[tuple, ...] | _FloatRows
+    rows: _FloatRows
     metadata: tuple[tuple[str, str], ...]
 
     def __post_init__(self):
-        widths = (self.rows.width,) if isinstance(self.rows, _FloatRows) else map(len, self.rows)
-        for width in widths:
-            if width != len(self.columns):
-                raise ValueError(f"row width {width} != {len(self.columns)} columns")
+        if self.rows.width != len(self.columns):
+            raise ValueError(f"row width {self.rows.width} != {len(self.columns)} columns")
 
 
 def _fmt(value) -> str:
@@ -268,25 +264,15 @@ def _csv_lines(table: ResultTable):
     """Metadata comments and header, one newline-terminated line each, then
     the rows, all giving :func:`_fmt`'s bytes.
 
-    Float-column rows go out ``_BLOCK`` rows at a time: the block's column
-    slices are stacked and printed by one ``%.12g`` row format, repeated
-    over the block.  Tuple rows go out one line each, by a ``%`` format
-    built once per tuple of value types."""
+    The rows go out ``_BLOCK`` rows at a time: the block's column slices
+    are stacked and printed by one ``%.12g`` row format, repeated over the
+    block."""
     yield from (f"# {key} = {value}\n" for key, value in table.metadata)
     yield ",".join(table.columns) + "\n"
-    if isinstance(table.rows, _FloatRows):
-        row_format = ",".join(["%.12g"] * len(table.columns)) + "\n"
-        for start in range(0, len(table.rows), _BLOCK):
-            block = table.rows[start:start + _BLOCK]
-            yield (row_format * len(block)) % tuple(block.ravel().tolist())
-        return
-    formats: dict[tuple[type, ...], str] = {}
-    for row in table.rows:
-        types = tuple(map(type, row))
-        if types not in formats:
-            formats[types] = ",".join("%d" if t is bool else "%.12g" if issubclass(t, float)
-                                      else "%s" for t in types) + "\n"
-        yield formats[types] % tuple(row)
+    row_format = ",".join(["%.12g"] * len(table.columns)) + "\n"
+    for start in range(0, len(table.rows), _BLOCK):
+        block = table.rows[start:start + _BLOCK]
+        yield (row_format * len(block)) % tuple(block.ravel().tolist())
 
 
 def format_csv(table: ResultTable) -> str:
@@ -346,23 +332,31 @@ def _column_table(config: ScenarioConfig, names: list[str], columns,
     return ResultTable(tuple(names), _FloatRows(columns), _metadata(config, extra))
 
 
+def _row_table(config: ScenarioConfig, names, rows,
+               extra: dict[str, str] | None = None) -> ResultTable:
+    """One float row per item of the iterable ``rows``, each as wide as
+    ``names``, streamed into one ``(k, width)`` array."""
+    rows = np.fromiter(rows, np.dtype((float, len(names))))
+    return ResultTable(tuple(names), _FloatRows((rows,)), _metadata(config, extra))
+
+
 def _run_solve_pse(config: ScenarioConfig) -> ResultTable:
     var, values = _swept(config)
     # (lead, params) per swept value, or the config's own point without a sweep
     points = [((v,), with_param(config.params, var, v)) for v in values] or [((), config.params)]
-    rows = []
-    for lead, params in points:
-        try:
-            sol = solve_pse(params)
-        except DegenerateFailureError:  # q = 1: no cohort ever delivers
-            sol = PseSolution(math.inf, {}, {}, False)
-        for m in sorted(sol.alpha_star):
-            rows.append((*lead, m, sol.alpha_star[m], int(sol.clamped[m]),
-                         sol.n_a_min, int(sol.feasible)))
-        if not sol.alpha_star:  # no cohort of at most n: one marked row
-            rows.append((*lead, math.nan, math.nan, 0, sol.n_a_min, 0))
+
+    def rows():
+        for lead, params in points:
+            try:
+                sol = solve_pse(params)
+            except DegenerateFailureError:  # q = 1: no cohort ever delivers
+                sol = PseSolution(math.inf, {}, {}, False)
+            for m in sorted(sol.alpha_star):
+                yield (*lead, m, sol.alpha_star[m], sol.clamped[m], sol.n_a_min, sol.feasible)
+            if not sol.alpha_star:  # no cohort of at most n: one marked row
+                yield (*lead, math.nan, math.nan, 0, sol.n_a_min, 0)
     names = ("n_a", "alpha_star", "clamped", "n_a_min", "feasible")
-    return ResultTable(names if var is None else (var, *names), tuple(rows), _metadata(config))
+    return _row_table(config, names if var is None else (var, *names), rows())
 
 
 def _run_solve_mse(config: ScenarioConfig) -> ResultTable:
@@ -410,27 +404,26 @@ def _run_simulate(config: ScenarioConfig) -> ResultTable:
         except DegenerateContactError as exc:
             raise ConfigError(f"alpha is unset and there is no binding "
                               f"equilibrium to take it from: {exc}") from None
-    _, ps = _swept(config)
-    rows = []
-    for p in ps or (config.p,):
+    ps = _swept(config)[1] or (config.p,)
+
+    def row(p):
         delivery = estimate_delivery(config.params, p, config.trials, config.seed,
                                      config.contact_mode)
         relay = estimate_relay_utility(config.params, p, reward, config.trials,
                                        config.seed, config.contact_mode)
-        rows.append((p, delivery.mean, delivery.stderr, relay.mean,
-                     relay.stderr, config.trials))
-    return ResultTable(("p", "delivery_mean", "delivery_se", "relay_utility_mean",
-                        "relay_utility_se", "trials"), tuple(rows), _metadata(config))
+        return p, delivery.mean, delivery.stderr, relay.mean, relay.stderr, config.trials
+    return _row_table(config, ("p", "delivery_mean", "delivery_se", "relay_utility_mean",
+                               "relay_utility_se", "trials"), map(row, ps))
 
 
 def _run_pareto_grid(config: ScenarioConfig) -> ResultTable:
     ese = solve_ese(config.params)
-    dominators = [(p, a, v.source_margin_delta, v.relay_utility_delta)
-                  for p, a, v in pareto_grid_scan(config.params, ese)]
+    scan = pareto_grid_scan(config.params, ese)
     extra = {"ese_p_star": _fmt(ese.p_star), "ese_alpha_star": _fmt(ese.alpha_star),
-             "dominating_points": str(len(dominators))}
-    return ResultTable(("p", "alpha", "source_margin_delta", "relay_utility_delta"),
-                       tuple(dominators), _metadata(config, extra))
+             "dominating_points": str(len(scan))}
+    return _row_table(config, ("p", "alpha", "source_margin_delta", "relay_utility_delta"),
+                      ((p, a, v.source_margin_delta, v.relay_utility_delta) for p, a, v in scan),
+                      extra)
 
 
 # every mode: its runner and the sweep variables it honours

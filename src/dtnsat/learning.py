@@ -117,14 +117,22 @@ FEEDS = (EPISODE, MEAN_FIELD)
 @dataclass(frozen=True)
 class Trajectory:
     """The arrays one coupled run fills, row k - 1 for step k: (H, n) for
-    ``accept_probs`` and ``utilities``, (H,) for the rest."""
+    ``accept_probs`` and the ``accepted`` masks, (H, 2) for the fed
+    (accept, decline) ``pays``, (H,) for the rest."""
 
     alpha: np.ndarray
     u_s_est: np.ndarray
     accept_probs: np.ndarray
-    utilities: np.ndarray
+    accepted: np.ndarray
+    pays: np.ndarray
     n_accept: np.ndarray
     delivered: np.ndarray
+
+    @property
+    def utilities(self) -> np.ndarray:
+        """(H, n) utility fed to each relay: its side of the step's pay pair,
+        spread when read."""
+        return np.where(self.accepted, self.pays[:, :1], self.pays[:, 1:])
 
 
 def run_coupled(params: GameParams, horizon: int, seed: int,
@@ -182,6 +190,5 @@ def run_coupled(params: GameParams, horizon: int, seed: int,
                                              float(hit), 1.0 / (1.0 + k))
             estimates[i] = estimate
 
-    return Trajectory(alpha=alphas, u_s_est=estimates, accept_probs=probs,
-                      utilities=np.where(masks, pays[:, :1], pays[:, 1:]), n_accept=n_accept,
-                      delivered=delivered)
+    return Trajectory(alpha=alphas, u_s_est=estimates, accept_probs=probs, accepted=masks,
+                      pays=pays, n_accept=n_accept, delivered=delivered)

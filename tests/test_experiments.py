@@ -1,4 +1,5 @@
 import io
+import itertools
 import math
 import re
 import sys
@@ -330,7 +331,8 @@ class TestSweepRows:
                           int(sol.feasible)) for m in sorted(sol.alpha_star)]
         table = run_scenario(cfg)
         assert table.columns == ("tau", "n_a", "alpha_star", "clamped", "n_a_min", "feasible")
-        assert len(expected) == 14 and table.rows == tuple(expected)
+        assert len(expected) == 14
+        assert table.rows[:].tolist() == [list(map(float, row)) for row in expected]
 
     def test_simulate_p_sweep_builds_no_params(self, monkeypatch):
         cfg = replace(parse_config("trials = 20\nsweep.var = p\nsweep.values = 0.1,0.5"),
@@ -345,10 +347,27 @@ class TestSweepRows:
         assert len(built) == 1
 
 
+def per_value_csv(table):
+    """The table's CSV written one value at a time with ``_fmt``, row by row."""
+    rows = (table.rows[i].tolist() for i in range(len(table.rows)))
+    return "".join([f"# {key} = {value}\n" for key, value in table.metadata]
+                   + [",".join(table.columns) + "\n"]
+                   + [",".join(_fmt(v) for v in row) + "\n" for row in rows])
+
+
+def assert_same_text(got, want):
+    """``got == want``, failing with the first differing line: pytest's own
+    diff of two texts the size of a pareto-grid CSV takes minutes."""
+    if got != want:
+        pairs = itertools.zip_longest(got.splitlines(True), want.splitlines(True))
+        line, g, w = next((i, g, w) for i, (g, w) in enumerate(pairs, 1) if g != w)
+        pytest.fail(f"line {line}: got {g!r}, want {w!r}")
+
+
 class TestEmitCsv:
     def test_round_trip_at_twelve_digits(self, tmp_path):
         table = ResultTable(columns=("a", "b"),
-                            rows=((1 / 3, 2.5e-17), (math.pi, 1e300)),
+                            rows=_FloatRows(((1 / 3, math.pi), (2.5e-17, 1e300))),
                             metadata=(("seed", "1"),))
         path = tmp_path / "out.csv"
         emit_csv(table, str(path))
@@ -360,7 +379,8 @@ class TestEmitCsv:
                 assert float(text) == pytest.approx(value, rel=1e-11)
 
     def test_empty_table_keeps_header_and_metadata(self, tmp_path):
-        table = ResultTable(columns=("x",), rows=(), metadata=(("k", "v"),))
+        table = ResultTable(columns=("x",), rows=_FloatRows((np.empty(0),)),
+                            metadata=(("k", "v"),))
         path = tmp_path / "empty.csv"
         emit_csv(table, str(path))
         assert path.read_text() == "# k = v\nx\n"
@@ -373,13 +393,13 @@ class TestEmitCsv:
         assert p1.read_bytes() == p2.read_bytes()
 
     def test_row_format_gives_the_per_value_bytes(self, tmp_path):
-        rows = ((True, False, 10 ** 13, -3, 0.1, math.nan),
+        # integer and flag cells held as floats print as the integers they are
+        rows = ((True, False, 10 ** 11, -3, 0.1, math.nan),
                 (math.inf, -math.inf, -0.0, 5e-324, 1e300, 2.0),
-                (np.float64(1 / 3), np.int64(-7), np.bool_(True), np.float64(math.nan),
-                 np.bool_(False), 10 ** 13),
-                (True, False, 10 ** 13, -3, 0.1, math.nan),
-                (1, 2.5, "x", None, np.float64(-0.0), 7))
-        table = ResultTable(columns=tuple("abcdef"), rows=rows,
+                (np.float64(1 / 3), np.int64(-7), True, np.float64(math.nan), False,
+                 -10 ** 11),
+                (1, 2.5, 0, 1e-300, np.float64(-0.0), 7))
+        table = ResultTable(columns=tuple("abcdef"), rows=_FloatRows(zip(*rows)),
                             metadata=(("seed", "1"), ("mode", "learn")))
         # the per-value join the writer replaced
         want = "\n".join(["# seed = 1", "# mode = learn", "a,b,c,d,e,f"]
@@ -391,7 +411,7 @@ class TestEmitCsv:
 
     def test_row_width_validated(self):
         with pytest.raises(ValueError):
-            ResultTable(columns=("a", "b"), rows=((1.0,),), metadata=())
+            ResultTable(columns=("a", "b"), rows=_FloatRows(((1.0,),)), metadata=())
 
     @staticmethod
     def float_table(count):
@@ -421,15 +441,14 @@ class TestEmitCsv:
         with pytest.raises(ValueError, match="column lengths"):
             _FloatRows((np.zeros(4), np.zeros(5)))
 
-    def test_learn_table_writes_its_tuple_rows_bytes(self, tmp_path):
+    def test_learn_table_writes_its_per_value_bytes(self, tmp_path):
         cfg = replace(parse_config(f"horizon = {_BLOCK + 1}\nn = 3\nseed = 4"), mode="learn")
         table = run_scenario(cfg)
-        assert isinstance(table.rows, _FloatRows)
-        tuples = replace(table, rows=tuple(map(tuple, table.rows[:].tolist())))
-        assert format_csv(table) == format_csv(tuples)
+        want = per_value_csv(table)
+        assert format_csv(table) == want
         path = tmp_path / "learn.csv"
         emit_csv(table, str(path))
-        assert path.read_bytes() == format_csv(tuples).encode()
+        assert path.read_bytes() == want.encode()
 
     def test_writer_memory_does_not_grow_with_the_rows(self, tmp_path):
         # a learn-shaped n = 40 table: step, reward, estimate, 40 probabilities,
@@ -449,9 +468,56 @@ class TestEmitCsv:
         assert peaks[1] < 2 * peaks[0], peaks
 
     def test_unwritable_path_reports_path(self, tmp_path):
-        table = ResultTable(columns=("x",), rows=(), metadata=())
+        table = ResultTable(columns=("x",), rows=_FloatRows((np.empty(0),)), metadata=())
         with pytest.raises(OSError, match="no/such"):
             emit_csv(table, str(tmp_path / "no" / "such" / "file.csv"))
+
+
+class TestModeBytes:
+    """Each mode's CLI CSV, to a file and to stdout, is the per-value join
+    of its table's rows."""
+
+    CASES = {
+        "simulate-p-sweep": ("simulate", "trials = 40\nalpha = 0.5\nsweep.var = p\n"
+                                         "sweep.values = 0,0.3,1\n"),
+        "solve-pse-q1": ("solve-pse", "sweep.var = lambda\nsweep.values = 0,0.015\n"),
+        "pareto-grid": ("pareto-grid", ""),
+    }
+
+    @staticmethod
+    def cli_csv(mode, config, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(config)
+        out = tmp_path / "run.csv"
+        assert main([mode, "--config", str(cfg), "--out", str(out), "--seed", "5"]) == 0
+        assert main([mode, "--config", str(cfg), "--seed", "5"]) == 0
+        assert_same_text(capsys.readouterr().out, out.read_text())
+        table = run_scenario(replace(parse_config(config, {"seed": "5"}), mode=mode))
+        return out.read_text(), table
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_cli_csv_is_the_per_value_join(self, case, tmp_path, capsys):
+        text, table = self.cli_csv(*self.CASES[case], tmp_path, capsys)
+        assert len(table.rows) > 0
+        assert_same_text(text, per_value_csv(table))
+
+    def test_integer_and_flag_cells_print_as_integers(self, tmp_path, capsys):
+        text, _ = self.cli_csv(*self.CASES["simulate-p-sweep"], tmp_path, capsys)
+        rows = [line.split(",") for line in text.splitlines()[-3:]]
+        assert [(row[0], row[-1]) for row in rows] == [("0", "40"), ("0.3", "40"), ("1", "40")]
+        text, _ = self.cli_csv(*self.CASES["solve-pse-q1"], tmp_path, capsys)
+        # lambda = 0: no relay meets the source, so no cohort delivers
+        assert "\n0,nan,nan,0,inf,0\n0.015,1," in text
+
+    def test_pareto_grid_without_dominators_writes_metadata_and_header(
+            self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(experiments, "pareto_grid_scan", lambda params, ese: [])
+        text, table = self.cli_csv("pareto-grid", "", tmp_path, capsys)
+        assert len(table.rows) == 0
+        assert_same_text(text, per_value_csv(table))
+        assert "# dominating_points = 0\n" in text
+        assert text.endswith("\np,alpha,source_margin_delta,relay_utility_delta\n")
+        assert all(line.startswith("# ") for line in text.splitlines()[:-1])
 
 
 class TestCli:

@@ -1,6 +1,7 @@
 import math
 import random
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -13,7 +14,6 @@ from dtnsat.learning import (
     EPISODE,
     MEAN_FIELD,
     PROB_FLOOR,
-    Trajectory,
     _source_update,
     run_coupled,
 )
@@ -214,7 +214,8 @@ def scalar_replay(params, horizon, seed, feed, contact_mode):
     """The coupled loop in plain floats, one relay at a time, on one
     ``simulate_episode`` per iteration, scored by ``_score_relays`` on the
     episode feed: each relay steps by ``ratio_rule`` and the source by its
-    own transcription."""
+    own transcription.  Returns the trajectory's arrays by name, with the
+    per-relay utilities fed at each step."""
     alpha, estimate = params.alpha_max / 2.0, 0.0
     share, cost = _cohort_shares(params), total_energy(params)
     relays = [(0.5, 0.0, 0.0)] * params.n
@@ -238,7 +239,8 @@ def scalar_replay(params, horizon, seed, feed, contact_mode):
         estimate += eps * (float(delivered) - estimate)
         alpha = min(max(alpha + eps * (params.delta - estimate), 0.0), params.alpha_max)
         rows.append((start_alpha, estimate, probs, fed, sum(accepted), delivered))
-    return Trajectory(*(np.array(column) for column in zip(*rows)))
+    names = ("alpha", "u_s_est", "accept_probs", "utilities", "n_accept", "delivered")
+    return SimpleNamespace(**{name: np.array(column) for name, column in zip(names, zip(*rows))})
 
 
 class TestArrayStateEquivalence:
