@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import math
 import sys
+from array import array
 from dataclasses import dataclass
 from typing import Optional
 
@@ -416,23 +417,25 @@ def pareto_dominance_check(candidate_p: float, candidate_alpha: float,
                             dominates=weakly_both and strictly_one)
 
 
-def pareto_grid_scan(params: GameParams, ese: EseSolution
-                     ) -> list[tuple[float, float, DominanceVerdict]]:
+def pareto_grid_scan(params: GameParams, ese: EseSolution) -> np.ndarray:
     """Evaluate dominance on the even 101x101 grid over [0,1] x [0,alpha_max].
 
-    Returns the dominating candidates (empty means the binding equilibrium
-    sits on the grid's Pareto frontier).
+    Returns the dominating candidates as one ``(k, 4)`` float array in grid
+    order (p outer, alpha inner), each row ``(p, alpha,
+    source_margin_delta, relay_utility_delta)`` of that cell's
+    :func:`pareto_dominance_check`; no rows means the binding equilibrium
+    sits on the grid's Pareto frontier.
     """
     top = params.alpha_max
     # the reward axis ends at alpha_max exactly: the product can round one ulp
     # past it at j = 100, or overflow, where the axis divides first
     alphas = [min(top * j / 100 if top * j < math.inf else top / 100 * j, top)
               for j in range(101)]
-    dominators = []
+    rows = array("d")
     for i in range(101):
         p = i / 100
         for a in alphas:
             verdict = pareto_dominance_check(p, a, ese, params)
             if verdict.dominates:
-                dominators.append((p, a, verdict))
-    return dominators
+                rows.extend((p, a, verdict.source_margin_delta, verdict.relay_utility_delta))
+    return np.frombuffer(rows).reshape(-1, 4)  # a view of the rows, no copy

@@ -72,7 +72,9 @@ class ScenarioConfig:
             items["mode"] = self.mode
         if self.sweep is not None:
             items["sweep.var"] = self.sweep.var
-            items["sweep.values"] = ",".join(_fmt(v) for v in self.sweep.values)
+            # the values are floats, which _fmt prints as %.12g
+            values = self.sweep.values
+            items["sweep.values"] = ",".join(["%.12g"] * len(values)) % values
         return {k: _fmt(v) for k, v in items.items()}
 
 
@@ -421,9 +423,8 @@ def _run_pareto_grid(config: ScenarioConfig) -> ResultTable:
     scan = pareto_grid_scan(config.params, ese)
     extra = {"ese_p_star": _fmt(ese.p_star), "ese_alpha_star": _fmt(ese.alpha_star),
              "dominating_points": str(len(scan))}
-    return _row_table(config, ("p", "alpha", "source_margin_delta", "relay_utility_delta"),
-                      ((p, a, v.source_margin_delta, v.relay_utility_delta) for p, a, v in scan),
-                      extra)
+    return _column_table(config, ["p", "alpha", "source_margin_delta", "relay_utility_delta"],
+                         (scan,), extra)
 
 
 # every mode: its runner and the sweep variables it honours

@@ -303,11 +303,11 @@ def test_criterion_10_no_grid_point_dominates_binding_equilibrium():
     ese = solve_ese(params)
     dominators = pareto_grid_scan(params, ese)
     detail = f"{len(dominators)} dominating points on the 101x101 grid"
-    if dominators:
-        p, a, verdict = dominators[0]
+    if len(dominators):
+        p, a, d_margin, d_relay = dominators[0].tolist()
         detail += (f"; e.g. (p={p:.2f}, alpha={a:.2f}) improves the source "
-                   f"margin by {verdict.source_margin_delta:.4f} and the "
-                   f"relay payoff by {verdict.relay_utility_delta:.4f}: "
+                   f"margin by {d_margin:.4f} and the "
+                   f"relay payoff by {d_relay:.4f}: "
                    f"cutting the reward relieves decliners of the forfeited "
                    f"share while more acceptance keeps the source satisfied")
         accept, reject = tagged_payoffs(ese.alpha_star, ese.p_star, params)
@@ -318,7 +318,7 @@ def test_criterion_10_no_grid_point_dominates_binding_equilibrium():
                    f"binding point is no relay equilibrium of it; solve_ese "
                    f"balances the reduced share instead ({reduced[0]:.3f} "
                    f"against {reduced[1]:.3f})")
-    report(10, not dominators, detail)
+    report(10, len(dominators) == 0, detail)
 
 
 def test_criterion_11_learning_output_is_reproducible(tmp_path):

@@ -1,6 +1,8 @@
 import math
 import re
+import tracemalloc
 
+import numpy as np
 import pytest
 
 from dtnsat.equilibrium import (
@@ -347,8 +349,44 @@ class TestParetoDominance:
     def test_grid_scan_finds_the_dominating_region(self, base_params):
         ese = solve_ese(base_params)
         dominators = pareto_grid_scan(base_params, ese)
-        assert dominators, "reward-free high-acceptance points dominate"
-        for p, alpha, verdict in dominators:
+        assert len(dominators), "reward-free high-acceptance points dominate"
+        for p, alpha, d_margin, d_relay in dominators.tolist():
+            verdict = pareto_dominance_check(p, alpha, ese, base_params)
             assert verdict.dominates
+            assert (verdict.source_margin_delta, verdict.relay_utility_delta) == \
+                (d_margin, d_relay)
             assert expected_source_utility_mixed(p, base_params) >= \
                 base_params.delta - 1e-9
+
+    @pytest.mark.parametrize("alpha_max, count", [(5.0, 7731), (0.014, 5880), (1.8e306, 5195)])
+    def test_grid_scan_rows_are_the_dominating_verdicts_bit_for_bit(self, alpha_max, count):
+        # alpha_max * j / 100 rounds one ulp past 0.014 at j = 100 and
+        # overflows at 1.8e306, where the axis divides first
+        params = make_params(alpha_max=alpha_max)
+        ese = solve_ese(params)
+        alphas = [min(alpha_max * j / 100 if alpha_max * j < math.inf
+                      else alpha_max / 100 * j, alpha_max) for j in range(101)]
+        want = []
+        for i in range(101):
+            for a in alphas:
+                verdict = pareto_dominance_check(i / 100, a, ese, params)
+                if verdict.dominates:
+                    want.append((i / 100, a, verdict.source_margin_delta,
+                                 verdict.relay_utility_delta))
+        rows = pareto_grid_scan(params, ese)
+        assert rows.dtype == np.float64 and rows.shape == (len(want), 4) == (count, 4)
+        assert rows.tobytes() == np.array(want).tobytes()
+
+    def test_grid_scan_peak_memory(self, base_params):
+        # the 7731 rows take 0.24 MiB as floats, 1.48 MiB as a tuple with a
+        # verdict object each
+        ese = solve_ese(base_params)
+        pareto_grid_scan(base_params, ese)
+        tracemalloc.start()
+        try:
+            rows = pareto_grid_scan(base_params, ese)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(rows) == 7731
+        assert peak < 0.75 * 2**20, peak

@@ -212,6 +212,16 @@ class TestParseConfig:
                            "sweep.points = 5")
         assert cfg.sweep.values == (1.0, 3.0, 5.0, 7.0, 9.0)
 
+    @pytest.mark.parametrize("sweep", [
+        "sweep.var = tau\nsweep.start = 1\nsweep.stop = 400\nsweep.points = 5000",
+        # %g turns to an exponent below 1e-4
+        f"sweep.var = tau\nsweep.values = {1 / 3!r},1e300,5e-324,1e-05",
+        "sweep.var = n\nsweep.values = 1,7,40,1000",
+    ], ids=["tau-grid-5000", "tau-list", "n-list"])
+    def test_echoed_sweep_values_are_the_per_value_join(self, sweep):
+        cfg = parse_config(sweep)
+        assert cfg.echo()["sweep.values"] == ",".join(_fmt(v) for v in cfg.sweep.values)
+
 
 class TestRunScenario:
     def test_solve_ese_four_target_rows(self):
@@ -511,7 +521,8 @@ class TestModeBytes:
 
     def test_pareto_grid_without_dominators_writes_metadata_and_header(
             self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setattr(experiments, "pareto_grid_scan", lambda params, ese: [])
+        monkeypatch.setattr(experiments, "pareto_grid_scan",
+                            lambda params, ese: np.empty((0, 4)))
         text, table = self.cli_csv("pareto-grid", "", tmp_path, capsys)
         assert len(table.rows) == 0
         assert_same_text(text, per_value_csv(table))
