@@ -25,7 +25,8 @@ every rate (Salmon et al., "Parallel Random Numbers: As Easy as 1, 2, 3",
 SC'11).  Model mode makes that test in log space, ``log1p(-u) >
 -lambda * tau``, and never builds the exponentials: negating a double is
 exact, so the test holds exactly where ``-log1p(-u) < lambda * tau`` does.
-An estimator walks one generator through the windows in trial order; a
+An estimator walks one generator through the windows in trial order,
+passing :func:`simulate_episode` its p as one float that all relays share; a
 trial's result does not depend on evaluation order, and the same seed gives
 the same bytes.  ``learn`` shares the stream: iteration ``i`` of
 :func:`dtnsat.learning.run_coupled` reads window ``i``.
@@ -80,20 +81,28 @@ def _index(name: str, value) -> int:
         raise TypeError(f"{name} must be an integer, got {value!r}") from None
 
 
-def simulate_episode(params: GameParams, accept_probs: Sequence[float],
+def simulate_episode(params: GameParams, accept_probs: Sequence[float] | float,
                      rng: np.random.Generator, mode: str = MODEL) -> tuple[np.ndarray, bool]:
     """Run one episode on the next window of ``rng``: (accepted, delivered).
 
-    Exactly ``W(n)`` doubles are drawn, so a generator from
-    :func:`episode_rng` of trial t is left at trial t + 1.
+    ``accept_probs`` is one probability per relay, or one float (Python or
+    ``np.float64``) that all relays share.  Exactly ``W(n)`` doubles are
+    drawn, so a generator from :func:`episode_rng` of trial t is left at
+    trial t + 1.
     """
     n = params.n
-    probs = np.asarray(accept_probs, dtype=float)
-    if probs.shape != (n,):
-        raise ValueError(f"need accept probabilities of shape ({n},), got shape {probs.shape}")
-    # NaN-propagating reductions: a NaN fails both comparisons
-    if not (np.minimum.reduce(probs) >= 0.0 and np.maximum.reduce(probs) <= 1.0):
-        bad = probs[~((probs >= 0.0) & (probs <= 1.0))][0]
+    if isinstance(accept_probs, float):
+        probs = accept_probs
+        valid = 0.0 <= probs <= 1.0  # a NaN fails both comparisons
+    else:
+        probs = np.asarray(accept_probs, dtype=float)
+        if probs.shape != (n,):
+            raise ValueError(f"need accept probabilities of shape ({n},), got shape {probs.shape}")
+        # NaN-propagating reductions: a NaN fails both comparisons
+        valid = np.minimum.reduce(probs) >= 0.0 and np.maximum.reduce(probs) <= 1.0
+    if not valid:
+        slots = np.atleast_1d(probs)
+        bad = slots[~((slots >= 0.0) & (slots <= 1.0))][0]
         raise ValueError(f"accept probabilities must lie in [0, 1], got {bad}")
     flips, reach = _contacts(params, rng.random(_window(n)), mode)
     accepted = flips < probs
@@ -180,16 +189,17 @@ def estimate_relay_utility(params: GameParams, accept_prob: float, reward: float
 def _draw_trials(params: GameParams, accept_prob: float, trials: int, seed: int,
                  mode: str) -> tuple[np.ndarray, np.ndarray]:
     """(accepted, delivered) of ``trials`` episodes, shapes (T, n) and (T,),
-    trial t on window t; ``delivered`` holds 1.0 or 0.0."""
+    trial t on window t with ``accept_prob`` as one shared ``np.float64``;
+    ``delivered`` holds 1.0 or 0.0."""
     trials = _index("trials", trials)
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
-    probs = np.full(params.n, accept_prob)
+    prob = np.float64(accept_prob)
     rng = episode_rng(seed, 0, params.n)
     accepted = np.empty((trials, params.n), dtype=bool)
     delivered = np.empty(trials)
     for t in range(trials):
-        accepted[t], delivered[t] = simulate_episode(params, probs, rng, mode)
+        accepted[t], delivered[t] = simulate_episode(params, prob, rng, mode)
     return accepted, delivered
 
 

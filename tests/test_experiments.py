@@ -1,3 +1,4 @@
+import hashlib
 import io
 import itertools
 import math
@@ -529,6 +530,28 @@ class TestModeBytes:
         assert "# dominating_points = 0\n" in text
         assert text.endswith("\np,alpha,source_margin_delta,relay_utility_delta\n")
         assert all(line.startswith("# ") for line in text.splitlines()[:-1])
+
+
+class TestSimulateBytes:
+    """``dtnsat simulate`` at the two perfbench mc-oracle cohorts, model mode,
+    300 trials, seed 2025: each CSV's sha256 as the per-relay
+    accept-probability array gave it before the episodes took one shared
+    float, so a change to the streams, windows or comparisons shows here."""
+
+    SHA256 = {
+        "n = 7\nsweep.var = p\nsweep.values = 0.05,0.1,0.25\n":
+            "c69a44f73cafe208984be921e8dbf611345eb6dd1098ad8e61d21de6cc5aa919",
+        "n = 40\nsweep.var = p\nsweep.values = 0.01,0.02,0.05\n":
+            "75dc2729b7423bcc2effa32111a6c439c21705f8a1b2c4d089b7cfaf4ae7afb0",
+    }
+
+    @pytest.mark.parametrize("config", sorted(SHA256))
+    def test_mc_oracle_cohort_keeps_its_bytes(self, config, tmp_path):
+        cfg, out = tmp_path / "run.cfg", tmp_path / "run.csv"
+        cfg.write_text(config)
+        assert main(["simulate", "--config", str(cfg), "--out", str(out), "--trials", "300",
+                     "--contact-mode", "model", "--seed", "2025"]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == self.SHA256[config]
 
 
 class TestCli:

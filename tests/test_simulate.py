@@ -1,4 +1,5 @@
 import math
+import re
 import statistics
 import warnings
 
@@ -141,6 +142,51 @@ class TestEpisode:
     def test_accept_probabilities_must_be_one_per_relay(self, base_params, shape):
         with pytest.raises(ValueError, match=rf"got shape \({', '.join(map(str, shape))},?\)"):
             simulate_episode(base_params, np.full(shape, 0.5), episode_rng(1, 0, 7))
+
+    @pytest.mark.parametrize("prob", [1, 0, True, np.float32(0.5)])
+    def test_only_a_python_or_numpy_double_is_a_shared_probability(self, base_params, prob):
+        with pytest.raises(ValueError, match=r"got shape \(\)$"):
+            simulate_episode(base_params, prob, episode_rng(1, 0, 7))
+
+    @pytest.mark.parametrize("n", [1, 7, 40])
+    @pytest.mark.parametrize("mode", [MODEL, PHYSICAL])
+    @pytest.mark.parametrize("p", [0.0, -0.0, 5e-324, 0.3, 1.0])
+    @pytest.mark.parametrize("form", [float, np.float64])
+    def test_shared_probability_equals_one_per_relay(self, n, mode, p, form):
+        """One float for every relay draws the same episodes, bit for bit,
+        as the list ``[p] * n``, and leaves the generator in the same place."""
+        params = make_params(n=n)
+        shared_rng, listed_rng = episode_rng(11, 0, n), episode_rng(11, 0, n)
+        shared = [simulate_episode(params, form(p), shared_rng, mode) for _ in range(200)]
+        listed = [simulate_episode(params, [p] * n, listed_rng, mode) for _ in range(200)]
+        assert np.array_equal(np.array([a for a, _ in shared]), np.array([a for a, _ in listed]))
+        assert [d for _, d in shared] == [d for _, d in listed]
+        assert all(a.shape == (n,) and a.dtype == bool for a, _ in shared)
+        assert shared_rng.random() == listed_rng.random()
+
+    @pytest.mark.parametrize("p", [np.nextafter(0.0, -1.0), np.nextafter(1.0, 2.0),
+                                   math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("form", [float, np.float64])
+    def test_shared_probability_out_of_range_named(self, base_params, p, form):
+        rng = episode_rng(1, 0, 7)
+        with pytest.raises(ValueError, match=rf"must lie in \[0, 1\], got {re.escape(str(p))}$"):
+            simulate_episode(base_params, form(p), rng)
+        # rejected before any draw: the generator still sits at window 0
+        assert rng.random() == episode_rng(1, 0, 7).random()
+
+    @pytest.mark.parametrize("estimator", [estimate_delivery, estimate_relay_utility])
+    def test_estimators_pass_one_shared_double(self, base_params, monkeypatch, estimator):
+        seen = []
+
+        def spy(params, accept_probs, rng, mode):
+            seen.append(accept_probs)
+            return episode(params, accept_probs, rng, mode)
+
+        episode = simulate.simulate_episode
+        monkeypatch.setattr(simulate, "simulate_episode", spy)
+        args = (0.3, 1.0) if estimator is estimate_relay_utility else (0.3,)
+        estimator(base_params, *args, 25, 1)
+        assert len(seen) == 25 and all(type(p) is np.float64 and p == 0.3 for p in seen)
 
     @pytest.mark.parametrize("reward", [math.inf, -math.inf, math.nan])
     def test_non_finite_reward_rejected(self, base_params, reward):
