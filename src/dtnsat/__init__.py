@@ -25,13 +25,11 @@ from .model import (  # noqa: F401
 )
 from .equilibrium import (  # noqa: F401
     EseSolution,
-    MseSolution,
     PseSolution,
     pareto_dominance_check,
     pareto_grid_scan,
     satisfaction_region,
     solve_ese,
-    solve_mse,
     solve_pse,
 )
 from .learning import (  # noqa: F401

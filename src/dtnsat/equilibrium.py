@@ -15,14 +15,13 @@ one, so the binding point is no relay equilibrium of the game.
 The mixed solvers are one column kernel, :func:`_mixed_column`: it takes a
 sweep's whole column of ``tau``, ``lambda``, ``n`` or ``delta`` values and
 evaluates the minimum accept probability, its success, the binding delivery
-and the indifference reward at every point at once.  :func:`solve_mse`,
-:func:`solve_ese` and :func:`mse_reward` are its one-element case, and the
-sweep columns :func:`mse_columns`, :func:`ese_columns` and
-:func:`delivery_column` feed the CSV modes.  The kernel uses numpy only for
-``+ - * /``, comparisons and selection, which IEEE rounds alike in numpy
-and in Python floats; ``exp``, ``expm1`` and ``log1p`` are ``math``'s own,
-mapped over the column, because numpy's differ from them in the last bit on
-a few percent of inputs.  So every point keeps the bits of the scalar model
+and the indifference reward at every point at once.  :func:`solve_ese` is
+its one-element case, and the sweep columns :func:`mse_columns`,
+:func:`ese_columns` and :func:`delivery_column` feed the CSV modes.  The
+kernel uses numpy only for ``+ - * /``, comparisons and selection, which
+IEEE rounds alike in numpy and in Python floats; ``exp``, ``expm1`` and
+``log1p`` are ``math``'s own, mapped over the column, because numpy's differ
+from them in the last bit on a few percent of inputs.  So every point keeps the bits of the scalar model
 functions in :mod:`dtnsat.model`, which the kernel restates elementwise.
 """
 from __future__ import annotations
@@ -75,8 +74,8 @@ def mixed_relay_payoffs(alpha: float, p: float, params: GameParams) -> tuple[flo
 
     The share is the delivery probability over n, which keeps its relative
     precision where 1 - (1 - z)**n rounds to 0 (a tiny delta), as the reward
-    of :func:`mse_reward` does; the regret needs the miss (1 - z)**n only to
-    absolute precision.
+    of :func:`_mixed_column` does; the regret needs the miss (1 - z)**n only
+    to absolute precision.
     """
     n, z = params.n, per_relay_success(params, p)
     return reduced_payoffs(alpha, n, _any_delivers(z, n), (1.0 - z) ** n, params)
@@ -89,18 +88,6 @@ class PseSolution:
     n_a_min: int
     alpha_star: dict[int, float]
     clamped: dict[int, bool]
-    feasible: bool
-
-    def unclamped(self) -> dict[int, float]:
-        return {m: a for m, a in self.alpha_star.items() if not self.clamped[m]}
-
-
-@dataclass(frozen=True)
-class MseSolution:
-    """Mixed-strategy equilibria; the reward at p is :func:`mse_reward`."""
-
-    p_min: float
-    z_star: float
     feasible: bool
 
 
@@ -256,36 +243,25 @@ def _mixed_column(params: GameParams, var: Optional[str] = None, values=(),
                         success, alpha)
 
 
-def _raise_first(col: _MixedColumn, bound: bool, rewarded) -> None:
-    """Raise the error of the first point, in column order, whose p_min
-    underflows (if ``bound``) or whose reward, where ``rewarded``, is
-    undefined (zero success) or overflows.  A point whose p_min underflows
-    has zero success too; it is named for the underflow, which the
-    point-by-point solvers met first."""
-    failed = (bound & (col.p_min == 0.0)) | (rewarded & ~np.isfinite(col.alpha))
-    if not failed.any():
-        return
-    i = int(np.argmax(failed))
-    if bound and col.p_min[i] == 0.0:
-        raise FloatRangeError("minimum accept probability underflows at "
-                              f"delta = {float(col.delta[i])}")
-    if col.success[i] <= 0.0:
-        raise DegenerateContactError("indifference reward undefined for zero success")
-    raise _overflow(float(col.success[i]))
-
-
 def _solved_column(params: GameParams, var: Optional[str] = None, values=()
                    ) -> _MixedColumn:
-    """:func:`_mixed_column` at p_min, once no point's p_min underflows and
-    no point with p_min <= 1 has an undefined or overflowing reward."""
+    """:func:`_mixed_column` at p_min.  Raises the error of the first point,
+    in column order, whose p_min underflows or which, with p_min <= 1, has
+    an undefined (zero success) or overflowing reward.  A point whose p_min
+    underflows has zero success too; it is named for the underflow, which
+    the point-by-point solvers met first."""
     col = _mixed_column(params, var, values)
-    _raise_first(col, True, col.p_min <= 1.0)
+    underflow = col.p_min == 0.0
+    failed = underflow | ((col.p_min <= 1.0) & ~np.isfinite(col.alpha))
+    if failed.any():
+        i = int(np.argmax(failed))
+        if underflow[i]:
+            raise FloatRangeError("minimum accept probability underflows at "
+                                  f"delta = {float(col.delta[i])}")
+        if col.success[i] <= 0.0:
+            raise DegenerateContactError("indifference reward undefined for zero success")
+        raise _overflow(float(col.success[i]))
     return col
-
-
-def _require_contact(col: _MixedColumn) -> None:
-    if col.ceiling[0] <= 0.0:
-        raise DegenerateContactError("per-relay success is zero even at p = 1")
 
 
 def _clamp(alpha, alpha_max: float):
@@ -295,28 +271,11 @@ def _clamp(alpha, alpha_max: float):
             ~((0.0 <= alpha) & (alpha <= alpha_max)))
 
 
-def mse_reward(params: GameParams, p: float) -> float:
-    """Reward making relays indifferent when all accept with probability p."""
-    if not 0 <= p <= 1:
-        raise ValueError(f"p must be in [0, 1], got {p}")
-    col = _mixed_column(params, p=p)
-    _raise_first(col, False, True)
-    return col.alpha.item()
-
-
-def solve_mse(params: GameParams) -> MseSolution:
-    """Mixed equilibria: the minimum accept probability and its success."""
-    col = _mixed_column(params)
-    _require_contact(col)
-    _raise_first(col, True, False)
-    p_min = col.p_min.item()
-    return MseSolution(p_min=p_min, z_star=col.z_star.item(), feasible=p_min <= 1.0)
-
-
 def solve_ese(params: GameParams) -> EseSolution:
     """Equilibrium at the binding point: smallest p meeting the QoS exactly."""
     col = _solved_column(params)
-    _require_contact(col)
+    if col.ceiling[0] <= 0.0:
+        raise DegenerateContactError("per-relay success is zero even at p = 1")
     p_min = col.p_min.item()
     if not p_min <= 1.0:
         raise DegenerateContactError(
@@ -327,10 +286,10 @@ def solve_ese(params: GameParams) -> EseSolution:
 
 
 def mse_columns(params: GameParams, var: Optional[str], values):
-    """(p_min, alpha_star, z_star, feasible) arrays of :func:`solve_mse` and
-    :func:`mse_reward` over the sweep of ``var`` through ``values``: the
-    reward is nan where p_min > 1, and p_min is inf where no relay ever
-    delivers."""
+    """(p_min, alpha_star, z_star, feasible) arrays of the mixed equilibria,
+    reward at p_min, over the sweep of ``var`` through ``values`` (None for
+    the one point ``params``): the reward is nan where p_min > 1, and p_min
+    is inf where no relay ever delivers."""
     col = _solved_column(params, var, values)
     feasible = col.p_min <= 1.0
     return col.p_min, np.where(feasible, col.alpha, math.nan), col.z_star, feasible

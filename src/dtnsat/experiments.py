@@ -277,13 +277,8 @@ def _csv_lines(table: ResultTable):
         yield (row_format * len(block)) % tuple(block.ravel().tolist())
 
 
-def format_csv(table: ResultTable) -> str:
-    """Metadata comments, header and rows; stable byte-for-byte output."""
-    return "".join(_csv_lines(table))
-
-
 def emit_csv(table: ResultTable, path: str) -> None:
-    """Write the table as :func:`format_csv` text, each piece as it is formatted."""
+    """Write the table as :func:`_csv_lines` text, each piece as it is formatted."""
     try:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.writelines(_csv_lines(table))
@@ -380,7 +375,7 @@ def _run_region(config: ScenarioConfig) -> ResultTable:
     delivery = delivery_column(config.params, var, values, config.p)
     satisfied = delivery >= config.params.delta
     lo, hi = min(values), max(values)
-    # one swept value leaves nothing to bisect: its own row decides
+    # one swept value spans no range: its own row decides
     threshold = (satisfaction_region(config.params, var, lo, hi, config.p)
                  if lo < hi else lo if satisfied[0] else None)
     extra = {"threshold": _fmt(threshold) if threshold is not None else "none"}

@@ -7,7 +7,6 @@ from dtnsat.equilibrium import (
     DegenerateContactError,
     EseSolution,
     FloatRangeError,
-    MseSolution,
     mixed_relay_payoffs,
 )
 from dtnsat.model import (
@@ -68,15 +67,15 @@ def mixed_indifference_gap(alpha: float, p: float, params: GameParams) -> float:
 # the column kernel: the reference its columns and one-element cases must
 # match bit for bit.
 
-def point_mse(params: GameParams) -> MseSolution:
+def point_mse(params: GameParams) -> tuple:
+    """(p_min, z_star, feasible) of the mixed equilibria at one point."""
     ceiling = per_relay_success(params, 1.0)
     if ceiling <= 0:
         raise DegenerateContactError("per-relay success is zero even at p = 1")
     p_min = -math.expm1(math.log1p(-params.delta) / params.n) / ceiling
     if p_min == 0.0:
         raise FloatRangeError(f"minimum accept probability underflows at delta = {params.delta}")
-    return MseSolution(p_min=p_min, z_star=per_relay_success(params, min(p_min, 1.0)),
-                       feasible=p_min <= 1.0)
+    return p_min, per_relay_success(params, min(p_min, 1.0)), p_min <= 1.0
 
 
 def point_mse_reward(params: GameParams, p: float) -> float:
@@ -92,25 +91,25 @@ def point_mse_reward(params: GameParams, p: float) -> float:
 
 
 def point_ese(params: GameParams) -> EseSolution:
-    mse = point_mse(params)
-    if not mse.feasible:
+    p_min, _, feasible = point_mse(params)
+    if not feasible:
         raise DegenerateContactError(
             f"QoS delta = {params.delta} is unreachable even at p = 1")
-    alpha = point_mse_reward(params, mse.p_min)
-    return EseSolution(p_star=mse.p_min,
+    alpha = point_mse_reward(params, p_min)
+    return EseSolution(p_star=p_min,
                        alpha_star=min(max(alpha, 0.0), params.alpha_max),
-                       binding_delivery=expected_source_utility_mixed(mse.p_min, params),
+                       binding_delivery=expected_source_utility_mixed(p_min, params),
                        alpha_clamped=not (0.0 <= alpha <= params.alpha_max))
 
 
 def point_mse_row(params: GameParams) -> tuple:
     """(p_min, alpha_star, z_star, feasible) of one solve-mse point."""
     try:
-        sol = point_mse(params)
+        p_min, z_star, feasible = point_mse(params)
     except DegenerateContactError:
         return math.inf, math.nan, 0.0, False
-    alpha = point_mse_reward(params, sol.p_min) if sol.feasible else math.nan
-    return sol.p_min, alpha, sol.z_star, sol.feasible
+    alpha = point_mse_reward(params, p_min) if feasible else math.nan
+    return p_min, alpha, z_star, feasible
 
 
 def point_ese_row(params: GameParams) -> tuple:

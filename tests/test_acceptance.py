@@ -19,11 +19,10 @@ from typing import NamedTuple
 
 from dtnsat.equilibrium import (
     mixed_relay_payoffs,
-    mse_reward,
+    mse_columns,
     pareto_grid_scan,
     satisfaction_region,
     solve_ese,
-    solve_mse,
     solve_pse,
 )
 from dtnsat.learning import Trajectory, run_coupled
@@ -142,7 +141,7 @@ def test_criterion_01_closed_form_matches_bruteforce_oracle():
 def test_criterion_02_pure_equilibrium_indifference():
     params = make_params()
     sol = solve_pse(params)
-    unclamped = sol.unclamped()
+    unclamped = {m: a for m, a in sol.alpha_star.items() if not sol.clamped[m]}
     worst = max(abs(pure_indifference_gap(alpha, m, params))
                 for m, alpha in unclamped.items())
     ok = sol.n_a_min == 1 and len(unclamped) == 7 and worst <= 1e-9
@@ -185,31 +184,27 @@ def test_criterion_05_reward_and_acceptance_trends_in_lifetime_and_rate():
     checks = []
     # trends in tau at each lambda, over the feasible region
     for lam in lambdas:
-        series = [(solve_mse(params), params)
-                  for params in (make_params(lam=lam, tau=t) for t in taus)]
-        feas = [(sol.p_min, mse_reward(params, sol.p_min))
-                for sol, params in series if sol.feasible]
+        p_min, alpha, _, feasible = mse_columns(make_params(lam=lam), "tau", taus)
+        feas = list(zip(p_min[feasible].tolist(), alpha[feasible].tolist()))
         p_ok = all(a >= b - 1e-12 for (a, _), (b, _) in zip(feas, feas[1:]))
         a_ok = all(a >= b - 1e-12 for (_, a), (_, b) in zip(feas, feas[1:]))
         checks.append((f"p_min non-increasing in tau @lam={lam}", p_ok))
         checks.append((f"reward non-increasing in tau @lam={lam}", a_ok))
     # trends in lambda at a fixed feasible tau
-    points = [make_params(lam=lam, tau=100.0) for lam in lambdas]
-    sols = [solve_mse(params) for params in points]
-    p_seq = [s.p_min for s in sols]
-    a_seq = [mse_reward(params, s.p_min) for params, s in zip(points, sols)]
+    p_seq, a_seq, _, _ = (column.tolist() for column in
+                          mse_columns(make_params(tau=100.0), "lambda", lambdas))
     checks.append(("p_min non-increasing in lambda",
                    all(a >= b - 1e-12 for a, b in zip(p_seq, p_seq[1:]))))
     checks.append(("reward non-increasing in lambda",
                    all(a >= b - 1e-12 for a, b in zip(a_seq, a_seq[1:]))))
     failed = [name for name, ok in checks if not ok]
-    ends = [make_params(lam=0.015, tau=t) for t in (20.0, 400.0)]
-    end_sols = [solve_mse(params) for params in ends]
-    shares = [(1.0 - (1.0 - s.z_star) ** params.n) / params.n
-              for params, s in zip(ends, end_sols)]
-    reduced = [mse_reward(params, s.p_min) for params, s in zip(ends, end_sols)]
-    tagged = [tagged_indifference_reward(params, s.p_min)
-              for params, s in zip(ends, end_sols)]
+    ends = (20.0, 400.0)
+    end_p, reduced, end_z, _ = (column.tolist() for column in
+                                mse_columns(make_params(lam=0.015), "tau", ends))
+    n = make_params().n
+    shares = [(1.0 - (1.0 - z) ** n) / n for z in end_z]
+    tagged = [tagged_indifference_reward(make_params(lam=0.015, tau=t), p)
+              for t, p in zip(ends, end_p)]
     report(5, not failed,
            f"{len(checks) - len(failed)}/{len(checks)} trend checks hold"
            + (f"; violated: {failed}; at p_min the reduced share (1-miss)/n "
@@ -223,7 +218,7 @@ def test_criterion_05_reward_and_acceptance_trends_in_lifetime_and_rate():
 
 
 def test_criterion_06_acceptance_bound_decreases_with_fleet_size():
-    p_mins = [solve_mse(make_params(n=n)).p_min for n in range(1, 31)]
+    p_mins = mse_columns(make_params(), "n", range(1, 31))[0].tolist()
     ok = all(a >= b - 1e-15 for a, b in zip(p_mins, p_mins[1:]))
     report(6, ok,
            f"p_min falls from {p_mins[0]:.4f} (n=1) to {p_mins[-1]:.5f} (n=30), "

@@ -10,15 +10,15 @@ from dtnsat.equilibrium import (
     DegenerateContactError,
     DegenerateFailureError,
     RangeError,
+    _mixed_column,
     minimum_satisfying_cohort,
     mixed_relay_payoffs,
-    mse_reward,
+    mse_columns,
     pareto_dominance_check,
     pareto_grid_scan,
     pse_reward,
     satisfaction_region,
     solve_ese,
-    solve_mse,
     solve_pse,
 )
 from dtnsat.model import (
@@ -65,7 +65,8 @@ class TestSolvePse:
 
     def test_rewards_satisfy_their_indifference_equation(self, base_params):
         sol = solve_pse(base_params)
-        for m, alpha in sol.unclamped().items():
+        unclamped = {m: a for m, a in sol.alpha_star.items() if not sol.clamped[m]}
+        for m, alpha in unclamped.items():
             assert abs(pure_indifference_gap(alpha, m, base_params)) <= 1e-9
 
     def test_closed_form_matches_independent_linear_root(self, base_params):
@@ -95,9 +96,8 @@ class TestSolvePse:
             alpha = pse_reward(params, m)
             assert math.isfinite(alpha) and alpha > 0.0
             assert pure_indifference_gap(alpha, m, params) == pytest.approx(0.0, abs=1e-12)
-        mse = solve_mse(params)
-        alpha = mse_reward(params, mse.p_min)
-        assert mixed_indifference_gap(alpha, mse.p_min, params) == pytest.approx(0.0, abs=1e-12)
+        (p_min,), (alpha,), _, _ = mse_columns(params, None, ())
+        assert mixed_indifference_gap(alpha, p_min, params) == pytest.approx(0.0, abs=1e-12)
 
     def test_exact_integer_bound_not_bumped(self):
         # q = 0.5 and delta = 1 - q**3: the bound is exactly 3
@@ -119,60 +119,61 @@ class TestSolvePse:
         assert sol.clamped[1] and not sol.clamped[7]
 
 
-class TestSolveMse:
+class TestMseColumns:
+    """The mixed equilibria at one point: ``mse_columns`` with no sweep."""
+
     def test_reference_bound(self, base_params):
-        sol = solve_mse(base_params)
-        assert sol.feasible
-        assert sol.p_min == pytest.approx(P_MIN_7, rel=1e-12)
-        assert sol.z_star == pytest.approx(Z_STAR_7, rel=1e-12)
-        assert 0.0 <= sol.z_star <= 1.0
+        (p_min,), (alpha,), (z_star,), (feasible,) = mse_columns(base_params, None, ())
+        assert feasible
+        assert p_min == pytest.approx(P_MIN_7, rel=1e-12)
+        assert alpha == pytest.approx(ALPHA_ESE_7, rel=1e-12)
+        assert z_star == pytest.approx(Z_STAR_7, rel=1e-12)
+        assert 0.0 <= z_star <= 1.0
 
     def test_vanishing_threshold(self):
-        sol = solve_mse(make_params(delta=1e-15))
-        assert sol.p_min == pytest.approx(0.0, abs=1e-12)
+        p_min = mse_columns(make_params(delta=1e-15), None, ())[0].item()
+        assert p_min == pytest.approx(0.0, abs=1e-12)
 
     def test_reward_curve_solves_indifference(self, base_params):
-        sol = solve_mse(base_params)
-        for i in range(7):
-            p = sol.p_min + (1.0 - sol.p_min) * i / 6
-            assert abs(mixed_indifference_gap(mse_reward(base_params, p), p,
-                                              base_params)) <= 1e-9
+        p_min = mse_columns(base_params, None, ())[0].item()
+        ps = p_min + (1.0 - p_min) * np.arange(7) / 6
+        for p, alpha in zip(ps, _mixed_column(base_params, p=ps).alpha):
+            assert abs(mixed_indifference_gap(alpha, p, base_params)) <= 1e-9
 
     @pytest.mark.parametrize("n", [7, 64])
     def test_vanishing_delta_reward_balances(self, n):
         # delta = 1e-300: 1 - (1 - z)**n rounds to 0, so a share taken from
         # it left the reward of about 1e299 with a gap of gamma - sigma - cost
         params = make_params(delta=1e-300, n=n)
-        sol = solve_mse(params)
-        alpha = mse_reward(params, sol.p_min)
+        (p_min,), (alpha,), _, _ = mse_columns(params, None, ())
         assert math.isfinite(alpha) and alpha > 1e298
-        assert mixed_indifference_gap(alpha, sol.p_min, params) == pytest.approx(0.0, abs=1e-12)
-
-    def test_solutions_compare_equal(self, base_params):
-        assert solve_mse(base_params) == solve_mse(base_params)
+        assert mixed_indifference_gap(alpha, p_min, params) == pytest.approx(0.0, abs=1e-12)
 
     def test_single_relay_boundary(self):
-        params = make_params(n=1)
-        alpha = mse_reward(params, 1.0)
+        alpha = _mixed_column(make_params(n=1), p=1.0).alpha.item()
         assert math.isfinite(alpha)
 
     def test_infeasible_reported_not_raised(self):
-        sol = solve_mse(make_params(delta=0.99, lam=0.002, tau=50.0))
-        assert not sol.feasible
-        assert sol.p_min > 1.0
+        (p_min,), (alpha,), _, (feasible,) = mse_columns(
+            make_params(delta=0.99, lam=0.002, tau=50.0), None, ())
+        assert not feasible
+        assert p_min > 1.0
+        assert math.isnan(alpha)
 
-    def test_degenerate_contact_rejected(self):
-        with pytest.raises(DegenerateContactError):
-            solve_mse(make_params(lam=0.0))
+    def test_zero_contact_marks_the_point(self):
+        # lam = 0: no relay ever meets the source; solve_ese raises instead
+        p_min, alpha, z_star, feasible = mse_columns(make_params(lam=0.0), None, ())
+        assert p_min.item() == math.inf and math.isnan(alpha.item())
+        assert z_star.item() == 0.0 and not feasible.item()
 
     @pytest.mark.parametrize("var,values", [
         ("delta", [0.05, 0.21, 0.5, 0.8]),
         ("n", [2, 5, 9, 14]),
-        ("lam", [0.005, 0.01, 0.02, 0.04]),
+        ("lambda", [0.005, 0.01, 0.02, 0.04]),
         ("tau", [30.0, 60.0, 150.0, 400.0]),
     ])
     def test_p_min_monotone(self, var, values):
-        mins = [solve_mse(make_params(**{var: v})).p_min for v in values]
+        mins = mse_columns(make_params(), var, values)[0]
         if var == "delta":
             assert all(a < b for a, b in zip(mins, mins[1:]))
         else:
@@ -215,6 +216,11 @@ class TestSolveEse:
     def test_infeasible_propagates(self):
         with pytest.raises(DegenerateContactError):
             solve_ese(make_params(delta=0.99, lam=0.002, tau=50.0))
+
+    def test_degenerate_contact_rejected(self):
+        with pytest.raises(DegenerateContactError,
+                           match=r"^per-relay success is zero even at p = 1$"):
+            solve_ese(make_params(lam=0.0))
 
 
 class TestSatisfactionRegion:

@@ -14,7 +14,7 @@ import pytest
 import dtnsat
 from dtnsat import experiments
 from dtnsat.cli import main
-from dtnsat.equilibrium import solve_mse, solve_pse
+from dtnsat.equilibrium import mse_columns, solve_pse
 from dtnsat.experiments import (
     _KEYS,
     _MODE_TABLE,
@@ -24,9 +24,9 @@ from dtnsat.experiments import (
     ResultTable,
     _BLOCK,
     _FloatRows,
+    _csv_lines,
     _fmt,
     emit_csv,
-    format_csv,
     parse_config,
     run_scenario,
 )
@@ -243,7 +243,7 @@ class TestRunScenario:
         feasible, unreachable = run_scenario(cfg).rows
         assert all(math.isfinite(v) for v in feasible)
         assert feasible[3] == pytest.approx(0.2)  # binds at its delta
-        p_min = solve_mse(with_param(cfg.params, "delta", 0.9)).p_min
+        p_min = mse_columns(with_param(cfg.params, "delta", 0.9), None, ())[0].item()
         assert p_min > 1
         assert unreachable[0] == 0.9 and unreachable[1] == p_min
         assert math.isnan(unreachable[2]) and math.isnan(unreachable[3])
@@ -415,7 +415,7 @@ class TestEmitCsv:
         # the per-value join the writer replaced
         want = "\n".join(["# seed = 1", "# mode = learn", "a,b,c,d,e,f"]
                          + [",".join(_fmt(v) for v in row) for row in rows]) + "\n"
-        assert format_csv(table) == want
+        assert "".join(_csv_lines(table)) == want
         path = tmp_path / "rows.csv"
         emit_csv(table, str(path))
         assert path.read_bytes() == want.encode()
@@ -441,7 +441,7 @@ class TestEmitCsv:
         rows = np.column_stack(columns).astype(float).tolist()
         want = "\n".join(["# seed = 1", "a,b,c,d,e"]
                          + [",".join(_fmt(v) for v in row) for row in rows]) + "\n"
-        assert format_csv(table) == want
+        assert "".join(_csv_lines(table)) == want
         path = tmp_path / "floats.csv"
         emit_csv(table, str(path))
         assert path.read_bytes() == want.encode()
@@ -456,7 +456,7 @@ class TestEmitCsv:
         cfg = replace(parse_config(f"horizon = {_BLOCK + 1}\nn = 3\nseed = 4"), mode="learn")
         table = run_scenario(cfg)
         want = per_value_csv(table)
-        assert format_csv(table) == want
+        assert "".join(_csv_lines(table)) == want
         path = tmp_path / "learn.csv"
         emit_csv(table, str(path))
         assert path.read_bytes() == want.encode()
@@ -552,6 +552,35 @@ class TestSimulateBytes:
         assert main(["simulate", "--config", str(cfg), "--out", str(out), "--trials", "300",
                      "--contact-mode", "model", "--seed", "2025"]) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == self.SHA256[config]
+
+
+class TestClosedFormBytes:
+    """The five closed-form perfbench configs at smoke size, seed 2025: each
+    mode's config and its CSV's sha256, so a change to any closed form,
+    sweep grid or number format shows here."""
+
+    TAU_50 = "sweep.var = tau\nsweep.start = 20\nsweep.stop = 2000\nsweep.points = 50\n"
+    CASES = {
+        "solve-ese": (TAU_50,
+                      "c0c28e428e1c9b1cd753d3e178ab5f84fd020f121dedd0bdfc8eb6817a36c68a"),
+        "solve-mse": (TAU_50,
+                      "d89537d5ace4c361af04aa8d64293d97ce3f1fd664aea8e2b8bf2ddb3f359e33"),
+        "solve-pse": ("sweep.var = n\nsweep.start = 1\nsweep.stop = 60\nsweep.points = 60\n",
+                      "609b760ea155b2cc37dafbd26be60ca0dfcb5f24cbaef0408f33211c60150765"),
+        "region": ("sweep.var = lambda\nsweep.start = 0.001\nsweep.stop = 0.1\n"
+                   "sweep.points = 50\n",
+                   "0d069c59d883a6322330e70ee99b6e15f403c807f7206b5c6e933484cc62b59e"),
+        "pareto-grid": ("",
+                        "92be6f613ed287533d2f6699cb2f2017aca6b4dba44be55a62951e69dd91e022"),
+    }
+
+    @pytest.mark.parametrize("mode", sorted(CASES))
+    def test_closed_form_mode_keeps_its_bytes(self, mode, tmp_path):
+        config, sha256 = self.CASES[mode]
+        cfg, out = tmp_path / "run.cfg", tmp_path / "run.csv"
+        cfg.write_text(config)
+        assert main([mode, "--config", str(cfg), "--out", str(out), "--seed", "2025"]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == sha256
 
 
 class TestCli:
@@ -851,7 +880,7 @@ class TestSweepBudget:
     solve-ese, solve-mse or region sweep, or a simulate p sweep, makes of the
     per-point functions do not grow with the number of points."""
 
-    COUNTED = ("with_param", "solve_ese", "solve_mse", "expected_source_utility_mixed")
+    COUNTED = ("with_param", "solve_ese", "expected_source_utility_mixed")
 
     @classmethod
     def count_calls(cls, monkeypatch):

@@ -1,13 +1,13 @@
 """Property tests over the whole parameter box: every closed-form solver
-call returns finite values or raises a typed error, never a bare
-ValueError, ZeroDivisionError or OverflowError, and the exact cost and
-mixed relay payoff are finite."""
+call returns finite values, or marked ones in the mixed columns, or raises
+a typed error, never a bare ValueError, ZeroDivisionError or
+OverflowError, and the exact cost and mixed relay payoff are finite."""
 import math
 
 from hypothesis import given, settings, strategies as st
 
-from dtnsat.equilibrium import mse_reward, solve_ese, solve_mse, solve_pse
-from dtnsat.model import expected_relay_utility_mixed, total_energy
+from dtnsat.equilibrium import mse_columns, solve_ese, solve_pse
+from dtnsat.model import expected_relay_utility_mixed, per_relay_success, total_energy
 from conftest import make_params
 
 LAMBDAS = st.floats(min_value=0.0, max_value=1e308)
@@ -42,12 +42,16 @@ def test_solvers_are_total_over_the_box(lam, tau, delta, n):
         assert pse.n_a_min >= 1
         assert all_finite(*pse.alpha_star.values())
 
-    mse = finite_or_typed(solve_mse, params)
+    mse = finite_or_typed(mse_columns, params, None, ())
     if mse is not None:
-        assert all_finite(mse.p_min, mse.z_star) and 0.0 < mse.p_min
-        if mse.feasible:
-            alpha = finite_or_typed(mse_reward, params, mse.p_min)
-            assert alpha is None or math.isfinite(alpha)
+        # marked, not finite: p_min = inf only at zero contact, and the
+        # reward nan only where p_min > 1
+        contact = per_relay_success(params, 1.0) > 0.0
+        for p_min, alpha, z_star, feasible in zip(*mse):
+            assert 0.0 < p_min and math.isfinite(z_star)
+            assert math.isfinite(p_min) or (p_min == math.inf and not contact)
+            assert math.isfinite(alpha) or (math.isnan(alpha) and p_min > 1.0)
+            assert feasible == (p_min <= 1.0)
 
     ese = finite_or_typed(solve_ese, params)
     if ese is not None:

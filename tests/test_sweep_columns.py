@@ -1,7 +1,7 @@
 """The column kernel behind solve-mse, solve-ese and region gives, bit for
-bit, what the point-by-point solvers in ``oracles`` give: every column, the
-one-element scalar solvers, each model function the kernel restates
-elementwise, and the first error of a sweep in sweep order."""
+bit, what the point-by-point solvers in ``oracles`` give: every column, its
+one-point case and the scalar solve_ese, each model function the kernel
+restates elementwise, and the first error of a sweep in sweep order."""
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,13 +11,12 @@ from dtnsat.equilibrium import (
     _any_delivers_column,
     _contact_column,
     _indifference_reward,
+    _mixed_column,
     _reduced_cost_column,
     delivery_column,
     ese_columns,
     mse_columns,
-    mse_reward,
     solve_ese,
-    solve_mse,
 )
 from dtnsat.model import (
     ContactModel,
@@ -29,7 +28,7 @@ from dtnsat.model import (
     with_param,
 )
 from conftest import make_params
-from oracles import point_ese, point_ese_row, point_mse, point_mse_reward, point_mse_row
+from oracles import point_ese, point_ese_row, point_mse_reward, point_mse_row
 from test_solver_properties import DELTAS, FLEETS, LAMBDAS, TAUS
 
 SWEPT = {"tau": TAUS, "lambda": LAMBDAS, "n": FLEETS.map(float), "delta": DELTAS}
@@ -90,9 +89,13 @@ def solution(compute):
 @given(lam=LAMBDAS, tau=TAUS, delta=DELTAS, n=FLEETS, p=PROBS)
 def test_one_point_solvers_match_the_point_solvers(lam, tau, delta, n, p):
     params = make_params(lam=lam, tau=tau, delta=delta, n=n)
-    assert solution(lambda: solve_mse(params)) == solution(lambda: point_mse(params))
+    assert outcome(lambda: mse_columns(params, None, ())) == \
+        outcome(lambda: list(zip(point_mse_row(params))))
     assert solution(lambda: solve_ese(params)) == solution(lambda: point_ese(params))
-    assert solution(lambda: mse_reward(params, p)) == solution(lambda: point_mse_reward(params, p))
+    # the kernel's reward at any p, wherever the point-by-point one is defined
+    want = solution(lambda: point_mse_reward(params, p))
+    if isinstance(want, list):
+        assert solution(lambda: _mixed_column(params, p=p).alpha.item()) == want
 
 
 @pytest.mark.parametrize("lam,tau", [
@@ -157,16 +160,16 @@ class TestFloatRangeErrors:
 
     def test_scalar_p_min_underflow(self):
         params = make_params(delta=5e-324)  # log1p(-delta)/7 rounds to 0
-        for solver in (solve_mse, solve_ese):
-            with pytest.raises(equilibrium.FloatRangeError, match=f"^{self.UNDERFLOW}$"):
-                solver(params)
+        with pytest.raises(equilibrium.FloatRangeError, match=f"^{self.UNDERFLOW}$"):
+            mse_columns(params, None, ())
+        with pytest.raises(equilibrium.FloatRangeError, match=f"^{self.UNDERFLOW}$"):
+            solve_ese(params)
 
     def test_scalar_reward_overflow(self):
         params = make_params(delta=5e-324, n=1)
-        p_min = solve_mse(params).p_min  # the bound itself is in range
-        assert p_min > 0.0
+        assert _mixed_column(params).p_min.item() > 0.0  # the bound itself is in range
         with pytest.raises(equilibrium.FloatRangeError, match=f"^{self.OVERFLOW}$"):
-            mse_reward(params, p_min)
+            mse_columns(params, None, ())
         with pytest.raises(equilibrium.FloatRangeError, match=f"^{self.OVERFLOW}$"):
             solve_ese(params)
 
