@@ -25,12 +25,10 @@ from .model import (  # noqa: F401
 )
 from .equilibrium import (  # noqa: F401
     EseSolution,
-    PseSolution,
     pareto_dominance_check,
     pareto_grid_scan,
     satisfaction_region,
     solve_ese,
-    solve_pse,
 )
 from .learning import (  # noqa: F401
     Trajectory,

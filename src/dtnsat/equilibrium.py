@@ -18,11 +18,15 @@ evaluates the minimum accept probability, its success, the binding delivery
 and the indifference reward at every point at once.  :func:`solve_ese` is
 its one-element case, and the sweep columns :func:`mse_columns`,
 :func:`ese_columns` and :func:`delivery_column` feed the CSV modes.  The
-kernel uses numpy only for ``+ - * /``, comparisons and selection, which
-IEEE rounds alike in numpy and in Python floats; ``exp``, ``expm1`` and
-``log1p`` are ``math``'s own, mapped over the column, because numpy's differ
-from them in the last bit on a few percent of inputs.  So every point keeps the bits of the scalar model
-functions in :mod:`dtnsat.model`, which the kernel restates elementwise.
+pure candidates are one column too, :func:`pse_columns`: over the same
+contact and cost columns, each point expands to one row per cohort from
+its QoS bound to n.  The columns use numpy only for ``+ - * /``,
+comparisons and selection, which IEEE rounds alike in numpy and in Python
+floats; ``exp``, ``expm1``, ``log1p`` and the pure ``q**m`` are Python's
+own, mapped over the column, because numpy's differ from them in the last
+bit on a few percent of inputs.  So every point keeps the bits of the
+scalar model functions in :mod:`dtnsat.model`, which the columns restate
+elementwise.
 """
 from __future__ import annotations
 
@@ -40,15 +44,10 @@ from .model import (
     expected_relay_utility_mixed,
     expected_source_utility_mixed,
     per_relay_success,
-    reduced_cooperation_cost,
     reduced_payoffs,
     relay_failure_probability,
     with_param,
 )
-
-
-class DegenerateFailureError(ValueError):
-    """Raised when relays can never reach the destination (q = 1)."""
 
 
 class DegenerateContactError(ValueError):
@@ -82,16 +81,6 @@ def mixed_relay_payoffs(alpha: float, p: float, params: GameParams) -> tuple[flo
 
 
 @dataclass(frozen=True)
-class PseSolution:
-    """Pure-strategy equilibria: one candidate reward per cohort size."""
-
-    n_a_min: int
-    alpha_star: dict[int, float]
-    clamped: dict[int, bool]
-    feasible: bool
-
-
-@dataclass(frozen=True)
 class EseSolution:
     """The equilibrium where the source's delivery constraint binds exactly."""
 
@@ -101,19 +90,24 @@ class EseSolution:
     alpha_clamped: bool
 
 
-def minimum_satisfying_cohort(params: GameParams) -> int:
-    """Smallest integer cohort with 1 - q**m >= delta."""
-    q = relay_failure_probability(params.contact)
+def _cohort_bound(q: float, delta: float):
+    """Smallest integer cohort m with 1 - q**m >= delta at failure
+    probability q; inf where q = 1, at which no cohort ever delivers."""
     if q >= 1.0:
-        raise DegenerateFailureError("no cohort can satisfy the source when q = 1")
+        return math.inf
     if q == 0.0:
         return 1  # exp(-lam*tau) underflowed: a single relay always delivers
-    ratio = math.log(1.0 - params.delta) / math.log(q)
+    ratio = math.log(1.0 - delta) / math.log(q)
     # snap to the integer when float noise puts an exact bound a hair above it
     nearest = round(ratio)
     if abs(ratio - nearest) < 1e-12:
         ratio = nearest
     return max(1, math.ceil(ratio))
+
+
+def minimum_satisfying_cohort(params: GameParams):
+    """Smallest integer cohort with 1 - q**m >= delta; inf where q = 1."""
+    return _cohort_bound(relay_failure_probability(params.contact), params.delta)
 
 
 def _indifference_reward(params: GameParams, n, cost, cohort, success):
@@ -132,37 +126,6 @@ def _indifference_reward(params: GameParams, n, cost, cohort, success):
 
 def _overflow(success: float) -> FloatRangeError:
     return FloatRangeError(f"indifference reward overflows at success {success}")
-
-
-def pse_reward(params: GameParams, n_active: int) -> float:
-    """Reward making cohort n_active indifferent under the reduced model."""
-    q = relay_failure_probability(params.contact)
-    if q >= 1.0:
-        raise DegenerateFailureError("indifference reward undefined for q = 1")
-    success = 1.0 - q ** n_active
-    reward = _indifference_reward(params, params.n, reduced_cooperation_cost(params),
-                                  n_active, success)
-    if not math.isfinite(reward):
-        raise _overflow(success)
-    return reward
-
-
-def solve_pse(params: GameParams) -> PseSolution:
-    """All pure-strategy candidates: cohorts from the QoS bound up to n.
-
-    Rewards falling outside [0, alpha_max] are reported clamped instead of
-    saturated, since a saturated reward no longer balances the cohort.
-    """
-    n_a_min = minimum_satisfying_cohort(params)
-    alpha_star: dict[int, float] = {}
-    clamped: dict[int, bool] = {}
-    for m in range(n_a_min, params.n + 1):
-        a = pse_reward(params, m)
-        alpha_star[m] = a
-        clamped[m] = not (0.0 <= a <= params.alpha_max)
-    feasible = n_a_min <= params.n and any(not c for c in clamped.values())
-    return PseSolution(n_a_min=n_a_min, alpha_star=alpha_star, clamped=clamped,
-                       feasible=feasible)
 
 
 def _map(fn, x) -> np.ndarray:
@@ -198,6 +161,16 @@ def _reduced_cost_column(params: GameParams, lam, tau, x, reach):
     return e.e_receive + e.e_transmit + stored
 
 
+def _sweep_point(params: GameParams, var: Optional[str], values):
+    """(lam, tau, n, delta) of ``params`` with the sweepable ``var`` (None
+    for none) replaced by the float array of ``values``."""
+    point = {"lambda": params.contact.lam, "tau": params.contact.tau,
+             "n": params.n, "delta": params.delta}
+    if var is not None:
+        point[var] = np.asarray(values, dtype=float)
+    return point["lambda"], point["tau"], point["n"], point["delta"]
+
+
 @dataclass(frozen=True)
 class _MixedColumn:
     """The mixed closed forms at every point of a column, as 1-D arrays.
@@ -222,11 +195,7 @@ def _mixed_column(params: GameParams, var: Optional[str] = None, values=(),
     to each of ``values``.  The reward and its success are taken at p, by
     default at min(p_min, 1).  Raises nothing: the callers check the points.
     """
-    point = {"lambda": params.contact.lam, "tau": params.contact.tau,
-             "n": params.n, "delta": params.delta}
-    if var is not None:
-        point[var] = np.asarray(values, dtype=float)
-    lam, tau, n, delta = point["lambda"], point["tau"], point["n"], point["delta"]
+    lam, tau, n, delta = _sweep_point(params, var, values)
     # the masked-out points divide by zero and overflow: numpy must not warn
     with np.errstate(all="ignore"):
         x = lam * tau
@@ -283,6 +252,46 @@ def solve_ese(params: GameParams) -> EseSolution:
     alpha, clamped = _clamp(col.alpha, params.alpha_max)
     return EseSolution(p_star=p_min, alpha_star=alpha.item(),
                        binding_delivery=col.success.item(), alpha_clamped=bool(clamped[0]))
+
+
+def pse_columns(params: GameParams, var: Optional[str], values):
+    """(point, n_a, alpha_star, clamped, n_a_min, feasible) arrays of the
+    pure equilibria over the sweep of ``var`` through ``values`` (None for
+    the one point ``params``): one row per cohort n_a = n_a_min..n of each
+    point, whose index into ``values`` is ``point``.
+
+    A reward outside [0, alpha_max] is flagged clamped, not saturated, since
+    a saturated reward no longer balances its cohort; a point is feasible
+    when some cohort's reward is unclamped.  A point with no cohort of at
+    most n has one row (nan, nan, 0, n_a_min, 0), n_a_min = inf where q = 1.
+    Raises the overflow of the first reward, in row order, that is not
+    finite.
+    """
+    lam, tau, n, delta = _sweep_point(params, var, values)
+    with np.errstate(all="ignore"):  # lam = 0 divides by zero in a masked-out branch
+        x = lam * tau
+        q, reach = _contact_column(x)
+        cost = _reduced_cost_column(params, lam, tau, x, reach)
+    q, cost, fleet, delta = np.broadcast_arrays(q, cost, n, delta)
+    size = len(q)
+    n_a_min = np.fromiter(map(_cohort_bound, q.tolist(), delta.tolist()), float, size)
+    has = n_a_min <= fleet
+    counts = np.where(has, fleet - n_a_min + 1, 1).astype(np.intp)
+    point = np.repeat(np.arange(size), counts)
+    first = np.cumsum(counts) - counts
+    cohort = n_a_min[point] + (np.arange(len(point)) - first[point])
+    marked = ~has[point]
+    # 1 - q**m with Python's pow, which numpy's power may differ from
+    success = 1.0 - np.fromiter(map(pow, q[point].tolist(), cohort.tolist()), float, len(point))
+    with np.errstate(all="ignore"):  # the marked rows' cohort is inf or past n
+        alpha = _indifference_reward(params, fleet[point], cost[point], cohort, success)
+    failed = ~marked & ~np.isfinite(alpha)
+    if failed.any():
+        raise _overflow(float(success[np.argmax(failed)]))
+    clamped = ~marked & _clamp(alpha, params.alpha_max)[1]
+    feasible = np.bincount(point[~marked & ~clamped], minlength=size) > 0
+    return (point, np.where(marked, math.nan, cohort), np.where(marked, math.nan, alpha),
+            clamped, n_a_min[point], feasible[point])
 
 
 def mse_columns(params: GameParams, var: Optional[str], values):

@@ -16,18 +16,16 @@ import numpy as np
 from . import __version__
 from .equilibrium import (
     DegenerateContactError,
-    DegenerateFailureError,
-    PseSolution,
     delivery_column,
     ese_columns,
     mse_columns,
     pareto_grid_scan,
+    pse_columns,
     satisfaction_region,
     solve_ese,
-    solve_pse,
 )
 from .learning import EPISODE, FEEDS, run_coupled
-from .model import ContactModel, EnergyModel, GameParams, with_param
+from .model import ContactModel, EnergyModel, GameParams
 from .simulate import CONTACT_MODES, MODEL, estimate_delivery, estimate_relay_utility
 
 
@@ -318,42 +316,22 @@ def _swept(config: ScenarioConfig) -> tuple[Optional[str], tuple[float, ...]]:
 
 
 def _column_table(config: ScenarioConfig, names: list[str], columns,
-                  extra: dict[str, str] | None = None) -> ResultTable:
-    """One float row per point: the swept value (if any) and then
-    ``columns``, 1-D or 2-D, named ``names``.  The columns are held as they
-    are, never stacked whole; %.12g prints the integer and flag columns as
-    %d would."""
+                  extra: dict[str, str] | None = None, point=None) -> ResultTable:
+    """One float row per point, or per entry of ``point``, the index of each
+    row's point: the swept value (if any) and then ``columns``, 1-D or 2-D,
+    named ``names``.  The columns are held as they are, never stacked whole;
+    %.12g prints the integer and flag columns as %d would."""
     var, values = _swept(config)
     if var is not None:
-        names, columns = (var, *names), (values, *columns)
+        names, columns = (var, *names), (values if point is None else np.take(values, point),
+                                         *columns)
     return ResultTable(tuple(names), _FloatRows(columns), _metadata(config, extra))
 
 
-def _row_table(config: ScenarioConfig, names, rows,
-               extra: dict[str, str] | None = None) -> ResultTable:
-    """One float row per item of the iterable ``rows``, each as wide as
-    ``names``, streamed into one ``(k, width)`` array."""
-    rows = np.fromiter(rows, np.dtype((float, len(names))))
-    return ResultTable(tuple(names), _FloatRows((rows,)), _metadata(config, extra))
-
-
 def _run_solve_pse(config: ScenarioConfig) -> ResultTable:
-    var, values = _swept(config)
-    # (lead, params) per swept value, or the config's own point without a sweep
-    points = [((v,), with_param(config.params, var, v)) for v in values] or [((), config.params)]
-
-    def rows():
-        for lead, params in points:
-            try:
-                sol = solve_pse(params)
-            except DegenerateFailureError:  # q = 1: no cohort ever delivers
-                sol = PseSolution(math.inf, {}, {}, False)
-            for m in sorted(sol.alpha_star):
-                yield (*lead, m, sol.alpha_star[m], sol.clamped[m], sol.n_a_min, sol.feasible)
-            if not sol.alpha_star:  # no cohort of at most n: one marked row
-                yield (*lead, math.nan, math.nan, 0, sol.n_a_min, 0)
-    names = ("n_a", "alpha_star", "clamped", "n_a_min", "feasible")
-    return _row_table(config, names if var is None else (var, *names), rows())
+    point, *columns = pse_columns(config.params, *_swept(config))
+    return _column_table(config, ["n_a", "alpha_star", "clamped", "n_a_min", "feasible"],
+                         columns, point=point)
 
 
 def _run_solve_mse(config: ScenarioConfig) -> ResultTable:
@@ -409,8 +387,9 @@ def _run_simulate(config: ScenarioConfig) -> ResultTable:
         relay = estimate_relay_utility(config.params, p, reward, config.trials,
                                        config.seed, config.contact_mode)
         return p, delivery.mean, delivery.stderr, relay.mean, relay.stderr, config.trials
-    return _row_table(config, ("p", "delivery_mean", "delivery_se", "relay_utility_mean",
-                               "relay_utility_se", "trials"), map(row, ps))
+    rows = np.fromiter(map(row, ps), np.dtype((float, 6)))
+    return ResultTable(("p", "delivery_mean", "delivery_se", "relay_utility_mean",
+                        "relay_utility_se", "trials"), _FloatRows((rows,)), _metadata(config))
 
 
 def _run_pareto_grid(config: ScenarioConfig) -> ResultTable:

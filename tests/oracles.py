@@ -1,6 +1,7 @@
 """Independent oracles that only tests call: a term-by-term delivery share,
 the reduced model's indifference gaps, whose roots the solvers return, and
-the mixed solvers written point by point over the scalar model functions."""
+the pure and mixed solvers written point by point over the scalar model
+functions."""
 import math
 
 from dtnsat.equilibrium import (
@@ -63,9 +64,39 @@ def mixed_indifference_gap(alpha: float, p: float, params: GameParams) -> float:
     return accept - reject
 
 
-# The mixed solvers point by point in Python floats, as they stood before
-# the column kernel: the reference its columns and one-element cases must
+# The solvers point by point in Python floats, as they stood before the
+# column kernels: the reference their columns and one-element cases must
 # match bit for bit.
+
+def point_pse(params: GameParams) -> list:
+    """The (n_a, alpha_star, clamped, n_a_min, feasible) rows of one
+    solve-pse point: one per cohort from the QoS bound up to n, or one
+    marked row (nan, nan, False, n_a_min, False) when that bound exceeds n,
+    with n_a_min = inf at q = 1."""
+    q = relay_failure_probability(params.contact)
+    if q >= 1.0:
+        return [(math.nan, math.nan, False, math.inf, False)]
+    if q == 0.0:
+        n_a_min = 1
+    else:
+        ratio = math.log(1.0 - params.delta) / math.log(q)
+        nearest = round(ratio)
+        if abs(ratio - nearest) < 1e-12:
+            ratio = nearest
+        n_a_min = max(1, math.ceil(ratio))
+    rows = []
+    for m in range(n_a_min, params.n + 1):
+        success = 1.0 - q ** m
+        reward = (params.sigma * (params.n - 1 + (1.0 - success))
+                  + m * (reduced_cooperation_cost(params) - params.gamma)) / (2.0 * success)
+        if not math.isfinite(reward):
+            raise FloatRangeError(f"indifference reward overflows at success {success}")
+        rows.append((m, reward, not 0.0 <= reward <= params.alpha_max))
+    if not rows:
+        return [(math.nan, math.nan, False, n_a_min, False)]
+    feasible = any(not clamped for _, _, clamped in rows)
+    return [(*row, n_a_min, feasible) for row in rows]
+
 
 def point_mse(params: GameParams) -> tuple:
     """(p_min, z_star, feasible) of the mixed equilibria at one point."""

@@ -21,9 +21,9 @@ from dtnsat.equilibrium import (
     mixed_relay_payoffs,
     mse_columns,
     pareto_grid_scan,
+    pse_columns,
     satisfaction_region,
     solve_ese,
-    solve_pse,
 )
 from dtnsat.learning import Trajectory, run_coupled
 from dtnsat.model import (
@@ -140,13 +140,15 @@ def test_criterion_01_closed_form_matches_bruteforce_oracle():
 
 def test_criterion_02_pure_equilibrium_indifference():
     params = make_params()
-    sol = solve_pse(params)
-    unclamped = {m: a for m, a in sol.alpha_star.items() if not sol.clamped[m]}
+    _, n_a, alpha_star, clamped, n_a_min, _ = pse_columns(params, None, ())
+    unclamped = {int(m): a for m, a, c in zip(n_a.tolist(), alpha_star.tolist(), clamped)
+                 if not c}
     worst = max(abs(pure_indifference_gap(alpha, m, params))
                 for m, alpha in unclamped.items())
-    ok = sol.n_a_min == 1 and len(unclamped) == 7 and worst <= 1e-9
+    n_a_min = int(n_a_min[0])
+    ok = n_a_min == 1 and len(unclamped) == 7 and worst <= 1e-9
     report(2, ok,
-           f"n_a_min = {sol.n_a_min} (want 1), {len(unclamped)} unclamped "
+           f"n_a_min = {n_a_min} (want 1), {len(unclamped)} unclamped "
            f"rewards, worst |U_accept - U_reject| = {worst:.3e}")
 
 
@@ -244,7 +246,7 @@ def test_criterion_07_region_threshold_matches_grid_scan():
 
 def test_criterion_08_coupled_learning_reaches_pure_equilibrium():
     params = make_params()
-    pse = solve_pse(params)
+    _, n_a, pse_alpha, *_ = pse_columns(params, None, ())
     ese = solve_ese(params)
     horizon = 5000
     runs, est = learned_plays(params, horizon, range(20))
@@ -260,7 +262,7 @@ def test_criterion_08_coupled_learning_reaches_pure_equilibrium():
         declines += counts
     report(8, settled and delivered,
            f"median terminal reward {med_alpha:.4f} (closed form "
-           f"{ese.alpha_star:.4f} binding / {pse.alpha_star[7]:.4f} full "
+           f"{ese.alpha_star:.4f} binding / {pse_alpha[n_a == 7].item():.4f} full "
            f"cohort), cohort {cohort} in {count}/{len(runs)} runs, delivery "
            f"{est.mean:.3f} vs {params.delta}; largest switch gain "
            f"{best.gain:+.4f}: {best.verb} pays {best.switch:.4f} against "

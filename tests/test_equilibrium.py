@@ -8,7 +8,6 @@ import pytest
 from dtnsat.equilibrium import (
     BISECTION_TOL,
     DegenerateContactError,
-    DegenerateFailureError,
     RangeError,
     _mixed_column,
     minimum_satisfying_cohort,
@@ -16,10 +15,9 @@ from dtnsat.equilibrium import (
     mse_columns,
     pareto_dominance_check,
     pareto_grid_scan,
-    pse_reward,
+    pse_columns,
     satisfaction_region,
     solve_ese,
-    solve_pse,
 )
 from dtnsat.model import (
     expected_relay_utility_mixed,
@@ -53,47 +51,59 @@ ESE_FOUR_TARGETS = {
 }
 
 
-class TestSolvePse:
+def pse_point(params):
+    """(n_a_min, {n_a: alpha_star}, {n_a: clamped}, feasible) of the pure
+    candidates at one point, read from its ``pse_columns`` rows."""
+    _, n_a, alpha, clamped, n_a_min, feasible = pse_columns(params, None, ())
+    cohorts = [int(m) for m in n_a if not math.isnan(m)]
+    return (n_a_min[0], dict(zip(cohorts, alpha.tolist())),
+            dict(zip(cohorts, clamped.tolist())), bool(feasible[0]))
+
+
+class TestPseColumns:
+    """The pure candidates at one point: ``pse_columns`` with no sweep."""
+
     def test_reference_table(self, base_params):
-        sol = solve_pse(base_params)
-        assert sol.n_a_min == 1
-        assert sol.feasible
-        assert set(sol.alpha_star) == set(range(1, 8))
+        n_a_min, alpha_star, clamped, feasible = pse_point(base_params)
+        assert n_a_min == 1
+        assert feasible
+        assert set(alpha_star) == set(range(1, 8))
         for m, expect in ALPHA_PSE.items():
-            assert sol.alpha_star[m] == pytest.approx(expect, rel=1e-12)
-            assert not sol.clamped[m]
+            assert alpha_star[m] == pytest.approx(expect, rel=1e-12)
+            assert not clamped[m]
 
     def test_rewards_satisfy_their_indifference_equation(self, base_params):
-        sol = solve_pse(base_params)
-        unclamped = {m: a for m, a in sol.alpha_star.items() if not sol.clamped[m]}
+        _, alpha_star, clamped, _ = pse_point(base_params)
+        unclamped = {m: a for m, a in alpha_star.items() if not clamped[m]}
         for m, alpha in unclamped.items():
             assert abs(pure_indifference_gap(alpha, m, base_params)) <= 1e-9
 
     def test_closed_form_matches_independent_linear_root(self, base_params):
         # the gap is linear in the reward; recover its root from two samples
+        alpha_star = pse_point(base_params)[1]
         for m in range(1, 8):
             g0 = pure_indifference_gap(0.0, m, base_params)
             g1 = pure_indifference_gap(1.0, m, base_params)
             root = -g0 / (g1 - g0)
-            assert pse_reward(base_params, m) == pytest.approx(root, abs=1e-9)
+            assert alpha_star[m] == pytest.approx(root, abs=1e-9)
 
     def test_vanishing_threshold_needs_one_relay(self):
-        sol = solve_pse(make_params(delta=1e-12))
-        assert sol.n_a_min == 1
+        assert pse_point(make_params(delta=1e-12))[0] == 1
 
     def test_underflowing_failure_needs_one_relay(self):
         # lam*tau = 800: exp(-lam*tau) underflows to 0
-        sol = solve_pse(make_params(lam=8.0, tau=100.0))
-        assert sol.n_a_min == 1
-        assert all(math.isfinite(a) for a in sol.alpha_star.values())
+        n_a_min, alpha_star, _, _ = pse_point(make_params(lam=8.0, tau=100.0))
+        assert n_a_min == 1
+        assert all(math.isfinite(a) for a in alpha_star.values())
 
     @pytest.mark.parametrize("n", [7, 64])
     def test_huge_rate_reward_balances(self, n):
         # lam = 1e308: scaling the balance by lam overflowed its denominator
         # and returned 0 with a gap of -1.05
         params = make_params(lam=1e308, tau=1.0, n=n)
+        alpha_star = pse_point(params)[1]
         for m in (1, n):
-            alpha = pse_reward(params, m)
+            alpha = alpha_star[m]
             assert math.isfinite(alpha) and alpha > 0.0
             assert pure_indifference_gap(alpha, m, params) == pytest.approx(0.0, abs=1e-12)
         (p_min,), (alpha,), _, _ = mse_columns(params, None, ())
@@ -103,20 +113,25 @@ class TestSolvePse:
         # q = 0.5 and delta = 1 - q**3: the bound is exactly 3
         params = make_params(lam=1.0, tau=math.log(2.0), delta=0.875)
         assert minimum_satisfying_cohort(params) == 3
+        assert pse_point(params)[0] == 3
 
     def test_infeasible_when_cohort_exceeds_fleet(self):
-        sol = solve_pse(make_params(n=2, delta=0.999, lam=0.002, tau=100.0))
-        assert not sol.feasible
-        assert sol.n_a_min > 2
+        n_a_min, alpha_star, _, feasible = pse_point(make_params(n=2, delta=0.999, lam=0.002,
+                                                                tau=100.0))
+        assert not feasible
+        assert n_a_min > 2
+        assert alpha_star == {}
 
-    def test_degenerate_failure_rejected(self):
-        with pytest.raises(DegenerateFailureError):
-            solve_pse(make_params(lam=0.0))
+    def test_degenerate_failure_marks_the_point(self):
+        # lam = 0: q = 1 and no cohort ever delivers
+        rows = [c.tolist() for c in pse_columns(make_params(lam=0.0), None, ())]
+        assert rows[0] == [0] and rows[3:] == [[False], [math.inf], [False]]
+        assert math.isnan(rows[1][0]) and math.isnan(rows[2][0])
 
     def test_out_of_range_rewards_marked_clamped(self):
-        sol = solve_pse(make_params(alpha_max=0.2))
-        assert sol.feasible
-        assert sol.clamped[1] and not sol.clamped[7]
+        _, _, clamped, feasible = pse_point(make_params(alpha_max=0.2))
+        assert feasible
+        assert clamped[1] and not clamped[7]
 
 
 class TestMseColumns:

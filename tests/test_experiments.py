@@ -14,7 +14,7 @@ import pytest
 import dtnsat
 from dtnsat import experiments
 from dtnsat.cli import main
-from dtnsat.equilibrium import mse_columns, solve_pse
+from dtnsat.equilibrium import mse_columns, pse_columns
 from dtnsat.experiments import (
     _KEYS,
     _MODE_TABLE,
@@ -330,16 +330,16 @@ class TestRunScenario:
 
 
 class TestSweepRows:
-    """solve-pse and simulate walk their sweeps point by point."""
+    """A swept table gives each point its own rows, led by its value, and
+    simulate walks its p sweep point by point."""
 
     def test_solve_pse_tau_sweep_gives_each_points_solution(self):
         cfg = replace(parse_config("p = 0.4\nsweep.var = tau\nsweep.values = 20,40"),
                       mode="solve-pse")
         expected = []
         for tau in (20.0, 40.0):
-            sol = solve_pse(with_param(cfg.params, "tau", tau))
-            expected += [(tau, m, sol.alpha_star[m], int(sol.clamped[m]), sol.n_a_min,
-                          int(sol.feasible)) for m in sorted(sol.alpha_star)]
+            _, *columns = pse_columns(with_param(cfg.params, "tau", tau), None, ())
+            expected += [(tau, *row) for row in zip(*columns)]
         table = run_scenario(cfg)
         assert table.columns == ("tau", "n_a", "alpha_star", "clamped", "n_a_min", "feasible")
         assert len(expected) == 14
@@ -555,28 +555,42 @@ class TestSimulateBytes:
 
 
 class TestClosedFormBytes:
-    """The five closed-form perfbench configs at smoke size, seed 2025: each
-    mode's config and its CSV's sha256, so a change to any closed form,
-    sweep grid or number format shows here."""
+    """The five closed-form perfbench configs at smoke size, seed 2025, and
+    three solve-pse sweeps whose points have unequal row counts, marked rows
+    (q = 1 at lambda = 0 and 5e-324, a bound past n = 2 at delta = 0.999)
+    or clamped rows: each case's mode, config and CSV sha256, so a change to
+    any closed form, sweep grid or number format shows here."""
 
     TAU_50 = "sweep.var = tau\nsweep.start = 20\nsweep.stop = 2000\nsweep.points = 50\n"
     CASES = {
-        "solve-ese": (TAU_50,
+        "solve-ese": ("solve-ese", TAU_50,
                       "c0c28e428e1c9b1cd753d3e178ab5f84fd020f121dedd0bdfc8eb6817a36c68a"),
-        "solve-mse": (TAU_50,
+        "solve-mse": ("solve-mse", TAU_50,
                       "d89537d5ace4c361af04aa8d64293d97ce3f1fd664aea8e2b8bf2ddb3f359e33"),
-        "solve-pse": ("sweep.var = n\nsweep.start = 1\nsweep.stop = 60\nsweep.points = 60\n",
+        "solve-pse": ("solve-pse",
+                      "sweep.var = n\nsweep.start = 1\nsweep.stop = 60\nsweep.points = 60\n",
                       "609b760ea155b2cc37dafbd26be60ca0dfcb5f24cbaef0408f33211c60150765"),
-        "region": ("sweep.var = lambda\nsweep.start = 0.001\nsweep.stop = 0.1\n"
+        "solve-pse-lambda": (
+            "solve-pse", "sweep.var = lambda\nsweep.values = 0.015,0,5e-324,1e-320,0.5,1e308\n",
+            "4bcbb2f03fbe52c16031f52682def667964b66021e3f57f54e74c3e51b11d064"),
+        "solve-pse-delta": (
+            "solve-pse",
+            "n = 2\nsweep.var = delta\nsweep.start = 0.009\nsweep.stop = 0.999\n"
+            "sweep.points = 12\n",
+            "58fd714d9d07d6641ecd36d067dd601b12d6d837745ad51753b0009ec585c7ea"),
+        "solve-pse-clamped": (
+            "solve-pse", "alpha_max = 0.2\nsweep.var = n\nsweep.values = 1,3,7,40\n",
+            "83fc309c8007aecb13c5a2408ec65d51b8ef87cf9be9f5b61f3b9934c990b435"),
+        "region": ("region", "sweep.var = lambda\nsweep.start = 0.001\nsweep.stop = 0.1\n"
                    "sweep.points = 50\n",
                    "0d069c59d883a6322330e70ee99b6e15f403c807f7206b5c6e933484cc62b59e"),
-        "pareto-grid": ("",
+        "pareto-grid": ("pareto-grid", "",
                         "92be6f613ed287533d2f6699cb2f2017aca6b4dba44be55a62951e69dd91e022"),
     }
 
-    @pytest.mark.parametrize("mode", sorted(CASES))
-    def test_closed_form_mode_keeps_its_bytes(self, mode, tmp_path):
-        config, sha256 = self.CASES[mode]
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_closed_form_mode_keeps_its_bytes(self, case, tmp_path):
+        mode, config, sha256 = self.CASES[case]
         cfg, out = tmp_path / "run.cfg", tmp_path / "run.csv"
         cfg.write_text(config)
         assert main([mode, "--config", str(cfg), "--out", str(out), "--seed", "2025"]) == 0
@@ -877,8 +891,8 @@ class TestDegeneratePoints:
 
 class TestSweepBudget:
     """The sweeps do not go back to one solver call per point: the calls a
-    solve-ese, solve-mse or region sweep, or a simulate p sweep, makes of the
-    per-point functions do not grow with the number of points."""
+    solve-pse, solve-ese, solve-mse or region sweep, or a simulate p sweep,
+    makes of the per-point functions do not grow with the number of points."""
 
     COUNTED = ("with_param", "solve_ese", "expected_source_utility_mixed")
 
@@ -904,6 +918,8 @@ class TestSweepBudget:
                                                 ("solve-mse", "tau", 20, 2000),
                                                 ("solve-ese", "delta", 0.01, 0.9),
                                                 ("solve-mse", "n", 1, None),
+                                                ("solve-pse", "tau", 20, 2000),
+                                                ("solve-pse", "delta", 0.01, 0.9),
                                                 ("region", "lambda", 0.001, 0.1),
                                                 ("simulate", "p", 0.0, 1.0)])
     def test_calls_do_not_grow_with_the_points(self, monkeypatch, mode, var, lo, hi):
@@ -915,7 +931,9 @@ class TestSweepBudget:
             cfg = replace(parse_config(f"trials = 1\nsweep.var = {var}\nsweep.values = "
                                        + ",".join(map(repr, map(float, values)))), mode=mode)
             calls = self.count_calls(monkeypatch)
-            assert len(run_scenario(cfg).rows) == points
+            rows = len(run_scenario(cfg).rows)
+            # solve-pse writes one row per candidate cohort of each point
+            assert rows >= points if mode == "solve-pse" else rows == points
             counts.append(calls)
             monkeypatch.undo()
         assert counts[0] == counts[1]

@@ -1,12 +1,12 @@
 """Property tests over the whole parameter box: every closed-form solver
-call returns finite values, or marked ones in the mixed columns, or raises
+call returns finite values, or marked ones in the sweep columns, or raises
 a typed error, never a bare ValueError, ZeroDivisionError or
 OverflowError, and the exact cost and mixed relay payoff are finite."""
 import math
 
 from hypothesis import given, settings, strategies as st
 
-from dtnsat.equilibrium import mse_columns, solve_ese, solve_pse
+from dtnsat.equilibrium import mse_columns, pse_columns, solve_ese
 from dtnsat.model import expected_relay_utility_mixed, per_relay_success, total_energy
 from conftest import make_params
 
@@ -37,10 +37,19 @@ def all_finite(*values):
 def test_solvers_are_total_over_the_box(lam, tau, delta, n):
     params = make_params(lam=lam, tau=tau, delta=delta, n=n)
 
-    pse = finite_or_typed(solve_pse, params)
+    pse = finite_or_typed(pse_columns, params, None, ())
     if pse is not None:
-        assert pse.n_a_min >= 1
-        assert all_finite(*pse.alpha_star.values())
+        # marked, not finite: one row, n_a = nan, where no cohort of at most
+        # n satisfies the source
+        contact = per_relay_success(params, 1.0) > 0.0
+        for point, n_a, alpha, clamped, n_a_min, feasible in zip(*pse):
+            assert point == 0 and n_a_min >= 1
+            assert math.isfinite(n_a_min) or not contact
+            if math.isnan(n_a):
+                assert len(pse[0]) == 1 and n_a_min > params.n
+                assert math.isnan(alpha) and not clamped and not feasible
+            else:
+                assert n_a_min <= n_a <= params.n and math.isfinite(alpha)
 
     mse = finite_or_typed(mse_columns, params, None, ())
     if mse is not None:

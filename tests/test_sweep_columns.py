@@ -1,7 +1,8 @@
-"""The column kernel behind solve-mse, solve-ese and region gives, bit for
-bit, what the point-by-point solvers in ``oracles`` give: every column, its
-one-point case and the scalar solve_ese, each model function the kernel
-restates elementwise, and the first error of a sweep in sweep order."""
+"""The column kernels behind solve-pse, solve-mse, solve-ese and region give,
+bit for bit, what the point-by-point solvers in ``oracles`` give: every
+column, its one-point case and the scalar solve_ese, each model function
+the kernels restate elementwise, and the first error of a sweep in sweep
+order."""
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -16,6 +17,7 @@ from dtnsat.equilibrium import (
     delivery_column,
     ese_columns,
     mse_columns,
+    pse_columns,
     solve_ese,
 )
 from dtnsat.model import (
@@ -28,7 +30,7 @@ from dtnsat.model import (
     with_param,
 )
 from conftest import make_params
-from oracles import point_ese, point_ese_row, point_mse_reward, point_mse_row
+from oracles import point_ese, point_ese_row, point_mse_reward, point_mse_row, point_pse
 from test_solver_properties import DELTAS, FLEETS, LAMBDAS, TAUS
 
 SWEPT = {"tau": TAUS, "lambda": LAMBDAS, "n": FLEETS.map(float), "delta": DELTAS}
@@ -72,6 +74,40 @@ def assert_columns_match(params, var, values, p):
 def test_columns_match_the_point_solvers_over_the_box(var, data, lam, tau, delta, n, p):
     values = data.draw(st.lists(SWEPT[var], min_size=1, max_size=6))
     assert_columns_match(make_params(lam=lam, tau=tau, delta=delta, n=n), var, values, p)
+
+
+def point_pse_columns(params, var, values):
+    """The pse_columns of ``oracles.point_pse`` evaluated point by point,
+    with each row's point index leading."""
+    points = [params] if var is None else [with_param(params, var, v) for v in values]
+    return list(zip(*[(i, *row) for i, point in enumerate(points) for row in point_pse(point)]))
+
+
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@given(data=st.data(), lam=LAMBDAS, tau=TAUS, delta=DELTAS, n=FLEETS,
+       alpha_max=st.sampled_from([0.014, 0.2, 5.0]))
+@pytest.mark.parametrize("var", [None, *SWEPT])
+def test_pure_column_matches_the_point_solver(var, data, lam, tau, delta, n, alpha_max):
+    # nan compares by its bits; an overflow by its type and message
+    params = make_params(lam=lam, tau=tau, delta=delta, n=n, alpha_max=alpha_max)
+    values = () if var is None else data.draw(st.lists(SWEPT[var], min_size=1, max_size=6))
+    assert outcome(lambda: pse_columns(params, var, values)) == \
+        outcome(lambda: point_pse_columns(params, var, values))
+
+
+@pytest.mark.parametrize("var,values,fixed", [
+    ("lambda", [0.015, 0.0, 5e-324, 1e-320, 1e308], {}),  # q = 1, then q = 0
+    ("delta", [0.21, 0.99, 0.999], {"n": 2}),  # the bound passes the fleet
+    ("n", [1.0, 3.0, 7.0, 40.0], {"alpha_max": 0.2}),  # clamped rows
+    # the reward overflows: at the second point, and at the first point's
+    # first cohort, whose bound exceeds 1
+    ("lambda", [1e-6, 1e-10, 1e-12], {"e": 1e300, "delta": 0.01, "tau": 1e10}),
+    ("delta", [0.5, 1e-300], {"e": 1e300, "tau": 1e10, "lam": 1e-9}),
+])
+def test_pure_named_points(var, values, fixed):
+    params = make_params(**fixed)
+    assert outcome(lambda: pse_columns(params, var, values)) == \
+        outcome(lambda: point_pse_columns(params, var, values))
 
 
 def solution(compute):
