@@ -6,11 +6,12 @@ by the full fleet size n rather than by the accepting cohort alone; each
 returned reward is the root of the accept-minus-reject gap of that payoff,
 pure at cohort m or mixed at common p (:func:`mixed_relay_payoffs`).  The
 simulator and the mixed utilities in :mod:`dtnsat.model` pay the game's
-payoff, :func:`dtnsat.model.relay_payoffs`, where a relay with k accepting opponents holds the share of cohort k+1.  The
-two disagree by far more than rounding: at the reference binding point
-(p* = 0.0549, alpha* = 0.7668) a relay's mixed accept/reject payoffs are
-0.460/-0.675 under the game's payoff and -0.173/-0.173 under the reduced
-one, so the binding point is no relay equilibrium of the game.
+payoff, :func:`dtnsat.model.relay_payoffs`, where a relay with k accepting
+opponents holds the share of cohort k+1.  The two disagree by far more than
+rounding: at the reference binding point (p* = 0.0549, alpha* = 0.7668) a
+relay's mixed accept/reject payoffs are 0.460/-0.675 under the game's payoff
+and -0.173/-0.173 under the reduced one, so the binding point is no relay
+equilibrium of the game.
 
 The mixed solvers are one column kernel, :func:`_mixed_column`: it takes a
 sweep's whole column of ``tau``, ``lambda``, ``n`` or ``delta`` values and

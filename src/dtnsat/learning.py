@@ -116,23 +116,15 @@ FEEDS = (EPISODE, MEAN_FIELD)
 
 @dataclass(frozen=True)
 class Trajectory:
-    """The arrays one coupled run fills, row k - 1 for step k: (H, n) for
-    ``accept_probs`` and the ``accepted`` masks, (H, 2) for the fed
-    (accept, decline) ``pays``, (H,) for the rest."""
+    """The five arrays one coupled run fills and ``learn`` writes, row k - 1
+    for step k: ``accept_probs`` of shape (H, n), ``alpha``, ``u_s_est``,
+    ``n_accept`` and ``delivered`` of shape (H,)."""
 
     alpha: np.ndarray
     u_s_est: np.ndarray
     accept_probs: np.ndarray
-    accepted: np.ndarray
-    pays: np.ndarray
     n_accept: np.ndarray
     delivered: np.ndarray
-
-    @property
-    def utilities(self) -> np.ndarray:
-        """(H, n) utility fed to each relay: its side of the step's pay pair,
-        spread when read."""
-        return np.where(self.accepted, self.pays[:, :1], self.pays[:, 1:])
 
 
 def run_coupled(params: GameParams, horizon: int, seed: int,
@@ -149,7 +141,9 @@ def run_coupled(params: GameParams, horizon: int, seed: int,
     bit-identical to stepping ``simulate_episode`` on window i of the
     ``seed`` stream, then ``_score_relays`` on its acceptances (episode
     feed), then each relay and the source in turn.  A shorter run is a
-    prefix of a longer one with the same seed.
+    prefix of a longer one with the same seed.  Returns the five arrays that
+    ``learn`` writes (:class:`Trajectory`); the actions and fed pairs are
+    not kept.
     """
     if feed not in FEEDS:
         raise ValueError(f"feed must be one of {FEEDS}, got {feed!r}")
@@ -162,8 +156,7 @@ def run_coupled(params: GameParams, horizon: int, seed: int,
     p, est = [0.5] * n, ([0.0] * n, [0.0] * n)
     share, cost = _cohort_shares(params).tolist(), total_energy(params)
     alphas, estimates = np.empty((2, horizon))
-    probs, pays = np.empty((horizon, n)), np.empty((horizon, 2))
-    masks = np.empty((horizon, n), dtype=bool)
+    probs = np.empty((horizon, n))
     n_accept = np.empty(horizon, dtype=int)
     delivered = np.empty(horizon, dtype=bool)
 
@@ -175,12 +168,12 @@ def run_coupled(params: GameParams, horizon: int, seed: int,
             k = i + 1
             alphas[i] = alpha
             probs[i] = p
-            accepted = masks[i] = list(map(operator.lt, flip, p))
+            accepted = list(map(operator.lt, flip, p))
             cohort = n_accept[i] = sum(accepted)
             if feed == EPISODE:
-                pay = pays[i] = _cohort_payoffs(params, share, cost, cohort, alpha)
+                pay = _cohort_payoffs(params, share, cost, cohort, alpha)
             else:
-                pay = pays[i] = mixed_relay_payoffs(alpha, sum(p) / n, params)
+                pay = mixed_relay_payoffs(alpha, sum(p) / n, params)
             if not (math.isfinite(pay[0]) and math.isfinite(pay[1])):
                 bad = pay[1] if math.isfinite(pay[0]) else pay[0]
                 raise ValueError(f"realized utility must be finite, got {bad}")
@@ -190,5 +183,5 @@ def run_coupled(params: GameParams, horizon: int, seed: int,
                                              float(hit), 1.0 / (1.0 + k))
             estimates[i] = estimate
 
-    return Trajectory(alpha=alphas, u_s_est=estimates, accept_probs=probs, accepted=masks,
-                      pays=pays, n_accept=n_accept, delivered=delivered)
+    return Trajectory(alpha=alphas, u_s_est=estimates, accept_probs=probs, n_accept=n_accept,
+                      delivered=delivered)

@@ -1,9 +1,14 @@
 """Independent oracles that only tests call: a term-by-term delivery share,
 the reduced model's indifference gaps, whose roots the solvers return, and
 the pure and mixed solvers written point by point over the scalar model
-functions."""
+functions, and a coupled run that records what each relay played and was
+fed."""
 import math
+from unittest import mock
 
+import numpy as np
+
+import dtnsat.learning as learning
 from dtnsat.equilibrium import (
     DegenerateContactError,
     EseSolution,
@@ -151,3 +156,19 @@ def point_ese_row(params: GameParams) -> tuple:
     except DegenerateContactError:
         return point_mse_row(params)[0], math.nan, math.nan, False
     return sol.p_star, sol.alpha_star, sol.binding_delivery, sol.alpha_clamped
+
+
+def run_coupled_fed(params: GameParams, horizon: int, seed: int, **kwargs) -> tuple:
+    """``run_coupled`` with ``learning._relay_update`` wrapped: the
+    trajectory, the (H, n) actions the relays played and the (H, n)
+    utilities they were fed, each relay its side of the step's pay pair."""
+    actions, fed = [], []
+    step = learning._relay_update
+
+    def recorded(p, est, accepted, pay, m):
+        actions.append(list(accepted))
+        fed.append([pay[0] if a else pay[1] for a in accepted])
+        return step(p, est, accepted, pay, m)
+    with mock.patch.object(learning, "_relay_update", recorded):
+        traj = learning.run_coupled(params, horizon, seed, **kwargs)
+    return traj, np.array(actions, dtype=bool), np.array(fed, dtype=float)

@@ -17,6 +17,8 @@ import statistics
 from collections import Counter
 from typing import NamedTuple
 
+import numpy as np
+
 from dtnsat.equilibrium import (
     mixed_relay_payoffs,
     mse_columns,
@@ -25,7 +27,6 @@ from dtnsat.equilibrium import (
     satisfaction_region,
     solve_ese,
 )
-from dtnsat.learning import Trajectory, run_coupled
 from dtnsat.model import (
     delivery_share,
     expected_relay_utility_mixed,
@@ -38,7 +39,7 @@ from dtnsat.model import (
 )
 from dtnsat.simulate import estimate_delivery, estimate_relay_utility
 from conftest import make_params
-from oracles import delivery_share_bruteforce, pure_indifference_gap
+from oracles import delivery_share_bruteforce, pure_indifference_gap, run_coupled_fed
 
 
 def report(number: int, ok: bool, detail: str) -> None:
@@ -54,7 +55,8 @@ class Switch(NamedTuple):
 
 
 class Play(NamedTuple):
-    traj: Trajectory
+    accepted: np.ndarray  # (H, n) actions the relays played
+    fed: np.ndarray  # (H, n) utilities the relays were fed
     alpha: float
     cohort: int
     best: Switch
@@ -92,10 +94,10 @@ def learned_plays(params, horizon, seeds):
     """
     runs, p_bars = [], []
     for seed in seeds:
-        traj = run_coupled(params, horizon, seed)
+        traj, accepted, fed = run_coupled_fed(params, horizon, seed)
         alpha = statistics.median(traj.alpha[-500:].tolist())
         cohort = sum(p >= 0.5 for p in traj.accept_probs[-1].tolist())
-        runs.append(Play(traj, alpha, cohort, best_switch(params, alpha, cohort)))
+        runs.append(Play(accepted, fed, alpha, cohort, best_switch(params, alpha, cohort)))
         p_bars.append(sum(sum(p) / params.n for p in traj.accept_probs[-500:].tolist())
                       / 500)
     delivery = estimate_delivery(params, statistics.median(p_bars), 20_000,
@@ -103,24 +105,19 @@ def learned_plays(params, horizon, seeds):
     return runs, delivery
 
 
-def decline_estimates(traj, params):
-    """Replay each relay's decline-payoff estimate over an episode-fed run.
+def decline_estimates(run):
+    """Replay each relay's decline-payoff estimate over a recorded run.
 
-    The episode feed pays every acceptor the ``relay_payoffs`` accept payoff
-    at the realized cohort, so a fed value that differs from it marks a decline,
-    and only then does the estimate move by ``1/(1+k)**0.6``, as in
-    ``_relay_update``.  Returns the estimates after the last iteration and the
-    number of declines, per relay.
+    The estimate moves by ``1/(1+k)**0.6`` toward the fed utility only on the
+    steps where the relay declined, as in ``_relay_update``.  Returns the
+    estimates after the last iteration and the number of declines, per relay.
     """
-    q, cost = relay_failure_probability(params.contact), total_energy(params)
-    estimates = [0.0] * params.n
-    declines = [0] * params.n
-    for k, alpha, cohort, fed in zip(range(1, len(traj.alpha) + 1), traj.alpha.tolist(),
-                                     traj.n_accept.tolist(), traj.utilities.tolist()):
-        pay_accept = (relay_payoffs(alpha, delivery_share(cohort, q), cost, params)[0]
-                      if cohort else None)
-        for i, u in enumerate(fed):
-            if u != pay_accept:
+    estimates = [0.0] * run.fed.shape[1]
+    declines = [0] * len(estimates)
+    for k, accepted, fed in zip(range(1, len(run.fed) + 1), run.accepted.tolist(),
+                                run.fed.tolist()):
+        for i, (a, u) in enumerate(zip(accepted, fed)):
+            if not a:
                 declines[i] += 1
                 estimates[i] += 1.0 / (1.0 + k) ** 0.6 * (u - estimates[i])
     return estimates, declines
@@ -257,7 +254,7 @@ def test_criterion_08_coupled_learning_reaches_pure_equilibrium():
     cohort, count = Counter(run.cohort for run in runs).most_common(1)[0]
     stale, declines = [], []
     for run in runs:
-        estimates, counts = decline_estimates(run.traj, params)
+        estimates, counts = decline_estimates(run)
         stale += estimates
         declines += counts
     report(8, settled and delivered,

@@ -22,6 +22,7 @@ from dtnsat.equilibrium import (
 from dtnsat.model import (
     expected_relay_utility_mixed,
     expected_source_utility_mixed,
+    relay_failure_probability,
     with_param,
 )
 from conftest import make_params
@@ -114,6 +115,18 @@ class TestPseColumns:
         params = make_params(lam=1.0, tau=math.log(2.0), delta=0.875)
         assert minimum_satisfying_cohort(params) == 3
         assert pse_point(params)[0] == 3
+
+    def test_bound_a_hair_above_an_integer_snaps_to_it(self):
+        # delta = 1 - q**2 in floats puts the ratio log(1 - delta) / log(q)
+        # a hair above 2, where the ceiling alone would read 3
+        q = math.exp(-0.0137)
+        params = make_params(lam=0.0137, tau=1.0, delta=1.0 - q ** 2)
+        assert params.delta == 0.027028025113755128
+        assert relay_failure_probability(params.contact) == q
+        assert math.log(1.0 - params.delta) / math.log(q) == 2.000000000000004
+        assert 1.0 - q ** 2 >= params.delta
+        assert minimum_satisfying_cohort(params) == 2
+        assert pse_point(params)[0] == 2
 
     def test_infeasible_when_cohort_exceeds_fleet(self):
         n_a_min, alpha_star, _, feasible = pse_point(make_params(n=2, delta=0.999, lam=0.002,

@@ -554,6 +554,30 @@ class TestSimulateBytes:
         assert hashlib.sha256(out.read_bytes()).hexdigest() == self.SHA256[config]
 
 
+class TestLearnBytes:
+    """``dtnsat learn`` at horizon 200, seed 2025: the three perfbench
+    learn-coupled configs and the physical contact mode, each CSV's sha256 as
+    the run gave it while it also recorded every step's actions and fed
+    payoffs, so a change to the learners, the stream or the writer shows
+    here."""
+
+    SHA256 = {
+        "": "ae9a47b476d186cb771437eeac2af6dd3743d3ba27c7da3ee12ea734fccf419e",
+        "feed = mean-field\n":
+            "92841a3b009e8b62cd866d6629c8570743a71c12e4d6e294631484a7013ae9c3",
+        "n = 40\n": "c06921df17c9c073c70d15d350d22a08da722c1f23c56953a8d0aef17027abcb",
+        "contact_mode = physical\n":
+            "6e4955bdaea4d1aa42a340a1a92079a7d8c29baf331602c6f7acca6b30aaee91",
+    }
+
+    @pytest.mark.parametrize("config", sorted(SHA256))
+    def test_learn_keeps_its_bytes(self, config, tmp_path):
+        cfg, out = tmp_path / "run.cfg", tmp_path / "run.csv"
+        cfg.write_text(f"horizon = 200\n{config}")
+        assert main(["learn", "--config", str(cfg), "--out", str(out), "--seed", "2025"]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == self.SHA256[config]
+
+
 class TestClosedFormBytes:
     """The five closed-form perfbench configs at smoke size, seed 2025, and
     three solve-pse sweeps whose points have unequal row counts, marked rows

@@ -21,6 +21,17 @@ from dtnsat.model import total_energy
 from dtnsat.simulate import MODEL, PHYSICAL, _cohort_shares, _score_relays, episode_rng, \
     simulate_episode
 from conftest import make_params
+from oracles import run_coupled_fed
+
+# a trajectory's arrays and what run_coupled_fed records beside them
+ARRAYS = ("alpha", "u_s_est", "accept_probs", "accepted", "utilities", "n_accept", "delivered")
+
+
+def recorded_arrays(params, horizon, seed, **kwargs):
+    """A coupled run's arrays by name: the trajectory's, the ``accepted``
+    actions and the fed ``utilities``."""
+    traj, actions, fed = run_coupled_fed(params, horizon, seed, **kwargs)
+    return SimpleNamespace(**vars(traj), accepted=actions, utilities=fed)
 
 
 def step_one(p, est_a, est_r, u, accepted, m=0.3):
@@ -162,26 +173,27 @@ class TestRunCoupled:
         assert (traj.alpha[first_hit:] == params.alpha_max).all()
 
     def test_invariants_along_trajectory(self, base_params):
-        traj = run_coupled(base_params, 500, seed=2)
+        traj = recorded_arrays(base_params, 500, seed=2)
         assert all(0.0 <= a <= base_params.alpha_max for a in traj.alpha)
         for probs in traj.accept_probs:
             assert all(0.0 <= p <= 1.0 for p in probs)
         assert all(0 <= m <= base_params.n for m in traj.n_accept)
         n = base_params.n
         assert {name: (getattr(traj, name).shape, getattr(traj, name).dtype.kind)
-                for name in ("alpha", "u_s_est", "accept_probs", "utilities", "n_accept",
-                             "delivered")} == {
+                for name in ARRAYS} == {
             "alpha": ((500,), "f"), "u_s_est": ((500,), "f"),
-            "accept_probs": ((500, n), "f"), "utilities": ((500, n), "f"),
-            "n_accept": ((500,), "i"), "delivered": ((500,), "b")}
+            "accept_probs": ((500, n), "f"), "accepted": ((500, n), "b"),
+            "utilities": ((500, n), "f"), "n_accept": ((500,), "i"),
+            "delivered": ((500,), "b")}
+        assert np.array_equal(traj.accepted.sum(axis=1), traj.n_accept)
 
     def test_feeds_differ(self, base_params):
-        ep = run_coupled(base_params, 200, seed=3, feed=EPISODE)
-        mf = run_coupled(base_params, 200, seed=3, feed=MEAN_FIELD)
+        ep = recorded_arrays(base_params, 200, seed=3, feed=EPISODE)
+        mf = recorded_arrays(base_params, 200, seed=3, feed=MEAN_FIELD)
         assert not np.array_equal(ep.utilities, mf.utilities)
 
     def test_mean_field_feed_pays_reduced_model_values(self, base_params):
-        traj = run_coupled(base_params, 50, seed=4, feed=MEAN_FIELD)
+        traj = recorded_arrays(base_params, 50, seed=4, feed=MEAN_FIELD)
         k = 25
         p_bar = sum(traj.accept_probs[k].tolist()) / base_params.n
         u_a, u_r = mixed_relay_payoffs(float(traj.alpha[k]), p_bar, base_params)
@@ -215,7 +227,7 @@ def scalar_replay(params, horizon, seed, feed, contact_mode):
     ``simulate_episode`` per iteration, scored by ``_score_relays`` on the
     episode feed: each relay steps by ``ratio_rule`` and the source by its
     own transcription.  Returns the trajectory's arrays by name, with the
-    per-relay utilities fed at each step."""
+    per-relay actions and utilities fed at each step."""
     alpha, estimate = params.alpha_max / 2.0, 0.0
     share, cost = _cohort_shares(params), total_energy(params)
     relays = [(0.5, 0.0, 0.0)] * params.n
@@ -238,9 +250,8 @@ def scalar_replay(params, horizon, seed, feed, contact_mode):
         eps = 1.0 / (1.0 + k)
         estimate += eps * (float(delivered) - estimate)
         alpha = min(max(alpha + eps * (params.delta - estimate), 0.0), params.alpha_max)
-        rows.append((start_alpha, estimate, probs, fed, sum(accepted), delivered))
-    names = ("alpha", "u_s_est", "accept_probs", "utilities", "n_accept", "delivered")
-    return SimpleNamespace(**{name: np.array(column) for name, column in zip(names, zip(*rows))})
+        rows.append((start_alpha, estimate, probs, accepted, fed, sum(accepted), delivered))
+    return SimpleNamespace(**{name: np.array(column) for name, column in zip(ARRAYS, zip(*rows))})
 
 
 class TestArrayStateEquivalence:
@@ -255,10 +266,9 @@ class TestArrayStateEquivalence:
                                           BINDING])
     def test_run_coupled_equals_scalar_replay(self, feed, contact_mode, scenario):
         params = make_params(**scenario)
-        got = run_coupled(params, 300, seed=13, feed=feed, contact_mode=contact_mode)
+        got = recorded_arrays(params, 300, seed=13, feed=feed, contact_mode=contact_mode)
         want = scalar_replay(params, 300, 13, feed, contact_mode)
-        for name in ("alpha", "u_s_est", "accept_probs", "utilities", "n_accept",
-                     "delivered"):
+        for name in ARRAYS:
             got_a, want_a = getattr(got, name), getattr(want, name)
             assert got_a.dtype == want_a.dtype and np.array_equal(got_a, want_a), name
 
@@ -288,11 +298,10 @@ class TestLearnStream:
     def test_short_runs_are_prefixes_across_block_boundaries(self, contact_mode, scenario):
         params = make_params(**scenario)
         block = learning._BLOCK
-        long = run_coupled(params, 3 * block + 5, seed=21, contact_mode=contact_mode)
+        long = recorded_arrays(params, 3 * block + 5, seed=21, contact_mode=contact_mode)
         for horizon in (1, block - 1, block, block + 1, 3 * block):
-            short = run_coupled(params, horizon, seed=21, contact_mode=contact_mode)
-            for name in ("alpha", "u_s_est", "accept_probs", "utilities", "n_accept",
-                         "delivered"):
+            short = recorded_arrays(params, horizon, seed=21, contact_mode=contact_mode)
+            for name in ARRAYS:
                 assert np.array_equal(getattr(short, name), getattr(long, name)[:horizon]), \
                     (horizon, name)
 
