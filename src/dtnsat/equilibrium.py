@@ -19,15 +19,19 @@ evaluates the minimum accept probability, its success, the binding delivery
 and the indifference reward at every point at once.  :func:`solve_ese` is
 its one-element case, and the sweep columns :func:`mse_columns`,
 :func:`ese_columns` and :func:`delivery_column` feed the CSV modes.  The
-pure candidates are one column too, :func:`pse_columns`: over the same
-contact and cost columns, each point expands to one row per cohort from
-its QoS bound to n.  The columns use numpy only for ``+ - * /``,
-comparisons and selection, which IEEE rounds alike in numpy and in Python
-floats; ``exp``, ``expm1``, ``log1p`` and the pure ``q**m`` are Python's
-own, mapped over the column, because numpy's differ from them in the last
-bit on a few percent of inputs.  So every point keeps the bits of the
-scalar model functions in :mod:`dtnsat.model`, which the columns restate
-elementwise.
+pure candidates are one column too, :func:`pse_columns`: each point
+expands to one row per cohort from its QoS bound to n.  Both kernels meet
+a sweep in one place, :func:`_sweep_point`: it sets the swept variable and
+gives the fleet and QoS and, at each point, the
+:func:`dtnsat.model.relay_failure_probability`, the
+:func:`dtnsat.model.contact_probability` and the
+:func:`dtnsat.model.reduced_cooperation_cost`.  The columns use numpy only
+for ``+ - * /``, comparisons and selection, which IEEE rounds alike in
+numpy and in Python floats; ``exp``, ``expm1``, ``log1p`` and the pure
+``q**m`` are Python's own, mapped over the column, because numpy's differ
+from them in the last bit on a few percent of inputs.  So every point
+keeps the bits of the scalar model functions in :mod:`dtnsat.model`, which
+the columns restate elementwise.
 """
 from __future__ import annotations
 
@@ -40,6 +44,7 @@ from typing import Optional
 import numpy as np
 
 from .model import (
+    ContactModel,
     GameParams,
     _any_delivers,
     expected_relay_utility_mixed,
@@ -47,7 +52,6 @@ from .model import (
     per_relay_success,
     reduced_payoffs,
     relay_failure_probability,
-    with_param,
 )
 
 
@@ -63,7 +67,8 @@ class FloatRangeError(ValueError):
     """Raised when an equilibrium quantity over- or underflows a float."""
 
 
-# kept only because perfbench's region check imports it; the package does not use it
+# unused by the package: perfbench's region check and the threshold-bracket test of
+# test_equilibrium's TestSatisfactionRegion import it
 BISECTION_TOL = 1e-6
 # strictly-better margin for the dominance verdict, guards float noise
 DOMINANCE_MARGIN = 1e-9
@@ -136,13 +141,6 @@ def _map(fn, x) -> np.ndarray:
     return np.fromiter(map(fn, xs), float, len(xs))
 
 
-def _contact_column(x):
-    """(q, reach) at lam*tau = x, elementwise: the
-    :func:`dtnsat.model.relay_failure_probability` exp(-x) and the
-    :func:`dtnsat.model.contact_probability` -expm1(-x)."""
-    return _map(math.exp, -x), -_map(math.expm1, -x)
-
-
 def _any_delivers_column(z, n):
     """:func:`dtnsat.model._any_delivers` elementwise: 1 - (1 - z)**n, and 1
     where z = 1, at which log1p(-z) would raise."""
@@ -151,25 +149,24 @@ def _any_delivers_column(z, n):
                     1.0)
 
 
-def _reduced_cost_column(params: GameParams, lam, tau, x, reach):
-    """:func:`dtnsat.model.reduced_cooperation_cost` elementwise, at
-    x = lam*tau and reach = -expm1(-x); the masked-out branch divides by
-    zero at lam = 0."""
-    e = params.energy
-    stored = e.e_store * reach
-    stored = np.where(stored < sys.float_info.min,
-                      e.e_store * tau * np.where(x > 0, reach / x, 1.0), stored / lam)
-    return e.e_receive + e.e_transmit + stored
-
-
 def _sweep_point(params: GameParams, var: Optional[str], values):
-    """(lam, tau, n, delta) of ``params`` with the sweepable ``var`` (None
-    for none) replaced by the float array of ``values``."""
+    """(n, delta, q, reach, cost) of ``params`` with the sweepable ``var``
+    (None for none) set to the float array of ``values``: the fleet, the QoS
+    and, elementwise at x = lam*tau, the failure probability exp(-x), the
+    contact probability -expm1(-x) and the reduced cooperation cost."""
     point = {"lambda": params.contact.lam, "tau": params.contact.tau,
              "n": params.n, "delta": params.delta}
     if var is not None:
         point[var] = np.asarray(values, dtype=float)
-    return point["lambda"], point["tau"], point["n"], point["delta"]
+    lam, tau, e = point["lambda"], point["tau"], params.energy
+    with np.errstate(all="ignore"):  # the masked-out branch divides by zero at lam = 0
+        x = lam * tau
+        q, reach = _map(math.exp, -x), -_map(math.expm1, -x)
+        stored = e.e_store * reach
+        stored = np.where(stored < sys.float_info.min,
+                          e.e_store * tau * np.where(x > 0, reach / x, 1.0), stored / lam)
+        cost = e.e_receive + e.e_transmit + stored
+    return point["n"], point["delta"], q, reach, cost
 
 
 @dataclass(frozen=True)
@@ -196,19 +193,16 @@ def _mixed_column(params: GameParams, var: Optional[str] = None, values=(),
     to each of ``values``.  The reward and its success are taken at p, by
     default at min(p_min, 1).  Raises nothing: the callers check the points.
     """
-    lam, tau, n, delta = _sweep_point(params, var, values)
+    n, delta, q, reach, cost = _sweep_point(params, var, values)
     # the masked-out points divide by zero and overflow: numpy must not warn
     with np.errstate(all="ignore"):
-        x = lam * tau
-        q, reach = _contact_column(x)
         ceiling = (1.0 - q) * reach
         # 1 - (1 - delta)**(1/n), which would round to 0 for a tiny delta
         bound = -_map(math.expm1, _map(math.log1p, -delta) / n)
         p_min = np.where(ceiling > 0.0, bound / ceiling, math.inf)
         z_star = ceiling * np.minimum(p_min, 1.0)
         success = _any_delivers_column(z_star if p is None else ceiling * p, n)
-        alpha = _indifference_reward(params, n, _reduced_cost_column(params, lam, tau, x, reach),
-                                     n, success)
+        alpha = _indifference_reward(params, n, cost, n, success)
     return _MixedColumn(np.broadcast_to(delta, p_min.shape), ceiling, p_min, z_star,
                         success, alpha)
 
@@ -268,11 +262,7 @@ def pse_columns(params: GameParams, var: Optional[str], values):
     Raises the overflow of the first reward, in row order, that is not
     finite.
     """
-    lam, tau, n, delta = _sweep_point(params, var, values)
-    with np.errstate(all="ignore"):  # lam = 0 divides by zero in a masked-out branch
-        x = lam * tau
-        q, reach = _contact_column(x)
-        cost = _reduced_cost_column(params, lam, tau, x, reach)
+    n, delta, q, _, cost = _sweep_point(params, var, values)
     q, cost, fleet, delta = np.broadcast_arrays(q, cost, n, delta)
     size = len(q)
     n_a_min = np.fromiter(map(_cohort_bound, q.tolist(), delta.tolist()), float, size)
@@ -337,11 +327,12 @@ def satisfaction_region(params: GameParams, sweep_var: str, lo: float, hi: float
         raise RangeError(f"need lo < hi, got [{lo}, {hi}]")
     if sweep_var not in ("tau", "lambda"):
         raise ValueError(f"sweep_var must be 'tau' or 'lambda', got {sweep_var!r}")
-    for value in (lo, hi):  # the constructors check both endpoints
-        with_param(params, sweep_var, value)
+    lam, tau = params.contact.lam, params.contact.tau
+    for value in (lo, hi):  # the constructor checks both endpoints
+        ContactModel(lam, value) if sweep_var == "tau" else ContactModel(value, tau)
     if not 0 <= fixed_p <= 1:
         raise ValueError(f"p must be in [0, 1], got {fixed_p}")
-    fixed = params.contact.tau if sweep_var == "lambda" else params.contact.lam
+    fixed = tau if sweep_var == "lambda" else lam
     bound = -math.expm1(math.log1p(-params.delta) / params.n)
     ratio = bound / fixed_p if fixed_p > 0 else math.inf
     if fixed == 0 or ratio >= 1.0:

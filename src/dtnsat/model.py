@@ -233,15 +233,3 @@ def expected_relay_utility_mixed(p: float, alpha: float, params: GameParams) -> 
     accept, reject = tagged_payoffs(alpha, p, params)
     return p * accept + (1.0 - p) * reject
 
-
-def with_param(params: GameParams, var: str, value: float) -> GameParams:
-    """Copy of params with one sweepable parameter (tau, lambda, n, delta) set,
-    built by the constructors, which validate every value."""
-    if var not in ("tau", "lambda", "n", "delta"):
-        raise ValueError(f"cannot sweep {var!r}; sweepable parameters are tau, lambda, n, delta")
-    c = params.contact
-    contact = (ContactModel(c.lam, value) if var == "tau" else
-               ContactModel(value, c.tau) if var == "lambda" else c)
-    return GameParams(contact, params.energy, int(value) if var == "n" else params.n,
-                      params.sigma, params.gamma, value if var == "delta" else params.delta,
-                      params.alpha_max)

@@ -1,8 +1,9 @@
 """Independent oracles that only tests call: a term-by-term delivery share,
-the reduced model's indifference gaps, whose roots the solvers return, and
-the pure and mixed solvers written point by point over the scalar model
-functions, and a coupled run that records what each relay played and was
-fed."""
+the reduced model's indifference gaps, whose roots the solvers return,
+``with_param``, which builds one sweep point through the validating
+constructors, the pure and mixed solvers written point by point over the
+scalar model functions, and a coupled run that records what each relay
+played and was fed."""
 import math
 from unittest import mock
 
@@ -16,6 +17,7 @@ from dtnsat.equilibrium import (
     mixed_relay_payoffs,
 )
 from dtnsat.model import (
+    ContactModel,
     EmptyCohortError,
     GameParams,
     expected_source_utility_mixed,
@@ -67,6 +69,19 @@ def mixed_indifference_gap(alpha: float, p: float, params: GameParams) -> float:
     """Accept-minus-reject payoff under the reduced model, common mixing p."""
     accept, reject = mixed_relay_payoffs(alpha, p, params)
     return accept - reject
+
+
+def with_param(params: GameParams, var: str, value: float) -> GameParams:
+    """Copy of params with one sweepable parameter (tau, lambda, n, delta) set,
+    built by the constructors, which validate every value."""
+    if var not in ("tau", "lambda", "n", "delta"):
+        raise ValueError(f"cannot sweep {var!r}; sweepable parameters are tau, lambda, n, delta")
+    c = params.contact
+    contact = (ContactModel(c.lam, value) if var == "tau" else
+               ContactModel(value, c.tau) if var == "lambda" else c)
+    return GameParams(contact, params.energy, int(value) if var == "n" else params.n,
+                      params.sigma, params.gamma, value if var == "delta" else params.delta,
+                      params.alpha_max)
 
 
 # The solvers point by point in Python floats, as they stood before the

@@ -23,10 +23,9 @@ from dtnsat.model import (
     expected_relay_utility_mixed,
     expected_source_utility_mixed,
     relay_failure_probability,
-    with_param,
 )
 from conftest import make_params
-from oracles import mixed_indifference_gap, pure_indifference_gap
+from oracles import mixed_indifference_gap, pure_indifference_gap, with_param
 
 # frozen with 50-digit arithmetic at the reference scenario
 ALPHA_PSE = {
@@ -348,6 +347,21 @@ class TestSatisfactionRegion:
 
 
 class TestParetoDominance:
+    # alpha_max = 5 at the reference scenario
+    @pytest.mark.parametrize("p,alpha,message", [
+        (math.nan, 1.0, "candidate_p must be in [0, 1], got nan"),
+        (math.nextafter(0.0, -1.0), 1.0, "candidate_p must be in [0, 1], got -5e-324"),
+        (math.nextafter(1.0, 2.0), 1.0,
+         "candidate_p must be in [0, 1], got 1.0000000000000002"),
+        (0.5, math.nan, "candidate_alpha must be in [0, alpha_max], got nan"),
+        (0.5, math.nextafter(0.0, -1.0),
+         "candidate_alpha must be in [0, alpha_max], got -5e-324"),
+        (0.5, math.nextafter(5.0, math.inf),
+         "candidate_alpha must be in [0, alpha_max], got 5.000000000000001")])
+    def test_candidate_outside_its_range_rejected(self, base_params, p, alpha, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            pareto_dominance_check(p, alpha, solve_ese(base_params), base_params)
+
     def test_ese_does_not_dominate_itself(self, base_params):
         ese = solve_ese(base_params)
         verdict = pareto_dominance_check(ese.p_star, ese.alpha_star, ese,

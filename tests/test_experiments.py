@@ -30,8 +30,9 @@ from dtnsat.experiments import (
     parse_config,
     run_scenario,
 )
-from dtnsat.model import GameParams, with_param
+from dtnsat.model import GameParams
 from dataclasses import replace
+from oracles import with_param
 
 FOUR_TARGET_CONFIG = """
 # three relays, varying QoS target
@@ -582,8 +583,10 @@ class TestClosedFormBytes:
     """The five closed-form perfbench configs at smoke size, seed 2025, and
     three solve-pse sweeps whose points have unequal row counts, marked rows
     (q = 1 at lambda = 0 and 5e-324, a bound past n = 2 at delta = 0.999)
-    or clamped rows: each case's mode, config and CSV sha256, so a change to
-    any closed form, sweep grid or number format shows here."""
+    or clamped rows, the mixed solvers over that lambda column, and a tau
+    region whose threshold (22.6192795632) lies inside its range: each
+    case's mode, config and CSV sha256, so a change to any closed form,
+    sweep grid or number format shows here."""
 
     TAU_50 = "sweep.var = tau\nsweep.start = 20\nsweep.stop = 2000\nsweep.points = 50\n"
     CASES = {
@@ -597,6 +600,12 @@ class TestClosedFormBytes:
         "solve-pse-lambda": (
             "solve-pse", "sweep.var = lambda\nsweep.values = 0.015,0,5e-324,1e-320,0.5,1e308\n",
             "4bcbb2f03fbe52c16031f52682def667964b66021e3f57f54e74c3e51b11d064"),
+        "solve-mse-lambda": (
+            "solve-mse", "sweep.var = lambda\nsweep.values = 0.015,0,5e-324,1e-320,0.5,1e308\n",
+            "15618bc72b590f6710b1984697a7bfed9de8554e6b8fe2bc4a257f4e108111c2"),
+        "solve-ese-lambda": (
+            "solve-ese", "sweep.var = lambda\nsweep.values = 0.015,0,5e-324,1e-320,0.5,1e308\n",
+            "adbfcf8bfca79af7411a62368f454b4d31c17d57db6d117b99d7162235b0fe5e"),
         "solve-pse-delta": (
             "solve-pse",
             "n = 2\nsweep.var = delta\nsweep.start = 0.009\nsweep.stop = 0.999\n"
@@ -608,6 +617,9 @@ class TestClosedFormBytes:
         "region": ("region", "sweep.var = lambda\nsweep.start = 0.001\nsweep.stop = 0.1\n"
                    "sweep.points = 50\n",
                    "0d069c59d883a6322330e70ee99b6e15f403c807f7206b5c6e933484cc62b59e"),
+        "region-tau-p": ("region", "p = 0.4\nsweep.var = tau\nsweep.start = 1\nsweep.stop = 500\n"
+                         "sweep.points = 40\n",
+                         "d6de844f63deeaf8f7f1322aa922012833aa22e259a3c0e48ba2a55587a168fe"),
         "pareto-grid": ("pareto-grid", "",
                         "92be6f613ed287533d2f6699cb2f2017aca6b4dba44be55a62951e69dd91e022"),
     }
@@ -916,9 +928,10 @@ class TestDegeneratePoints:
 class TestSweepBudget:
     """The sweeps do not go back to one solver call per point: the calls a
     solve-pse, solve-ese, solve-mse or region sweep, or a simulate p sweep,
-    makes of the per-point functions do not grow with the number of points."""
+    makes of the per-point functions, and the GameParams it builds, do not
+    grow with the number of points."""
 
-    COUNTED = ("with_param", "solve_ese", "expected_source_utility_mixed")
+    COUNTED = ("solve_ese", "expected_source_utility_mixed")
 
     @classmethod
     def count_calls(cls, monkeypatch):
@@ -926,7 +939,7 @@ class TestSweepBudget:
         # intra-module calls and imported aliases are counted alike
         modules = [m for name, m in sys.modules.items()
                    if name == "dtnsat" or name.startswith("dtnsat.")]
-        calls = dict.fromkeys(cls.COUNTED, 0)
+        calls = dict.fromkeys(cls.COUNTED + ("GameParams",), 0)
         for name in cls.COUNTED:
             original = getattr(dtnsat.model, name, None) or getattr(dtnsat.equilibrium, name)
 
@@ -936,6 +949,12 @@ class TestSweepBudget:
             for module in modules:
                 if getattr(module, name, None) is original:
                     monkeypatch.setattr(module, name, counted)
+        check = GameParams.__post_init__
+
+        def built(params):
+            calls["GameParams"] += 1
+            check(params)
+        monkeypatch.setattr(GameParams, "__post_init__", built)
         return calls
 
     @pytest.mark.parametrize("mode,var,lo,hi", [("solve-ese", "tau", 20, 2000),

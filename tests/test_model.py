@@ -1,4 +1,5 @@
 import math
+import re
 from dataclasses import replace
 from decimal import Decimal, localcontext
 
@@ -23,10 +24,9 @@ from dtnsat.model import (
     tagged_indifference_reward,
     tagged_payoffs,
     total_energy,
-    with_param,
 )
 from conftest import cohort_payoffs, make_params
-from oracles import CohortTooLargeError, delivery_share_bruteforce
+from oracles import CohortTooLargeError, delivery_share_bruteforce, with_param
 
 # frozen with 50-digit arithmetic for lam=0.015, tau=100
 P_C = 0.7768698398515702
@@ -206,6 +206,11 @@ class TestDeliveryShare:
         values = [delivery_share(m, 0.3) for m in range(1, 21)]
         assert all(a > b for a, b in zip(values, values[1:]))
 
+    @pytest.mark.parametrize("q", [math.nan, math.nextafter(0.0, -1.0), math.nextafter(1.0, 2.0)])
+    def test_failure_probability_outside_unit_interval_rejected(self, q):
+        with pytest.raises(ValueError, match=f"^{re.escape(f'q must be in [0, 1], got {q}')}$"):
+            delivery_share(3, q)
+
 
 class TestDeliveryShareBruteforce:
     def test_single_term(self):
@@ -273,6 +278,11 @@ class TestMixedSourceUtility:
         z = per_relay_success(base_params, 1.0)
         expect = 1 - (1 - z) ** 7
         assert expected_source_utility_mixed(1.0, base_params) == pytest.approx(expect)
+
+    @pytest.mark.parametrize("p", [math.nan, math.nextafter(0.0, -1.0), math.nextafter(1.0, 2.0)])
+    def test_probability_outside_unit_interval_rejected(self, base_params, p):
+        with pytest.raises(ValueError, match=f"^{re.escape(f'p must be in [0, 1], got {p}')}$"):
+            expected_source_utility_mixed(p, base_params)
 
 
 class TestMixedRelayUtility:

@@ -10,10 +10,9 @@ from hypothesis import given, settings, strategies as st
 from dtnsat import equilibrium
 from dtnsat.equilibrium import (
     _any_delivers_column,
-    _contact_column,
     _indifference_reward,
     _mixed_column,
-    _reduced_cost_column,
+    _sweep_point,
     delivery_column,
     ese_columns,
     mse_columns,
@@ -27,10 +26,16 @@ from dtnsat.model import (
     expected_source_utility_mixed,
     reduced_cooperation_cost,
     relay_failure_probability,
-    with_param,
 )
 from conftest import make_params
-from oracles import point_ese, point_ese_row, point_mse_reward, point_mse_row, point_pse
+from oracles import (
+    point_ese,
+    point_ese_row,
+    point_mse_reward,
+    point_mse_row,
+    point_pse,
+    with_param,
+)
 from test_solver_properties import DELTAS, FLEETS, LAMBDAS, TAUS
 
 SWEPT = {"tau": TAUS, "lambda": LAMBDAS, "n": FLEETS.map(float), "delta": DELTAS}
@@ -155,8 +160,7 @@ def test_named_points(lam, tau, var):
 @given(lams=st.lists(LAMBDAS, min_size=1, max_size=8), tau=TAUS)
 def test_contact_column_is_the_scalar_contact_model(lams, tau):
     contacts = [ContactModel(lam, tau) for lam in lams]
-    with np.errstate(over="ignore"):  # lam*tau may overflow to inf, as in the scalar
-        q, reach = _contact_column(np.array(lams) * tau)
+    _, _, q, reach, _ = _sweep_point(make_params(tau=tau), "lambda", lams)
     assert bits(q) == bits(map(relay_failure_probability, contacts))
     assert bits(reach) == bits(map(contact_probability, contacts))
 
@@ -176,11 +180,9 @@ def test_any_delivers_column_is_the_scalar_one(zs, n):
        success=st.floats(min_value=0.0, max_value=1.0, exclude_min=True))
 def test_cost_and_reward_columns_are_the_scalar_ones(lams, tau, n, success):
     params = make_params(tau=tau, n=n)
-    lam = np.array(lams)
     points = [with_param(params, "lambda", v) for v in lams]
+    cost = _sweep_point(params, "lambda", lams)[4]
     with np.errstate(all="ignore"):
-        x = lam * tau
-        cost = _reduced_cost_column(params, lam, tau, x, _contact_column(x)[1])
         reward = _indifference_reward(params, n, cost, n, np.full(len(lams), success))
     assert bits(cost) == bits(map(reduced_cooperation_cost, points))
     assert bits(reward) == bits(
