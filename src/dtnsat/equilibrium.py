@@ -70,7 +70,7 @@ class FloatRangeError(ValueError):
 # unused by the package: perfbench's region check and the threshold-bracket test of
 # test_equilibrium's TestSatisfactionRegion import it
 BISECTION_TOL = 1e-6
-# strictly-better margin for the dominance verdict, guards float noise
+# strictly-better margin of the dominance check, guards float noise
 DOMINANCE_MARGIN = 1e-9
 
 
@@ -343,22 +343,13 @@ def satisfaction_region(params: GameParams, sweep_var: str, lo: float, hi: float
     return crossing if crossing <= hi else None
 
 
-@dataclass(frozen=True)
-class DominanceVerdict:
-    """Comparison of a candidate profile against the binding equilibrium."""
-
-    source_margin_delta: float
-    relay_utility_delta: float
-    dominates: bool
-
-
 def pareto_dominance_check(candidate_p: float, candidate_alpha: float,
-                           ese: EseSolution, params: GameParams) -> DominanceVerdict:
+                           ese: EseSolution, params: GameParams) -> tuple[float, float, bool]:
     """Does (p, alpha) weakly improve both sides and strictly improve one?
 
-    The source is scored by its constraint margin (delivery minus delta) and
-    the relays by their expected mixed payoff from
-    :func:`dtnsat.model.expected_relay_utility_mixed`.
+    The source is scored by its delivery margin over delta alone, the relays
+    by :func:`dtnsat.model.expected_relay_utility_mixed` (tagged-relay share).
+    Returns ``(source_margin_delta, relay_utility_delta, dominates)``.
     """
     if not 0 <= candidate_p <= 1:
         raise ValueError(f"candidate_p must be in [0, 1], got {candidate_p}")
@@ -372,9 +363,7 @@ def pareto_dominance_check(candidate_p: float, candidate_alpha: float,
     d_relay = relay_cand - relay_ese
     weakly_both = d_margin >= -DOMINANCE_MARGIN and d_relay >= -DOMINANCE_MARGIN
     strictly_one = d_margin > DOMINANCE_MARGIN or d_relay > DOMINANCE_MARGIN
-    return DominanceVerdict(source_margin_delta=d_margin,
-                            relay_utility_delta=d_relay,
-                            dominates=weakly_both and strictly_one)
+    return d_margin, d_relay, weakly_both and strictly_one
 
 
 def pareto_grid_scan(params: GameParams, ese: EseSolution) -> np.ndarray:
@@ -395,7 +384,7 @@ def pareto_grid_scan(params: GameParams, ese: EseSolution) -> np.ndarray:
     for i in range(101):
         p = i / 100
         for a in alphas:
-            verdict = pareto_dominance_check(p, a, ese, params)
-            if verdict.dominates:
-                rows.extend((p, a, verdict.source_margin_delta, verdict.relay_utility_delta))
+            d_margin, d_relay, dominates = pareto_dominance_check(p, a, ese, params)
+            if dominates:
+                rows.extend((p, a, d_margin, d_relay))
     return np.frombuffer(rows).reshape(-1, 4)  # a view of the rows, no copy

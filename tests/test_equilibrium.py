@@ -364,45 +364,43 @@ class TestParetoDominance:
 
     def test_ese_does_not_dominate_itself(self, base_params):
         ese = solve_ese(base_params)
-        verdict = pareto_dominance_check(ese.p_star, ese.alpha_star, ese,
-                                         base_params)
-        assert not verdict.dominates
+        _, _, dominates = pareto_dominance_check(ese.p_star, ese.alpha_star, ese,
+                                                 base_params)
+        assert not dominates
 
     def test_worse_source_margin_never_dominates(self, base_params):
         ese = solve_ese(base_params)
-        verdict = pareto_dominance_check(0.01, 0.0, ese, base_params)
-        assert verdict.source_margin_delta < 0
-        assert not verdict.dominates
+        d_margin, _, dominates = pareto_dominance_check(0.01, 0.0, ese, base_params)
+        assert d_margin < 0
+        assert not dominates
 
     def test_reward_cut_with_more_acceptance_helps_relays(self, base_params):
         # computed outcome: the forfeited-reward term dominates the relay
         # payoff at low acceptance, so cutting the reward while raising p
         # improves both sides; the binding equilibrium is grid-dominated
         ese = solve_ese(base_params)
-        verdict = pareto_dominance_check(1.2 * ese.p_star, 0.8 * ese.alpha_star,
-                                         ese, base_params)
-        assert verdict.source_margin_delta > 0
-        assert verdict.relay_utility_delta > 0
-        assert verdict.dominates
+        d_margin, d_relay, dominates = pareto_dominance_check(
+            1.2 * ese.p_star, 0.8 * ese.alpha_star, ese, base_params)
+        assert d_margin > 0
+        assert d_relay > 0
+        assert dominates
 
     def test_relay_delta_matches_direct_expectations(self, base_params):
         ese = solve_ese(base_params)
         cand_p, cand_alpha = 0.3, 1.0
-        verdict = pareto_dominance_check(cand_p, cand_alpha, ese, base_params)
+        _, d_relay, _ = pareto_dominance_check(cand_p, cand_alpha, ese, base_params)
         expect = (expected_relay_utility_mixed(cand_p, cand_alpha, base_params)
                   - expected_relay_utility_mixed(ese.p_star, ese.alpha_star,
                                                  base_params))
-        assert verdict.relay_utility_delta == pytest.approx(expect, rel=1e-12)
+        assert d_relay == pytest.approx(expect, rel=1e-12)
 
     def test_grid_scan_finds_the_dominating_region(self, base_params):
         ese = solve_ese(base_params)
         dominators = pareto_grid_scan(base_params, ese)
         assert len(dominators), "reward-free high-acceptance points dominate"
         for p, alpha, d_margin, d_relay in dominators.tolist():
-            verdict = pareto_dominance_check(p, alpha, ese, base_params)
-            assert verdict.dominates
-            assert (verdict.source_margin_delta, verdict.relay_utility_delta) == \
-                (d_margin, d_relay)
+            assert pareto_dominance_check(p, alpha, ese, base_params) == \
+                (d_margin, d_relay, True)
             assert expected_source_utility_mixed(p, base_params) >= \
                 base_params.delta - 1e-9
 
@@ -417,10 +415,9 @@ class TestParetoDominance:
         want = []
         for i in range(101):
             for a in alphas:
-                verdict = pareto_dominance_check(i / 100, a, ese, params)
-                if verdict.dominates:
-                    want.append((i / 100, a, verdict.source_margin_delta,
-                                 verdict.relay_utility_delta))
+                d_margin, d_relay, dominates = pareto_dominance_check(i / 100, a, ese, params)
+                if dominates:
+                    want.append((i / 100, a, d_margin, d_relay))
         rows = pareto_grid_scan(params, ese)
         assert rows.dtype == np.float64 and rows.shape == (len(want), 4) == (count, 4)
         assert rows.tobytes() == np.array(want).tobytes()

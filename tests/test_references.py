@@ -1,5 +1,7 @@
 """Every dotted name the README cites and every :func:/:class: reference in
-the package docstrings resolves to an attribute of its module."""
+the package docstrings resolves to an attribute of its module, and every
+module-level private name of the package is read somewhere in it."""
+import ast
 import importlib
 import pkgutil
 import re
@@ -58,3 +60,57 @@ def test_docstring_reference_resolves(module, ref):
 def test_a_stale_reference_fails():
     assert not resolves("simulate", "_no_such_kernel")
     assert not resolves("experiments", "dtnsat.model.no_such_payoff")
+
+
+def private_definitions(tree: ast.Module) -> set[str]:
+    """Module-level ``_name`` functions, classes and assignments (no dunders)."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update(t.id for t in targets if isinstance(t, ast.Name))
+    return {name for name in names if name.startswith("_") and not name.startswith("__")}
+
+
+def unused_private_names(package: Path) -> list[str]:
+    """``module.name`` of each private name that no module of ``package`` reads.
+
+    A name counts as read where it is loaded in its own module, loaded in a
+    module that imports it from there, or taken as an attribute anywhere.
+    """
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
+             for path in package.glob("*.py")}
+    loads = {module: {node.id for node in ast.walk(tree)
+                      if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+             for module, tree in trees.items()}
+    attributes = {node.attr for tree in trees.values() for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute)}
+    read = {(module, name) for module in trees for name in loads[module] | attributes}
+    for module, tree in trees.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module:
+                read.update((node.module, alias.name) for alias in node.names
+                            if (alias.asname or alias.name) in loads[module])
+    return sorted(f"{module}.{name}" for module, tree in trees.items()
+                  for name in private_definitions(tree) if (module, name) not in read)
+
+
+def test_every_private_name_is_used():
+    defined = {name for path in PACKAGE.glob("*.py")
+               for name in private_definitions(ast.parse(path.read_text(encoding="utf-8")))}
+    assert len(defined) >= 49
+    assert unused_private_names(PACKAGE) == []
+
+
+def test_an_unused_private_name_fails(tmp_path):
+    (tmp_path / "core.py").write_text(
+        "_LIMIT = 3\n_TABLE: dict = {}\n\n\ndef _helper():\n    return 1\n\n\n"
+        "def _kernel():\n    return _LIMIT\n\n\nclass _Rows:\n    pass\n",
+        encoding="utf-8")
+    (tmp_path / "api.py").write_text(
+        "from .core import _Rows, _TABLE, _kernel\n\n\ndef run():\n    return _kernel()\n\n\n"
+        "def size(rows):\n    return rows._TABLE\n", encoding="utf-8")
+    # _Rows is imported but never loaded; _TABLE is read as an attribute
+    assert unused_private_names(tmp_path) == ["core._Rows", "core._helper"]
