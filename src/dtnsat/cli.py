@@ -48,7 +48,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             emit_csv(table, args.out)
         else:
             sys.stdout.writelines(_csv_lines(table))
-    except (ConfigError, OSError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"dtnsat {args.mode}: error: {exc}", file=sys.stderr)
         return 1
     return 0

@@ -307,6 +307,10 @@ def run_scenario(config: ScenarioConfig) -> ResultTable:
         raise
     except ValueError as exc:
         raise ConfigError(f"mode {config.mode}: {exc}") from exc
+    except MemoryError:
+        keys = _SIZE_KEYS.get(config.mode)
+        raise ConfigError(f"mode {config.mode}: the run is too large to allocate"
+                          + (f"; lower {keys}" if keys else "")) from None
 
 
 def _swept(config: ScenarioConfig) -> tuple[Optional[str], tuple[float, ...]]:
@@ -414,3 +418,5 @@ _MODE_TABLE = {
 }
 MODES = tuple(_MODE_TABLE)
 SWEEP_VARS = tuple(dict.fromkeys(var for _, sweeps in _MODE_TABLE.values() for var in sweeps))
+# the config keys that size the arrays a mode allocates
+_SIZE_KEYS = {"solve-pse": "n", "learn": "horizon or n", "simulate": "trials or n"}

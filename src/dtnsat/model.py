@@ -215,15 +215,6 @@ def tagged_payoffs(alpha: float, p: float, params: GameParams) -> tuple[float, f
     return relay_payoffs(alpha, share, total_energy(params), params)
 
 
-def tagged_indifference_reward(params: GameParams, p: float) -> float:
-    """Reward at which the tagged-relay gap 2*alpha*S - sigma*(1 - S) - cost
-    + gamma, accept minus reject at mean share S, is zero."""
-    share = _tagged_share(p, params)
-    if share == 0.0:
-        raise DegenerateRateError("tagged indifference reward needs a relay that can deliver")
-    return (params.sigma * (1.0 - share) + total_energy(params) - params.gamma) / (2.0 * share)
-
-
 def expected_relay_utility_mixed(p: float, alpha: float, params: GameParams) -> float:
     """Tagged relay's expected payoff when the other n-1 relays accept with p.
 

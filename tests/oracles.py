@@ -1,5 +1,6 @@
 """Independent oracles that only tests call: a term-by-term delivery share,
-the reduced model's indifference gaps, whose roots the solvers return,
+the reduced model's indifference gaps, whose roots the solvers return, the
+tagged-relay indifference reward, the root of the game's gap,
 ``with_param``, which builds one sweep point through the validating
 constructors, the pure and mixed solvers written point by point over the
 scalar model functions, and a coupled run that records what each relay
@@ -18,13 +19,16 @@ from dtnsat.equilibrium import (
 )
 from dtnsat.model import (
     ContactModel,
+    DegenerateRateError,
     EmptyCohortError,
     GameParams,
+    _tagged_share,
     expected_source_utility_mixed,
     per_relay_success,
     reduced_cooperation_cost,
     reduced_payoffs,
     relay_failure_probability,
+    total_energy,
 )
 
 
@@ -69,6 +73,15 @@ def mixed_indifference_gap(alpha: float, p: float, params: GameParams) -> float:
     """Accept-minus-reject payoff under the reduced model, common mixing p."""
     accept, reject = mixed_relay_payoffs(alpha, p, params)
     return accept - reject
+
+
+def tagged_indifference_reward(params: GameParams, p: float) -> float:
+    """Reward at which the tagged-relay gap 2*alpha*S - sigma*(1 - S) - cost
+    + gamma, accept minus reject at mean share S, is zero."""
+    share = _tagged_share(p, params)
+    if share == 0.0:
+        raise DegenerateRateError("tagged indifference reward needs a relay that can deliver")
+    return (params.sigma * (1.0 - share) + total_energy(params) - params.gamma) / (2.0 * share)
 
 
 def with_param(params: GameParams, var: str, value: float) -> GameParams:

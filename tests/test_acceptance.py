@@ -33,13 +33,13 @@ from dtnsat.model import (
     expected_source_utility_mixed,
     relay_failure_probability,
     relay_payoffs,
-    tagged_indifference_reward,
     tagged_payoffs,
     total_energy,
 )
 from dtnsat.simulate import estimate_delivery, estimate_relay_utility
 from conftest import make_params
-from oracles import delivery_share_bruteforce, pure_indifference_gap, run_coupled_fed
+from oracles import delivery_share_bruteforce, pure_indifference_gap, run_coupled_fed, \
+    tagged_indifference_reward
 
 
 def report(number: int, ok: bool, detail: str) -> None:

@@ -924,6 +924,24 @@ class TestDegeneratePoints:
         assert out == ""
         assert err == f"dtnsat {mode}: error: mode {mode}: {message}\n"
 
+    # numpy and list refuse 1e16 elements before they allocate any; at the
+    # default 10000 trials numpy rejects simulate's (trials, n) shape as a
+    # ValueError instead
+    @pytest.mark.parametrize("mode,config,keys", [
+        ("solve-pse", "n = 10000000000000000\n", "n"),
+        ("solve-pse", "sweep.var = n\nsweep.values = 1e16\n", "n"),
+        ("simulate", "n = 10000000000000000\ntrials = 1\n", "trials or n"),
+        ("learn", "n = 10000000000000000\n", "horizon or n")],
+        ids=["solve-pse", "solve-pse-sweep", "simulate", "learn"])
+    def test_a_run_too_large_to_allocate_fails(self, mode, config, keys, tmp_path, capsys):
+        cfg = tmp_path / "fleet.cfg"
+        cfg.write_text(config)
+        assert main([mode, "--config", str(cfg)]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == (f"dtnsat {mode}: error: mode {mode}: the run is too large to "
+                       f"allocate; lower {keys}\n")
+
 
 class TestSweepBudget:
     """The sweeps do not go back to one solver call per point: the calls a

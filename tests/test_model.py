@@ -21,12 +21,12 @@ from dtnsat.model import (
     relay_failure_probability,
     relay_payoffs,
     storage_energy,
-    tagged_indifference_reward,
     tagged_payoffs,
     total_energy,
 )
 from conftest import cohort_payoffs, make_params
-from oracles import CohortTooLargeError, delivery_share_bruteforce, with_param
+from oracles import CohortTooLargeError, delivery_share_bruteforce, tagged_indifference_reward, \
+    with_param
 
 # frozen with 50-digit arithmetic for lam=0.015, tau=100
 P_C = 0.7768698398515702

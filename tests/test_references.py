@@ -1,10 +1,14 @@
 """Every dotted name the README cites and every :func:/:class: reference in
-the package docstrings resolves to an attribute of its module, and every
-module-level private name of the package is read somewhere in it."""
+the package docstrings resolves to an attribute of its module, every
+module-level name of the package is read somewhere in it, and ``import
+dtnsat`` loads no module of the package."""
 import ast
 import importlib
+import os
 import pkgutil
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -62,8 +66,8 @@ def test_a_stale_reference_fails():
     assert not resolves("experiments", "dtnsat.model.no_such_payoff")
 
 
-def private_definitions(tree: ast.Module) -> set[str]:
-    """Module-level ``_name`` functions, classes and assignments (no dunders)."""
+def definitions(tree: ast.Module) -> set[str]:
+    """Module-level functions, classes and assignments (no dunders)."""
     names = set()
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
@@ -71,11 +75,17 @@ def private_definitions(tree: ast.Module) -> set[str]:
         elif isinstance(node, (ast.Assign, ast.AnnAssign)):
             targets = node.targets if isinstance(node, ast.Assign) else [node.target]
             names.update(t.id for t in targets if isinstance(t, ast.Name))
-    return {name for name in names if name.startswith("_") and not name.startswith("__")}
+    return {name for name in names if not name.startswith("__")}
 
 
-def unused_private_names(package: Path) -> list[str]:
-    """``module.name`` of each private name that no module of ``package`` reads.
+def private_definitions(tree: ast.Module) -> set[str]:
+    """Module-level ``_name`` functions, classes and assignments (no dunders)."""
+    return {name for name in definitions(tree) if name.startswith("_")}
+
+
+def unread_names(package: Path) -> list[str]:
+    """``module.name`` of each module-level name that no module of
+    ``package`` reads.
 
     A name counts as read where it is loaded in its own module, loaded in a
     module that imports it from there, or taken as an attribute anywhere.
@@ -94,7 +104,15 @@ def unused_private_names(package: Path) -> list[str]:
                 read.update((node.module, alias.name) for alias in node.names
                             if (alias.asname or alias.name) in loads[module])
     return sorted(f"{module}.{name}" for module, tree in trees.items()
-                  for name in private_definitions(tree) if (module, name) not in read)
+                  for name in definitions(tree) if (module, name) not in read)
+
+
+def unused_private_names(package: Path) -> list[str]:
+    return [ref for ref in unread_names(package) if ref.partition(".")[2].startswith("_")]
+
+
+def unread_public_names(package: Path) -> list[str]:
+    return [ref for ref in unread_names(package) if not ref.partition(".")[2].startswith("_")]
 
 
 def test_every_private_name_is_used():
@@ -114,3 +132,42 @@ def test_an_unused_private_name_fails(tmp_path):
         "def size(rows):\n    return rows._TABLE\n", encoding="utf-8")
     # _Rows is imported but never loaded; _TABLE is read as an attribute
     assert unused_private_names(tmp_path) == ["core._Rows", "core._helper"]
+
+
+# the public names that no module of the package reads
+PERFBENCH_ONLY = [
+    # only perfbench/workloads.py imports it, for the region check's slack
+    # (ROADMAP items 1 and 17)
+    "equilibrium.BISECTION_TOL",
+    # only perfbench/workloads.py imports it, for its solve-pse check
+    # (ROADMAP items 1 and 17)
+    "equilibrium.minimum_satisfying_cohort",
+]
+
+
+def test_every_public_name_is_read():
+    assert unread_public_names(PACKAGE) == PERFBENCH_ONLY
+
+
+def test_an_unread_public_name_fails(tmp_path):
+    (tmp_path / "core.py").write_text(
+        "LIMIT = 3\nTABLE: dict = {}\n_SCALE = 2\n\n\ndef helper():\n    return 1\n\n\n"
+        "def kernel():\n    return LIMIT * _SCALE\n\n\nclass Rows:\n    pass\n",
+        encoding="utf-8")
+    (tmp_path / "api.py").write_text(
+        "from .core import Rows, TABLE, kernel\n\n\ndef run():\n    return kernel()\n\n\n"
+        "def size(rows):\n    return rows.TABLE\n\n\nrun()\nsize(None)\n", encoding="utf-8")
+    # Rows is imported but never loaded; TABLE is read as an attribute
+    assert unread_public_names(tmp_path) == ["core.Rows", "core.helper"]
+    assert unused_private_names(tmp_path) == []
+
+
+def test_the_package_namespace_is_thin():
+    # a fresh interpreter, so that no test has imported a module yet
+    probe = ("import sys, dtnsat; "
+             "print(sorted(m for m in sys.modules if m.startswith('dtnsat.'))); "
+             "print(sorted(n for n in vars(dtnsat) if not n.startswith('_')))")
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out == "[]\n[]\n"
