@@ -189,7 +189,16 @@ def _build_sweep(v: dict[str, object]) -> Optional[SweepSpec]:
             raise ConfigError(f"sweep range must have start < stop, got "
                               f"[{start}, {stop}]")
         step = (stop - start) / (points - 1)
-        values = tuple(start + i * step for i in range(points - 1)) + (stop,)
+        # start + i*step with Python's bits, allocated up front; numpy makes an
+        # empty range of 2**63 - 2 points, and NaNs (named below) of an inf step
+        try:
+            with np.errstate(all="ignore"):
+                spaced = np.arange(points - 1) * step + start
+            if len(spaced) != points - 1:
+                raise MemoryError
+            values = tuple(spaced.tolist()) + (stop,)
+        except (MemoryError, ValueError):
+            raise ConfigError(f"sweep.points = {points} is too large to allocate") from None
     elif any(v[key] is not None for key in grid):
         raise ConfigError("sweep.values conflicts with "
                           f"{', '.join(key for key in grid if v[key] is not None)}; "
@@ -297,7 +306,7 @@ def run_scenario(config: ScenarioConfig) -> ResultTable:
     """Dispatch on the mode and evaluate it over the sweep grid."""
     if config.mode not in MODES:
         raise ConfigError(f"mode must be one of {MODES}, got {config.mode!r}")
-    runner, sweeps = _MODE_TABLE[config.mode]
+    runner, sweeps, size_keys = _MODE_TABLE[config.mode]
     if config.sweep is not None and config.sweep.var not in sweeps:
         raise ConfigError(f"mode {config.mode} does not sweep sweep.var = {config.sweep.var}; "
                           f"it sweeps {', '.join(sweeps) or 'nothing'}")
@@ -307,10 +316,10 @@ def run_scenario(config: ScenarioConfig) -> ResultTable:
         raise
     except ValueError as exc:
         raise ConfigError(f"mode {config.mode}: {exc}") from exc
-    except MemoryError:
-        keys = _SIZE_KEYS.get(config.mode)
+    except (MemoryError, OverflowError):
+        # numpy and list refuse a size past the index range with OverflowError
         raise ConfigError(f"mode {config.mode}: the run is too large to allocate"
-                          + (f"; lower {keys}" if keys else "")) from None
+                          + (f"; lower {size_keys}" if size_keys else "")) from None
 
 
 def _swept(config: ScenarioConfig) -> tuple[Optional[str], tuple[float, ...]]:
@@ -405,18 +414,17 @@ def _run_pareto_grid(config: ScenarioConfig) -> ResultTable:
                          (scan,), extra)
 
 
-# every mode: its runner and the sweep variables it honours
+# every mode: its runner, the sweep variables it honours and the config
+# keys that size the arrays it allocates
 _SOLVE_SWEEPS = ("tau", "lambda", "n", "delta")
 _MODE_TABLE = {
-    "solve-pse": (_run_solve_pse, _SOLVE_SWEEPS),
-    "solve-mse": (_run_solve_mse, _SOLVE_SWEEPS),
-    "solve-ese": (_run_solve_ese, _SOLVE_SWEEPS),
-    "region": (_run_region, ("tau", "lambda")),
-    "learn": (_run_learn, ()),
-    "simulate": (_run_simulate, ("p",)),
-    "pareto-grid": (_run_pareto_grid, ()),
+    "solve-pse": (_run_solve_pse, _SOLVE_SWEEPS, "n"),
+    "solve-mse": (_run_solve_mse, _SOLVE_SWEEPS, None),
+    "solve-ese": (_run_solve_ese, _SOLVE_SWEEPS, None),
+    "region": (_run_region, ("tau", "lambda"), None),
+    "learn": (_run_learn, (), "horizon or n"),
+    "simulate": (_run_simulate, ("p",), "trials or n"),
+    "pareto-grid": (_run_pareto_grid, (), None),
 }
 MODES = tuple(_MODE_TABLE)
-SWEEP_VARS = tuple(dict.fromkeys(var for _, sweeps in _MODE_TABLE.values() for var in sweeps))
-# the config keys that size the arrays a mode allocates
-_SIZE_KEYS = {"solve-pse": "n", "learn": "horizon or n", "simulate": "trials or n"}
+SWEEP_VARS = tuple(dict.fromkeys(var for _, sweeps, _ in _MODE_TABLE.values() for var in sweeps))

@@ -138,12 +138,12 @@ def run_coupled(params: GameParams, horizon: int, seed: int,
     source.  A step's feed is one checked (accept, decline) pair of floats,
     from the run's share table at the count in ``n_accept[i]`` (episode
     feed), spread over the relays by their actions.  The run is
-    bit-identical to stepping ``simulate_episode`` on window i of the
-    ``seed`` stream, then ``_score_relays`` on its acceptances (episode
-    feed), then each relay and the source in turn.  A shorter run is a
-    prefix of a longer one with the same seed.  Returns the five arrays that
-    ``learn`` writes (:class:`Trajectory`); the actions and fed pairs are
-    not kept.
+    bit-identical to drawing window i of the ``seed`` stream as one episode
+    with one accept probability per relay, paying its acceptances the sides
+    of ``_cohort_payoffs`` they played (episode feed), then stepping each
+    relay and the source in turn.  A shorter run is a prefix of a longer
+    one with the same seed.  Returns the five arrays that ``learn`` writes
+    (:class:`Trajectory`); the actions and fed pairs are not kept.
     """
     if feed not in FEEDS:
         raise ValueError(f"feed must be one of {FEEDS}, got {feed!r}")

@@ -26,9 +26,9 @@ SC'11).  Model mode makes that test in log space, ``log1p(-u) >
 -lambda * tau``, and never builds the exponentials: negating a double is
 exact, so the test holds exactly where ``-log1p(-u) < lambda * tau`` does.
 An estimator walks one generator through the windows in trial order,
-passing :func:`simulate_episode` its p as one float that all relays share; a
-trial's result does not depend on evaluation order, and the same seed gives
-the same bytes.  ``learn`` shares the stream: iteration ``i`` of
+passing :func:`simulate_episode` its p as the one float that all relays
+share; a trial's result does not depend on evaluation order, and the same
+seed gives the same bytes.  ``learn`` shares the stream: iteration ``i`` of
 :func:`dtnsat.learning.run_coupled` reads window ``i``.
 """
 from __future__ import annotations
@@ -36,7 +36,6 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -54,7 +53,6 @@ class EstimateWithCI:
 
     mean: float
     stderr: float
-    trials: int
 
 
 def _window(n: int) -> int:
@@ -81,40 +79,21 @@ def _index(name: str, value) -> int:
         raise TypeError(f"{name} must be an integer, got {value!r}") from None
 
 
-def simulate_episode(params: GameParams, accept_probs: Sequence[float] | float,
-                     rng: np.random.Generator, mode: str = MODEL) -> tuple[np.ndarray, bool]:
+def simulate_episode(params: GameParams, accept_prob: float, rng: np.random.Generator,
+                     mode: str = MODEL) -> tuple[np.ndarray, bool]:
     """Run one episode on the next window of ``rng``: (accepted, delivered).
 
-    ``accept_probs`` is one probability per relay, or one float (Python or
-    ``np.float64``) that all relays share.  Exactly ``W(n)`` doubles are
-    drawn, so a generator from :func:`episode_rng` of trial t is left at
-    trial t + 1.
+    ``accept_prob`` is one double (Python or ``np.float64``) that all
+    relays share.  Exactly ``W(n)`` doubles are drawn, so a generator from
+    :func:`episode_rng` of trial t is left at trial t + 1.
     """
-    n = params.n
-    if isinstance(accept_probs, float):
-        probs = accept_probs
-        valid = 0.0 <= probs <= 1.0  # a NaN fails both comparisons
-    else:
-        probs = np.asarray(accept_probs, dtype=float)
-        if probs.shape != (n,):
-            raise ValueError(f"need accept probabilities of shape ({n},), got shape {probs.shape}")
-        # NaN-propagating reductions: a NaN fails both comparisons
-        valid = np.minimum.reduce(probs) >= 0.0 and np.maximum.reduce(probs) <= 1.0
-    if not valid:
-        slots = np.atleast_1d(probs)
-        bad = slots[~((slots >= 0.0) & (slots <= 1.0))][0]
-        raise ValueError(f"accept probabilities must lie in [0, 1], got {bad}")
-    flips, reach = _contacts(params, rng.random(_window(n)), mode)
-    accepted = flips < probs
+    if not isinstance(accept_prob, float):
+        raise ValueError(f"accept probability must be a float or np.float64, got {accept_prob!r}")
+    if not 0.0 <= accept_prob <= 1.0:  # a NaN fails both comparisons
+        raise ValueError(f"accept probabilities must lie in [0, 1], got {accept_prob}")
+    flips, reach = _contacts(params, rng.random(_window(params.n)), mode)
+    accepted = flips < accept_prob
     return accepted, bool(np.count_nonzero(accepted & reach))
-
-
-def _draw(params: GameParams, u: np.ndarray) -> tuple[np.ndarray, ...]:
-    """(flips, source draws, destination draws) of windows ``u`` of shape
-    (..., W); the contact draws are unit exponentials by inverse CDF."""
-    n = params.n
-    exps = -np.log1p(-u[..., n:3 * n])
-    return u[..., :n], exps[..., :n], exps[..., n:]
 
 
 def _contacts(params: GameParams, u: np.ndarray, mode: str) -> tuple[np.ndarray, np.ndarray]:
@@ -128,12 +107,13 @@ def _contacts(params: GameParams, u: np.ndarray, mode: str) -> tuple[np.ndarray,
     if mode not in CONTACT_MODES:
         raise ValueError(f"mode must be one of {CONTACT_MODES}, got {mode!r}")
     life = params.contact.lam * params.contact.tau
+    n = params.n
     if mode == MODEL:
-        n = params.n
         inside = np.log1p(-u[..., n:3 * n]) > -life
         return u[..., :n], inside[..., :n] & inside[..., n:]
-    flips, source_e, dest_e = _draw(params, u)
-    return np.where(source_e < life, flips, np.inf), source_e + dest_e < life
+    exps = -np.log1p(-u[..., n:3 * n])
+    source_e = exps[..., :n]
+    return np.where(source_e < life, u[..., :n], np.inf), source_e + exps[..., n:] < life
 
 
 def _cohort_shares(params: GameParams) -> np.ndarray:
@@ -141,15 +121,6 @@ def _cohort_shares(params: GameParams) -> np.ndarray:
     cohort of k = 1..n+1 caching relays, and entry 0 is 0."""
     q = relay_failure_probability(params.contact)
     return np.array([0.0] + [delivery_share(k, q) for k in range(1, params.n + 2)])
-
-
-def _score_relays(params: GameParams, share: np.ndarray, cost: float, accepted: np.ndarray,
-                  n_accept: int | np.ndarray, reward: float) -> np.ndarray:
-    """Per-relay utilities of drawn episodes, ``accepted`` of shape (..., n)
-    with the caller's ``n_accept`` counts of shape (...): each relay is paid
-    the side of :func:`_cohort_payoffs` it played."""
-    pay_accept, pay_reject = _cohort_payoffs(params, share, cost, n_accept, reward)
-    return np.where(accepted, pay_accept[..., None], pay_reject[..., None])
 
 
 def _cohort_payoffs(params: GameParams, share: np.ndarray | list[float], cost: float,
@@ -173,13 +144,14 @@ def estimate_delivery(params: GameParams, accept_prob: float, trials: int,
 def estimate_relay_utility(params: GameParams, accept_prob: float, reward: float,
                            trials: int, seed: int, mode: str = MODEL) -> EstimateWithCI:
     """Empirical mean payoff of relay 0 under symmetric mixing: the trials
-    are drawn first, then relay 0 of all of them is scored in one call."""
+    are drawn first, then relay 0 of all of them is paid the side of one
+    :func:`_cohort_payoffs` call that it played."""
     if not math.isfinite(reward):
         raise ValueError(f"reward must be finite, got {reward}")
     accepted, _ = _draw_trials(params, accept_prob, trials, seed, mode)
     n_accept = np.count_nonzero(accepted, axis=1)
-    samples = _score_relays(params, _cohort_shares(params), total_energy(params),
-                            accepted[:, :1], n_accept, reward)[:, 0]
+    samples = np.where(accepted[:, 0], *_cohort_payoffs(params, _cohort_shares(params),
+                                                       total_energy(params), n_accept, reward))
     finite = np.isfinite(samples)
     if not finite.all():
         raise ValueError(f"realized utility must be finite, got {samples[~finite][0]}")
@@ -210,4 +182,4 @@ def _summarize(samples: np.ndarray) -> EstimateWithCI:
     scaled = np.ldexp(samples, -exp)
     mean = math.ldexp(float(scaled.mean()), exp)
     stderr = math.ldexp(float(scaled.std(ddof=1)) / math.sqrt(trials), exp) if trials > 1 else 0.0
-    return EstimateWithCI(mean=mean, stderr=stderr, trials=trials)
+    return EstimateWithCI(mean=mean, stderr=stderr)

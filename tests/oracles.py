@@ -3,8 +3,10 @@ the reduced model's indifference gaps, whose roots the solvers return, the
 tagged-relay indifference reward, the root of the game's gap,
 ``with_param``, which builds one sweep point through the validating
 constructors, the pure and mixed solvers written point by point over the
-scalar model functions, and a coupled run that records what each relay
-played and was fed."""
+scalar model functions, a coupled run that records what each relay
+played and was fed, and an episode with one accept probability per relay
+with the scorer that pays each relay the side of the cohort payoffs it
+played."""
 import math
 from unittest import mock
 
@@ -30,6 +32,7 @@ from dtnsat.model import (
     relay_failure_probability,
     total_energy,
 )
+from dtnsat.simulate import MODEL, _cohort_payoffs, _contacts, _window
 
 
 class CohortTooLargeError(ValueError):
@@ -200,3 +203,19 @@ def run_coupled_fed(params: GameParams, horizon: int, seed: int, **kwargs) -> tu
     with mock.patch.object(learning, "_relay_update", recorded):
         traj = learning.run_coupled(params, horizon, seed, **kwargs)
     return traj, np.array(actions, dtype=bool), np.array(fed, dtype=float)
+
+
+def episode(params: GameParams, probs, rng, mode: str = MODEL) -> tuple:
+    """(accepted, delivered) of one episode on the next window of ``rng``,
+    relay i accepting with ``probs[i]``."""
+    flips, reach = _contacts(params, rng.random(_window(params.n)), mode)
+    accepted = flips < np.asarray(probs, dtype=float)
+    return accepted, bool(np.count_nonzero(accepted & reach))
+
+
+def score_relays(params: GameParams, share, cost: float, accepted, n_accept, reward: float):
+    """Per-relay utilities of drawn episodes, ``accepted`` of shape (..., n)
+    with the ``n_accept`` counts of shape (...): each relay is paid the side
+    of ``_cohort_payoffs`` it played."""
+    pay_accept, pay_reject = _cohort_payoffs(params, share, cost, n_accept, reward)
+    return np.where(accepted, pay_accept[..., None], pay_reject[..., None])

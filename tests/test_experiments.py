@@ -158,7 +158,7 @@ class TestParseConfig:
             names = re.findall(r"`([^`]+)`", clause)
             for mode in set(names) & set(MODES):
                 documented[mode] = set(names) & set(SWEEP_VARS)
-        assert documented == {mode: set(sweeps) for mode, (_, sweeps) in _MODE_TABLE.items()}
+        assert documented == {mode: set(sweeps) for mode, (_, sweeps, _) in _MODE_TABLE.items()}
 
     def test_sweep_validation(self):
         with pytest.raises(ConfigError, match="sweep.var"):
@@ -213,6 +213,27 @@ class TestParseConfig:
         cfg = parse_config("sweep.var = tau\nsweep.start = 1\nsweep.stop = 9\n"
                            "sweep.points = 5")
         assert cfg.sweep.values == (1.0, 3.0, 5.0, 7.0, 9.0)
+
+    def test_grid_values_are_start_plus_i_step_then_stop(self):
+        rng = np.random.default_rng(5)
+        for _ in range(300):
+            start = float(rng.uniform(0.0, 1e3)) * 10.0 ** int(rng.integers(-8, 8))
+            stop = start + float(rng.uniform(1e-9, 1e3)) * 10.0 ** int(rng.integers(-8, 8))
+            points = int(rng.integers(2, 400))
+            cfg = parse_config(f"sweep.var = lambda\nsweep.start = {start!r}\n"
+                               f"sweep.stop = {stop!r}\nsweep.points = {points}")
+            step = (stop - start) / (points - 1)
+            assert cfg.sweep.values == tuple(start + i * step
+                                             for i in range(points - 1)) + (stop,)
+
+    # numpy refuses 1e16 points as a MemoryError and 1e20 as a ValueError,
+    # and sizes 2**63 - 2 points as an empty grid
+    @pytest.mark.parametrize("points", [10 ** 16, 2 ** 63 - 1, 10 ** 20])
+    def test_a_grid_too_large_to_allocate_names_the_points(self, points):
+        with pytest.raises(ConfigError) as info:
+            parse_config(f"sweep.var = tau\nsweep.start = 1\nsweep.stop = 2\n"
+                         f"sweep.points = {points}")
+        assert str(info.value) == f"sweep.points = {points} is too large to allocate"
 
     @pytest.mark.parametrize("sweep", [
         "sweep.var = tau\nsweep.start = 1\nsweep.stop = 400\nsweep.points = 5000",
@@ -924,15 +945,19 @@ class TestDegeneratePoints:
         assert out == ""
         assert err == f"dtnsat {mode}: error: mode {mode}: {message}\n"
 
-    # numpy and list refuse 1e16 elements before they allocate any; at the
-    # default 10000 trials numpy rejects simulate's (trials, n) shape as a
-    # ValueError instead
+    # numpy and list refuse 1e16 elements before they allocate any, and
+    # 1e20, past the index range, with OverflowError; at the default 10000
+    # trials numpy rejects simulate's (trials, n) shape as a ValueError
+    # instead
     @pytest.mark.parametrize("mode,config,keys", [
         ("solve-pse", "n = 10000000000000000\n", "n"),
         ("solve-pse", "sweep.var = n\nsweep.values = 1e16\n", "n"),
         ("simulate", "n = 10000000000000000\ntrials = 1\n", "trials or n"),
-        ("learn", "n = 10000000000000000\n", "horizon or n")],
-        ids=["solve-pse", "solve-pse-sweep", "simulate", "learn"])
+        ("learn", "n = 10000000000000000\n", "horizon or n"),
+        ("solve-pse", "n = 100000000000000000000\n", "n"),
+        ("learn", "n = 100000000000000000000\n", "horizon or n")],
+        ids=["solve-pse", "solve-pse-sweep", "simulate", "learn", "solve-pse-1e20",
+             "learn-1e20"])
     def test_a_run_too_large_to_allocate_fails(self, mode, config, keys, tmp_path, capsys):
         cfg = tmp_path / "fleet.cfg"
         cfg.write_text(config)

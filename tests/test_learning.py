@@ -18,10 +18,9 @@ from dtnsat.learning import (
     run_coupled,
 )
 from dtnsat.model import total_energy
-from dtnsat.simulate import MODEL, PHYSICAL, _cohort_shares, _score_relays, episode_rng, \
-    simulate_episode
+from dtnsat.simulate import MODEL, PHYSICAL, _cohort_shares, episode_rng
 from conftest import make_params
-from oracles import run_coupled_fed
+from oracles import episode, run_coupled_fed, score_relays
 
 # a trajectory's arrays and what run_coupled_fed records beside them
 ARRAYS = ("alpha", "u_s_est", "accept_probs", "accepted", "utilities", "n_accept", "delivered")
@@ -224,10 +223,11 @@ class TestRunCoupled:
 
 def scalar_replay(params, horizon, seed, feed, contact_mode):
     """The coupled loop in plain floats, one relay at a time, on one
-    ``simulate_episode`` per iteration, scored by ``_score_relays`` on the
-    episode feed: each relay steps by ``ratio_rule`` and the source by its
-    own transcription.  Returns the trajectory's arrays by name, with the
-    per-relay actions and utilities fed at each step."""
+    per-relay ``oracles.episode`` per iteration, scored by
+    ``oracles.score_relays`` on the episode feed: each relay steps by
+    ``ratio_rule`` and the source by its own transcription.  Returns the
+    trajectory's arrays by name, with the per-relay actions and utilities
+    fed at each step."""
     alpha, estimate = params.alpha_max / 2.0, 0.0
     share, cost = _cohort_shares(params), total_energy(params)
     relays = [(0.5, 0.0, 0.0)] * params.n
@@ -235,10 +235,10 @@ def scalar_replay(params, horizon, seed, feed, contact_mode):
     for k in range(1, horizon + 1):
         probs = [r[0] for r in relays]
         # iteration k - 1 reads its own window, from a fresh generator
-        accepted, delivered = simulate_episode(
+        accepted, delivered = episode(
             params, probs, episode_rng(seed, k - 1, params.n), contact_mode)
         if feed == EPISODE:
-            fed = _score_relays(params, share, cost, accepted, accepted.sum(), alpha).tolist()
+            fed = score_relays(params, share, cost, accepted, accepted.sum(), alpha).tolist()
         else:
             pay_accept, pay_reject = mixed_relay_payoffs(alpha, sum(probs) / params.n,
                                                          params)

@@ -118,7 +118,7 @@ def unread_public_names(package: Path) -> list[str]:
 def test_every_private_name_is_used():
     defined = {name for path in PACKAGE.glob("*.py")
                for name in private_definitions(ast.parse(path.read_text(encoding="utf-8")))}
-    assert len(defined) >= 49
+    assert len(defined) == 47
     assert unused_private_names(PACKAGE) == []
 
 

@@ -19,8 +19,6 @@ from dtnsat.simulate import (
     PHYSICAL,
     _cohort_shares,
     _contacts,
-    _draw,
-    _score_relays,
     _summarize,
     _window,
     estimate_delivery,
@@ -31,6 +29,7 @@ from dtnsat.simulate import (
 from dtnsat.equilibrium import solve_ese
 from dtnsat.learning import FEEDS, run_coupled
 from conftest import cohort_payoffs, make_params
+from oracles import episode, score_relays
 
 # frozen single-relay delivery probabilities at lam=0.015, tau=100
 MODEL_ONE_RELAY = 0.60352674807100429     # p_c * (1 - q)
@@ -39,19 +38,27 @@ PHYSICAL_ONE_RELAY = 0.44217459962892543  # P(source + dest contact <= tau)
 
 def score(params, accepted, reward):
     """Per-relay utilities of a drawn episode, as the estimator scores them."""
-    return _score_relays(params, _cohort_shares(params), total_energy(params), accepted,
-                         np.count_nonzero(accepted), reward)
+    return score_relays(params, _cohort_shares(params), total_energy(params), accepted,
+                        np.count_nonzero(accepted), reward)
+
+
+def exponentials(params, u):
+    """(flips, source draws, destination draws) of windows ``u`` of shape
+    (..., W): the contact draws as unit exponentials by inverse CDF."""
+    n = params.n
+    exps = -np.log1p(-u[..., n:3 * n])
+    return u[..., :n], exps[..., :n], exps[..., n:]
 
 
 class TestEpisode:
     def test_seed_determinism(self, base_params):
-        probs = [0.4] * 7
+        probs = 0.4
         a = simulate_episode(base_params, probs, episode_rng(9, 3, 7))
         b = simulate_episode(base_params, probs, episode_rng(9, 3, 7))
         assert (a[0].tolist(), a[1]) == (b[0].tolist(), b[1])
 
     def test_trials_use_independent_streams(self, base_params):
-        probs = [0.5] * 7
+        probs = 0.5
         outcomes = {tuple(simulate_episode(base_params, probs, episode_rng(9, t, 7))[0])
                     for t in range(10)}
         assert len(outcomes) > 1
@@ -62,19 +69,18 @@ class TestEpisode:
         lam, tau = base_params.contact.lam, base_params.contact.tau
         for t in range(200):
             u = episode_rng(17, t, 7).random(_window(7))
-            _, source_e, dest_e = _draw(base_params, u)
+            _, source_e, dest_e = exponentials(base_params, u)
             flips, reach = _contacts(base_params, u, mode)
             accepted = flips < np.full(7, 0.3)
             success = accepted & reach
-            delivered = simulate_episode(base_params, [0.3] * 7,
-                                         episode_rng(17, t, 7), mode)[1]
+            delivered = simulate_episode(base_params, 0.3, episode_rng(17, t, 7), mode)[1]
             source_t, dest_t = source_e / lam, dest_e / lam
             finish = dest_t if mode == MODEL else source_t + dest_t
             assert delivered == success.any()
             assert (accepted & (source_t <= tau) & (finish <= tau))[success].all()
 
     def test_nobody_caches_when_nobody_accepts(self, base_params):
-        accepted, delivered = simulate_episode(base_params, [0.0] * 7, episode_rng(5, 0, 7))
+        accepted, delivered = simulate_episode(base_params, 0.0, episode_rng(5, 0, 7))
         utilities = score(base_params, accepted, 2.0)
         assert not accepted.any()
         assert not delivered
@@ -84,7 +90,7 @@ class TestEpisode:
 
     def test_zero_rate_episode(self):
         params = make_params(lam=0.0)
-        accepted, delivered = simulate_episode(params, [1.0] * 7, episode_rng(1, 0, 7))
+        accepted, delivered = simulate_episode(params, 1.0, episode_rng(1, 0, 7))
         utilities = score(params, accepted, 1.0)
         assert not delivered
         assert accepted.all()
@@ -93,7 +99,7 @@ class TestEpisode:
         assert all(u == pytest.approx(expect) for u in utilities)
 
     def test_utilities_match_cohort_convention(self, base_params):
-        accepted, _ = simulate_episode(base_params, [0.6] * 7, episode_rng(23, 11, 7))
+        accepted, _ = simulate_episode(base_params, 0.6, episode_rng(23, 11, 7))
         utilities = score(base_params, accepted, 1.3)
         n_accept = accepted.sum()
         for acc, u in zip(accepted, utilities):
@@ -104,48 +110,40 @@ class TestEpisode:
     def test_monotone_coupling_in_accept_prob(self, base_params):
         # identical draws, higher p: delivery can only switch off -> on
         for t in range(200):
-            low = simulate_episode(base_params, [0.2] * 7, episode_rng(31, t, 7))
-            high = simulate_episode(base_params, [0.8] * 7, episode_rng(31, t, 7))
+            low = simulate_episode(base_params, 0.2, episode_rng(31, t, 7))
+            high = simulate_episode(base_params, 0.8, episode_rng(31, t, 7))
             assert high[1] >= low[1]
 
     def test_bad_inputs(self, base_params):
         with pytest.raises(ValueError):
-            simulate_episode(base_params, [0.5] * 6, episode_rng(1, 0, 7))
+            simulate_episode(base_params, 1.5, episode_rng(1, 0, 7))
         with pytest.raises(ValueError):
-            simulate_episode(base_params, [1.5] * 7, episode_rng(1, 0, 7))
-        with pytest.raises(ValueError):
-            simulate_episode(base_params, [0.5] * 7, episode_rng(1, 0, 7), mode="exact")
+            simulate_episode(base_params, 0.5, episode_rng(1, 0, 7), mode="exact")
 
     def test_nan_accept_probability_rejected(self, base_params):
         # NaN fails both ordered comparisons, so it must not pass as "in range"
         with pytest.raises(ValueError, match="got nan"):
-            simulate_episode(base_params, [math.nan] * 7, episode_rng(1, 0, 7))
+            simulate_episode(base_params, math.nan, episode_rng(1, 0, 7))
         with pytest.raises(ValueError, match="got -0.1"):
-            simulate_episode(base_params, [0.5] * 6 + [-0.1], episode_rng(1, 0, 7))
+            simulate_episode(base_params, -0.1, episode_rng(1, 0, 7))
 
     def test_range_check_edges(self):
         params = make_params(n=40)
-        last_nan = [0.5] * 39 + [math.nan]
-        with pytest.raises(ValueError, match="got nan"):
-            simulate_episode(params, last_nan, episode_rng(1, 0, 40))
         for edge in (-0.0, 1.0):
-            simulate_episode(params, [0.5] * 39 + [edge], episode_rng(1, 0, 40))
+            simulate_episode(params, edge, episode_rng(1, 0, 40))
         for outside in (np.nextafter(0.0, -1.0), np.nextafter(1.0, 2.0)):
             with pytest.raises(ValueError, match=f"got {outside}$"):
-                simulate_episode(params, [outside] + [0.5] * 39, episode_rng(1, 0, 40))
-        # the message names the first bad value in slot order
-        with pytest.raises(ValueError, match=r"got 1\.5$"):
-            simulate_episode(params, [0.5, 1.5, -0.2, math.nan] + [0.5] * 36,
-                             episode_rng(1, 0, 40))
+                simulate_episode(params, outside, episode_rng(1, 0, 40))
 
     @pytest.mark.parametrize("shape", [(7, 1), (1, 7), (), (7, 7)])
     def test_accept_probabilities_must_be_one_per_relay(self, base_params, shape):
-        with pytest.raises(ValueError, match=rf"got shape \({', '.join(map(str, shape))},?\)"):
-            simulate_episode(base_params, np.full(shape, 0.5), episode_rng(1, 0, 7))
+        probs = np.full(shape, 0.5)
+        with pytest.raises(ValueError, match=f"got {re.escape(repr(probs))}$"):
+            simulate_episode(base_params, probs, episode_rng(1, 0, 7))
 
     @pytest.mark.parametrize("prob", [1, 0, True, np.float32(0.5)])
     def test_only_a_python_or_numpy_double_is_a_shared_probability(self, base_params, prob):
-        with pytest.raises(ValueError, match=r"got shape \(\)$"):
+        with pytest.raises(ValueError, match=f"got {re.escape(repr(prob))}$"):
             simulate_episode(base_params, prob, episode_rng(1, 0, 7))
 
     @pytest.mark.parametrize("n", [1, 7, 40])
@@ -154,11 +152,12 @@ class TestEpisode:
     @pytest.mark.parametrize("form", [float, np.float64])
     def test_shared_probability_equals_one_per_relay(self, n, mode, p, form):
         """One float for every relay draws the same episodes, bit for bit,
-        as the list ``[p] * n``, and leaves the generator in the same place."""
+        as the per-relay oracle episode with the list ``[p] * n``, and leaves
+        the generator in the same place."""
         params = make_params(n=n)
         shared_rng, listed_rng = episode_rng(11, 0, n), episode_rng(11, 0, n)
         shared = [simulate_episode(params, form(p), shared_rng, mode) for _ in range(200)]
-        listed = [simulate_episode(params, [p] * n, listed_rng, mode) for _ in range(200)]
+        listed = [episode(params, [p] * n, listed_rng, mode) for _ in range(200)]
         assert np.array_equal(np.array([a for a, _ in shared]), np.array([a for a, _ in listed]))
         assert [d for _, d in shared] == [d for _, d in listed]
         assert all(a.shape == (n,) and a.dtype == bool for a, _ in shared)
@@ -223,7 +222,7 @@ class TestEstimateDelivery:
     def test_single_trial_is_bernoulli(self, base_params):
         est = estimate_delivery(base_params, 0.5, 1, seed=4)
         assert est.mean in (0.0, 1.0)
-        assert est.trials == 1
+        assert est.stderr == 0.0
 
     def test_trials_required(self, base_params):
         with pytest.raises(ValueError):
@@ -271,7 +270,7 @@ class TestEstimateDelivery:
     def test_order_independent_trial_streams(self, base_params):
         # averaging per-trial episodes in any order reproduces the estimate
         est = estimate_delivery(base_params, 0.5, 300, seed=8)
-        probs = [0.5] * 7
+        probs = 0.5
         hits = np.empty(300)
         for t in reversed(range(300)):
             hits[t] = simulate_episode(base_params, probs, episode_rng(8, t, 7))[1]
@@ -295,7 +294,7 @@ class TestEstimateRelayUtility:
 
     def test_order_independent_trial_streams(self, base_params):
         est = estimate_relay_utility(base_params, 0.4, 1.2, 300, seed=8)
-        probs = [0.4] * 7
+        probs = 0.4
         values = np.empty(300)
         for t in reversed(range(300)):
             accepted = simulate_episode(base_params, probs, episode_rng(8, t, 7))[0]
@@ -326,8 +325,9 @@ class TestEstimateRelayUtility:
 
 
 class TestScoreRelays:
-    """The block scorer pays every relay exactly what the game's payoff of its
-    cohort gives it, on one episode's mask or a block of them."""
+    """The oracle scorer, which the estimator's and learner's references
+    use, pays every relay exactly what the game's payoff of its cohort gives
+    it, on one episode's mask or a block of them."""
 
     @staticmethod
     def masks(params, n):
@@ -345,14 +345,14 @@ class TestScoreRelays:
         block = self.masks(params, n)
         counts = np.count_nonzero(block, axis=1)
         for reward in (0.0, solve_ese(params).alpha_star, params.alpha_max):
-            scored = _score_relays(params, share, cost, block, counts, reward)
+            scored = score_relays(params, share, cost, block, counts, reward)
             assert scored.shape == block.shape
             for accepted, k, row in zip(block, counts, scored):
                 want = [cohort_payoffs(reward, k, params)[0] if acc
                         else cohort_payoffs(reward, k + 1, params)[1] for acc in accepted]
                 assert row.tolist() == want
-                one = _score_relays(params, share, cost, accepted,
-                                    np.count_nonzero(accepted), reward)
+                one = score_relays(params, share, cost, accepted,
+                                   np.count_nonzero(accepted), reward)
                 assert one.tolist() == want
 
 
@@ -363,7 +363,7 @@ class TestScoringBudget:
 
     @staticmethod
     def count_calls(monkeypatch):
-        calls = dict.fromkeys(("_score_relays", "delivery_share"), 0)
+        calls = dict.fromkeys(("_cohort_payoffs", "delivery_share"), 0)
         for name in calls:
             def counted(*args, _fn=getattr(simulate, name), _name=name):
                 calls[_name] += 1
@@ -376,7 +376,7 @@ class TestScoringBudget:
     def test_relay_estimate_scores_once(self, monkeypatch, n, trials):
         calls = self.count_calls(monkeypatch)
         estimate_relay_utility(make_params(n=n), 0.4, 1.0, trials, 1)
-        assert calls == {"_score_relays": 1, "delivery_share": n + 1}
+        assert calls == {"_cohort_payoffs": 1, "delivery_share": n + 1}
 
     @pytest.mark.parametrize("horizon", [1, 300, 1000])
     def test_learner_builds_one_share_table(self, monkeypatch, base_params, horizon):
@@ -404,7 +404,7 @@ class TestScoringBudget:
 class TestEstimateWithCI:
     def test_stderr_definition(self, base_params):
         est = estimate_delivery(base_params, 0.5, 400, seed=5)
-        probs = [0.5] * 7
+        probs = 0.5
         hits = [float(simulate_episode(base_params, probs, episode_rng(5, t, 7))[1])
                 for t in range(400)]
         expect = statistics.stdev(hits) / 400 ** 0.5
@@ -448,7 +448,7 @@ class TestStreamContract:
         params = make_params(n=3)
         delivered, utility = np.empty((2, 200))
         for t in reversed(range(200)):
-            accepted, hit = simulate_episode(params, [0.6] * 3, episode_rng(4, t, 3), mode)
+            accepted, hit = simulate_episode(params, 0.6, episode_rng(4, t, 3), mode)
             delivered[t], utility[t] = hit, score(params, accepted, 0.9)[0]
         assert estimate_delivery(params, 0.6, 200, 4, mode) == _summarize(delivered)
         assert estimate_relay_utility(params, 0.6, 0.9, 200, 4, mode) == _summarize(utility)
@@ -459,8 +459,8 @@ class TestStreamContract:
         zero = make_params(lam=0.0)
         rng = episode_rng(3, 0, 7)
         for t in range(20):
-            walked = simulate_episode(zero, [0.5] * 7, rng)[0]
-            fresh = simulate_episode(base_params, [0.5] * 7, episode_rng(3, t, 7))[0]
+            walked = simulate_episode(zero, 0.5, rng)[0]
+            fresh = simulate_episode(base_params, 0.5, episode_rng(3, t, 7))[0]
             assert np.array_equal(walked, fresh)
 
     def test_same_seed_same_bytes(self, base_params):
@@ -474,14 +474,16 @@ class TestStreamContract:
         assert runs[0] == runs[1]
 
     def test_inverse_cdf_contact_times(self, base_params):
-        u = episode_rng(2, 0, 7).random((3, _window(7)))
-        flips, source_e, dest_e = _draw(base_params, u)
-        assert np.array_equal(flips, u[:, :7])
-        assert np.array_equal(source_e, -np.log1p(-u[:, 7:14]))
-        assert np.array_equal(dest_e, -np.log1p(-u[:, 14:21]))
-        # the draws do not depend on the rate
-        assert all(np.array_equal(a, b) for a, b in
-                   zip(_draw(make_params(lam=0.0), u), (flips, source_e, dest_e)))
+        # physical mode races the unit exponentials -log1p(-u) of the two
+        # contact slices: offered where E_s < lam*tau, reached where
+        # E_s + E_d < lam*tau
+        u = episode_rng(2, 0, 7).random((500, _window(7)))
+        source_e, dest_e = -np.log1p(-u[:, 7:14]), -np.log1p(-u[:, 14:21])
+        life = base_params.contact.lam * base_params.contact.tau
+        flips, reach = _contacts(base_params, u, PHYSICAL)
+        assert np.array_equal(flips, np.where(source_e < life, u[:, :7], np.inf))
+        assert np.array_equal(reach, source_e + dest_e < life)
+        assert 0 < reach.sum() < reach.size
 
     @pytest.mark.parametrize("mode", [MODEL, PHYSICAL])
     def test_zero_rate_meets_nobody_even_at_zero_draws(self, mode):
@@ -496,7 +498,7 @@ class TestStreamContract:
 
     def test_physical_flip_is_infinite_exactly_where_the_source_missed(self, base_params):
         u = episode_rng(6, 0, 7).random((500, _window(7)))
-        source_e = _draw(base_params, u)[1]
+        source_e = exponentials(base_params, u)[1]
         missed = source_e >= base_params.contact.lam * base_params.contact.tau
         assert 0 < missed.sum() < missed.size
         flips = _contacts(base_params, u, PHYSICAL)[0]
@@ -512,7 +514,7 @@ class TestStreamContract:
         # the float range; the race compares unit draws with lam * tau
         params = make_params(n=1, lam=1e-310, tau=1e308)
         u = episode_rng(1, 0, 1).random((500, _window(1)))
-        _, source_e, _ = _draw(params, u)
+        _, source_e, _ = exponentials(params, u)
         assert np.isfinite(source_e).all() and (source_e >= 0).all()
         with np.errstate(over="ignore"):
             assert np.isinf(source_e / params.contact.lam).any()
@@ -580,9 +582,8 @@ GOLDEN = {
 def test_estimators_golden(n, p, mode):
     params = make_params(n=n)
     (d_mean, d_se), (u_mean, u_se) = GOLDEN[n, p, mode]
-    assert estimate_delivery(params, p, 2000, 7, mode) == EstimateWithCI(d_mean, d_se, 2000)
-    assert (estimate_relay_utility(params, p, 1.0, 2000, 7, mode)
-            == EstimateWithCI(u_mean, u_se, 2000))
+    assert estimate_delivery(params, p, 2000, 7, mode) == EstimateWithCI(d_mean, d_se)
+    assert estimate_relay_utility(params, p, 1.0, 2000, 7, mode) == EstimateWithCI(u_mean, u_se)
 
 
 # (lam, tau, whether a draw next to -expm1(-lam*tau) has -log1p(-u) == lam*tau)
@@ -610,7 +611,7 @@ def test_model_reach_in_log_space_is_the_exponential_test(lam, tau, exact_hit, l
     u = episode_rng(3, 0, n).random((*lead, _window(n)))
     u[..., n:2 * n] = np.resize(np.repeat(values, len(values)), (*lead, n))
     u[..., 2 * n:3 * n] = np.resize(np.tile(values, len(values)), (*lead, n))
-    flips, source_e, dest_e = _draw(params, u)
+    flips, source_e, dest_e = exponentials(params, u)
     got_flips, reach = _contacts(params, u, MODEL)
     assert reach.shape == flips.shape == (*lead, n)
     assert np.array_equal(got_flips, u[..., :n])
