@@ -16,12 +16,12 @@ equilibrium of the game.
 The mixed solvers are one column kernel, :func:`_mixed_column`: it takes a
 sweep's whole column of ``tau``, ``lambda``, ``n`` or ``delta`` values and
 evaluates the minimum accept probability, its success, the binding delivery
-and the indifference reward at every point at once.  :func:`solve_ese` is
-its one-element case, and the sweep columns :func:`mse_columns`,
-:func:`ese_columns` and :func:`delivery_column` feed the CSV modes.  The
-pure candidates are one column too, :func:`pse_columns`: each point
-expands to one row per cohort from its QoS bound to n.  Both kernels meet
-a sweep in one place, :func:`_sweep_point`: it sets the swept variable and
+and the indifference reward at every point at once.  The sweep columns
+:func:`mse_columns`, :func:`ese_columns` and :func:`region_columns` read it
+and feed the CSV modes; :func:`solve_ese` is :func:`ese_columns` at one
+point.  The pure candidates are one column too, :func:`pse_columns`: each
+point expands to one row per cohort from its QoS bound to n.  Both kernels
+meet a sweep in one place, :func:`_sweep_point`: it sets the swept variable and
 gives the fleet and QoS and, at each point, the
 :func:`dtnsat.model.relay_failure_probability`, the
 :func:`dtnsat.model.contact_probability` and the
@@ -44,7 +44,6 @@ from typing import Optional
 import numpy as np
 
 from .model import (
-    ContactModel,
     GameParams,
     _any_delivers,
     expected_relay_utility_mixed,
@@ -59,16 +58,11 @@ class DegenerateContactError(ValueError):
     """Raised when the mixed game has zero per-relay success at p = 1."""
 
 
-class RangeError(ValueError):
-    """Raised for an empty or inverted sweep interval."""
-
-
 class FloatRangeError(ValueError):
     """Raised when an equilibrium quantity over- or underflows a float."""
 
 
-# unused by the package: perfbench's region check and the threshold-bracket test of
-# test_equilibrium's TestSatisfactionRegion import it
+# unused by the package: only perfbench's region check imports it
 BISECTION_TOL = 1e-6
 # strictly-better margin of the dominance check, guards float noise
 DOMINANCE_MARGIN = 1e-9
@@ -173,13 +167,12 @@ def _sweep_point(params: GameParams, var: Optional[str], values):
 class _MixedColumn:
     """The mixed closed forms at every point of a column, as 1-D arrays.
 
-    ``ceiling`` is the per-relay success at p = 1; ``p_min`` is inf where it
-    is 0 and 0 where it underflows; ``success`` and ``alpha`` are the
-    delivery and the indifference reward at the kernel's p.
+    ``p_min`` is inf where the per-relay success at p = 1 is 0 and 0 where
+    it underflows; ``success`` and ``alpha`` are the delivery and the
+    indifference reward at the kernel's p.
     """
 
     delta: np.ndarray
-    ceiling: np.ndarray
     p_min: np.ndarray
     z_star: np.ndarray
     success: np.ndarray
@@ -203,17 +196,16 @@ def _mixed_column(params: GameParams, var: Optional[str] = None, values=(),
         z_star = ceiling * np.minimum(p_min, 1.0)
         success = _any_delivers_column(z_star if p is None else ceiling * p, n)
         alpha = _indifference_reward(params, n, cost, n, success)
-    return _MixedColumn(np.broadcast_to(delta, p_min.shape), ceiling, p_min, z_star,
-                        success, alpha)
+    return _MixedColumn(np.broadcast_to(delta, p_min.shape), p_min, z_star, success, alpha)
 
 
 def _solved_column(params: GameParams, var: Optional[str] = None, values=()
                    ) -> _MixedColumn:
     """:func:`_mixed_column` at p_min.  Raises the error of the first point,
     in column order, whose p_min underflows or which, with p_min <= 1, has
-    an undefined (zero success) or overflowing reward.  A point whose p_min
-    underflows has zero success too; it is named for the underflow, which
-    the point-by-point solvers met first."""
+    an overflowing reward; any other has a positive z*, so a positive success.
+    A point whose p_min underflows is named for the underflow, which the
+    point-by-point solvers met first."""
     col = _mixed_column(params, var, values)
     underflow = col.p_min == 0.0
     failed = underflow | ((col.p_min <= 1.0) & ~np.isfinite(col.alpha))
@@ -222,8 +214,6 @@ def _solved_column(params: GameParams, var: Optional[str] = None, values=()
         if underflow[i]:
             raise FloatRangeError("minimum accept probability underflows at "
                                   f"delta = {float(col.delta[i])}")
-        if col.success[i] <= 0.0:
-            raise DegenerateContactError("indifference reward undefined for zero success")
         raise _overflow(float(col.success[i]))
     return col
 
@@ -233,20 +223,6 @@ def _clamp(alpha, alpha_max: float):
     [0, alpha_max]), elementwise."""
     return (np.where(alpha_max < alpha, alpha_max, np.where(0.0 > alpha, 0.0, alpha)),
             ~((0.0 <= alpha) & (alpha <= alpha_max)))
-
-
-def solve_ese(params: GameParams) -> EseSolution:
-    """Equilibrium at the binding point: smallest p meeting the QoS exactly."""
-    col = _solved_column(params)
-    if col.ceiling[0] <= 0.0:
-        raise DegenerateContactError("per-relay success is zero even at p = 1")
-    p_min = col.p_min.item()
-    if not p_min <= 1.0:
-        raise DegenerateContactError(
-            f"QoS delta = {params.delta} is unreachable even at p = 1")
-    alpha, clamped = _clamp(col.alpha, params.alpha_max)
-    return EseSolution(p_star=p_min, alpha_star=alpha.item(),
-                       binding_delivery=col.success.item(), alpha_clamped=bool(clamped[0]))
 
 
 def pse_columns(params: GameParams, var: Optional[str], values):
@@ -263,11 +239,15 @@ def pse_columns(params: GameParams, var: Optional[str], values):
     finite.
     """
     n, delta, q, _, cost = _sweep_point(params, var, values)
-    q, cost, fleet, delta = np.broadcast_arrays(q, cost, n, delta)
+    # a float fleet, which numpy would hold as Python ints past int64
+    q, cost, fleet, delta = np.broadcast_arrays(q, cost, np.asarray(n, dtype=float), delta)
     size = len(q)
     n_a_min = np.fromiter(map(_cohort_bound, q.tolist(), delta.tolist()), float, size)
     has = n_a_min <= fleet
-    counts = np.where(has, fleet - n_a_min + 1, 1).astype(np.intp)
+    counts = np.where(has, fleet - n_a_min + 1, 1)
+    if counts.max() >= 2.0 ** 63 or counts.sum() >= 2.0 ** 63:  # the cast would wrap
+        raise OverflowError("too many cohort rows")
+    counts = counts.astype(np.intp)
     point = np.repeat(np.arange(size), counts)
     first = np.cumsum(counts) - counts
     cohort = n_a_min[point] + (np.arange(len(point)) - first[point])
@@ -307,40 +287,40 @@ def ese_columns(params: GameParams, var: Optional[str], values):
             np.where(feasible, col.success, math.nan), feasible & clamped)
 
 
-def delivery_column(params: GameParams, var: str, values, p: float) -> np.ndarray:
-    """:func:`dtnsat.model.expected_source_utility_mixed` at p over the sweep
-    of ``var`` through ``values``."""
-    return _mixed_column(params, var, values, p).success
+def solve_ese(params: GameParams) -> EseSolution:
+    """The binding equilibrium, :func:`ese_columns` at the one point
+    ``params``; p_star is inf exactly where 1 - q is 0, as it is otherwise at
+    least about 1.1e-16."""
+    p_star, alpha, delivery, clamped = (c.item() for c in ese_columns(params, None, ()))
+    if p_star == math.inf:
+        raise DegenerateContactError("per-relay success is zero even at p = 1")
+    if p_star > 1.0:
+        raise DegenerateContactError(f"QoS delta = {params.delta} is unreachable even at p = 1")
+    return EseSolution(p_star, alpha, delivery, clamped)
 
 
-def satisfaction_region(params: GameParams, sweep_var: str, lo: float, hi: float,
-                        fixed_p: float) -> Optional[float]:
-    """Smallest swept value at which mixed delivery reaches the threshold.
-
-    Delivery at p reaches delta once the per-relay success p*(1 - e^-x)**2,
-    x = lam*tau, reaches b = 1 - (1 - delta)**(1/n), the bound of p_min.  So
-    the crossing is x* = -log1p(-sqrt(b/p)) over the fixed lam (tau sweep)
-    or tau (lambda sweep), exact up to rounding.  Returns lo when it is at
-    or below lo, and None when delivery never reaches delta in [lo, hi].
-    """
-    if not lo < hi:
-        raise RangeError(f"need lo < hi, got [{lo}, {hi}]")
-    if sweep_var not in ("tau", "lambda"):
-        raise ValueError(f"sweep_var must be 'tau' or 'lambda', got {sweep_var!r}")
-    lam, tau = params.contact.lam, params.contact.tau
-    for value in (lo, hi):  # the constructor checks both endpoints
-        ContactModel(lam, value) if sweep_var == "tau" else ContactModel(value, tau)
-    if not 0 <= fixed_p <= 1:
-        raise ValueError(f"p must be in [0, 1], got {fixed_p}")
-    fixed = tau if sweep_var == "lambda" else lam
+def region_columns(params: GameParams, var: str, values, p: float):
+    """(delivery, threshold) over the sweep of ``var``, tau or lambda, through
+    ``values`` at common p: :func:`dtnsat.model.expected_source_utility_mixed`
+    at each value, and the smallest value in [min, max] at which it reaches
+    delta, None where it never does.  Delivery at p reaches delta once
+    p*(1 - e^-x)**2, x = lam*tau, reaches b = 1 - (1 - delta)**(1/n), so the
+    crossing x* = -log1p(-sqrt(b/p)) over the fixed lam or tau is exact up to
+    rounding.  One value, repeated or not, spans no range: its row decides.
+    Raises nothing: the config checks the values and p."""
+    delivery = _mixed_column(params, var, values, p).success
+    lo, hi = min(values), max(values)
+    if lo == hi:
+        return delivery, lo if delivery[0] >= params.delta else None
+    fixed = params.contact.tau if var == "lambda" else params.contact.lam
     bound = -math.expm1(math.log1p(-params.delta) / params.n)
-    ratio = bound / fixed_p if fixed_p > 0 else math.inf
+    ratio = bound / p if p > 0 else math.inf
     if fixed == 0 or ratio >= 1.0:
-        return None
+        return delivery, None
     crossing = -math.log1p(-math.sqrt(ratio)) / fixed
     if crossing <= lo:
-        return lo
-    return crossing if crossing <= hi else None
+        return delivery, lo
+    return delivery, crossing if crossing <= hi else None
 
 
 def pareto_dominance_check(candidate_p: float, candidate_alpha: float,

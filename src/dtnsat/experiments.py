@@ -16,12 +16,11 @@ import numpy as np
 from . import __version__
 from .equilibrium import (
     DegenerateContactError,
-    delivery_column,
     ese_columns,
     mse_columns,
     pareto_grid_scan,
     pse_columns,
-    satisfaction_region,
+    region_columns,
     solve_ese,
 )
 from .learning import EPISODE, FEEDS, run_coupled
@@ -362,13 +361,9 @@ def _run_solve_ese(config: ScenarioConfig) -> ResultTable:
 def _run_region(config: ScenarioConfig) -> ResultTable:
     var, values = _swept(config)
     if var is None:
-        raise ConfigError("region mode needs a sweep over tau or lambda")
-    delivery = delivery_column(config.params, var, values, config.p)
+        raise ConfigError("mode region needs a sweep over tau or lambda")
+    delivery, threshold = region_columns(config.params, var, values, config.p)
     satisfied = delivery >= config.params.delta
-    lo, hi = min(values), max(values)
-    # one swept value spans no range: its own row decides
-    threshold = (satisfaction_region(config.params, var, lo, hi, config.p)
-                 if lo < hi else lo if satisfied[0] else None)
     extra = {"threshold": _fmt(threshold) if threshold is not None else "none"}
     return _column_table(config, ["delivery", "satisfied"], (delivery, satisfied), extra)
 

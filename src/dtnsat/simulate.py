@@ -168,8 +168,10 @@ def _draw_trials(params: GameParams, accept_prob: float, trials: int, seed: int,
         raise ValueError(f"trials must be >= 1, got {trials}")
     prob = np.float64(accept_prob)
     rng = episode_rng(seed, 0, params.n)
-    accepted = np.empty((trials, params.n), dtype=bool)
-    delivered = np.empty(trials)
+    try:
+        accepted, delivered = np.empty((trials, params.n), dtype=bool), np.empty(trials)
+    except ValueError:  # numpy's refusal of a shape past its size or index range
+        raise MemoryError from None
     for t in range(trials):
         accepted[t], delivered[t] = simulate_episode(params, prob, rng, mode)
     return accepted, delivered

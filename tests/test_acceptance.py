@@ -24,7 +24,7 @@ from dtnsat.equilibrium import (
     mse_columns,
     pareto_grid_scan,
     pse_columns,
-    satisfaction_region,
+    region_columns,
     solve_ese,
 )
 from dtnsat.model import (
@@ -230,7 +230,7 @@ def test_criterion_07_region_threshold_matches_grid_scan():
     worst = 0.0
     for lam in (0.005, 0.015, 0.05):
         params = make_params(lam=lam)
-        crossing = satisfaction_region(params, "tau", lo, hi, fixed_p=1.0)
+        crossing = region_columns(params, "tau", (lo, hi), 1.0)[1]
         grid_hit = next(
             lo + i * step for i in range(points)
             if expected_source_utility_mixed(

@@ -67,6 +67,7 @@ class TestParseConfig:
                              "got 'meanfield'$"),
         ("p = -0.1", r"^p must be in \[0, 1\], got -0.1$"),
         ("p = 1.5", r"^p must be in \[0, 1\], got 1.5$"),
+        ("p = nan", r"^p must be in \[0, 1\], got nan$"),
         ("alpha = -1", r"^alpha must be in \[0, alpha_max\], got -1.0$"),
         ("alpha = 6", r"^alpha must be in \[0, alpha_max\], got 6.0$"),
     ])
@@ -303,7 +304,7 @@ class TestRunScenario:
 
     def test_region_requires_contact_sweep(self):
         cfg = replace(parse_config(""), mode="region")
-        with pytest.raises(ConfigError, match="region"):
+        with pytest.raises(ConfigError, match="^mode region needs a sweep over tau or lambda$"):
             run_scenario(cfg)
 
     def test_learn_mode_schema(self):
@@ -322,6 +323,7 @@ class TestRunScenario:
 
     @pytest.mark.parametrize("mode,var,values", [("pareto-grid", "tau", "20,40"),
                                                  ("solve-ese", "p", "0.1,0.5"),
+                                                 ("region", "n", "1,5"),
                                                  ("simulate", "tau", "20,40")])
     def test_unhonoured_sweep_names_mode_and_var(self, mode, var, values):
         cfg = replace(parse_config(f"sweep.var = {var}\nsweep.values = {values}"), mode=mode)
@@ -914,13 +916,24 @@ class TestDegeneratePoints:
         assert lines == ["n,n_a,alpha_star,clamped,n_a_min,feasible",
                          "2,nan,nan,0,4,0", "4,4,0.004274611442,0,4,1"]
 
+    @pytest.mark.parametrize("fleet", ["n = 100000000000000000000\n",
+                                       "sweep.var = n\nsweep.values = 1e300\n"])
+    def test_a_fleet_past_the_index_range_marks_its_row_where_none_delivers(
+            self, fleet, tmp_path, capsys):
+        # at q = 1 no cohort satisfies the source, so the one row is the mark
+        _, lines = run_cli("solve-pse", "lambda = 0\n" + fleet, tmp_path, capsys)
+        prefix = "1e+300," if "sweep" in fleet else ""
+        assert lines[1:] == [prefix + "nan,nan,0,inf,0"]
+
+    # a list of one value, repeated, spans no range either
     @pytest.mark.parametrize("lam,threshold,row", [
         ("0.015", "0.015", "0.015,0.998460083222,1"),
-        ("0.0001", "none", "0.0001,0.000692834847745,0")])
+        ("0.0001", "none", "0.0001,0.000692834847745,0"),
+        ("0.015,0.015", "0.015", "0.015,0.998460083222,1")])
     def test_one_value_region_sweep(self, lam, threshold, row, tmp_path, capsys):
         meta, lines = run_cli("region", f"sweep.var = lambda\nsweep.values = {lam}\n",
                               tmp_path, capsys)
-        assert lines == ["lambda,delivery,satisfied", row]
+        assert lines == ["lambda,delivery,satisfied"] + [row] * len(lam.split(","))
         assert meta["threshold"] == threshold
 
     @pytest.mark.parametrize("var,values,threshold", [
@@ -947,17 +960,22 @@ class TestDegeneratePoints:
 
     # numpy and list refuse 1e16 elements before they allocate any, and
     # 1e20, past the index range, with OverflowError; at the default 10000
-    # trials numpy rejects simulate's (trials, n) shape as a ValueError
-    # instead
+    # trials numpy refuses simulate's (trials, n) shape with a ValueError,
+    # which the simulator reports as the MemoryError it stands for
     @pytest.mark.parametrize("mode,config,keys", [
         ("solve-pse", "n = 10000000000000000\n", "n"),
         ("solve-pse", "sweep.var = n\nsweep.values = 1e16\n", "n"),
         ("simulate", "n = 10000000000000000\ntrials = 1\n", "trials or n"),
+        ("simulate", "n = 10000000000000000\n", "trials or n"),
+        ("simulate", "n = 100000000000000000000\n", "trials or n"),
         ("learn", "n = 10000000000000000\n", "horizon or n"),
         ("solve-pse", "n = 100000000000000000000\n", "n"),
+        ("solve-pse", "sweep.var = n\nsweep.values = 1e300\n", "n"),
+        ("solve-pse", "sweep.var = n\nsweep.values = 1.7e308,1.7e308\n", "n"),
         ("learn", "n = 100000000000000000000\n", "horizon or n")],
-        ids=["solve-pse", "solve-pse-sweep", "simulate", "learn", "solve-pse-1e20",
-             "learn-1e20"])
+        ids=["solve-pse", "solve-pse-sweep", "simulate", "simulate-default-trials",
+             "simulate-1e20", "learn", "solve-pse-1e20", "solve-pse-sweep-1e300",
+             "solve-pse-sweep-1.7e308", "learn-1e20"])
     def test_a_run_too_large_to_allocate_fails(self, mode, config, keys, tmp_path, capsys):
         cfg = tmp_path / "fleet.cfg"
         cfg.write_text(config)
@@ -1011,8 +1029,7 @@ class TestSweepBudget:
     def test_calls_do_not_grow_with_the_points(self, monkeypatch, mode, var, lo, hi):
         counts = []
         for points in (10, 5000):
-            # region's closed-form threshold checks its two endpoints whatever
-            # the range; n steps by 1; only simulate reads trials
+            # n steps by 1; only simulate reads trials
             values = range(1, points + 1) if var == "n" else np.linspace(lo, hi, points)
             cfg = replace(parse_config(f"trials = 1\nsweep.var = {var}\nsweep.values = "
                                        + ",".join(map(repr, map(float, values)))), mode=mode)

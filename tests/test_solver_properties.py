@@ -3,10 +3,20 @@ call returns finite values, or marked ones in the sweep columns, or raises
 a typed error, never a bare ValueError, ZeroDivisionError or
 OverflowError, and the exact cost and mixed relay payoff are finite."""
 import math
+import re
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from dtnsat.equilibrium import mse_columns, pse_columns, solve_ese
+from dtnsat.equilibrium import (
+    DegenerateContactError,
+    EseSolution,
+    FloatRangeError,
+    ese_columns,
+    mse_columns,
+    pse_columns,
+    solve_ese,
+)
 from dtnsat.model import expected_relay_utility_mixed, per_relay_success, total_energy
 from conftest import make_params
 
@@ -66,6 +76,30 @@ def test_solvers_are_total_over_the_box(lam, tau, delta, n):
     if ese is not None:
         assert all_finite(ese.p_star, ese.alpha_star, ese.binding_delivery)
         assert 0.0 <= ese.alpha_star <= params.alpha_max
+
+
+@settings(derandomize=True, database=None, max_examples=400, deadline=None)
+@given(lam=LAMBDAS, tau=TAUS, delta=DELTAS, n=FLEETS)
+def test_solve_ese_is_the_column_at_one_point(lam, tau, delta, n):
+    params = make_params(lam=lam, tau=tau, delta=delta, n=n)
+    try:
+        columns = ese_columns(params, None, ())
+    except FloatRangeError as exc:
+        with pytest.raises(FloatRangeError, match=f"^{re.escape(str(exc))}$"):
+            solve_ese(params)
+        return
+    p_star, alpha, delivery, clamped = (c.item() for c in columns)
+    # p_star is inf exactly where no relay delivers even at p = 1
+    assert (p_star == math.inf) == (per_relay_success(params, 1.0) == 0.0)
+    if p_star > 1.0:
+        message = ("per-relay success is zero even at p = 1" if p_star == math.inf
+                   else f"QoS delta = {delta} is unreachable even at p = 1")
+        with pytest.raises(DegenerateContactError, match=f"^{re.escape(message)}$"):
+            solve_ese(params)
+        return
+    ese = solve_ese(params)
+    assert ese == EseSolution(p_star, alpha, delivery, clamped)
+    assert [type(v) for v in vars(ese).values()] == [float, float, float, bool]
 
 
 @settings(derandomize=True, database=None, max_examples=400, deadline=None)

@@ -13,10 +13,10 @@ from dtnsat.equilibrium import (
     _indifference_reward,
     _mixed_column,
     _sweep_point,
-    delivery_column,
     ese_columns,
     mse_columns,
     pse_columns,
+    region_columns,
     solve_ese,
 )
 from dtnsat.model import (
@@ -69,7 +69,7 @@ def assert_columns_match(params, var, values, p):
     assert outcome(lambda: ese_columns(params, var, values)) == \
         outcome(lambda: point_columns(point_ese_row, params, var, values))
     if var in ("tau", "lambda"):
-        assert bits(delivery_column(params, var, values, p)) == \
+        assert bits(region_columns(params, var, values, p)[0]) == \
             bits(expected_source_utility_mixed(p, with_param(params, var, v)) for v in values)
 
 
