@@ -1,12 +1,12 @@
-"""Closed-form satisfaction-equilibrium solvers and efficiency checks.
+"""The paper's reduced model in closed form: equilibrium solvers and efficiency checks.
 
-The solvers invert the reduced relay payoff, :func:`dtnsat.model.reduced_payoffs`:
+The solvers invert the reduced relay payoff, :func:`reduced_payoffs`:
 caching cost is linearized to e*(1-q)/lam and the failure regret is weighted
 by the full fleet size n rather than by the accepting cohort alone; each
 returned reward is the root of the accept-minus-reject gap of that payoff,
-pure at cohort m or mixed at common p (:func:`mixed_relay_payoffs`).  The
-simulator and the mixed utilities in :mod:`dtnsat.model` pay the game's
-payoff, :func:`dtnsat.model.relay_payoffs`, where a relay with k accepting
+pure at cohort m or mixed at common p.  The simulator and the mixed
+utilities in :mod:`dtnsat.model` pay the game's payoff,
+:func:`dtnsat.model.relay_payoffs`, where a relay with k accepting
 opponents holds the share of cohort k+1.  The two disagree by far more than
 rounding: at the reference binding point (p* = 0.0549, alpha* = 0.7668) a
 relay's mixed accept/reject payoffs are 0.460/-0.675 under the game's payoff
@@ -21,17 +21,19 @@ and the indifference reward at every point at once.  The sweep columns
 and feed the CSV modes; :func:`solve_ese` is :func:`ese_columns` at one
 point.  The pure candidates are one column too, :func:`pse_columns`: each
 point expands to one row per cohort from its QoS bound to n.  Both kernels
-meet a sweep in one place, :func:`_sweep_point`: it sets the swept variable and
-gives the fleet and QoS and, at each point, the
+meet a sweep in one place, :func:`_sweep_point`: it sets the swept variable
+and gives the fleet and QoS and, at each point, the
 :func:`dtnsat.model.relay_failure_probability`, the
-:func:`dtnsat.model.contact_probability` and the
-:func:`dtnsat.model.reduced_cooperation_cost`.  The columns use numpy only
-for ``+ - * /``, comparisons and selection, which IEEE rounds alike in
-numpy and in Python floats; ``exp``, ``expm1``, ``log1p`` and the pure
-``q**m`` are Python's own, mapped over the column, because numpy's differ
-from them in the last bit on a few percent of inputs.  So every point
-keeps the bits of the scalar model functions in :mod:`dtnsat.model`, which
-the columns restate elementwise.
+:func:`dtnsat.model.contact_probability` and the reduced cooperation cost,
+which has no other implementation.  The ``mean-field`` learner feed reads
+them at its one point and pays :func:`reduced_payoffs` with them.  The
+columns use numpy only for ``+ - * /``, comparisons and selection, which
+IEEE rounds alike in numpy and in Python floats; ``exp``, ``expm1``,
+``log1p`` and the pure ``q**m`` are Python's own, mapped over the column,
+because numpy's differ from them in the last bit on a few percent of
+inputs.  So every point keeps the bits of the scalar functions that the
+columns restate elementwise: those of :mod:`dtnsat.model`, and the scalar
+reduced cost that the test oracles keep.
 """
 from __future__ import annotations
 
@@ -45,11 +47,8 @@ import numpy as np
 
 from .model import (
     GameParams,
-    _any_delivers,
     expected_relay_utility_mixed,
     expected_source_utility_mixed,
-    per_relay_success,
-    reduced_payoffs,
     relay_failure_probability,
 )
 
@@ -68,16 +67,15 @@ BISECTION_TOL = 1e-6
 DOMINANCE_MARGIN = 1e-9
 
 
-def mixed_relay_payoffs(alpha: float, p: float, params: GameParams) -> tuple[float, float]:
-    """(accept, reject) payoffs of the reduced mixed model at common p.
-
-    The share is the delivery probability over n, which keeps its relative
-    precision where 1 - (1 - z)**n rounds to 0 (a tiny delta), as the reward
-    of :func:`_mixed_column` does; the regret needs the miss (1 - z)**n only
-    to absolute precision.
-    """
-    n, z = params.n, per_relay_success(params, p)
-    return reduced_payoffs(alpha, n, _any_delivers(z, n), (1.0 - z) ** n, params)
+def reduced_payoffs(alpha, cohort, success, miss, cost, params: GameParams):
+    """The solvers' (accept, reject) payoffs of a relay in a ``cohort`` that
+    delivers with probability ``success`` and misses with ``miss``: share
+    success/cohort, regret sigma*(n - 1 + miss)/cohort and the reduced
+    cooperation ``cost`` of :func:`_sweep_point`.  Works elementwise on
+    numpy arrays."""
+    share = success / cohort
+    regret = params.sigma * (params.n - 1 + miss) / cohort
+    return alpha * share - regret - cost, -alpha * share - params.gamma
 
 
 @dataclass(frozen=True)
@@ -113,7 +111,7 @@ def minimum_satisfying_cohort(params: GameParams):
 def _indifference_reward(params: GameParams, n, cost, cohort, success):
     """Root in alpha of the reduced-model gap for a cohort, of a fleet of n,
     that delivers with probability ``success`` at the cooperation cost
-    ``cost`` (:func:`dtnsat.model.reduced_cooperation_cost`).
+    ``cost`` (the reduced cost of :func:`_sweep_point`).
 
     Written over the cost itself, whose caching term is divided by lam, so
     the balance stays in range for every finite lam.  Works elementwise on
@@ -293,7 +291,10 @@ def solve_ese(params: GameParams) -> EseSolution:
     least about 1.1e-16."""
     p_star, alpha, delivery, clamped = (c.item() for c in ese_columns(params, None, ()))
     if p_star == math.inf:
-        raise DegenerateContactError("per-relay success is zero even at p = 1")
+        lam, tau = params.contact.lam, params.contact.tau
+        raise DegenerateContactError(f"per-relay success is zero even at p = 1: lambda = {lam} "
+                                     f"and tau = {tau} give x = lambda*tau = {lam * tau}, "
+                                     "at which exp(-x) rounds to 1")
     if p_star > 1.0:
         raise DegenerateContactError(f"QoS delta = {params.delta} is unreachable even at p = 1")
     return EseSolution(p_star, alpha, delivery, clamped)

@@ -31,9 +31,11 @@ reads window i of the simulator's stream.  Relay payoffs can be fed two ways:
     -0.20 at step 5000).
 
 ``mean-field``
-    Each relay is paid the reduced-model accept/reject payoff evaluated at
-    the published reward and the current mean accept probability.  The
-    coupled fixed point is then exactly the binding equilibrium returned by
+    Each relay is paid :func:`dtnsat.equilibrium.reduced_payoffs` of the
+    fleet at the published reward and the mean accept probability p, with
+    z = (1 - q)*reach*p and the reduced cost read once per run from
+    :func:`dtnsat.equilibrium._sweep_point`.  The coupled fixed point is
+    then exactly the binding equilibrium returned by
     :func:`dtnsat.equilibrium.solve_ese` (see the fixed-point tests), but
     the stochastic dynamics do not settle there: at the reference scenario
     with horizon 5000, seeds 0-5 all end with the reward at the zero clamp
@@ -47,8 +49,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .equilibrium import mixed_relay_payoffs
-from .model import GameParams, total_energy
+from .equilibrium import _sweep_point, reduced_payoffs
+from .model import GameParams, _any_delivers, total_energy
 from .simulate import MODEL, _cohort_payoffs, _cohort_shares, _contacts, _index, _window, \
     episode_rng
 
@@ -154,7 +156,11 @@ def run_coupled(params: GameParams, horizon: int, seed: int,
     rng = episode_rng(seed, 0, n)
     alpha, estimate = params.alpha_max / 2.0, 0.0
     p, est = [0.5] * n, ([0.0] * n, [0.0] * n)
-    share, cost = _cohort_shares(params).tolist(), total_energy(params)
+    if feed == EPISODE:
+        share, cost = _cohort_shares(params).tolist(), total_energy(params)
+    else:
+        _, _, q, reach, cost = _sweep_point(params, None, ())
+        ceiling, cost = ((1.0 - q) * reach).item(), cost.item()
     alphas, estimates = np.empty((2, horizon))
     probs = np.empty((horizon, n))
     n_accept = np.empty(horizon, dtype=int)
@@ -173,7 +179,8 @@ def run_coupled(params: GameParams, horizon: int, seed: int,
             if feed == EPISODE:
                 pay = _cohort_payoffs(params, share, cost, cohort, alpha)
             else:
-                pay = mixed_relay_payoffs(alpha, sum(p) / n, params)
+                z = ceiling * (sum(p) / n)
+                pay = reduced_payoffs(alpha, n, _any_delivers(z, n), (1.0 - z) ** n, cost, params)
             if not (math.isfinite(pay[0]) and math.isfinite(pay[1])):
                 bad = pay[1] if math.isfinite(pay[0]) else pay[0]
                 raise ValueError(f"realized utility must be finite, got {bad}")

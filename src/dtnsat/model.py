@@ -1,4 +1,5 @@
-"""Closed-form contact, energy and utility formulas of the caching game.
+"""Closed-form contact, energy and utility formulas of the caching game that
+the simulator plays; the solvers' reduced payoff is in :mod:`dtnsat.equilibrium`.
 
 Everything here is a pure function over immutable value types, so the module
 is safe to use from any number of threads.  Counts are integers; probabilities
@@ -7,7 +8,6 @@ and energies are plain floats in consistent (dimensionless) units.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 
 
@@ -126,38 +126,12 @@ def total_energy(params: GameParams) -> float:
     return params.energy.e_receive + params.energy.e_transmit + stored
 
 
-def reduced_cooperation_cost(params: GameParams) -> float:
-    """Per-relay cooperation cost under the linearized caching-energy model:
-    e_r + e_t + e*(1-q)/lam, with its limit e*tau for the last term at
-    lam = 0.  Where e*(1-q) is subnormal it is taken as e*tau*((1-q)/x),
-    x = lam*tau, as in :func:`_tagged_share`, so a subnormal lam keeps it."""
-    x = params.contact.lam * params.contact.tau
-    reach = -math.expm1(-x)
-    stored = params.energy.e_store * reach
-    if stored < sys.float_info.min:  # would lose its bits before the division
-        stored = params.energy.e_store * params.contact.tau * (reach / x if x > 0 else 1.0)
-    else:
-        stored /= params.contact.lam
-    return params.energy.e_receive + params.energy.e_transmit + stored
-
-
 def relay_payoffs(alpha, share, cost: float, params: GameParams):
     """The game's (accept, reject) payoffs of a relay holding ``share`` of the
     reward alpha: accepting earns it less the regret sigma*(1 - share) and
     ``cost`` (the caller's :func:`total_energy`); declining forfeits it and
     pays the regret gamma.  Numpy arrays of shares work elementwise."""
     return (alpha * share - params.sigma * (1.0 - share) - cost,
-            -alpha * share - params.gamma)
-
-
-def reduced_payoffs(alpha, cohort, success, miss, params: GameParams):
-    """The solvers' (accept, reject) payoffs of a relay in a ``cohort`` that
-    delivers with probability ``success`` and misses with ``miss``: share
-    success/cohort, regret sigma*(n - 1 + miss)/cohort and cost
-    :func:`reduced_cooperation_cost`.  Works elementwise on numpy arrays."""
-    share = success / cohort
-    regret = params.sigma * (params.n - 1 + miss) / cohort
-    return (alpha * share - regret - reduced_cooperation_cost(params),
             -alpha * share - params.gamma)
 
 

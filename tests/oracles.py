@@ -1,6 +1,8 @@
 """Independent oracles that only tests call: a term-by-term delivery share,
-the reduced model's indifference gaps, whose roots the solvers return, the
-tagged-relay indifference reward, the root of the game's gap,
+the reduced model's scalar cooperation cost and mixed payoffs, which the
+solvers' cost column and the ``mean-field`` learner feed must match bit for
+bit, the reduced model's indifference gaps, whose roots the solvers return,
+the tagged-relay indifference reward, the root of the game's gap,
 ``with_param``, which builds one sweep point through the validating
 constructors, the pure and mixed solvers written point by point over the
 scalar model functions, a coupled run that records what each relay
@@ -8,6 +10,7 @@ played and was fed, and an episode with one accept probability per relay
 with the scorer that pays each relay the side of the cohort payoffs it
 played."""
 import math
+import sys
 from unittest import mock
 
 import numpy as np
@@ -17,18 +20,17 @@ from dtnsat.equilibrium import (
     DegenerateContactError,
     EseSolution,
     FloatRangeError,
-    mixed_relay_payoffs,
+    reduced_payoffs,
 )
 from dtnsat.model import (
     ContactModel,
     DegenerateRateError,
     EmptyCohortError,
     GameParams,
+    _any_delivers,
     _tagged_share,
     expected_source_utility_mixed,
     per_relay_success,
-    reduced_cooperation_cost,
-    reduced_payoffs,
     relay_failure_probability,
     total_energy,
 )
@@ -61,6 +63,34 @@ def delivery_share_bruteforce(n_active: int, q: float) -> float:
     return succeed * total
 
 
+def reduced_cooperation_cost(params: GameParams) -> float:
+    """Per-relay cooperation cost under the linearized caching-energy model:
+    e_r + e_t + e*(1-q)/lam, with its limit e*tau for the last term at
+    lam = 0.  Where e*(1-q) is subnormal it is taken as e*tau*((1-q)/x),
+    x = lam*tau, as in ``_tagged_share``, so a subnormal lam keeps it."""
+    x = params.contact.lam * params.contact.tau
+    reach = -math.expm1(-x)
+    stored = params.energy.e_store * reach
+    if stored < sys.float_info.min:  # would lose its bits before the division
+        stored = params.energy.e_store * params.contact.tau * (reach / x if x > 0 else 1.0)
+    else:
+        stored /= params.contact.lam
+    return params.energy.e_receive + params.energy.e_transmit + stored
+
+
+def mixed_relay_payoffs(alpha: float, p: float, params: GameParams) -> tuple[float, float]:
+    """(accept, reject) payoffs of the reduced mixed model at common p.
+
+    The share is the delivery probability over n, which keeps its relative
+    precision where 1 - (1 - z)**n rounds to 0 (a tiny delta), as the reward
+    of ``_mixed_column`` does; the regret needs the miss (1 - z)**n only
+    to absolute precision.
+    """
+    n, z = params.n, per_relay_success(params, p)
+    return reduced_payoffs(alpha, n, _any_delivers(z, n), (1.0 - z) ** n,
+                           reduced_cooperation_cost(params), params)
+
+
 def pure_indifference_gap(alpha: float, n_active: int, params: GameParams) -> float:
     """Accept-minus-reject payoff under the reduced model, pure cohort case.
 
@@ -68,7 +98,8 @@ def pure_indifference_gap(alpha: float, n_active: int, params: GameParams) -> fl
     """
     q = relay_failure_probability(params.contact)
     miss = q ** n_active
-    accept, reject = reduced_payoffs(alpha, n_active, 1.0 - miss, miss, params)
+    accept, reject = reduced_payoffs(alpha, n_active, 1.0 - miss, miss,
+                                     reduced_cooperation_cost(params), params)
     return accept - reject
 
 
@@ -138,7 +169,10 @@ def point_mse(params: GameParams) -> tuple:
     """(p_min, z_star, feasible) of the mixed equilibria at one point."""
     ceiling = per_relay_success(params, 1.0)
     if ceiling <= 0:
-        raise DegenerateContactError("per-relay success is zero even at p = 1")
+        lam, tau = params.contact.lam, params.contact.tau
+        raise DegenerateContactError(f"per-relay success is zero even at p = 1: lambda = {lam} "
+                                     f"and tau = {tau} give x = lambda*tau = {lam * tau}, "
+                                     "at which exp(-x) rounds to 1")
     p_min = -math.expm1(math.log1p(-params.delta) / params.n) / ceiling
     if p_min == 0.0:
         raise FloatRangeError(f"minimum accept probability underflows at delta = {params.delta}")

@@ -20,7 +20,6 @@ from typing import NamedTuple
 import numpy as np
 
 from dtnsat.equilibrium import (
-    mixed_relay_payoffs,
     mse_columns,
     pareto_grid_scan,
     pse_columns,
@@ -38,8 +37,8 @@ from dtnsat.model import (
 )
 from dtnsat.simulate import estimate_delivery, estimate_relay_utility
 from conftest import make_params
-from oracles import delivery_share_bruteforce, pure_indifference_gap, run_coupled_fed, \
-    tagged_indifference_reward
+from oracles import delivery_share_bruteforce, mixed_relay_payoffs, pure_indifference_gap, \
+    run_coupled_fed, tagged_indifference_reward
 
 
 def report(number: int, ok: bool, detail: str) -> None:

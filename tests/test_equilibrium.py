@@ -1,6 +1,7 @@
 import math
 import re
 import tracemalloc
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -8,12 +9,13 @@ import pytest
 from dtnsat.equilibrium import (
     DegenerateContactError,
     _mixed_column,
+    _sweep_point,
     minimum_satisfying_cohort,
-    mixed_relay_payoffs,
     mse_columns,
     pareto_dominance_check,
     pareto_grid_scan,
     pse_columns,
+    reduced_payoffs,
     region_columns,
     solve_ese,
 )
@@ -23,7 +25,8 @@ from dtnsat.model import (
     relay_failure_probability,
 )
 from conftest import make_params
-from oracles import mixed_indifference_gap, pure_indifference_gap, with_param
+from oracles import mixed_indifference_gap, mixed_relay_payoffs, pure_indifference_gap, \
+    with_param
 
 # frozen with 50-digit arithmetic at the reference scenario
 ALPHA_PSE = {
@@ -47,6 +50,47 @@ ESE_FOUR_TARGETS = {
     0.65: (0.48924116078907, 0.020018623679132),
     0.85: (0.77655334565810, -0.008221052480660),
 }
+
+
+def reduced_cost(params):
+    """The reduced cooperation cost at the one point ``params``."""
+    return _sweep_point(params, None, ())[4].item()
+
+
+class TestReducedPayoffs:
+    def test_arrays_match_scalar_calls_exactly(self, base_params):
+        q = relay_failure_probability(base_params.contact)
+        cost = reduced_cost(base_params)
+        cohorts = range(1, base_params.n + 1)
+        misses = [q ** c for c in cohorts]
+        successes = [1.0 - miss for miss in misses]
+        accept, reject = reduced_payoffs(1.3, np.array(cohorts), np.array(successes),
+                                         np.array(misses), cost, base_params)
+        for i, args in enumerate(zip(cohorts, successes, misses)):
+            assert (accept[i], reject[i]) == reduced_payoffs(1.3, *args, cost, base_params)
+
+
+class TestReducedCooperationCost:
+    def test_zero_rate_limit(self):
+        # lam*tau = 1e-9 keeps the first-order offset of the cost below 1e-9
+        assert reduced_cost(make_params(lam=0.0, tau=1.0)) == 2e-5 + 2e-5 + 3.8e-5 * 1.0
+        assert reduced_cost(make_params(lam=0.0, tau=1.0)) == \
+            pytest.approx(reduced_cost(make_params(lam=1e-9, tau=1.0)), rel=1e-9)
+
+    @pytest.mark.parametrize("lam,tau", [(5e-324, 100.0), (1e-320, 100.0),
+                                         (1e-315, 100.0), (5e-324, 0.1)])
+    def test_subnormal_rate_matches_decimal(self, lam, tau):
+        # e*(1 - q) leaves the normal range before the division by lam;
+        # 60-digit series of (1 - exp(-x))/lam from the binary inputs
+        params = make_params(lam=lam, tau=tau)
+        with localcontext() as ctx:
+            ctx.prec = 60
+            lam_d, tau_d = Decimal(lam), Decimal(tau)
+            x = lam_d * tau_d
+            stored = tau_d * sum((-x) ** k / math.factorial(k + 1) for k in range(6))
+            want = (Decimal(params.energy.e_receive) + Decimal(params.energy.e_transmit)
+                    + Decimal(params.energy.e_store) * stored)
+        assert abs(reduced_cost(params) / float(want) - 1.0) <= 1e-12
 
 
 def pse_point(params):
@@ -244,7 +288,9 @@ class TestSolveEse:
 
     def test_degenerate_contact_rejected(self):
         with pytest.raises(DegenerateContactError,
-                           match=r"^per-relay success is zero even at p = 1$"):
+                           match=r"^per-relay success is zero even at p = 1: lambda = 0\.0 "
+                                 r"and tau = 100\.0 give x = lambda\*tau = 0\.0, "
+                                 r"at which exp\(-x\) rounds to 1$"):
             solve_ese(make_params(lam=0.0))
 
 

@@ -583,7 +583,10 @@ class TestLearnBytes:
     learn-coupled configs and the physical contact mode, each CSV's sha256 as
     the run gave it while it also recorded every step's actions and fed
     payoffs, so a change to the learners, the stream or the writer shows
-    here."""
+    here.  Three more ``mean-field`` runs pin the reduced feed at lambda = 0,
+    at a subnormal lambda, whose reduced cost takes its subnormal branch,
+    and at n = 40, taken while the feed still paid through the scalar
+    payoffs that are now ``oracles.mixed_relay_payoffs``."""
 
     SHA256 = {
         "": "ae9a47b476d186cb771437eeac2af6dd3743d3ba27c7da3ee12ea734fccf419e",
@@ -592,6 +595,12 @@ class TestLearnBytes:
         "n = 40\n": "c06921df17c9c073c70d15d350d22a08da722c1f23c56953a8d0aef17027abcb",
         "contact_mode = physical\n":
             "6e4955bdaea4d1aa42a340a1a92079a7d8c29baf331602c6f7acca6b30aaee91",
+        "feed = mean-field\nlambda = 0\n":
+            "b3afbf99def53f19b064846f249c431fac7696c1d66e07d89bed71c2abe5daea",
+        "feed = mean-field\nlambda = 1e-310\n":
+            "779158d7d8a39f4d8c0155c33677cfd58c8cc0d9878b40bf3e752485a8cfcccd",
+        "feed = mean-field\nn = 40\n":
+            "a406545be702ca77d939a4fdbf3c7c13b3734890072b113a663692949d5adcc6",
     }
 
     @pytest.mark.parametrize("config", sorted(SHA256))

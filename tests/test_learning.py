@@ -8,7 +8,7 @@ import pytest
 
 import dtnsat.learning as learning
 import dtnsat.simulate as simulate
-from dtnsat.equilibrium import mixed_relay_payoffs, solve_ese
+from dtnsat.equilibrium import solve_ese
 from dtnsat.experiments import emit_csv, parse_config, run_scenario
 from dtnsat.learning import (
     EPISODE,
@@ -20,7 +20,7 @@ from dtnsat.learning import (
 from dtnsat.model import total_energy
 from dtnsat.simulate import MODEL, PHYSICAL, _cohort_shares, episode_rng
 from conftest import make_params
-from oracles import episode, run_coupled_fed, score_relays
+from oracles import episode, mixed_relay_payoffs, run_coupled_fed, score_relays
 
 # a trajectory's arrays and what run_coupled_fed records beside them
 ARRAYS = ("alpha", "u_s_est", "accept_probs", "accepted", "utilities", "n_accept", "delivered")
@@ -121,8 +121,8 @@ class TestRelayStep:
     def test_non_finite_utility_rejected(self, monkeypatch):
         # the payoff pair is checked before it is fed, so a NaN on the side
         # the relay did not play stops the run too
-        monkeypatch.setattr(learning, "mixed_relay_payoffs",
-                            lambda alpha, p, params: (-0.1, math.nan))
+        monkeypatch.setattr(learning, "reduced_payoffs",
+                            lambda alpha, cohort, success, miss, cost, params: (-0.1, math.nan))
         with pytest.raises(ValueError, match="realized utility must be finite, got nan"):
             run_coupled(make_params(n=1), 1, seed=1, feed=MEAN_FIELD)
 
@@ -262,8 +262,8 @@ class TestArrayStateEquivalence:
 
     @pytest.mark.parametrize("feed", [EPISODE, MEAN_FIELD])
     @pytest.mark.parametrize("contact_mode", [MODEL, PHYSICAL])
-    @pytest.mark.parametrize("scenario", [dict(n=7), dict(n=40), dict(lam=0.0), dict(n=1),
-                                          BINDING])
+    @pytest.mark.parametrize("scenario", [dict(n=7), dict(n=40), dict(lam=0.0), dict(lam=1e-310),
+                                          dict(n=1), BINDING])
     def test_run_coupled_equals_scalar_replay(self, feed, contact_mode, scenario):
         params = make_params(**scenario)
         got = recorded_arrays(params, 300, seed=13, feed=feed, contact_mode=contact_mode)
@@ -393,8 +393,8 @@ class TestElementwiseRelayUpdate:
             run_coupled(params, 20, seed=1)
 
     def test_non_finite_fed_utility_stops_run_coupled(self, base_params, monkeypatch):
-        monkeypatch.setattr(learning, "mixed_relay_payoffs",
-                            lambda alpha, p, params: (math.nan, -0.1))
+        monkeypatch.setattr(learning, "reduced_payoffs",
+                            lambda alpha, cohort, success, miss, cost, params: (math.nan, -0.1))
         with pytest.raises(ValueError, match="realized utility must be finite"):
             run_coupled(base_params, 20, seed=1, feed=MEAN_FIELD)
 

@@ -16,8 +16,6 @@ from dtnsat.model import (
     expected_relay_utility_mixed,
     expected_source_utility_mixed,
     per_relay_success,
-    reduced_cooperation_cost,
-    reduced_payoffs,
     relay_failure_probability,
     relay_payoffs,
     storage_energy,
@@ -142,48 +140,12 @@ class TestRelayPayoffs:
             assert (accept[i], reject[i]) == relay_payoffs(1.3, share, cost, base_params)
 
 
-class TestReducedPayoffs:
-    def test_arrays_match_scalar_calls_exactly(self, base_params):
-        q = relay_failure_probability(base_params.contact)
-        cohorts = range(1, base_params.n + 1)
-        misses = [q ** c for c in cohorts]
-        successes = [1.0 - miss for miss in misses]
-        accept, reject = reduced_payoffs(1.3, np.array(cohorts), np.array(successes),
-                                         np.array(misses), base_params)
-        for i, args in enumerate(zip(cohorts, successes, misses)):
-            assert (accept[i], reject[i]) == reduced_payoffs(1.3, *args, base_params)
-
-
 class TestZeroRateLimits:
-    # lam*tau = 1e-9 keeps the first-order offsets of both costs below 1e-9
+    # lam*tau = 1e-9 keeps the first-order offset of the cost below 1e-9
     def test_total_energy(self):
         assert total_energy(make_params(lam=0.0, tau=1.0)) == 2e-5 + 2e-5
         assert total_energy(make_params(lam=0.0, tau=1.0)) == pytest.approx(
             total_energy(make_params(lam=1e-9, tau=1.0)), rel=1e-9)
-
-    def test_reduced_cooperation_cost(self):
-        assert reduced_cooperation_cost(make_params(lam=0.0, tau=1.0)) == \
-            2e-5 + 2e-5 + 3.8e-5 * 1.0
-        assert reduced_cooperation_cost(make_params(lam=0.0, tau=1.0)) == \
-            pytest.approx(reduced_cooperation_cost(make_params(lam=1e-9, tau=1.0)),
-                          rel=1e-9)
-
-
-class TestReducedCooperationCost:
-    @pytest.mark.parametrize("lam,tau", [(5e-324, 100.0), (1e-320, 100.0),
-                                         (1e-315, 100.0), (5e-324, 0.1)])
-    def test_subnormal_rate_matches_decimal(self, lam, tau):
-        # e*(1 - q) leaves the normal range before the division by lam;
-        # 60-digit series of (1 - exp(-x))/lam from the binary inputs
-        params = make_params(lam=lam, tau=tau)
-        with localcontext() as ctx:
-            ctx.prec = 60
-            lam_d, tau_d = Decimal(lam), Decimal(tau)
-            x = lam_d * tau_d
-            stored = tau_d * sum((-x) ** k / math.factorial(k + 1) for k in range(6))
-            want = (Decimal(params.energy.e_receive) + Decimal(params.energy.e_transmit)
-                    + Decimal(params.energy.e_store) * stored)
-        assert abs(reduced_cooperation_cost(params) / float(want) - 1.0) <= 1e-12
 
 
 class TestDeliveryShare:
@@ -451,7 +413,6 @@ def test_operations_are_pure(base_params):
         (storage_energy, (base_params,)),
         (delivery_share, (5, 0.37)),
         (relay_payoffs, (1.2, delivery_share(4, q), total_energy(base_params), base_params)),
-        (reduced_payoffs, (1.2, 4, 1.0 - q ** 4, q ** 4, base_params)),
         (expected_relay_utility_mixed, (0.3, 1.2, base_params)),
         (expected_source_utility_mixed, (0.3, base_params)),
     ]

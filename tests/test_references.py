@@ -1,7 +1,8 @@
 """Every dotted name the README cites and every :func:/:class: reference in
 the package docstrings resolves to an attribute of its module, every
-module-level name of the package is read somewhere in it, and ``import
-dtnsat`` loads no module of the package."""
+module-level name of the package is read somewhere in it, every name a
+module imports is read in that module, and ``import dtnsat`` loads no
+module of the package."""
 import ast
 import importlib
 import os
@@ -132,6 +133,40 @@ def test_an_unused_private_name_fails(tmp_path):
         "def size(rows):\n    return rows._TABLE\n", encoding="utf-8")
     # _Rows is imported but never loaded; _TABLE is read as an attribute
     assert unused_private_names(tmp_path) == ["core._Rows", "core._helper"]
+
+
+def unused_imports(package: Path) -> list[str]:
+    """``module.name`` of each name that a module of ``package`` binds by an
+    import and never loads; ``from __future__`` imports bind nothing."""
+    unused = []
+    for path in package.glob("*.py"):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        loads = {node.id for node in ast.walk(tree)
+                 if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                bound = [alias.asname or alias.name.partition(".")[0] for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                bound = [alias.asname or alias.name for alias in node.names]
+            else:
+                continue
+            unused.extend(f"{path.stem}.{name}" for name in bound if name not in loads)
+    return sorted(unused)
+
+
+def test_every_import_is_read():
+    assert unused_imports(PACKAGE) == []
+
+
+def test_an_unused_import_fails(tmp_path):
+    (tmp_path / "core.py").write_text(
+        "from __future__ import annotations\n\nimport math\nimport os.path\n"
+        "import numpy as np\nfrom typing import Optional\n\n"
+        "from .model import _any_delivers, total_energy as energy\n\n\n"
+        "def run(x: Optional[float]):\n    return math.log(x) + energy(x)\n",
+        encoding="utf-8")
+    # Optional is read in an annotation; os, np and _any_delivers never are
+    assert unused_imports(tmp_path) == ["core._any_delivers", "core.np", "core.os"]
 
 
 # the public names that no module of the package reads

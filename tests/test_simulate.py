@@ -27,7 +27,7 @@ from dtnsat.simulate import (
     simulate_episode,
 )
 from dtnsat.equilibrium import solve_ese
-from dtnsat.learning import FEEDS, run_coupled
+from dtnsat.learning import EPISODE, FEEDS, run_coupled
 from conftest import cohort_payoffs, make_params
 from oracles import episode, score_relays
 
@@ -398,7 +398,8 @@ class TestScoringBudget:
         monkeypatch.setattr(learning, "_relay_update", counted)
         run_coupled(make_params(n=n), horizon, 1, feed=feed)
         assert steps == [n] * horizon
-        assert calls["delivery_share"] == n + 1
+        # only the episode feed pays from the share table
+        assert calls["delivery_share"] == (n + 1 if feed == EPISODE else 0)
 
 
 class TestEstimateWithCI:

@@ -92,8 +92,9 @@ def test_solve_ese_is_the_column_at_one_point(lam, tau, delta, n):
     # p_star is inf exactly where no relay delivers even at p = 1
     assert (p_star == math.inf) == (per_relay_success(params, 1.0) == 0.0)
     if p_star > 1.0:
-        message = ("per-relay success is zero even at p = 1" if p_star == math.inf
-                   else f"QoS delta = {delta} is unreachable even at p = 1")
+        message = (f"per-relay success is zero even at p = 1: lambda = {lam} and tau = {tau} "
+                   f"give x = lambda*tau = {lam * tau}, at which exp(-x) rounds to 1"
+                   if p_star == math.inf else f"QoS delta = {delta} is unreachable even at p = 1")
         with pytest.raises(DegenerateContactError, match=f"^{re.escape(message)}$"):
             solve_ese(params)
         return

@@ -24,7 +24,7 @@ from dtnsat.model import (
     _any_delivers,
     contact_probability,
     expected_source_utility_mixed,
-    reduced_cooperation_cost,
+    per_relay_success,
     relay_failure_probability,
 )
 from conftest import make_params
@@ -34,6 +34,7 @@ from oracles import (
     point_mse_reward,
     point_mse_row,
     point_pse,
+    reduced_cooperation_cost,
     with_param,
 )
 from test_solver_properties import DELTAS, FLEETS, LAMBDAS, TAUS
@@ -188,6 +189,11 @@ def test_cost_and_reward_columns_are_the_scalar_ones(lams, tau, n, success):
     assert bits(reward) == bits(
         _indifference_reward(params, n, reduced_cooperation_cost(point), n, success)
         for point in points)
+    # the one-point path the mean-field learner feed reads
+    for point in points:
+        _, _, q, reach, cost = _sweep_point(point, None, ())
+        assert bits(cost) == bits([reduced_cooperation_cost(point)])
+        assert bits((1.0 - q) * reach) == bits([per_relay_success(point, 1.0)])
 
 
 # errors: the kernel raises the first failing point in sweep order
