@@ -105,7 +105,7 @@ def _cohort_bound(q: float, delta: float):
 
 def minimum_satisfying_cohort(params: GameParams):
     """Smallest integer cohort with 1 - q**m >= delta; inf where q = 1."""
-    return _cohort_bound(relay_failure_probability(params.contact), params.delta)
+    return _cohort_bound(relay_failure_probability(params), params.delta)
 
 
 def _indifference_reward(params: GameParams, n, cost, cohort, success):
@@ -146,18 +146,17 @@ def _sweep_point(params: GameParams, var: Optional[str], values):
     (None for none) set to the float array of ``values``: the fleet, the QoS
     and, elementwise at x = lam*tau, the failure probability exp(-x), the
     contact probability -expm1(-x) and the reduced cooperation cost."""
-    point = {"lambda": params.contact.lam, "tau": params.contact.tau,
-             "n": params.n, "delta": params.delta}
+    point = {"lambda": params.lam, "tau": params.tau, "n": params.n, "delta": params.delta}
     if var is not None:
         point[var] = np.asarray(values, dtype=float)
-    lam, tau, e = point["lambda"], point["tau"], params.energy
+    lam, tau, e = point["lambda"], point["tau"], params.e_store
     with np.errstate(all="ignore"):  # the masked-out branch divides by zero at lam = 0
         x = lam * tau
         q, reach = _map(math.exp, -x), -_map(math.expm1, -x)
-        stored = e.e_store * reach
+        stored = e * reach
         stored = np.where(stored < sys.float_info.min,
-                          e.e_store * tau * np.where(x > 0, reach / x, 1.0), stored / lam)
-        cost = e.e_receive + e.e_transmit + stored
+                          e * tau * np.where(x > 0, reach / x, 1.0), stored / lam)
+        cost = params.e_receive + params.e_transmit + stored
     return point["n"], point["delta"], q, reach, cost
 
 
@@ -291,7 +290,7 @@ def solve_ese(params: GameParams) -> EseSolution:
     least about 1.1e-16."""
     p_star, alpha, delivery, clamped = (c.item() for c in ese_columns(params, None, ()))
     if p_star == math.inf:
-        lam, tau = params.contact.lam, params.contact.tau
+        lam, tau = params.lam, params.tau
         raise DegenerateContactError(f"per-relay success is zero even at p = 1: lambda = {lam} "
                                      f"and tau = {tau} give x = lambda*tau = {lam * tau}, "
                                      "at which exp(-x) rounds to 1")
@@ -313,7 +312,7 @@ def region_columns(params: GameParams, var: str, values, p: float):
     lo, hi = min(values), max(values)
     if lo == hi:
         return delivery, lo if delivery[0] >= params.delta else None
-    fixed = params.contact.tau if var == "lambda" else params.contact.lam
+    fixed = params.tau if var == "lambda" else params.lam
     bound = -math.expm1(math.log1p(-params.delta) / params.n)
     ratio = bound / p if p > 0 else math.inf
     if fixed == 0 or ratio >= 1.0:

@@ -8,7 +8,7 @@ on its own.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Optional
 
 import numpy as np
@@ -24,7 +24,7 @@ from .equilibrium import (
     solve_ese,
 )
 from .learning import EPISODE, FEEDS, run_coupled
-from .model import ContactModel, EnergyModel, GameParams
+from .model import GameParams
 from .simulate import CONTACT_MODES, MODEL, estimate_delivery, estimate_relay_utility
 
 
@@ -53,16 +53,9 @@ class ScenarioConfig:
 
     def echo(self) -> dict[str, str]:
         """Resolved key/value view, the one embedded in every output."""
-        c, e = self.params.contact, self.params.energy
-        items = {
-            "lambda": c.lam, "tau": c.tau, "n": self.params.n,
-            "delta": self.params.delta, "sigma": self.params.sigma,
-            "gamma": self.params.gamma, "e": e.e_store, "e_r": e.e_receive,
-            "e_t": e.e_transmit, "alpha_max": self.params.alpha_max,
-            "p": self.p, "trials": self.trials, "seed": self.seed,
-            "contact_mode": self.contact_mode, "horizon": self.horizon,
-            "feed": self.feed,
-        }
+        items = {_FIELD_KEYS[f.name]: getattr(self.params, f.name) for f in fields(GameParams)}
+        items.update(p=self.p, trials=self.trials, seed=self.seed,
+                     contact_mode=self.contact_mode, horizon=self.horizon, feed=self.feed)
         if self.alpha is not None:
             items["alpha"] = self.alpha
         if self.mode is not None:
@@ -91,8 +84,10 @@ _KEYS = {
     "sweep.start": (float, None), "sweep.stop": (float, None),
     "sweep.points": (int, None),
 }
-# the model fields whose config keys have other names
-_FIELD_KEYS = {"lam": "lambda", "e_store": "e", "e_receive": "e_r", "e_transmit": "e_t"}
+# each model field's config key
+_FIELD_KEYS = {"lam": "lambda", "tau": "tau", "n": "n", "delta": "delta", "sigma": "sigma",
+               "gamma": "gamma", "e_store": "e", "e_receive": "e_r", "e_transmit": "e_t",
+               "alpha_max": "alpha_max"}
 
 
 def parse_config(text: str, overrides: Optional[dict[str, str]] = None
@@ -137,17 +132,11 @@ def _parse_value(key: str, value: str, where: str) -> object:
 def _build_config(raw: dict[str, object]) -> ScenarioConfig:
     v = {key: raw.get(key, default) for key, (_, default) in _KEYS.items()}
     try:
-        params = GameParams(
-            contact=ContactModel(lam=v["lambda"], tau=v["tau"]),
-            energy=EnergyModel(e_store=v["e"], e_receive=v["e_r"],
-                               e_transmit=v["e_t"]),
-            n=v["n"], sigma=v["sigma"], gamma=v["gamma"], delta=v["delta"],
-            alpha_max=v["alpha_max"],
-        )
+        params = GameParams(**{f.name: v[_FIELD_KEYS[f.name]] for f in fields(GameParams)})
     except ValueError as exc:
         # the model's messages open with the field name; report the key
         field, _, rest = str(exc).partition(" ")
-        raise ConfigError(f"{_FIELD_KEYS.get(field, field)} {rest}") from None
+        raise ConfigError(f"{_FIELD_KEYS[field]} {rest}") from None
 
     for key, low in (("trials", 1), ("horizon", 1), ("seed", 0)):
         if v[key] < low:
@@ -226,38 +215,28 @@ def _validate_sweep_values(var: str, values) -> None:
 _BLOCK = 512
 
 
-class _FloatRows:
-    """Table rows held as float columns, each 1-D or 2-D (one table column
-    per array column) and all of one length.  A row, or a slice of rows, is
-    stacked from the columns only when it is read."""
+class ResultTable:
+    """A CSV table: column names, float ``data`` columns and ``# key =
+    value`` metadata.  Each data column is 1-D or 2-D (one table column per
+    array column), all of one length; a row, or a slice of rows, is stacked
+    from them only when it is read.  Every mode's cells are floats;
+    ``%.12g`` prints the integer and flag cells as integers."""
 
-    def __init__(self, columns):
-        arrays = [np.asarray(c, dtype=float) for c in columns]
-        self.columns = tuple(c[:, None] if c.ndim == 1 else c for c in arrays)
-        if len({len(c) for c in self.columns}) > 1:
-            raise ValueError(f"column lengths {[len(c) for c in self.columns]} differ")
-        self.width = sum(c.shape[1] for c in self.columns)
+    def __init__(self, columns: tuple[str, ...], data, metadata: tuple[tuple[str, str], ...]):
+        arrays = [np.asarray(c, dtype=float) for c in data]
+        self.columns, self.metadata = columns, metadata
+        self.data = tuple(c[:, None] if c.ndim == 1 else c for c in arrays)
+        if len({len(c) for c in self.data}) > 1:
+            raise ValueError(f"column lengths {[len(c) for c in self.data]} differ")
+        width = sum(c.shape[1] for c in self.data)
+        if width != len(columns):
+            raise ValueError(f"row width {width} != {len(columns)} columns")
 
     def __len__(self) -> int:
-        return len(self.columns[0])
+        return len(self.data[0])
 
     def __getitem__(self, index) -> np.ndarray:
-        return np.hstack([c[index] for c in self.columns])
-
-
-@dataclass(frozen=True)
-class ResultTable:
-    """A CSV table: column names, rows held as float columns, and ``# key =
-    value`` metadata.  Every mode's rows are floats; ``%.12g`` prints the
-    integer and flag cells as integers."""
-
-    columns: tuple[str, ...]
-    rows: _FloatRows
-    metadata: tuple[tuple[str, str], ...]
-
-    def __post_init__(self):
-        if self.rows.width != len(self.columns):
-            raise ValueError(f"row width {self.rows.width} != {len(self.columns)} columns")
+        return np.hstack([c[index] for c in self.data])
 
 
 def _fmt(value) -> str:
@@ -278,8 +257,8 @@ def _csv_lines(table: ResultTable):
     yield from (f"# {key} = {value}\n" for key, value in table.metadata)
     yield ",".join(table.columns) + "\n"
     row_format = ",".join(["%.12g"] * len(table.columns)) + "\n"
-    for start in range(0, len(table.rows), _BLOCK):
-        block = table.rows[start:start + _BLOCK]
+    for start in range(0, len(table), _BLOCK):
+        block = table[start:start + _BLOCK]
         yield (row_format * len(block)) % tuple(block.ravel().tolist())
 
 
@@ -337,7 +316,7 @@ def _column_table(config: ScenarioConfig, names: list[str], columns,
     if var is not None:
         names, columns = (var, *names), (values if point is None else np.take(values, point),
                                          *columns)
-    return ResultTable(tuple(names), _FloatRows(columns), _metadata(config, extra))
+    return ResultTable(tuple(names), columns, _metadata(config, extra))
 
 
 def _run_solve_pse(config: ScenarioConfig) -> ResultTable:
@@ -397,7 +376,7 @@ def _run_simulate(config: ScenarioConfig) -> ResultTable:
         return p, delivery.mean, delivery.stderr, relay.mean, relay.stderr, config.trials
     rows = np.fromiter(map(row, ps), np.dtype((float, 6)))
     return ResultTable(("p", "delivery_mean", "delivery_se", "relay_utility_mean",
-                        "relay_utility_se", "trials"), _FloatRows((rows,)), _metadata(config))
+                        "relay_utility_se", "trials"), (rows,), _metadata(config))
 
 
 def _run_pareto_grid(config: ScenarioConfig) -> ResultTable:

@@ -1,9 +1,10 @@
 """Closed-form contact, energy and utility formulas of the caching game that
 the simulator plays; the solvers' reduced payoff is in :mod:`dtnsat.equilibrium`.
 
-Everything here is a pure function over immutable value types, so the module
-is safe to use from any number of threads.  Counts are integers; probabilities
-and energies are plain floats in consistent (dimensionless) units.
+Everything here is a pure function over :class:`GameParams`, the one
+immutable record of the game's inputs, so the module is safe to use from any
+number of threads.  Counts are integers; probabilities and energies are
+plain floats in consistent (dimensionless) units.
 """
 from __future__ import annotations
 
@@ -19,81 +20,60 @@ class EmptyCohortError(ValueError):
     """Raised when a per-relay share is requested for an empty cohort."""
 
 
-def _require_finite(obj, *names) -> None:
-    for name in names:
-        if not math.isfinite(getattr(obj, name)):
-            raise ValueError(f"{name} must be finite, got {getattr(obj, name)}")
-
-
-@dataclass(frozen=True)
-class ContactModel:
-    """Poisson pairwise meetings: rate per unit time and file lifetime."""
-
-    lam: float
-    tau: float
-
-    def __post_init__(self):
-        _require_finite(self, "lam", "tau")
-        if self.lam < 0:
-            raise ValueError(f"lam must be >= 0, got {self.lam}")
-        if self.tau <= 0:
-            raise ValueError(f"tau must be > 0, got {self.tau}")
-
-
-@dataclass(frozen=True)
-class EnergyModel:
-    """Per-state energy costs: caching per time unit, reception, transmission."""
-
-    e_store: float
-    e_receive: float
-    e_transmit: float
-
-    def __post_init__(self):
-        _require_finite(self, "e_store", "e_receive", "e_transmit")
-        for name in ("e_store", "e_receive", "e_transmit"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
+# each bound that a field's message states, and its test
+_HOLDS = {">= 0": lambda v: v >= 0, "> 0": lambda v: v > 0, "in (0, 1)": lambda v: 0 < v < 1,
+          "a positive integer": lambda v: isinstance(v, int) and v >= 1}
+# the fields' bounds in the order they are checked: every value of a group
+# finite (n, an int, aside), then each in its bound, so the value named is
+# the same whatever else is bad
+_BOUNDS = ({"lam": ">= 0", "tau": "> 0"},
+           {"e_store": ">= 0", "e_receive": ">= 0", "e_transmit": ">= 0"},
+           {"n": "a positive integer"},
+           {"sigma": ">= 0", "gamma": ">= 0", "delta": "in (0, 1)", "alpha_max": "> 0"})
 
 
 @dataclass(frozen=True)
 class GameParams:
     """Full configuration of the source/relays caching game.
 
-    n relays face an accept/reject dilemma; sigma is the regret for caching
-    without delivering first, gamma the regret for declining, delta the
-    source's delivery-probability threshold and alpha_max the reward cap.
+    Poisson pairwise meetings at rate lam within the file lifetime tau; n
+    relays face an accept/reject dilemma, delta is the source's
+    delivery-probability threshold, sigma the regret for caching without
+    delivering first and gamma the regret for declining; e_store is the
+    caching energy per time unit, e_receive and e_transmit the reception
+    and transmission energies, and alpha_max the reward cap.
     """
 
-    contact: ContactModel
-    energy: EnergyModel
+    lam: float
+    tau: float
     n: int
+    delta: float
     sigma: float
     gamma: float
-    delta: float
+    e_store: float
+    e_receive: float
+    e_transmit: float
     alpha_max: float
 
     def __post_init__(self):
-        if not isinstance(self.n, int) or self.n < 1:
-            raise ValueError(f"n must be a positive integer, got {self.n}")
-        _require_finite(self, "sigma", "gamma", "delta", "alpha_max")
-        if self.sigma < 0:
-            raise ValueError(f"sigma must be >= 0, got {self.sigma}")
-        if self.gamma < 0:
-            raise ValueError(f"gamma must be >= 0, got {self.gamma}")
-        if not 0 < self.delta < 1:
-            raise ValueError(f"delta must be in (0, 1), got {self.delta}")
-        if self.alpha_max <= 0:
-            raise ValueError(f"alpha_max must be > 0, got {self.alpha_max}")
+        for group in _BOUNDS:
+            values = {name: getattr(self, name) for name in group}
+            for name, value in values.items():
+                if name != "n" and not math.isfinite(value):
+                    raise ValueError(f"{name} must be finite, got {value}")
+            for name, bound in group.items():
+                if not _HOLDS[bound](values[name]):
+                    raise ValueError(f"{name} must be {bound}, got {values[name]}")
 
 
-def contact_probability(contact: ContactModel) -> float:
+def contact_probability(params: GameParams) -> float:
     """Probability that two nodes meet at least once within the lifetime."""
-    return -math.expm1(-contact.lam * contact.tau)
+    return -math.expm1(-params.lam * params.tau)
 
 
-def relay_failure_probability(contact: ContactModel) -> float:
+def relay_failure_probability(params: GameParams) -> float:
     """Probability of zero meetings within the lifetime (complement of contact)."""
-    return math.exp(-contact.lam * contact.tau)
+    return math.exp(-params.lam * params.tau)
 
 
 def storage_energy(params: GameParams) -> float:
@@ -103,7 +83,7 @@ def storage_energy(params: GameParams) -> float:
     divides by lam, so a zero rate is rejected rather than silently taking
     the analytic limit; the game is vacuous at lam = 0 anyway.
     """
-    lam, tau = params.contact.lam, params.contact.tau
+    lam, tau = params.lam, params.tau
     if lam == 0:
         raise DegenerateRateError("storage energy is undefined for lam = 0")
     lam_tau = lam * tau
@@ -111,9 +91,9 @@ def storage_energy(params: GameParams) -> float:
         bracket = math.fsum((k - 1) * (-lam_tau) ** k / math.factorial(k) for k in range(2, 20))
     else:  # a product that overflows to inf would give (1 + inf) * 0 = nan
         bracket = 1.0 - ((1.0 + lam_tau) * math.exp(-lam_tau) if math.isfinite(lam_tau) else 0.0)
-    scale = params.energy.e_store / lam
+    scale = params.e_store / lam
     # at a subnormal lam, e/lam overflows where the bracket rounds to 0
-    return scale * bracket if math.isfinite(scale) else params.energy.e_store * (bracket / lam)
+    return scale * bracket if math.isfinite(scale) else params.e_store * (bracket / lam)
 
 
 def total_energy(params: GameParams) -> float:
@@ -122,8 +102,8 @@ def total_energy(params: GameParams) -> float:
     This is the exact model's cost.  At lam = 0 the storage term takes its
     analytic limit 0, so degenerate scenarios stay evaluable.
     """
-    stored = storage_energy(params) if params.contact.lam > 0 else 0.0
-    return params.energy.e_receive + params.energy.e_transmit + stored
+    stored = storage_energy(params) if params.lam > 0 else 0.0
+    return params.e_receive + params.e_transmit + stored
 
 
 def relay_payoffs(alpha, share, cost: float, params: GameParams):
@@ -151,8 +131,8 @@ def delivery_share(n_active: int, q: float) -> float:
 
 def per_relay_success(params: GameParams, p: float) -> float:
     """Probability one relay meets the source, accepts, and meets the destination."""
-    q = relay_failure_probability(params.contact)
-    return (1.0 - q) * contact_probability(params.contact) * p
+    q = relay_failure_probability(params)
+    return (1.0 - q) * contact_probability(params) * p
 
 
 def expected_source_utility_mixed(p: float, params: GameParams) -> float:
@@ -175,7 +155,7 @@ def _tagged_share(p: float, params: GameParams) -> float:
     subnormal p keeps its precision."""
     if not 0 <= p <= 1:
         raise ValueError(f"p must be in [0, 1], got {p}")
-    reach = contact_probability(params.contact)
+    reach = contact_probability(params)
     z = p * reach
     return reach * (_any_delivers(z, params.n) / (params.n * z) if z > 0 else 1.0)
 

@@ -106,7 +106,7 @@ def _contacts(params: GameParams, u: np.ndarray, mode: str) -> tuple[np.ndarray,
     that it accepts at no probability."""
     if mode not in CONTACT_MODES:
         raise ValueError(f"mode must be one of {CONTACT_MODES}, got {mode!r}")
-    life = params.contact.lam * params.contact.tau
+    life = params.lam * params.tau
     n = params.n
     if mode == MODEL:
         inside = np.log1p(-u[..., n:3 * n]) > -life
@@ -119,7 +119,7 @@ def _contacts(params: GameParams, u: np.ndarray, mode: str) -> tuple[np.ndarray,
 def _cohort_shares(params: GameParams) -> np.ndarray:
     """The run's share table: entry k is ``delivery_share(k, q)`` for a
     cohort of k = 1..n+1 caching relays, and entry 0 is 0."""
-    q = relay_failure_probability(params.contact)
+    q = relay_failure_probability(params)
     return np.array([0.0] + [delivery_share(k, q) for k in range(1, params.n + 2)])
 
 

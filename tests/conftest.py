@@ -1,20 +1,18 @@
 import pytest
 
-from dtnsat.model import ContactModel, EnergyModel, GameParams, delivery_share, \
-    relay_failure_probability, relay_payoffs, total_energy
+from dtnsat.model import GameParams, delivery_share, relay_failure_probability, relay_payoffs, \
+    total_energy
 
 
 def make_params(n=7, delta=0.21, lam=0.015, tau=100.0, sigma=0.2, gamma=0.15,
                 e=3.8e-5, e_r=2e-5, e_t=2e-5, alpha_max=5.0) -> GameParams:
-    return GameParams(contact=ContactModel(lam=lam, tau=tau),
-                      energy=EnergyModel(e_store=e, e_receive=e_r, e_transmit=e_t),
-                      n=n, sigma=sigma, gamma=gamma, delta=delta,
-                      alpha_max=alpha_max)
+    return GameParams(lam=lam, tau=tau, n=n, delta=delta, sigma=sigma, gamma=gamma,
+                      e_store=e, e_receive=e_r, e_transmit=e_t, alpha_max=alpha_max)
 
 
 def cohort_payoffs(alpha, cohort, params):
     """The game's (accept, reject) payoffs of a relay in a caching cohort."""
-    q = relay_failure_probability(params.contact)
+    q = relay_failure_probability(params)
     return relay_payoffs(alpha, delivery_share(cohort, q), total_energy(params), params)
 
 

@@ -4,13 +4,14 @@ solvers' cost column and the ``mean-field`` learner feed must match bit for
 bit, the reduced model's indifference gaps, whose roots the solvers return,
 the tagged-relay indifference reward, the root of the game's gap,
 ``with_param``, which builds one sweep point through the validating
-constructors, the pure and mixed solvers written point by point over the
+constructor, the pure and mixed solvers written point by point over the
 scalar model functions, a coupled run that records what each relay
 played and was fed, and an episode with one accept probability per relay
 with the scorer that pays each relay the side of the cohort payoffs it
 played."""
 import math
 import sys
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -23,7 +24,6 @@ from dtnsat.equilibrium import (
     reduced_payoffs,
 )
 from dtnsat.model import (
-    ContactModel,
     DegenerateRateError,
     EmptyCohortError,
     GameParams,
@@ -68,14 +68,14 @@ def reduced_cooperation_cost(params: GameParams) -> float:
     e_r + e_t + e*(1-q)/lam, with its limit e*tau for the last term at
     lam = 0.  Where e*(1-q) is subnormal it is taken as e*tau*((1-q)/x),
     x = lam*tau, as in ``_tagged_share``, so a subnormal lam keeps it."""
-    x = params.contact.lam * params.contact.tau
+    x = params.lam * params.tau
     reach = -math.expm1(-x)
-    stored = params.energy.e_store * reach
+    stored = params.e_store * reach
     if stored < sys.float_info.min:  # would lose its bits before the division
-        stored = params.energy.e_store * params.contact.tau * (reach / x if x > 0 else 1.0)
+        stored = params.e_store * params.tau * (reach / x if x > 0 else 1.0)
     else:
-        stored /= params.contact.lam
-    return params.energy.e_receive + params.energy.e_transmit + stored
+        stored /= params.lam
+    return params.e_receive + params.e_transmit + stored
 
 
 def mixed_relay_payoffs(alpha: float, p: float, params: GameParams) -> tuple[float, float]:
@@ -96,7 +96,7 @@ def pure_indifference_gap(alpha: float, n_active: int, params: GameParams) -> fl
 
     The solver's reward for cohort n_active is the exact root of this gap.
     """
-    q = relay_failure_probability(params.contact)
+    q = relay_failure_probability(params)
     miss = q ** n_active
     accept, reject = reduced_payoffs(alpha, n_active, 1.0 - miss, miss,
                                      reduced_cooperation_cost(params), params)
@@ -120,15 +120,11 @@ def tagged_indifference_reward(params: GameParams, p: float) -> float:
 
 def with_param(params: GameParams, var: str, value: float) -> GameParams:
     """Copy of params with one sweepable parameter (tau, lambda, n, delta) set,
-    built by the constructors, which validate every value."""
+    built by ``dataclasses.replace``, which validates every value."""
     if var not in ("tau", "lambda", "n", "delta"):
         raise ValueError(f"cannot sweep {var!r}; sweepable parameters are tau, lambda, n, delta")
-    c = params.contact
-    contact = (ContactModel(c.lam, value) if var == "tau" else
-               ContactModel(value, c.tau) if var == "lambda" else c)
-    return GameParams(contact, params.energy, int(value) if var == "n" else params.n,
-                      params.sigma, params.gamma, value if var == "delta" else params.delta,
-                      params.alpha_max)
+    field = "lam" if var == "lambda" else var
+    return replace(params, **{field: int(value) if var == "n" else value})
 
 
 # The solvers point by point in Python floats, as they stood before the
@@ -140,7 +136,7 @@ def point_pse(params: GameParams) -> list:
     solve-pse point: one per cohort from the QoS bound up to n, or one
     marked row (nan, nan, False, n_a_min, False) when that bound exceeds n,
     with n_a_min = inf at q = 1."""
-    q = relay_failure_probability(params.contact)
+    q = relay_failure_probability(params)
     if q >= 1.0:
         return [(math.nan, math.nan, False, math.inf, False)]
     if q == 0.0:
@@ -169,7 +165,7 @@ def point_mse(params: GameParams) -> tuple:
     """(p_min, z_star, feasible) of the mixed equilibria at one point."""
     ceiling = per_relay_success(params, 1.0)
     if ceiling <= 0:
-        lam, tau = params.contact.lam, params.contact.tau
+        lam, tau = params.lam, params.tau
         raise DegenerateContactError(f"per-relay success is zero even at p = 1: lambda = {lam} "
                                      f"and tau = {tau} give x = lambda*tau = {lam * tau}, "
                                      "at which exp(-x) rounds to 1")

@@ -70,7 +70,7 @@ def best_switch(params, alpha, cohort) -> Switch:
     ``cohort`` and a decliner that accepts at ``cohort + 1``.  A gain <= 0
     means every relay best-responds.
     """
-    q, cost = relay_failure_probability(params.contact), total_energy(params)
+    q, cost = relay_failure_probability(params), total_energy(params)
     options = []
     if cohort >= 1:
         accept, reject = relay_payoffs(alpha, delivery_share(cohort, q), cost, params)

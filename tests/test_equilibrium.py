@@ -59,7 +59,7 @@ def reduced_cost(params):
 
 class TestReducedPayoffs:
     def test_arrays_match_scalar_calls_exactly(self, base_params):
-        q = relay_failure_probability(base_params.contact)
+        q = relay_failure_probability(base_params)
         cost = reduced_cost(base_params)
         cohorts = range(1, base_params.n + 1)
         misses = [q ** c for c in cohorts]
@@ -88,8 +88,8 @@ class TestReducedCooperationCost:
             lam_d, tau_d = Decimal(lam), Decimal(tau)
             x = lam_d * tau_d
             stored = tau_d * sum((-x) ** k / math.factorial(k + 1) for k in range(6))
-            want = (Decimal(params.energy.e_receive) + Decimal(params.energy.e_transmit)
-                    + Decimal(params.energy.e_store) * stored)
+            want = (Decimal(params.e_receive) + Decimal(params.e_transmit)
+                    + Decimal(params.e_store) * stored)
         assert abs(reduced_cost(params) / float(want) - 1.0) <= 1e-12
 
 
@@ -163,7 +163,7 @@ class TestPseColumns:
         q = math.exp(-0.0137)
         params = make_params(lam=0.0137, tau=1.0, delta=1.0 - q ** 2)
         assert params.delta == 0.027028025113755128
-        assert relay_failure_probability(params.contact) == q
+        assert relay_failure_probability(params) == q
         assert math.log(1.0 - params.delta) / math.log(q) == 2.000000000000004
         assert 1.0 - q ** 2 >= params.delta
         assert minimum_satisfying_cohort(params) == 2

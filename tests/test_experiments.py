@@ -23,7 +23,7 @@ from dtnsat.experiments import (
     ConfigError,
     ResultTable,
     _BLOCK,
-    _FloatRows,
+    _FIELD_KEYS,
     _csv_lines,
     _fmt,
     emit_csv,
@@ -31,7 +31,7 @@ from dtnsat.experiments import (
     run_scenario,
 )
 from dtnsat.model import GameParams
-from dataclasses import replace
+from dataclasses import asdict, replace
 from oracles import with_param
 
 FOUR_TARGET_CONFIG = """
@@ -44,13 +44,21 @@ sweep.values = 0.02,0.48,0.65,0.85
 """
 
 
+def _fields(params: GameParams) -> dict:
+    """Each field of the record, and of any record it holds, by name."""
+    flat = {}
+    for name, value in asdict(params).items():
+        flat.update(value if isinstance(value, dict) else {name: value})
+    return flat
+
+
 class TestParseConfig:
     def test_empty_gives_reference_defaults(self):
         cfg = parse_config("")
         p = cfg.params
-        assert (p.contact.lam, p.contact.tau) == (0.015, 100.0)
+        assert (p.lam, p.tau) == (0.015, 100.0)
         assert (p.n, p.delta, p.sigma, p.gamma) == (7, 0.21, 0.2, 0.15)
-        assert (p.energy.e_store, p.energy.e_receive, p.energy.e_transmit) == \
+        assert (p.e_store, p.e_receive, p.e_transmit) == \
             (3.8e-5, 2e-5, 2e-5)
         assert p.alpha_max == 5.0
         assert cfg.contact_mode == "model"
@@ -75,18 +83,46 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match=message):
             parse_config(line)
 
-    @pytest.mark.parametrize("key, value, message", [
-        ("lambda", "-1", "must be >= 0, got -1.0"),
-        ("lambda", "inf", "must be finite, got inf"),
-        ("e", "-1", "must be >= 0, got -1.0"),
-        ("e_r", "-2e-5", "must be >= 0, got -2e-05"),
-        ("e_t", "nan", "must be finite, got nan"),
+    @pytest.mark.parametrize("text, message", [
+        ("lambda = -1", "lambda must be >= 0, got -1.0"),
+        ("lambda = inf", "lambda must be finite, got inf"),
+        ("e = -1", "e must be >= 0, got -1.0"),
+        ("e_r = -2e-5", "e_r must be >= 0, got -2e-05"),
+        ("e_t = nan", "e_t must be finite, got nan"),
+        ("tau = 0", "tau must be > 0, got 0.0"),
+        ("n = 0", "n must be a positive integer, got 0"),
+        ("delta = 1", "delta must be in (0, 1), got 1.0"),
+        ("sigma = -1", "sigma must be >= 0, got -1.0"),
+        ("gamma = -1", "gamma must be >= 0, got -1.0"),
+        ("alpha_max = 0", "alpha_max must be > 0, got 0.0"),
+        # several bad keys: lambda and tau, then the energies, then n, then
+        # the rest, each group's values finite before any is bounded
+        ("lambda = -1\ntau = inf", "tau must be finite, got inf"),
+        ("n = 0\nsigma = -1", "n must be a positive integer, got 0"),
+        ("sigma = -1\ndelta = nan", "delta must be finite, got nan"),
     ])
-    def test_model_field_error_names_the_config_key(self, key, value, message):
-        # the model calls these lam, e_store, e_receive and e_transmit
+    def test_model_field_error_names_the_config_key(self, text, message):
+        # the model calls lambda, e, e_r and e_t lam, e_store, e_receive and e_transmit
         with pytest.raises(ConfigError) as info:
-            parse_config(f"{key} = {value}")
-        assert str(info.value) == f"{key} {message}"
+            parse_config(text)
+        assert str(info.value) == message
+
+    def test_every_model_key_lands_in_its_field_and_echoes_in_place(self):
+        # distinct values, none a default, so a swapped pair of keys shows
+        values = {"lambda": 0.031, "tau": 77.0, "n": 11, "delta": 0.37, "sigma": 0.43,
+                  "gamma": 0.29, "e": 4.1e-5, "e_r": 3.3e-5, "e_t": 1.7e-5,
+                  "alpha_max": 6.5}
+        fields = {"lam": "lambda", "tau": "tau", "n": "n", "delta": "delta",
+                  "sigma": "sigma", "gamma": "gamma", "e_store": "e", "e_receive": "e_r",
+                  "e_transmit": "e_t", "alpha_max": "alpha_max"}
+        cfg = parse_config("".join(f"{key} = {value}\n" for key, value in values.items()))
+        landed = _fields(cfg.params)
+        for field, key in fields.items():
+            assert _FIELD_KEYS.get(field, field) == key
+            assert landed[field] == values[key]
+        echo = cfg.echo()
+        assert list(echo)[:len(values)] == list(values)
+        assert [echo[key] for key in values] == [_fmt(value) for value in values.values()]
 
     def test_unknown_key_reports_line(self):
         with pytest.raises(ConfigError, match="line 2.*frobnicate"):
@@ -253,17 +289,17 @@ class TestRunScenario:
         table = run_scenario(cfg)
         assert table.columns == ("delta", "p_star", "alpha_star",
                                  "binding_delivery", "alpha_clamped")
-        assert len(table.rows) == 4
-        p_stars = [r[1] for r in table.rows]
+        assert len(table) == 4
+        p_stars = [r[1] for r in table]
         assert all(a < b for a, b in zip(p_stars, p_stars[1:]))
-        alphas = [r[2] for r in table.rows]
+        alphas = [r[2] for r in table]
         assert all(a > b for a, b in zip(alphas, alphas[1:]))
-        assert table.rows[-1][4] == 1  # clamped at the largest target
+        assert table[-1][4] == 1  # clamped at the largest target
 
     def test_solve_ese_unreachable_point_marks_its_row(self):
         cfg = replace(parse_config("n = 2\nsweep.var = delta\n"
                                    "sweep.values = 0.2,0.9"), mode="solve-ese")
-        feasible, unreachable = run_scenario(cfg).rows
+        feasible, unreachable = run_scenario(cfg)
         assert all(math.isfinite(v) for v in feasible)
         assert feasible[3] == pytest.approx(0.2)  # binds at its delta
         p_min = mse_columns(with_param(cfg.params, "delta", 0.9), None, ())[0].item()
@@ -277,7 +313,7 @@ class TestRunScenario:
         table = run_scenario(cfg)
         assert table.columns == ("n_a", "alpha_star", "clamped", "n_a_min",
                                  "feasible")
-        assert [r[0] for r in table.rows] == list(range(1, 8))
+        assert [r[0] for r in table] == list(range(1, 8))
 
     def test_solve_mse_sweep_columns(self):
         cfg = replace(parse_config(
@@ -286,8 +322,8 @@ class TestRunScenario:
         table = run_scenario(cfg)
         assert table.columns == ("tau", "p_min", "alpha_star", "z_star",
                                  "feasible")
-        assert len(table.rows) == 10
-        p_mins = [r[1] for r in table.rows]
+        assert len(table) == 10
+        p_mins = [r[1] for r in table]
         assert all(a > b for a, b in zip(p_mins, p_mins[1:]))
 
     def test_region_mode(self):
@@ -296,7 +332,7 @@ class TestRunScenario:
             "sweep.points = 100"), mode="region")
         table = run_scenario(cfg)
         assert table.columns == ("tau", "delivery", "satisfied")
-        flags = [r[2] for r in table.rows]
+        flags = [r[2] for r in table]
         assert flags[0] == 0 and flags[-1] == 1
         assert flags == sorted(flags)  # single crossing
         meta = dict(table.metadata)
@@ -312,7 +348,7 @@ class TestRunScenario:
         table = run_scenario(cfg)
         assert table.columns == ("k", "alpha", "u_s_est", "p_1", "p_2", "p_3",
                                  "n_accept", "delivered")
-        assert len(table.rows) == 50
+        assert len(table) == 50
 
     def test_learn_rejects_sweeps(self):
         cfg = replace(parse_config("sweep.var = tau\nsweep.start = 1\n"
@@ -338,14 +374,14 @@ class TestRunScenario:
         assert table.columns == ("p", "delivery_mean", "delivery_se",
                                  "relay_utility_mean", "relay_utility_se",
                                  "trials")
-        assert len(table.rows) == 1
-        assert 0.0 <= table.rows[0][1] <= 1.0
+        assert len(table) == 1
+        assert 0.0 <= table[0][1] <= 1.0
 
     def test_pareto_grid_mode(self):
         cfg = replace(parse_config(""), mode="pareto-grid")
         table = run_scenario(cfg)
         meta = dict(table.metadata)
-        assert int(meta["dominating_points"]) == len(table.rows)
+        assert int(meta["dominating_points"]) == len(table)
 
     def test_unknown_mode(self):
         cfg = replace(parse_config(""), mode="optimize")
@@ -367,7 +403,7 @@ class TestSweepRows:
         table = run_scenario(cfg)
         assert table.columns == ("tau", "n_a", "alpha_star", "clamped", "n_a_min", "feasible")
         assert len(expected) == 14
-        assert table.rows[:].tolist() == [list(map(float, row)) for row in expected]
+        assert table[:].tolist() == [list(map(float, row)) for row in expected]
 
     def test_simulate_p_sweep_builds_no_params(self, monkeypatch):
         cfg = replace(parse_config("trials = 20\nsweep.var = p\nsweep.values = 0.1,0.5"),
@@ -376,7 +412,7 @@ class TestSweepRows:
         check = GameParams.__post_init__
         monkeypatch.setattr(GameParams, "__post_init__",
                             lambda params: (built.append(params), check(params))[1])
-        assert [row[0] for row in run_scenario(cfg).rows] == [0.1, 0.5]
+        assert [row[0] for row in run_scenario(cfg)] == [0.1, 0.5]
         assert built == []
         with_param(cfg.params, "tau", 50.0)  # the probe sees a build
         assert len(built) == 1
@@ -384,7 +420,7 @@ class TestSweepRows:
 
 def per_value_csv(table):
     """The table's CSV written one value at a time with ``_fmt``, row by row."""
-    rows = (table.rows[i].tolist() for i in range(len(table.rows)))
+    rows = (table[i].tolist() for i in range(len(table)))
     return "".join([f"# {key} = {value}\n" for key, value in table.metadata]
                    + [",".join(table.columns) + "\n"]
                    + [",".join(_fmt(v) for v in row) + "\n" for row in rows])
@@ -402,19 +438,19 @@ def assert_same_text(got, want):
 class TestEmitCsv:
     def test_round_trip_at_twelve_digits(self, tmp_path):
         table = ResultTable(columns=("a", "b"),
-                            rows=_FloatRows(((1 / 3, math.pi), (2.5e-17, 1e300))),
+                            data=((1 / 3, math.pi), (2.5e-17, 1e300)),
                             metadata=(("seed", "1"),))
         path = tmp_path / "out.csv"
         emit_csv(table, str(path))
         lines = path.read_text().splitlines()
         assert lines[0] == "# seed = 1"
         assert lines[1] == "a,b"
-        for text_row, row in zip(lines[2:], table.rows):
+        for text_row, row in zip(lines[2:], table):
             for text, value in zip(text_row.split(","), row):
                 assert float(text) == pytest.approx(value, rel=1e-11)
 
     def test_empty_table_keeps_header_and_metadata(self, tmp_path):
-        table = ResultTable(columns=("x",), rows=_FloatRows((np.empty(0),)),
+        table = ResultTable(columns=("x",), data=(np.empty(0),),
                             metadata=(("k", "v"),))
         path = tmp_path / "empty.csv"
         emit_csv(table, str(path))
@@ -434,7 +470,7 @@ class TestEmitCsv:
                 (np.float64(1 / 3), np.int64(-7), True, np.float64(math.nan), False,
                  -10 ** 11),
                 (1, 2.5, 0, 1e-300, np.float64(-0.0), 7))
-        table = ResultTable(columns=tuple("abcdef"), rows=_FloatRows(zip(*rows)),
+        table = ResultTable(columns=tuple("abcdef"), data=zip(*rows),
                             metadata=(("seed", "1"), ("mode", "learn")))
         # the per-value join the writer replaced
         want = "\n".join(["# seed = 1", "# mode = learn", "a,b,c,d,e,f"]
@@ -446,7 +482,7 @@ class TestEmitCsv:
 
     def test_row_width_validated(self):
         with pytest.raises(ValueError):
-            ResultTable(columns=("a", "b"), rows=_FloatRows(((1.0,),)), metadata=())
+            ResultTable(columns=("a", "b"), data=((1.0,),), metadata=())
 
     @staticmethod
     def float_table(count):
@@ -456,12 +492,12 @@ class TestEmitCsv:
         values = np.resize(np.array(special + [math.pi, -7.0, 1e-5]), count * 2)
         columns = (np.arange(count) * 0.1, values.reshape(count, 2),
                    np.arange(count) - 3, np.arange(count) % 3 == 0)
-        return ResultTable(tuple("abcde"), _FloatRows(columns), (("seed", "1"),)), columns
+        return ResultTable(tuple("abcde"), columns, (("seed", "1"),)), columns
 
     @pytest.mark.parametrize("count", [0, 1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 5])
     def test_float_columns_give_the_per_value_bytes_across_blocks(self, count, tmp_path):
         table, columns = self.float_table(count)
-        assert len(table.rows) == count
+        assert len(table) == count
         rows = np.column_stack(columns).astype(float).tolist()
         want = "\n".join(["# seed = 1", "a,b,c,d,e"]
                          + [",".join(_fmt(v) for v in row) for row in rows]) + "\n"
@@ -472,9 +508,9 @@ class TestEmitCsv:
 
     def test_float_column_width_and_lengths_validated(self):
         with pytest.raises(ValueError, match="row width 3 != 2 columns"):
-            ResultTable(("a", "b"), _FloatRows((np.zeros(4), np.zeros((4, 2)))), ())
+            ResultTable(("a", "b"), (np.zeros(4), np.zeros((4, 2))), ())
         with pytest.raises(ValueError, match="column lengths"):
-            _FloatRows((np.zeros(4), np.zeros(5)))
+            ResultTable(("a", "b"), (np.zeros(4), np.zeros(5)), ())
 
     def test_learn_table_writes_its_per_value_bytes(self, tmp_path):
         cfg = replace(parse_config(f"horizon = {_BLOCK + 1}\nn = 3\nseed = 4"), mode="learn")
@@ -491,9 +527,9 @@ class TestEmitCsv:
         peaks = []
         for horizon in (2000, 20000):
             rng = np.random.default_rng(5)
-            table = ResultTable(tuple(f"c{i}" for i in range(45)), _FloatRows(
-                (np.arange(1, horizon + 1), rng.random((horizon, 42)),
-                 rng.integers(0, 41, horizon), rng.random(horizon) < 0.3)), ())
+            table = ResultTable(tuple(f"c{i}" for i in range(45)), (
+                np.arange(1, horizon + 1), rng.random((horizon, 42)),
+                rng.integers(0, 41, horizon), rng.random(horizon) < 0.3), ())
             tracemalloc.start()
             try:
                 emit_csv(table, str(tmp_path / f"h{horizon}.csv"))
@@ -503,7 +539,7 @@ class TestEmitCsv:
         assert peaks[1] < 2 * peaks[0], peaks
 
     def test_unwritable_path_reports_path(self, tmp_path):
-        table = ResultTable(columns=("x",), rows=_FloatRows((np.empty(0),)), metadata=())
+        table = ResultTable(columns=("x",), data=(np.empty(0),), metadata=())
         with pytest.raises(OSError, match="no/such"):
             emit_csv(table, str(tmp_path / "no" / "such" / "file.csv"))
 
@@ -533,7 +569,7 @@ class TestModeBytes:
     @pytest.mark.parametrize("case", sorted(CASES))
     def test_cli_csv_is_the_per_value_join(self, case, tmp_path, capsys):
         text, table = self.cli_csv(*self.CASES[case], tmp_path, capsys)
-        assert len(table.rows) > 0
+        assert len(table) > 0
         assert_same_text(text, per_value_csv(table))
 
     def test_integer_and_flag_cells_print_as_integers(self, tmp_path, capsys):
@@ -549,7 +585,7 @@ class TestModeBytes:
         monkeypatch.setattr(experiments, "pareto_grid_scan",
                             lambda params, ese: np.empty((0, 4)))
         text, table = self.cli_csv("pareto-grid", "", tmp_path, capsys)
-        assert len(table.rows) == 0
+        assert len(table) == 0
         assert_same_text(text, per_value_csv(table))
         assert "# dominating_points = 0\n" in text
         assert text.endswith("\np,alpha,source_margin_delta,relay_utility_delta\n")
@@ -1043,7 +1079,7 @@ class TestSweepBudget:
             cfg = replace(parse_config(f"trials = 1\nsweep.var = {var}\nsweep.values = "
                                        + ",".join(map(repr, map(float, values)))), mode=mode)
             calls = self.count_calls(monkeypatch)
-            rows = len(run_scenario(cfg).rows)
+            rows = len(run_scenario(cfg))
             # solve-pse writes one row per candidate cohort of each point
             assert rows >= points if mode == "solve-pse" else rows == points
             counts.append(calls)

@@ -7,10 +7,8 @@ import numpy as np
 import pytest
 
 from dtnsat.model import (
-    ContactModel,
     DegenerateRateError,
     EmptyCohortError,
-    EnergyModel,
     contact_probability,
     delivery_share,
     expected_relay_utility_mixed,
@@ -33,35 +31,31 @@ E_S = 1.1201756523932777e-3
 ETA = 1.1601756523932778e-3
 
 
-def contact(lam=0.015, tau=100.0):
-    return ContactModel(lam=lam, tau=tau)
-
-
 class TestContactProbability:
     def test_zero_rate_never_meets(self):
-        assert contact_probability(contact(lam=0.0)) == 0.0
+        assert contact_probability(make_params(lam=0.0)) == 0.0
 
     def test_reference_value(self):
-        assert contact_probability(contact()) == pytest.approx(P_C, rel=1e-14)
+        assert contact_probability(make_params()) == pytest.approx(P_C, rel=1e-14)
 
     def test_approaches_one_for_large_rate(self):
-        p = contact_probability(contact(lam=0.3))  # lam*tau = 30
+        p = contact_probability(make_params(lam=0.3))  # lam*tau = 30
         assert 1.0 - 1e-12 < p < 1.0
 
     def test_complement_identity(self):
         for lam in (0.001, 0.015, 0.2, 3.0):
             for tau in (0.5, 10.0, 100.0, 400.0):
-                c = contact(lam=lam, tau=tau)
+                c = make_params(lam=lam, tau=tau)
                 total = contact_probability(c) + relay_failure_probability(c)
                 assert total == pytest.approx(1.0, abs=1e-15)
 
 
 class TestFailureProbability:
     def test_zero_rate_certain_failure(self):
-        assert relay_failure_probability(contact(lam=0.0, tau=50.0)) == 1.0
+        assert relay_failure_probability(make_params(lam=0.0, tau=50.0)) == 1.0
 
     def test_reference_value(self):
-        assert relay_failure_probability(contact()) == pytest.approx(Q_TAU, rel=1e-14)
+        assert relay_failure_probability(make_params()) == pytest.approx(Q_TAU, rel=1e-14)
 
 
 class TestStorageEnergy:
@@ -102,8 +96,8 @@ class TestStorageEnergy:
         params = make_params(lam=lam)
         with localcontext() as ctx:
             ctx.prec = 50
-            e, lam_d = Decimal(params.energy.e_store), Decimal(lam)
-            x = lam_d * Decimal(params.contact.tau)
+            e, lam_d = Decimal(params.e_store), Decimal(lam)
+            x = lam_d * Decimal(params.tau)
             want = e / lam_d * (1 - (1 + x) * (-x).exp())
         assert abs(storage_energy(params) / float(want) - 1.0) <= 1e-12
 
@@ -116,7 +110,7 @@ class TestStorageEnergy:
     def test_subnormal_rate_stores_nothing(self, lam):
         # e/lam overflows while the bracket rounds to 0: not inf * 0 = nan
         params = make_params(lam=lam)
-        assert total_energy(params) == params.energy.e_receive + params.energy.e_transmit
+        assert total_energy(params) == params.e_receive + params.e_transmit
 
 
 class TestTotalEnergy:
@@ -132,7 +126,7 @@ class TestTotalEnergy:
 
 class TestRelayPayoffs:
     def test_arrays_match_scalar_calls_exactly(self, base_params):
-        q = relay_failure_probability(base_params.contact)
+        q = relay_failure_probability(base_params)
         cost = total_energy(base_params)
         shares = [delivery_share(c, q) for c in range(1, base_params.n + 1)]
         accept, reject = relay_payoffs(1.3, np.array(shares), cost, base_params)
@@ -360,8 +354,8 @@ class TestTaggedShare:
 
 class TestWithParam:
     @pytest.mark.parametrize("var,value,field", [
-        ("tau", 40.0, {"contact": ContactModel(lam=0.015, tau=40.0)}),
-        ("lambda", 0.2, {"contact": ContactModel(lam=0.2, tau=100.0)}),
+        ("tau", 40.0, {"tau": 40.0}),
+        ("lambda", 0.2, {"lam": 0.2}),
         ("n", 12.0, {"n": 12}),
         ("delta", 0.5, {"delta": 0.5})])
     def test_matches_dataclass_replace(self, base_params, var, value, field):
@@ -382,13 +376,13 @@ class TestWithParam:
 class TestValidation:
     def test_contact_model_bounds(self):
         with pytest.raises(ValueError):
-            ContactModel(lam=-0.1, tau=10.0)
+            make_params(lam=-0.1, tau=10.0)
         with pytest.raises(ValueError):
-            ContactModel(lam=0.1, tau=0.0)
+            make_params(lam=0.1, tau=0.0)
 
     def test_energy_model_bounds(self):
         with pytest.raises(ValueError):
-            EnergyModel(e_store=-1e-6, e_receive=0.0, e_transmit=0.0)
+            make_params(e=-1e-6, e_r=0.0, e_t=0.0)
 
     def test_game_params_bounds(self):
         for kwargs in ({"n": 0}, {"delta": 0.0}, {"delta": 1.0},
@@ -407,9 +401,9 @@ class TestValidation:
 
 
 def test_operations_are_pure(base_params):
-    q = relay_failure_probability(base_params.contact)
+    q = relay_failure_probability(base_params)
     pairs = [
-        (contact_probability, (base_params.contact,)),
+        (contact_probability, (base_params,)),
         (storage_energy, (base_params,)),
         (delivery_share, (5, 0.37)),
         (relay_payoffs, (1.2, delivery_share(4, q), total_energy(base_params), base_params)),

@@ -66,7 +66,7 @@ class TestEpisode:
     @pytest.mark.parametrize("mode", [MODEL, PHYSICAL])
     def test_race_success_is_an_accepted_contacted_finish(self, base_params, mode):
         # contact times are the unit draws over lam, compared with tau
-        lam, tau = base_params.contact.lam, base_params.contact.tau
+        lam, tau = base_params.lam, base_params.tau
         for t in range(200):
             u = episode_rng(17, t, 7).random(_window(7))
             _, source_e, dest_e = exponentials(base_params, u)
@@ -480,7 +480,7 @@ class TestStreamContract:
         # E_s + E_d < lam*tau
         u = episode_rng(2, 0, 7).random((500, _window(7)))
         source_e, dest_e = -np.log1p(-u[:, 7:14]), -np.log1p(-u[:, 14:21])
-        life = base_params.contact.lam * base_params.contact.tau
+        life = base_params.lam * base_params.tau
         flips, reach = _contacts(base_params, u, PHYSICAL)
         assert np.array_equal(flips, np.where(source_e < life, u[:, :7], np.inf))
         assert np.array_equal(reach, source_e + dest_e < life)
@@ -500,7 +500,7 @@ class TestStreamContract:
     def test_physical_flip_is_infinite_exactly_where_the_source_missed(self, base_params):
         u = episode_rng(6, 0, 7).random((500, _window(7)))
         source_e = exponentials(base_params, u)[1]
-        missed = source_e >= base_params.contact.lam * base_params.contact.tau
+        missed = source_e >= base_params.lam * base_params.tau
         assert 0 < missed.sum() < missed.size
         flips = _contacts(base_params, u, PHYSICAL)[0]
         assert np.array_equal(np.isinf(flips), missed)
@@ -518,7 +518,7 @@ class TestStreamContract:
         _, source_e, _ = exponentials(params, u)
         assert np.isfinite(source_e).all() and (source_e >= 0).all()
         with np.errstate(over="ignore"):
-            assert np.isinf(source_e / params.contact.lam).any()
+            assert np.isinf(source_e / params.lam).any()
         accepted = _contacts(params, u, PHYSICAL)[0] < np.ones(1)
         assert 0 < accepted.sum() < 50
         est = estimate_delivery(params, 1.0, 500, seed=1)

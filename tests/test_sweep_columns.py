@@ -20,7 +20,6 @@ from dtnsat.equilibrium import (
     solve_ese,
 )
 from dtnsat.model import (
-    ContactModel,
     _any_delivers,
     contact_probability,
     expected_source_utility_mixed,
@@ -160,10 +159,10 @@ def test_named_points(lam, tau, var):
 @settings(derandomize=True, database=None, max_examples=300, deadline=None)
 @given(lams=st.lists(LAMBDAS, min_size=1, max_size=8), tau=TAUS)
 def test_contact_column_is_the_scalar_contact_model(lams, tau):
-    contacts = [ContactModel(lam, tau) for lam in lams]
+    points = [make_params(lam=lam, tau=tau) for lam in lams]
     _, _, q, reach, _ = _sweep_point(make_params(tau=tau), "lambda", lams)
-    assert bits(q) == bits(map(relay_failure_probability, contacts))
-    assert bits(reach) == bits(map(contact_probability, contacts))
+    assert bits(q) == bits(map(relay_failure_probability, points))
+    assert bits(reach) == bits(map(contact_probability, points))
 
 
 @settings(derandomize=True, database=None, max_examples=300, deadline=None)
