@@ -331,10 +331,6 @@ def pareto_dominance_check(candidate_p: float, candidate_alpha: float,
     by :func:`dtnsat.model.expected_relay_utility_mixed` (tagged-relay share).
     Returns ``(source_margin_delta, relay_utility_delta, dominates)``.
     """
-    if not 0 <= candidate_p <= 1:
-        raise ValueError(f"candidate_p must be in [0, 1], got {candidate_p}")
-    if not 0 <= candidate_alpha <= params.alpha_max:
-        raise ValueError(f"candidate_alpha must be in [0, alpha_max], got {candidate_alpha}")
     margin_cand = expected_source_utility_mixed(candidate_p, params) - params.delta
     margin_ese = ese.binding_delivery - params.delta
     relay_cand = expected_relay_utility_mixed(candidate_p, candidate_alpha, params)

@@ -2,22 +2,15 @@
 the simulator plays; the solvers' reduced payoff is in :mod:`dtnsat.equilibrium`.
 
 Everything here is a pure function over :class:`GameParams`, the one
-immutable record of the game's inputs, so the module is safe to use from any
-number of threads.  Counts are integers; probabilities and energies are
+immutable record of the game's inputs and the one place they are checked
+(the callers keep p and alpha in range), so the module is safe to use from
+any number of threads.  Counts are integers; probabilities and energies are
 plain floats in consistent (dimensionless) units.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-
-class DegenerateRateError(ValueError):
-    """Raised when a formula needs a strictly positive meeting rate."""
-
-
-class EmptyCohortError(ValueError):
-    """Raised when a per-relay share is requested for an empty cohort."""
 
 
 # each bound that a field's message states, and its test
@@ -79,13 +72,12 @@ def relay_failure_probability(params: GameParams) -> float:
 def storage_energy(params: GameParams) -> float:
     """Mean energy dissipated while caching a file until its first handover.
 
-    Evaluates (e/lam) * (1 - (1 + lam*tau) * exp(-lam*tau)).  The closed form
-    divides by lam, so a zero rate is rejected rather than silently taking
-    the analytic limit; the game is vacuous at lam = 0 anyway.
+    Evaluates (e/lam) * (1 - (1 + lam*tau) * exp(-lam*tau)), and its analytic
+    limit 0 at lam = 0.
     """
     lam, tau = params.lam, params.tau
     if lam == 0:
-        raise DegenerateRateError("storage energy is undefined for lam = 0")
+        return 0.0
     lam_tau = lam * tau
     if lam_tau < 0.5:  # the bracket cancels to about x**2/2: sum its series
         bracket = math.fsum((k - 1) * (-lam_tau) ** k / math.factorial(k) for k in range(2, 20))
@@ -99,11 +91,9 @@ def storage_energy(params: GameParams) -> float:
 def total_energy(params: GameParams) -> float:
     """Total per-node cost of cooperating: receive + transmit + storage.
 
-    This is the exact model's cost.  At lam = 0 the storage term takes its
-    analytic limit 0, so degenerate scenarios stay evaluable.
+    This is the exact model's cost; at lam = 0 it is e_receive + e_transmit.
     """
-    stored = storage_energy(params) if params.lam > 0 else 0.0
-    return params.e_receive + params.e_transmit + stored
+    return params.e_receive + params.e_transmit + storage_energy(params)
 
 
 def relay_payoffs(alpha, share, cost: float, params: GameParams):
@@ -122,10 +112,6 @@ def delivery_share(n_active: int, q: float) -> float:
     the first success wins and ties are impossible in continuous time, so the
     tagged relay's share is (1 - q**n_active) / n_active.
     """
-    if n_active < 1:
-        raise EmptyCohortError("delivery share needs at least one caching relay")
-    if not 0 <= q <= 1:
-        raise ValueError(f"q must be in [0, 1], got {q}")
     return (1.0 - q ** n_active) / n_active
 
 
@@ -137,8 +123,6 @@ def per_relay_success(params: GameParams, p: float) -> float:
 
 def expected_source_utility_mixed(p: float, params: GameParams) -> float:
     """Delivery probability when every relay accepts with probability p."""
-    if not 0 <= p <= 1:
-        raise ValueError(f"p must be in [0, 1], got {p}")
     return _any_delivers(per_relay_success(params, p), params.n)
 
 
@@ -153,8 +137,6 @@ def _tagged_share(p: float, params: GameParams) -> float:
     whose n-1 opponents accept with p (README, "Payoff models").  Taken as
     reach * g(z), g(z) = (1 - (1 - z)**n)/(n z) with g(0) = 1, so a
     subnormal p keeps its precision."""
-    if not 0 <= p <= 1:
-        raise ValueError(f"p must be in [0, 1], got {p}")
     reach = contact_probability(params)
     z = p * reach
     return reach * (_any_delivers(z, params.n) / (params.n * z) if z > 0 else 1.0)
@@ -163,10 +145,7 @@ def _tagged_share(p: float, params: GameParams) -> float:
 def tagged_payoffs(alpha: float, p: float, params: GameParams) -> tuple[float, float]:
     """:func:`relay_payoffs` of a relay whose n-1 opponents accept with p:
     affine in the share, so taken at the mean tagged share."""
-    share = _tagged_share(p, params)
-    if not 0 <= alpha <= params.alpha_max:
-        raise ValueError(f"alpha must be in [0, alpha_max], got {alpha}")
-    return relay_payoffs(alpha, share, total_energy(params), params)
+    return relay_payoffs(alpha, _tagged_share(p, params), total_energy(params), params)
 
 
 def expected_relay_utility_mixed(p: float, alpha: float, params: GameParams) -> float:

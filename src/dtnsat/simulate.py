@@ -146,12 +146,11 @@ def estimate_relay_utility(params: GameParams, accept_prob: float, reward: float
     """Empirical mean payoff of relay 0 under symmetric mixing: the trials
     are drawn first, then relay 0 of all of them is paid the side of one
     :func:`_cohort_payoffs` call that it played."""
-    if not math.isfinite(reward):
-        raise ValueError(f"reward must be finite, got {reward}")
     accepted, _ = _draw_trials(params, accept_prob, trials, seed, mode)
     n_accept = np.count_nonzero(accepted, axis=1)
-    samples = np.where(accepted[:, 0], *_cohort_payoffs(params, _cohort_shares(params),
-                                                       total_energy(params), n_accept, reward))
+    with np.errstate(invalid="ignore"):  # an inf reward times a zero share: named below
+        samples = np.where(accepted[:, 0], *_cohort_payoffs(
+            params, _cohort_shares(params), total_energy(params), n_accept, reward))
     finite = np.isfinite(samples)
     if not finite.all():
         raise ValueError(f"realized utility must be finite, got {samples[~finite][0]}")

@@ -24,8 +24,6 @@ from dtnsat.equilibrium import (
     reduced_payoffs,
 )
 from dtnsat.model import (
-    DegenerateRateError,
-    EmptyCohortError,
     GameParams,
     _any_delivers,
     _tagged_share,
@@ -35,6 +33,10 @@ from dtnsat.model import (
     total_energy,
 )
 from dtnsat.simulate import MODEL, _cohort_payoffs, _contacts, _window
+
+
+class OracleDomainError(ValueError):
+    """Raised when an oracle's quantity is undefined at its inputs."""
 
 
 class CohortTooLargeError(ValueError):
@@ -50,11 +52,11 @@ def delivery_share_bruteforce(n_active: int, q: float) -> float:
     Kept independent of the closed form on purpose.
     """
     if n_active < 1:
-        raise EmptyCohortError("delivery share needs at least one caching relay")
+        raise OracleDomainError("delivery share needs at least one caching relay")
     if n_active > 64:
         raise CohortTooLargeError("exact summation limited to cohorts of 64")
     if not 0 <= q <= 1:
-        raise ValueError(f"q must be in [0, 1], got {q}")
+        raise OracleDomainError(f"q must be in [0, 1], got {q}")
     succeed = 1.0 - q
     total = 0.0
     for j in range(1, n_active + 1):
@@ -114,7 +116,7 @@ def tagged_indifference_reward(params: GameParams, p: float) -> float:
     + gamma, accept minus reject at mean share S, is zero."""
     share = _tagged_share(p, params)
     if share == 0.0:
-        raise DegenerateRateError("tagged indifference reward needs a relay that can deliver")
+        raise OracleDomainError("tagged indifference reward needs a relay that can deliver")
     return (params.sigma * (1.0 - share) + total_energy(params) - params.gamma) / (2.0 * share)
 
 

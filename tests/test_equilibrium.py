@@ -1,11 +1,11 @@
 import math
-import re
 import tracemalloc
 from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
 
+import dtnsat.equilibrium as equilibrium
 from dtnsat.equilibrium import (
     DegenerateContactError,
     _mixed_column,
@@ -372,21 +372,6 @@ class TestSatisfactionRegion:
 
 
 class TestParetoDominance:
-    # alpha_max = 5 at the reference scenario
-    @pytest.mark.parametrize("p,alpha,message", [
-        (math.nan, 1.0, "candidate_p must be in [0, 1], got nan"),
-        (math.nextafter(0.0, -1.0), 1.0, "candidate_p must be in [0, 1], got -5e-324"),
-        (math.nextafter(1.0, 2.0), 1.0,
-         "candidate_p must be in [0, 1], got 1.0000000000000002"),
-        (0.5, math.nan, "candidate_alpha must be in [0, alpha_max], got nan"),
-        (0.5, math.nextafter(0.0, -1.0),
-         "candidate_alpha must be in [0, alpha_max], got -5e-324"),
-        (0.5, math.nextafter(5.0, math.inf),
-         "candidate_alpha must be in [0, alpha_max], got 5.000000000000001")])
-    def test_candidate_outside_its_range_rejected(self, base_params, p, alpha, message):
-        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-            pareto_dominance_check(p, alpha, solve_ese(base_params), base_params)
-
     def test_ese_does_not_dominate_itself(self, base_params):
         ese = solve_ese(base_params)
         _, _, dominates = pareto_dominance_check(ese.p_star, ese.alpha_star, ese,
@@ -446,6 +431,26 @@ class TestParetoDominance:
         rows = pareto_grid_scan(params, ese)
         assert rows.dtype == np.float64 and rows.shape == (len(want), 4) == (count, 4)
         assert rows.tobytes() == np.array(want).tobytes()
+
+    @pytest.mark.parametrize("alpha_max", [5.0, 0.014, 1.8e306, 1.7976931348623157e308])
+    def test_grid_scan_checks_candidates_inside_both_ranges(self, alpha_max, monkeypatch):
+        # pareto_dominance_check takes its candidates unchecked: the scan is
+        # its one program caller, and must build every cell in range
+        params = make_params(alpha_max=alpha_max)
+        ese = solve_ese(params)
+        seen = []
+
+        def spy(p, alpha, point, at):
+            seen.append((p, alpha))
+            return pareto_dominance_check(p, alpha, point, at)
+
+        monkeypatch.setattr(equilibrium, "pareto_dominance_check", spy)
+        pareto_grid_scan(params, ese)
+        assert len(seen) == 101 * 101
+        assert all(0.0 <= p <= 1.0 and 0.0 <= a <= alpha_max for p, a in seen)
+        assert {p for p, _ in seen} == {i / 100 for i in range(101)}
+        assert min(a for _, a in seen) == 0.0 and max(a for _, a in seen) == alpha_max
+        assert 0.0 <= ese.p_star <= 1.0 and 0.0 <= ese.alpha_star <= alpha_max
 
     def test_grid_scan_peak_memory(self, base_params):
         # the 7731 rows take 0.24 MiB as floats, 1.48 MiB as a tuple with a

@@ -76,8 +76,16 @@ class TestParseConfig:
         ("p = -0.1", r"^p must be in \[0, 1\], got -0.1$"),
         ("p = 1.5", r"^p must be in \[0, 1\], got 1.5$"),
         ("p = nan", r"^p must be in \[0, 1\], got nan$"),
+        # the tightest values past each end: this check alone keeps them out of
+        # the model
+        ("p = -5e-324", r"^p must be in \[0, 1\], got -5e-324$"),
+        ("p = 1.0000000000000002", r"^p must be in \[0, 1\], got 1.0000000000000002$"),
         ("alpha = -1", r"^alpha must be in \[0, alpha_max\], got -1.0$"),
         ("alpha = 6", r"^alpha must be in \[0, alpha_max\], got 6.0$"),
+        ("alpha = nan", r"^alpha must be in \[0, alpha_max\], got nan$"),
+        ("alpha = -5e-324", r"^alpha must be in \[0, alpha_max\], got -5e-324$"),
+        ("alpha = 5.000000000000001",
+         r"^alpha must be in \[0, alpha_max\], got 5.000000000000001$"),
     ])
     def test_out_of_range_value_names_key(self, line, message):
         with pytest.raises(ConfigError, match=message):
@@ -86,6 +94,10 @@ class TestParseConfig:
     @pytest.mark.parametrize("text, message", [
         ("lambda = -1", "lambda must be >= 0, got -1.0"),
         ("lambda = inf", "lambda must be finite, got inf"),
+        # q = exp(-lambda*tau) would leave [0, 1] only past these checks
+        ("lambda = -5e-324", "lambda must be >= 0, got -5e-324"),
+        ("lambda = nan", "lambda must be finite, got nan"),
+        ("tau = nan", "tau must be finite, got nan"),
         ("e = -1", "e must be >= 0, got -1.0"),
         ("e_r = -2e-5", "e_r must be >= 0, got -2e-05"),
         ("e_t = nan", "e_t must be finite, got nan"),
@@ -235,6 +247,9 @@ class TestParseConfig:
         ("n", "2.5", "swept n must be a positive integer, got 2.5"),
         ("delta", "1", "swept delta must be in (0, 1), got 1.0"),
         ("p", "1.5", "swept p must be in [0, 1], got 1.5"),
+        ("p", "-5e-324", "swept p must be in [0, 1], got -5e-324"),
+        ("p", "1.0000000000000002", "swept p must be in [0, 1], got 1.0000000000000002"),
+        ("lambda", "-5e-324", "swept lambda must be >= 0, got -5e-324"),
     ])
     def test_out_of_range_swept_value_names_var(self, var, value, message):
         with pytest.raises(ConfigError) as info:

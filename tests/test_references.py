@@ -1,8 +1,9 @@
 """Every dotted name the README cites and every :func:/:class: reference in
 the package docstrings resolves to an attribute of its module, every
 module-level name of the package is read somewhere in it, every name a
-module imports is read in that module, and ``import dtnsat`` loads no
-module of the package."""
+module imports is read in that module, every ``raise`` of the model lies in
+``GameParams.__post_init__``, and ``import dtnsat`` loads no module of the
+package."""
 import ast
 import importlib
 import os
@@ -167,6 +168,35 @@ def test_an_unused_import_fails(tmp_path):
         encoding="utf-8")
     # Optional is read in an annotation; os, np and _any_delivers never are
     assert unused_imports(tmp_path) == ["core._any_delivers", "core.np", "core.os"]
+
+
+def raise_lines(path: Path) -> tuple[list[int], list[int]]:
+    """(inside, outside): the lines of the module's ``raise`` statements in
+    ``GameParams.__post_init__``, where the model checks each input once,
+    and elsewhere."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    checks = {id(node) for cls in tree.body
+              if isinstance(cls, ast.ClassDef) and cls.name == "GameParams"
+              for method in cls.body
+              if isinstance(method, ast.FunctionDef) and method.name == "__post_init__"
+              for node in ast.walk(method)}
+    raises = [node for node in ast.walk(tree) if isinstance(node, ast.Raise)]
+    return (sorted(node.lineno for node in raises if id(node) in checks),
+            sorted(node.lineno for node in raises if id(node) not in checks))
+
+
+def test_the_model_raises_only_in_its_input_check():
+    inside, outside = raise_lines(PACKAGE / "model.py")
+    assert inside and outside == []
+
+
+def test_a_stray_raise_fails(tmp_path):
+    (tmp_path / "model.py").write_text(
+        "class GameParams:\n    def __post_init__(self):\n        raise ValueError\n\n"
+        "    def scale(self):\n        raise ValueError\n\n\n"
+        "def share(n):\n    if n < 1:\n        raise ValueError\n    return 1 / n\n",
+        encoding="utf-8")
+    assert raise_lines(tmp_path / "model.py") == ([3], [6, 11])
 
 
 # the public names that no module of the package reads

@@ -9,6 +9,7 @@ import pytest
 import dtnsat.learning as learning
 import dtnsat.simulate as simulate
 from dtnsat.model import (
+    delivery_share,
     expected_relay_utility_mixed,
     expected_source_utility_mixed,
     total_energy,
@@ -189,7 +190,8 @@ class TestEpisode:
 
     @pytest.mark.parametrize("reward", [math.inf, -math.inf, math.nan])
     def test_non_finite_reward_rejected(self, base_params, reward):
-        with pytest.raises(ValueError, match=f"reward must be finite, got {reward}"):
+        # every payoff of a non-finite reward is non-finite: the utility check rejects it
+        with pytest.raises(ValueError, match="^realized utility must be finite, got "):
             estimate_relay_utility(base_params, 0.3, reward, 50, 1)
 
 
@@ -354,6 +356,23 @@ class TestScoreRelays:
                 one = score_relays(params, share, cost, accepted,
                                    np.count_nonzero(accepted), reward)
                 assert one.tolist() == want
+
+    @pytest.mark.parametrize("lam", [0.0, 1e-310, 0.015, 1e308])
+    def test_share_table_passes_a_cohort_and_a_failure_probability(self, lam, monkeypatch):
+        # delivery_share takes its inputs unchecked: the table must hand it
+        # k = 1..n+1 and q in [0, 1] at either end of the contact rate
+        params = make_params(lam=lam, n=7)
+        seen = []
+
+        def spy(k, q):
+            seen.append((k, q))
+            return delivery_share(k, q)
+
+        monkeypatch.setattr(simulate, "delivery_share", spy)
+        share = _cohort_shares(params)
+        assert [k for k, _ in seen] == list(range(1, params.n + 2))
+        assert all(0.0 <= q <= 1.0 for _, q in seen)
+        assert share[0] == 0.0 and all(0.0 <= s <= 1.0 for s in share.tolist())
 
 
 class TestScoringBudget:
