@@ -22,9 +22,9 @@ and feed the CSV modes; :func:`solve_ese` is :func:`ese_columns` at one
 point.  The pure candidates are one column too, :func:`pse_columns`: each
 point expands to one row per cohort from its QoS bound to n.  Both kernels
 meet a sweep in one place, :func:`_sweep_point`: it sets the swept variable
-and gives the fleet and QoS and, at each point, the
-:func:`dtnsat.model.relay_failure_probability`, the
-:func:`dtnsat.model.contact_probability` and the reduced cooperation cost,
+and gives the fleet and QoS and, at each point, the failure
+probability ``q`` and contact probability ``reach`` that
+:class:`dtnsat.model.GameParams` keeps, and the reduced cooperation cost,
 which has no other implementation.  The ``mean-field`` learner feed reads
 them at its one point and pays :func:`reduced_payoffs` with them.  The
 columns use numpy only for ``+ - * /``, comparisons and selection, which
@@ -49,7 +49,6 @@ from .model import (
     GameParams,
     expected_relay_utility_mixed,
     expected_source_utility_mixed,
-    relay_failure_probability,
 )
 
 
@@ -105,7 +104,7 @@ def _cohort_bound(q: float, delta: float):
 
 def minimum_satisfying_cohort(params: GameParams):
     """Smallest integer cohort with 1 - q**m >= delta; inf where q = 1."""
-    return _cohort_bound(relay_failure_probability(params), params.delta)
+    return _cohort_bound(params.q, params.delta)
 
 
 def _indifference_reward(params: GameParams, n, cost, cohort, success):

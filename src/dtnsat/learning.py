@@ -50,7 +50,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .equilibrium import _sweep_point, reduced_payoffs
-from .model import GameParams, _any_delivers, total_energy
+from .model import GameParams, _any_delivers
 from .simulate import MODEL, _cohort_payoffs, _cohort_shares, _contacts, _index, _window, \
     episode_rng
 
@@ -157,7 +157,7 @@ def run_coupled(params: GameParams, horizon: int, seed: int,
     alpha, estimate = params.alpha_max / 2.0, 0.0
     p, est = [0.5] * n, ([0.0] * n, [0.0] * n)
     if feed == EPISODE:
-        share, cost = _cohort_shares(params).tolist(), total_energy(params)
+        share, cost = _cohort_shares(params).tolist(), params.total_energy
     else:
         _, _, q, reach, cost = _sweep_point(params, None, ())
         ceiling, cost = ((1.0 - q) * reach).item(), cost.item()

@@ -3,9 +3,14 @@ the simulator plays; the solvers' reduced payoff is in :mod:`dtnsat.equilibrium`
 
 Everything here is a pure function over :class:`GameParams`, the one
 immutable record of the game's inputs and the one place they are checked
-(the callers keep p and alpha in range), so the module is safe to use from
-any number of threads.  Counts are integers; probabilities and energies are
-plain floats in consistent (dimensionless) units.
+(the callers keep p and alpha in range).  The record also keeps the
+constants derived from its inputs alone, ``q``, ``reach`` and
+``total_energy``: the first read computes each one and stores it on the
+record, so a caller that reads them per grid cell or per step pays for one
+evaluation.  The module is safe to use from any number of threads: two
+first reads racing on one record compute and store the same float.
+Counts are integers; probabilities and energies are plain floats in
+consistent (dimensionless) units.
 """
 from __future__ import annotations
 
@@ -23,6 +28,25 @@ _BOUNDS = ({"lam": ">= 0", "tau": "> 0"},
            {"e_store": ">= 0", "e_receive": ">= 0", "e_transmit": ">= 0"},
            {"n": "a positive integer"},
            {"sigma": ">= 0", "gamma": ">= 0", "delta": "in (0, 1)", "alpha_max": "> 0"})
+
+
+class _derived:
+    """A constant of a frozen record's inputs: the first read computes it
+    and stores it on the record, where later reads find it first.  It is
+    stored by ``object.__setattr__``, not through the record's ``__dict__``
+    as ``functools.cached_property`` does: on CPython 3.11 that builds the
+    instance dict, after which every attribute read of the record takes
+    about twice as long."""
+
+    def __init__(self, compute):
+        self.compute, self.name, self.__doc__ = compute, compute.__name__, compute.__doc__
+
+    def __get__(self, record, owner=None):
+        if record is None:
+            return self
+        value = self.compute(record)
+        object.__setattr__(record, self.name, value)
+        return value
 
 
 @dataclass(frozen=True)
@@ -58,15 +82,22 @@ class GameParams:
                 if not _HOLDS[bound](values[name]):
                     raise ValueError(f"{name} must be {bound}, got {values[name]}")
 
+    @_derived
+    def q(self) -> float:
+        """Probability of zero meetings within the lifetime, exp(-lam*tau)."""
+        return math.exp(-self.lam * self.tau)
 
-def contact_probability(params: GameParams) -> float:
-    """Probability that two nodes meet at least once within the lifetime."""
-    return -math.expm1(-params.lam * params.tau)
+    @_derived
+    def reach(self) -> float:
+        """Probability that two nodes meet at least once within the
+        lifetime, -expm1(-lam*tau), the complement of ``q``."""
+        return -math.expm1(-self.lam * self.tau)
 
-
-def relay_failure_probability(params: GameParams) -> float:
-    """Probability of zero meetings within the lifetime (complement of contact)."""
-    return math.exp(-params.lam * params.tau)
+    @_derived
+    def total_energy(self) -> float:
+        """Total per-node cost of cooperating: receive + transmit +
+        :func:`storage_energy`; at lam = 0 it is e_receive + e_transmit."""
+        return self.e_receive + self.e_transmit + storage_energy(self)
 
 
 def storage_energy(params: GameParams) -> float:
@@ -88,18 +119,10 @@ def storage_energy(params: GameParams) -> float:
     return scale * bracket if math.isfinite(scale) else params.e_store * (bracket / lam)
 
 
-def total_energy(params: GameParams) -> float:
-    """Total per-node cost of cooperating: receive + transmit + storage.
-
-    This is the exact model's cost; at lam = 0 it is e_receive + e_transmit.
-    """
-    return params.e_receive + params.e_transmit + storage_energy(params)
-
-
 def relay_payoffs(alpha, share, cost: float, params: GameParams):
     """The game's (accept, reject) payoffs of a relay holding ``share`` of the
     reward alpha: accepting earns it less the regret sigma*(1 - share) and
-    ``cost`` (the caller's :func:`total_energy`); declining forfeits it and
+    ``cost`` (the record's ``total_energy``); declining forfeits it and
     pays the regret gamma.  Numpy arrays of shares work elementwise."""
     return (alpha * share - params.sigma * (1.0 - share) - cost,
             -alpha * share - params.gamma)
@@ -117,8 +140,7 @@ def delivery_share(n_active: int, q: float) -> float:
 
 def per_relay_success(params: GameParams, p: float) -> float:
     """Probability one relay meets the source, accepts, and meets the destination."""
-    q = relay_failure_probability(params)
-    return (1.0 - q) * contact_probability(params) * p
+    return (1.0 - params.q) * params.reach * p
 
 
 def expected_source_utility_mixed(p: float, params: GameParams) -> float:
@@ -137,7 +159,7 @@ def _tagged_share(p: float, params: GameParams) -> float:
     whose n-1 opponents accept with p (README, "Payoff models").  Taken as
     reach * g(z), g(z) = (1 - (1 - z)**n)/(n z) with g(0) = 1, so a
     subnormal p keeps its precision."""
-    reach = contact_probability(params)
+    reach = params.reach
     z = p * reach
     return reach * (_any_delivers(z, params.n) / (params.n * z) if z > 0 else 1.0)
 
@@ -145,7 +167,7 @@ def _tagged_share(p: float, params: GameParams) -> float:
 def tagged_payoffs(alpha: float, p: float, params: GameParams) -> tuple[float, float]:
     """:func:`relay_payoffs` of a relay whose n-1 opponents accept with p:
     affine in the share, so taken at the mean tagged share."""
-    return relay_payoffs(alpha, _tagged_share(p, params), total_energy(params), params)
+    return relay_payoffs(alpha, _tagged_share(p, params), params.total_energy, params)
 
 
 def expected_relay_utility_mixed(p: float, alpha: float, params: GameParams) -> float:

@@ -39,8 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import GameParams, delivery_share, relay_failure_probability, relay_payoffs, \
-    total_energy
+from .model import GameParams, delivery_share, relay_payoffs
 
 MODEL = "model"
 PHYSICAL = "physical"
@@ -119,7 +118,7 @@ def _contacts(params: GameParams, u: np.ndarray, mode: str) -> tuple[np.ndarray,
 def _cohort_shares(params: GameParams) -> np.ndarray:
     """The run's share table: entry k is ``delivery_share(k, q)`` for a
     cohort of k = 1..n+1 caching relays, and entry 0 is 0."""
-    q = relay_failure_probability(params)
+    q = params.q
     return np.array([0.0] + [delivery_share(k, q) for k in range(1, params.n + 2)])
 
 
@@ -150,7 +149,7 @@ def estimate_relay_utility(params: GameParams, accept_prob: float, reward: float
     n_accept = np.count_nonzero(accepted, axis=1)
     with np.errstate(invalid="ignore"):  # an inf reward times a zero share: named below
         samples = np.where(accepted[:, 0], *_cohort_payoffs(
-            params, _cohort_shares(params), total_energy(params), n_accept, reward))
+            params, _cohort_shares(params), params.total_energy, n_accept, reward))
     finite = np.isfinite(samples)
     if not finite.all():
         raise ValueError(f"realized utility must be finite, got {samples[~finite][0]}")

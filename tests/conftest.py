@@ -1,7 +1,6 @@
 import pytest
 
-from dtnsat.model import GameParams, delivery_share, relay_failure_probability, relay_payoffs, \
-    total_energy
+from dtnsat.model import GameParams, delivery_share, relay_payoffs
 
 
 def make_params(n=7, delta=0.21, lam=0.015, tau=100.0, sigma=0.2, gamma=0.15,
@@ -12,8 +11,7 @@ def make_params(n=7, delta=0.21, lam=0.015, tau=100.0, sigma=0.2, gamma=0.15,
 
 def cohort_payoffs(alpha, cohort, params):
     """The game's (accept, reject) payoffs of a relay in a caching cohort."""
-    q = relay_failure_probability(params)
-    return relay_payoffs(alpha, delivery_share(cohort, q), total_energy(params), params)
+    return relay_payoffs(alpha, delivery_share(cohort, params.q), params.total_energy, params)
 
 
 @pytest.fixture

@@ -29,8 +29,6 @@ from dtnsat.model import (
     _tagged_share,
     expected_source_utility_mixed,
     per_relay_success,
-    relay_failure_probability,
-    total_energy,
 )
 from dtnsat.simulate import MODEL, _cohort_payoffs, _contacts, _window
 
@@ -98,8 +96,7 @@ def pure_indifference_gap(alpha: float, n_active: int, params: GameParams) -> fl
 
     The solver's reward for cohort n_active is the exact root of this gap.
     """
-    q = relay_failure_probability(params)
-    miss = q ** n_active
+    miss = params.q ** n_active
     accept, reject = reduced_payoffs(alpha, n_active, 1.0 - miss, miss,
                                      reduced_cooperation_cost(params), params)
     return accept - reject
@@ -117,7 +114,7 @@ def tagged_indifference_reward(params: GameParams, p: float) -> float:
     share = _tagged_share(p, params)
     if share == 0.0:
         raise OracleDomainError("tagged indifference reward needs a relay that can deliver")
-    return (params.sigma * (1.0 - share) + total_energy(params) - params.gamma) / (2.0 * share)
+    return (params.sigma * (1.0 - share) + params.total_energy - params.gamma) / (2.0 * share)
 
 
 def with_param(params: GameParams, var: str, value: float) -> GameParams:
@@ -138,7 +135,7 @@ def point_pse(params: GameParams) -> list:
     solve-pse point: one per cohort from the QoS bound up to n, or one
     marked row (nan, nan, False, n_a_min, False) when that bound exceeds n,
     with n_a_min = inf at q = 1."""
-    q = relay_failure_probability(params)
+    q = params.q
     if q >= 1.0:
         return [(math.nan, math.nan, False, math.inf, False)]
     if q == 0.0:

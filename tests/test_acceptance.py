@@ -30,10 +30,8 @@ from dtnsat.model import (
     delivery_share,
     expected_relay_utility_mixed,
     expected_source_utility_mixed,
-    relay_failure_probability,
     relay_payoffs,
     tagged_payoffs,
-    total_energy,
 )
 from dtnsat.simulate import estimate_delivery, estimate_relay_utility
 from conftest import make_params
@@ -70,7 +68,7 @@ def best_switch(params, alpha, cohort) -> Switch:
     ``cohort`` and a decliner that accepts at ``cohort + 1``.  A gain <= 0
     means every relay best-responds.
     """
-    q, cost = relay_failure_probability(params), total_energy(params)
+    q, cost = params.q, params.total_energy
     options = []
     if cohort >= 1:
         accept, reject = relay_payoffs(alpha, delivery_share(cohort, q), cost, params)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import dtnsat.equilibrium as equilibrium
+import dtnsat.model as model
 from dtnsat.equilibrium import (
     DegenerateContactError,
     _mixed_column,
@@ -22,7 +23,6 @@ from dtnsat.equilibrium import (
 from dtnsat.model import (
     expected_relay_utility_mixed,
     expected_source_utility_mixed,
-    relay_failure_probability,
 )
 from conftest import make_params
 from oracles import mixed_indifference_gap, mixed_relay_payoffs, pure_indifference_gap, \
@@ -59,7 +59,7 @@ def reduced_cost(params):
 
 class TestReducedPayoffs:
     def test_arrays_match_scalar_calls_exactly(self, base_params):
-        q = relay_failure_probability(base_params)
+        q = base_params.q
         cost = reduced_cost(base_params)
         cohorts = range(1, base_params.n + 1)
         misses = [q ** c for c in cohorts]
@@ -163,7 +163,7 @@ class TestPseColumns:
         q = math.exp(-0.0137)
         params = make_params(lam=0.0137, tau=1.0, delta=1.0 - q ** 2)
         assert params.delta == 0.027028025113755128
-        assert relay_failure_probability(params) == q
+        assert params.q == q
         assert math.log(1.0 - params.delta) / math.log(q) == 2.000000000000004
         assert 1.0 - q ** 2 >= params.delta
         assert minimum_satisfying_cohort(params) == 2
@@ -431,6 +431,24 @@ class TestParetoDominance:
         rows = pareto_grid_scan(params, ese)
         assert rows.dtype == np.float64 and rows.shape == (len(want), 4) == (count, 4)
         assert rows.tobytes() == np.array(want).tobytes()
+
+    def test_grid_scan_derives_the_record_constants_once(self, monkeypatch):
+        # the caching cost is evaluated once per record, while every cell
+        # still scores its candidate and the binding point: 2 x 101 x 101
+        calls = {"storage_energy": 0, "expected_relay_utility_mixed": 0}
+        for name in calls:
+            original = getattr(model, name)
+
+            def counted(*args, _name=name, _original=original):
+                calls[_name] += 1
+                return _original(*args)
+            for module in (model, equilibrium):
+                if getattr(module, name, None) is original:
+                    monkeypatch.setattr(module, name, counted)
+        params = make_params()
+        pareto_grid_scan(params, solve_ese(params))
+        assert calls["storage_energy"] <= 1
+        assert calls["expected_relay_utility_mixed"] == 2 * 101 * 101
 
     @pytest.mark.parametrize("alpha_max", [5.0, 0.014, 1.8e306, 1.7976931348623157e308])
     def test_grid_scan_checks_candidates_inside_both_ranges(self, alpha_max, monkeypatch):

@@ -136,6 +136,12 @@ class TestParseConfig:
         assert list(echo)[:len(values)] == list(values)
         assert [echo[key] for key in values] == [_fmt(value) for value in values.values()]
 
+    def test_reading_the_derived_constants_leaves_the_echo(self):
+        cfg = parse_config("lambda = 0.031\ntau = 77.0\n")
+        before = cfg.echo()
+        assert cfg.params.q > 0 and cfg.params.reach > 0 and cfg.params.total_energy > 0
+        assert cfg.echo() == before
+
     def test_unknown_key_reports_line(self):
         with pytest.raises(ConfigError, match="line 2.*frobnicate"):
             parse_config("n = 3\nfrobnicate = 1\n")

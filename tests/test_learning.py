@@ -17,7 +17,6 @@ from dtnsat.learning import (
     _source_update,
     run_coupled,
 )
-from dtnsat.model import total_energy
 from dtnsat.simulate import MODEL, PHYSICAL, _cohort_shares, episode_rng
 from conftest import make_params
 from oracles import episode, mixed_relay_payoffs, run_coupled_fed, score_relays
@@ -229,7 +228,7 @@ def scalar_replay(params, horizon, seed, feed, contact_mode):
     trajectory's arrays by name, with the per-relay actions and utilities
     fed at each step."""
     alpha, estimate = params.alpha_max / 2.0, 0.0
-    share, cost = _cohort_shares(params), total_energy(params)
+    share, cost = _cohort_shares(params), params.total_energy
     relays = [(0.5, 0.0, 0.0)] * params.n
     rows = []
     for k in range(1, horizon + 1):

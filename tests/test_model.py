@@ -1,21 +1,19 @@
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
 
 from dtnsat.model import (
-    contact_probability,
+    GameParams,
     delivery_share,
     expected_relay_utility_mixed,
     expected_source_utility_mixed,
     per_relay_success,
-    relay_failure_probability,
     relay_payoffs,
     storage_energy,
     tagged_payoffs,
-    total_energy,
 )
 from conftest import cohort_payoffs, make_params
 from oracles import CohortTooLargeError, OracleDomainError, delivery_share_bruteforce, \
@@ -30,29 +28,29 @@ ETA = 1.1601756523932778e-3
 
 class TestContactProbability:
     def test_zero_rate_never_meets(self):
-        assert contact_probability(make_params(lam=0.0)) == 0.0
+        assert make_params(lam=0.0).reach == 0.0
 
     def test_reference_value(self):
-        assert contact_probability(make_params()) == pytest.approx(P_C, rel=1e-14)
+        assert make_params().reach == pytest.approx(P_C, rel=1e-14)
 
     def test_approaches_one_for_large_rate(self):
-        p = contact_probability(make_params(lam=0.3))  # lam*tau = 30
+        p = make_params(lam=0.3).reach  # lam*tau = 30
         assert 1.0 - 1e-12 < p < 1.0
 
     def test_complement_identity(self):
         for lam in (0.001, 0.015, 0.2, 3.0):
             for tau in (0.5, 10.0, 100.0, 400.0):
                 c = make_params(lam=lam, tau=tau)
-                total = contact_probability(c) + relay_failure_probability(c)
+                total = c.reach + c.q
                 assert total == pytest.approx(1.0, abs=1e-15)
 
 
 class TestFailureProbability:
     def test_zero_rate_certain_failure(self):
-        assert relay_failure_probability(make_params(lam=0.0, tau=50.0)) == 1.0
+        assert make_params(lam=0.0, tau=50.0).q == 1.0
 
     def test_reference_value(self):
-        assert relay_failure_probability(make_params()) == pytest.approx(Q_TAU, rel=1e-14)
+        assert make_params().q == pytest.approx(Q_TAU, rel=1e-14)
 
 
 class TestStorageEnergy:
@@ -82,7 +80,7 @@ class TestStorageEnergy:
         # nothing is ever handed over at lam = 0, so no storage is paid
         params = make_params(lam=0.0)
         assert storage_energy(params) == 0.0
-        assert total_energy(params) == params.e_receive + params.e_transmit
+        assert params.total_energy == params.e_receive + params.e_transmit
 
     def test_overflowing_lam_tau_holds_nothing_forever(self):
         # lam * tau = inf: the held-forever term is 0, not (1 + inf) * 0
@@ -109,24 +107,45 @@ class TestStorageEnergy:
     def test_subnormal_rate_stores_nothing(self, lam):
         # e/lam overflows while the bracket rounds to 0: not inf * 0 = nan
         params = make_params(lam=lam)
-        assert total_energy(params) == params.e_receive + params.e_transmit
+        assert params.total_energy == params.e_receive + params.e_transmit
 
 
 class TestTotalEnergy:
     def test_reference_value(self, base_params):
-        assert total_energy(base_params) == pytest.approx(ETA, rel=1e-12)
+        assert base_params.total_energy == pytest.approx(ETA, rel=1e-12)
 
     def test_all_zero(self):
-        assert total_energy(make_params(e=0.0, e_r=0.0, e_t=0.0)) == 0.0
+        assert make_params(e=0.0, e_r=0.0, e_t=0.0).total_energy == 0.0
 
     def test_storage_free_case(self):
-        assert total_energy(make_params(e=0.0, e_r=1.0, e_t=1.0)) == 2.0
+        assert make_params(e=0.0, e_r=1.0, e_t=1.0).total_energy == 2.0
+
+
+class TestDerivedConstants:
+    def test_replace_gives_the_new_points_values(self, base_params):
+        kept = (base_params.q, base_params.reach, base_params.total_energy)
+        moved = replace(base_params, lam=0.05)
+        fresh = make_params(lam=0.05)
+        assert (moved.q, moved.reach, moved.total_energy) == \
+            (fresh.q, fresh.reach, fresh.total_energy)
+        assert moved.q != kept[0] and moved.reach != kept[1]
+        assert moved.total_energy != kept[2]
+
+    def test_a_read_leaves_the_record_as_it_was(self):
+        read, unread = make_params(), make_params()
+        before = (hash(read), repr(read), fields(GameParams))
+        assert read.q > 0 and read.reach > 0 and read.total_energy > 0
+        assert read == unread
+        assert (hash(read), repr(read), fields(GameParams)) == before
+        assert [f.name for f in fields(GameParams)] == [
+            "lam", "tau", "n", "delta", "sigma", "gamma", "e_store", "e_receive",
+            "e_transmit", "alpha_max"]
 
 
 class TestRelayPayoffs:
     def test_arrays_match_scalar_calls_exactly(self, base_params):
-        q = relay_failure_probability(base_params)
-        cost = total_energy(base_params)
+        q = base_params.q
+        cost = base_params.total_energy
         shares = [delivery_share(c, q) for c in range(1, base_params.n + 1)]
         accept, reject = relay_payoffs(1.3, np.array(shares), cost, base_params)
         for i, share in enumerate(shares):
@@ -136,9 +155,9 @@ class TestRelayPayoffs:
 class TestZeroRateLimits:
     # lam*tau = 1e-9 keeps the first-order offset of the cost below 1e-9
     def test_total_energy(self):
-        assert total_energy(make_params(lam=0.0, tau=1.0)) == 2e-5 + 2e-5
-        assert total_energy(make_params(lam=0.0, tau=1.0)) == pytest.approx(
-            total_energy(make_params(lam=1e-9, tau=1.0)), rel=1e-9)
+        assert make_params(lam=0.0, tau=1.0).total_energy == 2e-5 + 2e-5
+        assert make_params(lam=0.0, tau=1.0).total_energy == pytest.approx(
+            make_params(lam=1e-9, tau=1.0).total_energy, rel=1e-9)
 
 
 class TestDeliveryShare:
@@ -380,12 +399,13 @@ class TestValidation:
 
 
 def test_operations_are_pure(base_params):
-    q = relay_failure_probability(base_params)
     pairs = [
-        (contact_probability, (base_params,)),
+        (lambda params: [getattr(replace(params), name) for name in ("q", "reach", "total_energy")],
+         (base_params,)),
         (storage_energy, (base_params,)),
         (delivery_share, (5, 0.37)),
-        (relay_payoffs, (1.2, delivery_share(4, q), total_energy(base_params), base_params)),
+        (relay_payoffs, (1.2, delivery_share(4, base_params.q), base_params.total_energy,
+                         base_params)),
         (expected_relay_utility_mixed, (0.3, 1.2, base_params)),
         (expected_source_utility_mixed, (0.3, base_params)),
     ]

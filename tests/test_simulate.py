@@ -9,10 +9,10 @@ import pytest
 import dtnsat.learning as learning
 import dtnsat.simulate as simulate
 from dtnsat.model import (
+    GameParams,
     delivery_share,
     expected_relay_utility_mixed,
     expected_source_utility_mixed,
-    total_energy,
 )
 from dtnsat.simulate import (
     MODEL,
@@ -39,7 +39,7 @@ PHYSICAL_ONE_RELAY = 0.44217459962892543  # P(source + dest contact <= tau)
 
 def score(params, accepted, reward):
     """Per-relay utilities of a drawn episode, as the estimator scores them."""
-    return score_relays(params, _cohort_shares(params), total_energy(params), accepted,
+    return score_relays(params, _cohort_shares(params), params.total_energy, accepted,
                         np.count_nonzero(accepted), reward)
 
 
@@ -234,9 +234,11 @@ class TestEstimateDelivery:
         # the episode kernel only draws; scoring is the relay estimator's
         def forbidden(*args):
             raise AssertionError("delivery estimate reached the payoff model")
-        for name in ("delivery_share", "relay_failure_probability", "relay_payoffs",
-                     "total_energy"):
+        for name in ("delivery_share", "relay_payoffs", "_cohort_shares"):
             monkeypatch.setattr(simulate, name, forbidden)
+        # a data descriptor on the class wins over a value the record keeps
+        for name in ("q", "reach", "total_energy"):
+            monkeypatch.setattr(GameParams, name, property(forbidden))
         estimate_delivery(base_params, 0.4, 50, 1)
         with pytest.raises(AssertionError):
             estimate_relay_utility(base_params, 0.4, 1.0, 50, 1)
@@ -343,7 +345,7 @@ class TestScoreRelays:
     @pytest.mark.parametrize("n", [1, 7, 40])
     def test_equals_cohort_payoffs_per_relay(self, n):
         params = make_params(n=n)
-        share, cost = _cohort_shares(params), total_energy(params)
+        share, cost = _cohort_shares(params), params.total_energy
         block = self.masks(params, n)
         counts = np.count_nonzero(block, axis=1)
         for reward in (0.0, solve_ese(params).alpha_star, params.alpha_max):

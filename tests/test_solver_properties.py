@@ -17,7 +17,7 @@ from dtnsat.equilibrium import (
     pse_columns,
     solve_ese,
 )
-from dtnsat.model import expected_relay_utility_mixed, per_relay_success, total_energy
+from dtnsat.model import expected_relay_utility_mixed, per_relay_success
 from conftest import make_params
 
 LAMBDAS = st.floats(min_value=0.0, max_value=1e308)
@@ -107,5 +107,5 @@ def test_solve_ese_is_the_column_at_one_point(lam, tau, delta, n):
 @given(lam=LAMBDAS, tau=TAUS, n=FLEETS, p=st.floats(min_value=0.0, max_value=1.0))
 def test_exact_cost_is_finite_over_the_box(lam, tau, n, p):
     params = make_params(lam=lam, tau=tau, n=n)
-    assert math.isfinite(total_energy(params))
+    assert math.isfinite(params.total_energy)
     assert math.isfinite(expected_relay_utility_mixed(p, 0.5, params))

@@ -3,9 +3,11 @@ bit for bit, what the point-by-point solvers in ``oracles`` give: every
 column, its one-point case and the scalar solve_ese, each model function
 the kernels restate elementwise, and the first error of a sweep in sweep
 order."""
+import math
+
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from dtnsat import equilibrium
 from dtnsat.equilibrium import (
@@ -21,10 +23,9 @@ from dtnsat.equilibrium import (
 )
 from dtnsat.model import (
     _any_delivers,
-    contact_probability,
     expected_source_utility_mixed,
     per_relay_success,
-    relay_failure_probability,
+    storage_energy,
 )
 from conftest import make_params
 from oracles import (
@@ -161,8 +162,23 @@ def test_named_points(lam, tau, var):
 def test_contact_column_is_the_scalar_contact_model(lams, tau):
     points = [make_params(lam=lam, tau=tau) for lam in lams]
     _, _, q, reach, _ = _sweep_point(make_params(tau=tau), "lambda", lams)
-    assert bits(q) == bits(map(relay_failure_probability, points))
-    assert bits(reach) == bits(map(contact_probability, points))
+    assert bits(q) == bits(point.q for point in points)
+    assert bits(reach) == bits(point.reach for point in points)
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(lam=LAMBDAS, tau=TAUS)
+@example(lam=0.0, tau=100.0)
+@example(lam=5e-324, tau=100.0)
+@example(lam=1e-3, tau=100.0)  # lam*tau = 0.1: storage_energy's series branch
+@example(lam=1e308, tau=1e308)  # lam*tau overflows to inf
+def test_record_constants_are_the_expressions_they_keep(lam, tau):
+    params = make_params(lam=lam, tau=tau)
+    want = (math.exp(-lam * tau), -math.expm1(-lam * tau),
+            params.e_receive + params.e_transmit + storage_energy(params))
+    assert bits((params.q, params.reach, params.total_energy)) == bits(want)
+    _, _, q, reach, _ = _sweep_point(params, None, ())
+    assert bits((params.q, params.reach)) == bits((q.item(), reach.item()))
 
 
 @settings(derandomize=True, database=None, max_examples=300, deadline=None)
