@@ -26,7 +26,7 @@ and gives the fleet and QoS and, at each point, the failure
 probability ``q`` and contact probability ``reach`` that
 :class:`dtnsat.model.GameParams` keeps, and the reduced cooperation cost,
 which has no other implementation.  The ``mean-field`` learner feed reads
-them at its one point and pays :func:`reduced_payoffs` with them.  The
+that cost at its one point and pays :func:`reduced_payoffs` with it.  The
 columns use numpy only for ``+ - * /``, comparisons and selection, which
 IEEE rounds alike in numpy and in Python floats; ``exp``, ``expm1``,
 ``log1p`` and the pure ``q**m`` are Python's own, mapped over the column,

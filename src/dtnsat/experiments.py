@@ -24,7 +24,7 @@ from .equilibrium import (
     solve_ese,
 )
 from .learning import EPISODE, FEEDS, run_coupled
-from .model import GameParams
+from .model import _BOUNDS, _HOLDS, GameParams
 from .simulate import CONTACT_MODES, MODEL, estimate_delivery, estimate_relay_utility
 
 
@@ -88,6 +88,9 @@ _KEYS = {
 _FIELD_KEYS = {"lam": "lambda", "tau": "tau", "n": "n", "delta": "delta", "sigma": "sigma",
                "gamma": "gamma", "e_store": "e", "e_receive": "e_r", "e_transmit": "e_t",
                "alpha_max": "alpha_max"}
+# each config key's bound: the model's for its field, and p's
+_KEY_BOUNDS = {"p": "in [0, 1]", **{_FIELD_KEYS[name]: bound
+                                    for group in _BOUNDS for name, bound in group.items()}}
 
 
 def parse_config(text: str, overrides: Optional[dict[str, str]] = None
@@ -144,8 +147,8 @@ def _build_config(raw: dict[str, object]) -> ScenarioConfig:
     for key, choices in (("contact_mode", CONTACT_MODES), ("feed", FEEDS)):
         if v[key] not in choices:
             raise ConfigError(f"{key} must be one of {choices}, got {v[key]!r}")
-    if not 0 <= v["p"] <= 1:
-        raise ConfigError(f"p must be in [0, 1], got {v['p']}")
+    if not _HOLDS[_KEY_BOUNDS["p"]](v["p"]):
+        raise ConfigError(f"p must be {_KEY_BOUNDS['p']}, got {v['p']}")
     if v["alpha"] is not None and not 0 <= v["alpha"] <= params.alpha_max:
         raise ConfigError(f"alpha must be in [0, alpha_max], got {v['alpha']}")
 
@@ -196,19 +199,15 @@ def _build_sweep(v: dict[str, object]) -> Optional[SweepSpec]:
 
 
 def _validate_sweep_values(var: str, values) -> None:
+    """Each swept float finite and in the bound of its key; an integral n
+    is tested as the int the model takes."""
+    bound = _KEY_BOUNDS[var]
+    holds = _HOLDS[bound]
     for v in values:
         if not math.isfinite(v):
             raise ConfigError(f"swept {var} must be finite, got {v}")
-        if var == "tau" and v <= 0:
-            raise ConfigError(f"swept tau must be > 0, got {v}")
-        if var == "lambda" and v < 0:
-            raise ConfigError(f"swept lambda must be >= 0, got {v}")
-        if var == "n" and (v < 1 or v != int(v)):
-            raise ConfigError(f"swept n must be a positive integer, got {v}")
-        if var == "delta" and not 0 < v < 1:
-            raise ConfigError(f"swept delta must be in (0, 1), got {v}")
-        if var == "p" and not 0 <= v <= 1:
-            raise ConfigError(f"swept p must be in [0, 1], got {v}")
+        if not holds(int(v) if var == "n" and v == int(v) else v):
+            raise ConfigError(f"swept {var} must be {bound}, got {v}")
 
 
 # rows of a float table stacked and formatted at once

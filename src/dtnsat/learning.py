@@ -33,9 +33,9 @@ reads window i of the simulator's stream.  Relay payoffs can be fed two ways:
 ``mean-field``
     Each relay is paid :func:`dtnsat.equilibrium.reduced_payoffs` of the
     fleet at the published reward and the mean accept probability p, with
-    z = (1 - q)*reach*p and the reduced cost read once per run from
-    :func:`dtnsat.equilibrium._sweep_point`.  The coupled fixed point is
-    then exactly the binding equilibrium returned by
+    z = :func:`dtnsat.model.per_relay_success` at p and the reduced cost
+    read once per run from :func:`dtnsat.equilibrium._sweep_point`.  The
+    coupled fixed point is then exactly the binding equilibrium returned by
     :func:`dtnsat.equilibrium.solve_ese` (see the fixed-point tests), but
     the stochastic dynamics do not settle there: at the reference scenario
     with horizon 5000, seeds 0-5 all end with the reward at the zero clamp
@@ -50,7 +50,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .equilibrium import _sweep_point, reduced_payoffs
-from .model import GameParams, _any_delivers
+from .model import GameParams, _any_delivers, per_relay_success
 from .simulate import MODEL, _cohort_payoffs, _cohort_shares, _contacts, _index, _window, \
     episode_rng
 
@@ -157,10 +157,9 @@ def run_coupled(params: GameParams, horizon: int, seed: int,
     alpha, estimate = params.alpha_max / 2.0, 0.0
     p, est = [0.5] * n, ([0.0] * n, [0.0] * n)
     if feed == EPISODE:
-        share, cost = _cohort_shares(params).tolist(), params.total_energy
+        share = _cohort_shares(params).tolist()
     else:
-        _, _, q, reach, cost = _sweep_point(params, None, ())
-        ceiling, cost = ((1.0 - q) * reach).item(), cost.item()
+        ceiling, cost = per_relay_success(params, 1.0), _sweep_point(params, None, ())[4].item()
     alphas, estimates = np.empty((2, horizon))
     probs = np.empty((horizon, n))
     n_accept = np.empty(horizon, dtype=int)
@@ -177,7 +176,7 @@ def run_coupled(params: GameParams, horizon: int, seed: int,
             accepted = list(map(operator.lt, flip, p))
             cohort = n_accept[i] = sum(accepted)
             if feed == EPISODE:
-                pay = _cohort_payoffs(params, share, cost, cohort, alpha)
+                pay = _cohort_payoffs(params, share, cohort, alpha)
             else:
                 z = ceiling * (sum(p) / n)
                 pay = reduced_payoffs(alpha, n, _any_delivers(z, n), (1.0 - z) ** n, cost, params)

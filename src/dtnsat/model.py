@@ -5,10 +5,9 @@ Everything here is a pure function over :class:`GameParams`, the one
 immutable record of the game's inputs and the one place they are checked
 (the callers keep p and alpha in range).  The record also keeps the
 constants derived from its inputs alone, ``q``, ``reach`` and
-``total_energy``: the first read computes each one and stores it on the
-record, so a caller that reads them per grid cell or per step pays for one
-evaluation.  The module is safe to use from any number of threads: two
-first reads racing on one record compute and store the same float.
+``total_energy``, set once when it is built, so a caller that reads them
+per grid cell or per step evaluates none of them.  Nothing here is ever
+mutated, so the module is safe to use from any number of threads.
 Counts are integers; probabilities and energies are plain floats in
 consistent (dimensionless) units.
 """
@@ -18,8 +17,10 @@ import math
 from dataclasses import dataclass
 
 
-# each bound that a field's message states, and its test
+# each bound that a field's message states, and its test; the config holds
+# an accept probability p to "in [0, 1]"
 _HOLDS = {">= 0": lambda v: v >= 0, "> 0": lambda v: v > 0, "in (0, 1)": lambda v: 0 < v < 1,
+          "in [0, 1]": lambda v: 0 <= v <= 1,
           "a positive integer": lambda v: isinstance(v, int) and v >= 1}
 # the fields' bounds in the order they are checked: every value of a group
 # finite (n, an int, aside), then each in its bound, so the value named is
@@ -28,25 +29,6 @@ _BOUNDS = ({"lam": ">= 0", "tau": "> 0"},
            {"e_store": ">= 0", "e_receive": ">= 0", "e_transmit": ">= 0"},
            {"n": "a positive integer"},
            {"sigma": ">= 0", "gamma": ">= 0", "delta": "in (0, 1)", "alpha_max": "> 0"})
-
-
-class _derived:
-    """A constant of a frozen record's inputs: the first read computes it
-    and stores it on the record, where later reads find it first.  It is
-    stored by ``object.__setattr__``, not through the record's ``__dict__``
-    as ``functools.cached_property`` does: on CPython 3.11 that builds the
-    instance dict, after which every attribute read of the record takes
-    about twice as long."""
-
-    def __init__(self, compute):
-        self.compute, self.name, self.__doc__ = compute, compute.__name__, compute.__doc__
-
-    def __get__(self, record, owner=None):
-        if record is None:
-            return self
-        value = self.compute(record)
-        object.__setattr__(record, self.name, value)
-        return value
 
 
 @dataclass(frozen=True)
@@ -58,7 +40,11 @@ class GameParams:
     delivery-probability threshold, sigma the regret for caching without
     delivering first and gamma the regret for declining; e_store is the
     caching energy per time unit, e_receive and e_transmit the reception
-    and transmission energies, and alpha_max the reward cap.
+    and transmission energies, and alpha_max the reward cap.  Building the
+    record also sets the constants of its inputs alone: q = exp(-lam*tau),
+    the probability of zero meetings within the lifetime; reach =
+    -expm1(-lam*tau), its complement; and total_energy, the per-node cost
+    of cooperating, e_receive + e_transmit + :func:`storage_energy`.
     """
 
     lam: float
@@ -81,23 +67,10 @@ class GameParams:
             for name, bound in group.items():
                 if not _HOLDS[bound](values[name]):
                     raise ValueError(f"{name} must be {bound}, got {values[name]}")
-
-    @_derived
-    def q(self) -> float:
-        """Probability of zero meetings within the lifetime, exp(-lam*tau)."""
-        return math.exp(-self.lam * self.tau)
-
-    @_derived
-    def reach(self) -> float:
-        """Probability that two nodes meet at least once within the
-        lifetime, -expm1(-lam*tau), the complement of ``q``."""
-        return -math.expm1(-self.lam * self.tau)
-
-    @_derived
-    def total_energy(self) -> float:
-        """Total per-node cost of cooperating: receive + transmit +
-        :func:`storage_energy`; at lam = 0 it is e_receive + e_transmit."""
-        return self.e_receive + self.e_transmit + storage_energy(self)
+        object.__setattr__(self, "q", math.exp(-self.lam * self.tau))
+        object.__setattr__(self, "reach", -math.expm1(-self.lam * self.tau))
+        object.__setattr__(self, "total_energy",
+                           self.e_receive + self.e_transmit + storage_energy(self))
 
 
 def storage_energy(params: GameParams) -> float:
@@ -119,12 +92,12 @@ def storage_energy(params: GameParams) -> float:
     return scale * bracket if math.isfinite(scale) else params.e_store * (bracket / lam)
 
 
-def relay_payoffs(alpha, share, cost: float, params: GameParams):
+def relay_payoffs(alpha, share, params: GameParams):
     """The game's (accept, reject) payoffs of a relay holding ``share`` of the
     reward alpha: accepting earns it less the regret sigma*(1 - share) and
-    ``cost`` (the record's ``total_energy``); declining forfeits it and
-    pays the regret gamma.  Numpy arrays of shares work elementwise."""
-    return (alpha * share - params.sigma * (1.0 - share) - cost,
+    the record's ``total_energy``; declining forfeits it and pays the
+    regret gamma.  Numpy arrays of shares work elementwise."""
+    return (alpha * share - params.sigma * (1.0 - share) - params.total_energy,
             -alpha * share - params.gamma)
 
 
@@ -167,7 +140,7 @@ def _tagged_share(p: float, params: GameParams) -> float:
 def tagged_payoffs(alpha: float, p: float, params: GameParams) -> tuple[float, float]:
     """:func:`relay_payoffs` of a relay whose n-1 opponents accept with p:
     affine in the share, so taken at the mean tagged share."""
-    return relay_payoffs(alpha, _tagged_share(p, params), params.total_energy, params)
+    return relay_payoffs(alpha, _tagged_share(p, params), params)
 
 
 def expected_relay_utility_mixed(p: float, alpha: float, params: GameParams) -> float:

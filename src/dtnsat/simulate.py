@@ -122,7 +122,7 @@ def _cohort_shares(params: GameParams) -> np.ndarray:
     return np.array([0.0] + [delivery_share(k, q) for k in range(1, params.n + 2)])
 
 
-def _cohort_payoffs(params: GameParams, share: np.ndarray | list[float], cost: float,
+def _cohort_payoffs(params: GameParams, share: np.ndarray | list[float],
                     n_accept: int | np.ndarray, reward: float) -> tuple:
     """(accept, decline) share-weighted payoffs when ``n_accept`` relays
     accept: a relay with k accepting opponents is scored at cohort size k+1
@@ -130,8 +130,8 @@ def _cohort_payoffs(params: GameParams, share: np.ndarray | list[float], cost: f
     cohort's accept payoff is never paid).  ``share`` is the run's
     :func:`_cohort_shares` table: an array for array counts, a list for an
     int count, which gives two floats."""
-    return (relay_payoffs(reward, share[n_accept], cost, params)[0],
-            relay_payoffs(reward, share[n_accept + 1], cost, params)[1])
+    return (relay_payoffs(reward, share[n_accept], params)[0],
+            relay_payoffs(reward, share[n_accept + 1], params)[1])
 
 
 def estimate_delivery(params: GameParams, accept_prob: float, trials: int,
@@ -149,7 +149,7 @@ def estimate_relay_utility(params: GameParams, accept_prob: float, reward: float
     n_accept = np.count_nonzero(accepted, axis=1)
     with np.errstate(invalid="ignore"):  # an inf reward times a zero share: named below
         samples = np.where(accepted[:, 0], *_cohort_payoffs(
-            params, _cohort_shares(params), params.total_energy, n_accept, reward))
+            params, _cohort_shares(params), n_accept, reward))
     finite = np.isfinite(samples)
     if not finite.all():
         raise ValueError(f"realized utility must be finite, got {samples[~finite][0]}")

@@ -11,7 +11,7 @@ def make_params(n=7, delta=0.21, lam=0.015, tau=100.0, sigma=0.2, gamma=0.15,
 
 def cohort_payoffs(alpha, cohort, params):
     """The game's (accept, reject) payoffs of a relay in a caching cohort."""
-    return relay_payoffs(alpha, delivery_share(cohort, params.q), params.total_energy, params)
+    return relay_payoffs(alpha, delivery_share(cohort, params.q), params)
 
 
 @pytest.fixture

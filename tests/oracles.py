@@ -242,9 +242,9 @@ def episode(params: GameParams, probs, rng, mode: str = MODEL) -> tuple:
     return accepted, bool(np.count_nonzero(accepted & reach))
 
 
-def score_relays(params: GameParams, share, cost: float, accepted, n_accept, reward: float):
+def score_relays(params: GameParams, share, accepted, n_accept, reward: float):
     """Per-relay utilities of drawn episodes, ``accepted`` of shape (..., n)
     with the ``n_accept`` counts of shape (...): each relay is paid the side
     of ``_cohort_payoffs`` it played."""
-    pay_accept, pay_reject = _cohort_payoffs(params, share, cost, n_accept, reward)
+    pay_accept, pay_reject = _cohort_payoffs(params, share, n_accept, reward)
     return np.where(accepted, pay_accept[..., None], pay_reject[..., None])

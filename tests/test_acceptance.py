@@ -68,14 +68,13 @@ def best_switch(params, alpha, cohort) -> Switch:
     ``cohort`` and a decliner that accepts at ``cohort + 1``.  A gain <= 0
     means every relay best-responds.
     """
-    q, cost = params.q, params.total_energy
+    q = params.q
     options = []
     if cohort >= 1:
-        accept, reject = relay_payoffs(alpha, delivery_share(cohort, q), cost, params)
+        accept, reject = relay_payoffs(alpha, delivery_share(cohort, q), params)
         options.append(Switch(reject - accept, accept, reject, "declining"))
     if cohort < params.n:
-        accept, reject = relay_payoffs(alpha, delivery_share(cohort + 1, q), cost,
-                                       params)
+        accept, reject = relay_payoffs(alpha, delivery_share(cohort + 1, q), params)
         options.append(Switch(accept - reject, reject, accept, "accepting"))
     return max(options)
 

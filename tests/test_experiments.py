@@ -30,7 +30,7 @@ from dtnsat.experiments import (
     parse_config,
     run_scenario,
 )
-from dtnsat.model import GameParams
+from dtnsat.model import _BOUNDS, GameParams
 from dataclasses import asdict, replace
 from oracles import with_param
 
@@ -256,11 +256,37 @@ class TestParseConfig:
         ("p", "-5e-324", "swept p must be in [0, 1], got -5e-324"),
         ("p", "1.0000000000000002", "swept p must be in [0, 1], got 1.0000000000000002"),
         ("lambda", "-5e-324", "swept lambda must be >= 0, got -5e-324"),
+        ("tau", "-5e-324", "swept tau must be > 0, got -5e-324"),
+        ("n", "0.9999999999999999", "swept n must be a positive integer, got 0.9999999999999999"),
+        ("delta", "0", "swept delta must be in (0, 1), got 0.0"),
     ])
     def test_out_of_range_swept_value_names_var(self, var, value, message):
         with pytest.raises(ConfigError) as info:
             parse_config(f"sweep.var = {var}\nsweep.values = {value}")
         assert str(info.value) == message
+
+    # each swept model key: the edge values GameParams accepts, then the
+    # first values past them
+    @pytest.mark.parametrize("var, edges, past", [
+        ("tau", ["5e-324"], ["0", "-5e-324"]),
+        ("lambda", ["0", "-0.0"], ["-5e-324"]),
+        ("n", ["1.0"], ["0.9999999999999999", "0"]),
+        ("delta", ["5e-324", "0.9999999999999999"], ["0", "1"]),
+    ])
+    def test_swept_values_meet_the_models_bounds(self, var, edges, past):
+        field = next(f for f, key in _FIELD_KEYS.items() if key == var)
+        bound = next(group[field] for group in _BOUNDS if field in group)
+        cfg = parse_config(f"sweep.var = {var}\nsweep.values = {','.join(edges)}")
+        assert cfg.sweep.values == tuple(map(float, edges))
+        for value in cfg.sweep.values:
+            replace(cfg.params, **{field: int(value) if var == "n" else value})
+        for value in map(float, past):
+            with pytest.raises(ValueError, match=f"^{field} must be {re.escape(bound)}, "):
+                replace(cfg.params, **{field: int(value) if var == "n" and value == int(value)
+                                       else value})
+            with pytest.raises(ConfigError) as info:
+                parse_config(f"sweep.var = {var}\nsweep.values = {value!r}")
+            assert str(info.value) == f"swept {var} must be {bound}, got {value}"
 
     def test_infinite_range_end_rejected(self):
         with pytest.raises(ConfigError, match="^swept tau must be finite"):

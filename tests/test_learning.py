@@ -228,7 +228,7 @@ def scalar_replay(params, horizon, seed, feed, contact_mode):
     trajectory's arrays by name, with the per-relay actions and utilities
     fed at each step."""
     alpha, estimate = params.alpha_max / 2.0, 0.0
-    share, cost = _cohort_shares(params), params.total_energy
+    share = _cohort_shares(params)
     relays = [(0.5, 0.0, 0.0)] * params.n
     rows = []
     for k in range(1, horizon + 1):
@@ -237,7 +237,7 @@ def scalar_replay(params, horizon, seed, feed, contact_mode):
         accepted, delivered = episode(
             params, probs, episode_rng(seed, k - 1, params.n), contact_mode)
         if feed == EPISODE:
-            fed = score_relays(params, share, cost, accepted, accepted.sum(), alpha).tolist()
+            fed = score_relays(params, share, accepted, accepted.sum(), alpha).tolist()
         else:
             pay_accept, pay_reject = mixed_relay_payoffs(alpha, sum(probs) / params.n,
                                                          params)
@@ -400,7 +400,7 @@ class TestElementwiseRelayUpdate:
     def test_non_finite_fed_utility_stops_run_coupled_on_the_episode_feed(
             self, base_params, monkeypatch):
         monkeypatch.setattr(simulate, "relay_payoffs",
-                            lambda alpha, share, cost, params: (-0.1, math.nan))
+                            lambda alpha, share, params: (-0.1, math.nan))
         with pytest.raises(ValueError, match="realized utility must be finite, got nan"):
             run_coupled(base_params, 20, seed=1, feed=EPISODE)
 

@@ -144,12 +144,10 @@ class TestDerivedConstants:
 
 class TestRelayPayoffs:
     def test_arrays_match_scalar_calls_exactly(self, base_params):
-        q = base_params.q
-        cost = base_params.total_energy
-        shares = [delivery_share(c, q) for c in range(1, base_params.n + 1)]
-        accept, reject = relay_payoffs(1.3, np.array(shares), cost, base_params)
+        shares = [delivery_share(c, base_params.q) for c in range(1, base_params.n + 1)]
+        accept, reject = relay_payoffs(1.3, np.array(shares), base_params)
         for i, share in enumerate(shares):
-            assert (accept[i], reject[i]) == relay_payoffs(1.3, share, cost, base_params)
+            assert (accept[i], reject[i]) == relay_payoffs(1.3, share, base_params)
 
 
 class TestZeroRateLimits:
@@ -404,8 +402,7 @@ def test_operations_are_pure(base_params):
          (base_params,)),
         (storage_energy, (base_params,)),
         (delivery_share, (5, 0.37)),
-        (relay_payoffs, (1.2, delivery_share(4, base_params.q), base_params.total_energy,
-                         base_params)),
+        (relay_payoffs, (1.2, delivery_share(4, base_params.q), base_params)),
         (expected_relay_utility_mixed, (0.3, 1.2, base_params)),
         (expected_source_utility_mixed, (0.3, base_params)),
     ]

@@ -39,8 +39,8 @@ PHYSICAL_ONE_RELAY = 0.44217459962892543  # P(source + dest contact <= tau)
 
 def score(params, accepted, reward):
     """Per-relay utilities of a drawn episode, as the estimator scores them."""
-    return score_relays(params, _cohort_shares(params), params.total_energy, accepted,
-                        np.count_nonzero(accepted), reward)
+    return score_relays(params, _cohort_shares(params), accepted, np.count_nonzero(accepted),
+                        reward)
 
 
 def exponentials(params, u):
@@ -238,7 +238,7 @@ class TestEstimateDelivery:
             monkeypatch.setattr(simulate, name, forbidden)
         # a data descriptor on the class wins over a value the record keeps
         for name in ("q", "reach", "total_energy"):
-            monkeypatch.setattr(GameParams, name, property(forbidden))
+            monkeypatch.setattr(GameParams, name, property(forbidden), raising=False)
         estimate_delivery(base_params, 0.4, 50, 1)
         with pytest.raises(AssertionError):
             estimate_relay_utility(base_params, 0.4, 1.0, 50, 1)
@@ -345,18 +345,17 @@ class TestScoreRelays:
     @pytest.mark.parametrize("n", [1, 7, 40])
     def test_equals_cohort_payoffs_per_relay(self, n):
         params = make_params(n=n)
-        share, cost = _cohort_shares(params), params.total_energy
+        share = _cohort_shares(params)
         block = self.masks(params, n)
         counts = np.count_nonzero(block, axis=1)
         for reward in (0.0, solve_ese(params).alpha_star, params.alpha_max):
-            scored = score_relays(params, share, cost, block, counts, reward)
+            scored = score_relays(params, share, block, counts, reward)
             assert scored.shape == block.shape
             for accepted, k, row in zip(block, counts, scored):
                 want = [cohort_payoffs(reward, k, params)[0] if acc
                         else cohort_payoffs(reward, k + 1, params)[1] for acc in accepted]
                 assert row.tolist() == want
-                one = score_relays(params, share, cost, accepted,
-                                   np.count_nonzero(accepted), reward)
+                one = score_relays(params, share, accepted, np.count_nonzero(accepted), reward)
                 assert one.tolist() == want
 
     @pytest.mark.parametrize("lam", [0.0, 1e-310, 0.015, 1e308])
