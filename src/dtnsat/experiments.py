@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -32,16 +32,16 @@ class ConfigError(ValueError):
     """Malformed or out-of-range configuration input."""
 
 
-@dataclass(frozen=True)
-class SweepSpec:
-    var: str
-    values: tuple[float, ...]
+class SweepSpec(NamedTuple):
+    """The swept config key and its values; ``(None, ())`` sweeps nothing."""
+    var: Optional[str] = None
+    values: tuple[float, ...] = ()
 
 
 @dataclass(frozen=True)
 class ScenarioConfig:
     params: GameParams
-    sweep: Optional[SweepSpec]
+    sweep: SweepSpec
     trials: int
     seed: int
     contact_mode: str
@@ -60,7 +60,7 @@ class ScenarioConfig:
             items["alpha"] = self.alpha
         if self.mode is not None:
             items["mode"] = self.mode
-        if self.sweep is not None:
+        if self.sweep.var is not None:
             items["sweep.var"] = self.sweep.var
             # the values are floats, which _fmt prints as %.12g
             values = self.sweep.values
@@ -158,9 +158,9 @@ def _build_config(raw: dict[str, object]) -> ScenarioConfig:
                           feed=v["feed"])
 
 
-def _build_sweep(v: dict[str, object]) -> Optional[SweepSpec]:
+def _build_sweep(v: dict[str, object]) -> SweepSpec:
     if all(v[k] is None for k in v if k.startswith("sweep.")):
-        return None
+        return SweepSpec()
     var = v["sweep.var"]
     if var is None:
         raise ConfigError("sweep.var is required when any sweep key is set")
@@ -217,19 +217,14 @@ _BLOCK = 512
 class ResultTable:
     """A CSV table: column names, float ``data`` columns and ``# key =
     value`` metadata.  Each data column is 1-D or 2-D (one table column per
-    array column), all of one length; a row, or a slice of rows, is stacked
-    from them only when it is read.  Every mode's cells are floats;
-    ``%.12g`` prints the integer and flag cells as integers."""
+    array column); the mode runners give them one length and one name per
+    table column.  A row, or a slice of rows, is stacked only when read.
+    Every mode's cells are floats; ``%.12g`` prints integer and flag cells as integers."""
 
     def __init__(self, columns: tuple[str, ...], data, metadata: tuple[tuple[str, str], ...]):
         arrays = [np.asarray(c, dtype=float) for c in data]
         self.columns, self.metadata = columns, metadata
         self.data = tuple(c[:, None] if c.ndim == 1 else c for c in arrays)
-        if len({len(c) for c in self.data}) > 1:
-            raise ValueError(f"column lengths {[len(c) for c in self.data]} differ")
-        width = sum(c.shape[1] for c in self.data)
-        if width != len(columns):
-            raise ValueError(f"row width {width} != {len(columns)} columns")
 
     def __len__(self) -> int:
         return len(self.data[0])
@@ -284,7 +279,7 @@ def run_scenario(config: ScenarioConfig) -> ResultTable:
     if config.mode not in MODES:
         raise ConfigError(f"mode must be one of {MODES}, got {config.mode!r}")
     runner, sweeps, size_keys = _MODE_TABLE[config.mode]
-    if config.sweep is not None and config.sweep.var not in sweeps:
+    if config.sweep.var not in (None, *sweeps):
         raise ConfigError(f"mode {config.mode} does not sweep sweep.var = {config.sweep.var}; "
                           f"it sweeps {', '.join(sweeps) or 'nothing'}")
     try:
@@ -299,19 +294,13 @@ def run_scenario(config: ScenarioConfig) -> ResultTable:
                           + (f"; lower {size_keys}" if size_keys else "")) from None
 
 
-def _swept(config: ScenarioConfig) -> tuple[Optional[str], tuple[float, ...]]:
-    """(var, values) of the config's sweep, (None, ()) without one; a swept
-    table leads with the column ``var``."""
-    return (config.sweep.var, config.sweep.values) if config.sweep is not None else (None, ())
-
-
 def _column_table(config: ScenarioConfig, names: list[str], columns,
                   extra: dict[str, str] | None = None, point=None) -> ResultTable:
     """One float row per point, or per entry of ``point``, the index of each
     row's point: the swept value (if any) and then ``columns``, 1-D or 2-D,
     named ``names``.  The columns are held as they are, never stacked whole;
     %.12g prints the integer and flag columns as %d would."""
-    var, values = _swept(config)
+    var, values = config.sweep
     if var is not None:
         names, columns = (var, *names), (values if point is None else np.take(values, point),
                                          *columns)
@@ -319,7 +308,7 @@ def _column_table(config: ScenarioConfig, names: list[str], columns,
 
 
 def _run_solve_pse(config: ScenarioConfig) -> ResultTable:
-    point, *columns = pse_columns(config.params, *_swept(config))
+    point, *columns = pse_columns(config.params, *config.sweep)
     return _column_table(config, ["n_a", "alpha_star", "clamped", "n_a_min", "feasible"],
                          columns, point=point)
 
@@ -327,17 +316,17 @@ def _run_solve_pse(config: ScenarioConfig) -> ResultTable:
 def _run_solve_mse(config: ScenarioConfig) -> ResultTable:
     # where no relay ever delivers, p_min is inf
     return _column_table(config, ["p_min", "alpha_star", "z_star", "feasible"],
-                         mse_columns(config.params, *_swept(config)))
+                         mse_columns(config.params, *config.sweep))
 
 
 def _run_solve_ese(config: ScenarioConfig) -> ResultTable:
     # unreachable QoS marks its own row with p_min, as in solve-mse
     return _column_table(config, ["p_star", "alpha_star", "binding_delivery", "alpha_clamped"],
-                         ese_columns(config.params, *_swept(config)))
+                         ese_columns(config.params, *config.sweep))
 
 
 def _run_region(config: ScenarioConfig) -> ResultTable:
-    var, values = _swept(config)
+    var, values = config.sweep
     if var is None:
         raise ConfigError("mode region needs a sweep over tau or lambda")
     delivery, threshold = region_columns(config.params, var, values, config.p)
@@ -365,7 +354,7 @@ def _run_simulate(config: ScenarioConfig) -> ResultTable:
         except DegenerateContactError as exc:
             raise ConfigError(f"alpha is unset and there is no binding "
                               f"equilibrium to take it from: {exc}") from None
-    ps = _swept(config)[1] or (config.p,)
+    ps = config.sweep.values or (config.p,)
 
     def row(p):
         delivery = estimate_delivery(config.params, p, config.trials, config.seed,

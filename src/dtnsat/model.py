@@ -137,18 +137,13 @@ def _tagged_share(p: float, params: GameParams) -> float:
     return reach * (_any_delivers(z, params.n) / (params.n * z) if z > 0 else 1.0)
 
 
-def tagged_payoffs(alpha: float, p: float, params: GameParams) -> tuple[float, float]:
-    """:func:`relay_payoffs` of a relay whose n-1 opponents accept with p:
-    affine in the share, so taken at the mean tagged share."""
-    return relay_payoffs(alpha, _tagged_share(p, params), params)
-
-
 def expected_relay_utility_mixed(p: float, alpha: float, params: GameParams) -> float:
     """Tagged relay's expected payoff when the other n-1 relays accept with p.
 
-    p * accept + (1 - p) * reject of :func:`tagged_payoffs`, whose mean
-    share sums the binomial mixture over the opponents in closed form.
+    p * accept + (1 - p) * reject of :func:`relay_payoffs` at the mean share
+    :func:`_tagged_share`, which sums the binomial mixture over the
+    opponents in closed form; the payoffs are affine in the share.
     """
-    accept, reject = tagged_payoffs(alpha, p, params)
+    accept, reject = relay_payoffs(alpha, _tagged_share(p, params), params)
     return p * accept + (1.0 - p) * reject
 

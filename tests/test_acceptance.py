@@ -27,11 +27,11 @@ from dtnsat.equilibrium import (
     solve_ese,
 )
 from dtnsat.model import (
+    _tagged_share,
     delivery_share,
     expected_relay_utility_mixed,
     expected_source_utility_mixed,
     relay_payoffs,
-    tagged_payoffs,
 )
 from dtnsat.simulate import estimate_delivery, estimate_relay_utility
 from conftest import make_params
@@ -300,7 +300,8 @@ def test_criterion_10_no_grid_point_dominates_binding_equilibrium():
                    f"relay payoff by {d_relay:.4f}: "
                    f"cutting the reward relieves decliners of the forfeited "
                    f"share while more acceptance keeps the source satisfied")
-        accept, reject = tagged_payoffs(ese.alpha_star, ese.p_star, params)
+        accept, reject = relay_payoffs(ese.alpha_star, _tagged_share(ese.p_star, params),
+                                       params)
         reduced = mixed_relay_payoffs(ese.alpha_star, ese.p_star, params)
         detail += (f"; under the tagged-relay payoff this check scores, a "
                    f"relay at the binding point gains {accept - reject:.3f} "

@@ -22,6 +22,7 @@ from dtnsat.experiments import (
     SWEEP_VARS,
     ConfigError,
     ResultTable,
+    SweepSpec,
     _BLOCK,
     _FIELD_KEYS,
     _csv_lines,
@@ -62,6 +63,8 @@ class TestParseConfig:
             (3.8e-5, 2e-5, 2e-5)
         assert p.alpha_max == 5.0
         assert cfg.contact_mode == "model"
+        assert cfg.sweep == SweepSpec()
+        assert tuple(cfg.sweep) == (None, ())
 
     def test_comments_and_blanks_ignored(self):
         cfg = parse_config("# comment\n\nn = 3  # trailing\n")
@@ -176,6 +179,7 @@ class TestParseConfig:
         assert cfg.params.n == 3
         assert cfg.sweep.var == "delta"
         assert cfg.sweep.values == (0.02, 0.48, 0.65, 0.85)
+        assert tuple(cfg.sweep) == ("delta", (0.02, 0.48, 0.65, 0.85))
 
     def test_zero_trials_rejected(self):
         with pytest.raises(ConfigError, match="trials"):
@@ -527,10 +531,6 @@ class TestEmitCsv:
         emit_csv(table, str(path))
         assert path.read_bytes() == want.encode()
 
-    def test_row_width_validated(self):
-        with pytest.raises(ValueError):
-            ResultTable(columns=("a", "b"), data=((1.0,),), metadata=())
-
     @staticmethod
     def float_table(count):
         """A float-column table of ``count`` rows: a 1-D column, a 2-D one
@@ -552,12 +552,6 @@ class TestEmitCsv:
         path = tmp_path / "floats.csv"
         emit_csv(table, str(path))
         assert path.read_bytes() == want.encode()
-
-    def test_float_column_width_and_lengths_validated(self):
-        with pytest.raises(ValueError, match="row width 3 != 2 columns"):
-            ResultTable(("a", "b"), (np.zeros(4), np.zeros((4, 2))), ())
-        with pytest.raises(ValueError, match="column lengths"):
-            ResultTable(("a", "b"), (np.zeros(4), np.zeros(5)), ())
 
     def test_learn_table_writes_its_per_value_bytes(self, tmp_path):
         cfg = replace(parse_config(f"horizon = {_BLOCK + 1}\nn = 3\nseed = 4"), mode="learn")

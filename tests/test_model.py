@@ -7,13 +7,13 @@ import pytest
 
 from dtnsat.model import (
     GameParams,
+    _tagged_share,
     delivery_share,
     expected_relay_utility_mixed,
     expected_source_utility_mixed,
     per_relay_success,
     relay_payoffs,
     storage_energy,
-    tagged_payoffs,
 )
 from conftest import cohort_payoffs, make_params
 from oracles import CohortTooLargeError, OracleDomainError, delivery_share_bruteforce, \
@@ -327,9 +327,13 @@ class TestTaggedShare:
     def test_payoff_pair_matches_binomial_sums(self, lam, tau):
         params = make_params(n=40, lam=lam, tau=tau)
         for p in (0.0, 1e-310, 0.05, 0.5, 1.0):
-            got = tagged_payoffs(1.3, p, params)
+            got = relay_payoffs(1.3, _tagged_share(p, params), params)
             want = binomial_tagged_payoffs(1.3, p, params)
             assert got == pytest.approx(want, rel=1e-12, abs=1e-12), p
+            # the mixed payoff mixes this very pair
+            accept, reject = got
+            assert expected_relay_utility_mixed(p, 1.3, params) == \
+                p * accept + (1.0 - p) * reject, p
 
     def test_subnormal_p_keeps_the_p0_share(self, base_params):
         # a /(n p) form returns -0.85 here, against the -0.6938 of p = 0

@@ -20,7 +20,7 @@ import dtnsat
 PACKAGE = Path(dtnsat.__file__).resolve().parent
 README = PACKAGE.parents[1] / "README.md"
 MODULES = sorted(m.name for m in pkgutil.iter_modules(dtnsat.__path__))
-# `simulate._contacts` or `dtnsat.model.tagged_payoffs(...)` in README prose
+# `simulate._contacts` or `dtnsat.model.relay_payoffs(...)` in README prose
 README_REF = re.compile(r"`(?:dtnsat\.)?((?:%s)\.[\w.]*\w)[`(]" % "|".join(MODULES))
 DOC_REF = re.compile(r":(?:func|class):`([\w.]+)`")
 
@@ -120,7 +120,7 @@ def unread_public_names(package: Path) -> list[str]:
 def test_every_private_name_is_used():
     defined = {name for path in PACKAGE.glob("*.py")
                for name in private_definitions(ast.parse(path.read_text(encoding="utf-8")))}
-    assert len(defined) == 48
+    assert len(defined) == 47
     assert unused_private_names(PACKAGE) == []
 
 

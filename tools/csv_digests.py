@@ -1,0 +1,45 @@
+"""Print the sha256 of every CSV that the benchmark workloads write.
+
+    python3 tools/csv_digests.py ROOT
+
+Imports ``dtnsat`` from ROOT/src and the workloads from
+ROOT/perfbench/workloads.py, runs every call of ``invocations(workload,
+seed, "full")`` through ``dtnsat.cli.main``, for each workload at seeds 1
+and 7, into a temporary directory, and prints one ``workload seed label
+sha256`` line per CSV.  To check that a change keeps every output byte, run
+it on a copy of the parent commit and on the change, and ``diff`` the two
+outputs.
+"""
+import hashlib
+import os
+import sys
+import tempfile
+
+SEEDS = (1, 7)
+
+
+def digests(root: str) -> list[str]:
+    sys.path[:0] = [os.path.join(root, "src"), os.path.join(root, "perfbench")]
+    from dtnsat.cli import main
+    from workloads import WORKLOADS, invocations
+
+    lines = []
+    with tempfile.TemporaryDirectory() as work:
+        config, out = os.path.join(work, "run.cfg"), os.path.join(work, "run.csv")
+        for workload in WORKLOADS:
+            for seed in SEEDS:
+                for inv in invocations(workload, seed, "full"):
+                    with open(config, "w", encoding="utf-8") as fh:
+                        fh.write(inv.config)
+                    if main([inv.mode, "--config", config, "--out", out, *inv.args]):
+                        raise SystemExit(f"{workload} {seed} {inv.label}: dtnsat failed")
+                    with open(out, "rb") as fh:
+                        digest = hashlib.sha256(fh.read()).hexdigest()
+                    lines.append(f"{workload} {seed} {inv.label} {digest}")
+    return lines
+
+
+if __name__ == "__main__":
+    if len(sys.argv) != 2:
+        raise SystemExit(__doc__)
+    print("\n".join(digests(os.path.abspath(sys.argv[1]))))
