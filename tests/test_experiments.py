@@ -439,6 +439,27 @@ class TestRunScenario:
         with pytest.raises(ConfigError, match="mode"):
             run_scenario(cfg)
 
+    # one small config per mode, swept where the mode honours a sweep
+    SHAPE_CONFIGS = {
+        "solve-pse": "p = 0.4\nsweep.var = tau\nsweep.values = 20,40,400",
+        "solve-mse": "sweep.var = lambda\nsweep.values = 0.005,0.05",
+        "solve-ese": "sweep.var = delta\nsweep.values = 0.2,0.5",
+        "region": "sweep.var = tau\nsweep.values = 20,40",
+        "learn": "horizon = 20\nn = 3",
+        "simulate": "trials = 20\nalpha = 1.0\nsweep.var = p\nsweep.values = 0.2,0.6",
+        "pareto-grid": "",
+    }
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_runner_builds_one_length_and_one_name_per_column(self, mode):
+        # ResultTable takes its builders' shapes on trust; every runner keeps them
+        table = run_scenario(replace(parse_config(self.SHAPE_CONFIGS[mode]), mode=mode))
+        assert all(column.ndim == 2 for column in table.data)
+        assert {len(column) for column in table.data} == {len(table)}
+        assert sum(column.shape[1] for column in table.data) == len(table.columns)
+        assert len(set(table.columns)) == len(table.columns)
+        assert table[:].shape == (len(table), len(table.columns))
+
 
 class TestSweepRows:
     """A swept table gives each point its own rows, led by its value, and
