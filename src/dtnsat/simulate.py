@@ -22,9 +22,10 @@ the accept flips, the next two n-slices become source and destination
 unit exponentials by inverse CDF, ``-log1p(-u)``, which the race compares
 with ``lambda * tau``, so an episode draws the same number of values at
 every rate (Salmon et al., "Parallel Random Numbers: As Easy as 1, 2, 3",
-SC'11).  Model mode makes that test in log space, ``log1p(-u) >
--lambda * tau``, and never builds the exponentials: negating a double is
-exact, so the test holds exactly where ``-log1p(-u) < lambda * tau`` does.
+SC'11).  Model mode tests the draw itself, ``u < GameParams.reach``, which
+agrees with that test except at ``u = reach`` and the double below it, and
+builds no exponentials.  Physical mode builds them with numpy's ``log1p``,
+whose last bit, and so the mode's bytes, can differ between CPUs.
 An estimator walks one generator through the windows in trial order,
 passing :func:`simulate_episode` its p as the one float that all relays
 share; a trial's result does not depend on evaluation order, and the same
@@ -100,16 +101,15 @@ def _contacts(params: GameParams, u: np.ndarray, mode: str) -> tuple[np.ndarray,
     its flip is below its accept probability, and an acceptance delivers
     where ``reach`` holds.  A unit exponential E gives the contact time
     E/lam, inside the lifetime when E < lam * tau; strictly, so that lam = 0
-    meets nobody even at E = 0; model mode tests it in log space.  In
-    physical mode a relay the source did not meet gets an infinite flip, so
-    that it accepts at no probability."""
+    meets nobody even at E = 0; model mode takes it through the CDF, as
+    u < ``params.reach``.  In physical mode a relay the source did not meet
+    gets an infinite flip, so that it accepts at no probability."""
     if mode not in CONTACT_MODES:
         raise ValueError(f"mode must be one of {CONTACT_MODES}, got {mode!r}")
-    life = params.lam * params.tau
     n = params.n
     if mode == MODEL:
-        inside = np.log1p(-u[..., n:3 * n]) > -life
-        return u[..., :n], inside[..., :n] & inside[..., n:]
+        return u[..., :n], np.maximum(u[..., n:2 * n], u[..., 2 * n:3 * n]) < params.reach
+    life = params.lam * params.tau
     exps = -np.log1p(-u[..., n:3 * n])
     source_e = exps[..., :n]
     return np.where(source_e < life, u[..., :n], np.inf), source_e + exps[..., n:] < life

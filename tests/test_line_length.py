@@ -7,9 +7,9 @@ MAX_COLUMNS = 100
 
 def long_lines(root: Path) -> list[str]:
     """``path:line: width`` of every line over MAX_COLUMNS in the .py files
-    under root's src/ and tests/."""
+    under root's src/, tests/ and tools/."""
     return [f"{path.relative_to(root)}:{number}: {len(line)}"
-            for top in ("src", "tests") for path in sorted((root / top).rglob("*.py"))
+            for top in ("src", "tests", "tools") for path in sorted((root / top).rglob("*.py"))
             for number, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
             if len(line) > MAX_COLUMNS]
 

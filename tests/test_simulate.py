@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import re
 import statistics
@@ -237,7 +238,7 @@ class TestEstimateDelivery:
         for name in ("delivery_share", "relay_payoffs", "_cohort_shares"):
             monkeypatch.setattr(simulate, name, forbidden)
         # a data descriptor on the class wins over a value the record keeps
-        for name in ("q", "reach", "total_energy"):
+        for name in ("q", "total_energy"):
             monkeypatch.setattr(GameParams, name, property(forbidden), raising=False)
         estimate_delivery(base_params, 0.4, 50, 1)
         with pytest.raises(AssertionError):
@@ -614,16 +615,17 @@ REACH_CASES = [(0.015, 100.0, False), (-math.log1p(-0.75), 1.0, True), (0.0, 100
 
 @pytest.mark.parametrize("lam, tau, exact_hit", REACH_CASES)
 @pytest.mark.parametrize("lead", [(), (10,), (2, 5)])
-def test_model_reach_in_log_space_is_the_exponential_test(lam, tau, exact_hit, lead):
-    """Model-mode reach tests log1p(-u) > -lam*tau; it must equal the
-    comparison of the inverse-CDF exponentials with lam*tau, relay for
-    relay, on windows of shape (W,), (T, W) and (S, T, W).  The contact
-    slots pair every two of: the boundary draw -expm1(-lam*tau), its
+def test_model_reach_is_the_uniform_rule(lam, tau, exact_hit, lead):
+    """Model-mode reach is u_s < reach and u_d < reach, reach =
+    -expm1(-lam*tau), relay for relay, on windows of shape (W,), (T, W)
+    and (S, T, W); it equals the comparison of the inverse-CDF
+    exponentials with lam*tau on every draw but reach and the double below
+    it.  The contact slots pair every two of: the boundary draw reach, its
     neighbours and the ends of [0, 1)."""
     n = 7
     params = make_params(n=n, lam=lam, tau=tau)
     life = lam * tau
-    edge = -math.expm1(-life)
+    edge = params.reach
     below, above = np.nextafter(edge, 0.0), np.nextafter(edge, 1.0)
     # Philox doubles lie in [0, 1)
     edges = [x for x in (edge, below, above, np.nextafter(below, 0.0),
@@ -636,10 +638,52 @@ def test_model_reach_in_log_space_is_the_exponential_test(lam, tau, exact_hit, l
     got_flips, reach = _contacts(params, u, MODEL)
     assert reach.shape == flips.shape == (*lead, n)
     assert np.array_equal(got_flips, u[..., :n])
-    assert np.array_equal(reach, (source_e < life) & (dest_e < life))
+    u_s, u_d = u[..., n:2 * n], u[..., 2 * n:3 * n]
+    assert np.array_equal(reach, (u_s < params.reach) & (u_d < params.reach))
+    off_edge = ~np.isin(u_s, (edge, below)) & ~np.isin(u_d, (edge, below))
+    assert np.array_equal(reach[off_edge], ((source_e < life) & (dest_e < life))[off_edge])
     exps = np.concatenate((source_e, dest_e), axis=-1)
     assert (exps == life).any() == exact_hit
     if 0.0 < life < math.inf:
         # the boundary is met: its draws fall on both sides of lam * tau
         inside = (exps < life)[np.isin(u[..., n:3 * n], edges)]
         assert inside.any() and not inside.all()
+
+
+def test_uniform_reach_agrees_with_the_exponential_test_next_to_reach():
+    """For about 2000 log-uniform lam*tau in [1e-12, 316], and at lam = 0,
+    a subnormal lam and lam*tau = inf, every draw within 8 ulp of reach
+    is inside under model mode exactly where -log1p(-u) < lam*tau, except
+    u = reach and the double below it."""
+    cases = [(x, 1.0) for x in 10.0 ** np.random.default_rng(40).uniform(-12, 2.5, 2000)]
+    cases += [(0.0, 100.0), (1e-310, 1.0), (1e308, 1e308)]
+    checked = 0
+    for lam, tau in cases:
+        params = make_params(lam=lam, tau=tau)
+        life, edge = lam * tau, params.reach
+        below, above = [edge], [edge]
+        for _ in range(8):
+            below.append(np.nextafter(below[-1], -1.0))
+            above.append(np.nextafter(above[-1], 2.0))
+        kept = [(k, x) for k, x in [*enumerate(above), *zip(range(-1, -9, -1), below[1:])]
+                if 0.0 <= x < 1.0]
+        n = len(kept)
+        u = np.zeros(_window(n))
+        u[n:2 * n] = u[2 * n:3 * n] = [x for _, x in kept]
+        reach = _contacts(dataclasses.replace(params, n=n), u, MODEL)[1]
+        for (k, x), inside in zip(kept, reach.tolist()):
+            if k not in (0, -1):
+                assert inside == (-math.log1p(-x) < life), (lam, tau, k, x)
+        checked += n
+    assert checked > 30_000
+
+
+def test_model_mode_calls_no_numpy_log1p(monkeypatch, base_params):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("model mode called numpy.log1p")
+    monkeypatch.setattr(np, "log1p", forbidden)
+    estimate_delivery(base_params, 0.4, 50, 1)
+    estimate_relay_utility(base_params, 0.4, 1.0, 50, 1)
+    run_coupled(base_params, 300, 1, feed=EPISODE)
+    with pytest.raises(AssertionError, match="numpy.log1p"):
+        estimate_delivery(base_params, 0.4, 50, 1, PHYSICAL)

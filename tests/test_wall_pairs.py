@@ -1,0 +1,38 @@
+"""``tools/wall_pairs.py`` runs alternating pairs of one workload and prints
+each pair's gated metrics, each metric's spread and verdict, and the failed
+calls of both sides."""
+import re
+import runpy
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+NUM = r"\d+\.\d{4}"
+PAIR = re.compile(rf"pair 1 \(parent first\): parent wall_norm={NUM} setup_s={NUM} "
+                  rf"peak_rss_mb={NUM} \| change wall_norm={NUM} setup_s={NUM} "
+                  rf"peak_rss_mb={NUM}")
+METRIC = re.compile(rf"(\w+): parent {NUM} \({NUM}-{NUM}\), change {NUM} \({NUM}-{NUM}\); "
+                    r"change lower in [01]/1 pairs; gain holds: (yes|no)")
+
+
+def test_one_closed_form_pair_against_itself():
+    out = subprocess.run([sys.executable, str(ROOT / "tools" / "wall_pairs.py"), str(ROOT),
+                          str(ROOT), "closed-form", "1", "1"],
+                         capture_output=True, text=True, check=True).stdout
+    pair, *metrics, failed = out.splitlines()
+    assert PAIR.fullmatch(pair), pair
+    assert [METRIC.fullmatch(line).group(1) for line in metrics] == [
+        "wall_norm", "setup_s", "peak_rss_mb"], metrics
+    assert re.fullmatch(r"failed calls: parent 0/(\d+), change 0/\1", failed), failed
+
+
+def test_a_gain_needs_nine_tenths_of_the_pairs_and_a_gap_past_the_spread(monkeypatch):
+    monkeypatch.setattr(sys, "path", list(sys.path))  # the tool puts perfbench/ on it
+    gain_holds = runpy.run_path(str(ROOT / "tools" / "wall_pairs.py"))["gain_holds"]
+    parent = [5.0 + 0.01 * i for i in range(10)]
+    assert gain_holds(parent, [p - 1.0 for p in parent]) == (10, True)
+    # a tie counts for neither side
+    assert gain_holds(parent, [p - 1.0 for p in parent[:8]] + parent[8:]) == (8, False)
+    # lower in every pair, but by less than the parent's interquartile range
+    assert gain_holds(parent, [p - 0.01 for p in parent]) == (10, False)

@@ -1,0 +1,85 @@
+"""Alternating parent/change pairs of one benchmark workload.
+
+    python3 tools/wall_pairs.py PARENT CHANGE WORKLOAD SEED PAIRS
+
+PARENT and CHANGE are the roots of two dtnsat checkouts.  Each pair runs
+one repetition of WORKLOAD at SEED (size ``full``) on each side, through
+``run_worker`` of this checkout's ``perfbench/run.py``, so both sides run
+the same benchmark code on their own ``src/``, in the worker environment
+that ``run.main`` builds.  The side that runs first alternates from pair to
+pair, starting with the parent.  Prints the gated metrics of both sides for
+every pair; then, for every gated metric, each side's median and quartiles,
+the number of pairs in which the change reads lower, and whether a gain may
+be claimed: the change lower in at least 9/10 of the pairs, and the gap
+between the medians wider than the parent's interquartile range; and last
+the failed calls of each side.
+"""
+import os
+import sys
+import tempfile
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, os.path.join(ROOT, "perfbench"))
+from run import GATED, THREAD_VARS, run_worker, summarize  # noqa: E402
+from workloads import WORKLOADS  # noqa: E402
+
+SIDES = ("parent", "change")
+
+
+def quartiles(values: list[float]) -> str:
+    """``median (q1-q3)``."""
+    s = summarize(values)
+    return f"{s['median']:.4f} ({s['q1']:.4f}-{s['q3']:.4f})"
+
+
+def gain_holds(parent: list[float], change: list[float]) -> tuple[int, bool]:
+    """(pairs in which the change reads lower, whether that is at least
+    9/10 of the pairs with the median gap wider than the parent's
+    interquartile range); a tie counts for neither side."""
+    lower = sum(c < p for p, c in zip(parent, change))
+    spread = summarize(parent)
+    gap = spread["median"] - summarize(change)["median"]
+    return lower, 10 * lower >= 9 * len(parent) and gap > spread["q3"] - spread["q1"]
+
+
+def main(argv: list[str]) -> None:
+    if len(argv) != 5 or argv[2] not in WORKLOADS:
+        raise SystemExit(__doc__)
+    try:
+        seed, pairs = int(argv[3]), int(argv[4])
+    except ValueError:
+        raise SystemExit(__doc__) from None
+    if seed < 0 or pairs < 1:
+        raise SystemExit(__doc__)
+    roots = dict(zip(SIDES, map(os.path.abspath, argv[:2])))
+    for side, root in roots.items():
+        if not os.path.isfile(os.path.join(root, "src", "dtnsat", "cli.py")):
+            raise SystemExit(f"{side}: no dtnsat sources under {root}/src")
+    env = dict(os.environ, PYTHONHASHSEED="0", **{v: "1" for v in THREAD_VARS})
+    env.pop("PYTHONPATH", None)
+
+    reps = {side: [] for side in SIDES}
+    with tempfile.TemporaryDirectory() as workdir:
+        for i in range(pairs):
+            order = SIDES if i % 2 == 0 else SIDES[::-1]
+            for side in order:
+                reps[side].append(run_worker(roots[side], argv[2], seed, "full", False,
+                                             workdir, env))
+            cells = [f"{side} " + " ".join(f"{name}={reps[side][i]['metrics'][name]:.4f}"
+                                           for name in GATED) for side in SIDES]
+            print(f"pair {i + 1} ({order[0]} first): " + " | ".join(cells), flush=True)
+
+    for name in GATED:
+        values = {side: [rep["metrics"][name] for rep in reps[side]] for side in SIDES}
+        spreads = ", ".join(f"{side} {quartiles(values[side])}" for side in SIDES)
+        lower, holds = gain_holds(values["parent"], values["change"])
+        print(f"{name}: {spreads}; change lower in {lower}/{pairs} pairs; "
+              f"gain holds: {'yes' if holds else 'no'}")
+    calls = {side: [call for rep in reps[side] for call in rep["calls"]] for side in SIDES}
+    print("failed calls: " + ", ".join(
+        f"{side} {sum(bool(call['errors']) for call in calls[side])}/{len(calls[side])}"
+        for side in SIDES))
+
+
+if __name__ == "__main__":
+    main(sys.argv[1:])
