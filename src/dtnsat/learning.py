@@ -153,7 +153,7 @@ def run_coupled(params: GameParams, horizon: int, seed: int,
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
     n = params.n
-    rng = episode_rng(seed, 0, n)
+    rng = episode_rng(seed)
     alpha, estimate = params.alpha_max / 2.0, 0.0
     p, est = [0.5] * n, ([0.0] * n, [0.0] * n)
     if feed == EPISODE:

@@ -17,20 +17,22 @@ destination inside the lifetime wins.  Two contact modes are provided:
 
 Trial ``t`` under ``seed`` reads window ``t`` of one counter-based stream,
 ``Generator(Philox(key=seed))``: ``W(n)`` doubles, 3n rounded up to a whole
-Philox block of 4, starting at counter ``t * W(n) / 4``.  The first n are
-the accept flips, the next two n-slices become source and destination
-unit exponentials by inverse CDF, ``-log1p(-u)``, which the race compares
-with ``lambda * tau``, so an episode draws the same number of values at
-every rate (Salmon et al., "Parallel Random Numbers: As Easy as 1, 2, 3",
-SC'11).  Model mode tests the draw itself, ``u < GameParams.reach``, which
-agrees with that test except at ``u = reach`` and the double below it, and
-builds no exponentials.  Physical mode builds them with numpy's ``log1p``,
-whose last bit, and so the mode's bytes, can differ between CPUs.
-An estimator walks one generator through the windows in trial order,
-passing :func:`simulate_episode` its p as the one float that all relays
-share; a trial's result does not depend on evaluation order, and the same
-seed gives the same bytes.  ``learn`` shares the stream: iteration ``i`` of
-:func:`dtnsat.learning.run_coupled` reads window ``i``.
+Philox block of 4, starting at counter ``t * W(n) / 4`` (Salmon et al.,
+"Parallel Random Numbers: As Easy as 1, 2, 3", SC'11).  The first n are
+the accept flips, the next two n-slices the source and destination contact
+draws u, each standing for the unit exponential ``-log1p(-u)`` that the
+race compares with ``lambda * tau``.  Both modes make that test in the
+uniform domain against the record: model mode meets both contacts when
+``max(u_s, u_d) < reach``; physical mode offers the file when ``u_s <
+reach`` and delivers when ``(1 - u_s)(1 - u_d) > q``, ``E_s + E_d < lambda
+* tau`` with one rounded product.  No draw meets a transcendental function,
+so an episode's bytes do not depend on the CPU, and it draws the same
+number of values at every rate.  An estimator walks one generator through
+the windows in trial order, passing :func:`simulate_episode` its p as the
+one float that all relays share; a trial's result does not depend on
+evaluation order, and the same seed gives the same bytes.  ``learn``
+shares the stream: iteration ``i`` of :func:`dtnsat.learning.run_coupled`
+reads window ``i``.
 """
 from __future__ import annotations
 
@@ -60,16 +62,13 @@ def _window(n: int) -> int:
     return -(-3 * n // 4) * 4
 
 
-def episode_rng(seed: int, trial: int, n: int) -> np.random.Generator:
-    """Trial ``trial``'s window of the Philox stream keyed by the integer
-    ``seed``, for n relays; drawing one window leaves the generator at the
-    next trial's."""
-    seed, trial = _index("seed", seed), _index("trial", trial)
+def episode_rng(seed: int) -> np.random.Generator:
+    """The Philox stream keyed by the integer ``seed``, at trial 0's window;
+    drawing one window leaves the generator at the next trial's."""
+    seed = _index("seed", seed)
     if not 0 <= seed < 2 ** 128:
         raise ValueError(f"seed must be in [0, 2**128) to key Philox, got {seed}")
-    if trial < 0:
-        raise ValueError(f"trial must be >= 0, got {trial}")
-    return np.random.Generator(np.random.Philox(key=seed, counter=trial * _window(n) // 4))
+    return np.random.Generator(np.random.Philox(key=seed))
 
 
 def _index(name: str, value) -> int:
@@ -85,7 +84,7 @@ def simulate_episode(params: GameParams, accept_prob: float, rng: np.random.Gene
 
     ``accept_prob`` is one double (Python or ``np.float64``) that all
     relays share.  Exactly ``W(n)`` doubles are drawn, so a generator from
-    :func:`episode_rng` of trial t is left at trial t + 1.
+    :func:`episode_rng` at trial t is left at trial t + 1.
     """
     if not isinstance(accept_prob, float):
         raise ValueError(f"accept probability must be a float or np.float64, got {accept_prob!r}")
@@ -99,20 +98,19 @@ def simulate_episode(params: GameParams, accept_prob: float, rng: np.random.Gene
 def _contacts(params: GameParams, u: np.ndarray, mode: str) -> tuple[np.ndarray, np.ndarray]:
     """(flips, reach) of windows ``u`` of shape (..., W): a relay accepts when
     its flip is below its accept probability, and an acceptance delivers
-    where ``reach`` holds.  A unit exponential E gives the contact time
-    E/lam, inside the lifetime when E < lam * tau; strictly, so that lam = 0
-    meets nobody even at E = 0; model mode takes it through the CDF, as
-    u < ``params.reach``.  In physical mode a relay the source did not meet
-    gets an infinite flip, so that it accepts at no probability."""
+    where ``reach`` holds.  A contact draw u is inside the lifetime when
+    u < ``params.reach``, strictly, so that lam = 0 meets nobody even at
+    u = 0.  Physical mode delivers when (1 - u_s)(1 - u_d) > ``params.q``
+    and gives a relay the source did not meet an infinite flip, so that it
+    accepts at no probability."""
     if mode not in CONTACT_MODES:
         raise ValueError(f"mode must be one of {CONTACT_MODES}, got {mode!r}")
     n = params.n
+    flips, source, dest = u[..., :n], u[..., n:2 * n], u[..., 2 * n:3 * n]
     if mode == MODEL:
-        return u[..., :n], np.maximum(u[..., n:2 * n], u[..., 2 * n:3 * n]) < params.reach
-    life = params.lam * params.tau
-    exps = -np.log1p(-u[..., n:3 * n])
-    source_e = exps[..., :n]
-    return np.where(source_e < life, u[..., :n], np.inf), source_e + exps[..., n:] < life
+        return flips, np.maximum(source, dest) < params.reach
+    return (np.where(source < params.reach, flips, np.inf),
+            (1.0 - source) * (1.0 - dest) > params.q)
 
 
 def _cohort_shares(params: GameParams) -> np.ndarray:
@@ -165,7 +163,7 @@ def _draw_trials(params: GameParams, accept_prob: float, trials: int, seed: int,
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     prob = np.float64(accept_prob)
-    rng = episode_rng(seed, 0, params.n)
+    rng = episode_rng(seed)
     try:
         accepted, delivered = np.empty((trials, params.n), dtype=bool), np.empty(trials)
     except ValueError:  # numpy's refusal of a shape past its size or index range

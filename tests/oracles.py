@@ -6,9 +6,9 @@ the tagged-relay indifference reward, the root of the game's gap,
 ``with_param``, which builds one sweep point through the validating
 constructor, the pure and mixed solvers written point by point over the
 scalar model functions, a coupled run that records what each relay
-played and was fed, and an episode with one accept probability per relay
-with the scorer that pays each relay the side of the cohort payoffs it
-played."""
+played and was fed, a generator at a later trial's window of the episode
+stream, and an episode with one accept probability per relay with the
+scorer that pays each relay the side of the cohort payoffs it played."""
 import math
 import sys
 from dataclasses import replace
@@ -232,6 +232,12 @@ def run_coupled_fed(params: GameParams, horizon: int, seed: int, **kwargs) -> tu
     with mock.patch.object(learning, "_relay_update", recorded):
         traj = learning.run_coupled(params, horizon, seed, **kwargs)
     return traj, np.array(actions, dtype=bool), np.array(fed, dtype=float)
+
+
+def trial_rng(seed: int, t: int, n: int) -> np.random.Generator:
+    """``episode_rng(seed)`` moved on to trial t's window for n relays:
+    Philox counter ``t * W(n) / 4``, as README's stream contract states."""
+    return np.random.Generator(np.random.Philox(key=seed, counter=t * _window(n) // 4))
 
 
 def episode(params: GameParams, probs, rng, mode: str = MODEL) -> tuple:

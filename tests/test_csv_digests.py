@@ -1,5 +1,7 @@
 """``tools/csv_digests.py`` prints one well-formed digest line per CSV of
-the benchmark workloads, labelled as ``invocations`` labels its calls."""
+the benchmark workloads, labelled as ``invocations`` labels its calls, and
+one more per call of the workloads that draw episodes, run in physical
+contact mode and labelled ``label+physical``."""
 import re
 import runpy
 import subprocess
@@ -12,8 +14,14 @@ LINE = re.compile(r"(\S+) (\d+) (\S+) [0-9a-f]{64}")
 
 def workload_labels():
     workloads = runpy.run_path(str(ROOT / "perfbench" / "workloads.py"))
-    return [(name, str(seed), inv.label) for name in workloads["WORKLOADS"] for seed in (1, 7)
-            for inv in workloads["invocations"](name, seed, "full")]
+    labels = []
+    for name in workloads["WORKLOADS"]:
+        for seed in (1, 7):
+            for inv in workloads["invocations"](name, seed, "full"):
+                labels.append((name, str(seed), inv.label))
+                if name in ("mc-oracle", "learn-coupled"):
+                    labels.append((name, str(seed), f"{inv.label}+physical"))
+    return labels
 
 
 def test_prints_one_digest_per_workload_csv():
@@ -22,4 +30,4 @@ def test_prints_one_digest_per_workload_csv():
     lines = out.splitlines()
     assert all(LINE.fullmatch(line) for line in lines), lines
     assert [LINE.fullmatch(line).groups() for line in lines] == workload_labels()
-    assert len(lines) == 20
+    assert len(lines) == 30

@@ -17,9 +17,9 @@ from dtnsat.learning import (
     _source_update,
     run_coupled,
 )
-from dtnsat.simulate import MODEL, PHYSICAL, _cohort_shares, episode_rng
+from dtnsat.simulate import MODEL, PHYSICAL, _cohort_shares
 from conftest import make_params
-from oracles import episode, mixed_relay_payoffs, run_coupled_fed, score_relays
+from oracles import episode, mixed_relay_payoffs, run_coupled_fed, score_relays, trial_rng
 
 # a trajectory's arrays and what run_coupled_fed records beside them
 ARRAYS = ("alpha", "u_s_est", "accept_probs", "accepted", "utilities", "n_accept", "delivered")
@@ -235,7 +235,7 @@ def scalar_replay(params, horizon, seed, feed, contact_mode):
         probs = [r[0] for r in relays]
         # iteration k - 1 reads its own window, from a fresh generator
         accepted, delivered = episode(
-            params, probs, episode_rng(seed, k - 1, params.n), contact_mode)
+            params, probs, trial_rng(seed, k - 1, params.n), contact_mode)
         if feed == EPISODE:
             fed = score_relays(params, share, accepted, accepted.sum(), alpha).tolist()
         else:

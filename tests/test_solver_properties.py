@@ -1,7 +1,8 @@
 """Property tests over the whole parameter box: every closed-form solver
 call returns finite values, or marked ones in the sweep columns, or raises
 a typed error, never a bare ValueError, ZeroDivisionError or
-OverflowError, and the exact cost and mixed relay payoff are finite."""
+OverflowError, the exact cost and mixed relay payoff are finite, and the
+mixed reward meets its closed identity along every tau sweep."""
 import math
 import re
 
@@ -12,6 +13,7 @@ from dtnsat.equilibrium import (
     DegenerateContactError,
     EseSolution,
     FloatRangeError,
+    _sweep_point,
     ese_columns,
     mse_columns,
     pse_columns,
@@ -26,6 +28,9 @@ DELTAS = st.one_of(st.just(1e-300),
                    st.floats(min_value=0.0, max_value=1.0, exclude_min=True,
                              exclude_max=True))
 FLEETS = st.integers(min_value=1, max_value=64)
+# the mixed reward's rounding, relative to the sum of its identity's term
+# magnitudes: the terms can cancel to far below them, so |alpha| is no scale
+IDENTITY_BOUND = 1e-13
 
 
 def finite_or_typed(solve, *args):
@@ -109,3 +114,29 @@ def test_exact_cost_is_finite_over_the_box(lam, tau, n, p):
     params = make_params(lam=lam, tau=tau, n=n)
     assert math.isfinite(params.total_energy)
     assert math.isfinite(expected_relay_utility_mixed(p, 0.5, params))
+
+
+@settings(derandomize=True, database=None, max_examples=400, deadline=None)
+@given(lam=LAMBDAS, delta=DELTAS, n=FLEETS,
+       taus=st.lists(TAUS, min_size=1, max_size=6, unique=True))
+def test_mixed_reward_is_its_identity_and_rises_with_tau(lam, delta, n, taus):
+    """At p_min the cohort delivers delta and misses 1 - delta, so the
+    reduced indifference reward is alpha* = (sigma (n - delta) - n gamma +
+    n c) / (2 delta), c the reduced cost of ``_sweep_point``.  It moves with
+    tau only through c, which never falls with tau, so along a tau sweep
+    the feasible rewards never fall by more than the rounding bound."""
+    taus = sorted(taus)
+    params = make_params(lam=lam, tau=taus[0], delta=delta, n=n)
+    columns = finite_or_typed(mse_columns, params, "tau", taus)
+    if columns is None:
+        return
+    _, alphas, _, feasible = columns
+    costs = _sweep_point(params, "tau", taus)[4]
+    rewards = []
+    for alpha, cost in zip(alphas[feasible].tolist(), costs[feasible].tolist()):
+        terms = (params.sigma * (n - delta), -n * params.gamma, n * cost)
+        scale = sum(map(abs, terms)) / (2.0 * delta)
+        assert abs(alpha - sum(terms) / (2.0 * delta)) <= IDENTITY_BOUND * scale
+        rewards.append((alpha, scale))
+    for (low, low_scale), (high, high_scale) in zip(rewards, rewards[1:]):
+        assert high >= low - IDENTITY_BOUND * (low_scale + high_scale)

@@ -6,9 +6,11 @@ Imports ``dtnsat`` from ROOT/src and the workloads from
 ROOT/perfbench/workloads.py, runs every call of ``invocations(workload,
 seed, "full")`` through ``dtnsat.cli.main``, for each workload at seeds 1
 and 7, into a temporary directory, and prints one ``workload seed label
-sha256`` line per CSV.  To check that a change keeps every output byte, run
-it on a copy of the parent commit and on the change, and ``diff`` the two
-outputs.
+sha256`` line per CSV.  No workload runs physical contact mode, so each
+call of the workloads that draw episodes runs once more with
+``--contact-mode physical`` appended, labelled ``label+physical``.  To
+check that a change keeps every output byte, run it on a copy of the
+parent commit and on the change, and ``diff`` the two outputs.
 """
 import hashlib
 import os
@@ -16,6 +18,7 @@ import sys
 import tempfile
 
 SEEDS = (1, 7)
+EPISODE_WORKLOADS = ("mc-oracle", "learn-coupled")
 
 
 def digests(root: str) -> list[str]:
@@ -29,13 +32,18 @@ def digests(root: str) -> list[str]:
         for workload in WORKLOADS:
             for seed in SEEDS:
                 for inv in invocations(workload, seed, "full"):
+                    runs = [(inv.label, inv.args)]
+                    if workload in EPISODE_WORKLOADS:
+                        runs.append((f"{inv.label}+physical",
+                                     (*inv.args, "--contact-mode", "physical")))
                     with open(config, "w", encoding="utf-8") as fh:
                         fh.write(inv.config)
-                    if main([inv.mode, "--config", config, "--out", out, *inv.args]):
-                        raise SystemExit(f"{workload} {seed} {inv.label}: dtnsat failed")
-                    with open(out, "rb") as fh:
-                        digest = hashlib.sha256(fh.read()).hexdigest()
-                    lines.append(f"{workload} {seed} {inv.label} {digest}")
+                    for label, args in runs:
+                        if main([inv.mode, "--config", config, "--out", out, *args]):
+                            raise SystemExit(f"{workload} {seed} {label}: dtnsat failed")
+                        with open(out, "rb") as fh:
+                            digest = hashlib.sha256(fh.read()).hexdigest()
+                        lines.append(f"{workload} {seed} {label} {digest}")
     return lines
 
 
