@@ -16,7 +16,6 @@ from dtnsat.model import (
     expected_source_utility_mixed,
 )
 from dtnsat.simulate import (
-    CONTACT_MODES,
     MODEL,
     EstimateWithCI,
     PHYSICAL,
@@ -575,6 +574,17 @@ class TestStreamContract:
         with pytest.raises(ValueError, match="seed"):
             episode_rng(2 ** 128)
 
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValueError,
+                           match=r"^seed must be in \[0, 2\*\*128\) to key Philox, got -1$"):
+            episode_rng(-1)
+
+    def test_both_ends_of_the_philox_key_range_open_a_stream(self):
+        for seed in (0, 2 ** 128 - 1):
+            width = _window(7)
+            assert np.array_equal(episode_rng(seed).random(width),
+                                  trial_rng(seed, 0, 7).random(width))
+
     @pytest.mark.parametrize("seed", [1.5, 2.0, "7", None])
     def test_seed_must_be_an_integer(self, base_params, seed):
         with pytest.raises(TypeError, match="seed must be an integer"):
@@ -692,16 +702,30 @@ def test_uniform_reach_agrees_with_the_exponential_test_next_to_reach():
     assert checked > 30_000
 
 
-def test_no_contact_mode_calls_numpy_log1p(monkeypatch, base_params):
+def _forbid_log1p(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("called numpy.log1p")
     monkeypatch.setattr(np, "log1p", forbidden)
     with pytest.raises(AssertionError, match="numpy.log1p"):
         np.log1p(0.5)
-    for mode in CONTACT_MODES:
-        estimate_delivery(base_params, 0.4, 50, 1, mode)
-        estimate_relay_utility(base_params, 0.4, 1.0, 50, 1, mode)
-        run_coupled(base_params, 300, 1, feed=EPISODE, contact_mode=mode)
+
+
+def _run_every_episode_path(params, mode):
+    estimate_delivery(params, 0.4, 50, 1, mode)
+    estimate_relay_utility(params, 0.4, 1.0, 50, 1, mode)
+    run_coupled(params, 300, 1, feed=EPISODE, contact_mode=mode)
+
+
+def test_model_mode_calls_no_numpy_log1p(monkeypatch, base_params):
+    _forbid_log1p(monkeypatch)
+    _run_every_episode_path(base_params, MODEL)
+
+
+def test_physical_mode_calls_no_numpy_log1p(monkeypatch, base_params):
+    # the uniform-domain race needs no exponentials, so its bytes do not
+    # hang on how a CPU rounds log1p
+    _forbid_log1p(monkeypatch)
+    _run_every_episode_path(base_params, PHYSICAL)
 
 
 def test_physical_rule_agrees_with_the_exponential_sum_off_its_boundary():
