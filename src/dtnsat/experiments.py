@@ -210,8 +210,8 @@ def _validate_sweep_values(var: str, values) -> None:
             raise ConfigError(f"swept {var} must be {bound}, got {v}")
 
 
-# rows of a float table stacked and formatted at once
-_BLOCK = 512
+# cells of a float table stacked and formatted at once
+_CELLS = 2048
 
 
 class ResultTable:
@@ -243,16 +243,15 @@ def _fmt(value) -> str:
 
 def _csv_lines(table: ResultTable):
     """Metadata comments and header, one newline-terminated line each, then
-    the rows, all giving :func:`_fmt`'s bytes.
-
-    The rows go out ``_BLOCK`` rows at a time: the block's column slices
-    are stacked and printed by one ``%.12g`` row format, repeated over the
-    block."""
+    the rows, all giving :func:`_fmt`'s bytes.  Blocks of about ``_CELLS``
+    cells, whatever the column count, are stacked from the column slices
+    and printed by one ``%.12g`` row format repeated over the block."""
     yield from (f"# {key} = {value}\n" for key, value in table.metadata)
     yield ",".join(table.columns) + "\n"
     row_format = ",".join(["%.12g"] * len(table.columns)) + "\n"
-    for start in range(0, len(table), _BLOCK):
-        block = table[start:start + _BLOCK]
+    rows = max(1, _CELLS // len(table.columns))
+    for start in range(0, len(table), rows):
+        block = table[start:start + rows]
         yield (row_format * len(block)) % tuple(block.ravel().tolist())
 
 

@@ -54,8 +54,8 @@ from .model import GameParams, _any_delivers, per_relay_success
 from .simulate import MODEL, _cohort_payoffs, _cohort_shares, _contacts, _index, _window, \
     episode_rng
 
-# iterations whose stream windows are drawn at once
-_BLOCK = 256
+# doubles of stream windows drawn at once, whole windows per block
+_DRAWS = 4096
 # every accept probability stays in [PROB_FLOOR, 1 - PROB_FLOOR]
 PROB_FLOOR = 1e-3
 _P_HI = 1.0 - PROB_FLOOR
@@ -165,9 +165,10 @@ def run_coupled(params: GameParams, horizon: int, seed: int,
     n_accept = np.empty(horizon, dtype=int)
     delivered = np.empty(horizon, dtype=bool)
 
-    for start in range(0, horizon, _BLOCK):
+    block = max(1, _DRAWS // _window(n))  # iterations per block
+    for start in range(0, horizon, block):
         # iteration i reads window i, so a block is drawn ahead of the state
-        u = rng.random((min(_BLOCK, horizon - start), _window(n)))
+        u = rng.random((min(block, horizon - start), _window(n)))
         flips, reach = _contacts(params, u, contact_mode)
         for i, flip, can_deliver in zip(range(start, horizon), flips.tolist(), reach.tolist()):
             k = i + 1

@@ -7,11 +7,14 @@ the tagged-relay indifference reward, the root of the game's gap,
 constructor, the pure and mixed solvers written point by point over the
 scalar model functions, a coupled run that records what each relay
 played and was fed, a generator at a later trial's window of the episode
-stream, and an episode with one accept probability per relay with the
-scorer that pays each relay the side of the cohort payoffs it played."""
+stream, an episode with one accept probability per relay with the
+scorer that pays each relay the side of the cohort payoffs it played, and
+the symmetric mixed profile's delivery and relay utility in exact
+rationals."""
 import math
 import sys
 from dataclasses import replace
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -61,6 +64,29 @@ def delivery_share_bruteforce(n_active: int, q: float) -> float:
         ways = math.comb(n_active - 1, j - 1)
         total += ways * succeed ** (j - 1) * q ** (n_active - j) / j
     return succeed * total
+
+
+def exact_mixed(params: GameParams, p: float, alpha: float) -> tuple[Fraction, Fraction]:
+    """(delivery, relay 0's mixed utility) when every relay accepts with p,
+    in exact rationals: the model-mode event model from its primitives.
+
+    The record's doubles ``q``, ``reach``, ``sigma``, ``gamma`` and
+    ``total_energy``, and p and alpha, are taken as the rationals they hold.
+    Delivery is 1 - (1 - z)**n with z = p (1 - q) reach.  Relay 0 is paid
+    the share E[delivery_share(K + 1, q)], summed term by term over the
+    number K ~ Bin(n - 1, p) of its opponents that accept, and its utility
+    is p times the accept payoff plus 1 - p times the decline payoff of
+    ``relay_payoffs`` at that share.
+    """
+    q, reach, sigma, gamma, energy, p, alpha = map(Fraction, (
+        params.q, params.reach, params.sigma, params.gamma, params.total_energy, p, alpha))
+    n = params.n
+    delivery = 1 - (1 - p * (1 - q) * reach) ** n
+    share = sum(math.comb(n - 1, k) * p ** k * (1 - p) ** (n - 1 - k)
+                * (1 - q ** (k + 1)) / (k + 1) for k in range(n))
+    accept = alpha * share - sigma * (1 - share) - energy
+    decline = -alpha * share - gamma
+    return delivery, p * accept + (1 - p) * decline
 
 
 def reduced_cooperation_cost(params: GameParams) -> float:

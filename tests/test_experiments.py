@@ -23,7 +23,7 @@ from dtnsat.experiments import (
     ConfigError,
     ResultTable,
     SweepSpec,
-    _BLOCK,
+    _CELLS,
     _FIELD_KEYS,
     _csv_lines,
     _fmt,
@@ -490,6 +490,30 @@ class TestSweepRows:
         assert len(built) == 1
 
 
+def block_rows(columns: int) -> int:
+    """Rows per block that the writer prints for a table of ``columns`` columns."""
+    return max(1, _CELLS // columns)
+
+
+def learn_shaped(rows: int, columns: int) -> ResultTable:
+    """A learn-shaped float table: step, then reward, estimate and relay
+    probabilities as uniform doubles, acceptor count and delivery flag."""
+    rng = np.random.default_rng(5)
+    return ResultTable(tuple(f"c{i}" for i in range(columns)), (
+        np.arange(1, rows + 1), rng.random((rows, columns - 3)),
+        rng.integers(0, columns - 4, rows), rng.random(rows) < 0.3), ())
+
+
+def traced_peak(call) -> int:
+    """The tracemalloc peak, in bytes, while ``call()`` runs."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def per_value_csv(table):
     """The table's CSV written one value at a time with ``_fmt``, row by row."""
     rows = (table[i].tolist() for i in range(len(table)))
@@ -562,10 +586,15 @@ class TestEmitCsv:
                    np.arange(count) - 3, np.arange(count) % 3 == 0)
         return ResultTable(tuple("abcde"), columns, (("seed", "1"),)), columns
 
-    @pytest.mark.parametrize("count", [0, 1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 5])
+    FLOAT_ROWS = block_rows(5)  # float_table has five columns
+
+    # ids name each count by the block size B, so they outlive a new budget
+    @pytest.mark.parametrize("count", [0, 1, FLOAT_ROWS - 1, FLOAT_ROWS, FLOAT_ROWS + 1,
+                                       3 * FLOAT_ROWS + 5],
+                             ids=["0", "1", "B-1", "B", "B+1", "3B+5"])
     def test_float_columns_give_the_per_value_bytes_across_blocks(self, count, tmp_path):
         table, columns = self.float_table(count)
-        assert len(table) == count
+        assert (len(table), len(table.columns)) == (count, 5)
         rows = np.column_stack(columns).astype(float).tolist()
         want = "\n".join(["# seed = 1", "a,b,c,d,e"]
                          + [",".join(_fmt(v) for v in row) for row in rows]) + "\n"
@@ -575,8 +604,12 @@ class TestEmitCsv:
         assert path.read_bytes() == want.encode()
 
     def test_learn_table_writes_its_per_value_bytes(self, tmp_path):
-        cfg = replace(parse_config(f"horizon = {_BLOCK + 1}\nn = 3\nseed = 4"), mode="learn")
+        # n + 5 columns: step, reward, estimate, n probabilities, acceptor
+        # count and delivery flag
+        horizon = block_rows(3 + 5) + 1
+        cfg = replace(parse_config(f"horizon = {horizon}\nn = 3\nseed = 4"), mode="learn")
         table = run_scenario(cfg)
+        assert (len(table), len(table.columns)) == (horizon, 3 + 5)
         want = per_value_csv(table)
         assert "".join(_csv_lines(table)) == want
         path = tmp_path / "learn.csv"
@@ -584,21 +617,20 @@ class TestEmitCsv:
         assert path.read_bytes() == want.encode()
 
     def test_writer_memory_does_not_grow_with_the_rows(self, tmp_path):
-        # a learn-shaped n = 40 table: step, reward, estimate, 40 probabilities,
-        # acceptor count and delivery flag
+        # a learn-shaped n = 40 table, 12 and 112 blocks long
         peaks = []
-        for horizon in (2000, 20000):
-            rng = np.random.default_rng(5)
-            table = ResultTable(tuple(f"c{i}" for i in range(45)), (
-                np.arange(1, horizon + 1), rng.random((horizon, 42)),
-                rng.integers(0, 41, horizon), rng.random(horizon) < 0.3), ())
-            tracemalloc.start()
-            try:
-                emit_csv(table, str(tmp_path / f"h{horizon}.csv"))
-                peaks.append(tracemalloc.get_traced_memory()[1])
-            finally:
-                tracemalloc.stop()
+        for horizon in (500, 5000):
+            table = learn_shaped(horizon, 45)
+            peaks.append(traced_peak(lambda: emit_csv(table, str(tmp_path / "rows.csv"))))
         assert peaks[1] < 2 * peaks[0], peaks
+
+    def test_writer_memory_does_not_grow_with_the_columns(self, tmp_path):
+        # equal rows: a block holds about as many cells at 45 columns as at 5
+        peaks = {}
+        for columns in (5, 45):
+            table = learn_shaped(2000, columns)
+            peaks[columns] = traced_peak(lambda: emit_csv(table, str(tmp_path / "cols.csv")))
+        assert peaks[45] < 2 * peaks[5], peaks
 
     def test_unwritable_path_reports_path(self, tmp_path):
         table = ResultTable(columns=("x",), data=(np.empty(0),), metadata=())
@@ -779,8 +811,9 @@ class TestCli:
         captured = capsys.readouterr()
         assert "alpha_star" in captured.out
 
-    @pytest.mark.parametrize("mode,config", [("learn", f"horizon = {3 * _BLOCK}\nn = 3\n"),
-                                             ("solve-pse", "")])
+    @pytest.mark.parametrize("mode,config", [
+        pytest.param("learn", f"horizon = {3 * block_rows(8)}\nn = 3\n", id="learn-3B"),
+        ("solve-pse", "")])
     def test_stdout_gets_the_file_bytes_in_pieces(self, tmp_path, monkeypatch, mode, config):
         cfg = tmp_path / "run.cfg"
         cfg.write_text(config)

@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -296,13 +297,29 @@ class TestLearnStream:
     @pytest.mark.parametrize("scenario", [dict(n=1), dict(n=7), dict(n=40), dict(lam=0.0)])
     def test_short_runs_are_prefixes_across_block_boundaries(self, contact_mode, scenario):
         params = make_params(**scenario)
-        block = learning._BLOCK
+        block = max(1, learning._DRAWS // simulate._window(params.n))
         long = recorded_arrays(params, 3 * block + 5, seed=21, contact_mode=contact_mode)
         for horizon in (1, block - 1, block, block + 1, 3 * block):
             short = recorded_arrays(params, horizon, seed=21, contact_mode=contact_mode)
             for name in ARRAYS:
                 assert np.array_equal(getattr(short, name), getattr(long, name)[:horizon]), \
                     (horizon, name)
+
+    def test_block_memory_does_not_grow_with_n(self):
+        # the memory a run holds beyond the arrays it returns is its block of
+        # windows, which holds about as many doubles at n = 40 as at n = 7
+        above = {}
+        for n in (7, 40):
+            params = make_params(n=n)
+            run_coupled(params, 10, seed=3)  # one-time set-up is not the block's
+            tracemalloc.start()
+            try:
+                traj = run_coupled(params, 1000, seed=3)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            above[n] = peak - sum(array.nbytes for array in vars(traj).values())
+        assert above[40] < 2 * above[7], above
 
 
 def ratio_rule(p, est_a, est_r, u, accepted, m):

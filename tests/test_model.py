@@ -1,10 +1,12 @@
 import math
+import struct
 from dataclasses import fields, replace
 from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
 
+from dtnsat.equilibrium import solve_ese
 from dtnsat.model import (
     GameParams,
     _tagged_share,
@@ -17,7 +19,7 @@ from dtnsat.model import (
 )
 from conftest import cohort_payoffs, make_params
 from oracles import CohortTooLargeError, OracleDomainError, delivery_share_bruteforce, \
-    tagged_indifference_reward, with_param
+    exact_mixed, tagged_indifference_reward, with_param
 
 # frozen with 50-digit arithmetic for lam=0.015, tau=100
 P_C = 0.7768698398515702
@@ -282,6 +284,43 @@ class TestMixedRelayUtility:
                     total += weight * (p * accept + (1 - p) * reject)
                 assert expected_relay_utility_mixed(p, alpha, params) == \
                     pytest.approx(total, rel=1e-12), (p, alpha)
+
+
+def ulps_apart(a: float, b: float) -> int:
+    """Representable doubles from a to b: the distance of their bit
+    patterns on a line that runs through both zeros."""
+    def line(x):
+        bits = struct.unpack("<q", struct.pack("<d", x))[0]
+        return bits if bits >= 0 else -(bits & 0x7FFFFFFFFFFFFFFF)
+    return abs(line(a) - line(b))
+
+
+class TestExactMixedOracle:
+    # the measured worst cases were 1 and 3 at n = 7, 1 and 2 at n = 40
+    DELIVERY_ULPS, RELAY_ULPS = 1, 3
+
+    def test_ulps_apart_counts_representable_doubles(self):
+        assert ulps_apart(1.0, math.nextafter(1.0, 2.0)) == 1
+        assert ulps_apart(-0.0, 0.0) == 0
+        assert ulps_apart(-5e-324, 5e-324) == 2
+        assert ulps_apart(0.5, math.nextafter(1.0, 0.0)) == 2 ** 52 - 1
+
+    @pytest.mark.parametrize("n", [7, 40])
+    def test_mixed_closed_forms_meet_the_exact_event_model(self, n):
+        # 101 accept probabilities at the reference's binding reward
+        alpha = solve_ese(make_params()).alpha_star
+        params = make_params(n=n)
+        misses = []
+        for i in range(101):
+            p = i / 100
+            delivery, relay = map(float, exact_mixed(params, p, alpha))
+            got = expected_source_utility_mixed(p, params)
+            if ulps_apart(got, delivery) > self.DELIVERY_ULPS:
+                misses.append(("delivery", p, got, delivery, ulps_apart(got, delivery)))
+            got = expected_relay_utility_mixed(p, alpha, params)
+            if ulps_apart(got, relay) > self.RELAY_ULPS:
+                misses.append(("relay utility", p, got, relay, ulps_apart(got, relay)))
+        assert misses == [], f"n = {n}, alpha = {alpha!r}: (what, p, got, exact, ulps) {misses}"
 
 
 def binomial_tagged_payoffs(alpha, p, params):

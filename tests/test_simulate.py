@@ -599,7 +599,7 @@ class TestStreamContract:
         with pytest.raises(TypeError, match="trials must be an integer"):
             estimate_relay_utility(base_params, 0.3, 1.0, trials, 1)
 
-    def test_numpy_integer_trial_and_trials_pass(self, base_params):
+    def test_numpy_integer_trials_pass(self, base_params):
         assert (estimate_delivery(base_params, 0.3, np.int64(50), 1)
                 == estimate_delivery(base_params, 0.3, 50, 1))
 

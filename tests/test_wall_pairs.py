@@ -1,6 +1,7 @@
 """``tools/wall_pairs.py`` runs alternating pairs of one workload and prints
 each pair's gated metrics, each metric's spread and verdict, and the failed
-calls of both sides."""
+calls of both sides, then all of it again as one JSON line."""
+import json
 import re
 import runpy
 import subprocess
@@ -20,11 +21,33 @@ def test_one_closed_form_pair_against_itself():
     out = subprocess.run([sys.executable, str(ROOT / "tools" / "wall_pairs.py"), str(ROOT),
                           str(ROOT), "closed-form", "1", "1"],
                          capture_output=True, text=True, check=True).stdout
-    pair, *metrics, failed = out.splitlines()
+    pair, *metrics, failed, last = out.splitlines()
     assert PAIR.fullmatch(pair), pair
     assert [METRIC.fullmatch(line).group(1) for line in metrics] == [
         "wall_norm", "setup_s", "peak_rss_mb"], metrics
     assert re.fullmatch(r"failed calls: parent 0/(\d+), change 0/\1", failed), failed
+
+    # the JSON line holds what the lines above print
+    record = json.loads(last)
+    assert (record["workload"], record["seed"]) == ("closed-form", 1)
+    (only,) = record["pairs"]
+    assert only["first"] == "parent"
+    calls = failed.removeprefix("failed calls: ").split(", ")
+    for side, cell, side_calls in zip(("parent", "change"), pair.split(" | "), calls):
+        printed = dict(kv.split("=") for kv in cell.split()[-3:])
+        assert only[side] == {**{k: float(v) for k, v in printed.items()},
+                              "failed": side_calls.split()[1]}
+    summary = record.pop("summary")
+    assert summary.pop("failed_calls") == dict(side.split() for side in calls)
+    for line in metrics:
+        name, p_med, p_q1, p_q3, c_med, c_q1, c_q3, lower, holds = re.fullmatch(
+            r"(\w+): parent (\S+) \((\S+)-(\S+)\), change (\S+) \((\S+)-(\S+)\); "
+            r"change lower in (\S+) pairs; gain holds: (\w+)", line).groups()
+        assert summary.pop(name) == {
+            "parent": {"median": float(p_med), "q1": float(p_q1), "q3": float(p_q3)},
+            "change": {"median": float(c_med), "q1": float(c_q1), "q3": float(c_q3)},
+            "change_lower_in": lower, "gain_holds": holds == "yes"}
+    assert summary == {}
 
 
 def test_a_gain_needs_nine_tenths_of_the_pairs_and_a_gap_past_the_spread(monkeypatch):

@@ -11,9 +11,13 @@ pair, starting with the parent.  Prints the gated metrics of both sides for
 every pair; then, for every gated metric, each side's median and quartiles,
 the number of pairs in which the change reads lower, and whether a gain may
 be claimed: the change lower in at least 9/10 of the pairs, and the gap
-between the medians wider than the parent's interquartile range; and last
-the failed calls of each side.
+between the medians wider than the parent's interquartile range; then the
+failed calls of each side; and last all of that as one JSON object: the
+workload and seed, each pair's gated metrics and failed calls per side with
+the side that ran first, and each metric's medians, quartiles, lower count
+and verdict.
 """
+import json
 import os
 import sys
 import tempfile
@@ -26,10 +30,15 @@ from workloads import WORKLOADS  # noqa: E402
 SIDES = ("parent", "change")
 
 
-def quartiles(values: list[float]) -> str:
-    """``median (q1-q3)``."""
+def spread(values: list[float]) -> dict:
+    """Median and quartiles, rounded to 4 decimals as printed."""
     s = summarize(values)
-    return f"{s['median']:.4f} ({s['q1']:.4f}-{s['q3']:.4f})"
+    return {key: round(s[key], 4) for key in ("median", "q1", "q3")}
+
+
+def failed(calls: list[dict]) -> str:
+    """``failed/total`` calls."""
+    return f"{sum(bool(call['errors']) for call in calls)}/{len(calls)}"
 
 
 def gain_holds(parent: list[float], change: list[float]) -> tuple[int, bool]:
@@ -59,26 +68,38 @@ def main(argv: list[str]) -> None:
     env.pop("PYTHONPATH", None)
 
     reps = {side: [] for side in SIDES}
+    pair_records = []
     with tempfile.TemporaryDirectory() as workdir:
         for i in range(pairs):
             order = SIDES if i % 2 == 0 else SIDES[::-1]
             for side in order:
                 reps[side].append(run_worker(roots[side], argv[2], seed, "full", False,
                                              workdir, env))
-            cells = [f"{side} " + " ".join(f"{name}={reps[side][i]['metrics'][name]:.4f}"
-                                           for name in GATED) for side in SIDES]
+            record = {"first": order[0]}
+            for side in SIDES:
+                rep = reps[side][i]
+                record[side] = {name: round(rep["metrics"][name], 4) for name in GATED}
+                record[side]["failed"] = failed(rep["calls"])
+            pair_records.append(record)
+            cells = [f"{side} " + " ".join(f"{name}={record[side][name]:.4f}" for name in GATED)
+                     for side in SIDES]
             print(f"pair {i + 1} ({order[0]} first): " + " | ".join(cells), flush=True)
 
+    summary = {}
     for name in GATED:
         values = {side: [rep["metrics"][name] for rep in reps[side]] for side in SIDES}
-        spreads = ", ".join(f"{side} {quartiles(values[side])}" for side in SIDES)
+        spreads = {side: spread(values[side]) for side in SIDES}
         lower, holds = gain_holds(values["parent"], values["change"])
-        print(f"{name}: {spreads}; change lower in {lower}/{pairs} pairs; "
-              f"gain holds: {'yes' if holds else 'no'}")
-    calls = {side: [call for rep in reps[side] for call in rep["calls"]] for side in SIDES}
-    print("failed calls: " + ", ".join(
-        f"{side} {sum(bool(call['errors']) for call in calls[side])}/{len(calls[side])}"
-        for side in SIDES))
+        print(f"{name}: " + ", ".join(f"{side} {s['median']:.4f} ({s['q1']:.4f}-{s['q3']:.4f})"
+                                      for side, s in spreads.items())
+              + f"; change lower in {lower}/{pairs} pairs; gain holds: {'yes' if holds else 'no'}")
+        summary[name] = {**spreads, "change_lower_in": f"{lower}/{pairs}", "gain_holds": holds}
+    calls = {side: failed([call for rep in reps[side] for call in rep["calls"]])
+             for side in SIDES}
+    print("failed calls: " + ", ".join(f"{side} {calls[side]}" for side in SIDES))
+    summary["failed_calls"] = calls
+    print(json.dumps({"workload": argv[2], "seed": seed, "pairs": pair_records,
+                      "summary": summary}))
 
 
 if __name__ == "__main__":
