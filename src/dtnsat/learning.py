@@ -18,8 +18,8 @@ with one ``_relay_update`` call per iteration, a loop in Python floats
 reads window i of the simulator's stream.  Relay payoffs can be fed two ways:
 
 ``episode``
-    Each relay is paid its realized per-episode utility from the simulator
-    (share-weighted payoff at the realized cohort).  Default.  With the
+    Each relay is paid its realized per-episode utility on the simulator's
+    episode, ``model._cohort_payoffs`` at the realized cohort.  Default.  With the
     reference constants the learned reward settles on the zero clamp with
     nearly every relay accepting.  At n = 3 that is an equilibrium of this
     payoff: in the full cohort at reward 0, accepting pays 0.0148 more than
@@ -50,9 +50,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .equilibrium import _sweep_point, reduced_payoffs
-from .model import GameParams, _any_delivers, per_relay_success
-from .simulate import MODEL, _cohort_payoffs, _cohort_shares, _contacts, _index, _window, \
-    episode_rng
+from .model import GameParams, _any_delivers, _cohort_payoffs, _cohort_shares, per_relay_success
+from .simulate import MODEL, _contacts, _index, _window, episode_rng
 
 # doubles of stream windows drawn at once, whole windows per block
 _DRAWS = 4096
@@ -157,7 +156,7 @@ def run_coupled(params: GameParams, horizon: int, seed: int,
     alpha, estimate = params.alpha_max / 2.0, 0.0
     p, est = [0.5] * n, ([0.0] * n, [0.0] * n)
     if feed == EPISODE:
-        share = _cohort_shares(params).tolist()
+        share = _cohort_shares(params)
     else:
         ceiling, cost = per_relay_success(params, 1.0), _sweep_point(params, None, ())[4].item()
     alphas, estimates = np.empty((2, horizon))

@@ -1,15 +1,16 @@
-"""Closed-form contact, energy and utility formulas of the caching game that
-the simulator plays; the solvers' reduced payoff is in :mod:`dtnsat.equilibrium`.
+"""Closed-form contact, energy and utility formulas of the caching game, and
+its payoff rule: :func:`_cohort_payoffs` pays a realized cohort (the
+simulator and the learner score with it), :func:`expected_relay_utility_mixed`
+its binomial mean; the solvers' reduced payoff is in :mod:`dtnsat.equilibrium`.
 
 Everything here is a pure function over :class:`GameParams`, the one
 immutable record of the game's inputs and the one place they are checked
-(the callers keep p and alpha in range).  The record also keeps the
-constants derived from its inputs alone, ``q``, ``reach`` and
-``total_energy``, set once when it is built, so a caller that reads them
-per grid cell or per step evaluates none of them.  Nothing here is ever
-mutated, so the module is safe to use from any number of threads.
-Counts are integers; probabilities and energies are plain floats in
-consistent (dimensionless) units.
+(the callers keep p and alpha in range).  The record also keeps ``q``,
+``reach`` and ``total_energy``, derived from its inputs alone and set once
+when it is built, so a caller that reads them per grid cell or per step
+evaluates none of them.  Nothing here is ever mutated, so any number of
+threads may use the module.  Counts are integers; probabilities and
+energies are plain floats in consistent (dimensionless) units.
 """
 from __future__ import annotations
 
@@ -109,6 +110,22 @@ def delivery_share(n_active: int, q: float) -> float:
     tagged relay's share is (1 - q**n_active) / n_active.
     """
     return (1.0 - q ** n_active) / n_active
+
+
+def _cohort_shares(params: GameParams) -> list[float]:
+    """The run's share table: entry k = 1..n+1 is ``delivery_share(k, q)``, entry 0 is 0."""
+    return [0.0] + [delivery_share(k, params.q) for k in range(1, params.n + 2)]
+
+
+def _cohort_payoffs(params: GameParams, share, n_accept, reward: float) -> tuple:
+    """(accept, decline) :func:`relay_payoffs` when ``n_accept`` relays
+    accept: a relay with k accepting opponents is paid the share of cohort
+    k + 1 whether it accepted or declined, so the two stay comparable (an
+    empty cohort's accept payoff is never paid).  ``share`` is the
+    :func:`_cohort_shares` table: the list for an int count (two floats),
+    a numpy array of it for array counts (two arrays)."""
+    return (relay_payoffs(reward, share[n_accept], params)[0],
+            relay_payoffs(reward, share[n_accept + 1], params)[1])
 
 
 def per_relay_success(params: GameParams, p: float) -> float:

@@ -1,4 +1,5 @@
-"""Event-level Monte Carlo episodes of the two-hop delivery race.
+"""Event-level Monte Carlo episodes of the two-hop delivery race and their
+estimators; the payoff rule they score with is :mod:`dtnsat.model`'s.
 
 One episode: relays decide whether to cache, draw exponential source and
 destination contact times, and the earliest accepted relay to reach the
@@ -42,7 +43,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import GameParams, delivery_share, relay_payoffs
+from .model import GameParams, _cohort_payoffs, _cohort_shares
 
 MODEL = "model"
 PHYSICAL = "physical"
@@ -113,25 +114,6 @@ def _contacts(params: GameParams, u: np.ndarray, mode: str) -> tuple[np.ndarray,
             (1.0 - source) * (1.0 - dest) > params.q)
 
 
-def _cohort_shares(params: GameParams) -> np.ndarray:
-    """The run's share table: entry k is ``delivery_share(k, q)`` for a
-    cohort of k = 1..n+1 caching relays, and entry 0 is 0."""
-    q = params.q
-    return np.array([0.0] + [delivery_share(k, q) for k in range(1, params.n + 2)])
-
-
-def _cohort_payoffs(params: GameParams, share: np.ndarray | list[float],
-                    n_accept: int | np.ndarray, reward: float) -> tuple:
-    """(accept, decline) share-weighted payoffs when ``n_accept`` relays
-    accept: a relay with k accepting opponents is scored at cohort size k+1
-    whether it accepted or declined, so the two stay comparable (an empty
-    cohort's accept payoff is never paid).  ``share`` is the run's
-    :func:`_cohort_shares` table: an array for array counts, a list for an
-    int count, which gives two floats."""
-    return (relay_payoffs(reward, share[n_accept], params)[0],
-            relay_payoffs(reward, share[n_accept + 1], params)[1])
-
-
 def estimate_delivery(params: GameParams, accept_prob: float, trials: int,
                       seed: int, mode: str = MODEL) -> EstimateWithCI:
     """Empirical delivery frequency when all relays accept with one common p."""
@@ -147,7 +129,7 @@ def estimate_relay_utility(params: GameParams, accept_prob: float, reward: float
     n_accept = np.count_nonzero(accepted, axis=1)
     with np.errstate(invalid="ignore"):  # an inf reward times a zero share: named below
         samples = np.where(accepted[:, 0], *_cohort_payoffs(
-            params, _cohort_shares(params), n_accept, reward))
+            params, np.array(_cohort_shares(params)), n_accept, reward))
     finite = np.isfinite(samples)
     if not finite.all():
         raise ValueError(f"realized utility must be finite, got {samples[~finite][0]}")

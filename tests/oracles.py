@@ -8,9 +8,10 @@ constructor, the pure and mixed solvers written point by point over the
 scalar model functions, a coupled run that records what each relay
 played and was fed, a generator at a later trial's window of the episode
 stream, an episode with one accept probability per relay with the
-scorer that pays each relay the side of the cohort payoffs it played, and
-the symmetric mixed profile's delivery and relay utility in exact
-rationals."""
+scorer that pays each relay the side of ``model._cohort_payoffs`` it
+played, the symmetric mixed profile's delivery and relay utility in exact
+rationals, and each relay's accept and decline payoffs under a profile of
+per-relay accept probabilities, also in exact rationals."""
 import math
 import sys
 from dataclasses import replace
@@ -29,11 +30,12 @@ from dtnsat.equilibrium import (
 from dtnsat.model import (
     GameParams,
     _any_delivers,
+    _cohort_payoffs,
     _tagged_share,
     expected_source_utility_mixed,
     per_relay_success,
 )
-from dtnsat.simulate import MODEL, _cohort_payoffs, _contacts, _window
+from dtnsat.simulate import MODEL, _contacts, _window
 
 
 class OracleDomainError(ValueError):
@@ -87,6 +89,34 @@ def exact_mixed(params: GameParams, p: float, alpha: float) -> tuple[Fraction, F
     accept = alpha * share - sigma * (1 - share) - energy
     decline = -alpha * share - gamma
     return delivery, p * accept + (1 - p) * decline
+
+
+def exact_profile_payoffs(params: GameParams, probs,
+                          alpha: float) -> list[tuple[Fraction, Fraction]]:
+    """Each relay's (accept, decline) payoffs when relay j accepts with
+    ``probs[j]``, in exact rationals: the rule of ``model._cohort_payoffs``
+    mixed over the opponents' actions.
+
+    The record's doubles ``q``, ``sigma``, ``gamma`` and ``total_energy``,
+    the probs and alpha are taken as the rationals they hold.  Relay i is
+    paid the share E[delivery_share(K + 1, q)], where K, the number of its
+    opponents that accept, has the Poisson-binomial law that a dynamic
+    program sums over the other relays one at a time; each side is that of
+    ``relay_payoffs`` at that share.
+    """
+    if len(probs) != params.n:
+        raise OracleDomainError(f"a profile needs one probability per relay, got {len(probs)}")
+    q, sigma, gamma, energy, alpha = map(Fraction, (
+        params.q, params.sigma, params.gamma, params.total_energy, alpha))
+    probs = [Fraction(p) for p in probs]
+    payoffs = []
+    for i in range(params.n):
+        law = [Fraction(1)]  # law[k]: k of the opponents so far accept
+        for p in probs[:i] + probs[i + 1:]:
+            law = [(1 - p) * stay + p * step for stay, step in zip(law + [0], [0] + law)]
+        share = sum(w * (1 - q ** (k + 1)) / (k + 1) for k, w in enumerate(law))
+        payoffs.append((alpha * share - sigma * (1 - share) - energy, -alpha * share - gamma))
+    return payoffs
 
 
 def reduced_cooperation_cost(params: GameParams) -> float:
@@ -277,6 +307,7 @@ def episode(params: GameParams, probs, rng, mode: str = MODEL) -> tuple:
 def score_relays(params: GameParams, share, accepted, n_accept, reward: float):
     """Per-relay utilities of drawn episodes, ``accepted`` of shape (..., n)
     with the ``n_accept`` counts of shape (...): each relay is paid the side
-    of ``_cohort_payoffs`` it played."""
-    pay_accept, pay_reject = _cohort_payoffs(params, share, n_accept, reward)
+    of ``model._cohort_payoffs`` it played, on the ``share`` table taken
+    as an array."""
+    pay_accept, pay_reject = _cohort_payoffs(params, np.asarray(share), n_accept, reward)
     return np.where(accepted, pay_accept[..., None], pay_reject[..., None])

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import dtnsat.learning as learning
+import dtnsat.model as model
 import dtnsat.simulate as simulate
 from dtnsat.equilibrium import solve_ese
 from dtnsat.experiments import emit_csv, parse_config, run_scenario
@@ -18,7 +19,8 @@ from dtnsat.learning import (
     _source_update,
     run_coupled,
 )
-from dtnsat.simulate import MODEL, PHYSICAL, _cohort_shares
+from dtnsat.model import _cohort_shares
+from dtnsat.simulate import MODEL, PHYSICAL
 from conftest import make_params
 from oracles import episode, mixed_relay_payoffs, run_coupled_fed, score_relays, trial_rng
 
@@ -416,7 +418,7 @@ class TestElementwiseRelayUpdate:
 
     def test_non_finite_fed_utility_stops_run_coupled_on_the_episode_feed(
             self, base_params, monkeypatch):
-        monkeypatch.setattr(simulate, "relay_payoffs",
+        monkeypatch.setattr(model, "relay_payoffs",
                             lambda alpha, share, params: (-0.1, math.nan))
         with pytest.raises(ValueError, match="realized utility must be finite, got nan"):
             run_coupled(base_params, 20, seed=1, feed=EPISODE)

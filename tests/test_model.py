@@ -2,6 +2,7 @@ import math
 import struct
 from dataclasses import fields, replace
 from decimal import Decimal, localcontext
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -9,6 +10,8 @@ import pytest
 from dtnsat.equilibrium import solve_ese
 from dtnsat.model import (
     GameParams,
+    _cohort_payoffs,
+    _cohort_shares,
     _tagged_share,
     delivery_share,
     expected_relay_utility_mixed,
@@ -17,9 +20,10 @@ from dtnsat.model import (
     relay_payoffs,
     storage_energy,
 )
+from dtnsat.simulate import MODEL, _contacts, _window, episode_rng
 from conftest import cohort_payoffs, make_params
 from oracles import CohortTooLargeError, OracleDomainError, delivery_share_bruteforce, \
-    exact_mixed, tagged_indifference_reward, with_param
+    exact_mixed, exact_profile_payoffs, tagged_indifference_reward, with_param
 
 # frozen with 50-digit arithmetic for lam=0.015, tau=100
 P_C = 0.7768698398515702
@@ -321,6 +325,50 @@ class TestExactMixedOracle:
             if ulps_apart(got, relay) > self.RELAY_ULPS:
                 misses.append(("relay utility", p, got, relay, ulps_apart(got, relay)))
         assert misses == [], f"n = {n}, alpha = {alpha!r}: (what, p, got, exact, ulps) {misses}"
+
+
+class TestExactProfilePayoffs:
+    """The cohort scoring under one accept probability per relay, against
+    the exact Poisson-binomial oracle; a gap is accept minus decline."""
+
+    @pytest.mark.parametrize("n, p", [(1, 0.5), (3, 0.3), (7, 0.0), (7, 0.05), (7, 0.5),
+                                      (7, 0.999), (7, 1.0)])
+    def test_a_symmetric_profile_mixes_to_the_exact_mixed_utility(self, n, p):
+        params = make_params(n=n)
+        alpha = solve_ese(make_params()).alpha_star
+        _, utility = exact_mixed(params, p, alpha)
+        for accept, decline in exact_profile_payoffs(params, [p] * n, alpha):
+            assert Fraction(p) * accept + (1 - Fraction(p)) * decline == utility
+
+    def test_relay_gap_meets_the_scored_windows(self):
+        # relay 0 scored both ways on 100000 windows of seed 3, its
+        # opponents' actions drawn from the flips of the profile
+        params, alpha, windows = make_params(), 0.3, 100_000
+        probs = np.array([0.9, 0.7, 0.5, 0.3, 0.2, 0.1, 0.05])
+        accept, decline = exact_profile_payoffs(params, probs.tolist(), alpha)[0]
+        exact = float(accept - decline)
+        assert exact == pytest.approx(0.25559, abs=5e-6)
+        flips, _ = _contacts(params, episode_rng(3).random((windows, _window(params.n))), MODEL)
+        opponents = np.count_nonzero(flips[:, 1:] < probs[1:], axis=1)
+        share = np.array(_cohort_shares(params))
+        gaps = (_cohort_payoffs(params, share, opponents + 1, alpha)[0]
+                - _cohort_payoffs(params, share, opponents, alpha)[1])
+        se = gaps.std(ddof=1) / math.sqrt(windows)
+        assert abs(gaps.mean() - exact) <= 3 * se, (gaps.mean(), se, exact)
+
+    @pytest.mark.parametrize("probs, gaps", [
+        # the cohort of 3: neither the three nor the four gain by switching
+        ((0.999,) * 3 + (0.001,) * 4, (0.01476,) * 3 + (-0.00127,) * 4),
+        # the full cohort: each relay gains 0.0226 by declining
+        ((0.999,) * 7, (-0.02256,) * 7),
+    ], ids=["cohort-of-3", "full-cohort"])
+    def test_near_pure_profiles_at_zero_reward(self, probs, gaps):
+        payoffs = exact_profile_payoffs(make_params(), probs, 0.0)
+        assert [float(a - d) for a, d in payoffs] == pytest.approx(gaps, abs=5e-6)
+
+    def test_a_profile_needs_one_probability_per_relay(self):
+        with pytest.raises(OracleDomainError, match="one probability per relay, got 6"):
+            exact_profile_payoffs(make_params(), [0.5] * 6, 0.3)
 
 
 def binomial_tagged_payoffs(alpha, p, params):

@@ -2,8 +2,9 @@
 the package docstrings resolves to an attribute of its module, every
 module-level name of the package is read somewhere in it, every name a
 module imports is read in that module, every ``raise`` of the model lies in
-``GameParams.__post_init__``, and ``import dtnsat`` loads no module of the
-package."""
+``GameParams.__post_init__``, only the model applies its payoff rule,
+``learning`` takes only the episode stream from ``simulate``, and ``import
+dtnsat`` loads no module of the package."""
 import ast
 import importlib
 import os
@@ -197,6 +198,68 @@ def test_a_stray_raise_fails(tmp_path):
         "def share(n):\n    if n < 1:\n        raise ValueError\n    return 1 / n\n",
         encoding="utf-8")
     assert raise_lines(tmp_path / "model.py") == ([3], [6, 11])
+
+
+# the model states how a relay is paid; the other modules pay through
+# model._cohort_payoffs or its binomial mean
+PAYOFF_RULE = ("delivery_share", "relay_payoffs")
+# the episode stream, all that learning takes from simulate
+STREAM = {"MODEL", "_contacts", "_index", "_window", "episode_rng"}
+
+
+def payoff_rule_calls(package: Path) -> list[str]:
+    """``module:line`` of each call of a ``PAYOFF_RULE`` function, by name
+    or as an attribute, in a module of ``package`` other than ``model``."""
+    calls = []
+    for path in sorted(package.glob("*.py")):
+        if path.stem == "model":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call) and (getattr(node.func, "id", None) in PAYOFF_RULE
+                                               or getattr(node.func, "attr", None) in PAYOFF_RULE):
+                calls.append((path.stem, node.lineno))
+    return [f"{module}:{line}" for module, line in sorted(calls)]
+
+
+def test_only_the_model_applies_the_payoff_rule():
+    assert payoff_rule_calls(PACKAGE) == []
+
+
+def test_a_payoff_rule_call_outside_the_model_fails(tmp_path):
+    (tmp_path / "model.py").write_text(
+        "def relay_payoffs(alpha, share):\n    return alpha * share\n\n\n"
+        "def pay(alpha):\n    return relay_payoffs(alpha, 0.5)\n", encoding="utf-8")
+    (tmp_path / "simulate.py").write_text(
+        "from . import model\nfrom .model import delivery_share\n\n\n"
+        "def score(k, q):\n    share = delivery_share(k, q)\n"
+        "    return model.relay_payoffs(1.0, share)\n\n\n"
+        "TABLE = (delivery_share, model.relay_payoffs)\n", encoding="utf-8")
+    # the model's own call and the two uncalled references do not count
+    assert payoff_rule_calls(tmp_path) == ["simulate:6", "simulate:7"]
+
+
+def simulate_imports(path: Path) -> set[str]:
+    """The names that the module at ``path`` imports from ``simulate``, and
+    ``simulate`` itself where it imports the whole module."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.ImportFrom) and node.module in ("simulate", "dtnsat.simulate"):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names.update("simulate" for alias in node.names
+                         if alias.name in ("simulate", "dtnsat.simulate"))
+    return names
+
+
+def test_learning_takes_only_the_stream_from_simulate():
+    assert simulate_imports(PACKAGE / "learning.py") <= STREAM
+
+
+def test_a_payoff_import_from_simulate_fails(tmp_path):
+    (tmp_path / "learning.py").write_text(
+        "from . import simulate\nfrom .model import _cohort_payoffs\n"
+        "from .simulate import MODEL, _cohort_shares, episode_rng\n", encoding="utf-8")
+    assert simulate_imports(tmp_path / "learning.py") - STREAM == {"_cohort_shares", "simulate"}
 
 
 # the public names that no module of the package reads
