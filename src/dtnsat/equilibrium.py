@@ -322,44 +322,32 @@ def region_columns(params: GameParams, var: str, values, p: float):
     return delivery, crossing if crossing <= hi else None
 
 
-def pareto_dominance_check(candidate_p: float, candidate_alpha: float,
-                           ese: EseSolution, params: GameParams) -> tuple[float, float, bool]:
-    """Does (p, alpha) weakly improve both sides and strictly improve one?
-
-    The source is scored by its delivery margin over delta alone, the relays
-    by :func:`dtnsat.model.expected_relay_utility_mixed` (tagged-relay share).
-    Returns ``(source_margin_delta, relay_utility_delta, dominates)``.
-    """
-    margin_cand = expected_source_utility_mixed(candidate_p, params) - params.delta
-    margin_ese = ese.binding_delivery - params.delta
-    relay_cand = expected_relay_utility_mixed(candidate_p, candidate_alpha, params)
-    relay_ese = expected_relay_utility_mixed(ese.p_star, ese.alpha_star, params)
-    d_margin = margin_cand - margin_ese
-    d_relay = relay_cand - relay_ese
-    weakly_both = d_margin >= -DOMINANCE_MARGIN and d_relay >= -DOMINANCE_MARGIN
-    strictly_one = d_margin > DOMINANCE_MARGIN or d_relay > DOMINANCE_MARGIN
-    return d_margin, d_relay, weakly_both and strictly_one
-
-
 def pareto_grid_scan(params: GameParams, ese: EseSolution) -> np.ndarray:
     """Evaluate dominance on the even 101x101 grid over [0,1] x [0,alpha_max].
 
-    Returns the dominating candidates as one ``(k, 4)`` float array in grid
-    order (p outer, alpha inner), each row ``(p, alpha,
-    source_margin_delta, relay_utility_delta)`` of that cell's
-    :func:`pareto_dominance_check`; no rows means the binding equilibrium
-    sits on the grid's Pareto frontier.
+    A cell dominates the binding equilibrium when, within ``DOMINANCE_MARGIN``,
+    it weakly improves both sides and strictly improves one: the source by
+    its delivery margin over delta, scored once per p row, the relays by
+    :func:`dtnsat.model.expected_relay_utility_mixed` at the cell and at the
+    binding point.  Returns the dominating cells as one ``(k, 4)`` float
+    array in grid order (p outer, alpha inner), rows ``(p, alpha,
+    source_margin_delta, relay_utility_delta)``; no rows means the binding
+    equilibrium sits on the grid's Pareto frontier.
     """
     top = params.alpha_max
     # the reward axis ends at alpha_max exactly: the product can round one ulp
     # past it at j = 100, or overflow, where the axis divides first
     alphas = [min(top * j / 100 if top * j < math.inf else top / 100 * j, top)
               for j in range(101)]
+    margin_ese = ese.binding_delivery - params.delta
     rows = array("d")
     for i in range(101):
         p = i / 100
+        d_margin = expected_source_utility_mixed(p, params) - params.delta - margin_ese
         for a in alphas:
-            d_margin, d_relay, dominates = pareto_dominance_check(p, a, ese, params)
-            if dominates:
+            d_relay = (expected_relay_utility_mixed(p, a, params)
+                       - expected_relay_utility_mixed(ese.p_star, ese.alpha_star, params))
+            if (d_margin >= -DOMINANCE_MARGIN and d_relay >= -DOMINANCE_MARGIN
+                    and (d_margin > DOMINANCE_MARGIN or d_relay > DOMINANCE_MARGIN)):
                 rows.extend((p, a, d_margin, d_relay))
     return np.frombuffer(rows).reshape(-1, 4)  # a view of the rows, no copy

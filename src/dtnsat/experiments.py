@@ -49,6 +49,8 @@ class ScenarioConfig:
     alpha: Optional[float]
     horizon: int
     feed: str
+    # (start, stop, points) of a sweep given as a grid, None otherwise
+    grid: Optional[tuple[float, float, int]] = None
     mode: Optional[str] = None
 
     def echo(self) -> dict[str, str]:
@@ -62,9 +64,13 @@ class ScenarioConfig:
             items["mode"] = self.mode
         if self.sweep.var is not None:
             items["sweep.var"] = self.sweep.var
-            # the values are floats, which _fmt prints as %.12g
-            values = self.sweep.values
-            items["sweep.values"] = ",".join(["%.12g"] * len(values)) % values
+            if self.grid is None:  # floats, which _fmt prints as %.12g
+                values = self.sweep.values
+                items["sweep.values"] = ",".join(["%.12g"] * len(values)) % values
+            else:  # the grid, its ends as repr, so the echo rebuilds the values bit for bit
+                start, stop, points = self.grid
+                items.update({"sweep.start": repr(start), "sweep.stop": repr(stop),
+                              "sweep.points": points})
         return {k: _fmt(v) for k, v in items.items()}
 
 
@@ -152,24 +158,26 @@ def _build_config(raw: dict[str, object]) -> ScenarioConfig:
     if v["alpha"] is not None and not 0 <= v["alpha"] <= params.alpha_max:
         raise ConfigError(f"alpha must be in [0, alpha_max], got {v['alpha']}")
 
-    return ScenarioConfig(params=params, sweep=_build_sweep(v), trials=v["trials"],
+    sweep, grid = _build_sweep(v)
+    return ScenarioConfig(params=params, sweep=sweep, trials=v["trials"],
                           seed=v["seed"], contact_mode=v["contact_mode"],
                           p=v["p"], alpha=v["alpha"], horizon=v["horizon"],
-                          feed=v["feed"])
+                          feed=v["feed"], grid=grid)
 
 
-def _build_sweep(v: dict[str, object]) -> SweepSpec:
+def _build_sweep(v: dict[str, object]) -> tuple[SweepSpec, Optional[tuple]]:
+    """The sweep, and its (start, stop, points) where it is given as a grid."""
     if all(v[k] is None for k in v if k.startswith("sweep.")):
-        return SweepSpec()
+        return SweepSpec(), None
     var = v["sweep.var"]
     if var is None:
         raise ConfigError("sweep.var is required when any sweep key is set")
     if var not in SWEEP_VARS:
         raise ConfigError(f"sweep.var must be one of {SWEEP_VARS}, got {var!r}")
-    values = v["sweep.values"]
-    grid = ("sweep.start", "sweep.stop", "sweep.points")
+    values, grid = v["sweep.values"], None
+    keys = ("sweep.start", "sweep.stop", "sweep.points")
     if values is None:
-        for need in grid:
+        for need in keys:
             if v[need] is None:
                 raise ConfigError(f"sweep needs {need} (or sweep.values)")
         points = v["sweep.points"]
@@ -190,12 +198,13 @@ def _build_sweep(v: dict[str, object]) -> SweepSpec:
             values = tuple(spaced.tolist()) + (stop,)
         except (MemoryError, ValueError):
             raise ConfigError(f"sweep.points = {points} is too large to allocate") from None
-    elif any(v[key] is not None for key in grid):
+        grid = (start, stop, points)
+    elif any(v[key] is not None for key in keys):
         raise ConfigError("sweep.values conflicts with "
-                          f"{', '.join(key for key in grid if v[key] is not None)}; "
+                          f"{', '.join(key for key in keys if v[key] is not None)}; "
                           "give either the list or the grid")
     _validate_sweep_values(var, values)
-    return SweepSpec(var=var, values=tuple(values))
+    return SweepSpec(var=var, values=tuple(values)), grid
 
 
 def _validate_sweep_values(var: str, values) -> None:

@@ -124,7 +124,7 @@ def estimate_relay_utility(params: GameParams, accept_prob: float, reward: float
                            trials: int, seed: int, mode: str = MODEL) -> EstimateWithCI:
     """Empirical mean payoff of relay 0 under symmetric mixing: the trials
     are drawn first, then relay 0 of all of them is paid the side of one
-    :func:`_cohort_payoffs` call that it played."""
+    :func:`dtnsat.model._cohort_payoffs` call that it played."""
     accepted, _ = _draw_trials(params, accept_prob, trials, seed, mode)
     n_accept = np.count_nonzero(accepted, axis=1)
     with np.errstate(invalid="ignore"):  # an inf reward times a zero share: named below

@@ -5,13 +5,14 @@ bit, the reduced model's indifference gaps, whose roots the solvers return,
 the tagged-relay indifference reward, the root of the game's gap,
 ``with_param``, which builds one sweep point through the validating
 constructor, the pure and mixed solvers written point by point over the
-scalar model functions, a coupled run that records what each relay
-played and was fed, a generator at a later trial's window of the episode
-stream, an episode with one accept probability per relay with the
-scorer that pays each relay the side of ``model._cohort_payoffs`` it
-played, the symmetric mixed profile's delivery and relay utility in exact
-rationals, and each relay's accept and decline payoffs under a profile of
-per-relay accept probabilities, also in exact rationals."""
+scalar model functions, one cell of the Pareto grid scan, a coupled run
+that records what each relay played and was fed, a generator at a later
+trial's window of the episode stream, an episode with one accept
+probability per relay with the scorer that pays each relay the side of
+``model._cohort_payoffs`` it played, the symmetric mixed profile's
+delivery and relay utility in exact rationals, and each relay's accept and
+decline payoffs under a profile of per-relay accept probabilities, also in
+exact rationals."""
 import math
 import sys
 from dataclasses import replace
@@ -22,6 +23,7 @@ import numpy as np
 
 import dtnsat.learning as learning
 from dtnsat.equilibrium import (
+    DOMINANCE_MARGIN,
     DegenerateContactError,
     EseSolution,
     FloatRangeError,
@@ -32,6 +34,7 @@ from dtnsat.model import (
     _any_delivers,
     _cohort_payoffs,
     _tagged_share,
+    expected_relay_utility_mixed,
     expected_source_utility_mixed,
     per_relay_success,
 )
@@ -272,6 +275,27 @@ def point_ese_row(params: GameParams) -> tuple:
     except DegenerateContactError:
         return point_mse_row(params)[0], math.nan, math.nan, False
     return sol.p_star, sol.alpha_star, sol.binding_delivery, sol.alpha_clamped
+
+
+def pareto_dominance_check(candidate_p: float, candidate_alpha: float,
+                           ese: EseSolution, params: GameParams) -> tuple[float, float, bool]:
+    """Does (p, alpha) weakly improve both sides and strictly improve one?
+
+    One cell of ``pareto_grid_scan`` as it stood before the scan scored the
+    source once per p row: the reference its rows must match bit for bit.
+    The source is scored by its delivery margin over delta alone, the relays
+    by :func:`dtnsat.model.expected_relay_utility_mixed` (tagged-relay share).
+    Returns ``(source_margin_delta, relay_utility_delta, dominates)``.
+    """
+    margin_cand = expected_source_utility_mixed(candidate_p, params) - params.delta
+    margin_ese = ese.binding_delivery - params.delta
+    relay_cand = expected_relay_utility_mixed(candidate_p, candidate_alpha, params)
+    relay_ese = expected_relay_utility_mixed(ese.p_star, ese.alpha_star, params)
+    d_margin = margin_cand - margin_ese
+    d_relay = relay_cand - relay_ese
+    weakly_both = d_margin >= -DOMINANCE_MARGIN and d_relay >= -DOMINANCE_MARGIN
+    strictly_one = d_margin > DOMINANCE_MARGIN or d_relay > DOMINANCE_MARGIN
+    return d_margin, d_relay, weakly_both and strictly_one
 
 
 def run_coupled_fed(params: GameParams, horizon: int, seed: int, **kwargs) -> tuple:

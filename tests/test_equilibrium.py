@@ -13,7 +13,6 @@ from dtnsat.equilibrium import (
     _sweep_point,
     minimum_satisfying_cohort,
     mse_columns,
-    pareto_dominance_check,
     pareto_grid_scan,
     pse_columns,
     reduced_payoffs,
@@ -25,8 +24,8 @@ from dtnsat.model import (
     expected_source_utility_mixed,
 )
 from conftest import make_params
-from oracles import mixed_indifference_gap, mixed_relay_payoffs, pure_indifference_gap, \
-    with_param
+from oracles import mixed_indifference_gap, mixed_relay_payoffs, pareto_dominance_check, \
+    pure_indifference_gap, with_param
 
 # frozen with 50-digit arithmetic at the reference scenario
 ALPHA_PSE = {
@@ -434,9 +433,11 @@ class TestParetoDominance:
 
     def test_grid_scan_derives_the_record_constants_once(self, monkeypatch):
         # the caching cost is evaluated once, when the record is built, and
-        # never when its constants are read, while every cell still scores
-        # its candidate and the binding point: 2 x 101 x 101
-        calls = {"storage_energy": 0, "expected_relay_utility_mixed": 0}
+        # never when its constants are read; the source is scored once per p
+        # row, while every cell still scores its candidate and the binding
+        # point: 2 x 101 x 101
+        calls = {"storage_energy": 0, "expected_relay_utility_mixed": 0,
+                 "expected_source_utility_mixed": 0}
         for name in calls:
             original = getattr(model, name)
 
@@ -453,25 +454,29 @@ class TestParetoDominance:
         pareto_grid_scan(params, solve_ese(params))
         assert calls["storage_energy"] == 1
         assert calls["expected_relay_utility_mixed"] == 2 * 101 * 101
+        assert calls["expected_source_utility_mixed"] == 101
 
     @pytest.mark.parametrize("alpha_max", [5.0, 0.014, 1.8e306, 1.7976931348623157e308])
     def test_grid_scan_checks_candidates_inside_both_ranges(self, alpha_max, monkeypatch):
-        # pareto_dominance_check takes its candidates unchecked: the scan is
-        # its one program caller, and must build every cell in range
+        # expected_relay_utility_mixed takes its (p, alpha) unchecked: the
+        # scan must build every candidate in range, and score the binding
+        # point once per cell
         params = make_params(alpha_max=alpha_max)
         ese = solve_ese(params)
         seen = []
 
-        def spy(p, alpha, point, at):
+        def spy(p, alpha, at):
             seen.append((p, alpha))
-            return pareto_dominance_check(p, alpha, point, at)
+            return expected_relay_utility_mixed(p, alpha, at)
 
-        monkeypatch.setattr(equilibrium, "pareto_dominance_check", spy)
+        monkeypatch.setattr(equilibrium, "expected_relay_utility_mixed", spy)
         pareto_grid_scan(params, ese)
-        assert len(seen) == 101 * 101
-        assert all(0.0 <= p <= 1.0 and 0.0 <= a <= alpha_max for p, a in seen)
-        assert {p for p, _ in seen} == {i / 100 for i in range(101)}
-        assert min(a for _, a in seen) == 0.0 and max(a for _, a in seen) == alpha_max
+        binding = (ese.p_star, ese.alpha_star)
+        cells = [cell for cell in seen if cell != binding]
+        assert len(cells) == len(seen) - len(cells) == 101 * 101
+        assert all(0.0 <= p <= 1.0 and 0.0 <= a <= alpha_max for p, a in cells)
+        assert {p for p, _ in cells} == {i / 100 for i in range(101)}
+        assert min(a for _, a in cells) == 0.0 and max(a for _, a in cells) == alpha_max
         assert 0.0 <= ese.p_star <= 1.0 and 0.0 <= ese.alpha_star <= alpha_max
 
     def test_grid_scan_peak_memory(self, base_params):

@@ -324,14 +324,39 @@ class TestParseConfig:
         assert str(info.value) == f"sweep.points = {points} is too large to allocate"
 
     @pytest.mark.parametrize("sweep", [
-        "sweep.var = tau\nsweep.start = 1\nsweep.stop = 400\nsweep.points = 5000",
         # %g turns to an exponent below 1e-4
         f"sweep.var = tau\nsweep.values = {1 / 3!r},1e300,5e-324,1e-05",
         "sweep.var = n\nsweep.values = 1,7,40,1000",
-    ], ids=["tau-grid-5000", "tau-list", "n-list"])
+    ], ids=["tau-list", "n-list"])
     def test_echoed_sweep_values_are_the_per_value_join(self, sweep):
         cfg = parse_config(sweep)
         assert cfg.echo()["sweep.values"] == ",".join(_fmt(v) for v in cfg.sweep.values)
+
+    def test_a_grid_sweep_echoes_its_grid(self):
+        cfg = parse_config(f"sweep.var = tau\nsweep.start = {1 / 3!r}\nsweep.stop = 400\n"
+                           "sweep.points = 5000")
+        echo = cfg.echo()
+        assert "sweep.values" not in echo
+        assert list(echo)[-4:] == ["sweep.var", "sweep.start", "sweep.stop", "sweep.points"]
+        assert [echo[key] for key in list(echo)[-4:]] == \
+            ["tau", "0.3333333333333333", "400.0", "5000"]
+        assert len(cfg.sweep.values) == 5000
+
+    # the perfbench closed-form grid, whose %.12g values mostly lose their
+    # last bits, and a list whose values %.12g prints exactly
+    @pytest.mark.parametrize("sweep", [
+        "sweep.var = tau\nsweep.start = 20\nsweep.stop = 2000\nsweep.points = 5000\n",
+        FOUR_TARGET_CONFIG,
+    ], ids=["tau-grid-5000", "delta-list"])
+    def test_the_echo_reads_back_as_the_same_sweep(self, sweep, tmp_path, capsys):
+        meta, _ = run_cli("solve-ese", sweep, tmp_path, capsys)
+        echoed = "".join(f"{key} = {value}\n" for key, value in meta.items()
+                         if key not in ("build", "mode"))
+        want, got = parse_config(sweep).sweep, parse_config(echoed).sweep
+        assert got.var == want.var and len(got.values) == len(want.values)
+        differ = sum(a != b for a, b in zip(np.array(want.values).view(np.int64),
+                                            np.array(got.values).view(np.int64)))
+        assert differ == 0, f"{differ}/{len(want.values)} values differ from their echo"
 
 
 class TestRunScenario:
@@ -753,12 +778,12 @@ class TestClosedFormBytes:
     TAU_50 = "sweep.var = tau\nsweep.start = 20\nsweep.stop = 2000\nsweep.points = 50\n"
     CASES = {
         "solve-ese": ("solve-ese", TAU_50,
-                      "c0c28e428e1c9b1cd753d3e178ab5f84fd020f121dedd0bdfc8eb6817a36c68a"),
+                      "138afc85dd3cd0ff2cee5d54c27d37de73f89319acb52e879a0bf8844d5aa507"),
         "solve-mse": ("solve-mse", TAU_50,
-                      "d89537d5ace4c361af04aa8d64293d97ce3f1fd664aea8e2b8bf2ddb3f359e33"),
+                      "8c158c10caaff3f51f2d6859ca7dc6e007843f1dac554b79ab8728637190944c"),
         "solve-pse": ("solve-pse",
                       "sweep.var = n\nsweep.start = 1\nsweep.stop = 60\nsweep.points = 60\n",
-                      "609b760ea155b2cc37dafbd26be60ca0dfcb5f24cbaef0408f33211c60150765"),
+                      "c9b23c03be1d91d4ce077af117c090f2c4a075bf49390a3287aafc960abd9b7b"),
         "solve-pse-lambda": (
             "solve-pse", "sweep.var = lambda\nsweep.values = 0.015,0,5e-324,1e-320,0.5,1e308\n",
             "4bcbb2f03fbe52c16031f52682def667964b66021e3f57f54e74c3e51b11d064"),
@@ -772,16 +797,16 @@ class TestClosedFormBytes:
             "solve-pse",
             "n = 2\nsweep.var = delta\nsweep.start = 0.009\nsweep.stop = 0.999\n"
             "sweep.points = 12\n",
-            "58fd714d9d07d6641ecd36d067dd601b12d6d837745ad51753b0009ec585c7ea"),
+            "a05dc31ab7f16d329b3af554b47e9f1d1348ae1588a5ecb39ff3fc10ce181664"),
         "solve-pse-clamped": (
             "solve-pse", "alpha_max = 0.2\nsweep.var = n\nsweep.values = 1,3,7,40\n",
             "83fc309c8007aecb13c5a2408ec65d51b8ef87cf9be9f5b61f3b9934c990b435"),
         "region": ("region", "sweep.var = lambda\nsweep.start = 0.001\nsweep.stop = 0.1\n"
                    "sweep.points = 50\n",
-                   "0d069c59d883a6322330e70ee99b6e15f403c807f7206b5c6e933484cc62b59e"),
+                   "3a231a42f6817ef221034a5d090f1089d13f816b446b9619fed78c5d616d5259"),
         "region-tau-p": ("region", "p = 0.4\nsweep.var = tau\nsweep.start = 1\nsweep.stop = 500\n"
                          "sweep.points = 40\n",
-                         "d6de844f63deeaf8f7f1322aa922012833aa22e259a3c0e48ba2a55587a168fe"),
+                         "6a1e180159073f01fb375fd661d2c61aad2e4fb62ed39a582afaa212b8296065"),
         "pareto-grid": ("pareto-grid", "",
                         "92be6f613ed287533d2f6699cb2f2017aca6b4dba44be55a62951e69dd91e022"),
     }

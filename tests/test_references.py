@@ -1,12 +1,14 @@
 """Every dotted name the README cites and every :func:/:class: reference in
-the package docstrings resolves to an attribute of its module, every
-module-level name of the package is read somewhere in it, every name a
-module imports is read in that module, every ``raise`` of the model lies in
+the package docstrings resolves to an attribute of its module (a function
+or class defined there, not imported), every module-level name of the
+package is read somewhere in it, every name a module imports is read in
+that module, every ``raise`` of the model lies in
 ``GameParams.__post_init__``, only the model applies its payoff rule,
 ``learning`` takes only the episode stream from ``simulate``, and ``import
 dtnsat`` loads no module of the package."""
 import ast
 import importlib
+import inspect
 import os
 import pkgutil
 import re
@@ -37,16 +39,20 @@ def docstring_refs():
                        encoding="utf-8"))})
 
 
-def resolves(module: str, dotted: str) -> bool:
+def resolves(module: str, dotted: str, package: str = "dtnsat") -> bool:
+    """Whether ``dotted``, read in ``package.module`` unless it names its
+    package, is an attribute there; a function or class must also be defined
+    in that module, not merely imported into it."""
     parts = dotted.split(".")
-    if parts[0] == "dtnsat":
+    if parts[0] == package:
         module, parts = parts[1], parts[2:]
-    obj = importlib.import_module(f"dtnsat.{module}")
+    obj = importlib.import_module(f"{package}.{module}")
     for part in parts:
         if not hasattr(obj, part):
             return False
         obj = getattr(obj, part)
-    return True
+    return not (inspect.isfunction(obj) or inspect.isclass(obj)) or \
+        obj.__module__ == f"{package}.{module}"
 
 
 def test_both_sources_cite_names():
@@ -67,6 +73,30 @@ def test_docstring_reference_resolves(module, ref):
 def test_a_stale_reference_fails():
     assert not resolves("simulate", "_no_such_kernel")
     assert not resolves("experiments", "dtnsat.model.no_such_payoff")
+
+
+def test_a_citation_of_an_imported_function_or_class_fails(tmp_path, monkeypatch):
+    (tmp_path / "refprobe").mkdir()
+    (tmp_path / "refprobe" / "__init__.py").write_text("", encoding="utf-8")
+    (tmp_path / "refprobe" / "model.py").write_text(
+        "RATE = 0.5\n\n\nclass Record:\n    pass\n\n\ndef pay(x):\n    return x\n",
+        encoding="utf-8")
+    (tmp_path / "refprobe" / "simulate.py").write_text(
+        "from .model import RATE, Record, pay\n\n\ndef run():\n    return pay(RATE)\n",
+        encoding="utf-8")
+    monkeypatch.syspath_prepend(str(tmp_path))
+    try:
+        # simulate imports pay and Record, which model defines
+        assert not resolves("simulate", "pay", "refprobe")
+        assert not resolves("simulate", "Record", "refprobe")
+        assert resolves("simulate", "refprobe.model.pay", "refprobe")
+        assert resolves("model", "Record", "refprobe")
+        # its own function, and a value, which has no home module
+        assert resolves("simulate", "run", "refprobe")
+        assert resolves("simulate", "RATE", "refprobe")
+    finally:
+        for name in [m for m in sys.modules if m.partition(".")[0] == "refprobe"]:
+            del sys.modules[name]
 
 
 def definitions(tree: ast.Module) -> set[str]:

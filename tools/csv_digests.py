@@ -5,12 +5,15 @@
 Imports ``dtnsat`` from ROOT/src and the workloads from
 ROOT/perfbench/workloads.py, runs every call of ``invocations(workload,
 seed, "full")`` through ``dtnsat.cli.main``, for each workload at seeds 1
-and 7, into a temporary directory, and prints one ``workload seed label
-sha256`` line per CSV.  No workload runs physical contact mode, so each
-call of the workloads that draw episodes runs once more with
-``--contact-mode physical`` appended, labelled ``label+physical``.  To
-check that a change keeps every output byte, run it on a copy of the
-parent commit and on the change, and ``diff`` the two outputs.
+and 7, into a temporary directory, and prints one ``workload seed label sha256
+rows_sha256`` line per CSV: the digest of the whole file, then that of
+its header and data rows alone, without the ``#`` metadata lines.  No
+workload runs physical contact mode, so each call of the workloads that
+draw episodes runs once more with ``--contact-mode physical`` appended,
+labelled ``label+physical``.  To check that a change keeps every output
+byte, run it on a copy of the parent commit and on the change, and
+``diff`` the two outputs; a change that moves only metadata shows equal
+row digests.
 """
 import hashlib
 import os
@@ -42,8 +45,12 @@ def digests(root: str) -> list[str]:
                         if main([inv.mode, "--config", config, "--out", out, *args]):
                             raise SystemExit(f"{workload} {seed} {label}: dtnsat failed")
                         with open(out, "rb") as fh:
-                            digest = hashlib.sha256(fh.read()).hexdigest()
-                        lines.append(f"{workload} {seed} {label} {digest}")
+                            text = fh.read()
+                        rows = b"".join(line for line in text.splitlines(keepends=True)
+                                        if not line.startswith(b"#"))
+                        lines.append(f"{workload} {seed} {label} "
+                                     f"{hashlib.sha256(text).hexdigest()} "
+                                     f"{hashlib.sha256(rows).hexdigest()}")
     return lines
 
 
