@@ -46,15 +46,14 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
 from .equilibrium import _sweep_point, reduced_payoffs
 from .model import GameParams, _any_delivers, _cohort_payoffs, _cohort_shares, per_relay_success
-from .simulate import MODEL, _contacts, _index, _window, episode_rng
+from .simulate import MODEL, _index, _windows
 
-# doubles of stream windows drawn at once, whole windows per block
-_DRAWS = 4096
 # every accept probability stays in [PROB_FLOOR, 1 - PROB_FLOOR]
 PROB_FLOOR = 1e-3
 _P_HI = 1.0 - PROB_FLOOR
@@ -139,12 +138,13 @@ def run_coupled(params: GameParams, horizon: int, seed: int,
     source.  A step's feed is one checked (accept, decline) pair of floats,
     from the run's share table at the count in ``n_accept[i]`` (episode
     feed), spread over the relays by their actions.  The run is
-    bit-identical to drawing window i of the ``seed`` stream as one episode
-    with one accept probability per relay, paying its acceptances the sides
-    of ``_cohort_payoffs`` they played (episode feed), then stepping each
-    relay and the source in turn.  A shorter run is a prefix of a longer
-    one with the same seed.  Returns the five arrays that ``learn`` writes
-    (:class:`Trajectory`); the actions and fed pairs are not kept.
+    bit-identical to scoring window i of ``simulate._windows`` as one
+    episode with one accept probability per relay, paying its acceptances
+    the sides of ``_cohort_payoffs`` they played (episode feed), then
+    stepping each relay and the source in turn.  A shorter run is a prefix
+    of a longer one with the same seed.  Returns the five arrays that
+    ``learn`` writes (:class:`Trajectory`); the actions and fed pairs are
+    not kept.
     """
     if feed not in FEEDS:
         raise ValueError(f"feed must be one of {FEEDS}, got {feed!r}")
@@ -152,7 +152,7 @@ def run_coupled(params: GameParams, horizon: int, seed: int,
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
     n = params.n
-    rng = episode_rng(seed)
+    windows = _windows(params, seed, horizon, contact_mode)
     alpha, estimate = params.alpha_max / 2.0, 0.0
     p, est = [0.5] * n, ([0.0] * n, [0.0] * n)
     if feed == EPISODE:
@@ -164,30 +164,27 @@ def run_coupled(params: GameParams, horizon: int, seed: int,
     n_accept = np.empty(horizon, dtype=int)
     delivered = np.empty(horizon, dtype=bool)
 
-    block = max(1, _DRAWS // _window(n))  # iterations per block
-    for start in range(0, horizon, block):
-        # iteration i reads window i, so a block is drawn ahead of the state
-        u = rng.random((min(block, horizon - start), _window(n)))
-        flips, reach = _contacts(params, u, contact_mode)
-        for i, flip, can_deliver in zip(range(start, horizon), flips.tolist(), reach.tolist()):
-            k = i + 1
-            alphas[i] = alpha
-            probs[i] = p
-            accepted = list(map(operator.lt, flip, p))
-            cohort = n_accept[i] = sum(accepted)
-            if feed == EPISODE:
-                pay = _cohort_payoffs(params, share, cohort, alpha)
-            else:
-                z = ceiling * (sum(p) / n)
-                pay = reduced_payoffs(alpha, n, _any_delivers(z, n), (1.0 - z) ** n, cost, params)
-            if not (math.isfinite(pay[0]) and math.isfinite(pay[1])):
-                bad = pay[1] if math.isfinite(pay[0]) else pay[0]
-                raise ValueError(f"realized utility must be finite, got {bad}")
-            p, est = _relay_update(p, est, accepted, pay, 1.0 / (1.0 + k) ** 0.6)
-            hit = delivered[i] = any(map(operator.and_, accepted, can_deliver))
-            alpha, estimate = _source_update(alpha, estimate, params.delta, params.alpha_max,
-                                             float(hit), 1.0 / (1.0 + k))
-            estimates[i] = estimate
+    # iteration i reads window i, so a block is drawn ahead of the state
+    rows = chain.from_iterable(zip(flips.tolist(), reach.tolist()) for flips, reach in windows)
+    for i, (flip, can_deliver) in enumerate(rows):
+        k = i + 1
+        alphas[i] = alpha
+        probs[i] = p
+        accepted = list(map(operator.lt, flip, p))
+        cohort = n_accept[i] = sum(accepted)
+        if feed == EPISODE:
+            pay = _cohort_payoffs(params, share, cohort, alpha)
+        else:
+            z = ceiling * (sum(p) / n)
+            pay = reduced_payoffs(alpha, n, _any_delivers(z, n), (1.0 - z) ** n, cost, params)
+        if not (math.isfinite(pay[0]) and math.isfinite(pay[1])):
+            bad = pay[1] if math.isfinite(pay[0]) else pay[0]
+            raise ValueError(f"realized utility must be finite, got {bad}")
+        p, est = _relay_update(p, est, accepted, pay, 1.0 / (1.0 + k) ** 0.6)
+        hit = delivered[i] = any(map(operator.and_, accepted, can_deliver))
+        alpha, estimate = _source_update(alpha, estimate, params.delta, params.alpha_max,
+                                         float(hit), 1.0 / (1.0 + k))
+        estimates[i] = estimate
 
     return Trajectory(alpha=alphas, u_s_est=estimates, accept_probs=probs, n_accept=n_accept,
                       delivered=delivered)

@@ -28,18 +28,21 @@ uniform domain against the record: model mode meets both contacts when
 reach`` and delivers when ``(1 - u_s)(1 - u_d) > q``, ``E_s + E_d < lambda
 * tau`` with one rounded product.  No draw meets a transcendental function,
 so an episode's bytes do not depend on the CPU, and it draws the same
-number of values at every rate.  An estimator walks one generator through
-the windows in trial order, passing :func:`simulate_episode` its p as the
-one float that all relays share; a trial's result does not depend on
-evaluation order, and the same seed gives the same bytes.  ``learn``
-shares the stream: iteration ``i`` of :func:`dtnsat.learning.run_coupled`
-reads window ``i``.
+number of values at every rate.  :func:`_windows` draws the windows in
+trial order, in blocks of about ``_DRAWS`` doubles that hold the bits of
+one draw per window, and an estimator scores each with
+:func:`simulate_episode`, passing its p as the one float that all relays
+share; a trial's result does not depend on block size or evaluation
+order, and the same seed gives the same bytes.  ``learn`` shares the
+reader: iteration ``i`` of :func:`dtnsat.learning.run_coupled` reads
+window ``i``.
 """
 from __future__ import annotations
 
 import math
 import operator
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -48,6 +51,8 @@ from .model import GameParams, _cohort_payoffs, _cohort_shares
 MODEL = "model"
 PHYSICAL = "physical"
 CONTACT_MODES = (MODEL, PHYSICAL)
+# doubles of stream windows drawn at once, whole windows per block
+_DRAWS = 4096
 
 
 @dataclass(frozen=True)
@@ -79,19 +84,25 @@ def _index(name: str, value) -> int:
         raise TypeError(f"{name} must be an integer, got {value!r}") from None
 
 
-def simulate_episode(params: GameParams, accept_prob: float, rng: np.random.Generator,
-                     mode: str = MODEL) -> tuple[np.ndarray, bool]:
-    """Run one episode on the next window of ``rng``: (accepted, delivered).
+def _windows(params: GameParams, seed: int, count: int, mode: str):
+    """(flips, reach) of windows 0..count-1 of ``episode_rng(seed)``, as (B,
+    n) arrays per block of B whole windows, at most ``_DRAWS`` doubles or
+    one window; :func:`_contacts` checks the mode once per block."""
+    rng, width = episode_rng(seed), _window(params.n)
+    block = max(1, _DRAWS // width)
+    return (_contacts(params, rng.random((min(block, count - start), width)), mode)
+            for start in range(0, count, block))
 
-    ``accept_prob`` is one double (Python or ``np.float64``) that all
-    relays share.  Exactly ``W(n)`` doubles are drawn, so a generator from
-    :func:`episode_rng` at trial t is left at trial t + 1.
-    """
+
+def simulate_episode(flips: np.ndarray, reach: np.ndarray,
+                     accept_prob: float) -> tuple[np.ndarray, bool]:
+    """(accepted, delivered) of one episode, a window's ``flips`` and
+    ``reach`` rows from :func:`_windows`, scored with ``accept_prob``, one
+    double (Python or ``np.float64``) that all relays share; draws nothing."""
     if not isinstance(accept_prob, float):
         raise ValueError(f"accept probability must be a float or np.float64, got {accept_prob!r}")
     if not 0.0 <= accept_prob <= 1.0:  # a NaN fails both comparisons
         raise ValueError(f"accept probabilities must lie in [0, 1], got {accept_prob}")
-    flips, reach = _contacts(params, rng.random(_window(params.n)), mode)
     accepted = flips < accept_prob
     return accepted, bool(np.count_nonzero(accepted & reach))
 
@@ -145,13 +156,13 @@ def _draw_trials(params: GameParams, accept_prob: float, trials: int, seed: int,
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     prob = np.float64(accept_prob)
-    rng = episode_rng(seed)
+    windows = _windows(params, seed, trials, mode)
     try:
         accepted, delivered = np.empty((trials, params.n), dtype=bool), np.empty(trials)
     except ValueError:  # numpy's refusal of a shape past its size or index range
         raise MemoryError from None
-    for t in range(trials):
-        accepted[t], delivered[t] = simulate_episode(params, prob, rng, mode)
+    for t, (flips, reach) in enumerate(chain.from_iterable(zip(*block) for block in windows)):
+        accepted[t], delivered[t] = simulate_episode(flips, reach, prob)
     return accepted, delivered
 
 

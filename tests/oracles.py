@@ -7,12 +7,12 @@ the tagged-relay indifference reward, the root of the game's gap,
 constructor, the pure and mixed solvers written point by point over the
 scalar model functions, one cell of the Pareto grid scan, a coupled run
 that records what each relay played and was fed, a generator at a later
-trial's window of the episode stream, an episode with one accept
-probability per relay with the scorer that pays each relay the side of
-``model._cohort_payoffs`` it played, the symmetric mixed profile's
-delivery and relay utility in exact rationals, and each relay's accept and
-decline payoffs under a profile of per-relay accept probabilities, also in
-exact rationals."""
+trial's window of the episode stream and that window's contacts, an
+episode with one accept probability per relay with the scorer that pays
+each relay the side of ``model._cohort_payoffs`` it played, the symmetric
+mixed profile's delivery and relay utility in exact rationals, and each
+relay's accept and decline payoffs and the delivery under a profile of
+per-relay accept probabilities, also in exact rationals."""
 import math
 import sys
 from dataclasses import replace
@@ -120,6 +120,20 @@ def exact_profile_payoffs(params: GameParams, probs,
         share = sum(w * (1 - q ** (k + 1)) / (k + 1) for k, w in enumerate(law))
         payoffs.append((alpha * share - sigma * (1 - share) - energy, -alpha * share - gamma))
     return payoffs
+
+
+def exact_profile_delivery(params: GameParams, probs) -> Fraction:
+    """Model-mode delivery when relay j accepts with ``probs[j]``, in exact
+    rationals: 1 - prod_j (1 - p_j s) with s = (1 - q) reach, the record's
+    doubles ``q`` and ``reach`` and the probs taken as the rationals they
+    hold."""
+    if len(probs) != params.n:
+        raise OracleDomainError(f"a profile needs one probability per relay, got {len(probs)}")
+    s = (1 - Fraction(params.q)) * Fraction(params.reach)
+    miss = Fraction(1)
+    for p in probs:
+        miss *= 1 - Fraction(p) * s
+    return 1 - miss
 
 
 def reduced_cooperation_cost(params: GameParams) -> float:
@@ -318,6 +332,13 @@ def trial_rng(seed: int, t: int, n: int) -> np.random.Generator:
     """``episode_rng(seed)`` moved on to trial t's window for n relays:
     Philox counter ``t * W(n) / 4``, as README's stream contract states."""
     return np.random.Generator(np.random.Philox(key=seed, counter=t * _window(n) // 4))
+
+
+def trial_window(params: GameParams, seed: int, t: int, mode: str = MODEL) -> tuple:
+    """(flips, reach) of trial t's window under ``seed``, each of shape
+    (n,): ``simulate._contacts`` of one window drawn from ``trial_rng``."""
+    n = params.n
+    return _contacts(params, trial_rng(seed, t, n).random(_window(n)), mode)
 
 
 def episode(params: GameParams, probs, rng, mode: str = MODEL) -> tuple:

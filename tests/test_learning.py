@@ -299,7 +299,7 @@ class TestLearnStream:
     @pytest.mark.parametrize("scenario", [dict(n=1), dict(n=7), dict(n=40), dict(lam=0.0)])
     def test_short_runs_are_prefixes_across_block_boundaries(self, contact_mode, scenario):
         params = make_params(**scenario)
-        block = max(1, learning._DRAWS // simulate._window(params.n))
+        block = max(1, simulate._DRAWS // simulate._window(params.n))
         long = recorded_arrays(params, 3 * block + 5, seed=21, contact_mode=contact_mode)
         for horizon in (1, block - 1, block, block + 1, 3 * block):
             short = recorded_arrays(params, horizon, seed=21, contact_mode=contact_mode)

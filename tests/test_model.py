@@ -20,10 +20,11 @@ from dtnsat.model import (
     relay_payoffs,
     storage_energy,
 )
-from dtnsat.simulate import MODEL, _contacts, _window, episode_rng
+from dtnsat.simulate import MODEL, _contacts, _window, _windows, episode_rng
 from conftest import cohort_payoffs, make_params
 from oracles import CohortTooLargeError, OracleDomainError, delivery_share_bruteforce, \
-    exact_mixed, exact_profile_payoffs, tagged_indifference_reward, with_param
+    exact_mixed, exact_profile_delivery, exact_profile_payoffs, tagged_indifference_reward, \
+    with_param
 
 # frozen with 50-digit arithmetic for lam=0.015, tau=100
 P_C = 0.7768698398515702
@@ -331,20 +332,26 @@ class TestExactProfilePayoffs:
     """The cohort scoring under one accept probability per relay, against
     the exact Poisson-binomial oracle; a gap is accept minus decline."""
 
+    # a spread profile, and the two near-pure ones at zero reward
+    SPREAD = (0.9, 0.7, 0.5, 0.3, 0.2, 0.1, 0.05)
+    COHORT_OF_3 = (0.999,) * 3 + (0.001,) * 4
+    FULL_COHORT = (0.999,) * 7
+
     @pytest.mark.parametrize("n, p", [(1, 0.5), (3, 0.3), (7, 0.0), (7, 0.05), (7, 0.5),
                                       (7, 0.999), (7, 1.0)])
     def test_a_symmetric_profile_mixes_to_the_exact_mixed_utility(self, n, p):
         params = make_params(n=n)
         alpha = solve_ese(make_params()).alpha_star
-        _, utility = exact_mixed(params, p, alpha)
+        delivery, utility = exact_mixed(params, p, alpha)
         for accept, decline in exact_profile_payoffs(params, [p] * n, alpha):
             assert Fraction(p) * accept + (1 - Fraction(p)) * decline == utility
+        assert exact_profile_delivery(params, [p] * n) == delivery
 
     def test_relay_gap_meets_the_scored_windows(self):
         # relay 0 scored both ways on 100000 windows of seed 3, its
         # opponents' actions drawn from the flips of the profile
         params, alpha, windows = make_params(), 0.3, 100_000
-        probs = np.array([0.9, 0.7, 0.5, 0.3, 0.2, 0.1, 0.05])
+        probs = np.array(self.SPREAD)
         accept, decline = exact_profile_payoffs(params, probs.tolist(), alpha)[0]
         exact = float(accept - decline)
         assert exact == pytest.approx(0.25559, abs=5e-6)
@@ -358,17 +365,31 @@ class TestExactProfilePayoffs:
 
     @pytest.mark.parametrize("probs, gaps", [
         # the cohort of 3: neither the three nor the four gain by switching
-        ((0.999,) * 3 + (0.001,) * 4, (0.01476,) * 3 + (-0.00127,) * 4),
+        (COHORT_OF_3, (0.01476,) * 3 + (-0.00127,) * 4),
         # the full cohort: each relay gains 0.0226 by declining
-        ((0.999,) * 7, (-0.02256,) * 7),
+        (FULL_COHORT, (-0.02256,) * 7),
     ], ids=["cohort-of-3", "full-cohort"])
     def test_near_pure_profiles_at_zero_reward(self, probs, gaps):
         payoffs = exact_profile_payoffs(make_params(), probs, 0.0)
         assert [float(a - d) for a, d in payoffs] == pytest.approx(gaps, abs=5e-6)
 
+    @pytest.mark.parametrize("probs", [SPREAD, COHORT_OF_3, FULL_COHORT],
+                             ids=["spread", "cohort-of-3", "full-cohort"])
+    def test_delivery_meets_the_drawn_windows(self, probs):
+        # relay j accepts where its flip is below p_j on 100000 windows of
+        # seed 3; an acceptance delivers where both contacts fall in time
+        params, windows = make_params(), 100_000
+        exact = float(exact_profile_delivery(params, probs))
+        flips, reach = map(np.concatenate, zip(*_windows(params, 3, windows, MODEL)))
+        got = np.count_nonzero(((flips < np.array(probs)) & reach).any(axis=1)) / windows
+        se = math.sqrt(exact * (1.0 - exact) / windows)
+        assert abs(got - exact) <= 3 * se, (got, exact, (got - exact) / se)
+
     def test_a_profile_needs_one_probability_per_relay(self):
         with pytest.raises(OracleDomainError, match="one probability per relay, got 6"):
             exact_profile_payoffs(make_params(), [0.5] * 6, 0.3)
+        with pytest.raises(OracleDomainError, match="one probability per relay, got 6"):
+            exact_profile_delivery(make_params(), [0.5] * 6)
 
 
 def binomial_tagged_payoffs(alpha, p, params):

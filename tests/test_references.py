@@ -151,7 +151,7 @@ def unread_public_names(package: Path) -> list[str]:
 def test_every_private_name_is_used():
     defined = {name for path in PACKAGE.glob("*.py")
                for name in private_definitions(ast.parse(path.read_text(encoding="utf-8")))}
-    assert len(defined) == 48
+    assert len(defined) == 49
     assert unused_private_names(PACKAGE) == []
 
 
@@ -234,7 +234,7 @@ def test_a_stray_raise_fails(tmp_path):
 # model._cohort_payoffs or its binomial mean
 PAYOFF_RULE = ("delivery_share", "relay_payoffs")
 # the episode stream, all that learning takes from simulate
-STREAM = {"MODEL", "_contacts", "_index", "_window", "episode_rng"}
+STREAM = {"MODEL", "_index", "_windows"}
 
 
 def payoff_rule_calls(package: Path) -> list[str]:
@@ -288,7 +288,7 @@ def test_learning_takes_only_the_stream_from_simulate():
 def test_a_payoff_import_from_simulate_fails(tmp_path):
     (tmp_path / "learning.py").write_text(
         "from . import simulate\nfrom .model import _cohort_payoffs\n"
-        "from .simulate import MODEL, _cohort_shares, episode_rng\n", encoding="utf-8")
+        "from .simulate import MODEL, _cohort_shares, _windows\n", encoding="utf-8")
     assert simulate_imports(tmp_path / "learning.py") - STREAM == {"_cohort_shares", "simulate"}
 
 

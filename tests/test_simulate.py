@@ -3,6 +3,7 @@ import math
 import re
 import statistics
 import warnings
+from itertools import chain
 
 import numpy as np
 import pytest
@@ -22,8 +23,10 @@ from dtnsat.simulate import (
     EstimateWithCI,
     PHYSICAL,
     _contacts,
+    _draw_trials,
     _summarize,
     _window,
+    _windows,
     estimate_delivery,
     episode_rng,
     estimate_relay_utility,
@@ -32,7 +35,7 @@ from dtnsat.simulate import (
 from dtnsat.equilibrium import solve_ese
 from dtnsat.learning import EPISODE, FEEDS, run_coupled
 from conftest import cohort_payoffs, make_params
-from oracles import episode, score_relays, trial_rng
+from oracles import episode, score_relays, trial_rng, trial_window
 
 # frozen single-relay delivery probabilities at lam=0.015, tau=100
 MODEL_ONE_RELAY = 0.60352674807100429     # p_c * (1 - q)
@@ -56,13 +59,13 @@ def exponentials(params, u):
 class TestEpisode:
     def test_seed_determinism(self, base_params):
         probs = 0.4
-        a = simulate_episode(base_params, probs, trial_rng(9, 3, 7))
-        b = simulate_episode(base_params, probs, trial_rng(9, 3, 7))
+        a = simulate_episode(*trial_window(base_params, 9, 3), probs)
+        b = simulate_episode(*trial_window(base_params, 9, 3), probs)
         assert (a[0].tolist(), a[1]) == (b[0].tolist(), b[1])
 
     def test_trials_use_independent_streams(self, base_params):
         probs = 0.5
-        outcomes = {tuple(simulate_episode(base_params, probs, trial_rng(9, t, 7))[0])
+        outcomes = {tuple(simulate_episode(*trial_window(base_params, 9, t), probs)[0])
                     for t in range(10)}
         assert len(outcomes) > 1
 
@@ -76,14 +79,14 @@ class TestEpisode:
             flips, reach = _contacts(base_params, u, mode)
             accepted = flips < np.full(7, 0.3)
             success = accepted & reach
-            delivered = simulate_episode(base_params, 0.3, trial_rng(17, t, 7), mode)[1]
+            delivered = simulate_episode(*trial_window(base_params, 17, t, mode), 0.3)[1]
             source_t, dest_t = source_e / lam, dest_e / lam
             finish = dest_t if mode == MODEL else source_t + dest_t
             assert delivered == success.any()
             assert (accepted & (source_t <= tau) & (finish <= tau))[success].all()
 
     def test_nobody_caches_when_nobody_accepts(self, base_params):
-        accepted, delivered = simulate_episode(base_params, 0.0, episode_rng(5))
+        accepted, delivered = simulate_episode(*trial_window(base_params, 5, 0), 0.0)
         utilities = score(base_params, accepted, 2.0)
         assert not accepted.any()
         assert not delivered
@@ -93,7 +96,7 @@ class TestEpisode:
 
     def test_zero_rate_episode(self):
         params = make_params(lam=0.0)
-        accepted, delivered = simulate_episode(params, 1.0, episode_rng(1))
+        accepted, delivered = simulate_episode(*trial_window(params, 1, 0), 1.0)
         utilities = score(params, accepted, 1.0)
         assert not delivered
         assert accepted.all()
@@ -102,7 +105,7 @@ class TestEpisode:
         assert all(u == pytest.approx(expect) for u in utilities)
 
     def test_utilities_match_cohort_convention(self, base_params):
-        accepted, _ = simulate_episode(base_params, 0.6, trial_rng(23, 11, 7))
+        accepted, _ = simulate_episode(*trial_window(base_params, 23, 11), 0.6)
         utilities = score(base_params, accepted, 1.3)
         n_accept = accepted.sum()
         for acc, u in zip(accepted, utilities):
@@ -113,76 +116,72 @@ class TestEpisode:
     def test_monotone_coupling_in_accept_prob(self, base_params):
         # identical draws, higher p: delivery can only switch off -> on
         for t in range(200):
-            low = simulate_episode(base_params, 0.2, trial_rng(31, t, 7))
-            high = simulate_episode(base_params, 0.8, trial_rng(31, t, 7))
+            low = simulate_episode(*trial_window(base_params, 31, t), 0.2)
+            high = simulate_episode(*trial_window(base_params, 31, t), 0.8)
             assert high[1] >= low[1]
 
     def test_bad_inputs(self, base_params):
         with pytest.raises(ValueError):
-            simulate_episode(base_params, 1.5, episode_rng(1))
+            simulate_episode(*trial_window(base_params, 1, 0), 1.5)
         with pytest.raises(ValueError):
-            simulate_episode(base_params, 0.5, episode_rng(1), mode="exact")
+            simulate_episode(*trial_window(base_params, 1, 0, mode="exact"), 0.5)
 
     def test_nan_accept_probability_rejected(self, base_params):
         # NaN fails both ordered comparisons, so it must not pass as "in range"
         with pytest.raises(ValueError, match="got nan"):
-            simulate_episode(base_params, math.nan, episode_rng(1))
+            simulate_episode(*trial_window(base_params, 1, 0), math.nan)
         with pytest.raises(ValueError, match="got -0.1"):
-            simulate_episode(base_params, -0.1, episode_rng(1))
+            simulate_episode(*trial_window(base_params, 1, 0), -0.1)
 
     def test_range_check_edges(self):
         params = make_params(n=40)
         for edge in (-0.0, 1.0):
-            simulate_episode(params, edge, episode_rng(1))
+            simulate_episode(*trial_window(params, 1, 0), edge)
         for outside in (np.nextafter(0.0, -1.0), np.nextafter(1.0, 2.0)):
             with pytest.raises(ValueError, match=f"got {outside}$"):
-                simulate_episode(params, outside, episode_rng(1))
+                simulate_episode(*trial_window(params, 1, 0), outside)
 
     @pytest.mark.parametrize("shape", [(7, 1), (1, 7), (), (7, 7)])
     def test_accept_probabilities_must_be_one_per_relay(self, base_params, shape):
         probs = np.full(shape, 0.5)
         with pytest.raises(ValueError, match=f"got {re.escape(repr(probs))}$"):
-            simulate_episode(base_params, probs, episode_rng(1))
+            simulate_episode(*trial_window(base_params, 1, 0), probs)
 
     @pytest.mark.parametrize("prob", [1, 0, True, np.float32(0.5)])
     def test_only_a_python_or_numpy_double_is_a_shared_probability(self, base_params, prob):
         with pytest.raises(ValueError, match=f"got {re.escape(repr(prob))}$"):
-            simulate_episode(base_params, prob, episode_rng(1))
+            simulate_episode(*trial_window(base_params, 1, 0), prob)
 
     @pytest.mark.parametrize("n", [1, 7, 40])
     @pytest.mark.parametrize("mode", [MODEL, PHYSICAL])
     @pytest.mark.parametrize("p", [0.0, -0.0, 5e-324, 0.3, 1.0])
     @pytest.mark.parametrize("form", [float, np.float64])
     def test_shared_probability_equals_one_per_relay(self, n, mode, p, form):
-        """One float for every relay draws the same episodes, bit for bit,
-        as the per-relay oracle episode with the list ``[p] * n``, and leaves
-        the generator in the same place."""
+        """One float for every relay scores the same episodes, bit for bit,
+        as the per-relay oracle episode with the list ``[p] * n``."""
         params = make_params(n=n)
-        shared_rng, listed_rng = episode_rng(11), episode_rng(11)
-        shared = [simulate_episode(params, form(p), shared_rng, mode) for _ in range(200)]
+        listed_rng = episode_rng(11)
+        shared = [simulate_episode(*trial_window(params, 11, t, mode), form(p))
+                  for t in range(200)]
         listed = [episode(params, [p] * n, listed_rng, mode) for _ in range(200)]
         assert np.array_equal(np.array([a for a, _ in shared]), np.array([a for a, _ in listed]))
         assert [d for _, d in shared] == [d for _, d in listed]
         assert all(a.shape == (n,) and a.dtype == bool for a, _ in shared)
-        assert shared_rng.random() == listed_rng.random()
 
     @pytest.mark.parametrize("p", [np.nextafter(0.0, -1.0), np.nextafter(1.0, 2.0),
                                    math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("form", [float, np.float64])
     def test_shared_probability_out_of_range_named(self, base_params, p, form):
-        rng = episode_rng(1)
         with pytest.raises(ValueError, match=rf"must lie in \[0, 1\], got {re.escape(str(p))}$"):
-            simulate_episode(base_params, form(p), rng)
-        # rejected before any draw: the generator still sits at window 0
-        assert rng.random() == episode_rng(1).random()
+            simulate_episode(*trial_window(base_params, 1, 0), form(p))
 
     @pytest.mark.parametrize("estimator", [estimate_delivery, estimate_relay_utility])
     def test_estimators_pass_one_shared_double(self, base_params, monkeypatch, estimator):
         seen = []
 
-        def spy(params, accept_probs, rng, mode):
-            seen.append(accept_probs)
-            return episode(params, accept_probs, rng, mode)
+        def spy(flips, reach, accept_prob):
+            seen.append(accept_prob)
+            return episode(flips, reach, accept_prob)
 
         episode = simulate.simulate_episode
         monkeypatch.setattr(simulate, "simulate_episode", spy)
@@ -293,7 +292,7 @@ class TestEstimateDelivery:
         probs = 0.5
         hits = np.empty(300)
         for t in reversed(range(300)):
-            hits[t] = simulate_episode(base_params, probs, trial_rng(8, t, 7))[1]
+            hits[t] = simulate_episode(*trial_window(base_params, 8, t), probs)[1]
         assert est.mean == pytest.approx(sum(hits) / 300)
         assert est == _summarize(hits)
 
@@ -317,7 +316,7 @@ class TestEstimateRelayUtility:
         probs = 0.4
         values = np.empty(300)
         for t in reversed(range(300)):
-            accepted = simulate_episode(base_params, probs, trial_rng(8, t, 7))[0]
+            accepted = simulate_episode(*trial_window(base_params, 8, t), probs)[0]
             values[t] = score(base_params, accepted, 1.2)[0]
         assert est.mean == pytest.approx(sum(values) / 300)
         assert est == _summarize(values)
@@ -445,7 +444,7 @@ class TestEstimateWithCI:
     def test_stderr_definition(self, base_params):
         est = estimate_delivery(base_params, 0.5, 400, seed=5)
         probs = 0.5
-        hits = [float(simulate_episode(base_params, probs, trial_rng(5, t, 7))[1])
+        hits = [float(simulate_episode(*trial_window(base_params, 5, t), probs)[1])
                 for t in range(400)]
         expect = statistics.stdev(hits) / 400 ** 0.5
         assert est.stderr == pytest.approx(expect, rel=1e-12)
@@ -488,7 +487,7 @@ class TestStreamContract:
         params = make_params(n=3)
         delivered, utility = np.empty((2, 200))
         for t in reversed(range(200)):
-            accepted, hit = simulate_episode(params, 0.6, trial_rng(4, t, 3), mode)
+            accepted, hit = simulate_episode(*trial_window(params, 4, t, mode), 0.6)
             delivered[t], utility[t] = hit, score(params, accepted, 0.9)[0]
         assert estimate_delivery(params, 0.6, 200, 4, mode) == _summarize(delivered)
         assert estimate_relay_utility(params, 0.6, 0.9, 200, 4, mode) == _summarize(utility)
@@ -497,10 +496,10 @@ class TestStreamContract:
         # at lambda = 0 no contact time is needed, yet trial t + 1 still reads
         # its own window: its flips match a fresh generator of trial t + 1
         zero = make_params(lam=0.0)
-        rng = episode_rng(3)
-        for t in range(20):
-            walked = simulate_episode(zero, 0.5, rng)[0]
-            fresh = simulate_episode(base_params, 0.5, trial_rng(3, t, 7))[0]
+        rows = chain.from_iterable(zip(*block) for block in _windows(zero, 3, 20, MODEL))
+        for t, (flips, reach) in enumerate(rows):
+            walked = simulate_episode(flips, reach, 0.5)[0]
+            fresh = simulate_episode(*trial_window(base_params, 3, t), 0.5)[0]
             assert np.array_equal(walked, fresh)
 
     def test_same_seed_same_bytes(self, base_params):
@@ -605,6 +604,50 @@ class TestStreamContract:
                 == estimate_delivery(base_params, 0.3, 200, 7))
         assert np.array_equal(episode_rng(np.uint8(5)).random(_window(7)),
                               episode_rng(5).random(_window(7)))
+
+
+
+class TestBlockReader:
+    """A trial's result does not depend on the block size: one window per
+    block, a block that does not divide the count, and the default budget
+    read the same windows and give the same arrays."""
+
+    COUNT = 400  # more than two default blocks of n = 7 windows
+
+    @staticmethod
+    def block_sizes(n):
+        return (1, 7 * _window(n), simulate._DRAWS)
+
+    @pytest.mark.parametrize("mode", [MODEL, PHYSICAL])
+    def test_blocks_are_the_trial_windows(self, monkeypatch, base_params, mode):
+        width = _window(base_params.n)
+        for draws in self.block_sizes(base_params.n):
+            monkeypatch.setattr(simulate, "_DRAWS", draws)
+            blocks = list(_windows(base_params, 5, self.COUNT, mode))
+            assert all(len(flips) <= max(1, draws // width) for flips, _ in blocks)
+            flips, reach = map(np.concatenate, zip(*blocks))
+            assert flips.shape == reach.shape == (self.COUNT, base_params.n)
+            for t in range(self.COUNT):
+                want = trial_window(base_params, 5, t, mode)
+                assert np.array_equal(flips[t], want[0]) and np.array_equal(reach[t], want[1])
+
+    @pytest.mark.parametrize("mode", [MODEL, PHYSICAL])
+    def test_results_do_not_depend_on_the_block_size(self, monkeypatch, base_params, mode):
+        runs = []
+        for draws in self.block_sizes(base_params.n):
+            monkeypatch.setattr(simulate, "_DRAWS", draws)
+            trials = _draw_trials(base_params, 0.4, self.COUNT, 5, mode)
+            estimates = (estimate_delivery(base_params, 0.4, self.COUNT, 5, mode),
+                         estimate_relay_utility(base_params, 0.4, 1.0, self.COUNT, 5, mode))
+            traj = run_coupled(base_params, self.COUNT, 5, contact_mode=mode)
+            runs.append((trials, estimates, traj))
+        (trials, estimates, traj), *others = runs
+        for other_trials, other_estimates, other_traj in others:
+            assert all(np.array_equal(a, b) for a, b in zip(trials, other_trials))
+            assert other_estimates == estimates
+            assert all(np.array_equal(getattr(traj, name), getattr(other_traj, name))
+                       for name in ("alpha", "u_s_est", "accept_probs", "n_accept",
+                                    "delivered"))
 
 
 # the estimators at 2000 trials and seed 7, reward 1.0; pinned from the

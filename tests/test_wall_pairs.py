@@ -1,9 +1,12 @@
 """``tools/wall_pairs.py`` runs alternating pairs of one workload and prints
 each pair's gated metrics, each metric's spread and verdict, and the failed
-calls of both sides, then all of it again as one JSON line."""
+calls of both sides, then all of it again as one JSON line; a side named by
+a git revision runs on an export that is removed afterwards."""
 import json
+import os
 import re
 import runpy
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -30,6 +33,7 @@ def test_one_closed_form_pair_against_itself():
     # the JSON line holds what the lines above print
     record = json.loads(last)
     assert (record["workload"], record["seed"]) == ("closed-form", 1)
+    assert record["revisions"] == {"parent": None, "change": None}
     (only,) = record["pairs"]
     assert only["first"] == "parent"
     calls = failed.removeprefix("failed calls: ").split(", ")
@@ -48,6 +52,35 @@ def test_one_closed_form_pair_against_itself():
             "change": {"median": float(c_med), "q1": float(c_q1), "q3": float(c_q3)},
             "change_lower_in": lower, "gain_holds": holds == "yes"}
     assert summary == {}
+
+
+def test_a_revision_is_exported_recorded_and_removed(tmp_path):
+    # a repository of its own, so that the revision and its tree are known
+    repo = tmp_path / "repo"
+    for part in ("src", "perfbench", "tools"):
+        shutil.copytree(ROOT / part, repo / part, ignore=shutil.ignore_patterns("__pycache__"))
+    git = ["git", "-C", str(repo), "-c", "user.name=bench", "-c", "user.email=bench@localhost",
+           "-c", "commit.gpgsign=false"]
+    for args in (["init", "-q"], ["add", "-A"], ["commit", "-q", "-m", "tree"]):
+        subprocess.run(git + args, check=True)
+    commit = subprocess.run(git + ["rev-parse", "HEAD"], capture_output=True, text=True,
+                            check=True).stdout.strip()
+    scratch = tmp_path / "tmp"
+    scratch.mkdir()
+    tool = [sys.executable, str(repo / "tools" / "wall_pairs.py")]
+    env = dict(os.environ, TMPDIR=str(scratch))
+    out = subprocess.run(tool + ["HEAD", str(repo), "closed-form", "1", "1"], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    record = json.loads(out.splitlines()[-1])
+    assert record["revisions"] == {"parent": commit, "change": None}
+    assert record["summary"]["failed_calls"]["parent"].startswith("0/")
+    assert list(scratch.iterdir()) == []
+
+    missing = subprocess.run(tool + ["no-such-revision", str(repo), "closed-form", "1", "1"],
+                             env=env, capture_output=True, text=True)
+    assert missing.returncode != 0
+    assert missing.stderr.strip() == "no-such-revision: neither a checkout nor a git revision"
+    assert list(scratch.iterdir()) == []
 
 
 def test_a_gain_needs_nine_tenths_of_the_pairs_and_a_gap_past_the_spread(monkeypatch):

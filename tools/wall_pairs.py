@@ -2,8 +2,11 @@
 
     python3 tools/wall_pairs.py PARENT CHANGE WORKLOAD SEED PAIRS
 
-PARENT and CHANGE are the roots of two dtnsat checkouts.  Each pair runs
-one repetition of WORKLOAD at SEED (size ``full``) on each side, through
+PARENT and CHANGE are each the root of a dtnsat checkout or a git revision
+of the repository this tool lives in; a directory wins where a name is
+both.  A revision is exported with ``git archive`` into a temporary
+directory that is removed when the pairs end.  Each pair runs one
+repetition of WORKLOAD at SEED (size ``full``) on each side, through
 ``run_worker`` of this checkout's ``perfbench/run.py``, so both sides run
 the same benchmark code on their own ``src/``, in the worker environment
 that ``run.main`` builds.  The side that runs first alternates from pair to
@@ -13,12 +16,14 @@ the number of pairs in which the change reads lower, and whether a gain may
 be claimed: the change lower in at least 9/10 of the pairs, and the gap
 between the medians wider than the parent's interquartile range; then the
 failed calls of each side; and last all of that as one JSON object: the
-workload and seed, each pair's gated metrics and failed calls per side with
-the side that ran first, and each metric's medians, quartiles, lower count
-and verdict.
+workload and seed, the commit each side was exported from (null for a
+checkout), each pair's gated metrics and failed calls per side with the
+side that ran first, and each metric's medians, quartiles, lower count and
+verdict.
 """
 import json
 import os
+import subprocess
 import sys
 import tempfile
 
@@ -51,6 +56,21 @@ def gain_holds(parent: list[float], change: list[float]) -> tuple[int, bool]:
     return lower, 10 * lower >= 9 * len(parent) and gap > spread["q3"] - spread["q1"]
 
 
+def export(revision: str, into: str) -> str:
+    """Write the tree of ``revision`` into the new directory ``into`` with
+    ``git archive``; return its commit id."""
+    git = ["git", "-C", ROOT]
+    try:
+        commit = subprocess.run(git + ["rev-parse", "--verify", "--quiet", revision + "^{commit}"],
+                                capture_output=True, text=True, check=True).stdout.strip()
+    except subprocess.CalledProcessError:
+        raise SystemExit(f"{revision}: neither a checkout nor a git revision") from None
+    os.mkdir(into)
+    archive = subprocess.run(git + ["archive", commit], capture_output=True, check=True).stdout
+    subprocess.run(["tar", "-x", "-C", into], input=archive, check=True)
+    return commit
+
+
 def main(argv: list[str]) -> None:
     if len(argv) != 5 or argv[2] not in WORKLOADS:
         raise SystemExit(__doc__)
@@ -60,16 +80,20 @@ def main(argv: list[str]) -> None:
         raise SystemExit(__doc__) from None
     if seed < 0 or pairs < 1:
         raise SystemExit(__doc__)
-    roots = dict(zip(SIDES, map(os.path.abspath, argv[:2])))
-    for side, root in roots.items():
-        if not os.path.isfile(os.path.join(root, "src", "dtnsat", "cli.py")):
-            raise SystemExit(f"{side}: no dtnsat sources under {root}/src")
     env = dict(os.environ, PYTHONHASHSEED="0", **{v: "1" for v in THREAD_VARS})
     env.pop("PYTHONPATH", None)
 
     reps = {side: [] for side in SIDES}
     pair_records = []
     with tempfile.TemporaryDirectory() as workdir:
+        roots, revisions = {}, {}
+        for side, name in zip(SIDES, argv[:2]):
+            roots[side], revisions[side] = os.path.abspath(name), None
+            if not os.path.isdir(name):
+                roots[side] = os.path.join(workdir, side)
+                revisions[side] = export(name, roots[side])
+            if not os.path.isfile(os.path.join(roots[side], "src", "dtnsat", "cli.py")):
+                raise SystemExit(f"{side}: no dtnsat sources under {roots[side]}/src")
         for i in range(pairs):
             order = SIDES if i % 2 == 0 else SIDES[::-1]
             for side in order:
@@ -98,8 +122,8 @@ def main(argv: list[str]) -> None:
              for side in SIDES}
     print("failed calls: " + ", ".join(f"{side} {calls[side]}" for side in SIDES))
     summary["failed_calls"] = calls
-    print(json.dumps({"workload": argv[2], "seed": seed, "pairs": pair_records,
-                      "summary": summary}))
+    print(json.dumps({"workload": argv[2], "seed": seed, "revisions": revisions,
+                      "pairs": pair_records, "summary": summary}))
 
 
 if __name__ == "__main__":
