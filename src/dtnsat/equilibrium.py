@@ -1,16 +1,17 @@
 """The paper's reduced model in closed form: equilibrium solvers and efficiency checks.
 
-The solvers invert the reduced relay payoff, :func:`reduced_payoffs`:
-caching cost is linearized to e*(1-q)/lam and the failure regret is weighted
-by the full fleet size n rather than by the accepting cohort alone; each
-returned reward is the root of the accept-minus-reject gap of that payoff,
-pure at cohort m or mixed at common p.  The simulator and the mixed
-utilities in :mod:`dtnsat.model` pay the game's payoff,
-:func:`dtnsat.model.relay_payoffs`, where a relay with k accepting
-opponents holds the share of cohort k+1.  The two disagree by far more than
-rounding: at the reference binding point (p* = 0.0549, alpha* = 0.7668) a
-relay's mixed accept/reject payoffs are 0.460/-0.675 under the game's payoff
-and -0.173/-0.173 under the reduced one, so the binding point is no relay
+The solvers invert the reduced relay payoff,
+:func:`dtnsat.model.reduced_payoffs`: caching cost is linearized to
+e*(1-q)/lam and the failure regret is weighted by the full fleet size n
+rather than by the accepting cohort alone; each returned reward is the root
+of the accept-minus-reject gap of that payoff, pure at cohort m or mixed at
+common p.  The simulator and the mixed utilities pay the game's payoff,
+:func:`dtnsat.model.relay_payoffs`, where a relay with k accepting opponents
+holds the share of cohort k+1; :mod:`dtnsat.model` states both through its
+one payoff rule.  The two disagree by far more than rounding: at the
+reference binding point (p* = 0.0549, alpha* = 0.7668) a relay's mixed
+accept/reject payoffs are 0.460/-0.675 under the game's payoff and
+-0.173/-0.173 under the reduced one, so the binding point is no relay
 equilibrium of the game.
 
 The mixed solvers are one column kernel, :func:`_mixed_column`: it takes a
@@ -22,18 +23,18 @@ and feed the CSV modes; :func:`solve_ese` is :func:`ese_columns` at one
 point.  The pure candidates are one column too, :func:`pse_columns`: each
 point expands to one row per cohort from its QoS bound to n.  Both kernels
 meet a sweep in one place, :func:`_sweep_point`: it sets the swept variable
-and gives the fleet and QoS and, at each point, the failure
-probability ``q`` and contact probability ``reach`` that
-:class:`dtnsat.model.GameParams` keeps, and the reduced cooperation cost,
-which has no other implementation.  The ``mean-field`` learner feed reads
-that cost at its one point and pays :func:`reduced_payoffs` with it.  The
-columns use numpy only for ``+ - * /``, comparisons and selection, which
+and gives the fleet and QoS and, at each point, the failure probability
+``q`` that :class:`dtnsat.model.GameParams` keeps, the per-relay success
+s = (1 - q)*reach at p = 1, and the reduced cooperation cost, which has no
+other implementation.  The ``mean-field`` learner feed reads s and that cost
+at its one point and pays :func:`dtnsat.model.reduced_payoffs` with them.
+The columns use numpy only for ``+ - * /``, comparisons and selection, which
 IEEE rounds alike in numpy and in Python floats; ``exp``, ``expm1``,
 ``log1p`` and the pure ``q**m`` are Python's own, mapped over the column,
-because numpy's differ from them in the last bit on a few percent of
-inputs.  So every point keeps the bits of the scalar functions that the
-columns restate elementwise: those of :mod:`dtnsat.model`, and the scalar
-reduced cost that the test oracles keep.
+because numpy's differ from them in the last bit on a few percent of inputs.
+So every point keeps the bits of the scalar functions that the columns
+restate elementwise: those of :mod:`dtnsat.model`, and the scalar reduced
+cost that the test oracles keep.
 """
 from __future__ import annotations
 
@@ -64,17 +65,6 @@ class FloatRangeError(ValueError):
 BISECTION_TOL = 1e-6
 # strictly-better margin of the dominance check, guards float noise
 DOMINANCE_MARGIN = 1e-9
-
-
-def reduced_payoffs(alpha, cohort, success, miss, cost, params: GameParams):
-    """The solvers' (accept, reject) payoffs of a relay in a ``cohort`` that
-    delivers with probability ``success`` and misses with ``miss``: share
-    success/cohort, regret sigma*(n - 1 + miss)/cohort and the reduced
-    cooperation ``cost`` of :func:`_sweep_point`.  Works elementwise on
-    numpy arrays."""
-    share = success / cohort
-    regret = params.sigma * (params.n - 1 + miss) / cohort
-    return alpha * share - regret - cost, -alpha * share - params.gamma
 
 
 @dataclass(frozen=True)
@@ -141,10 +131,11 @@ def _any_delivers_column(z, n):
 
 
 def _sweep_point(params: GameParams, var: Optional[str], values):
-    """(n, delta, q, reach, cost) of ``params`` with the sweepable ``var``
-    (None for none) set to the float array of ``values``: the fleet, the QoS
-    and, elementwise at x = lam*tau, the failure probability exp(-x), the
-    contact probability -expm1(-x) and the reduced cooperation cost."""
+    """(n, delta, q, s, cost) of ``params`` with the sweepable ``var`` (None
+    for none) set to the float array of ``values``: the fleet, the QoS and,
+    elementwise at x = lam*tau, the failure probability q = exp(-x), the
+    per-relay success s = (1 - q)*reach at p = 1, with reach = -expm1(-x)
+    the contact probability, and the reduced cooperation cost."""
     point = {"lambda": params.lam, "tau": params.tau, "n": params.n, "delta": params.delta}
     if var is not None:
         point[var] = np.asarray(values, dtype=float)
@@ -156,7 +147,7 @@ def _sweep_point(params: GameParams, var: Optional[str], values):
         stored = np.where(stored < sys.float_info.min,
                           e * tau * np.where(x > 0, reach / x, 1.0), stored / lam)
         cost = params.e_receive + params.e_transmit + stored
-    return point["n"], point["delta"], q, reach, cost
+    return point["n"], point["delta"], q, (1.0 - q) * reach, cost
 
 
 @dataclass(frozen=True)
@@ -182,10 +173,9 @@ def _mixed_column(params: GameParams, var: Optional[str] = None, values=(),
     to each of ``values``.  The reward and its success are taken at p, by
     default at min(p_min, 1).  Raises nothing: the callers check the points.
     """
-    n, delta, q, reach, cost = _sweep_point(params, var, values)
+    n, delta, _, ceiling, cost = _sweep_point(params, var, values)
     # the masked-out points divide by zero and overflow: numpy must not warn
     with np.errstate(all="ignore"):
-        ceiling = (1.0 - q) * reach
         # 1 - (1 - delta)**(1/n), which would round to 0 for a tiny delta
         bound = -_map(math.expm1, _map(math.log1p, -delta) / n)
         p_min = np.where(ceiling > 0.0, bound / ceiling, math.inf)

@@ -31,10 +31,10 @@ reads window i of the simulator's stream.  Relay payoffs can be fed two ways:
     -0.20 at step 5000).
 
 ``mean-field``
-    Each relay is paid :func:`dtnsat.equilibrium.reduced_payoffs` of the
-    fleet at the published reward and the mean accept probability p, with
-    z = :func:`dtnsat.model.per_relay_success` at p and the reduced cost
-    read once per run from :func:`dtnsat.equilibrium._sweep_point`.  The
+    Each relay is paid :func:`dtnsat.model.reduced_payoffs` of the fleet at
+    the published reward and the mean accept probability p, with z = s*p,
+    where s, the per-relay success at p = 1, and the reduced cost are read
+    once per run from :func:`dtnsat.equilibrium._sweep_point`.  The
     coupled fixed point is then exactly the binding equilibrium returned by
     :func:`dtnsat.equilibrium.solve_ese` (see the fixed-point tests), but
     the stochastic dynamics do not settle there: at the reference scenario
@@ -50,8 +50,8 @@ from itertools import chain
 
 import numpy as np
 
-from .equilibrium import _sweep_point, reduced_payoffs
-from .model import GameParams, _any_delivers, _cohort_payoffs, _cohort_shares, per_relay_success
+from .equilibrium import _sweep_point
+from .model import GameParams, _any_delivers, _cohort_payoffs, _cohort_shares, reduced_payoffs
 from .simulate import MODEL, _index, _windows
 
 # every accept probability stays in [PROB_FLOOR, 1 - PROB_FLOOR]
@@ -83,8 +83,8 @@ def _relay_update(p: list[float], est: tuple[list[float], list[float]], accepted
     ``est`` is the pair (accept estimates, decline estimates).
 
     Only the played estimate moves, by step ``m``.  The accept probability
-    then follows the imitative ratio rule.  Its exponents are clamped to
-    +-50, so extreme estimates cannot overflow, and the result into
+    then follows the imitative ratio rule.  Its two exponents are clamped
+    to +-50, so extreme estimates cannot overflow, and the result into
     [PROB_FLOOR, 1 - PROB_FLOOR], which keeps it interior under floating
     point as exact arithmetic would.  Each clamp is a conditional
     expression: a call per value costs more than the arithmetic.
@@ -101,10 +101,8 @@ def _relay_update(p: list[float], est: tuple[list[float], list[float]], accepted
         t_a, t_r = e_a * _LOG_STRATEGY_STEP, e_r * _LOG_STRATEGY_STEP
         t_a = -50.0 if t_a < -50.0 else 50.0 if t_a > 50.0 else t_a
         t_r = -50.0 if t_r < -50.0 else 50.0 if t_r > 50.0 else t_r
-        t = t_r - t_a
-        t = -50.0 if t < -50.0 else 50.0 if t > 50.0 else t
         # p' = p e^{t_a} / (p e^{t_a} + (1-p) e^{t_r}), stable form
-        q = 1.0 / (1.0 + (1.0 - q) / q * math.exp(t))
+        q = 1.0 / (1.0 + (1.0 - q) / q * math.exp(t_r - t_a))
         new_p.append(PROB_FLOOR if q < PROB_FLOOR else _P_HI if q > _P_HI else q)
     return new_p, (new_a, new_r)
 
@@ -158,7 +156,7 @@ def run_coupled(params: GameParams, horizon: int, seed: int,
     if feed == EPISODE:
         share = _cohort_shares(params)
     else:
-        ceiling, cost = per_relay_success(params, 1.0), _sweep_point(params, None, ())[4].item()
+        ceiling, cost = (column.item() for column in _sweep_point(params, None, ())[3:])
     alphas, estimates = np.empty((2, horizon))
     probs = np.empty((horizon, n))
     n_accept = np.empty(horizon, dtype=int)

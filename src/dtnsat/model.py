@@ -1,7 +1,8 @@
 """Closed-form contact, energy and utility formulas of the caching game, and
-its payoff rule: :func:`_cohort_payoffs` pays a realized cohort (the
-simulator and the learner score with it), :func:`expected_relay_utility_mixed`
-its binomial mean; the solvers' reduced payoff is in :mod:`dtnsat.equilibrium`.
+its one payoff rule, :func:`_payoff_pair`: :func:`_cohort_payoffs` pays a
+realized cohort (the simulator and the learner score with it),
+:func:`expected_relay_utility_mixed` its binomial mean, and
+:func:`reduced_payoffs` the solvers' reduced model.
 
 Everything here is a pure function over :class:`GameParams`, the one
 immutable record of the game's inputs and the one place they are checked
@@ -93,13 +94,28 @@ def storage_energy(params: GameParams) -> float:
     return scale * bracket if math.isfinite(scale) else params.e_store * (bracket / lam)
 
 
+def _payoff_pair(alpha, share, regret, cost, params: GameParams):
+    """The one (accept, reject) payoff rule of a relay holding ``share`` of
+    the reward alpha: accepting earns it less ``regret`` and ``cost``;
+    declining forfeits it and pays the regret gamma."""
+    return alpha * share - regret - cost, -alpha * share - params.gamma
+
+
 def relay_payoffs(alpha, share, params: GameParams):
     """The game's (accept, reject) payoffs of a relay holding ``share`` of the
-    reward alpha: accepting earns it less the regret sigma*(1 - share) and
-    the record's ``total_energy``; declining forfeits it and pays the
-    regret gamma.  Numpy arrays of shares work elementwise."""
-    return (alpha * share - params.sigma * (1.0 - share) - params.total_energy,
-            -alpha * share - params.gamma)
+    reward alpha: :func:`_payoff_pair` at the regret sigma*(1 - share) and
+    the record's ``total_energy``.  Numpy arrays of shares work elementwise."""
+    return _payoff_pair(alpha, share, params.sigma * (1.0 - share), params.total_energy, params)
+
+
+def reduced_payoffs(alpha, cohort, success, miss, cost, params: GameParams):
+    """The solvers' (accept, reject) payoffs of a relay in a ``cohort`` that
+    delivers with probability ``success`` and misses with ``miss``:
+    :func:`_payoff_pair` at share success/cohort, regret sigma*(n - 1 +
+    miss)/cohort and the reduced cooperation ``cost`` of
+    :func:`dtnsat.equilibrium._sweep_point`; elementwise on numpy arrays."""
+    return _payoff_pair(alpha, success / cohort, params.sigma * (params.n - 1 + miss) / cohort,
+                        cost, params)
 
 
 def delivery_share(n_active: int, q: float) -> float:

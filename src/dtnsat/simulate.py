@@ -161,6 +161,8 @@ def _draw_trials(params: GameParams, accept_prob: float, trials: int, seed: int,
         accepted, delivered = np.empty((trials, params.n), dtype=bool), np.empty(trials)
     except ValueError:  # numpy's refusal of a shape past its size or index range
         raise MemoryError from None
+    if not 0.0 <= prob <= 1.0:  # named before the reader draws its first block
+        raise ValueError(f"accept probabilities must lie in [0, 1], got {prob}")
     for t, (flips, reach) in enumerate(chain.from_iterable(zip(*block) for block in windows)):
         accepted[t], delivered[t] = simulate_episode(flips, reach, prob)
     return accepted, delivered

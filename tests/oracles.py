@@ -27,7 +27,6 @@ from dtnsat.equilibrium import (
     DegenerateContactError,
     EseSolution,
     FloatRangeError,
-    reduced_payoffs,
 )
 from dtnsat.model import (
     GameParams,
@@ -37,6 +36,7 @@ from dtnsat.model import (
     expected_relay_utility_mixed,
     expected_source_utility_mixed,
     per_relay_success,
+    reduced_payoffs,
 )
 from dtnsat.simulate import MODEL, _contacts, _window
 

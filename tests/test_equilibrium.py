@@ -9,19 +9,20 @@ import dtnsat.equilibrium as equilibrium
 import dtnsat.model as model
 from dtnsat.equilibrium import (
     DegenerateContactError,
+    _cohort_bound,
     _mixed_column,
     _sweep_point,
     minimum_satisfying_cohort,
     mse_columns,
     pareto_grid_scan,
     pse_columns,
-    reduced_payoffs,
     region_columns,
     solve_ese,
 )
 from dtnsat.model import (
     expected_relay_utility_mixed,
     expected_source_utility_mixed,
+    reduced_payoffs,
 )
 from conftest import make_params
 from oracles import mixed_indifference_gap, mixed_relay_payoffs, pareto_dominance_check, \
@@ -74,7 +75,7 @@ class TestReducedCooperationCost:
         # lam*tau = 1e-9 keeps the first-order offset of the cost below 1e-9
         assert reduced_cost(make_params(lam=0.0, tau=1.0)) == 2e-5 + 2e-5 + 3.8e-5 * 1.0
         assert reduced_cost(make_params(lam=0.0, tau=1.0)) == \
-            pytest.approx(reduced_cost(make_params(lam=1e-9, tau=1.0)), rel=1e-9)
+            pytest.approx(reduced_cost(make_params(lam=1e-9, tau=1.0)), rel=1e-9, abs=0)
 
     @pytest.mark.parametrize("lam,tau", [(5e-324, 100.0), (1e-320, 100.0),
                                          (1e-315, 100.0), (5e-324, 0.1)])
@@ -167,6 +168,14 @@ class TestPseColumns:
         assert 1.0 - q ** 2 >= params.delta
         assert minimum_satisfying_cohort(params) == 2
         assert pse_point(params)[0] == 2
+
+    def test_bound_well_above_an_integer_rounds_up(self):
+        # q = 0.5 and a ratio about 1e-10 above 3, beyond float noise: cohort
+        # 3 misses delta, so the bound is 4
+        q, delta = 0.5, 1.0 - 0.125 * 2.0 ** -1e-10
+        assert 1e-12 < math.log(1.0 - delta) / math.log(q) - 3.0 < 1e-9
+        assert 1.0 - q ** 3 < delta <= 1.0 - q ** 4
+        assert _cohort_bound(q, delta) == 4
 
     def test_infeasible_when_cohort_exceeds_fleet(self):
         n_a_min, alpha_star, _, feasible = pse_point(make_params(n=2, delta=0.999, lam=0.002,

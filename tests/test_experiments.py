@@ -568,7 +568,7 @@ class TestEmitCsv:
         assert lines[1] == "a,b"
         for text_row, row in zip(lines[2:], table):
             for text, value in zip(text_row.split(","), row):
-                assert float(text) == pytest.approx(value, rel=1e-11)
+                assert float(text) == pytest.approx(value, rel=1e-11, abs=0)
 
     def test_empty_table_keeps_header_and_metadata(self, tmp_path):
         table = ResultTable(columns=("x",), data=(np.empty(0),),
@@ -1018,7 +1018,7 @@ class TestCli:
         else:
             assert 0.0 < row["p_star"] < 1e-299
             assert row["alpha_star"] == 5.0 and row["alpha_clamped"] == 1.0
-            assert row["binding_delivery"] == pytest.approx(1e-300, rel=1e-9)
+            assert row["binding_delivery"] == pytest.approx(1e-300, rel=1e-9, abs=0)
 
     @pytest.mark.parametrize("mode", ["simulate", "learn"])
     def test_non_finite_payoff_fails_by_name(self, mode, tmp_path, capsys):

@@ -7,16 +7,18 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from dtnsat.equilibrium import solve_ese
+from dtnsat.equilibrium import _sweep_point, solve_ese
 from dtnsat.model import (
     GameParams,
     _cohort_payoffs,
     _cohort_shares,
+    _payoff_pair,
     _tagged_share,
     delivery_share,
     expected_relay_utility_mixed,
     expected_source_utility_mixed,
     per_relay_success,
+    reduced_payoffs,
     relay_payoffs,
     storage_energy,
 )
@@ -62,7 +64,7 @@ class TestFailureProbability:
 
 class TestStorageEnergy:
     def test_reference_value(self, base_params):
-        assert storage_energy(base_params) == pytest.approx(E_S, rel=1e-12)
+        assert storage_energy(base_params) == pytest.approx(E_S, rel=1e-12, abs=0)
 
     def test_matches_quadrature_oracle(self, base_params):
         # independent route: trapezoid integration of e*lam*t*exp(-lam*t)
@@ -108,7 +110,7 @@ class TestStorageEnergy:
     def test_series_and_closed_form_meet_at_the_switch(self):
         below, above = (storage_energy(make_params(lam=lam, tau=1.0))
                         for lam in (math.nextafter(0.5, 0.0), 0.5))
-        assert below == pytest.approx(above, rel=1e-14)
+        assert below == pytest.approx(above, rel=1e-14, abs=0)
 
     @pytest.mark.parametrize("lam", [5e-324, 1e-320, 1e-315])
     def test_subnormal_rate_stores_nothing(self, lam):
@@ -119,7 +121,7 @@ class TestStorageEnergy:
 
 class TestTotalEnergy:
     def test_reference_value(self, base_params):
-        assert base_params.total_energy == pytest.approx(ETA, rel=1e-12)
+        assert base_params.total_energy == pytest.approx(ETA, rel=1e-12, abs=0)
 
     def test_all_zero(self):
         assert make_params(e=0.0, e_r=0.0, e_t=0.0).total_energy == 0.0
@@ -157,12 +159,40 @@ class TestRelayPayoffs:
             assert (accept[i], reject[i]) == relay_payoffs(1.3, share, base_params)
 
 
+def hexes(pair):
+    """The exact floats of each side of a payoff pair, as lists."""
+    return [[float(v).hex() for v in np.ravel(side)] for side in pair]
+
+
+class TestPayoffKernel:
+    """The game's and the solvers' payoffs are the one rule of
+    ``_payoff_pair``, each at its own regret and cost."""
+
+    def test_both_payoffs_are_the_kernel(self, base_params):
+        params, alpha = base_params, 1.3
+        cost = _sweep_point(params, None, ())[4].item()
+        cohorts = np.arange(1.0, params.n + 1)
+        misses = np.array([params.q ** m for m in range(1, params.n + 1)])
+        columns = (cohorts, 1.0 - misses, misses)
+        # the arrays, then two points of them as Python floats
+        cases = [columns] + [tuple(c[i].item() for c in columns) for i in (0, params.n - 1)]
+        for cohort, success, miss in cases:
+            share = success / cohort
+            game = relay_payoffs(alpha, share, params)
+            reduced = reduced_payoffs(alpha, cohort, success, miss, cost, params)
+            assert hexes(game) == hexes(_payoff_pair(
+                alpha, share, params.sigma * (1.0 - share), params.total_energy, params))
+            assert hexes(reduced) == hexes(_payoff_pair(
+                alpha, share, params.sigma * (params.n - 1 + miss) / cohort, cost, params))
+            assert hexes(game)[1] == hexes(reduced)[1]
+
+
 class TestZeroRateLimits:
     # lam*tau = 1e-9 keeps the first-order offset of the cost below 1e-9
     def test_total_energy(self):
         assert make_params(lam=0.0, tau=1.0).total_energy == 2e-5 + 2e-5
         assert make_params(lam=0.0, tau=1.0).total_energy == pytest.approx(
-            make_params(lam=1e-9, tau=1.0).total_energy, rel=1e-9)
+            make_params(lam=1e-9, tau=1.0).total_energy, rel=1e-9, abs=0)
 
 
 class TestDeliveryShare:
@@ -213,7 +243,7 @@ class TestRelayUtilities:
 
     def test_rewardless_cooperation_costs_energy(self, base_params):
         u = cohort_payoffs(0.0, 7, make_params(sigma=0.0))[0]
-        assert u == pytest.approx(-ETA, rel=1e-12)
+        assert u == pytest.approx(-ETA, rel=1e-12, abs=0)
 
     def test_decline_regret_only(self, base_params):
         assert cohort_payoffs(0.0, 3, base_params)[1] == pytest.approx(-0.15)

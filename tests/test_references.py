@@ -151,7 +151,7 @@ def unread_public_names(package: Path) -> list[str]:
 def test_every_private_name_is_used():
     defined = {name for path in PACKAGE.glob("*.py")
                for name in private_definitions(ast.parse(path.read_text(encoding="utf-8")))}
-    assert len(defined) == 49
+    assert len(defined) == 50
     assert unused_private_names(PACKAGE) == []
 
 
@@ -230,9 +230,10 @@ def test_a_stray_raise_fails(tmp_path):
     assert raise_lines(tmp_path / "model.py") == ([3], [6, 11])
 
 
-# the model states how a relay is paid; the other modules pay through
-# model._cohort_payoffs or its binomial mean
-PAYOFF_RULE = ("delivery_share", "relay_payoffs")
+# the model states how a relay is paid, once, in _payoff_pair; the other
+# modules pay through model._cohort_payoffs, its binomial mean or
+# model.reduced_payoffs
+PAYOFF_RULE = ("delivery_share", "relay_payoffs", "_payoff_pair")
 # the episode stream, all that learning takes from simulate
 STREAM = {"MODEL", "_index", "_windows"}
 

@@ -189,6 +189,17 @@ class TestEpisode:
         estimator(base_params, *args, 25, 1)
         assert len(seen) == 25 and all(type(p) is np.float64 and p == 0.3 for p in seen)
 
+    @pytest.mark.parametrize("estimator", [estimate_delivery, estimate_relay_utility])
+    @pytest.mark.parametrize("p", [1.5, math.nan])
+    def test_a_bad_probability_is_named_before_any_draw(self, base_params, monkeypatch,
+                                                        estimator, p):
+        # the mode is checked where the first block is mapped: a bad p with a
+        # bad mode names the p, and no window is drawn
+        monkeypatch.setattr(simulate, "_contacts", lambda *args: pytest.fail("drew a block"))
+        args = (p, 1.0) if estimator is estimate_relay_utility else (p,)
+        with pytest.raises(ValueError, match=rf"must lie in \[0, 1\], got {p}$"):
+            estimator(base_params, *args, 10, 1, "exact")
+
     @pytest.mark.parametrize("reward", [math.inf, -math.inf, math.nan])
     def test_non_finite_reward_rejected(self, base_params, reward):
         # every payoff of a non-finite reward is non-finite: the utility check rejects it

@@ -161,9 +161,9 @@ def test_named_points(lam, tau, var):
 @given(lams=st.lists(LAMBDAS, min_size=1, max_size=8), tau=TAUS)
 def test_contact_column_is_the_scalar_contact_model(lams, tau):
     points = [make_params(lam=lam, tau=tau) for lam in lams]
-    _, _, q, reach, _ = _sweep_point(make_params(tau=tau), "lambda", lams)
+    _, _, q, s, _ = _sweep_point(make_params(tau=tau), "lambda", lams)
     assert bits(q) == bits(point.q for point in points)
-    assert bits(reach) == bits(point.reach for point in points)
+    assert bits(s) == bits(per_relay_success(point, 1.0) for point in points)
 
 
 @settings(derandomize=True, database=None, max_examples=300, deadline=None)
@@ -177,8 +177,8 @@ def test_record_constants_are_the_expressions_they_keep(lam, tau):
     want = (math.exp(-lam * tau), -math.expm1(-lam * tau),
             params.e_receive + params.e_transmit + storage_energy(params))
     assert bits((params.q, params.reach, params.total_energy)) == bits(want)
-    _, _, q, reach, _ = _sweep_point(params, None, ())
-    assert bits((params.q, params.reach)) == bits((q.item(), reach.item()))
+    _, _, q, s, _ = _sweep_point(params, None, ())
+    assert bits((params.q, per_relay_success(params, 1.0))) == bits((q.item(), s.item()))
 
 
 @settings(derandomize=True, database=None, max_examples=300, deadline=None)
@@ -206,9 +206,9 @@ def test_cost_and_reward_columns_are_the_scalar_ones(lams, tau, n, success):
         for point in points)
     # the one-point path the mean-field learner feed reads
     for point in points:
-        _, _, q, reach, cost = _sweep_point(point, None, ())
+        _, _, _, s, cost = _sweep_point(point, None, ())
         assert bits(cost) == bits([reduced_cooperation_cost(point)])
-        assert bits((1.0 - q) * reach) == bits([per_relay_success(point, 1.0)])
+        assert bits(s) == bits([per_relay_success(point, 1.0)])
 
 
 # errors: the kernel raises the first failing point in sweep order
