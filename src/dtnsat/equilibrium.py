@@ -5,14 +5,15 @@ The solvers invert the reduced relay payoff,
 e*(1-q)/lam and the failure regret is weighted by the full fleet size n
 rather than by the accepting cohort alone; each returned reward is the root
 of the accept-minus-reject gap of that payoff, pure at cohort m or mixed at
-common p.  The simulator and the mixed utilities pay the game's payoff,
-:func:`dtnsat.model.relay_payoffs`, where a relay with k accepting opponents
-holds the share of cohort k+1; :mod:`dtnsat.model` states both through its
-one payoff rule.  The two disagree by far more than rounding: at the
-reference binding point (p* = 0.0549, alpha* = 0.7668) a relay's mixed
-accept/reject payoffs are 0.460/-0.675 under the game's payoff and
--0.173/-0.173 under the reduced one, so the binding point is no relay
-equilibrium of the game.
+common p, which :func:`dtnsat.model._indifference_reward` states, so this
+module reads no payoff parameter.  The simulator and the mixed utilities
+pay the game's payoff, :func:`dtnsat.model.relay_payoffs`, where a relay
+with k accepting opponents holds the share of cohort k+1;
+:mod:`dtnsat.model` states both through its one payoff rule.  The two
+disagree by far more than rounding: at the reference binding point (p* =
+0.0549, alpha* = 0.7668) a relay's mixed accept/reject payoffs are
+0.460/-0.675 under the game's payoff and -0.173/-0.173 under the reduced
+one, so the binding point is no relay equilibrium of the game.
 
 The mixed solvers are one column kernel, :func:`_mixed_column`: it takes a
 sweep's whole column of ``tau``, ``lambda``, ``n`` or ``delta`` values and
@@ -46,11 +47,8 @@ from typing import Optional
 
 import numpy as np
 
-from .model import (
-    GameParams,
-    expected_relay_utility_mixed,
-    expected_source_utility_mixed,
-)
+from .model import GameParams, _indifference_reward, expected_relay_utility_mixed, \
+    expected_source_utility_mixed
 
 
 class DegenerateContactError(ValueError):
@@ -95,20 +93,6 @@ def _cohort_bound(q: float, delta: float):
 def minimum_satisfying_cohort(params: GameParams):
     """Smallest integer cohort with 1 - q**m >= delta; inf where q = 1."""
     return _cohort_bound(params.q, params.delta)
-
-
-def _indifference_reward(params: GameParams, n, cost, cohort, success):
-    """Root in alpha of the reduced-model gap for a cohort, of a fleet of n,
-    that delivers with probability ``success`` at the cooperation cost
-    ``cost`` (the reduced cost of :func:`_sweep_point`).
-
-    Written over the cost itself, whose caching term is divided by lam, so
-    the balance stays in range for every finite lam.  Works elementwise on
-    numpy arrays; the callers check that the reward is finite.
-    """
-    miss = 1.0 - success
-    num = params.sigma * (n - 1 + miss) + cohort * (cost - params.gamma)
-    return num / (2.0 * success)
 
 
 def _overflow(success: float) -> FloatRangeError:

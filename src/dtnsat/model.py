@@ -1,8 +1,9 @@
 """Closed-form contact, energy and utility formulas of the caching game, and
 its one payoff rule, :func:`_payoff_pair`: :func:`_cohort_payoffs` pays a
-realized cohort (the simulator and the learner score with it),
-:func:`expected_relay_utility_mixed` its binomial mean, and
-:func:`reduced_payoffs` the solvers' reduced model.
+realized cohort in one evaluation (the simulator and the learner score
+with it), :func:`expected_relay_utility_mixed` its binomial mean, and
+:func:`reduced_payoffs` the solvers' reduced model, whose gap
+:func:`_indifference_reward` zeroes.
 
 Everything here is a pure function over :class:`GameParams`, the one
 immutable record of the game's inputs and the one place they are checked
@@ -94,18 +95,20 @@ def storage_energy(params: GameParams) -> float:
     return scale * bracket if math.isfinite(scale) else params.e_store * (bracket / lam)
 
 
-def _payoff_pair(alpha, share, regret, cost, params: GameParams):
-    """The one (accept, reject) payoff rule of a relay holding ``share`` of
-    the reward alpha: accepting earns it less ``regret`` and ``cost``;
-    declining forfeits it and pays the regret gamma."""
-    return alpha * share - regret - cost, -alpha * share - params.gamma
+def _payoff_pair(alpha, share, forfeit, regret, cost, params: GameParams):
+    """The one (accept, reject) payoff rule of a relay: accepting earns
+    ``share`` of the reward alpha less ``regret`` and ``cost``; declining
+    forfeits the share ``forfeit`` of it and pays the regret gamma."""
+    return alpha * share - regret - cost, -alpha * forfeit - params.gamma
 
 
-def relay_payoffs(alpha, share, params: GameParams):
+def relay_payoffs(alpha, share, params: GameParams, forfeit=None):
     """The game's (accept, reject) payoffs of a relay holding ``share`` of the
-    reward alpha: :func:`_payoff_pair` at the regret sigma*(1 - share) and
+    reward alpha, and forfeiting ``forfeit`` of it (``share`` by default) if
+    it declines: :func:`_payoff_pair` at the regret sigma*(1 - share) and
     the record's ``total_energy``.  Numpy arrays of shares work elementwise."""
-    return _payoff_pair(alpha, share, params.sigma * (1.0 - share), params.total_energy, params)
+    return _payoff_pair(alpha, share, share if forfeit is None else forfeit,
+                        params.sigma * (1.0 - share), params.total_energy, params)
 
 
 def reduced_payoffs(alpha, cohort, success, miss, cost, params: GameParams):
@@ -114,8 +117,24 @@ def reduced_payoffs(alpha, cohort, success, miss, cost, params: GameParams):
     :func:`_payoff_pair` at share success/cohort, regret sigma*(n - 1 +
     miss)/cohort and the reduced cooperation ``cost`` of
     :func:`dtnsat.equilibrium._sweep_point`; elementwise on numpy arrays."""
-    return _payoff_pair(alpha, success / cohort, params.sigma * (params.n - 1 + miss) / cohort,
+    share = success / cohort
+    return _payoff_pair(alpha, share, share, params.sigma * (params.n - 1 + miss) / cohort,
                         cost, params)
+
+
+def _indifference_reward(params: GameParams, n, cost, cohort, success):
+    """Root in alpha of the :func:`reduced_payoffs` gap for a cohort, of a
+    fleet of n, that delivers with probability ``success`` at the
+    cooperation cost ``cost`` (the reduced cost of
+    :func:`dtnsat.equilibrium._sweep_point`).
+
+    Written over the cost itself, whose caching term is divided by lam, so
+    the balance stays in range for every finite lam.  Works elementwise on
+    numpy arrays; the callers check that the reward is finite.
+    """
+    miss = 1.0 - success
+    num = params.sigma * (n - 1 + miss) + cohort * (cost - params.gamma)
+    return num / (2.0 * success)
 
 
 def delivery_share(n_active: int, q: float) -> float:
@@ -135,13 +154,12 @@ def _cohort_shares(params: GameParams) -> list[float]:
 
 def _cohort_payoffs(params: GameParams, share, n_accept, reward: float) -> tuple:
     """(accept, decline) :func:`relay_payoffs` when ``n_accept`` relays
-    accept: a relay with k accepting opponents is paid the share of cohort
-    k + 1 whether it accepted or declined, so the two stay comparable (an
-    empty cohort's accept payoff is never paid).  ``share`` is the
-    :func:`_cohort_shares` table: the list for an int count (two floats),
-    a numpy array of it for array counts (two arrays)."""
-    return (relay_payoffs(reward, share[n_accept], params)[0],
-            relay_payoffs(reward, share[n_accept + 1], params)[1])
+    accept, in one evaluation: a relay with k accepting opponents is paid,
+    or forfeits, the share of cohort k + 1 whether it accepted or declined,
+    so the two stay comparable (an empty cohort's accept payoff is never
+    paid).  ``share`` is the :func:`_cohort_shares` table: the list for an
+    int count (two floats), a numpy array of it for array counts (two arrays)."""
+    return relay_payoffs(reward, share[n_accept], params, share[n_accept + 1])
 
 
 def per_relay_success(params: GameParams, p: float) -> float:

@@ -9,6 +9,7 @@ import dtnsat.equilibrium as equilibrium
 import dtnsat.model as model
 from dtnsat.equilibrium import (
     DegenerateContactError,
+    EseSolution,
     _cohort_bound,
     _mixed_column,
     _sweep_point,
@@ -111,7 +112,7 @@ class TestPseColumns:
         assert feasible
         assert set(alpha_star) == set(range(1, 8))
         for m, expect in ALPHA_PSE.items():
-            assert alpha_star[m] == pytest.approx(expect, rel=1e-12)
+            assert alpha_star[m] == pytest.approx(expect, rel=1e-12, abs=0)
             assert not clamped[m]
 
     def test_rewards_satisfy_their_indifference_equation(self, base_params):
@@ -202,9 +203,9 @@ class TestMseColumns:
     def test_reference_bound(self, base_params):
         (p_min,), (alpha,), (z_star,), (feasible,) = mse_columns(base_params, None, ())
         assert feasible
-        assert p_min == pytest.approx(P_MIN_7, rel=1e-12)
-        assert alpha == pytest.approx(ALPHA_ESE_7, rel=1e-12)
-        assert z_star == pytest.approx(Z_STAR_7, rel=1e-12)
+        assert p_min == pytest.approx(P_MIN_7, rel=1e-12, abs=0)
+        assert alpha == pytest.approx(ALPHA_ESE_7, rel=1e-12, abs=0)
+        assert z_star == pytest.approx(Z_STAR_7, rel=1e-12, abs=0)
         assert 0.0 <= z_star <= 1.0
 
     def test_vanishing_threshold(self):
@@ -260,8 +261,8 @@ class TestMseColumns:
 class TestSolveEse:
     def test_reference_point(self, base_params):
         sol = solve_ese(base_params)
-        assert sol.p_star == pytest.approx(P_MIN_7, rel=1e-12)
-        assert sol.alpha_star == pytest.approx(ALPHA_ESE_7, rel=1e-12)
+        assert sol.p_star == pytest.approx(P_MIN_7, rel=1e-12, abs=0)
+        assert sol.alpha_star == pytest.approx(ALPHA_ESE_7, rel=1e-12, abs=0)
         assert not sol.alpha_clamped
         assert abs(sol.binding_delivery - 0.21) <= 1e-9
 
@@ -410,7 +411,7 @@ class TestParetoDominance:
         expect = (expected_relay_utility_mixed(cand_p, cand_alpha, base_params)
                   - expected_relay_utility_mixed(ese.p_star, ese.alpha_star,
                                                  base_params))
-        assert d_relay == pytest.approx(expect, rel=1e-12)
+        assert d_relay == pytest.approx(expect, rel=1e-12, abs=0)
 
     def test_grid_scan_finds_the_dominating_region(self, base_params):
         ese = solve_ese(base_params)
@@ -421,6 +422,21 @@ class TestParetoDominance:
                 (d_margin, d_relay, True)
             assert expected_source_utility_mixed(p, base_params) >= \
                 base_params.delta - 1e-9
+
+    def test_a_margin_gain_above_the_tolerance_dominates(self, base_params):
+        # a binding point 5e-8 short of the delivery at its own cell: that
+        # cell gains 5e-8 of source margin and nothing for the relays, so it
+        # dominates at a tolerance of 1e-9 and would not at 1e-7
+        params = base_params
+        ese = EseSolution(p_star=0.5, alpha_star=2.0, alpha_clamped=False,
+                          binding_delivery=expected_source_utility_mixed(0.5, params) - 5e-8)
+        rows = pareto_grid_scan(params, ese)
+        assert len(rows) == 4999
+        cell = [row for row in rows.tolist() if row[:2] == [0.5, 2.0]]
+        assert len(cell) == 1
+        _, _, d_margin, d_relay = cell[0]
+        assert d_margin == pytest.approx(5e-8, rel=1e-6, abs=0)
+        assert d_relay == 0.0
 
     @pytest.mark.parametrize("alpha_max, count", [(5.0, 7731), (0.014, 5880), (1.8e306, 5195)])
     def test_grid_scan_rows_are_the_dominating_verdicts_bit_for_bit(self, alpha_max, count):

@@ -419,7 +419,7 @@ class TestElementwiseRelayUpdate:
     def test_non_finite_fed_utility_stops_run_coupled_on_the_episode_feed(
             self, base_params, monkeypatch):
         monkeypatch.setattr(model, "relay_payoffs",
-                            lambda alpha, share, params: (-0.1, math.nan))
+                            lambda alpha, share, params, forfeit=None: (-0.1, math.nan))
         with pytest.raises(ValueError, match="realized utility must be finite, got nan"):
             run_coupled(base_params, 20, seed=1, feed=EPISODE)
 

@@ -7,6 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from dtnsat import model
 from dtnsat.equilibrium import _sweep_point, solve_ese
 from dtnsat.model import (
     GameParams,
@@ -40,7 +41,7 @@ class TestContactProbability:
         assert make_params(lam=0.0).reach == 0.0
 
     def test_reference_value(self):
-        assert make_params().reach == pytest.approx(P_C, rel=1e-14)
+        assert make_params().reach == pytest.approx(P_C, rel=1e-14, abs=0)
 
     def test_approaches_one_for_large_rate(self):
         p = make_params(lam=0.3).reach  # lam*tau = 30
@@ -59,7 +60,7 @@ class TestFailureProbability:
         assert make_params(lam=0.0, tau=50.0).q == 1.0
 
     def test_reference_value(self):
-        assert make_params().q == pytest.approx(Q_TAU, rel=1e-14)
+        assert make_params().q == pytest.approx(Q_TAU, rel=1e-14, abs=0)
 
 
 class TestStorageEnergy:
@@ -181,10 +182,35 @@ class TestPayoffKernel:
             game = relay_payoffs(alpha, share, params)
             reduced = reduced_payoffs(alpha, cohort, success, miss, cost, params)
             assert hexes(game) == hexes(_payoff_pair(
-                alpha, share, params.sigma * (1.0 - share), params.total_energy, params))
+                alpha, share, share, params.sigma * (1.0 - share), params.total_energy, params))
             assert hexes(reduced) == hexes(_payoff_pair(
-                alpha, share, params.sigma * (params.n - 1 + miss) / cohort, cost, params))
+                alpha, share, share, params.sigma * (params.n - 1 + miss) / cohort, cost, params))
             assert hexes(game)[1] == hexes(reduced)[1]
+
+    def test_a_cohort_is_paid_in_one_kernel_call(self, base_params, monkeypatch):
+        # each side equals relay_payoffs at its own cohort's share, bit for bit
+        params, reward = base_params, 1.3
+        share = _cohort_shares(params)
+        counts = np.arange(params.n + 1)
+        sides = [(relay_payoffs(reward, share[k], params)[0],
+                  relay_payoffs(reward, share[k + 1], params)[1]) for k in counts.tolist()]
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return _payoff_pair(*args)
+
+        monkeypatch.setattr(model, "_payoff_pair", counted)
+        for k in counts.tolist():
+            calls.clear()
+            pair = _cohort_payoffs(params, share, k, reward)
+            assert len(calls) == 1
+            assert [side.hex() for side in pair] == [side.hex() for side in sides[k]]
+        calls.clear()
+        accept, decline = _cohort_payoffs(params, np.array(share), counts, reward)
+        assert len(calls) == 1
+        assert np.array_equal(accept, [a for a, _ in sides])
+        assert np.array_equal(decline, [d for _, d in sides])
 
 
 class TestZeroRateLimits:
@@ -201,7 +227,7 @@ class TestDeliveryShare:
 
     def test_reference_cohort(self):
         assert delivery_share(7, 0.223130) == pytest.approx(0.14285320909842817,
-                                                            rel=1e-13)
+                                                            rel=1e-13, abs=0)
 
     def test_certain_failure(self):
         for m in (1, 3, 10):
@@ -217,7 +243,7 @@ class TestDeliveryShareBruteforce:
         assert delivery_share_bruteforce(1, 0.5) == 0.5
 
     def test_uniform_tie_at_zero_failure(self):
-        assert delivery_share_bruteforce(3, 0.0) == pytest.approx(1 / 3, rel=1e-15)
+        assert delivery_share_bruteforce(3, 0.0) == pytest.approx(1 / 3, rel=1e-15, abs=0)
 
     def test_matches_closed_form_on_grid(self):
         for m in range(1, 21):
@@ -268,7 +294,7 @@ class TestMixedSourceUtility:
         params = make_params(n=1)
         expect = (1 - Q_TAU) * P_C
         assert expected_source_utility_mixed(1.0, params) == pytest.approx(expect,
-                                                                           rel=1e-12)
+                                                                           rel=1e-12, abs=0)
 
     def test_binding_point_value(self, base_params):
         assert expected_source_utility_mixed(0.054867, base_params) == \
@@ -289,7 +315,7 @@ class TestMixedRelayUtility:
     def test_degenerate_accept_mixture(self, base_params):
         expect = cohort_payoffs(2.0, 7, base_params)[0]
         assert expected_relay_utility_mixed(1.0, 2.0, base_params) == \
-            pytest.approx(expect, rel=1e-12)
+            pytest.approx(expect, rel=1e-12, abs=0)
 
     def test_matches_profile_enumeration(self):
         # oracle: enumerate all opponent action profiles exhaustively
@@ -303,8 +329,8 @@ class TestMixedRelayUtility:
             accept, reject = cohort_payoffs(alpha, k + 1, params)
             total += weight * (p * accept + (1 - p) * reject)
         got = expected_relay_utility_mixed(p, alpha, params)
-        assert got == pytest.approx(total, rel=1e-12)
-        assert got == pytest.approx(-0.1129812725428147, rel=1e-12)
+        assert got == pytest.approx(total, rel=1e-12, abs=0)
+        assert got == pytest.approx(-0.1129812725428147, rel=1e-12, abs=0)
 
     def test_enumeration_oracle_wider(self):
         params = make_params(n=5)
@@ -318,7 +344,7 @@ class TestMixedRelayUtility:
                     accept, reject = cohort_payoffs(alpha, k + 1, params)
                     total += weight * (p * accept + (1 - p) * reject)
                 assert expected_relay_utility_mixed(p, alpha, params) == \
-                    pytest.approx(total, rel=1e-12), (p, alpha)
+                    pytest.approx(total, rel=1e-12, abs=0), (p, alpha)
 
 
 def ulps_apart(a: float, b: float) -> int:
@@ -477,7 +503,7 @@ class TestTaggedShare:
         # a /(n p) form returns -0.85 here, against the -0.6938 of p = 0
         at_zero = expected_relay_utility_mixed(0.0, 0.7, base_params)
         assert expected_relay_utility_mixed(5e-324, 0.7, base_params) == \
-            pytest.approx(at_zero, rel=1e-15)
+            pytest.approx(at_zero, rel=1e-15, abs=0)
 
     @pytest.mark.parametrize("p", [1e-9, 0.0549, 0.5, 1.0])
     def test_indifference_reward_zeroes_the_binomial_gap(self, base_params, p):

@@ -3,9 +3,9 @@ the package docstrings resolves to an attribute of its module (a function
 or class defined there, not imported), every module-level name of the
 package is read somewhere in it, every name a module imports is read in
 that module, every ``raise`` of the model lies in
-``GameParams.__post_init__``, only the model applies its payoff rule,
-``learning`` takes only the episode stream from ``simulate``, and ``import
-dtnsat`` loads no module of the package."""
+``GameParams.__post_init__``, only the model applies its payoff rule or
+reads its payoff parameters, ``learning`` takes only the episode stream
+from ``simulate``, and ``import dtnsat`` loads no module of the package."""
 import ast
 import importlib
 import inspect
@@ -267,6 +267,39 @@ def test_a_payoff_rule_call_outside_the_model_fails(tmp_path):
         "TABLE = (delivery_share, model.relay_payoffs)\n", encoding="utf-8")
     # the model's own call and the two uncalled references do not count
     assert payoff_rule_calls(tmp_path) == ["simulate:6", "simulate:7"]
+
+
+# the regrets that the payoff rule charges, read only by the model
+PAYOFF_PARAMETERS = ("sigma", "gamma")
+
+
+def payoff_parameter_reads(package: Path) -> list[str]:
+    """``module:line`` of each read of a ``PAYOFF_PARAMETERS`` attribute in a
+    module of ``package`` other than ``model``."""
+    reads = []
+    for path in sorted(package.glob("*.py")):
+        if path.stem == "model":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+                    and node.attr in PAYOFF_PARAMETERS):
+                reads.append((path.stem, node.lineno))
+    return [f"{module}:{line}" for module, line in sorted(reads)]
+
+
+def test_only_the_model_reads_the_payoff_parameters():
+    assert payoff_parameter_reads(PACKAGE) == []
+
+
+def test_a_payoff_parameter_read_outside_the_model_fails(tmp_path):
+    (tmp_path / "model.py").write_text(
+        "def regret(params):\n    return params.sigma + params.gamma\n", encoding="utf-8")
+    (tmp_path / "equilibrium.py").write_text(
+        "KEYS = {\"sigma\": 0.2}\n\n\n"
+        "def reward(params, cost):\n    return cost - params.gamma\n\n\n"
+        "def tune(record):\n    record.sigma = 0.1\n    return record\n", encoding="utf-8")
+    # the model's own reads, a key named sigma and a store do not count
+    assert payoff_parameter_reads(tmp_path) == ["equilibrium:5"]
 
 
 def simulate_imports(path: Path) -> set[str]:

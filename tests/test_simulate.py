@@ -229,7 +229,7 @@ def test_physical_delivery_meets_its_closed_form():
     windows = 300_000
     q = make_params().q
     s_phys = 1.0 - q + q * math.log(q)
-    assert s_phys == pytest.approx(PHYSICAL_ONE_RELAY, rel=1e-14)
+    assert s_phys == pytest.approx(PHYSICAL_ONE_RELAY, rel=1e-14, abs=0)
     for n, probs in ((1, (1.0,)), (3, (0.5,)), (7, (0.3, 1.0))):
         params = make_params(n=n)
         u = episode_rng(3).random((windows, _window(n)))
@@ -458,7 +458,7 @@ class TestEstimateWithCI:
         hits = [float(simulate_episode(*trial_window(base_params, 5, t), probs)[1])
                 for t in range(400)]
         expect = statistics.stdev(hits) / 400 ** 0.5
-        assert est.stderr == pytest.approx(expect, rel=1e-12)
+        assert est.stderr == pytest.approx(expect, rel=1e-12, abs=0)
 
     def test_stderr_keeps_its_bits_below_the_float_range(self):
         # the power-of-two scale that keeps huge samples finite is exact,

@@ -12,7 +12,6 @@ from hypothesis import example, given, settings, strategies as st
 from dtnsat import equilibrium
 from dtnsat.equilibrium import (
     _any_delivers_column,
-    _indifference_reward,
     _mixed_column,
     _sweep_point,
     ese_columns,
@@ -23,6 +22,7 @@ from dtnsat.equilibrium import (
 )
 from dtnsat.model import (
     _any_delivers,
+    _indifference_reward,
     expected_source_utility_mixed,
     per_relay_success,
     storage_energy,
